@@ -782,6 +782,8 @@ class ShortestPathOracle:
         )
         aug.kernel = cfg.kernel
         aug.weights_epoch = self.augmentation.weights_epoch + 1
+        if status == "reweight":
+            aug.reuse_layout(self.augmentation)
         if validate:
             dev = aug.verify_edges()
             if dev > 1e-9:

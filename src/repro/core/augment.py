@@ -124,8 +124,8 @@ class Augmentation:
 
     def relaxer(self):
         """Full-edge-set :class:`~repro.kernels.bellman_ford.EdgeRelaxer`
-        over G⁺ (built once, then cached — the dst-sorted permutation is the
-        expensive part of every naive query)."""
+        over G⁺ (built once, then cached — sorting its edge layouts would
+        otherwise dominate every naive query)."""
         if self._relaxer is None:
             from ..kernels.bellman_ford import EdgeRelaxer  # local: avoids cycle
 

@@ -142,8 +142,8 @@ class OracleConfig:
     engine:
         Query relaxation mode: ``"scheduled"`` or ``"naive"``.
     source_block:
-        Row-block size bounding per-phase temporaries in batched queries
-        (``None`` → :data:`repro.core.sssp.SOURCE_BLOCK`).
+        Row-block size bounding per-phase temporaries in batched queries,
+        at least 1 (``None`` → :data:`repro.core.sssp.SOURCE_BLOCK`).
     cache:
         Augmentation-cache mode for :meth:`ShortestPathOracle.build`:
         ``"off"`` (never touch the store), ``"read"`` (load a hit, never
@@ -269,6 +269,10 @@ class OracleConfig:
             )
         if self.cache not in _CACHE_MODES:
             raise ValueError(f"cache must be one of {_CACHE_MODES}, got {self.cache!r}")
+        if self.source_block is not None and int(self.source_block) < 1:
+            raise ValueError(
+                f"source_block must be >= 1 (None = default), got {self.source_block!r}"
+            )
         if int(self.row_cache) < 0:
             raise ValueError(f"row_cache must be >= 0, got {self.row_cache!r}")
         if int(self.shards) < 0:

@@ -9,7 +9,7 @@ than the relaxation itself.  :class:`QueryEngine` is the amortized form:
   from the augmentation's caches (constructed at most once per
   augmentation, shared with :mod:`repro.core.sssp`);
 * **publish once** — on the ``shm`` backend the compiled phase arrays
-  (dst-sorted edge lists, segment starts, targets) are written to a
+  (push/pull edge layouts and their weights) are written to a
   shared-memory arena a single time; per-query task payloads carry only
   descriptors and row ranges — O(1) bytes per shard;
 * **relax in parallel** — a batch of ``s`` sources is an ``(s, n)``
@@ -41,7 +41,12 @@ from typing import Any
 
 import numpy as np
 
-from ..kernels.bellman_ford import EdgeRelaxer, initial_distances, run_phases
+from ..kernels.bellman_ford import (
+    EdgeRelaxer,
+    initial_distances,
+    relax_fixpoint,
+    run_phases,
+)
 from ..pram.executor import SerialExecutor, ThreadExecutor, get_executor
 from .augment import Augmentation
 from .config import UNSET, OracleConfig, resolve_config
@@ -100,19 +105,13 @@ def _shard_worker(payload: dict[str, Any]) -> dict[str, Any]:
     else:
         rows = payload["rows"]
         shared = False
-    block = max(1, int(payload["engine"]["source_block"]))
-    phases = 0
     if payload["engine"]["mode"] == "scheduled":
+        block = max(1, int(payload["engine"]["source_block"]))
         for start in range(0, rows.shape[0], block):
             run_phases(relaxers, rows[start : start + block])
         phases = len(relaxers)
     else:
-        relaxer = relaxers[0]
-        cap = int(payload["engine"]["cap"])
-        active = np.arange(rows.shape[0])
-        while active.size and phases < cap:
-            active = relaxer.relax_rows(rows, active)
-            phases += 1
+        phases, _ = relax_fixpoint(relaxers[0], rows, int(payload["engine"]["cap"]))
     return {"rows": None if shared else rows, "phases": phases}
 
 
@@ -332,13 +331,7 @@ class QueryEngine:
             for start in range(0, rows.shape[0], block):
                 self.schedule.run(rows[start : start + block])
         else:
-            relaxer, cap = self._relaxers[0], self.aug.diameter_bound
-            view = rows if rows.ndim == 2 else rows[None, :]
-            active = np.arange(view.shape[0])
-            phases = 0
-            while phases < cap and active.size:
-                active = relaxer.relax_rows(view, active)
-                phases += 1
+            relax_fixpoint(self._relaxers[0], rows, self.aug.diameter_bound)
 
     def _shards(self, s: int) -> list[tuple[int, int]]:
         """Split ``s`` rows into one contiguous range per worker."""

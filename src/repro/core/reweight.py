@@ -45,11 +45,10 @@ in index order within a level, first offending vertex in label order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from ..kernels.bellman_ford import EdgeRelaxer, min_weight_diameter
+from ..kernels.bellman_ford import min_weight_diameter
 from .augment import (
     Augmentation,
     NegativeCycleDetected,
@@ -114,8 +113,8 @@ class ReweightPlan:
         self._src = graph.src
         self._dst = graph.dst
         self._capture(graph, tree)
-        #: lazily built §3.2 schedule structure (see ensure_schedule_cache).
-        self._sched: dict[str, Any] | None = None
+        #: the §3.2 schedule layout reweights bind to (ensure_schedule_cache).
+        self._layout = None
 
     @classmethod
     def capture(cls, graph: WeightedDigraph, tree: SeparatorTree) -> "ReweightPlan":
@@ -380,9 +379,11 @@ class ReweightPlan:
         aug._reweight_state = ReweightState(  # type: ignore[attr-defined]
             heap=heap, leaf_diam=leaf_diam
         )
-        schedule = self._clone_schedule(aug)
-        if schedule is not None:
-            aug._schedule = schedule
+        # Bind the new weights to the recorded layout, unless the pair
+        # structure drifted (a weight hit 0̄ or a 0̄ pair came alive): the
+        # schedule then compiles cold on first use.
+        if self._layout is not None and self._layout.matches(aug):
+            aug._schedule = self._layout.bind(aug)
         return aug
 
     # -------------------------- leaves ----------------------------- #
@@ -597,138 +598,19 @@ class ReweightPlan:
     # -------------------------- schedule ---------------------------- #
 
     def ensure_schedule_cache(self, aug: Augmentation) -> None:
-        """Record the §3.2 phase permutations against ``aug``'s E⁺ pair
-        structure (masks and dst-sorts are weight-independent)."""
-        if self._sched is not None:
+        """Keep the weight-independent §3.2 layout of ``aug``'s E⁺ pair
+        structure (the one its schedule is bound to, if compiled), so every
+        later :meth:`run` binds weights to it instead of compiling."""
+        layout = getattr(aug._schedule, "layout", None)
+        if layout is not None and layout is self._layout:
+            return  # the usual case: aug was bound by this plan
+        if self._layout is not None and self._layout.matches(aug):
             return
-        tree, g = aug.tree, aug.graph
-        d_g = tree.height
-        lv = tree.vertex_level
-        src = np.concatenate([g.src, aug.src])
-        dst = np.concatenate([g.dst, aug.dst])
-        lv1, lv2 = lv[src], lv[dst]
-        aug_counts = np.zeros(src.shape[0], dtype=np.int64)
-        phases = []
+        if layout is None or not layout.matches(aug):
+            from .scheduler import ScheduleLayout  # local: avoids import cycle
 
-        def add_filtered(mask: np.ndarray, label: str) -> None:
-            aug_counts[mask] += 1
-            idx = np.nonzero(mask)[0]
-            perm = idx[np.argsort(dst[idx], kind="stable")]
-            dst_sorted = dst[perm]
-            if perm.size:
-                new_group = np.ones(perm.shape[0], dtype=bool)
-                new_group[1:] = dst_sorted[1:] != dst_sorted[:-1]
-                ph_starts = np.nonzero(new_group)[0]
-                targets = dst_sorted[ph_starts]
-            else:
-                ph_starts = np.empty(0, dtype=np.int64)
-                targets = np.empty(0, dtype=np.int64)
-            phases.append({
-                "label": label,
-                "perm": perm,
-                "src": src[perm],
-                "starts": ph_starts,
-                "targets": targets,
-            })
-
-        for i in range(1, 2 * d_g + 2):
-            if i % 2 == 1:
-                lam = d_g - (i - 1) // 2
-                add_filtered((lv1 == lam) & (lv2 == lam), f"desc-same-{lam}")
-            else:
-                lam = d_g - i // 2 + 1
-                add_filtered(
-                    (lv1 == lam) & (lv2 >= 0) & (lv2 < lam), f"desc-drop-{lam}"
-                )
-        for i in range(1, 2 * d_g + 1):
-            if i % 2 == 1:
-                lam = (i - 1) // 2
-                add_filtered((lv1 == lam) & (lv2 > lam), f"asc-rise-{lam}")
-            else:
-                lam = i // 2
-                add_filtered((lv1 == lam) & (lv2 == lam), f"asc-same-{lam}")
-
-        perm_o = np.argsort(g.dst, kind="stable")
-        dst_o = g.dst[perm_o]
-        if perm_o.size:
-            new_group = np.ones(perm_o.shape[0], dtype=bool)
-            new_group[1:] = dst_o[1:] != dst_o[:-1]
-            o_starts = np.nonzero(new_group)[0]
-            o_targets = dst_o[o_starts]
-        else:
-            o_starts = np.empty(0, dtype=np.int64)
-            o_targets = np.empty(0, dtype=np.int64)
-        self._sched = {
-            "src": aug.src.copy(),
-            "dst": aug.dst.copy(),
-            "phases": phases,
-            "aug_counts": aug_counts,
-            "orig_perm": perm_o,
-            "orig_src": g.src[perm_o],
-            "orig_starts": o_starts,
-            "orig_targets": o_targets,
-        }
-
-    def _clone_schedule(self, aug: Augmentation):
-        """Rebuild a :class:`~repro.core.scheduler.PhaseSchedule` for a new
-        weighting by re-gathering per-phase weights through the cached
-        permutations; ``None`` when the pair structure drifted (a weight hit
-        0̄ or a 0̄ pair came alive) — the caller then compiles cold."""
-        if self._sched is None:
-            return None
-        sc = self._sched
-        if not (
-            np.array_equal(aug.src, sc["src"]) and np.array_equal(aug.dst, sc["dst"])
-        ):
-            return None
-        from .scheduler import PhaseSchedule  # local: avoids import cycle
-
-        semiring = aug.semiring
-        g = aug.graph
-        w = np.concatenate([g.weight.astype(semiring.dtype), aug.weight])
-        w_orig = g.weight.astype(semiring.dtype)[sc["orig_perm"]]
-        original = EdgeRelaxer.from_compiled(
-            {
-                "src": sc["orig_src"],
-                "w": w_orig,
-                "starts": sc["orig_starts"],
-                "targets": sc["orig_targets"],
-            },
-            semiring,
-            kernel=aug.kernel,
-        )
-        ell = aug.ell
-        relaxers, labels = [], []
-        scans = 0
-        for i in range(ell):
-            relaxers.append(original)
-            labels.append(f"prefix-E-{i + 1}")
-            scans += g.m
-        for ph in sc["phases"]:
-            relaxers.append(
-                EdgeRelaxer.from_compiled(
-                    {
-                        "src": ph["src"],
-                        "w": w[ph["perm"]],
-                        "starts": ph["starts"],
-                        "targets": ph["targets"],
-                    },
-                    semiring,
-                    kernel=aug.kernel,
-                )
-            )
-            labels.append(ph["label"])
-            scans += int(ph["perm"].shape[0])
-        for i in range(ell):
-            relaxers.append(original)
-            labels.append(f"suffix-E-{i + 1}")
-            scans += g.m
-        return PhaseSchedule(
-            relaxers=relaxers,
-            labels=labels,
-            edge_scans=scans,
-            aug_edge_phase_counts=sc["aug_counts"][g.m :].copy(),
-        )
+            layout = ScheduleLayout.build(aug)
+        self._layout = layout
 
 
 # ---------------------------------------------------------------------- #

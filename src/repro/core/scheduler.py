@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels.bellman_ford import EdgeRelaxer, run_phases
+from ..kernels.bellman_ford import EdgeRelaxer, RelaxerLayout, run_phases
 from ..pram.machine import NULL_LEDGER, Ledger
 from .augment import Augmentation
-from .semiring import Semiring
 
-__all__ = ["PhaseSchedule", "build_schedule"]
+__all__ = ["PhaseSchedule", "ScheduleLayout", "build_schedule"]
 
 
 @dataclass
@@ -49,6 +48,8 @@ class PhaseSchedule:
     #: how many middle phases each augmented edge participates in (diagnostic
     #: for invariant I10).
     aug_edge_phase_counts: np.ndarray
+    #: the weight-independent structure the relaxers are bound to.
+    layout: "ScheduleLayout | None" = None
 
     @property
     def num_phases(self) -> int:
@@ -66,72 +67,95 @@ class PhaseSchedule:
         return run_phases(self.relaxers, dist, ledger=ledger)
 
 
+@dataclass
+class ScheduleLayout:
+    """The weight-independent part of the §3.2 schedule for one E⁺ pair
+    structure: the level filters of the middle phases and every phase's
+    :class:`~repro.kernels.bellman_ford.RelaxerLayout`, with edge ids into
+    the combined ``E ∪ E⁺`` weight array.  Built once; a cold compile and
+    every reweighting of the same pair structure :meth:`bind` weights to it
+    by gathering."""
+
+    aug_src: np.ndarray
+    aug_dst: np.ndarray
+    original: RelaxerLayout
+    middle: list[tuple[str, RelaxerLayout]]
+    aug_edge_phase_counts: np.ndarray
+
+    @classmethod
+    def build(cls, aug: Augmentation) -> "ScheduleLayout":
+        """Filter ``E ∪ E⁺`` by endpoint levels into the middle phases and
+        lay out every phase's edges (the cold part of a compile)."""
+        tree, g = aug.tree, aug.graph
+        d_g = tree.height
+        lv = tree.vertex_level  # -1 = undefined
+        src = np.concatenate([g.src, aug.src])
+        dst = np.concatenate([g.dst, aug.dst])
+        lv1, lv2 = lv[src], lv[dst]
+        counts = np.zeros(src.shape[0], dtype=np.int64)
+        middle = []
+
+        def add_filtered(mask: np.ndarray, label: str) -> None:
+            counts[mask] += 1
+            idx = np.flatnonzero(mask)
+            middle.append((label, RelaxerLayout.build(src[idx], dst[idx], idx)))
+
+        # Descending half: levels d_G, d_G, d_G-1, d_G-1, ..., 0.
+        for i in range(1, 2 * d_g + 2):
+            if i % 2 == 1:
+                lam = d_g - (i - 1) // 2
+                add_filtered((lv1 == lam) & (lv2 == lam), f"desc-same-{lam}")
+            else:
+                lam = d_g - i // 2 + 1
+                add_filtered(
+                    (lv1 == lam) & (lv2 >= 0) & (lv2 < lam), f"desc-drop-{lam}"
+                )
+        # Ascending half: rises from 0, 1, ..., interleaved with same-level.
+        for i in range(1, 2 * d_g + 1):
+            if i % 2 == 1:
+                lam = (i - 1) // 2
+                add_filtered((lv1 == lam) & (lv2 > lam), f"asc-rise-{lam}")
+            else:
+                lam = i // 2
+                add_filtered((lv1 == lam) & (lv2 == lam), f"asc-same-{lam}")
+        return cls(
+            aug_src=aug.src,
+            aug_dst=aug.dst,
+            original=RelaxerLayout.build(g.src, g.dst),
+            middle=middle,
+            aug_edge_phase_counts=counts[g.m :],
+        )
+
+    def matches(self, aug: Augmentation) -> bool:
+        """Whether ``aug`` has this layout's E⁺ pair structure (a reweight
+        can drive a weight to 0̄ or bring a 0̄ pair alive)."""
+        return np.array_equal(aug.src, self.aug_src) and np.array_equal(
+            aug.dst, self.aug_dst
+        )
+
+    def bind(self, aug: Augmentation) -> PhaseSchedule:
+        """The schedule for ``aug``'s weights: ℓ prefix phases over E, the
+        middle phases, ℓ suffix phases over E."""
+        semiring, g, kern = aug.semiring, aug.graph, aug.kernel
+        w = np.concatenate([g.weight.astype(semiring.dtype), aug.weight])
+        original = EdgeRelaxer.from_layout(self.original, w, semiring, kernel=kern)
+        ell = aug.ell
+        relaxers = [original] * ell
+        labels = [f"prefix-E-{i + 1}" for i in range(ell)]
+        for label, lay in self.middle:
+            relaxers.append(EdgeRelaxer.from_layout(lay, w, semiring, kernel=kern))
+            labels.append(label)
+        relaxers += [original] * ell
+        labels += [f"suffix-E-{i + 1}" for i in range(ell)]
+        return PhaseSchedule(
+            relaxers=relaxers,
+            labels=labels,
+            edge_scans=2 * ell * g.m + sum(lay.m for _, lay in self.middle),
+            aug_edge_phase_counts=self.aug_edge_phase_counts,
+            layout=self,
+        )
+
+
 def build_schedule(aug: Augmentation) -> PhaseSchedule:
     """Compile the §3.2 schedule for an augmentation."""
-    tree = aug.tree
-    semiring = aug.semiring
-    g = aug.graph
-    d_g = tree.height
-    ell = aug.ell
-    lv = tree.vertex_level  # -1 = undefined
-    src, dst, w, is_aug = aug.combined_edges()
-    lv1 = lv[src]
-    lv2 = lv[dst]
-
-    relaxers: list[EdgeRelaxer] = []
-    labels: list[str] = []
-    scans = 0
-    aug_counts = np.zeros(src.shape[0], dtype=np.int64)
-
-    kern = aug.kernel
-    original = EdgeRelaxer(
-        g.src, g.dst, g.weight.astype(semiring.dtype), semiring, kernel=kern
-    )
-
-    def add_filtered(mask: np.ndarray, label: str) -> None:
-        nonlocal scans
-        aug_counts[mask] += 1
-        relaxers.append(
-            EdgeRelaxer(src[mask], dst[mask], w[mask], semiring, kernel=kern)
-        )
-        labels.append(label)
-        scans += int(mask.sum())
-
-    for i in range(ell):
-        relaxers.append(original)
-        labels.append(f"prefix-E-{i + 1}")
-        scans += g.m
-
-    # Descending half: levels d_G, d_G, d_G-1, d_G-1, ..., 0.
-    for i in range(1, 2 * d_g + 2):
-        if i % 2 == 1:
-            lam = d_g - (i - 1) // 2
-            mask = (lv1 == lam) & (lv2 == lam)
-            add_filtered(mask, f"desc-same-{lam}")
-        else:
-            lam = d_g - i // 2 + 1
-            mask = (lv1 == lam) & (lv2 >= 0) & (lv2 < lam)
-            add_filtered(mask, f"desc-drop-{lam}")
-
-    # Ascending half: rises from 0, 1, ..., interleaved with same-level.
-    for i in range(1, 2 * d_g + 1):
-        if i % 2 == 1:
-            lam = (i - 1) // 2
-            mask = (lv1 == lam) & (lv2 > lam)
-            add_filtered(mask, f"asc-rise-{lam}")
-        else:
-            lam = i // 2
-            mask = (lv1 == lam) & (lv2 == lam)
-            add_filtered(mask, f"asc-same-{lam}")
-
-    for i in range(ell):
-        relaxers.append(original)
-        labels.append(f"suffix-E-{i + 1}")
-        scans += g.m
-
-    return PhaseSchedule(
-        relaxers=relaxers,
-        labels=labels,
-        edge_scans=scans,
-        aug_edge_phase_counts=aug_counts[is_aug],
-    )
+    return ScheduleLayout.build(aug).bind(aug)

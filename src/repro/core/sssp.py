@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.bellman_ford import initial_distances, phases_to_convergence
+from ..kernels.bellman_ford import (
+    initial_distances,
+    phases_to_convergence,
+    relax_fixpoint,
+)
 from ..pram.machine import NULL_LEDGER, Ledger
 from .augment import Augmentation
 from .scheduler import PhaseSchedule
@@ -50,15 +54,8 @@ def sssp_naive(
     srcs, single = _as_source_array(sources)
     semiring = aug.semiring
     dist = initial_distances(aug.graph.n, srcs, semiring)
-    relaxer = aug.relaxer()
     cap = aug.diameter_bound if phases is None else phases
-    # Row frontier: a source row the full-edge relaxer stopped improving is
-    # at its fixpoint (rows are independent) and is never rescanned.
-    active = np.arange(dist.shape[0])
-    for _ in range(cap):
-        if not active.size:
-            break
-        active = relaxer.relax_rows(dist, active, ledger=ledger)
+    relax_fixpoint(aug.relaxer(), dist, cap, ledger=ledger)
     return dist[0] if single else dist
 
 
@@ -86,8 +83,9 @@ def sssp_scheduled(
     if schedule is None:
         schedule = aug.schedule()
     dist = initial_distances(aug.graph.n, srcs, aug.semiring)
-    for start in range(0, srcs.shape[0], max(1, source_block)):
-        schedule.run(dist[start : start + source_block], ledger=ledger)
+    block = max(1, source_block)
+    for start in range(0, srcs.shape[0], block):
+        schedule.run(dist[start : start + block], ledger=ledger)
     return dist[0] if single else dist
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.augment import Augmentation
 from ..core.septree import SeparatorTree, SepTreeNode
-from ..kernels.bellman_ford import run_phases
+from ..kernels.bellman_ford import EdgeRelaxer, run_phases
 from ..pram.machine import NULL_LEDGER, Ledger
 from .construct import Hopset
 
@@ -96,6 +96,20 @@ class HopsetAugmentation(Augmentation):
         if self.hopset is None:  # pragma: no cover - defensive
             return super().diameter_bound
         return self.hopset.hop_cap
+
+    def reuse_layout(self, prior: "HopsetAugmentation") -> None:
+        """Bind this augmentation's G ∪ H weights to ``prior``'s relaxer
+        layout when H kept its edges (a replay over the same skeleton
+        usually does), so a reweight skips the sorts."""
+        old = prior._relaxer
+        if old is None or self._relaxer is not None:
+            return
+        gplus = self.augmented_graph()
+        if old.layout.matches(gplus.src, gplus.dst):
+            weight = np.asarray(gplus.weight, dtype=self.semiring.dtype)
+            self._relaxer = EdgeRelaxer.from_layout(
+                old.layout, weight, self.semiring, kernel=self.kernel
+            )
 
     def schedule(self):
         """The cached :class:`HopSchedule`: ``hop_cap`` phases of one

@@ -41,14 +41,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.augment import dedupe_edges
 from ..core.digraph import WeightedDigraph
 from ..core.semiring import MIN_PLUS, Semiring
-from ..kernels.bellman_ford import EdgeRelaxer, initial_distances
+from ..kernels.bellman_ford import (
+    EdgeRelaxer,
+    RelaxerLayout,
+    initial_distances,
+    relax_fixpoint,
+)
 
 __all__ = [
     "Hopset",
@@ -92,6 +97,11 @@ class Hopset:
     hop_cap: int
     seed: int
     build_wall_s: float
+    #: The weight-independent relaxer layout of G the balls ran on; a
+    #: replay over the same skeleton binds new weights to it (not saved).
+    graph_layout: RelaxerLayout | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -164,11 +174,7 @@ def _ball_distances(
     ``dist[i, v]`` is the exact best weight over ≤``hops``-edge paths
     ``pivots[i] → v`` (frontier-pruned; converged rows drop out early)."""
     dist = initial_distances(n, pivots, semiring)
-    rows = np.arange(pivots.shape[0])
-    for _ in range(hops):
-        rows = relaxer.relax_rows(dist, rows)
-        if rows.size == 0:
-            break
+    relax_fixpoint(relaxer, dist, hops)
     return dist
 
 
@@ -195,9 +201,14 @@ def _construct(
     budgets: tuple[int, ...],
     seed: int,
     kernel: str | None,
+    graph_layout: RelaxerLayout | None = None,
 ) -> Hopset:
     t0 = time.perf_counter()
-    relaxer = EdgeRelaxer.from_graph(graph, semiring, kernel=kernel)
+    if graph_layout is None or not graph_layout.matches(graph.src, graph.dst):
+        relaxer = EdgeRelaxer.from_graph(graph, semiring, kernel=kernel)
+    else:
+        weight = np.asarray(graph.weight, dtype=semiring.dtype)
+        relaxer = EdgeRelaxer.from_layout(graph_layout, weight, semiring, kernel=kernel)
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     w_parts: list[np.ndarray] = []
@@ -236,6 +247,7 @@ def _construct(
         hop_cap=hop_cap_for(graph.n, k),
         seed=int(seed),
         build_wall_s=time.perf_counter() - t0,
+        graph_layout=relaxer.layout,
     )
 
 
@@ -300,4 +312,5 @@ def replay_hopset(
         budgets=prior.budgets,
         seed=prior.seed,
         kernel=kernel,
+        graph_layout=prior.graph_layout,
     )

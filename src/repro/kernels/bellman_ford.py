@@ -3,19 +3,40 @@
 Paper §2.2: on a graph with minimum-weight diameter ``diam(G)``, single
 source shortest paths take O(diam·log n) PRAM time and O(m·diam) work by
 running ``diam`` synchronous phases, each scanning every edge.  This module
-implements that phase engine in vectorized form:
+implements that phase engine in vectorized form; all sources are relaxed
+simultaneously as rows of an ``(s, n)`` matrix, which is exactly the PRAM's
+per-source independence.
 
-* one phase = extend all edges from current distances and ⊕-reduce
-  per head vertex (``reduceat`` over a dst-sorted edge permutation);
-* all sources are relaxed simultaneously as rows of an ``(s, n)`` matrix,
-  which is exactly the PRAM's per-source independence.
+A phase reads only the ``(row, vertex)`` entries that can change a head:
+the entries that strictly improved in the previous phase of the same
+relaxer, or — on a relaxer's first phase — every non-0̄ entry (0̄ is the
+⊗-annihilator, so a 0̄ tail yields no candidate; an entry that did not
+improve last phase already had its candidates ⊕-ed into every head).  Each
+phase then takes the cheaper of two paths:
+
+* **push** — expand the frontier entries through a tail-sorted CSR and
+  ⊕-scatter the candidates that beat their head;
+* **pull** — for every row with a frontier entry, ⊕-reduce each head's
+  in-edges over a degree-sorted *slot* layout: slot ``k`` holds the
+  ``k``-th in-edge of every head with in-degree > ``k``, so it covers a
+  prefix of the heads, and a run of equal-width slots reduces as one 2-D
+  block.
+
+A phase pushes iff Σ out-degree over its frontier × :data:`PUSH_COST` is
+below ``rows · m``.  Both paths read every value before writing any (a
+synchronous Jacobi phase) and every shipped ⊕ is an exact selection, so
+results are bit-identical to a dense scan and ``k`` phases still hold the
+best ≤k-edge paths.
 
 The *scheduled* variant of §3.2 — which scans different edge subsets in
 different phases — reuses :class:`EdgeRelaxer` with one relaxer per phase
-group (see :mod:`repro.core.scheduler`).
+group (see :mod:`repro.core.scheduler`).  The layouts are weight-
+independent (:class:`RelaxerLayout`), so a reweighting binds new weights to
+them by gathering.
 
 A phase charges ``work = s·(edges scanned)`` and ``depth = ⌈log₂ n⌉`` to the
-ledger (the ⊕-reduction tree per head vertex).
+ledger (the ⊕-reduction tree per head vertex) — the model cost of a full
+scan of its rows, whichever path ran.
 """
 
 from __future__ import annotations
@@ -24,17 +45,32 @@ import numpy as np
 
 from ..core.digraph import WeightedDigraph
 from ..core.semiring import MIN_PLUS, Semiring
-from ..pram.machine import NULL_LEDGER, Ledger, log2ceil, reduce_depth
+from ..pram.machine import NULL_LEDGER, Ledger, reduce_depth
+from . import dispatch, jit
 
 __all__ = [
     "EdgeRelaxer",
+    "Frontier",
+    "RelaxerLayout",
     "bellman_ford",
     "initial_distances",
     "phases_to_convergence",
     "min_weight_diameter",
+    "relax_fixpoint",
     "run_phases",
     "NegativeCycleError",
 ]
+
+#: Cost of one pushed candidate relative to one ``row × edge`` of the pull
+#: path: a phase pushes iff ``Σ out-degree over its frontier × PUSH_COST <
+#: rows · m``.  Measured by forcing each path on every phase of 64-row
+#: batches (see DESIGN §5, "Relaxation kernel").
+PUSH_COST = 4.0
+
+
+def _narrow(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a`` (values ``<= bound``) as int32 when they fit."""
+    return a.astype(np.int32) if bound <= np.iinfo(np.int32).max else a
 
 
 class NegativeCycleError(ValueError):
@@ -42,12 +78,143 @@ class NegativeCycleError(ValueError):
     cycle is reachable from some source."""
 
 
-class EdgeRelaxer:
-    """Relaxation engine for a fixed edge set, grouped by head vertex.
+class RelaxerLayout:
+    """The weight-independent edge permutations of one relaxer.
 
-    The dst-sorted permutation and the ``reduceat`` segment boundaries are
-    precomputed once so each phase is two gathers, one ⊗, one segmented ⊕
-    and one ⊕-assignment — no Python-level per-edge work.
+    * pull: ``heads`` (in-degree descending) and ``slot_ptr`` (slot ``k``
+      is ``pull_src[slot_ptr[k]:slot_ptr[k+1]]`` and covers the first
+      ``slot_ptr[k+1] - slot_ptr[k]`` heads);
+    * push: ``out_ptr`` (tail-sorted CSR row pointers over vertex ids) and
+      ``push_dst``.
+
+    ``pull_perm``/``push_perm`` map each layout position to an edge id of
+    the weight array the layout is bound to (:meth:`EdgeRelaxer.
+    from_layout`); a layout rebuilt from shipped arrays has neither.
+    """
+
+    __slots__ = (
+        "m", "pull_perm", "pull_src", "heads", "slot_ptr",
+        "push_perm", "push_dst", "out_ptr", "tails", "tail_deg", "slabs",
+        "_slot_heads",
+    )
+
+    #: the arrays :meth:`EdgeRelaxer.compiled` ships besides the weights.
+    SHIPPED = ("pull_src", "heads", "slot_ptr", "push_dst", "out_ptr")
+
+    @classmethod
+    def build(
+        cls, src: np.ndarray, dst: np.ndarray, edges: np.ndarray | None = None
+    ) -> "RelaxerLayout":
+        """Layout of the edges ``src[i] → dst[i]``; ``edges[i]`` is edge
+        ``i``'s id in the weight array bound later (default ``i``)."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        m = int(src.shape[0])
+        by_head = np.argsort(dst, kind="stable")
+        dst_sorted = dst[by_head]
+        new_head = np.ones(m, dtype=bool)
+        new_head[1:] = dst_sorted[1:] != dst_sorted[:-1]
+        first = np.flatnonzero(new_head)
+        indeg = np.diff(np.append(first, m))
+        order = np.argsort(-indeg, kind="stable")
+        deg = indeg[order]
+        slots = int(deg[0]) if m else 0
+        # slot k covers the heads with in-degree > k (deg is descending)
+        width = np.searchsorted(-deg, -np.arange(slots), side="left")
+        slot_ptr = np.zeros(slots + 1, dtype=np.int64)
+        np.cumsum(width, out=slot_ptr[1:])
+        slot_head = np.arange(m, dtype=np.int64) - np.repeat(slot_ptr[:-1], width)
+        pull = by_head[first[order][slot_head] + np.repeat(np.arange(slots), width)]
+        push = np.argsort(src, kind="stable")
+        nv = int(max(src.max(), dst.max())) + 1 if m else 0
+        out_ptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=nv), out=out_ptr[1:])
+        # Arrays used as indices (pull_src, heads, and the permutations a
+        # reweight gathers through) stay int64: numpy converts any other
+        # index dtype on every call.  push_dst and out_ptr are only read as
+        # values, and int32 halves what they keep.
+        arrays = {
+            "pull_src": src[pull],
+            "heads": dst_sorted[first][order],
+            "slot_ptr": slot_ptr,
+            "push_dst": _narrow(dst[push], nv),
+            "out_ptr": _narrow(out_ptr, m),
+        }
+        if edges is not None:
+            edges = np.asarray(edges, dtype=np.int64)
+            pull, push = edges[pull], edges[push]
+        return cls.from_arrays(arrays, pull, push)
+
+    def slot_heads(self) -> np.ndarray:
+        """Each pull entry's position in ``heads`` (derived on first use;
+        only single-row pulls and the compiled core need it)."""
+        if self._slot_heads is None:
+            width = np.diff(self.slot_ptr)
+            self._slot_heads = np.arange(self.m) - np.repeat(self.slot_ptr[:-1], width)
+        return self._slot_heads
+
+    def matches(self, src: np.ndarray, dst: np.ndarray) -> bool:
+        """Whether this layout, bound by edge id, describes the edges
+        ``src[i] → dst[i]`` (so new weights for them can be bound to it)."""
+        return (
+            self.pull_perm is not None
+            and src.shape[0] == dst.shape[0] == self.m
+            and np.array_equal(src[self.pull_perm], self.pull_src)
+            and np.array_equal(dst[self.push_perm], self.push_dst)
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        arrays: dict[str, np.ndarray],
+        pull_perm: np.ndarray | None = None,
+        push_perm: np.ndarray | None = None,
+    ) -> "RelaxerLayout":
+        """Rebuild from the :data:`SHIPPED` arrays (used as-is, so shared-
+        memory views stay zero-copy) and derive the frontier tails and the
+        slot blocks."""
+        lay = cls.__new__(cls)
+        for name in cls.SHIPPED:
+            setattr(lay, name, arrays[name])
+        lay.pull_perm, lay.push_perm = pull_perm, push_perm
+        lay.m = int(lay.pull_src.shape[0])
+        lay._slot_heads = None
+        out_deg = np.diff(lay.out_ptr)
+        lay.tails = np.flatnonzero(out_deg)
+        lay.tail_deg = out_deg[lay.tails]
+        # Runs of equal-width slots, as (width, slots, start, stop): each run
+        # is one (slots, width) block of pull_src.
+        width = np.diff(lay.slot_ptr).tolist()
+        lay.slabs = []
+        k = 0
+        while k < len(width):
+            j = k + 1
+            while j < len(width) and width[j] == width[k]:
+                j += 1
+            lay.slabs.append(
+                (width[k], j - k, int(lay.slot_ptr[k]), int(lay.slot_ptr[j]))
+            )
+            k = j
+        return lay
+
+
+class Frontier:
+    """Where a relaxer's next phase has to look: the ``(r, v)`` entries of a
+    2-D ``dist`` that strictly improved in ``owner``'s last phase.  A fresh
+    frontier, or one another relaxer left behind, means every non-0̄ entry
+    of the rows passed."""
+
+    __slots__ = ("owner", "r", "v")
+
+    def __init__(self) -> None:
+        self.owner: EdgeRelaxer | None = None
+        self.r: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+
+
+class EdgeRelaxer:
+    """Relaxation engine for a fixed edge set (see the module docstring for
+    the push/pull phase).
 
     ``kernel`` selects the phase implementation the same way it does for
     the matmuls (:mod:`repro.kernels.dispatch`): ``None`` defers to the
@@ -56,13 +223,13 @@ class EdgeRelaxer:
     :mod:`repro.kernels.jit` (raising the numba-extra error when
     unavailable), ``"auto"`` takes the compiled core when it is importable
     and the phase clears the (autotunable) ``jit_min_relax_ops`` scan
-    floor, and any numpy matmul name keeps the ``reduceat`` path.  Every
+    floor, and any numpy matmul name keeps the push/pull path.  Every
     choice is bit-identical: the compiled phase buffers its grouped ⊕
-    before writing (synchronous Jacobi, like ``reduceat``) and every
-    shipped ⊕ is an exact selection.
+    before writing (synchronous Jacobi) and every shipped ⊕ is an exact
+    selection.
     """
 
-    __slots__ = ("semiring", "m", "kernel", "_src", "_w", "_starts", "_targets")
+    __slots__ = ("semiring", "m", "kernel", "layout", "_pull_w", "_push_w", "_csr")
 
     def __init__(
         self,
@@ -72,24 +239,34 @@ class EdgeRelaxer:
         semiring: Semiring = MIN_PLUS,
         kernel: str | None = None,
     ) -> None:
+        layout = RelaxerLayout.build(src, dst)
+        weight = np.asarray(weight, dtype=semiring.dtype)
+        self._bind(layout, weight[layout.pull_perm], weight[layout.push_perm],
+                   semiring, kernel)
+
+    def _bind(self, layout, pull_w, push_w, semiring, kernel) -> None:
         self.semiring = semiring
         self.kernel = kernel
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        weight = np.asarray(weight, dtype=semiring.dtype)
-        self.m = int(src.shape[0])
-        order = np.argsort(dst, kind="stable")
-        self._src = src[order]
-        self._w = weight[order]
-        dst_sorted = dst[order]
-        if self.m:
-            new_group = np.ones(self.m, dtype=bool)
-            new_group[1:] = dst_sorted[1:] != dst_sorted[:-1]
-            self._starts = np.nonzero(new_group)[0]
-            self._targets = dst_sorted[self._starts]
-        else:
-            self._starts = np.empty(0, dtype=np.int64)
-            self._targets = np.empty(0, dtype=np.int64)
+        self.layout = layout
+        self.m = layout.m
+        self._pull_w = pull_w
+        self._push_w = push_w
+        self._csr = None
+
+    @classmethod
+    def from_layout(
+        cls,
+        layout: RelaxerLayout,
+        weight: np.ndarray,
+        semiring: Semiring = MIN_PLUS,
+        kernel: str | None = None,
+    ) -> "EdgeRelaxer":
+        """Bind a weight array (indexed by the layout's edge ids, already in
+        ``semiring.dtype``) to a shared layout — two gathers, no sorting."""
+        obj = cls.__new__(cls)
+        obj._bind(layout, weight[layout.pull_perm], weight[layout.push_perm],
+                  semiring, kernel)
+        return obj
 
     @classmethod
     def from_graph(
@@ -102,16 +279,14 @@ class EdgeRelaxer:
         return cls(g.src, g.dst, g.weight, semiring, kernel=kernel)
 
     def compiled(self) -> dict[str, np.ndarray]:
-        """The precomputed (dst-sorted) arrays of this relaxer, for shipping
-        across a process boundary without redoing the argsort — feed to
+        """The layout and weight arrays of this relaxer, for shipping across
+        a process boundary without redoing the sorts — feed to
         :meth:`from_compiled` on the other side.  The arrays may be
         published to shared memory and passed as descriptors."""
-        return {
-            "src": self._src,
-            "w": self._w,
-            "starts": self._starts,
-            "targets": self._targets,
-        }
+        out = {name: getattr(self.layout, name) for name in RelaxerLayout.SHIPPED}
+        out["pull_w"] = self._pull_w
+        out["push_w"] = self._push_w
+        return out
 
     @classmethod
     def from_compiled(
@@ -123,75 +298,60 @@ class EdgeRelaxer:
         """Rebuild a relaxer from :meth:`compiled` output (zero sorting; the
         arrays are used as-is, so shared-memory views stay zero-copy)."""
         obj = cls.__new__(cls)
-        obj.semiring = semiring
-        obj.kernel = kernel
-        obj._src = arrays["src"]
-        obj._w = arrays["w"]
-        obj._starts = arrays["starts"]
-        obj._targets = arrays["targets"]
-        obj.m = int(obj._src.shape[0])
+        obj._bind(RelaxerLayout.from_arrays(arrays), arrays["pull_w"],
+                  arrays["push_w"], semiring, kernel)
         return obj
 
     def _use_jit(self, nrows: int) -> bool:
         """Whether this phase should run on the compiled CSR core (see the
         class docstring for the resolution rules)."""
-        name = self.kernel
-        if name is None:
-            from .dispatch import get_default_kernel
-
-            name = get_default_kernel()
+        name = self.kernel if self.kernel is not None else dispatch.get_default_kernel()
         if name == "jit":
-            from . import jit
-            from .dispatch import _kernel_error
-
             if not jit.jit_available():
-                raise _kernel_error("jit", via_env=self.kernel is None)
+                raise dispatch._kernel_error("jit", via_env=self.kernel is None)
             return jit.relax_supported(self.semiring)
-        if name == "auto":
-            from . import jit
-
-            if not (jit.jit_available() and jit.relax_supported(self.semiring)):
-                return False
-            from .dispatch import relax_jit_threshold
-
-            return float(nrows) * self.m >= relax_jit_threshold()
+        if name == "auto" and jit.jit_available() and jit.relax_supported(self.semiring):
+            return float(nrows) * self.m >= dispatch.relax_jit_threshold()
         return False
+
+    def _jit_csr(self) -> tuple[np.ndarray, ...]:
+        """Head-grouped ``(src, w, starts, targets)`` for the compiled core,
+        derived from the slot layout on first use."""
+        if self._csr is None:
+            lay = self.layout
+            width = np.diff(lay.slot_ptr)
+            slot_head = lay.slot_heads()
+            deg = np.bincount(slot_head, minlength=lay.heads.shape[0])
+            starts = np.cumsum(deg) - deg
+            pos = starts[slot_head] + np.repeat(np.arange(width.shape[0]), width)
+            src = np.empty_like(lay.pull_src)
+            w = np.empty_like(self._pull_w)
+            src[pos] = lay.pull_src
+            w[pos] = self._pull_w
+            self._csr = (src, w, starts, lay.heads)
+        return self._csr
 
     def relax(self, dist: np.ndarray, *, ledger: Ledger = NULL_LEDGER) -> bool:
         """One synchronous phase over ``dist`` of shape ``(..., n)``, in
         place.  Returns whether any entry strictly improved."""
         if not self.m:
             return False
-        sr = self.semiring
+        n = dist.shape[-1]
         rows = int(np.prod(dist.shape[:-1], dtype=np.int64)) if dist.ndim > 1 else 1
-        if dist.ndim <= 2 and self._use_jit(rows):
-            from . import jit
-
-            view = dist if dist.ndim == 2 else dist[None, :]
-            row_changed = jit.relax_phase(
-                view, self._src, self._w, self._starts, self._targets, sr
-            )
-            ledger.charge(
-                work=float(rows) * self.m,
-                depth=reduce_depth(dist.shape[-1]),
-                label="bf-phase",
-            )
-            return bool(row_changed.any())
-        cand = sr.mul(dist[..., self._src], self._w)
-        grouped = sr.add.reduceat(cand, self._starts, axis=-1)
-        cur = dist[..., self._targets]
-        changed = bool(sr.improves(grouped, cur).any())
-        if changed:
-            dist[..., self._targets] = sr.add(cur, grouped)
-        ledger.charge(
-            work=float(rows) * self.m,
-            depth=reduce_depth(dist.shape[-1]),
-            label="bf-phase",
-        )
+        ledger.charge(work=float(rows) * self.m, depth=reduce_depth(n), label="bf-phase")
+        work = np.ascontiguousarray(dist).reshape(rows, n)
+        changed = self._phase(work, np.arange(work.shape[0]), None).size > 0
+        if not np.may_share_memory(work, dist):  # relaxed a contiguous copy
+            dist[...] = work.reshape(dist.shape)
         return changed
 
     def relax_rows(
-        self, dist: np.ndarray, rows: np.ndarray, *, ledger: Ledger = NULL_LEDGER
+        self,
+        dist: np.ndarray,
+        rows: np.ndarray,
+        *,
+        ledger: Ledger = NULL_LEDGER,
+        frontier: Frontier | None = None,
     ) -> np.ndarray:
         """One phase restricted to the given source rows of a 2-D ``dist``;
         returns the (global) indices of rows that strictly improved.
@@ -199,51 +359,172 @@ class EdgeRelaxer:
         This is the frontier-pruning primitive: rows are independent
         single-source relaxations, so a row this relaxer did not improve is
         at this relaxer's fixpoint and re-relaxing it can never change it —
-        iterate with ``rows = relax_rows(dist, rows)`` until empty and only
-        still-converging rows are ever scanned.  The ledger is charged the
-        *actual* scanned work ``|rows|·m`` (not ``total rows·m``).
+        iterate with ``rows = relax_rows(dist, rows, frontier=f)`` until
+        empty (:func:`relax_fixpoint`).  A :class:`Frontier` carried across
+        the iterations narrows each phase further, to the entries that
+        improved in the phase before; it is rewritten in place.  The
+        ledger is charged the model work of the rows scanned,
+        ``|rows|·m``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if not self.m or rows.size == 0:
             return rows[:0]
-        sr = self.semiring
-        full = rows.size == dist.shape[0] and bool(
-            (rows == np.arange(dist.shape[0])).all()
-        )
-        sub = dist if full else dist[rows]  # full frontier: in place, no gather
-        if self._use_jit(rows.size):
-            from . import jit
-
-            row_changed = jit.relax_phase(
-                sub, self._src, self._w, self._starts, self._targets, sr
-            )
-            ledger.charge(
-                work=float(rows.size) * self.m,
-                depth=reduce_depth(dist.shape[-1]),
-                label="bf-phase",
-            )
-            if not row_changed.any():
-                return rows[:0]
-            if sub is not dist:
-                dist[rows[row_changed]] = sub[row_changed]
-            return rows[row_changed]
-        cand = sr.mul(sub[:, self._src], self._w)
-        grouped = sr.add.reduceat(cand, self._starts, axis=-1)
-        cur = sub[:, self._targets]
-        row_changed = sr.improves(grouped, cur).any(axis=-1)
         ledger.charge(
             work=float(rows.size) * self.m,
             depth=reduce_depth(dist.shape[-1]),
             label="bf-phase",
         )
-        if not row_changed.any():
-            return rows[:0]
-        if sub is dist:
-            dist[:, self._targets] = sr.add(cur, grouped)
+        if dist.flags.c_contiguous:
+            return self._phase(dist, rows, frontier)
+        work = np.ascontiguousarray(dist)  # the kernel indexes a flat view
+        changed = self._phase(work, rows, frontier)
+        dist[...] = work
+        return changed
+
+    # ------------------------------------------------------------------ #
+
+    def _phase(
+        self, dist: np.ndarray, rows: np.ndarray, frontier: Frontier | None
+    ) -> np.ndarray:
+        """One Jacobi phase over ``rows`` of a C-contiguous 2-D ``dist``;
+        returns the rows that improved and, when given, rewrites
+        ``frontier``."""
+        sr, lay = self.semiring, self.layout
+        n = dist.shape[1]
+        full = rows.size == dist.shape[0] and bool(
+            (rows == np.arange(rows.size)).all()
+        )
+        if self._use_jit(rows.size):
+            sub = dist if full else dist[rows]
+            row_changed = jit.relax_phase(sub, *self._jit_csr(), sr)
+            if sub is not dist:
+                dist[rows[row_changed]] = sub[row_changed]
+            if frontier is not None:
+                frontier.owner = None  # entries unknown: next phase rescans
+            return rows[row_changed]
+        flat = dist.reshape(-1)
+        sub = None
+        if frontier is not None and frontier.owner is self:
+            r, u = frontier.r, frontier.v
+            deg = lay.out_ptr[u + 1] - lay.out_ptr[u]
+            work = int(deg.sum())
         else:
-            sub[:, self._targets] = sr.add(cur, grouped)
-            dist[rows[row_changed]] = sub[row_changed]
-        return rows[row_changed]
+            sub = dist if full else dist[rows]
+            tail = sub if lay.tails.shape[0] == n else sub[:, lay.tails]
+            live = tail != sr.zero
+            work = int(live.sum(axis=0) @ lay.tail_deg)
+        if work == 0:
+            r = v = rows[:0]
+        elif work * PUSH_COST < rows.size * self.m:
+            if sub is None:
+                vals = flat[r * n + u]
+            else:
+                at = np.flatnonzero(live)
+                rr = at // tail.shape[1]
+                tt = at - rr * tail.shape[1]
+                r, u, vals, deg = rows[rr], lay.tails[tt], tail.reshape(-1)[at], lay.tail_deg[tt]
+            r, v = self._push(flat, n, r, u, vals, deg, work)
+            if frontier is not None and r.size > 1:
+                # one entry per (row, head): several candidates may improve it
+                key = r * n + v
+                pos = np.arange(key.size)
+                slot = np.empty(flat.shape[0], dtype=np.int64)
+                slot[key] = pos
+                once = slot[key] == pos
+                r, v = r[once], v[once]
+        else:
+            if sub is None:
+                sub = dist if full else dist[rows]
+            r, v = self._pull(flat, n, sub, rows)
+        if frontier is not None:
+            frontier.owner, frontier.r, frontier.v = self, r, v
+        if not r.size:
+            return rows[:0]
+        if rows.size == 1:
+            return rows
+        first = np.empty(r.size, dtype=bool)
+        first[0] = True
+        np.not_equal(r[1:], r[:-1], out=first[1:])
+        return r[first]  # entries come grouped by row
+
+    def _push(self, flat, n, r, u, vals, deg, work):
+        """Expand frontier entries ``(r, u)`` (values ``vals``, out-degrees
+        ``deg``, ``work`` candidates in all) through the tail-sorted CSR and
+        ⊕-scatter the candidates that beat their head into ``flat`` (the
+        flattened ``dist``).  Returns the improved entries, grouped by row,
+        possibly repeated."""
+        sr, lay = self.semiring, self.layout
+        ends = np.cumsum(deg)
+        e = np.repeat(lay.out_ptr[u] - (ends - deg), deg) + np.arange(work)
+        cand = sr.mul(np.repeat(vals, deg), self._push_w[e])
+        r = np.repeat(r, deg)
+        v = lay.push_dst[e]
+        key = r * n + v
+        better = sr.improves(cand, flat[key])
+        key, cand = key[better], cand[better]
+        sr.scatter_min(flat, key, cand)
+        return r[better], v[better]
+
+    def _pull(self, flat, n, sub, rows):
+        """⊕-reduce every head's in-edges for the rows of ``sub`` (=
+        ``dist[rows]``) over the slot layout and write the improved entries
+        to ``flat`` (the flattened ``dist``).  Returns them, grouped by
+        row."""
+        sr, lay = self.semiring, self.layout
+        nrows = sub.shape[0]
+        if nrows == 1:
+            # One row: ⊕-scatter by head position, one call for all slots
+            # (the slot blocks would each reduce a single column).
+            cand = sr.mul(sub[0, lay.pull_src], self._pull_w)
+            h = lay.heads.shape[0]  # slot 0 covers every head once
+            acc = cand[:h].copy()
+            sr.scatter_min(acc, lay.slot_heads()[h:], cand[h:])
+            acc = acc[:, None]
+        else:
+            # Edge-major candidates, (m, rows): a slot block is then a run
+            # of whole contiguous rows, reduced over its slots in one call.
+            cand = sub.T[lay.pull_src]
+            sr.mul(cand, self._pull_w[:, None], out=cand)
+            acc = None
+            for width, nslots, a, b in lay.slabs:
+                blk = cand[a:b]
+                if nslots > 1:
+                    blk = sr.add_reduce(blk.reshape(nslots, width, nrows), axis=0)
+                if acc is None:
+                    acc = blk  # the first slab spans every head
+                else:
+                    sr.add(acc[:width], blk, out=acc[:width])
+        better = sr.improves(acc, sub.T[lay.heads])
+        rr, hh = np.nonzero(better.T)  # grouped by row
+        r, v = rows[rr], lay.heads[hh]
+        flat[r * n + v] = acc[hh, rr]
+        return r, v
+
+
+def relax_fixpoint(
+    relaxer: EdgeRelaxer,
+    dist: np.ndarray,
+    max_phases: int,
+    *,
+    ledger: Ledger = NULL_LEDGER,
+) -> tuple[int, np.ndarray]:
+    """Relax ``dist`` (1-D or 2-D, in place) with one relaxer until no row
+    improves or ``max_phases`` phases ran, each phase reading only the
+    entries the phase before improved.
+
+    Returns ``(phases run, rows that improved in the last phase)``; no rows
+    means the fixpoint was reached (the last phase changed nothing).  After
+    ``k`` phases every entry holds the best path of at most ``k`` relaxer
+    edges on top of the initial values.
+    """
+    view = dist[None, :] if dist.ndim == 1 else dist
+    active = np.arange(view.shape[0])
+    frontier = Frontier() if max_phases > 1 else None
+    phases = 0
+    while active.size and phases < max_phases:
+        active = relaxer.relax_rows(view, active, ledger=ledger, frontier=frontier)
+        phases += 1
+    return phases, active
 
 
 def run_phases(
@@ -255,38 +536,27 @@ def run_phases(
     """Run a sequence of relaxation phases over ``dist`` in place, frontier-
     pruning *consecutive runs of the same relaxer object*.
 
-    Within such a run (e.g. the ℓ prefix/suffix full-edge phases of the
-    §3.2 schedule, or a Bellman–Ford fixpoint loop) a row the relaxer left
-    unchanged is at that relaxer's fixpoint — rows are independent — so it
-    is dropped from the frontier for the rest of the run; results are
-    bit-identical to relaxing every row every phase, but the ledger is
-    charged only the work actually scanned.  Distinct relaxers reset the
-    frontier (a row converged under one edge subset may still improve under
-    another).
+    Such a run (e.g. the ℓ prefix/suffix full-edge phases of the §3.2
+    schedule, or a capped Bellman–Ford loop) is one :func:`relax_fixpoint`:
+    a row the relaxer left unchanged is at that relaxer's fixpoint and drops
+    out, and within a row only the entries the last phase improved are
+    read.  Results are bit-identical to relaxing every row every phase; the
+    ledger is charged only the rows actually scanned.  Distinct relaxers
+    start from every non-0̄ entry (a row converged under one edge subset
+    may still improve under another).
     """
-    if dist.ndim == 1:
-        view = dist[None, :]
-    elif dist.ndim == 2:
-        view = dist
-    else:  # pragma: no cover - no caller relaxes >2-D stacks today
-        for r in relaxers:
-            r.relax(dist, ledger=ledger)
-        return dist
+    n = dist.shape[-1]
+    view = dist[None, :] if dist.ndim == 1 else dist.reshape(-1, n)
     i, n_phases = 0, len(relaxers)
     while i < n_phases:
         r = relaxers[i]
         j = i + 1
         while j < n_phases and relaxers[j] is r:
             j += 1
-        if j - i == 1:
-            r.relax(view, ledger=ledger)
-        else:
-            active = np.arange(view.shape[0])
-            for _ in range(i, j):
-                if not active.size:
-                    break
-                active = r.relax_rows(view, active, ledger=ledger)
+        relax_fixpoint(r, view, j - i, ledger=ledger)
         i = j
+    if not np.may_share_memory(view, dist):  # reshape had to copy
+        dist[...] = view.reshape(dist.shape)
     return dist
 
 
@@ -322,13 +592,7 @@ def bellman_ford(
     dist = initial_distances(g.n, srcs, semiring)
     relaxer = EdgeRelaxer.from_graph(g, semiring)
     cap = g.n if max_phases is None else max_phases
-    # Frontier pruning: only rows that improved last phase can improve again
-    # under the same (full) edge set, so converged rows are never rescanned.
-    active = np.arange(dist.shape[0])
-    phase = 0
-    while active.size and phase < cap:
-        active = relaxer.relax_rows(dist, active, ledger=ledger)
-        phase += 1
+    _, active = relax_fixpoint(relaxer, dist, cap, ledger=ledger)
     if check_negative_cycle and active.size and relaxer.relax(dist.copy()):
         raise NegativeCycleError("negative-weight cycle reachable from a source")
     return dist[0] if single else dist
@@ -352,17 +616,10 @@ def phases_to_convergence(
     """
     relaxer = EdgeRelaxer.from_graph(g, semiring)
     cap = g.n + 1 if cap is None else cap
-    phases = 0
-    view = dist if dist.ndim == 2 else dist[None, :]
-    active = np.arange(view.shape[0])
-    while phases < cap:
-        active = relaxer.relax_rows(view, active, ledger=ledger)
-        if not active.size:
-            break
-        phases += 1
-    if phases >= cap:
+    phases, active = relax_fixpoint(relaxer, dist, cap, ledger=ledger)
+    if active.size:
         raise NegativeCycleError("no fixpoint within cap (negative cycle?)")
-    return phases
+    return max(0, phases - 1)  # the last phase only confirmed the fixpoint
 
 
 def min_weight_diameter(g: WeightedDigraph, *, semiring: Semiring = MIN_PLUS) -> int:

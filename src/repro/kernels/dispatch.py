@@ -282,6 +282,6 @@ def tuning_for(kernel: str) -> dict:
 
 def relax_jit_threshold() -> float:
     """``auto``-policy floor, in row·edge scans, below which a relaxation
-    phase stays on the numpy ``reduceat`` path (compiled-call overhead
+    phase stays on the numpy push/pull path (compiled-call overhead
     dominates tiny phases).  Autotunable as ``auto.jit_min_relax_ops``."""
     return float(tuning_for("auto").get("jit_min_relax_ops", 1 << 13))

@@ -259,7 +259,7 @@ def hop_limited_jit(base, hops, semiring, out_pool=None):
 # independent single-source problems (the PRAM's per-source parallelism),
 # so the phase parallelizes over rows; per row the grouped ⊕ is buffered
 # before any write so the semantics stay synchronous (Jacobi), exactly
-# like the numpy ``reduceat`` path.
+# like the numpy push/pull phase.
 # ------------------------------------------------------------------ #
 
 
@@ -387,7 +387,7 @@ def relax_phase(dist, src, w, starts, targets, semiring):
     """One synchronous relaxation phase over ``dist`` (2-D, in place).
 
     Returns the per-row strictly-improved mask.  Bit-identical to the
-    numpy ``reduceat`` path of :class:`~repro.kernels.bellman_ford.
+    numpy push/pull phase of :class:`~repro.kernels.bellman_ford.
     EdgeRelaxer`: the grouped ⊕ is computed from the pre-phase values
     before any write, and every ⊕ is an exact selection.
     """

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.augment import dedupe_edges
 from ..core.semiring import Semiring
-from ..kernels.bellman_ford import EdgeRelaxer
+from ..kernels.bellman_ford import EdgeRelaxer, relax_fixpoint
 
 __all__ = ["SpineSolver"]
 
@@ -104,11 +104,7 @@ class SpineSolver:
             self.phases_last = 0
             return seeds
         cap = self.n_spine + 1
-        active = np.arange(seeds.shape[0])
-        phases = 0
-        while active.size and phases < cap:
-            active = self._relaxer.relax_rows(seeds, active)
-            phases += 1
+        phases, active = relax_fixpoint(self._relaxer, seeds, cap)
         if active.size:  # pragma: no cover - negative cycles are excluded upstream
             raise RuntimeError(
                 f"spine relaxation did not converge within {cap} phases"

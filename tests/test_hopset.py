@@ -8,6 +8,8 @@ and the exact-mode bit-identity guard.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from repro.hopset import (
     hop_cap_for,
     replay_hopset,
 )
-from repro.kernels.bellman_ford import bellman_ford
+from repro.kernels.bellman_ford import bellman_ford, initial_distances, run_phases
 from repro.kernels.dijkstra import dijkstra
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import (
@@ -387,6 +389,32 @@ class TestReweight:
         assert replayed.seed == prior.seed
         for a, b in zip(replayed.pivots, prior.pivots):
             assert np.array_equal(a, b)
+
+    def test_replay_binds_to_the_prior_layouts(self, rng):
+        """A replay over the same skeleton reuses the G and G ∪ H relaxer
+        layouts and answers exactly like relaxers built from scratch."""
+        from repro.kernels.bellman_ford import EdgeRelaxer
+
+        g = _int_weighted(expander_digraph(90, rng, degree=5), rng)
+        oracle = ShortestPathOracle.build(g, mode="approx", eps=0.1)
+        oracle.distances([0])  # compiles the G ∪ H relaxer
+        w2 = g.weight.copy()
+        w2[::7] += 3.0
+        swapped = oracle.with_new_weights(w2)
+        old_h, new_h = oracle.augmentation.hopset, swapped.augmentation.hopset
+        assert new_h.graph_layout is old_h.graph_layout
+        if np.array_equal(new_h.src, old_h.src) and np.array_equal(new_h.dst, old_h.dst):
+            assert (swapped.augmentation.relaxer().layout
+                    is oracle.augmentation.relaxer().layout)
+        cold = replay_hopset(WeightedDigraph(g.n, g.src, g.dst, w2),
+                             dataclasses.replace(old_h, graph_layout=None))
+        assert np.array_equal(cold.weight, new_h.weight)
+        fresh = EdgeRelaxer.from_graph(swapped.augmentation.augmented_graph())
+        want = swapped.augmentation.schedule().run(
+            initial_distances(g.n, [0, 5], MIN_PLUS))
+        got = initial_distances(g.n, [0, 5], MIN_PLUS)
+        run_phases([fresh] * swapped.augmentation.diameter_bound, got)
+        assert np.array_equal(got, want)
 
     def test_incremental_requires_same_skeleton(self, rng):
         g = expander_digraph(100, rng, degree=5)

@@ -12,12 +12,18 @@ exercised with and without the optional dependency."""
 import numpy as np
 import pytest
 
-from repro.core.semiring import BOOLEAN, MAX_MIN, MIN_MAX, MIN_PLUS
+from repro.core.semiring import BOOLEAN, COUNTING_HOPS, MAX_MIN, MIN_MAX, MIN_PLUS
+from repro.kernels import bellman_ford as bf
 from repro.kernels import dispatch
 from repro.kernels import jit as jit_mod
-from repro.kernels.bellman_ford import EdgeRelaxer, initial_distances, run_phases
+from repro.kernels.bellman_ford import (
+    EdgeRelaxer,
+    initial_distances,
+    relax_fixpoint,
+    run_phases,
+)
 from repro.kernels.minplus import hop_limited_product, semiring_matmul
-from repro.workloads.generators import grid_digraph
+from repro.workloads.generators import gnm_digraph, grid_digraph
 
 SEMIRINGS = [MIN_PLUS, BOOLEAN, MAX_MIN, MIN_MAX]
 #: ``jit`` joins the parametrized kernel list wherever numba is installed
@@ -215,6 +221,40 @@ class TestTuning:
             dispatch.reload_tuning()
 
 
+def dense_jacobi_phase(src, dst, w, semiring, dist):
+    """Reference phase: every edge scanned from the pre-phase values, each
+    candidate ⊕-ed into its head one edge at a time."""
+    cand = semiring.mul(dist[:, src], w)
+    out = dist.copy()
+    for e in range(src.shape[0]):
+        out[:, dst[e]] = semiring.add(out[:, dst[e]], cand[:, e])
+    return out
+
+
+#: The kernel's path choices, forced through its module constant: push on
+#: every phase, pull on every phase, and the cost rule itself.
+PATHS = {
+    "push": {"PUSH_COST": 0.0},
+    "pull": {"PUSH_COST": np.inf},
+    "auto": {},
+}
+
+
+def _relax_case(semiring, weights, rng):
+    """(n, src, dst, w) on a sparse random digraph with parallel edges and
+    vertices some sources never reach."""
+    g = gnm_digraph(40, 110, rng)
+    w = g.weight
+    if weights == "float":
+        w = w + rng.uniform(0.0, 1.0, size=g.m)
+    elif weights == "negative":
+        pot = rng.uniform(0.0, 6.0, size=g.n)
+        w = w + pot[g.src] - pot[g.dst]  # negative edges, no negative cycle
+    if semiring is BOOLEAN:
+        w = w > 3.0
+    return g.n, g.src, g.dst, w.astype(semiring.dtype)
+
+
 class TestFrontierRelaxation:
     def _relaxer_and_dist(self, g, semiring, n_sources, rng):
         relaxer = EdgeRelaxer.from_graph(g, semiring)
@@ -302,6 +342,136 @@ class TestFrontierRelaxation:
             phases += 1
         full_scan = float(phases) * g.n * g.m
         assert led.work < full_scan
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("weights", ["integer", "float", "negative"])
+    @pytest.mark.parametrize(
+        "semiring", [MIN_PLUS, BOOLEAN, MAX_MIN, MIN_MAX, COUNTING_HOPS],
+        ids=lambda s: s.name,
+    )
+    def test_bit_identical_to_dense_phases(
+        self, semiring, weights, rows, path, rng, monkeypatch
+    ):
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(bf, name, value)
+        n, src, dst, w = _relax_case(semiring, weights, rng)
+        relaxer = EdgeRelaxer(src, dst, w, semiring)
+        init = initial_distances(n, rng.integers(0, n, size=rows), semiring)
+        want = init.copy()
+        for k in range(1, 9):
+            want = dense_jacobi_phase(src, dst, w, semiring, want)
+            got = init.copy()
+            relax_fixpoint(relaxer, got, k)
+            assert np.array_equal(got, want), k
+        # a single phase through relax() (no frontier) agrees too
+        got = init.copy()
+        relaxer.relax(got)
+        assert np.array_equal(got, dense_jacobi_phase(src, dst, w, semiring, init))
+        # and the whole fixpoint, with no 0̄ entry lost or invented
+        got = init.copy()
+        phases, active = relax_fixpoint(relaxer, got, 10 * n)
+        assert not active.size
+        while True:
+            nxt = dense_jacobi_phase(src, dst, w, semiring, want)
+            if np.array_equal(nxt, want):
+                break
+            want = nxt
+        assert np.array_equal(got, want)
+        assert (got == semiring.zero).any()  # some vertices stay unreached
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_k_phases_hold_best_k_edge_paths(self, path, rng, monkeypatch):
+        """After k phases from unit rows, entry (i, v) is the best weight
+        over paths of at most k edges — checked against min-plus powers of
+        the adjacency matrix, independent of any relaxation code."""
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(bf, name, value)
+        n, src, dst, w = _relax_case(MIN_PLUS, "negative", rng)
+        adj = np.full((n, n), np.inf)
+        np.minimum.at(adj, (src, dst), w)
+        np.fill_diagonal(adj, np.minimum(np.diag(adj), 0.0))  # I ⊕ A
+        relaxer = EdgeRelaxer(src, dst, w, MIN_PLUS)
+        best = initial_distances(n, np.arange(n), MIN_PLUS)
+        for k in range(1, 7):
+            best = semiring_matmul(best, adj, MIN_PLUS, kernel="reference")
+            got = initial_distances(n, np.arange(n), MIN_PLUS)
+            relax_fixpoint(relaxer, got, k)
+            assert np.array_equal(got, best), k  # same sums, same order
+
+    def test_empty_relaxer(self, rng):
+        relaxer = EdgeRelaxer(np.empty(0, np.int64), np.empty(0, np.int64),
+                              np.empty(0), MIN_PLUS)
+        dist = initial_distances(5, [0, 3], MIN_PLUS)
+        want = dist.copy()
+        assert not relaxer.relax(dist)
+        assert relaxer.relax_rows(dist, np.arange(2)).size == 0
+        assert relax_fixpoint(relaxer, dist, 4)[1].size == 0
+        run_phases([relaxer] * 3, dist)
+        assert np.array_equal(dist, want)
+        back = EdgeRelaxer.from_compiled(relaxer.compiled(), MIN_PLUS)
+        assert not back.relax(dist)
+
+    @pytest.mark.parametrize("path", ["push", "pull"])
+    def test_non_contiguous_views_are_updated(self, path, rng, monkeypatch):
+        """A strided ``dist`` view is relaxed in place exactly like a
+        contiguous array, and the memory around it is left alone."""
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(bf, name, value)
+        g = grid_digraph((5, 5), rng)
+        relaxer = EdgeRelaxer.from_graph(g, MIN_PLUS)
+        srcs = rng.integers(0, g.n, size=6)
+        init = initial_distances(g.n, srcs, MIN_PLUS)
+        want = init.copy()
+        relax_fixpoint(relaxer, want, 3)
+        wide = np.repeat(init, 2, axis=1)
+        strided = wide[:, ::2]
+        relax_fixpoint(relaxer, strided, 3)
+        assert np.array_equal(strided, want)
+        assert np.array_equal(wide[:, 1::2], init)  # the gaps are untouched
+        fortran = np.asfortranarray(init)
+        relax_fixpoint(relaxer, fortran, 3)
+        assert np.array_equal(fortran, want)
+        # a strided 3-D stack through relax()-style phases in run_phases
+        stack = np.repeat(init[None], 2, axis=0)
+        view = stack.transpose(1, 0, 2)[:, :1]  # (6, 1, n), not contiguous
+        run_phases([relaxer] * 3, view)
+        assert np.array_equal(view[:, 0], want)
+        assert np.array_equal(stack[1], init)
+        single = np.repeat(init, 2, axis=0)[::2]
+        relaxer.relax(single)
+        relaxer.relax(single)
+        relaxer.relax(single)
+        assert np.array_equal(single, want)
+
+    def test_ledger_independent_of_path(self, rng, monkeypatch):
+        """The cost model charges |rows|·m per phase whichever path ran."""
+        from repro.pram.machine import Ledger
+
+        g = grid_digraph((6, 6), rng)
+        other = EdgeRelaxer(g.src[::2], g.dst[::2], g.weight[::2], MIN_PLUS)
+        full = EdgeRelaxer.from_graph(g, MIN_PLUS)
+        srcs = rng.integers(0, g.n, size=5)
+        tallies = []
+        for path in ("push", "pull", "auto"):
+            for name, value in PATHS[path].items():
+                monkeypatch.setattr(bf, name, value)
+            led = Ledger()
+            run_phases([full] * 3 + [other] + [full] * 4,
+                       initial_distances(g.n, srcs, MIN_PLUS), ledger=led)
+            tallies.append((led.work, led.depth, led.breakdown()))
+            monkeypatch.undo()
+        assert tallies[0] == tallies[1] == tallies[2]
+
+    def test_frontier_survives_compiled_round_trip(self, rng):
+        g = grid_digraph((6, 6), rng)
+        relaxer = EdgeRelaxer.from_graph(g, MAX_MIN)
+        back = EdgeRelaxer.from_compiled(relaxer.compiled(), MAX_MIN)
+        a = initial_distances(g.n, [0, 7, 35], MAX_MIN)
+        b = a.copy()
+        relax_fixpoint(relaxer, a, 50)
+        relax_fixpoint(back, b, 50)
+        assert np.array_equal(a, b)
 
 
 class TestEndToEndKernels:

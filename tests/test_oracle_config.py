@@ -40,6 +40,12 @@ class TestDefaults:
         with pytest.raises(ValueError):
             OracleConfig(**bad)
 
+    @pytest.mark.parametrize("block", [0, -1])
+    def test_source_block_below_one_raises(self, block):
+        with pytest.raises(ValueError, match="source_block"):
+            OracleConfig(source_block=block)
+        assert OracleConfig(source_block=1).source_block == 1
+
     def test_semiring_by_name(self):
         cfg = OracleConfig(semiring="boolean")
         assert cfg.resolved_semiring is SEMIRINGS["boolean"]

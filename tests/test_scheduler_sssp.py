@@ -126,3 +126,12 @@ class TestSourceBlocking:
         a = sssp_scheduled(aug, srcs, source_block=1)
         b = sssp_scheduled(aug, srcs)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("block", [0, -3])
+    def test_nonpositive_block_relaxes_every_row(self, aug, block):
+        """A block below 1 is clamped for the slices too, not only the
+        stride — no row may come back unrelaxed."""
+        srcs = [0, 5]
+        got = sssp_scheduled(aug, srcs, source_block=block)
+        assert np.array_equal(got, sssp_scheduled(aug, srcs))
+        assert np.isfinite(got).all()  # the grid is strongly connected
