@@ -73,7 +73,7 @@ class WeightedDigraph:
         Float array of length ``m``; ``None`` means unit weights.
     """
 
-    __slots__ = ("n", "src", "dst", "weight", "_out", "_in", "_skeleton")
+    __slots__ = ("n", "src", "dst", "weight", "_out", "_in", "_skeleton", "_rest")
 
     def __init__(
         self,
@@ -103,6 +103,8 @@ class WeightedDigraph:
         self._out: CSRAdjacency | None = None
         self._in: CSRAdjacency | None = None
         self._skeleton: CSRAdjacency | None = None
+        #: Last ``G ∖ S`` component labelling (:func:`repro.core.septree.rest_labels`).
+        self._rest: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Constructors

@@ -40,6 +40,8 @@ __all__ = [
     "build_separator_tree",
     "DecompositionError",
     "split_components",
+    "rest_labels",
+    "undirected_components",
 ]
 
 #: A separator oracle: given the induced (sub)graph and the global ids of its
@@ -204,7 +206,7 @@ class SeparatorTree:
         """Check structural invariants against the graph; returns the list
         of violations (and raises on any, unless ``strict=False``)."""
         problems: list[str] = []
-        skel = g.skeleton
+        u, v = _skeleton_edges(g.skeleton)
         root = self.root
         if root.size != self.n or not np.array_equal(root.vertices, np.arange(self.n)):
             problems.append("root must carry every vertex exactly once")
@@ -239,7 +241,6 @@ class SeparatorTree:
                     side[interior1] = 2
                     if np.intersect1d(interior0, interior1).size:
                         problems.append(f"node {t.idx}: child interiors overlap")
-                    u, v = _skeleton_edges(skel)
                     cross = (side[u] == 1) & (side[v] == 2)
                     if cross.any():
                         problems.append(f"node {t.idx}: S(t) does not separate the children")
@@ -249,7 +250,6 @@ class SeparatorTree:
             inside[t.boundary] = False
             outside = ~np.zeros(self.n, dtype=bool)
             outside[t.vertices] = False
-            u, v = _skeleton_edges(skel)
             leak = (inside[u] & outside[v]) | (outside[u] & inside[v])
             if leak.any():
                 problems.append(f"node {t.idx}: B(t) does not shield V(t) from the rest of G")
@@ -277,6 +277,55 @@ def _skeleton_edges(skel) -> tuple[np.ndarray, np.ndarray]:
 # ------------------------------------------------------------------ #
 
 
+def undirected_components(
+    n: int, src: np.ndarray, dst: np.ndarray, keep: np.ndarray | None = None
+) -> tuple[int, np.ndarray]:
+    """``(count, labels)`` of the connected components of the undirected
+    graph on ``n`` vertices with edges ``{src[i], dst[i]}``; with a boolean
+    ``keep`` mask, edges touching a dropped vertex are ignored (dropped
+    vertices become singletons).
+
+    Shiloach–Vishkin style: every vertex points at a smaller member of its
+    component; each round hooks the larger root of every edge joining two
+    trees onto the smaller root (min-label hooking), then jumps pointers
+    until every vertex points straight at its root.  A root is the smallest
+    member of its tree, so components are numbered in order of their
+    smallest vertex — exactly ``scipy.sparse.csgraph.connected_components``'
+    numbering."""
+    if keep is not None:
+        live = keep[src] & keep[dst]
+        src, dst = src[live], dst[live]
+    parent = np.arange(n, dtype=np.int64)
+    a, b = src, dst  # the roots of each edge's endpoints: every vertex, at first
+    while True:
+        cross = a != b
+        if not cross.any():
+            break
+        # Edges inside one tree stay inside it: only crossing edges remain.
+        src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if not (grand != parent).any():
+                break
+            parent = grand
+        a, b = parent[src], parent[dst]
+    is_root = parent == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[parent]
+
+
+def rest_labels(sub: WeightedDigraph, local_separator: np.ndarray) -> tuple[int, np.ndarray]:
+    """Components of ``sub ∖ S`` (each vertex of ``S`` a singleton).  The
+    graph keeps its last answer, so a separator oracle's progress check and
+    the builder's split of the same cut share one labelling pass."""
+    keep = np.ones(sub.n, dtype=bool)
+    keep[local_separator] = False
+    memo = sub._rest
+    if memo is None or not np.array_equal(memo[0], keep):
+        memo = sub._rest = (keep, *undirected_components(sub.n, sub.src, sub.dst, keep))
+    return memo[1], memo[2]
+
+
 def split_components(
     sub: WeightedDigraph, local_separator: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,32 +336,24 @@ def split_components(
     Raises :class:`DecompositionError` when ``S`` leaves a single component
     covering everything (the oracle made no progress).
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    n = sub.n
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(sub.n, dtype=bool)
     keep[local_separator] = False
     rest = np.nonzero(keep)[0]
     if rest.size == 0:
         return rest, rest.copy()
-    mask = keep[sub.src] & keep[sub.dst]
-    adj = sp.csr_matrix(
-        (np.ones(int(mask.sum())), (sub.src[mask], sub.dst[mask])), shape=(n, n)
-    )
-    ncomp, labels = connected_components(adj, directed=False)
+    ncomp, labels = rest_labels(sub, local_separator)
     comp_of_rest = labels[rest]
     comp_ids, counts = np.unique(comp_of_rest, return_counts=True)
     if comp_ids.shape[0] == 1 and local_separator.size == 0:
         raise DecompositionError("empty separator on a connected subgraph")
     order = np.argsort(counts)[::-1]
-    side = {}
+    side = np.zeros(ncomp, dtype=np.int64)
     load = [0, 0]
     for ci in order:
         pick = 0 if load[0] <= load[1] else 1
         side[comp_ids[ci]] = pick
         load[pick] += int(counts[ci])
-    which = np.array([side[c] for c in comp_of_rest])
+    which = side[comp_of_rest]
     return rest[which == 0], rest[which == 1]
 
 
@@ -352,23 +393,14 @@ def build_separator_tree(
         if parent >= 0:
             p = nodes[parent]
             p.children = p.children + (idx,)
-        if verts.shape[0] <= leaf_size:
-            nodes.append(
-                SepTreeNode(
-                    idx=idx,
-                    level=level,
-                    parent=parent,
-                    vertices=verts,
-                    separator=np.empty(0, dtype=np.int64),
-                    boundary=boundary,
-                )
-            )
-            continue
-        sub, mapping = g.induced_subgraph(verts)
-        try:
-            local_sep = np.unique(np.asarray(separator_fn(sub, mapping), dtype=np.int64))
-        except InseparableSubgraph:
-            # No separator exists (complete skeleton): oversized leaf.
+        local_sep = None
+        if verts.shape[0] > leaf_size:
+            sub, mapping = g.induced_subgraph(verts)
+            try:
+                local_sep = np.unique(np.asarray(separator_fn(sub, mapping), dtype=np.int64))
+            except InseparableSubgraph:
+                pass  # No separator exists (complete skeleton): oversized leaf.
+        if local_sep is None:
             nodes.append(
                 SepTreeNode(
                     idx=idx,

@@ -6,28 +6,28 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.digraph import WeightedDigraph
+from ..core.septree import rest_labels
 
-__all__ = ["bfs_levels", "largest_component", "connected_component_labels"]
-
-
-def connected_component_labels(g: WeightedDigraph) -> tuple[int, np.ndarray]:
-    """Connected components of the undirected skeleton."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    adj = sp.csr_matrix(
-        (np.ones(g.m), (g.src, g.dst)), shape=(g.n, g.n)
-    )
-    return connected_components(adj, directed=False)
+__all__ = ["bfs_levels", "expand_ranges", "largest_component"]
 
 
 def largest_component(g: WeightedDigraph) -> np.ndarray:
     """Vertex ids of the largest undirected component."""
-    ncomp, labels = connected_component_labels(g)
+    ncomp, labels = rest_labels(g, np.empty(0, dtype=np.int64))
     if ncomp <= 1:
         return np.arange(g.n)
     counts = np.bincount(labels)
     return np.nonzero(labels == int(np.argmax(counts)))[0]
+
+
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate ``[starts[i], starts[i]+counts[i])`` without a loop."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    reps = np.repeat(np.arange(starts.shape[0]), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return starts[reps] + offsets
 
 
 def bfs_levels(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray]:
@@ -43,12 +43,9 @@ def bfs_levels(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray]:
     while frontier.size:
         d += 1
         # Gather all neighbors of the frontier at once.
-        chunks = [indices[indptr[u] : indptr[u + 1]] for u in frontier.tolist()]
-        owners = [np.full(c.shape[0], u, dtype=np.int64) for u, c in zip(frontier.tolist(), chunks)]
-        if not chunks:
-            break
-        nbrs = np.concatenate(chunks)
-        own = np.concatenate(owners)
+        counts = indptr[frontier + 1] - indptr[frontier]
+        nbrs = indices[expand_ranges(indptr[frontier], counts)]
+        own = np.repeat(frontier, counts)
         fresh = level[nbrs] < 0
         nbrs, own = nbrs[fresh], own[fresh]
         # First writer wins for parents; duplicates collapse via unique.

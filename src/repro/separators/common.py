@@ -21,13 +21,14 @@ from typing import Callable
 import numpy as np
 
 from ..core.digraph import WeightedDigraph
-from ..core.septree import DecompositionError, InseparableSubgraph, SeparatorFn
-from .bfs_levels import connected_component_labels
+from ..core.septree import DecompositionError, InseparableSubgraph, SeparatorFn, rest_labels
 
 __all__ = [
     "BALANCE",
     "rest_components",
     "has_two_sides",
+    "laplacian",
+    "vertex_separator_from_cut",
     "neighborhood_separator",
     "ensure_progress",
     "component_aware",
@@ -39,28 +40,41 @@ BALANCE = 2.0 / 3.0
 
 def rest_components(sub: WeightedDigraph, sep_local: np.ndarray) -> tuple[int, int]:
     """``(number of components, largest component size)`` of ``sub ∖ S``."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    keep = np.ones(sub.n, dtype=bool)
-    keep[sep_local] = False
-    rest = np.nonzero(keep)[0]
-    if rest.size == 0:
-        return 0, 0
-    mask = keep[sub.src] & keep[sub.dst]
-    adj = sp.csr_matrix(
-        (np.ones(int(mask.sum())), (sub.src[mask], sub.dst[mask])), shape=(sub.n, sub.n)
-    )
-    _, labels = connected_components(adj, directed=False)
-    counts = np.bincount(labels[rest])
+    ncomp, labels = rest_labels(sub, sep_local)
+    counts = np.bincount(labels, minlength=ncomp)
+    counts[labels[sep_local]] = 0  # S's vertices are singletons, not components
     counts = counts[counts > 0]
-    return int(counts.shape[0]), int(counts.max())
+    return (int(counts.shape[0]), int(counts.max())) if counts.size else (0, 0)
 
 
 def has_two_sides(sub: WeightedDigraph, sep_local: np.ndarray) -> bool:
     """Whether removing ``S`` leaves ≥2 components (recursion progress)."""
     ncomp, _ = rest_components(sub, sep_local)
     return ncomp >= 2
+
+
+def laplacian(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, *, dense: bool):
+    """``D − A`` for the symmetric adjacency ``A[rows, cols] = data`` (the
+    ``(rows, cols)`` pairs unique): a dense array for the small ``eigh``
+    solves, CSR for ``eigsh``.  Both hold the same float entries."""
+    if dense:
+        a = np.zeros((n, n))
+        a[rows, cols] = data
+        return np.diag(a.sum(axis=1)) - a
+    import scipy.sparse as sp
+
+    a = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return sp.diags(np.asarray(a.sum(axis=1)).ravel()) - a
+
+
+def vertex_separator_from_cut(g: WeightedDigraph, in_a: np.ndarray) -> np.ndarray:
+    """Smaller endpoint set of the edges crossing the (A, B) vertex split."""
+    cross = in_a[g.src] != in_a[g.dst]
+    if not cross.any():
+        return np.empty(0, dtype=np.int64)
+    a_side = np.union1d(g.src[cross & in_a[g.src]], g.dst[cross & in_a[g.dst]])
+    b_side = np.union1d(g.src[cross & ~in_a[g.src]], g.dst[cross & ~in_a[g.dst]])
+    return a_side if a_side.shape[0] <= b_side.shape[0] else b_side
 
 
 def neighborhood_separator(sub: WeightedDigraph) -> np.ndarray:
@@ -101,7 +115,7 @@ def component_aware(core: Callable[[WeightedDigraph, np.ndarray], np.ndarray]) -
     """
 
     def fn(sub: WeightedDigraph, global_vertices: np.ndarray) -> np.ndarray:
-        ncomp, labels = connected_component_labels(sub)
+        ncomp, labels = rest_labels(sub, np.empty(0, dtype=np.int64))
         counts = np.bincount(labels, minlength=ncomp)
         big = int(np.argmax(counts))
         if ncomp > 1 and counts[big] <= BALANCE * sub.n:

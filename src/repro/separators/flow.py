@@ -37,6 +37,7 @@ from ..core.septree import (
     SepTreeNode,
     split_components,
 )
+from .bfs_levels import expand_ranges
 from .common import has_two_sides
 
 __all__ = [
@@ -79,16 +80,6 @@ def new_refinement_record() -> dict:
 # ------------------------------------------------------------------ #
 
 
-def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``[starts[i], starts[i]+counts[i])`` without a loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    reps = np.repeat(np.arange(starts.shape[0]), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return starts[reps] + offsets
-
-
 class _FlowNetwork:
     """Residual network in the paired-arc representation (``rev = i ^ 1``)
     with a CSR index by tail node for the vectorized BFS."""
@@ -115,7 +106,7 @@ class _FlowNetwork:
         while frontier.size:
             starts = self.indptr[frontier]
             counts = self.indptr[frontier + 1] - starts
-            slots = _expand_ranges(starts, counts)
+            slots = expand_ranges(starts, counts)
             if slots.size == 0:
                 break
             arcs = self.order[slots]

@@ -279,7 +279,6 @@ def _lt_attempt(sub: WeightedDigraph) -> np.ndarray | None:
         return ring
     # Shrink: contract levels ≤ l0 to a super-root (index band_n), keep the
     # band; drop levels ≥ l2.
-    keep = np.nonzero(band_mask | (level <= l0))[0]
     local = np.full(n, -1, dtype=np.int64)
     band_vertices = np.nonzero(band_mask)[0]
     local[band_vertices] = np.arange(band_vertices.shape[0])

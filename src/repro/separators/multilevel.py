@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.digraph import WeightedDigraph
 from ..core.septree import SeparatorFn, SeparatorTree, build_separator_tree
-from .common import BALANCE, component_aware, has_two_sides
+from .common import BALANCE, component_aware, has_two_sides, laplacian, vertex_separator_from_cut
 
 __all__ = ["multilevel_separator_fn", "decompose_multilevel"]
 
@@ -50,18 +50,22 @@ def _undirected_edges(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.nd
     return (uniq // g.n).astype(np.int64), (uniq % g.n).astype(np.int64), counts.astype(np.float64)
 
 
+def _adjacency(level: _Level) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR over the undirected edges (both directions): ``(indptr, src,
+    dst, multiplicity)`` with the arc arrays sorted by tail."""
+    src = np.concatenate([level.eu, level.ev])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(level.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=level.n), out=indptr[1:])
+    dst = np.concatenate([level.ev, level.eu])[order]
+    return indptr, src[order], dst, np.concatenate([level.emult, level.emult])[order]
+
+
 def _heavy_edge_matching(level: _Level, rng: np.random.Generator) -> np.ndarray:
     """Greedy heavy-edge matching: visit vertices in random order, match to
     the heaviest unmatched neighbor.  Returns the fine→coarse map."""
     n = level.n
-    # Adjacency in CSR form over the undirected edges (both directions).
-    src = np.concatenate([level.eu, level.ev])
-    dst = np.concatenate([level.ev, level.eu])
-    wgt = np.concatenate([level.emult, level.emult])
-    order = np.argsort(src, kind="stable")
-    src_s, dst_s, w_s = src[order], dst[order], wgt[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_s, minlength=n), out=indptr[1:])
+    indptr, _, dst_s, w_s = _adjacency(level)
     match = np.full(n, -1, dtype=np.int64)
     for v in rng.permutation(n).tolist():
         if match[v] >= 0:
@@ -121,22 +125,19 @@ def _weighted_fiedler_bisect(level: _Level, rng: np.random.Generator) -> np.ndar
         mask = np.zeros(n, dtype=bool)
         mask[: max(1, n // 2)] = True
         return mask
-    import scipy.sparse as sp
-
     rows = np.concatenate([level.eu, level.ev])
     cols = np.concatenate([level.ev, level.eu])
     data = np.concatenate([level.emult, level.emult])
-    a = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    lap = sp.diags(deg) - a
+    lap = laplacian(n, rows, cols, data, dense=n <= 600)
     try:
         if n <= 600:
-            _, vecs = np.linalg.eigh(lap.toarray())
+            _, vecs = np.linalg.eigh(lap)
             fied = vecs[:, 1]
         else:
             from scipy.sparse.linalg import eigsh
 
-            _, vecs = eigsh(lap, k=2, sigma=-1e-4, which="LM", maxiter=5000)
+            v0 = rng.uniform(-1.0, 1.0, n)
+            _, vecs = eigsh(lap, k=2, sigma=-1e-4, which="LM", maxiter=5000, v0=v0)
             fied = vecs[:, 1]
     except Exception:  # pragma: no cover - solver hiccup
         fied = rng.standard_normal(n)
@@ -153,14 +154,7 @@ def _weighted_fiedler_bisect(level: _Level, rng: np.random.Generator) -> np.ndar
 def _refine(level: _Level, in_a: np.ndarray, passes: int = 4) -> np.ndarray:
     """Greedy boundary refinement: move a vertex across the cut when it
     reduces the cut multiplicity and keeps vertex-weight balance."""
-    n = level.n
-    src = np.concatenate([level.eu, level.ev])
-    dst = np.concatenate([level.ev, level.eu])
-    wgt = np.concatenate([level.emult, level.emult])
-    order = np.argsort(src, kind="stable")
-    src_s, dst_s, w_s = src[order], dst[order], wgt[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_s, minlength=n), out=indptr[1:])
+    indptr, src_s, dst_s, w_s = _adjacency(level)
     total = level.vweight.sum()
     wa = float(level.vweight[in_a].sum())
     in_a = in_a.copy()
@@ -186,15 +180,6 @@ def _refine(level: _Level, in_a: np.ndarray, passes: int = 4) -> np.ndarray:
         if not moved:
             break
     return in_a
-
-
-def _vertex_separator_from_cut(g: WeightedDigraph, in_a: np.ndarray) -> np.ndarray:
-    cross = in_a[g.src] != in_a[g.dst]
-    if not cross.any():
-        return np.empty(0, dtype=np.int64)
-    a_side = np.union1d(g.src[cross & in_a[g.src]], g.dst[cross & in_a[g.dst]])
-    b_side = np.union1d(g.src[cross & ~in_a[g.src]], g.dst[cross & ~in_a[g.dst]])
-    return a_side if a_side.shape[0] <= b_side.shape[0] else b_side
 
 
 def multilevel_separator_fn(
@@ -226,7 +211,7 @@ def multilevel_separator_fn(
             # After projection, in_a indexes the *finer* level.
             finer_idx = levels.index(lvl) - 1
             in_a = _refine(levels[finer_idx], in_a)
-        sep = _vertex_separator_from_cut(sub, in_a)
+        sep = vertex_separator_from_cut(sub, in_a)
         if sep.size and has_two_sides(sub, sep):
             return sep
         return np.empty(0, dtype=np.int64)  # common fallback takes over

@@ -16,51 +16,38 @@ import numpy as np
 
 from ..core.digraph import WeightedDigraph
 from ..core.septree import SeparatorFn, SeparatorTree, build_separator_tree
-from .common import BALANCE, component_aware, has_two_sides
+from .common import BALANCE, component_aware, has_two_sides, laplacian, vertex_separator_from_cut
 
 __all__ = ["fiedler_vector", "spectral_separator_fn", "decompose_spectral"]
 
 
 def fiedler_vector(g: WeightedDigraph, *, dense_cutoff: int = 512, seed: int = 0) -> np.ndarray:
     """Eigenvector of the second-smallest Laplacian eigenvalue of the
-    skeleton (connected input assumed; callers pass one component)."""
-    import scipy.sparse as sp
-
-    rows = np.concatenate([g.src, g.dst])
-    cols = np.concatenate([g.dst, g.src])
-    a = sp.coo_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(g.n, g.n)).tocsr()
-    a = (a > 0).astype(np.float64)
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    lap = sp.diags(deg) - a
+    skeleton (connected input assumed; callers pass one component).  The
+    sparse solve starts from a ``seed``-derived vector, so it is as
+    deterministic as the dense one."""
+    pairs = np.unique(np.concatenate([g.src * g.n + g.dst, g.dst * g.n + g.src]))
+    lap = laplacian(
+        g.n, pairs // g.n, pairs % g.n, np.ones(pairs.shape[0]), dense=g.n <= dense_cutoff
+    )
     if g.n <= dense_cutoff:
-        _, vecs = np.linalg.eigh(lap.toarray())
+        _, vecs = np.linalg.eigh(lap)
         return vecs[:, 1]
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import eigsh, lobpcg
 
+    rng = np.random.default_rng(seed)
     try:
-        _, vecs = eigsh(lap, k=2, sigma=-1e-4, which="LM", maxiter=5000)
+        v0 = rng.uniform(-1.0, 1.0, g.n)
+        _, vecs = eigsh(lap, k=2, sigma=-1e-4, which="LM", maxiter=5000, v0=v0)
         return vecs[:, 1]
     except Exception:
         # Robust fallback: LOBPCG with a deterministic random start,
         # deflating the constant vector.
-        from scipy.sparse.linalg import lobpcg
-
-        rng = np.random.default_rng(seed)
         x = rng.standard_normal((g.n, 2))
         x[:, 0] = 1.0
         vals, vecs = lobpcg(lap, x, largest=False, maxiter=2000, tol=1e-6)
         order = np.argsort(vals)
         return vecs[:, order[1]]
-
-
-def _vertex_separator_from_cut(g: WeightedDigraph, in_a: np.ndarray) -> np.ndarray:
-    """Smaller endpoint set of the edges crossing the (A, B) vertex split."""
-    cross = in_a[g.src] != in_a[g.dst]
-    if not cross.any():
-        return np.empty(0, dtype=np.int64)
-    a_side = np.union1d(g.src[cross & in_a[g.src]], g.dst[cross & in_a[g.dst]])
-    b_side = np.union1d(g.src[cross & ~in_a[g.src]], g.dst[cross & ~in_a[g.dst]])
-    return a_side if a_side.shape[0] <= b_side.shape[0] else b_side
 
 
 def spectral_separator_fn(*, dense_cutoff: int = 512, seed: int = 0) -> SeparatorFn:
@@ -78,7 +65,7 @@ def spectral_separator_fn(*, dense_cutoff: int = 512, seed: int = 0) -> Separato
         for split in candidates.tolist():
             in_a = np.zeros(n, dtype=bool)
             in_a[order[:split]] = True
-            sep = _vertex_separator_from_cut(sub, in_a)
+            sep = vertex_separator_from_cut(sub, in_a)
             if sep.size == 0 or (best is not None and sep.shape[0] >= best.shape[0]):
                 continue
             if has_two_sides(sub, sep):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.digraph import WeightedDigraph
 from ..core.septree import SeparatorFn, SeparatorTree, build_separator_tree
-from .common import component_aware
+from .common import component_aware, rest_components
 
 __all__ = ["treewidth_separator_fn", "decompose_treewidth", "tree_decomposition_width"]
 
@@ -42,21 +42,10 @@ def _tree_decomposition(g: WeightedDigraph, heuristic: str):
 
 def _centroid_bag(sub: WeightedDigraph, bags: list[np.ndarray]) -> np.ndarray:
     """The bag whose removal minimizes the largest remaining component."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     best_bag = bags[0]
     best_score = np.inf
     for bag in bags:
-        keep = np.ones(sub.n, dtype=bool)
-        keep[bag] = False
-        mask = keep[sub.src] & keep[sub.dst]
-        adj = sp.csr_matrix(
-            (np.ones(int(mask.sum())), (sub.src[mask], sub.dst[mask])), shape=(sub.n, sub.n)
-        )
-        _, labels = connected_components(adj, directed=False)
-        rest = np.nonzero(keep)[0]
-        score = float(np.bincount(labels[rest]).max()) if rest.size else 0.0
+        score = float(rest_components(sub, bag)[1])
         if score < best_score:
             best_bag, best_score = bag, score
         if best_score <= sub.n / 2:
