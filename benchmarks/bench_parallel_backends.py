@@ -1,11 +1,13 @@
 """E-par — real-hardware parallel speedup on the paper's dependency graph.
 
 The PRAM is simulated in the ledger, but the *structure* of the parallelism
-is real: all tree nodes of a level (Algorithm 4.1) and all node squarings of
-a round (Algorithm 4.3) are independent.  This bench runs the identical
-augmentation on the serial, thread, process and zero-copy shm backends,
-checks bit-equal results, and records the wall-clock ratios; the PRAM depth
-is reported alongside as the infinite-processor limit.  A second experiment
+is real: all node squarings of a round (Algorithm 4.3) are independent.
+This bench runs the identical augmentation on the serial, thread, process
+and zero-copy shm backends, checks bit-equal results, and records the
+wall-clock ratios; the PRAM depth is reported alongside as the
+infinite-processor limit.  (Algorithm 4.1 runs as one stacked sweep per
+tree level and takes no executor, so the per-node builder here is
+doubling.)  A second experiment
 serves a ≥64-source batched query through the persistent
 :class:`~repro.core.query.QueryEngine` on every backend.
 
@@ -24,7 +26,7 @@ import pytest
 
 from repro.analysis.tables import render_table
 from repro.core.api import ShortestPathOracle
-from repro.core.leaves_up import augment_leaves_up
+from repro.core.doubling import augment_doubling
 from repro.pram.machine import Ledger
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import grid_digraph
@@ -61,7 +63,7 @@ def test_epar_backends_agree_and_speed(benchmark, workload, report, results_dir)
     times = {}
     for backend in BACKENDS:
         t0 = time.perf_counter()
-        aug = augment_leaves_up(g, tree, executor=backend, keep_node_distances=False)
+        aug = augment_doubling(g, tree, executor=backend, keep_node_distances=False)
         times[backend] = time.perf_counter() - t0
         results[backend] = aug
     base = results["serial"]
@@ -70,13 +72,13 @@ def test_epar_backends_agree_and_speed(benchmark, workload, report, results_dir)
         assert np.array_equal(base.src, other.src)
         assert np.allclose(base.weight, other.weight)
     led = Ledger()
-    augment_leaves_up(g, tree, ledger=led, keep_node_distances=False)
+    augment_doubling(g, tree, ledger=led, keep_node_distances=False)
     rows = [[b, round(times[b], 3), round(times["serial"] / times[b], 2)] for b in BACKENDS]
     table = render_table(
         ["backend", "wall s", "speedup vs serial"],
         rows,
         title=(
-            f"E-par: Algorithm 4.1 on 56x56 grid — ledger work {led.work:.3g}, "
+            f"E-par: Algorithm 4.3 on 56x56 grid — ledger work {led.work:.3g}, "
             f"PRAM depth {led.depth:.3g} (ideal parallelism {led.work / led.depth:.0f}x)"
         ),
     )
@@ -94,7 +96,7 @@ def test_epar_backends_agree_and_speed(benchmark, workload, report, results_dir)
         results_dir,
         "augmentation_56x56",
         {
-            "workload": "leaves_up augmentation, 56x56 grid",
+            "workload": "doubling augmentation, 56x56 grid",
             "ledger_work": led.work,
             "ledger_depth": led.depth,
             "wall_s": {b: times[b] for b in BACKENDS},
@@ -106,7 +108,7 @@ def test_epar_backends_agree_and_speed(benchmark, workload, report, results_dir)
         f"zero-copy regression: shm:4 {times['shm:4']:.3f}s not faster than "
         f"process:4 {times['process:4']:.3f}s"
     )
-    benchmark(lambda: augment_leaves_up(g, tree, executor="thread:4", keep_node_distances=False))
+    benchmark(lambda: augment_doubling(g, tree, executor="thread:4", keep_node_distances=False))
 
 
 def test_epar_query_engine_batched(benchmark, workload, report, results_dir):

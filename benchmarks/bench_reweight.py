@@ -6,11 +6,18 @@ all appended to ``benchmarks/results/BENCH_reweight.json``:
 * **dense reweight vs full rebuild** — replacing the entire weight vector
   through ``with_new_weights`` must beat the ``reweight="rebuild"`` path
   (re-running the §4 construction on the frozen decomposition) by at least
-  ``DENSE_SPEEDUP``×, finish sub-second, and produce distances bit-identical
-  to a cold build on the reweighted graph.
+  ``DENSE_SPEEDUP``×, stay within ``ABS_SLACK`` of ``PARENT_DENSE_S``,
+  finish sub-second, and produce distances bit-identical to a cold build
+  on the reweighted graph.
 * **sparse delta** — a 1%-of-edges ``weight_delta`` restricts the replay to
   the root paths of the dirty leaves and must beat the full rebuild by at
-  least ``SPARSE_SPEEDUP``×, again bit-identically.
+  least ``SPARSE_SPEEDUP``× and stay within ``ABS_SLACK`` of
+  ``PARENT_SPARSE_S``, again bit-identically.
+
+The rebuild is the same stacked sweep as the reweight plus a plan capture
+(the cold Algorithm 4.1 build *is* the sweep), so the ratio bars measure
+what capture and schedule compile add, and the absolute bars keep the
+reweight itself from slowing down.
 * **served flip p99** — a ``QueryEngine`` under continuous single-source
   load absorbs mid-stream ``reweight`` flips with zero failed queries; the
   p99 query latency across the flips is recorded (the flip itself happens
@@ -37,10 +44,17 @@ from repro.workloads.generators import grid_digraph
 SIDE = 56
 
 #: Acceptance bar: dense incremental reweight vs the full-rebuild path.
-DENSE_SPEEDUP = 10.0
+DENSE_SPEEDUP = 3.0
 
 #: Acceptance bar: sparse 1%-edge delta vs the full-rebuild path.
-SPARSE_SPEEDUP = 25.0
+SPARSE_SPEEDUP = 10.0
+
+#: Dense / sparse reweight wall (s) of the per-node builder's lineage on
+#: this workload (2-vCPU Xeon VM, numpy 2.4, no numba); a reweight may be
+#: at most ``ABS_SLACK`` slower than that.
+PARENT_DENSE_S = 0.095
+PARENT_SPARSE_S = 0.027
+ABS_SLACK = 1.25
 
 DIRTY_FRACTION = 0.01   # sparse experiment: 1% of the edges move
 FLIPS = 3               # served experiment: mid-stream reweights
@@ -86,14 +100,15 @@ def base_oracle(workload):
 
 
 def test_reweight_dense_vs_rebuild(benchmark, workload, base_oracle, report, results_dir):
-    """Dense weight refresh beats the full-rebuild path ≥10×, sub-second,
+    """Dense weight refresh beats the full-rebuild path ≥3×, is no slower
+    than the recorded dense wall by more than 25%, sub-second,
     bit-identical to a cold build on the reweighted graph."""
     g, tree = workload
     w2 = np.random.default_rng(11).permutation(g.weight)
     rebuild_s, rebuilt = _best_of(
         lambda: base_oracle.with_new_weights(w2, reweight="rebuild"), 2
     )
-    base_oracle.with_new_weights(w2)  # warm-up: first replay pays plan capture
+    base_oracle.with_new_weights(w2)  # warm-up
     dense_s, dense = _best_of(lambda: base_oracle.with_new_weights(w2), 5)
     srcs = np.random.default_rng(7).integers(0, g.n, size=8)
     cold = ShortestPathOracle.build(
@@ -135,12 +150,17 @@ def test_reweight_dense_vs_rebuild(benchmark, workload, base_oracle, report, res
         f"dense reweight only {speedup:.1f}x faster than rebuild "
         f"(rebuild {rebuild_s:.3f}s, dense {dense_s:.4f}s; bar {DENSE_SPEEDUP}x)"
     )
+    assert dense_s <= PARENT_DENSE_S * ABS_SLACK, (
+        f"dense reweight {dense_s:.4f}s exceeds {ABS_SLACK}x the recorded "
+        f"{PARENT_DENSE_S}s"
+    )
     benchmark(lambda: base_oracle.with_new_weights(w2))
 
 
 def test_reweight_sparse_delta_vs_rebuild(benchmark, workload, base_oracle, report, results_dir):
-    """A 1%-edge delta sweeps only the dirty root paths: ≥25× faster than
-    the full rebuild, bit-identical to a cold build."""
+    """A 1%-edge delta sweeps only the dirty root paths: ≥10× faster than
+    the full rebuild, no slower than the recorded sparse wall by more than
+    25%, bit-identical to a cold build."""
     g, tree = workload
     k = max(1, int(g.m * DIRTY_FRACTION))
     # A *localized* 1% delta — edges inside one corner neighborhood (the
@@ -151,8 +171,8 @@ def test_reweight_sparse_delta_vs_rebuild(benchmark, workload, base_oracle, repo
     idx = block[:k]
     assert idx.shape[0] == k, (idx.shape, k)
     vals = g.weight[idx] * 1.5 + 0.25
-    # Reweight ancestor: carries a live heap state, so deltas stay sparse
-    # (a cold-built ancestor densifies its first delta to seed the state).
+    # Every Algorithm 4.1 lineage carries a live heap state (the cold build
+    # included), so every delta takes the sparse root-path sweep.
     warm = base_oracle.with_new_weights(g.weight.copy())
     rebuild_s, _ = _best_of(
         lambda: warm.with_new_weights(
@@ -197,6 +217,10 @@ def test_reweight_sparse_delta_vs_rebuild(benchmark, workload, base_oracle, repo
     assert speedup >= SPARSE_SPEEDUP, (
         f"sparse delta only {speedup:.1f}x faster than rebuild "
         f"(rebuild {rebuild_s:.3f}s, sparse {sparse_s:.4f}s; bar {SPARSE_SPEEDUP}x)"
+    )
+    assert sparse_s <= PARENT_SPARSE_S * ABS_SLACK, (
+        f"sparse delta {sparse_s:.4f}s exceeds {ABS_SLACK}x the recorded "
+        f"{PARENT_SPARSE_S}s"
     )
     benchmark(lambda: warm.with_new_weights(weight_delta=(idx, vals)))
 

@@ -89,9 +89,10 @@ class ShortestPathOracle:
         #: ``dir`` and timings once the store was consulted.  Surfaced by
         #: the server's ``stats`` op as the build-cache hit record.
         self.cache_info: dict = {"mode": self.config.cache, "status": "off"}
-        #: Lazily captured build provenance (:class:`~repro.core.reweight.
-        #: ReweightPlan`) shared along a :meth:`with_new_weights` lineage —
-        #: captured once per skeleton, reused by every incremental
+        #: Build provenance (:class:`~repro.core.reweight.ReweightPlan`)
+        #: shared along a :meth:`with_new_weights` lineage — the plan an
+        #: Algorithm 4.1 build ran, or captured on the first incremental
+        #: reweight of a cache-loaded oracle, then reused by every
         #: reweight derived from this oracle.
         self._reweight_plan = None
 
@@ -258,6 +259,8 @@ class ShortestPathOracle:
         try:
             if cfg.validate:
                 tree.validate(graph)
+            # Algorithm 4.1 is one stacked sweep per tree level: no executor.
+            pool = {} if cfg.method == "leaves_up" else {"executor": cfg.executor}
             if cfg.method == "doubling_shared":
                 from .doubling_shared import augment_doubling_shared as build_fn
             else:
@@ -268,10 +271,10 @@ class ShortestPathOracle:
                 graph,
                 tree,
                 cfg.resolved_semiring,
-                executor=cfg.executor,
                 ledger=ledger,
                 keep_node_distances=cfg.keep_node_distances,
                 kernel=cfg.kernel,
+                **pool,
             )
             # Thread the kernel choice into every relaxer/schedule derived
             # from this augmentation (must precede aug.schedule() below).
@@ -279,6 +282,12 @@ class ShortestPathOracle:
             oracle = cls(
                 graph, tree, aug, aug.schedule(), preprocess_ledger=ledger, config=cfg
             )
+            state = getattr(aug, "_reweight_state", None)
+            if state is not None:
+                # The schedule just compiled is the layout every reweight
+                # of this lineage binds to.
+                state.plan.ensure_schedule_cache(aug)
+                oracle._reweight_plan = state.plan
             if store is not None and cfg.cache == "readwrite":
                 t0 = time.perf_counter()
                 wrote = store.store(key, aug, config=cfg, validated=cfg.validate)
@@ -598,9 +607,10 @@ class ShortestPathOracle:
         unchanged skeleton (same ``src``/``dst`` arrays); ``"incremental"``
         raises when those do not hold, ``"auto"`` falls back to
         ``"rebuild"``.  Sparse deltas additionally need the lineage's
-        retained heap state (present on any oracle *produced by* an
-        incremental reweight; a cold-built ancestor serves the first
-        refresh densely).
+        retained heap state, which every Algorithm 4.1 build and every
+        incremental reweight leaves on its augmentation; an oracle loaded
+        from the cache or from a file has none and serves its first
+        refresh densely.
 
         ``validate`` (default: ``config.validate``) on the incremental
         path checks shortcut *weights* only — :meth:`Augmentation.

@@ -6,11 +6,14 @@ exact distances *inside the node's subgraph* ``G(t)``; the augmentation is
 ``G⁺ = (V, E ∪ E⁺)`` preserves all distances and has minimum-weight diameter
 at most ``4·d_G + 2ℓ + 1``.
 
-Two algorithms produce the node distance matrices (:mod:`.leaves_up`,
-:mod:`.doubling`); both deliver a :class:`NodeDistances` per node and this
-module assembles and deduplicates the edge set, records the per-node
-matrices for path reconstruction and the planar pipeline, and carries the
-negative-cycle verdict.
+Two algorithms produce the node distance matrices.  Algorithm 4.3
+(:mod:`.doubling`) delivers a :class:`NodeDistances` per node and this
+module assembles and deduplicates the edge set; Algorithm 4.1
+(:mod:`.leaves_up`) runs as one stacked sweep per tree level
+(:mod:`.reweight`) that assembles E⁺ itself, in the same order.  Either
+way the result is an :class:`Augmentation` carrying the per-node matrices
+(for path reconstruction and the planar pipeline) when asked to keep them,
+and a negative cycle raises :class:`NegativeCycleDetected`.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ from typing import Any
 
 import numpy as np
 
+from ..kernels.bellman_ford import min_weight_diameter
+from ..kernels.floyd_warshall import floyd_warshall, floyd_warshall_with_hops
 from ..kernels.minplus import semiring_matmul
-from ..pram.machine import NULL_LEDGER, Ledger
+from ..pram.machine import NULL_LEDGER, Ledger, log2ceil
 from ..pram.executor import SerialExecutor, get_executor
 from .augment import (
     Augmentation,
@@ -35,11 +37,111 @@ from .augment import (
     assemble_augmentation,
 )
 from .digraph import WeightedDigraph
-from .leaves_up import _check_diagonal, _leaf_payload, _leaf_worker
 from .semiring import MIN_PLUS, SEMIRINGS, Semiring
 from .septree import SeparatorTree
 
-__all__ = ["augment_doubling"]
+__all__ = ["augment_doubling", "dense_semiring_weights"]
+
+
+def dense_semiring_weights(g: WeightedDigraph, semiring: Semiring) -> np.ndarray:
+    """Dense one-hop matrix of ``g`` in the given semiring: 1̄ diagonal, ⊕ of
+    parallel edges, 0̄ where no edge."""
+    w = semiring.empty_matrix(g.n, g.n)
+    np.fill_diagonal(w, semiring.one)
+    if g.m:
+        semiring.scatter_min(w, (g.src, g.dst), g.weight.astype(semiring.dtype))
+    return w
+
+
+def _check_diagonal(matrix: np.ndarray, vertices: np.ndarray, semiring: Semiring) -> int:
+    """Return a global vertex id on a negative cycle (diagonal strictly
+    better than 1̄), or -1."""
+    diag = np.einsum("ii->i", matrix)
+    bad = semiring.improves(diag, np.full(diag.shape[0], semiring.one, dtype=semiring.dtype))
+    if bad.any():
+        return int(vertices[int(np.argmax(bad))])
+    return -1
+
+
+# ------------------------------------------------------------------ #
+# Per-node workers (module level so the process backends can pickle them)
+#
+# Two payload styles share these functions: the classic style carries the
+# arrays themselves (serial/thread/process), while the shm style carries
+# ArrayRef descriptors that the ShmExecutor resolves to zero-copy views
+# before dispatch, plus an ``out`` block the worker fills in place so the
+# result matrix is never pickled either (see repro.pram.shm).
+# ------------------------------------------------------------------ #
+
+
+def _leaf_payload(
+    graph: WeightedDigraph, t, semiring: Semiring, arena=None
+) -> tuple[dict[str, Any], np.ndarray, np.ndarray | None]:
+    """Build one leaf task payload; returns ``(payload, vertices, out_view)``.
+
+    With an arena, the subgraph arrays are published as descriptors and an
+    output block for the APSP matrix is pre-allocated (``out_view`` is the
+    orchestrator's view of it); without one, the arrays ride in the payload.
+    """
+    sub, mapping = graph.induced_subgraph(t.vertices)
+    payload: dict[str, Any] = {
+        "idx": t.idx,
+        "semiring": semiring.name,
+        "vertices": mapping,
+        "n_local": sub.n,
+        "sub_src": sub.src,
+        "sub_dst": sub.dst,
+        "sub_weight": sub.weight,
+    }
+    if arena is None:
+        return payload, mapping, None
+    out_ref, out_view = arena.alloc((mapping.shape[0], mapping.shape[0]), semiring.dtype)
+    payload.update(
+        vertices=arena.publish(mapping),
+        sub_src=arena.publish(sub.src),
+        sub_dst=arena.publish(sub.dst),
+        sub_weight=arena.publish(sub.weight),
+        out=out_ref,
+    )
+    return payload, mapping, out_view
+
+
+def _leaf_worker(payload: dict[str, Any]) -> dict[str, Any]:
+    """Leaf APSP plus the leaf's min-weight diameter (the ℓ of Theorem
+    3.1); with an ``out`` block the matrix is written in place and left
+    out of the (pickled) result."""
+    semiring = SEMIRINGS[payload["semiring"]]
+    sub = WeightedDigraph(
+        payload["n_local"], payload["sub_src"], payload["sub_dst"], payload["sub_weight"]
+    )
+    ledger = Ledger()
+    dense = dense_semiring_weights(sub, semiring)
+    if semiring.name in ("min-plus", "hops"):
+        # One pass computes APSP *and* the min-weight diameter.
+        apsp, hop_counts = floyd_warshall_with_hops(dense)
+        ledger.charge(work=float(sub.n) ** 3, depth=log2ceil(sub.n) ** 2, label="apsp")
+        bad = _check_diagonal(apsp, payload["vertices"], semiring)
+        finite = np.isfinite(hop_counts)
+        diam = 0 if bad >= 0 else int(hop_counts[finite].max(initial=0.0))
+    else:
+        apsp = floyd_warshall(dense, semiring, ledger=ledger, copy=False)
+        bad = _check_diagonal(apsp, payload["vertices"], semiring)
+        diam = 0
+        if bad < 0 and sub.n > 1:
+            diam = min_weight_diameter(sub, semiring=semiring)
+    out = {
+        "idx": payload["idx"],
+        "vertices": payload["vertices"],
+        "matrix": apsp,
+        "leaf_diameter": diam,
+        "neg_vertex": bad,
+        "work": ledger.work,
+        "depth": ledger.depth,
+    }
+    if "out" in payload:
+        payload["out"][...] = out.pop("matrix")
+        out.pop("vertices")
+    return out
 
 
 def _square_worker(payload: dict[str, Any]) -> dict[str, Any]:

@@ -33,7 +33,7 @@ from ..pram.executor import SerialExecutor, get_executor
 from ..pram.machine import NULL_LEDGER, Ledger, log2ceil
 from .augment import Augmentation, NegativeCycleDetected, NodeDistances, assemble_augmentation
 from .digraph import WeightedDigraph
-from .leaves_up import _leaf_payload, _leaf_worker
+from .doubling import _leaf_payload, _leaf_worker
 from .semiring import MIN_PLUS, SEMIRINGS, Semiring
 from .septree import SeparatorTree
 

@@ -1,8 +1,7 @@
 """Algorithm 4.1 — computing E⁺ from the leaves up (paper §4.1).
 
 The tree is processed one level at a time, deepest first; all nodes of a
-level are independent and run as one parallel phase (on the chosen
-executor, and as a fork-join region on the PRAM ledger).
+level are independent and form one parallel step.
 
 Per leaf: APSP of the O(1)-size leaf subgraph (Floyd–Warshall), plus the
 leaf's exact minimum-weight diameter (the ℓ of Theorem 3.1).
@@ -24,202 +23,29 @@ As a byproduct the same products make *every* pair of ``B(t) ∪ S(t)`` exact
 (the first/last-separator-hit decomposition in the proof of Prop 4.2 covers
 the cross pairs too), which the planar pipeline and path reconstruction
 reuse; Algorithm 4.3 certifies the same matrix, which test I3 exploits.
+
+The build takes "one level is one parallel step" literally: it captures a
+:class:`~repro.core.reweight.ReweightPlan` for the skeleton and runs it
+with every node dirty, so each level is one stacked ``(nodes × P × P)``
+min-plus step and the plan is left on the result (``_reweight_state``) for
+later incremental reweights.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
-from ..kernels.bellman_ford import min_weight_diameter
-from ..kernels.floyd_warshall import floyd_warshall, floyd_warshall_with_hops
-from ..kernels.minplus import semiring_matmul
+from ..kernels.dispatch import resolve_kernel
+# ``semiring_matmul`` stays importable here: the perfbench tracer wraps it
+# by this module's name.
+from ..kernels.minplus import semiring_matmul  # noqa: F401
 from ..pram.machine import NULL_LEDGER, Ledger
-from ..pram.executor import SerialExecutor, get_executor
-from .augment import (
-    Augmentation,
-    NegativeCycleDetected,
-    NodeDistances,
-    assemble_augmentation,
-)
+from .augment import Augmentation
 from .digraph import WeightedDigraph
+from .doubling import dense_semiring_weights  # noqa: F401  (re-exported)
+from .reweight import ReweightPlan
 from .semiring import MIN_PLUS, SEMIRINGS, Semiring
 from .septree import SeparatorTree
 
 __all__ = ["augment_leaves_up", "dense_semiring_weights"]
-
-
-def dense_semiring_weights(g: WeightedDigraph, semiring: Semiring) -> np.ndarray:
-    """Dense one-hop matrix of ``g`` in the given semiring: 1̄ diagonal, ⊕ of
-    parallel edges, 0̄ where no edge."""
-    w = semiring.empty_matrix(g.n, g.n)
-    np.fill_diagonal(w, semiring.one)
-    if g.m:
-        semiring.scatter_min(w, (g.src, g.dst), g.weight.astype(semiring.dtype))
-    return w
-
-
-def _check_diagonal(matrix: np.ndarray, vertices: np.ndarray, semiring: Semiring) -> int:
-    """Return a global vertex id on a negative cycle (diagonal strictly
-    better than 1̄), or -1."""
-    diag = np.einsum("ii->i", matrix)
-    bad = semiring.improves(diag, np.full(diag.shape[0], semiring.one, dtype=semiring.dtype))
-    if bad.any():
-        return int(vertices[int(np.argmax(bad))])
-    return -1
-
-
-# ------------------------------------------------------------------ #
-# Per-node workers (module level so the process backends can pickle them)
-#
-# Two payload styles share these functions: the classic style carries the
-# arrays themselves (serial/thread/process), while the shm style carries
-# ArrayRef descriptors that the ShmExecutor resolves to zero-copy views
-# before dispatch, plus an ``out`` block the worker fills in place so the
-# result matrix is never pickled either (see repro.pram.shm).
-# ------------------------------------------------------------------ #
-
-
-def _leaf_payload(
-    graph: WeightedDigraph, t, semiring: Semiring, arena=None
-) -> tuple[dict[str, Any], np.ndarray, np.ndarray | None]:
-    """Build one leaf task payload; returns ``(payload, vertices, out_view)``.
-
-    With an arena, the subgraph arrays are published as descriptors and an
-    output block for the APSP matrix is pre-allocated (``out_view`` is the
-    orchestrator's view of it); without one, the arrays ride in the payload.
-    """
-    sub, mapping = graph.induced_subgraph(t.vertices)
-    payload: dict[str, Any] = {
-        "kind": "leaf",
-        "idx": t.idx,
-        "semiring": semiring.name,
-        "vertices": mapping,
-        "n_local": sub.n,
-        "sub_src": sub.src,
-        "sub_dst": sub.dst,
-        "sub_weight": sub.weight,
-    }
-    if arena is None:
-        return payload, mapping, None
-    out_ref, out_view = arena.alloc((mapping.shape[0], mapping.shape[0]), semiring.dtype)
-    payload.update(
-        vertices=arena.publish(mapping),
-        sub_src=arena.publish(sub.src),
-        sub_dst=arena.publish(sub.dst),
-        sub_weight=arena.publish(sub.weight),
-        out=out_ref,
-    )
-    return payload, mapping, out_view
-
-
-def _emit(payload: dict[str, Any], out: dict[str, Any]) -> dict[str, Any]:
-    """Return path shared by both payload styles: with an ``out`` block the
-    matrix is written in place and stripped from the (pickled) result."""
-    if "out" in payload:
-        payload["out"][...] = out.pop("matrix")
-        out.pop("vertices", None)
-    return out
-
-
-def _leaf_worker(payload: dict[str, Any]) -> dict[str, Any]:
-    semiring = SEMIRINGS[payload["semiring"]]
-    sub = WeightedDigraph(
-        payload["n_local"], payload["sub_src"], payload["sub_dst"], payload["sub_weight"]
-    )
-    ledger = Ledger()
-    dense = dense_semiring_weights(sub, semiring)
-    if semiring.name in ("min-plus", "hops"):
-        # One pass computes APSP *and* the leaf's min-weight diameter (the
-        # ℓ of Theorem 3.1) — replacing a per-leaf Bellman–Ford fixpoint
-        # loop that dominated the preprocessing profile.
-        apsp, hop_counts = floyd_warshall_with_hops(dense)
-        from ..pram.machine import log2ceil
-
-        ledger.charge(work=float(sub.n) ** 3, depth=log2ceil(sub.n) ** 2, label="apsp")
-        bad = _check_diagonal(apsp, payload["vertices"], semiring)
-        finite = np.isfinite(hop_counts)
-        diam = 0 if bad >= 0 else int(hop_counts[finite].max(initial=0.0))
-        return _emit(payload, {
-            "idx": payload["idx"],
-            "vertices": payload["vertices"],
-            "matrix": apsp,
-            "leaf_diameter": diam,
-            "neg_vertex": bad,
-            "work": ledger.work,
-            "depth": ledger.depth,
-        })
-    apsp = floyd_warshall(dense, semiring, ledger=ledger, copy=False)
-    bad = _check_diagonal(apsp, payload["vertices"], semiring)
-    diam = 0
-    if bad < 0 and sub.n > 1:
-        diam = min_weight_diameter(sub, semiring=semiring)
-    return _emit(payload, {
-        "idx": payload["idx"],
-        "vertices": payload["vertices"],
-        "matrix": apsp,
-        "leaf_diameter": diam,
-        "neg_vertex": bad,
-        "work": ledger.work,
-        "depth": ledger.depth,
-    })
-
-
-def _internal_worker(payload: dict[str, Any]) -> dict[str, Any]:
-    semiring = SEMIRINGS[payload["semiring"]]
-    kernel = payload.get("kernel")
-    ledger = Ledger()
-    vh: np.ndarray = payload["vh"]
-    h = vh.shape[0]
-    direct = semiring.empty_matrix(h, h)
-    np.fill_diagonal(direct, semiring.one)
-    # ⊕-combine each child's distance matrix into the shared positions.
-    # Classic entries are (vertices, matrix) pre-restricted by the
-    # orchestrator; shm entries are (vertices, positions, full-matrix view)
-    # and the certified-boundary restriction happens here, against shared
-    # pages, so the orchestrator never copies child matrices into payloads.
-    for child in payload["children"]:
-        if len(child) == 3:
-            child_vertices, pos, full = child
-            child_matrix = full[np.ix_(pos, pos)]
-        else:
-            child_vertices, child_matrix = child
-        common, pos_vh, pos_child = np.intersect1d(
-            vh, child_vertices, assume_unique=True, return_indices=True
-        )
-        if common.size == 0:
-            continue
-        block = child_matrix[np.ix_(pos_child, pos_child)]
-        tgt = direct[np.ix_(pos_vh, pos_vh)]
-        direct[np.ix_(pos_vh, pos_vh)] = semiring.add(tgt, block)
-    pos_s: np.ndarray = payload["pos_s"]
-    if pos_s.size == 0:
-        # No separator (degenerate); the direct matrix is already exact.
-        matrix = direct
-    else:
-        w_s = direct[np.ix_(pos_s, pos_s)]
-        d_s = floyd_warshall(w_s, semiring, ledger=ledger, copy=True)
-        left = semiring_matmul(direct[:, pos_s], d_s, semiring, ledger=ledger, kernel=kernel)
-        right = semiring_matmul(d_s, direct[pos_s, :], semiring, ledger=ledger, kernel=kernel)
-        three_hop = semiring_matmul(left, direct[pos_s, :], semiring, ledger=ledger, kernel=kernel)
-        matrix = semiring.add(direct, three_hop)
-        matrix[:, pos_s] = semiring.add(matrix[:, pos_s], left)
-        matrix[pos_s, :] = semiring.add(matrix[pos_s, :], right)
-    bad = _check_diagonal(matrix, vh, semiring)
-    return _emit(payload, {
-        "idx": payload["idx"],
-        "vertices": vh,
-        "matrix": matrix,
-        "neg_vertex": bad,
-        "work": ledger.work,
-        "depth": ledger.depth,
-    })
-
-
-# ------------------------------------------------------------------ #
-# Orchestration
-# ------------------------------------------------------------------ #
 
 
 def augment_leaves_up(
@@ -227,128 +53,27 @@ def augment_leaves_up(
     tree: SeparatorTree,
     semiring: Semiring = MIN_PLUS,
     *,
-    executor="serial",
     ledger: Ledger = NULL_LEDGER,
     keep_node_distances: bool = True,
     raise_on_negative_cycle: bool = True,
     kernel: str | None = None,
 ) -> Augmentation:
-    """Compute the augmentation with Algorithm 4.1 (one parallel phase per
-    tree level, deepest first).
+    """Compute the augmentation with Algorithm 4.1 (one parallel step per
+    tree level, deepest first), charging its PRAM costs to ``ledger``.
 
-    ``kernel`` selects the min-plus matmul implementation used by the
-    per-node 3-hop products (see :mod:`repro.kernels.dispatch`); all
-    choices are bit-identical.
-
-    On the ``shm`` backend the per-node matrices live in a shared-memory
-    arena: inputs travel as descriptors, workers write their output blocks
-    in place, and internal nodes read their children's blocks directly from
-    shared pages — no matrix is ever pickled.
+    ``kernel`` is the kernel preference recorded on the result (see
+    :mod:`repro.kernels.dispatch`); a spec this install cannot run — an
+    unknown name, or ``jit`` without numba — fails the build here rather
+    than the first query.
     """
     if semiring.name not in SEMIRINGS:
         raise ValueError("semiring must be one of the registered instances")
-    exe = get_executor(executor)
-    owns_executor = isinstance(executor, str) and not isinstance(exe, SerialExecutor)
-    use_shm = getattr(exe, "uses_shared_memory", False)
-    arena = None
-    if use_shm:
-        from ..pram.shm import ShmArena
-
-        arena = ShmArena()
-    results: dict[int, NodeDistances] = {}
-    leaf_diameters: dict[int, int] = {}
-    #: node idx -> descriptor of its matrix block (shm path only).
-    mat_refs: dict[int, Any] = {}
-    try:
-        for level_nodes in tree.levels_desc():
-            payloads = []
-            views: dict[int, np.ndarray] = {}
-            verts: dict[int, np.ndarray] = {}
-            for t in level_nodes:
-                if t.is_leaf:
-                    payload, mapping, out_view = _leaf_payload(graph, t, semiring, arena)
-                    payloads.append(payload)
-                    if use_shm:
-                        mat_refs[t.idx] = payload["out"]
-                        views[t.idx] = out_view
-                        verts[t.idx] = mapping
-                else:
-                    vh = np.union1d(t.separator, t.boundary)
-                    pos_s = np.searchsorted(vh, t.separator)
-                    children = []
-                    for c in t.children:
-                        nd = results[c]
-                        b = tree.nodes[c].boundary
-                        # Only the child's boundary rows/cols are certified;
-                        # the restriction to them happens orchestrator-side
-                        # for array payloads, worker-side (against shared
-                        # pages) for descriptor payloads.
-                        idx = nd.index_of(b)
-                        if use_shm:
-                            children.append(
-                                (arena.publish(b), arena.publish(idx), mat_refs[c])
-                            )
-                        else:
-                            children.append((b, nd.matrix[np.ix_(idx, idx)]))
-                    payload = {
-                        "kind": "internal",
-                        "idx": t.idx,
-                        "semiring": semiring.name,
-                        "kernel": kernel,
-                        "vh": vh,
-                        "pos_s": pos_s,
-                        "children": children,
-                    }
-                    if use_shm:
-                        out_ref, out_view = arena.alloc((vh.shape[0], vh.shape[0]), semiring.dtype)
-                        payload.update(
-                            vh=arena.publish(vh), pos_s=arena.publish(pos_s), out=out_ref
-                        )
-                        mat_refs[t.idx] = out_ref
-                        views[t.idx] = out_view
-                        verts[t.idx] = vh
-                    payloads.append(payload)
-            outs = exe.map(_dispatch_worker, payloads)
-            branch_ledgers = []
-            for out in outs:
-                if out["neg_vertex"] >= 0:
-                    if raise_on_negative_cycle and semiring.name in ("min-plus", "hops"):
-                        raise NegativeCycleDetected(out["idx"], out["neg_vertex"])
-                idx = out["idx"]
-                results[idx] = NodeDistances(
-                    node_idx=idx,
-                    vertices=verts[idx] if use_shm else out["vertices"],
-                    matrix=views[idx] if use_shm else out["matrix"],
-                )
-                if "leaf_diameter" in out:
-                    leaf_diameters[idx] = out["leaf_diameter"]
-                b = Ledger()
-                b.charge(out["work"], out["depth"], label="node")
-                branch_ledgers.append(b)
-            ledger.merge_parallel(branch_ledgers, label="leaves-up-level")
-        if use_shm and keep_node_distances:
-            # The arena dies with this call; surviving matrices need to own
-            # their memory.
-            for nd in results.values():
-                nd.matrix = np.array(nd.matrix, copy=True)
-        return assemble_augmentation(
-            graph,
-            tree,
-            results,
-            leaf_diameters,
-            semiring,
-            method="leaves_up",
-            keep_node_distances=keep_node_distances,
-            ledger=ledger,
-        )
-    finally:
-        if arena is not None:
-            arena.close()
-        if owns_executor:
-            exe.close()
-
-
-def _dispatch_worker(payload: dict[str, Any]) -> dict[str, Any]:
-    if payload["kind"] == "leaf":
-        return _leaf_worker(payload)
-    return _internal_worker(payload)
+    resolve_kernel(kernel, 1, 1, 1)
+    return ReweightPlan.capture(graph, tree).run(
+        graph,
+        semiring,
+        keep_node_distances=keep_node_distances,
+        raise_on_negative_cycle=raise_on_negative_cycle,
+        kernel=kernel,
+        ledger=ledger,
+    )

@@ -4,8 +4,8 @@ Paper §5: "the computation of the set E⁺ for the reachability problem can be
 performed in O(log²n) time and O(n log³n) work if ωμ = 1, and
 O(M(n^μ)log²n + n log²n) work otherwise."  All of Algorithms 4.1/4.3 run
 unchanged over the boolean semiring; the node-level APSPs become boolean
-closures computed by repeated squaring on numpy's uint8 GEMM (the M(r)
-kernel, see :mod:`repro.kernels.boolmat`).
+closures, charged as repeated squaring with the M(r) kernel (see
+:mod:`repro.kernels.boolmat`).
 """
 
 from __future__ import annotations
@@ -33,9 +33,12 @@ def reachability_augmentation(
     executor="serial",
     ledger: Ledger = NULL_LEDGER,
 ) -> Augmentation:
-    """Boolean E⁺ for ``graph`` (edge weights are ignored)."""
-    build = augment_leaves_up if method == "leaves_up" else augment_doubling
-    return build(graph, tree, BOOLEAN, executor=executor, ledger=ledger)
+    """Boolean E⁺ for ``graph`` (edge weights are ignored).  ``executor``
+    runs Algorithm 4.3's per-node rounds; Algorithm 4.1 is one stacked
+    sweep per level and takes none."""
+    if method == "leaves_up":
+        return augment_leaves_up(graph, tree, BOOLEAN, ledger=ledger)
+    return augment_doubling(graph, tree, BOOLEAN, executor=executor, ledger=ledger)
 
 
 def reachable_from(

@@ -1,45 +1,49 @@
-"""Incremental reweighting — Algorithm 4.1 as a weight-only sweep.
+"""Algorithm 4.1 as one stacked sweep per tree level — the exact E⁺ build
+and every incremental reweight.
 
 Paper comment (iv): the separator decomposition, and therefore the
 *structure* of ``E⁺`` (which vertex pairs get a shortcut, which leaf or
 separator clique each shortcut's weight flows through), depends only on the
-unweighted skeleton.  A :class:`ReweightPlan` captures that structure once —
-per-node matrix offsets into one flat "heap", the per-leaf edge scatter
-lists, the per-level gather/scatter index stacks of the child-combine and
-three-hop products, the full pair multiset behind E⁺ assembly, and the §3.2
-phase permutations — so that re-deriving E⁺ for *new weights on the same
-skeleton* is a handful of vectorized passes with **no separator recursion,
-no per-node Python loop, and no schedule rebuild**.
-
-Bit-identity with a cold :func:`~repro.core.leaves_up.augment_leaves_up`
-build is a hard invariant (test file ``tests/test_reweight.py``); the plan
-therefore replays Algorithm 4.1's exact operation order:
+unweighted skeleton.  A :class:`ReweightPlan` captures that structure once,
+in a constant number of vectorized passes per tree level — per-node matrix
+offsets into one flat "heap", the per-leaf edge scatter lists, the
+per-level gather/scatter index stacks of the child-combine and three-hop
+products, the pair multiset behind E⁺ assembly, and the §3.2 phase layout.
+:meth:`ReweightPlan.run` then derives E⁺ for a weight vector on that
+skeleton: no separator recursion, no per-node Python loop, no schedule
+rebuild.  The cold build *is* this sweep with every node dirty
+(:func:`~repro.core.leaves_up.augment_leaves_up`), which takes Algorithm
+4.1's "one tree level is one parallel step" literally:
 
 * leaves: one padded ``(L, P, P)`` Floyd–Warshall(-with-hops) over all
   leaves at once.  Padding rows/cols hold 0̄, which is absorbing under ⊗ and
   the ⊕-identity, so extra pivots and product terms are elementwise no-ops
   for every shipped semiring.
-* internal levels, deepest first: identity init, child blocks ⊕-combined in
-  child order (one vectorized pass per child position), a padded batched FW
-  on the separator cliques, the three ``Direct[:,S] ⊗ D_S ⊗ Direct[S,:]``
-  products as broadcast ⊗/⊕-reductions, and the three ⊕-scatters applied in
-  the cold builder's sequence.  The FW pivot loop also replaces the boolean
-  closure kernel — transitive closure is unique, so the values agree.
+* internal levels, deepest first: identity init, child blocks ⊕-combined
+  (one vectorized pass per child position), a padded batched FW on the
+  separator cliques, the three ``Direct[:,S] ⊗ D_S ⊗ Direct[S,:]``
+  products, and their ⊕ into the node (full block, separator columns,
+  separator rows).  Every shipped ⊕ is an exact selection, so batching and
+  reassociating cannot move a bit; the FW pivot loop also stands in for
+  the boolean closure kernel — transitive closure is unique.
 * assembly: the *full* pair multiset (only the structural ``src != dst``
-  filter applied) is cached with a stable sort permutation; at reweight the
-  0̄ "no path" filter is applied *after* the ⊕-reduction, which provably
-  yields the same edge set as filtering first (0̄ is the ⊕-identity, and a
-  group that reduces to 0̄ is exactly a group the cold path dropped whole).
+  filter applied) with a stable sort permutation; the 0̄ "no path" filter
+  comes *after* the ⊕-reduction, which yields the same edge set (0̄ is the
+  ⊕-identity, so a pair reduces to 0̄ exactly when no node has a path).
+* the PRAM ledger (dense runs only): each level is one parallel region of
+  per-node closed forms, matching the per-node formulation (DESIGN §5,
+  "Algorithm 4.1: the plan is the build"; see :meth:`ReweightPlan._charge`).
 
 The **sparse** path (``dirty_edges``) touches only the root paths of leaves
 containing changed edges: every original edge has both endpoints in at
 least one leaf and internal direct matrices contain no one-hop edges, so
 the dirty set is precisely those leaves plus their ancestors.  Clean nodes'
-matrices, diameters and assembly chunks are carried over from the base
-:class:`ReweightState`.
+matrices and diameters are carried over from the base
+:class:`ReweightState`, and so is the ⊕ of every vertex pair no dirty node
+holds.
 
-Negative-cycle detection replays the cold walk: levels deepest first, nodes
-in index order within a level, first offending vertex in label order.
+Negative-cycle detection walks levels deepest first, nodes in index order
+within a level, first offending vertex in label order.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kernels.bellman_ford import min_weight_diameter
+from ..kernels.boolmat import charged_omega
+from ..pram.machine import NULL_LEDGER, Ledger, pram_model
 from .augment import (
     Augmentation,
     NegativeCycleDetected,
@@ -71,25 +77,26 @@ class ReweightState:
     heap: np.ndarray
     #: per-leaf min-weight diameters, aligned with the plan's leaf rows.
     leaf_diam: np.ndarray
+    #: ⊕ of every vertex pair of the assembly multiset, 0̄ included.
+    best: np.ndarray
+    #: the plan whose heap layout this state follows.
+    plan: "ReweightPlan"
 
 
 @dataclass
 class _LevelPlan:
-    """Index stacks for one internal level (nodes in tree index order)."""
+    """Index stacks for one tree level (nodes in tree index order)."""
 
     nodes: np.ndarray            # node idx of the level's internal nodes
     H: int                       # max |S ∪ B| over the level
     S: int                       # max |S| over the level
-    init_idx: np.ndarray         # flat heap slots of every node region
-    init_ptr: np.ndarray         # per-node ranges into init_idx
-    diag_idx: np.ndarray         # flat heap slots of the 1̄ diagonals
-    diag_ptr: np.ndarray
-    #: per child position: (gather from child, scatter into parent, ptr).
+    #: per child position: (scatter into parent, gather from child, owner).
     passes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     fw_gather: np.ndarray        # (B, S, S) → separator-clique blocks
     a1_gather: np.ndarray        # (B, H, S) → Direct[:, S]
     r_gather: np.ndarray         # (B, S, H) → Direct[S, :]
-    block_idx: np.ndarray        # (B, H, H) → full node region
+    block_idx: np.ndarray        # (B, H, H) → full node region (padding:
+                                 # the sentinel slot)
     check_nodes: np.ndarray      # ALL nodes of this tree level, idx order
     check_diag_idx: np.ndarray   # their diagonal slots, concatenated
     check_owner: np.ndarray      # diag slot → row into check_nodes
@@ -97,21 +104,19 @@ class _LevelPlan:
 
 
 class ReweightPlan:
-    """Structure-only replay plan for Algorithm 4.1 on a fixed skeleton.
+    """Structure-only sweep plan for Algorithm 4.1 on a fixed skeleton.
 
-    Capture once per ``(graph structure, tree)``; every
-    :meth:`run` call then re-derives a full :class:`Augmentation` for a new
-    weight vector.  The plan is independent of the semiring and of which
-    augmentation *method* built the base oracle (Algorithm 4.3 certifies
-    the same matrices on ``B×B ∪ S×S``, hence the same E⁺).
+    Capture once per ``(graph structure, tree)``; every :meth:`run` call
+    then derives a full :class:`Augmentation` for a weight vector — the
+    cold build (every node dirty) and each reweight alike.  The plan is
+    independent of the semiring and of which augmentation *method* built a
+    base oracle (Algorithm 4.3 certifies the same matrices on
+    ``B×B ∪ S×S``, hence the same E⁺).
     """
 
     def __init__(self, graph: WeightedDigraph, tree: SeparatorTree) -> None:
         self.tree = tree
         self.n = int(graph.n)
-        self.m = int(graph.m)
-        self._src = graph.src
-        self._dst = graph.dst
         self._capture(graph, tree)
         #: the §3.2 schedule layout reweights bind to (ensure_schedule_cache).
         self._layout = None
@@ -128,185 +133,201 @@ class ReweightPlan:
     def _capture(self, graph: WeightedDigraph, tree: SeparatorTree) -> None:
         nodes = tree.nodes
         n_nodes = len(nodes)
-        self.vh: list[np.ndarray] = [None] * n_nodes  # type: ignore[list-item]
-        self.node_h = np.zeros(n_nodes, dtype=np.int64)
-        for t in nodes:
-            vh = (
-                np.unique(np.asarray(t.vertices, dtype=np.int64))
-                if t.is_leaf
-                else np.union1d(t.separator, t.boundary)
-            )
-            self.vh[t.idx] = vh
-            self.node_h[t.idx] = vh.shape[0]
-        self.node_off = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(self.node_h**2, out=self.node_off[1:])
+        n = self.n
+        self.is_leaf = np.fromiter((t.is_leaf for t in nodes), dtype=bool, count=n_nodes)
+        self.node_level = np.fromiter((t.level for t in nodes), dtype=np.int64, count=n_nodes)
+        self.sep_flat, self.sep_len = _flatten([t.separator for t in nodes])
+        self.bdy_flat, self.bdy_len = _flatten([t.boundary for t in nodes])
+        self.sep_ptr, self.bdy_ptr = _ptr(self.sep_len), _ptr(self.bdy_len)
+        ch_flat, ch_cnt = _flatten([t.children for t in nodes])
+        # Labeled vertex set of every node: V(t) for a leaf, S(t) ∪ B(t)
+        # otherwise; one sorted key array ``node·n + vertex`` answers every
+        # "local position of v in node t" lookup with a searchsorted.
+        leaf_v, leaf_len = _flatten([t.vertices if t.is_leaf else () for t in nodes])
+        ids = np.arange(n_nodes, dtype=np.int64)
+        sep_owner = np.repeat(ids, self.sep_len)
+        bdy_owner = np.repeat(ids, self.bdy_len)
+        inner_bdy = ~self.is_leaf[bdy_owner]
+        keys = np.concatenate([
+            np.repeat(ids, leaf_len) * n + leaf_v,
+            sep_owner * n + self.sep_flat,
+            bdy_owner[inner_bdy] * n + self.bdy_flat[inner_bdy],
+        ])
+        self._label_keys = np.unique(keys)
+        self.vh_flat = self._label_keys % n
+        self.node_h = np.bincount(self._label_keys // n, minlength=n_nodes).astype(np.int64)
+        self.vh_ptr = _ptr(self.node_h)
+        self.node_off = _ptr(self.node_h**2)
         self.heap_size = int(self.node_off[-1])
         self.sentinel = self.heap_size  # one extra 0̄ slot for padded gathers
 
-        self._capture_leaves(graph, tree)
-        self._capture_levels(tree)
-        self._capture_assembly(tree)
+        self._capture_leaves(graph)
+        self._capture_levels(ch_flat, ch_cnt)
+        self._capture_assembly()
 
-    def _capture_leaves(self, graph: WeightedDigraph, tree: SeparatorTree) -> None:
-        leaves = [t for t in tree.nodes if t.is_leaf]
-        L = len(leaves)
-        self.leaf_nodes = np.array([t.idx for t in leaves], dtype=np.int64)
-        self.leaf_row = {int(t.idx): r for r, t in enumerate(leaves)}
+    def _slots(self, idx: np.ndarray) -> np.ndarray:
+        """Heap-slot indices, narrowed to int32 when the heap allows."""
+        return idx.astype(np.int32) if self.sentinel < 2**31 - 1 else idx
+
+    def _local(self, node: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+        """Position of each ``vertex`` among ``node``'s labeled vertices
+        (every pair must be labeled)."""
+        return np.searchsorted(self._label_keys, node * self.n + vertex) - self.vh_ptr[node]
+
+    def _labeled(self, node: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+        """Whether each ``vertex`` is labeled at ``node``."""
+        key = node * self.n + vertex
+        pos = np.searchsorted(self._label_keys, key)
+        hit = pos < self._label_keys.shape[0]
+        hit[hit] = self._label_keys[pos[hit]] == key[hit]
+        return hit
+
+    def _vertices(self, node: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The ``k``-th labeled vertex of each ``node``."""
+        return self.vh_flat[self.vh_ptr[node] + k]
+
+    def _capture_leaves(self, graph: WeightedDigraph) -> None:
+        n = self.n
+        self.leaf_nodes = np.nonzero(self.is_leaf)[0]
         self.leaf_h = self.node_h[self.leaf_nodes]
-        self.P = int(self.leaf_h.max(initial=1))
-        e_ids, e_src, e_dst, e_cnt = [], [], [], np.zeros(L, dtype=np.int64)
-        wb_local, wb_heap, wb_cnt = [], [], np.zeros(L, dtype=np.int64)
-        P = self.P
-        for r, t in enumerate(leaves):
-            vh = self.vh[t.idx]
-            ids = np.nonzero(graph.edge_membership(vh))[0]
-            e_ids.append(ids)
-            e_src.append(np.searchsorted(vh, graph.src[ids]))
-            e_dst.append(np.searchsorted(vh, graph.dst[ids]))
-            e_cnt[r] = ids.shape[0]
-            h = vh.shape[0]
-            ii, jj = np.divmod(np.arange(h * h, dtype=np.int64), h)
-            wb_local.append(ii * P + jj)
-            wb_heap.append(self.node_off[t.idx] + np.arange(h * h, dtype=np.int64))
-            wb_cnt[r] = h * h
-        self.le_edge = _concat_i64(e_ids)
-        self.le_src = _concat_i64(e_src)
-        self.le_dst = _concat_i64(e_dst)
-        self.le_cnt = e_cnt
-        self.le_row = np.repeat(np.arange(L, dtype=np.int64), e_cnt)
-        self.wb_local = _concat_i64(wb_local)
-        self.wb_heap = _concat_i64(wb_heap)
-        self.wb_cnt = wb_cnt
+        self.P = P = int(self.leaf_h.max(initial=1))
+        # An edge lies in leaf r iff both endpoints are labeled there: pair
+        # every edge with the leaves holding its tail, keep those holding
+        # its head too, and order the pairs by (leaf row, edge id).
+        owner, k = _segments(self.leaf_h)
+        verts = self._vertices(self.leaf_nodes[owner], k)
+        by_vertex = owner[np.argsort(verts, kind="stable")]
+        inc_ptr = _ptr(np.bincount(verts, minlength=n))
+        edge, k = _segments(np.diff(inc_ptr)[graph.src])
+        rows = by_vertex[inc_ptr[graph.src[edge]] + k]
+        inside = self._labeled(self.leaf_nodes[rows], graph.dst[edge])
+        edge, rows = edge[inside], rows[inside]
+        order = np.lexsort((edge, rows))
+        self.le_edge, self.le_row = edge[order], rows[order]
+        leaf_of = self.leaf_nodes[self.le_row]
+        self.le_src = self._local(leaf_of, graph.src[self.le_edge])
+        self.le_dst = self._local(leaf_of, graph.dst[self.le_edge])
+        # write-back of each leaf's real (h, h) region from the padded stack
+        wb_row, k = _segments(self.leaf_h**2)
+        ii, jj = np.divmod(k, self.leaf_h[wb_row])
+        self.wb_row = wb_row.astype(np.int32)
+        self.wb_local = (ii * P + jj).astype(np.int32)
+        self.wb_heap = self._slots(self.node_off[self.leaf_nodes][wb_row] + k)
         #: edge id -> rows of the leaves containing it (several when the
         #: edge lies inside overlapping leaf vertex sets).
         order = np.argsort(self.le_edge, kind="stable")
         self._edge_sorted = self.le_edge[order]
         self._edge_sorted_row = self.le_row[order]
 
-    def _capture_levels(self, tree: SeparatorTree) -> None:
+    def _capture_levels(self, ch_flat: np.ndarray, ch_cnt: np.ndarray) -> None:
         off, node_h, sentinel = self.node_off, self.node_h, self.sentinel
+        ch_ptr = _ptr(ch_cnt)
         self.levels: list[_LevelPlan] = []
-        for level_nodes in tree.levels_desc():
-            internal = [t for t in level_nodes if not t.is_leaf]
-            check_nodes = np.array([t.idx for t in level_nodes], dtype=np.int64)
-            cd_idx, cd_cnt = [], np.zeros(check_nodes.shape[0], dtype=np.int64)
-            for i, t in enumerate(level_nodes):
-                h = int(node_h[t.idx])
-                cd_idx.append(off[t.idx] + np.arange(h, dtype=np.int64) * (h + 1))
-                cd_cnt[i] = h
-            check_diag_idx = _concat_i64(cd_idx)
-            check_owner = np.repeat(
-                np.arange(check_nodes.shape[0], dtype=np.int64), cd_cnt
-            )
-            check_vertex = _concat_i64([self.vh[t.idx] for t in level_nodes])
-            if not internal:
-                if check_nodes.size:
-                    self.levels.append(_LevelPlan(
-                        nodes=np.empty(0, dtype=np.int64), H=0, S=0,
-                        init_idx=np.empty(0, dtype=np.int64), init_ptr=_ptr(np.empty(0, dtype=np.int64)),
-                        diag_idx=np.empty(0, dtype=np.int64), diag_ptr=_ptr(np.empty(0, dtype=np.int64)),
-                        passes=[],
-                        fw_gather=np.empty((0, 0, 0), dtype=np.int64),
-                        a1_gather=np.empty((0, 0, 0), dtype=np.int64),
-                        r_gather=np.empty((0, 0, 0), dtype=np.int64),
-                        block_idx=np.empty((0, 0, 0), dtype=np.int64),
-                        check_nodes=check_nodes,
-                        check_diag_idx=check_diag_idx,
-                        check_owner=check_owner,
-                        check_vertex=check_vertex,
-                    ))
-                continue
-            B = len(internal)
-            idxs = np.array([t.idx for t in internal], dtype=np.int64)
-            hs = node_h[idxs]
-            ss = np.array([len(t.separator) for t in internal], dtype=np.int64)
-            H, S = int(hs.max()), int(max(1, ss.max(initial=0)))
-            init_idx, init_cnt = [], np.zeros(B, dtype=np.int64)
-            diag_idx, diag_cnt = [], np.zeros(B, dtype=np.int64)
-            fw = np.full((B, S, S), sentinel, dtype=np.int64)
-            a1 = np.full((B, H, S), sentinel, dtype=np.int64)
-            rr = np.full((B, S, H), sentinel, dtype=np.int64)
-            blk = np.full((B, H, H), sentinel, dtype=np.int64)
-            max_children = max(len(t.children) for t in internal)
-            pass_tgt: list[list[np.ndarray]] = [[] for _ in range(max_children)]
-            pass_src: list[list[np.ndarray]] = [[] for _ in range(max_children)]
-            pass_cnt = [np.zeros(B, dtype=np.int64) for _ in range(max_children)]
-            for b, t in enumerate(internal):
-                vh = self.vh[t.idx]
-                h = int(node_h[t.idx])
-                base = off[t.idx]
-                init_idx.append(base + np.arange(h * h, dtype=np.int64))
-                init_cnt[b] = h * h
-                diag_idx.append(base + np.arange(h, dtype=np.int64) * (h + 1))
-                diag_cnt[b] = h
-                pos_s = np.searchsorted(vh, t.separator)
-                s = pos_s.shape[0]
-                blk[b, :h, :h] = base + np.arange(h * h, dtype=np.int64).reshape(h, h)
-                if s:
-                    fw[b, :s, :s] = base + pos_s[:, None] * h + pos_s[None, :]
-                    a1[b, :h, :s] = base + np.arange(h, dtype=np.int64)[:, None] * h + pos_s[None, :]
-                    rr[b, :s, :h] = base + pos_s[:, None] * h + np.arange(h, dtype=np.int64)[None, :]
-                for p, c in enumerate(t.children):
-                    child_vh = self.vh[c]
-                    bdy = tree.nodes[c].boundary
-                    cidx = np.searchsorted(child_vh, bdy)
-                    common, pos_vh, pos_child = np.intersect1d(
-                        vh, bdy, assume_unique=True, return_indices=True
-                    )
-                    if common.size == 0:
-                        continue
-                    ci = cidx[pos_child]
-                    pass_tgt[p].append(
-                        (base + pos_vh[:, None] * h + pos_vh[None, :]).ravel()
-                    )
-                    pass_src[p].append(
-                        (off[c] + ci[:, None] * node_h[c] + ci[None, :]).ravel()
-                    )
-                    pass_cnt[p][b] = common.size ** 2
-            self.levels.append(_LevelPlan(
-                nodes=idxs, H=H, S=S,
-                init_idx=_concat_i64(init_idx), init_ptr=_ptr(init_cnt),
-                diag_idx=_concat_i64(diag_idx), diag_ptr=_ptr(diag_cnt),
-                passes=[
-                    (_concat_i64(pass_tgt[p]), _concat_i64(pass_src[p]), _ptr(pass_cnt[p]))
-                    for p in range(max_children)
-                ],
-                fw_gather=fw, a1_gather=a1, r_gather=rr, block_idx=blk,
+        for level in np.unique(self.node_level)[::-1]:
+            check_nodes = np.nonzero(self.node_level == level)[0]
+            owner, k = _segments(node_h[check_nodes])
+            check = dict(
                 check_nodes=check_nodes,
-                check_diag_idx=check_diag_idx,
-                check_owner=check_owner,
-                check_vertex=check_vertex,
+                check_diag_idx=self._slots(
+                    off[check_nodes][owner] + k * (node_h[check_nodes][owner] + 1)
+                ),
+                check_owner=owner,
+                check_vertex=self._vertices(check_nodes[owner], k),
+            )
+            internal = check_nodes[~self.is_leaf[check_nodes]]
+            if internal.size == 0:
+                none = np.empty((0, 0, 0), dtype=np.int64)
+                self.levels.append(_LevelPlan(
+                    nodes=internal, H=0, S=0, passes=[], fw_gather=none,
+                    a1_gather=none, r_gather=none, block_idx=none, **check,
+                ))
+                continue
+            B = internal.shape[0]
+            hs, ss, base = node_h[internal], self.sep_len[internal], off[internal]
+            H, S = int(hs.max()), int(max(1, ss.max(initial=0)))
+            # separator positions within each node's labels, padded with -1
+            owner, k = _segments(ss)
+            pos_s = np.full((B, S), -1, dtype=np.int64)
+            pos_s[owner, k] = self._local(
+                internal[owner], self.sep_flat[self.sep_ptr[internal][owner] + k]
+            )
+            in_s = pos_s >= 0
+            ar = np.arange(H, dtype=np.int64)
+            in_h = ar[None, :] < hs[:, None]
+            b3, h3 = base[:, None, None], hs[:, None, None]
+            ps_row, ps_col, ar_row, ar_col = (
+                pos_s[:, :, None], pos_s[:, None, :], ar[None, :, None], ar[None, None, :]
+            )
+            fw = np.where(in_s[:, :, None] & in_s[:, None, :], b3 + ps_row * h3 + ps_col, sentinel)
+            a1 = np.where(in_h[:, :, None] & in_s[:, None, :], b3 + ar_row * h3 + ps_col, sentinel)
+            rr = np.where(in_s[:, :, None] & in_h[:, None, :], b3 + ps_row * h3 + ar_col, sentinel)
+            blk = np.where(in_h[:, :, None] & in_h[:, None, :], b3 + ar_row * h3 + ar_col, sentinel)
+            passes = []
+            for p in range(int(ch_cnt[internal].max())):
+                sel = np.nonzero(ch_cnt[internal] > p)[0]
+                parent, child = internal[sel], ch_flat[ch_ptr[internal[sel]] + p]
+                # the child's boundary ∩ the parent's labels, in label order
+                owner, k = _segments(self.bdy_len[child])
+                v = self.bdy_flat[self.bdy_ptr[child][owner] + k]
+                keep = self._labeled(parent[owner], v)
+                owner, v = owner[keep], v[keep]
+                common = np.bincount(owner, minlength=sel.shape[0])
+                pos_p = self._local(parent[owner], v)
+                pos_c = self._local(child[owner], v)
+                pair, i, j = _outer(common)
+                tgt = base[sel][pair] + pos_p[i] * hs[sel][pair] + pos_p[j]
+                src = off[child][pair] + pos_c[i] * node_h[child][pair] + pos_c[j]
+                passes.append((self._slots(tgt), self._slots(src), sel[pair].astype(np.int32)))
+            self.levels.append(_LevelPlan(
+                nodes=internal, H=H, S=S,
+                passes=passes,
+                fw_gather=self._slots(fw), a1_gather=self._slots(a1),
+                r_gather=self._slots(rr), block_idx=self._slots(blk),
+                **check,
             ))
 
-    def _capture_assembly(self, tree: SeparatorTree) -> None:
-        n = self.n
-        gather, keys = [], []
-        for t in tree.nodes:
-            vh = self.vh[t.idx]
-            h = int(self.node_h[t.idx])
-            base = self.node_off[t.idx]
-            for group in (t.boundary, t.separator):
-                if group.shape[0] < 2:
-                    continue
-                idx = np.searchsorted(vh, group)
-                k = group.shape[0]
-                rows = np.repeat(group, k)
-                cols = np.tile(group, k)
-                flat = (base + idx[:, None] * h + idx[None, :]).ravel()
-                keep = rows != cols  # structural filter only; 0̄ is deferred
-                gather.append(flat[keep])
-                keys.append(rows[keep].astype(np.int64) * n + cols[keep])
-        self.asm_gather = _concat_i64(gather)
-        key = _concat_i64(keys)
-        self.asm_order = np.argsort(key, kind="stable")
-        key_s = key[self.asm_order]
+    def _capture_assembly(self) -> None:
+        """The ``B×B ∪ S×S`` pair multiset of every node (nodes in index
+        order, boundary before separator, row-major), structural
+        ``src != dst`` filter only; 0̄ is filtered after the ⊕-reduction."""
+        n, n_nodes = self.n, self.node_h.shape[0]
+        node = np.repeat(np.arange(n_nodes, dtype=np.int64), 2)
+        is_sep = np.tile(np.array([False, True]), n_nodes)
+        size = np.where(is_sep, self.sep_len[node], self.bdy_len[node])
+        size[size < 2] = 0
+        start = np.where(is_sep, self.bdy_flat.shape[0] + self.sep_ptr[node], self.bdy_ptr[node])
+        owner, k = _segments(size)
+        group = np.concatenate([self.bdy_flat, self.sep_flat])[start[owner] + k]
+        pos = self._local(node[owner], group)
+        del owner, k
+        # the multiset is the largest capture-time array: filter the
+        # i == j pairs first and drop every temporary once used
+        pair, i, j = _outer(size)
+        keep = i != j
+        t, i, j = node[pair[keep]], i[keep], j[keep]
+        del pair, keep
+        self.asm_gather = self._slots(self.node_off[t] + pos[i] * self.node_h[t] + pos[j])
+        #: each node's entries are contiguous: node t owns asm_node_ptr[t:t+2]
+        self.asm_node_ptr = _ptr(np.bincount(t, minlength=n_nodes))
+        del t
+        key = group[i] * n + group[j]
+        del i, j
+        order = np.argsort(key, kind="stable")
+        key_s = key[order]
+        del key
         boundaries = np.ones(key_s.shape[0], dtype=bool)
         if key_s.shape[0]:
-            boundaries[1:] = key_s[1:] != key_s[:-1]
+            np.not_equal(key_s[1:], key_s[:-1], out=boundaries[1:])
         self.asm_starts = np.nonzero(boundaries)[0]
-        self.asm_uniq = key_s[self.asm_starts]
-        self.asm_src = (self.asm_uniq // n).astype(np.int64)
-        self.asm_dst = (self.asm_uniq % n).astype(np.int64)
+        #: group g (one vertex pair) is asm_order[asm_group_ptr[g:g+2]]
+        self.asm_group_ptr = np.append(self.asm_starts, key_s.shape[0])
+        self.asm_group = np.empty(order.shape[0], dtype=np.int32)
+        self.asm_group[order] = np.cumsum(boundaries, dtype=np.int32) - 1
+        self.asm_order = order.astype(np.int32)
+        del order, boundaries
+        uniq = key_s[self.asm_starts]
+        self.asm_src = (uniq // n).astype(np.int64)
+        self.asm_dst = (uniq % n).astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # the sweep
@@ -322,6 +343,7 @@ class ReweightPlan:
         keep_node_distances: bool = False,
         raise_on_negative_cycle: bool = True,
         kernel: str | None = None,
+        ledger: Ledger = NULL_LEDGER,
     ) -> Augmentation:
         """One weight-only sweep; returns a fresh :class:`Augmentation`
         (with ``_reweight_state`` attached) for ``graph``'s weights.
@@ -333,6 +355,8 @@ class ReweightPlan:
         ``kernel`` is the lineage's relaxation-kernel preference; it must
         arrive here (not be patched on afterwards) because the cloned
         schedule's relaxers are built before this method returns.
+        ``ledger`` is charged Algorithm 4.1's PRAM costs, level by level
+        (dense sweeps only — a sparse sweep is not a build).
         """
         zero, dtype = semiring.zero, semiring.dtype
         sparse = dirty_edges is not None and base_state is not None
@@ -344,21 +368,33 @@ class ReweightPlan:
             dirty_nodes = None
             heap = np.full(self.heap_size + 1, zero, dtype=dtype)
             leaf_diam = np.zeros(self.leaf_nodes.shape[0], dtype=np.int64)
+        # boolean closure rounds per node, read off the matrices only when
+        # a live ledger needs them (see _charge)
+        rounds = None
+        if not sparse and semiring.name == "boolean" and ledger is not NULL_LEDGER:
+            rounds = np.zeros(self.node_h.shape[0], dtype=np.int64)
 
-        self._run_leaves(graph, semiring, heap, leaf_diam, dirty_nodes)
-        self._run_levels(semiring, heap, dirty_nodes)
+        self._run_leaves(graph, semiring, heap, leaf_diam, dirty_nodes, rounds)
+        self._run_levels(semiring, heap, dirty_nodes, rounds)
         heap[self.sentinel] = zero  # padded scatters keep the slot 0̄
         self._check_cycles(semiring, heap, raise_on_negative_cycle)
-        src, dst, weight = self._assemble(semiring, heap)
-        diam_map = {int(t): int(d) for t, d in zip(self.leaf_nodes, leaf_diam)}
+        best = self._assemble(
+            semiring, heap, base_state.best if sparse else None, dirty_nodes
+        )
+        keep = best if semiring.dtype == np.dtype(bool) else best != zero
+        src, dst, weight = self.asm_src[keep], self.asm_dst[keep], best[keep]
+        if not sparse:
+            self._charge(ledger, rounds)
+            ledger.charge(work=max(1.0, float(src.shape[0])), depth=1.0, label="assemble-eplus")
+        diam_map = dict(zip(self.leaf_nodes.tolist(), leaf_diam.tolist()))
         node_distances: dict[int, NodeDistances] = {}
         if keep_node_distances:
-            for t in self.tree.nodes:
-                h = int(self.node_h[t.idx])
-                base = int(self.node_off[t.idx])
-                node_distances[t.idx] = NodeDistances(
-                    node_idx=t.idx,
-                    vertices=self.vh[t.idx],
+            for t in range(self.node_h.shape[0]):
+                h = int(self.node_h[t])
+                base = int(self.node_off[t])
+                node_distances[t] = NodeDistances(
+                    node_idx=t,
+                    vertices=self.vh_flat[self.vh_ptr[t] : self.vh_ptr[t + 1]],
                     matrix=heap[base : base + h * h].reshape(h, h),
                 )
         aug = Augmentation(
@@ -370,14 +406,14 @@ class ReweightPlan:
             weight=weight,
             leaf_diameters=diam_map,
             node_distances=node_distances,
-            # the sweep reproduces Algorithm 4.1's output bit-for-bit, so
-            # the lineage keeps the builder's method tag (and with it its
+            # every sweep is Algorithm 4.1's output bit-for-bit, so the
+            # lineage keeps the builder's method tag (and with it its
             # eligibility for further incremental reweights).
             method="leaves_up",
             kernel=kernel,
         )
         aug._reweight_state = ReweightState(  # type: ignore[attr-defined]
-            heap=heap, leaf_diam=leaf_diam
+            heap=heap, leaf_diam=leaf_diam, best=best, plan=self
         )
         # Bind the new weights to the recorded layout, unless the pair
         # structure drifted (a weight hit 0̄ or a 0̄ pair came alive): the
@@ -411,13 +447,12 @@ class ReweightPlan:
         heap: np.ndarray,
         leaf_diam: np.ndarray,
         dirty_nodes: np.ndarray | None,
+        rounds: np.ndarray | None,
     ) -> None:
         """Batched leaf APSP + min-weight diameters (the ℓ of Thm 3.1)."""
         P = self.P
-        if dirty_nodes is None:
-            sel = np.ones(self.leaf_nodes.shape[0], dtype=bool)
-        else:
-            sel = dirty_nodes[self.leaf_nodes]
+        L = self.leaf_nodes.shape[0]
+        sel = np.ones(L, dtype=bool) if dirty_nodes is None else dirty_nodes[self.leaf_nodes]
         rows = np.nonzero(sel)[0]
         K = rows.shape[0]
         if K == 0:
@@ -434,6 +469,8 @@ class ReweightPlan:
             semiring.scatter_min(
                 stack, (e_rows, self.le_src[emask], self.le_dst[emask]), e_w
             )
+        if rounds is not None:
+            rounds[self.leaf_nodes[rows]] = _closure_rounds(stack, hsel)
         real = (ar[None, :] < hsel[:, None])  # (K, P) row/col validity
         if semiring.name in ("min-plus", "hops"):
             hops = np.where(np.isfinite(stack), 1.0, np.inf)
@@ -443,16 +480,17 @@ class ReweightPlan:
                 cand = stack[:, :, k][:, :, None] + stack[:, k, :][:, None, :]
                 cand_h = hops[:, :, k][:, :, None] + hops[:, k, :][:, None, :]
                 better = cand < stack
-                tie = cand == stack
-                stack[better] = cand[better]
-                hops[better] = cand_h[better]
-                np.minimum(hops, np.where(tie, cand_h, np.inf), out=hops)
+                # fewest hops among optimal paths: min over ties, reset on
+                # a strictly better weight
+                np.minimum(hops, np.where(cand == stack, cand_h, np.inf), out=hops)
+                np.copyto(hops, cand_h, where=better)
+                np.copyto(stack, cand, where=better)
             diag = stack[:, ar, ar]
             has_bad = ((diag < semiring.one) & real).any(axis=1)
             finite = np.isfinite(hops) & real[:, :, None] & real[:, None, :]
             diam = np.where(finite, hops, -np.inf).max(axis=(1, 2))
             diam = np.where(diam == -np.inf, 0.0, diam).astype(np.int64)
-            diam[has_bad] = 0  # cold reports diameter 0 on a bad leaf
+            diam[has_bad] = 0  # a leaf on a negative cycle reports diameter 0
             leaf_diam[rows] = diam
         else:
             for k in range(P):
@@ -462,11 +500,12 @@ class ReweightPlan:
                     out=stack,
                 )
             # Non-min-plus diagonals never improve on 1̄ (⊕ keeps 1̄ best),
-            # matching the cold leaf worker's always-clean verdict.
+            # so no leaf is ever on a "negative cycle" here.
             for r in range(K):
                 h = int(hsel[r])
                 if h > 1:
-                    span = slice(*_leaf_edge_span(self.le_row, rows[r]))
+                    # le_row is sorted: this leaf's edges are one run
+                    span = slice(*np.searchsorted(self.le_row, [rows[r], rows[r] + 1]))
                     sub = WeightedDigraph(
                         h,
                         self.le_src[span],
@@ -477,10 +516,9 @@ class ReweightPlan:
                 else:
                     leaf_diam[rows[r]] = 0
         # write the real regions back into the flat heap
-        owners = np.repeat(np.arange(self.leaf_nodes.shape[0]), self.wb_cnt)
-        wmask = sel[owners]
-        w_rows = row_map[owners[wmask]]
-        heap[self.wb_heap[wmask]] = stack.reshape(K, -1)[w_rows, self.wb_local[wmask]]
+        pos = sel[self.wb_row]
+        flat = stack.reshape(K, -1)
+        heap[self.wb_heap[pos]] = flat[row_map[self.wb_row[pos]], self.wb_local[pos]]
 
     # -------------------------- internals --------------------------- #
 
@@ -489,33 +527,32 @@ class ReweightPlan:
         semiring: Semiring,
         heap: np.ndarray,
         dirty_nodes: np.ndarray | None,
+        rounds: np.ndarray | None,
     ) -> None:
         sentinel = self.sentinel
         for lp in self.levels:
             if lp.nodes.size == 0:
                 continue
-            if dirty_nodes is None:
-                sel = np.ones(lp.nodes.shape[0], dtype=bool)
-            else:
-                sel = dirty_nodes[lp.nodes]
-            if not sel.any():
+            sel = slice(None) if dirty_nodes is None else dirty_nodes[lp.nodes]
+            if not lp.nodes[sel].size:
                 continue
-            # identity init of the dirty regions
-            init_cnt = np.diff(lp.init_ptr)
-            imask = sel[np.repeat(np.arange(sel.shape[0]), init_cnt)]
-            heap[lp.init_idx[imask]] = semiring.zero
-            diag_cnt = np.diff(lp.diag_ptr)
-            dmask = sel[np.repeat(np.arange(sel.shape[0]), diag_cnt)]
-            heap[lp.diag_idx[dmask]] = semiring.one
+            # identity init of the dirty regions (padding hits the
+            # sentinel, which is reset to 0̄ before anything reads it)
+            blk = lp.block_idx[sel]
+            heap[blk] = semiring.zero
+            diag = np.arange(lp.H)
+            heap[blk[:, diag, diag]] = semiring.one
+            heap[sentinel] = semiring.zero
             # ⊕-combine child blocks, one vectorized pass per child position
-            for tgt, srcg, ptr in lp.passes:
-                cnt = np.diff(ptr)
-                pmask = sel[np.repeat(np.arange(sel.shape[0]), cnt)]
-                ti, si = tgt[pmask], srcg[pmask]
+            for ti, si, owner in lp.passes:
+                if dirty_nodes is not None:
+                    ti, si = ti[sel[owner]], si[sel[owner]]
                 heap[ti] = semiring.add(heap[ti], heap[si])
             # separator-clique APSP + the three-hop products, batched
             fw = lp.fw_gather[sel]
             ds = heap[fw]
+            if rounds is not None:
+                rounds[lp.nodes[sel]] = _closure_rounds(ds, self.sep_len[lp.nodes[sel]])
             S = lp.S
             for k in range(S):
                 semiring.add(
@@ -525,21 +562,11 @@ class ReweightPlan:
                 )
             a1 = heap[lp.a1_gather[sel]]          # (B, H, S) = Direct[:, S]
             rm = heap[lp.r_gather[sel]]           # (B, S, H) = Direct[S, :]
-            # A ⊗ B batched: out[b,i,j] = ⊕_k A[b,i,k] ⊗ B[b,k,j].  ⊕ is
-            # exact and order-independent for every shipped semiring, so
-            # the reduction reassociation stays bit-identical to the cold
-            # worker's per-node matmuls.
-            left = semiring.add_reduce(
-                semiring.mul(a1[:, :, :, None], ds[:, None, :, :]), axis=2
-            )
-            right = semiring.add_reduce(
-                semiring.mul(ds[:, :, :, None], rm[:, None, :, :]), axis=2
-            )
-            three = semiring.add_reduce(
-                semiring.mul(left[:, :, :, None], rm[:, None, :, :]), axis=2
-            )
-            # the cold worker's exact ⊕ sequence: full block, cols, rows
-            bi = lp.block_idx[sel].ravel()
+            left = _product(semiring, a1, ds)
+            right = _product(semiring, ds, rm)
+            three = _product(semiring, left, rm)
+            # ⊕ into the node: full block, separator columns, separator rows
+            bi = blk.ravel()
             heap[bi] = semiring.add(heap[bi], three.ravel())
             ci = lp.a1_gather[sel].ravel()
             heap[ci] = semiring.add(heap[ci], left.ravel())
@@ -553,12 +580,13 @@ class ReweightPlan:
         heap: np.ndarray,
         raise_on_negative_cycle: bool,
     ) -> None:
-        """Replay the cold builder's negative-cycle walk: levels deepest
-        first, nodes in index order, first offending vertex in label order.
-        The diag slots are concatenated in exactly that order, so the first
-        set bit of one vectorized ``improves`` is the cold verdict.  (A base
-        augmentation exists only if it was cycle-free, so on the sparse path
-        any offending diagonal necessarily belongs to a dirty node.)"""
+        """Report the first negative cycle in Algorithm 4.1's walk order:
+        levels deepest first, nodes in index order, first offending vertex
+        in label order.  The diag slots are concatenated in exactly that
+        order, so the first set bit of one vectorized ``improves`` is the
+        verdict.  (A base augmentation exists only if it was cycle-free,
+        so on the sparse path any offending diagonal necessarily belongs
+        to a dirty node.)"""
         if not raise_on_negative_cycle or semiring.name not in ("min-plus", "hops"):
             return
         one = semiring.one
@@ -574,26 +602,77 @@ class ReweightPlan:
                     int(lp.check_vertex[p]),
                 )
 
+    # -------------------------- ledger ------------------------------ #
+
+    def _charge(self, ledger: Ledger, rounds: np.ndarray | None) -> None:
+        """Charge each level as one parallel region (``leaves-up-level``)
+        of per-node branches (``node``): a leaf's APSP costs ``h³`` work
+        and ``log2ceil(h)²`` depth; an internal node's clique APSP ``s³``
+        and ``log2ceil(s)²`` plus the products ``h·s²``, ``s²·h``,
+        ``h·s·h`` at ``reduce_depth(s)`` each.  Under the boolean semiring
+        both APSPs are repeated-squaring closures, ``k^ω`` per round, and
+        ``rounds`` carries each node's round count."""
+        if ledger is NULL_LEDGER:
+            return
+        reduce = _log2ceil if pram_model() != "CRCW" else np.ones_like
+        omega = charged_omega()
+        for lp in self.levels:
+            t = lp.check_nodes
+            leaf = self.is_leaf[t]
+            # a leaf's APSP is over h vertices, an internal node's over s
+            k = np.where(leaf, self.node_h[t], self.sep_len[t]).astype(np.float64)
+            if rounds is None:
+                work = k**3
+                depth = _log2ceil(k) ** 2
+            else:
+                # repeated squaring: one k^ω product per round, added up
+                # round by round as the closure kernel charges them
+                step = np.array([float(x) ** omega for x in k.tolist()])
+                work = np.zeros_like(k)
+                depth = np.zeros_like(k)
+                for r in range(int(rounds[t].max(initial=0))):
+                    more = rounds[t] > r
+                    work = work + np.where(more, step, 0.0)
+                    depth = depth + np.where(more, reduce(k), 0.0)
+            h = self.node_h[t].astype(np.float64)
+            d_mm = reduce(k)
+            work = np.where(leaf, work, ((work + h * k * k) + k * k * h) + h * k * h)
+            depth = np.where(leaf, depth, ((depth + d_mm) + d_mm) + d_mm)
+            # an internal node with an empty separator takes no step
+            depth[~leaf & (k == 0)] = 0.0
+            ledger.merge_parallel_charges(
+                work.tolist(), depth.tolist(), label="leaves-up-level", branch_label="node"
+            )
+
     # -------------------------- assembly ---------------------------- #
 
     def _assemble(
-        self, semiring: Semiring, heap: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Full vectorized re-reduction of the pair multiset.  A per-node
-        # "touched chunks only" variant was measured slower: a spread-out
-        # delta dirties most of the multiset mass, and the bookkeeping
-        # (inverse permutations, interleaved reduceat) costs more than the
-        # single gather + reduceat below.
-        starts = self.asm_starts
-        w_sorted = heap[self.asm_gather][self.asm_order]
-        best = semiring.add.reduceat(w_sorted, starts) if starts.size else (
-            np.empty(0, dtype=semiring.dtype)
-        )
-        if semiring.dtype == np.dtype(bool):
-            keep = best.astype(bool)
-        else:
-            keep = best != semiring.zero
-        return self.asm_src[keep], self.asm_dst[keep], best[keep]
+        self,
+        semiring: Semiring,
+        heap: np.ndarray,
+        base_best: np.ndarray | None,
+        dirty_nodes: np.ndarray | None,
+    ) -> np.ndarray:
+        """⊕ of every vertex pair's multiset (0̄ where no node has a path).
+
+        A sparse sweep re-reduces only the pairs some dirty node holds and
+        carries the rest over from ``base_best``, unless those pairs make
+        up half the multiset: then one full gather + ``reduceat`` is
+        cheaper than the bookkeeping."""
+        ptr = self.asm_node_ptr
+        if base_best is not None and 2 * np.diff(ptr)[dirty_nodes].sum() < ptr[-1]:
+            touched = np.zeros(base_best.shape[0], dtype=bool)
+            touched[self.asm_group[_ranges(ptr, np.nonzero(dirty_nodes)[0])]] = True
+            groups = np.nonzero(touched)[0]
+            members = self.asm_order[_ranges(self.asm_group_ptr, groups)]
+            starts = _ptr(np.diff(self.asm_group_ptr)[groups])[:-1]
+            best = base_best.copy()
+            if groups.size:
+                best[groups] = semiring.add.reduceat(heap[self.asm_gather[members]], starts)
+            return best
+        if not self.asm_starts.size:
+            return np.empty(0, dtype=semiring.dtype)
+        return semiring.add.reduceat(heap[self.asm_gather][self.asm_order], self.asm_starts)
 
     # -------------------------- schedule ---------------------------- #
 
@@ -624,16 +703,85 @@ def _concat_i64(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(c, dtype=np.int64) for c in chunks])
 
 
+def _flatten(chunks: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(concatenation, per-chunk lengths)`` of integer sequences."""
+    lens = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+    return _concat_i64(chunks), lens
+
+
 def _ptr(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(counts.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     return out
 
 
-def _leaf_edge_span(le_row: np.ndarray, row: int) -> tuple[int, int]:
-    """[start, end) of leaf ``row``'s edges in the concatenated edge lists
-    (``le_row`` is sorted by construction)."""
-    return (
-        int(np.searchsorted(le_row, row, side="left")),
-        int(np.searchsorted(le_row, row, side="right")),
-    )
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, k)`` enumerating ``k in range(counts[owner])`` for every
+    segment in order — the flat form of a per-segment ``arange``."""
+    ptr = _ptr(np.asarray(counts, dtype=np.int64))
+    dt = np.int32 if ptr[-1] < 2**31 else np.int64
+    owner = np.repeat(np.arange(ptr.shape[0] - 1, dtype=dt), counts)
+    k = np.arange(owner.shape[0], dtype=dt)
+    k -= ptr[:-1].astype(dt)[owner]
+    return owner, k
+
+
+def _product(semiring: Semiring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched ``a ⊗ b``: ``out[t,i,j] = ⊕_k a[t,i,k] ⊗ b[t,k,j]``,
+    accumulated one ``k`` at a time over ``(nodes, i, j)`` slabs (a 4-D
+    broadcast temporary was 2× slower)."""
+    out = semiring.mul(a[:, :, 0, None], b[:, None, 0, :])
+    for k in range(1, a.shape[2]):
+        semiring.add(out, semiring.mul(a[:, :, k, None], b[:, None, k, :]), out=out)
+    return out
+
+
+def _ranges(ptr: np.ndarray, sel) -> np.ndarray | slice:
+    """Positions of the ``ptr`` ranges of the selected segments (indices
+    ``sel``), in order; a slice ``sel`` selects every range."""
+    if isinstance(sel, slice):
+        return sel
+    owner, k = _segments(ptr[sel + 1] - ptr[sel])
+    return ptr[sel][owner] + k
+
+
+def _outer(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major pairs of every segment's ``sizes[s]²`` outer product, as
+    ``(segment, i, j)`` with ``i``/``j`` indexing the concatenation of the
+    segments."""
+    seg, q = _segments(sizes**2)
+    i, j = np.divmod(q, sizes[seg].astype(q.dtype))
+    del q
+    start = _ptr(sizes)[:-1].astype(i.dtype)[seg]
+    i += start
+    j += start
+    return seg, i, j
+
+
+def _log2ceil(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`~repro.pram.machine.log2ceil`."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x <= 2, 1.0, np.ceil(np.log2(np.maximum(x, 2.0))))
+
+
+def _closure_rounds(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Squarings :func:`~repro.kernels.boolmat.bool_closure` performs on
+    each ``(sizes[b], sizes[b])`` leading block of a padded boolean stack:
+    square until nothing changes (that round counts too), at most
+    ``⌈log₂ max(2, size)⌉`` rounds.  Padding rows and columns reach nothing
+    and so never change the count."""
+    cap = np.maximum(1, np.ceil(np.log2(np.maximum(sizes, 2)))).astype(np.int64)
+    c = stack.astype(np.float32)
+    ar = np.arange(c.shape[1])
+    c[:, ar, ar] = 1.0
+    rounds = np.zeros(c.shape[0], dtype=np.int64)
+    live = np.ones(c.shape[0], dtype=bool)
+    for r in range(1, int(cap.max(initial=0)) + 1):
+        nxt = np.matmul(c, c) > 0
+        rounds += live
+        live &= ~(nxt == (c > 0)).all(axis=(1, 2)) & (cap > r)
+        if not live.any():
+            break
+        c = nxt.astype(np.float32)
+    return rounds
+

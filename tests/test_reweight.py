@@ -161,19 +161,58 @@ class TestBitIdentitySparse:
         _assert_bit_identical(got, cold, [0, 1, 99])
         assert np.isinf(got.distances([0])[0][1:]).all()
 
-    def test_cold_ancestor_densifies_first_delta(self, rng, grid10):
-        """A cold-built oracle has no retained heap — its first sparse
-        delta silently runs the dense sweep and is still exact."""
+    def test_cold_build_serves_first_delta_sparsely(self, rng, grid10, monkeypatch):
+        """A cold Algorithm 4.1 build leaves its sweep's heap on the
+        augmentation, so its very first delta already takes the sparse
+        root-path sweep — and is still exact against a rebuild and against
+        Algorithm 4.3 (integer weights keep doubling's float sums exact)."""
+        from repro.core.reweight import ReweightPlan
+
         g, tree = grid10
+        g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
         base = ShortestPathOracle.build(g, tree, method="leaves_up")
-        assert getattr(base.augmentation, "_reweight_state", None) is None
+        state = getattr(base.augmentation, "_reweight_state", None)
+        assert state is not None
+        assert state.plan is base._reweight_plan
+        calls = []
+        real_run = ReweightPlan.run
+
+        def spy(plan, *args, **kwargs):
+            calls.append(kwargs)
+            return real_run(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ReweightPlan, "run", spy)
         got = base.with_new_weights(weight_delta={5: 99.0})
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert calls[0]["dirty_edges"] is not None
+        assert calls[0]["base_state"] is state
         w2 = g.weight.copy()
         w2[5] = 99.0
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        g2 = _reweighted_graph(g, w2)
+        cold = ShortestPathOracle.build(g2, tree, method="leaves_up")
         _assert_bit_identical(got, cold, [0, 99])
-        # ... and the produced oracle now has the heap for real sparsity.
+        doubling = ShortestPathOracle.build(g2, tree, method="doubling")
+        _assert_bit_identical(got, doubling, [0, 42, 99])
         assert getattr(got.augmentation, "_reweight_state", None) is not None
+
+    @pytest.mark.parametrize("semiring", ["boolean", "hops", "max-min", "min-max", "min-plus"])
+    def test_sparse_assembly_every_semiring(self, grid10, semiring):
+        """A one-edge delta dirties one root path, so assembly re-reduces
+        only the vertex pairs those nodes hold and carries every other pair
+        over from the base state; E⁺ must still equal a cold build's."""
+        g, tree = grid10
+        g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
+        cfg = OracleConfig(method="leaves_up", semiring=semiring)
+        base = ShortestPathOracle.build(g, tree, config=cfg)
+        plan = base._reweight_plan
+        dirty = plan._dirty_nodes(np.array([5]))
+        assert 2 * np.diff(plan.asm_node_ptr)[dirty].sum() < plan.asm_node_ptr[-1]
+        w2 = g.weight.copy()
+        w2[5] = 0.0 if semiring == "boolean" else 99.0  # boolean: drop the edge
+        got = base.with_new_weights(weight_delta={5: w2[5]})
+        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, config=cfg)
+        _assert_bit_identical(got, cold, [0, 5, 99])
 
     def test_plan_shared_along_lineage(self, rng, grid10):
         g, tree = grid10
