@@ -88,12 +88,14 @@ class DistanceOracle:
             weight[idx] = vals
             dirty = idx
         new_graph = type(g)(g.n, g.src, g.dst, np.asarray(weight, dtype=g.weight.dtype))
-        plan = getattr(self.aug, "_reweight_plan", None)
-        if plan is None:
-            plan = ReweightPlan.capture(g, self.tree)
+        # the retained heap carries its plan; without one, capture it and
+        # run densely (the result then carries both)
         base_state = getattr(self.aug, "_reweight_state", None)
-        if base_state is None:
-            dirty = None  # no retained heap: the first refresh runs densely
+        if base_state is not None:
+            plan = base_state.plan
+        else:
+            plan = ReweightPlan.capture(g, self.tree)
+            dirty = None
         aug = plan.run(
             new_graph,
             self.semiring,
@@ -102,7 +104,6 @@ class DistanceOracle:
             keep_node_distances=True,
         )
         aug.weights_epoch = getattr(self.aug, "weights_epoch", 0) + 1
-        aug._reweight_plan = plan  # type: ignore[attr-defined]
         return DistanceOracle(aug)
 
     # -------------------------------------------------------------- #

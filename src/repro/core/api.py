@@ -694,7 +694,10 @@ class ShortestPathOracle:
         """The provenance-replay path of :meth:`with_new_weights`."""
         from .reweight import ReweightPlan
 
-        plan = self._reweight_plan
+        # A swept augmentation carries its plan; one without a retained
+        # heap (e.g. loaded from the cache) captures it once per oracle.
+        base_state = getattr(self.augmentation, "_reweight_state", None)
+        plan = base_state.plan if base_state is not None else self._reweight_plan
         if plan is None:
             plan = ReweightPlan.capture(self.graph, self.tree)
         # Phase permutations are structure-only; record them once against
@@ -702,7 +705,6 @@ class ShortestPathOracle:
         # rebuilding the schedule.
         plan.ensure_schedule_cache(self.augmentation)
         self._reweight_plan = plan
-        base_state = getattr(self.augmentation, "_reweight_state", None)
         if base_state is None:
             dirty_edges = None  # no retained heap: first refresh runs densely
         aug = plan.run(

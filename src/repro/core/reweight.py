@@ -39,8 +39,7 @@ containing changed edges: every original edge has both endpoints in at
 least one leaf and internal direct matrices contain no one-hop edges, so
 the dirty set is precisely those leaves plus their ancestors.  Clean nodes'
 matrices and diameters are carried over from the base
-:class:`ReweightState`, and so is the ⊕ of every vertex pair no dirty node
-holds.
+:class:`ReweightState`; assembly always re-reduces the full pair multiset.
 
 Negative-cycle detection walks levels deepest first, nodes in index order
 within a level, first offending vertex in label order.
@@ -77,8 +76,6 @@ class ReweightState:
     heap: np.ndarray
     #: per-leaf min-weight diameters, aligned with the plan's leaf rows.
     leaf_diam: np.ndarray
-    #: ⊕ of every vertex pair of the assembly multiset, 0̄ included.
-    best: np.ndarray
     #: the plan whose heap layout this state follows.
     plan: "ReweightPlan"
 
@@ -306,25 +303,22 @@ class ReweightPlan:
         keep = i != j
         t, i, j = node[pair[keep]], i[keep], j[keep]
         del pair, keep
-        self.asm_gather = self._slots(self.node_off[t] + pos[i] * self.node_h[t] + pos[j])
-        #: each node's entries are contiguous: node t owns asm_node_ptr[t:t+2]
-        self.asm_node_ptr = _ptr(np.bincount(t, minlength=n_nodes))
+        gather = self._slots(self.node_off[t] + pos[i] * self.node_h[t] + pos[j])
         del t
         key = group[i] * n + group[j]
         del i, j
         order = np.argsort(key, kind="stable")
         key_s = key[order]
         del key
+        #: heap slots of the multiset, grouped by vertex pair (stable order
+        #: within a pair), so assembly is one gather and one reduceat
+        self.asm_gather = gather[order]
+        del gather, order
         boundaries = np.ones(key_s.shape[0], dtype=bool)
         if key_s.shape[0]:
             np.not_equal(key_s[1:], key_s[:-1], out=boundaries[1:])
         self.asm_starts = np.nonzero(boundaries)[0]
-        #: group g (one vertex pair) is asm_order[asm_group_ptr[g:g+2]]
-        self.asm_group_ptr = np.append(self.asm_starts, key_s.shape[0])
-        self.asm_group = np.empty(order.shape[0], dtype=np.int32)
-        self.asm_group[order] = np.cumsum(boundaries, dtype=np.int32) - 1
-        self.asm_order = order.astype(np.int32)
-        del order, boundaries
+        del boundaries
         uniq = key_s[self.asm_starts]
         self.asm_src = (uniq // n).astype(np.int64)
         self.asm_dst = (uniq % n).astype(np.int64)
@@ -378,9 +372,7 @@ class ReweightPlan:
         self._run_levels(semiring, heap, dirty_nodes, rounds)
         heap[self.sentinel] = zero  # padded scatters keep the slot 0̄
         self._check_cycles(semiring, heap, raise_on_negative_cycle)
-        best = self._assemble(
-            semiring, heap, base_state.best if sparse else None, dirty_nodes
-        )
+        best = self._assemble(semiring, heap)
         keep = best if semiring.dtype == np.dtype(bool) else best != zero
         src, dst, weight = self.asm_src[keep], self.asm_dst[keep], best[keep]
         if not sparse:
@@ -413,7 +405,7 @@ class ReweightPlan:
             kernel=kernel,
         )
         aug._reweight_state = ReweightState(  # type: ignore[attr-defined]
-            heap=heap, leaf_diam=leaf_diam, best=best, plan=self
+            heap=heap, leaf_diam=leaf_diam, plan=self
         )
         # Bind the new weights to the recorded layout, unless the pair
         # structure drifted (a weight hit 0̄ or a 0̄ pair came alive): the
@@ -640,39 +632,25 @@ class ReweightPlan:
             depth = np.where(leaf, depth, ((depth + d_mm) + d_mm) + d_mm)
             # an internal node with an empty separator takes no step
             depth[~leaf & (k == 0)] = 0.0
-            ledger.merge_parallel_charges(
-                work.tolist(), depth.tolist(), label="leaves-up-level", branch_label="node"
-            )
+            branches = []
+            for w, d in zip(work.tolist(), depth.tolist()):
+                b = Ledger()
+                b.charge(w, d, label="node")
+                branches.append(b)
+            ledger.merge_parallel(branches, label="leaves-up-level")
 
     # -------------------------- assembly ---------------------------- #
 
-    def _assemble(
-        self,
-        semiring: Semiring,
-        heap: np.ndarray,
-        base_best: np.ndarray | None,
-        dirty_nodes: np.ndarray | None,
-    ) -> np.ndarray:
-        """⊕ of every vertex pair's multiset (0̄ where no node has a path).
-
-        A sparse sweep re-reduces only the pairs some dirty node holds and
-        carries the rest over from ``base_best``, unless those pairs make
-        up half the multiset: then one full gather + ``reduceat`` is
-        cheaper than the bookkeeping."""
-        ptr = self.asm_node_ptr
-        if base_best is not None and 2 * np.diff(ptr)[dirty_nodes].sum() < ptr[-1]:
-            touched = np.zeros(base_best.shape[0], dtype=bool)
-            touched[self.asm_group[_ranges(ptr, np.nonzero(dirty_nodes)[0])]] = True
-            groups = np.nonzero(touched)[0]
-            members = self.asm_order[_ranges(self.asm_group_ptr, groups)]
-            starts = _ptr(np.diff(self.asm_group_ptr)[groups])[:-1]
-            best = base_best.copy()
-            if groups.size:
-                best[groups] = semiring.add.reduceat(heap[self.asm_gather[members]], starts)
-            return best
+    def _assemble(self, semiring: Semiring, heap: np.ndarray) -> np.ndarray:
+        """⊕ of every vertex pair's multiset (0̄ where no node has a path)."""
+        # Full vectorized re-reduction of the pair multiset.  A per-node
+        # "touched chunks only" variant was measured slower: a spread-out
+        # delta dirties most of the multiset mass, and the bookkeeping
+        # (inverse permutations, interleaved reduceat) costs more than the
+        # single pair-ordered gather + reduceat below.
         if not self.asm_starts.size:
             return np.empty(0, dtype=semiring.dtype)
-        return semiring.add.reduceat(heap[self.asm_gather][self.asm_order], self.asm_starts)
+        return semiring.add.reduceat(heap[self.asm_gather], self.asm_starts)
 
     # -------------------------- schedule ---------------------------- #
 
@@ -734,15 +712,6 @@ def _product(semiring: Semiring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[2]):
         semiring.add(out, semiring.mul(a[:, :, k, None], b[:, None, k, :]), out=out)
     return out
-
-
-def _ranges(ptr: np.ndarray, sel) -> np.ndarray | slice:
-    """Positions of the ``ptr`` ranges of the selected segments (indices
-    ``sel``), in order; a slice ``sel`` selects every range."""
-    if isinstance(sel, slice):
-        return sel
-    owner, k = _segments(ptr[sel + 1] - ptr[sel])
-    return ptr[sel][owner] + k
 
 
 def _outer(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -135,23 +135,6 @@ class Ledger:
                 # as the max across branches (best-effort attribution).
                 mine.depth = max(mine.depth, t.depth)
 
-    def merge_parallel_charges(
-        self, works, depths, label: str = "", branch_label: str = ""
-    ) -> None:
-        """:meth:`merge_parallel` over branches that each made one charge
-        (``works[i]``, ``depths[i]``, labelled ``branch_label``), given as
-        numbers instead of one sub-ledger per branch."""
-        works, depths = [float(w) for w in works], [float(d) for d in depths]
-        if not works:
-            return
-        self.charge(sum(works), max(depths), label=label or "parallel")
-        if branch_label:
-            mine = self._by_label.setdefault(branch_label, _Tally())
-            for w in works:
-                mine.work += w
-            mine.calls += len(works)
-            mine.depth = max(mine.depth, max(depths))
-
     def spawn(self) -> "Ledger":
         """Fresh empty ledger (for a parallel branch executed out-of-line)."""
         return Ledger()
@@ -195,9 +178,6 @@ class _NullLedger(Ledger):
         pass
 
     def merge_parallel(self, branches, label: str = "") -> None:
-        pass
-
-    def merge_parallel_charges(self, works, depths, label: str = "", branch_label: str = "") -> None:
         pass
 
     def spawn(self) -> "Ledger":

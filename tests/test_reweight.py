@@ -22,6 +22,7 @@ from repro import ShortestPathOracle
 from repro.core.augment import Augmentation, NegativeCycleDetected
 from repro.core.config import OracleConfig
 from repro.core.query import QueryEngine
+from repro.pram.machine import Ledger
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import apply_potential_weights, grid_digraph
 from repro.workloads.synthetic import separator_programmable_family
@@ -197,22 +198,46 @@ class TestBitIdentitySparse:
         assert getattr(got.augmentation, "_reweight_state", None) is not None
 
     @pytest.mark.parametrize("semiring", ["boolean", "hops", "max-min", "min-max", "min-plus"])
-    def test_sparse_assembly_every_semiring(self, grid10, semiring):
-        """A one-edge delta dirties one root path, so assembly re-reduces
-        only the vertex pairs those nodes hold and carries every other pair
-        over from the base state; E⁺ must still equal a cold build's."""
+    def test_sparse_delta_every_semiring(self, grid10, semiring):
+        """A one-edge delta re-sweeps one root path and carries every other
+        node over from the base state; E⁺ must still equal a cold build's."""
         g, tree = grid10
         g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
         cfg = OracleConfig(method="leaves_up", semiring=semiring)
         base = ShortestPathOracle.build(g, tree, config=cfg)
-        plan = base._reweight_plan
-        dirty = plan._dirty_nodes(np.array([5]))
-        assert 2 * np.diff(plan.asm_node_ptr)[dirty].sum() < plan.asm_node_ptr[-1]
         w2 = g.weight.copy()
         w2[5] = 0.0 if semiring == "boolean" else 99.0  # boolean: drop the edge
         got = base.with_new_weights(weight_delta={5: w2[5]})
         cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, config=cfg)
         _assert_bit_identical(got, cold, [0, 5, 99])
+
+    def test_swept_augmentation_reuses_its_plan(self, grid10, monkeypatch):
+        """An augmentation that carries a sweep state reweights with that
+        state's plan, however it was wrapped: no second capture."""
+        from repro.apps.routing import DistanceOracle
+        from repro.core.leaves_up import augment_leaves_up
+        from repro.core.reweight import ReweightPlan
+
+        g, tree = grid10
+        g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
+        aug = augment_leaves_up(g, tree, keep_node_distances=True)
+        state = aug._reweight_state
+
+        def no_capture(*args, **kwargs):
+            raise AssertionError("plan captured twice")
+
+        monkeypatch.setattr(ReweightPlan, "capture", no_capture)
+        pair = DistanceOracle(aug).with_new_weights(weight_delta={5: 99.0})
+        oracle = ShortestPathOracle(g, tree, aug, aug.schedule(), preprocess_ledger=Ledger())
+        got = oracle.with_new_weights(weight_delta={5: 99.0}, reweight="incremental")
+        monkeypatch.undo()
+        assert pair.aug._reweight_state.plan is state.plan
+        assert got._reweight_plan is state.plan
+        w2 = g.weight.copy()
+        w2[5] = 99.0
+        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        _assert_bit_identical(got, cold, [0, 99])
+        assert np.array_equal(pair.aug.weight, cold.augmentation.weight)
 
     def test_plan_shared_along_lineage(self, rng, grid10):
         g, tree = grid10
