@@ -1,30 +1,33 @@
-"""E-kern — the min-plus kernel suite: reference vs blocked vs pruned vs jit.
+"""E-kern — the min-plus product's two paths: broadcast vs pruned.
 
-Experiments, all recorded in ``benchmarks/results/BENCH_kernels.json``:
+:func:`~repro.kernels.minplus.semiring_matmul` broadcasts products of at
+most ``AUTO_SMALL_OPS`` ⊗-operations and prunes larger ones.  Experiments,
+all recorded in ``benchmarks/results/BENCH_kernels.json``:
 
-* **micro curves** — one doubling square per kernel on one-hop and closed
-  (dense) matrices from the standard grid and Delaunay workloads, over a
-  size sweep spanning the machine's cache cliff.  Shows where each kernel
-  wins and that ``auto``'s small-product cutoff is on the right side.
-* **jit compile record** — cold vs warm compile seconds for the compiled
-  backend (first :func:`repro.kernels.jit.warm_up` vs a repeat), so the
-  one-time JIT cost is visible next to — and never mixed into — the
-  steady-state curves.  On a numba-less install the record says so and
-  every jit lane is skipped; the numpy numbers are unaffected.
+* **micro curves** — one doubling square per path on one-hop and closed
+  (dense) matrices from the grid and Delaunay workloads and on random
+  matrices with 50% ∞ fill, over a size sweep from 16² to past the
+  machine's ~190² cache cliff.  The 16², 32² and 64² rows sit on both sides
+  of the size rule, so each row says which path the rule picks and whether
+  that path was the faster one; the record names the crossover.
 * **macro** — end-to-end :func:`~repro.core.doubling.augment_doubling` of
-  the 56×56 grid per kernel, on two decompositions: the default fine grid
-  tree (μ=1/2 — every product is tiny, ``reference``/``auto`` is the right
-  call and the suite must not regress it) and a coarse high-μ tree (fat
-  band separators — the Table-1 μ→1 regime, where node matrices are a few
-  hundred² and the blocked/pruned kernels win ≥1.5×; the compiled backend
-  must beat ``pruned`` by another ≥1.5× where it is installed).
-  Augmentation edges are checked bit-identical across kernels.
+  the 56×56 grid per path, on two decompositions: the default fine grid
+  tree (μ=1/2 — every product is tiny, the broadcast path is the right call
+  and the rule must not regress it) and a coarse high-μ tree (fat band
+  separators — the Table-1 μ→1 regime, where node matrices are a few
+  hundred² and the pruned path wins ≥1.5×).  Augmentation edges are
+  checked bit-identical across paths.
+
+A path is forced through the module constants, the way the tests force
+it: ``AUTO_SMALL_OPS = inf`` broadcasts every product, ``-1`` prunes every
+one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -34,27 +37,30 @@ from repro.analysis.tables import render_table
 from repro.core.doubling import augment_doubling
 from repro.core.semiring import MIN_PLUS
 from repro.core.septree import build_separator_tree
-from repro.kernels import dispatch
+from repro.kernels import minplus
 from repro.kernels.minplus import semiring_closure, semiring_matmul
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import delaunay_digraph, grid_digraph
 
-JIT = dispatch.jit_available()
-KERNELS = ["reference", "blocked", "pruned"] + (["jit"] if JIT else [])
 SIDE = 56
 
-#: Micro-sweep operand sizes (straddling the ~190² broadcast cache cliff).
-MICRO_SIZES = [100, 196, 324]
+#: Forced paths (module constants to patch) and the unforced size rule.
+PATHS = {
+    "reference": {"AUTO_SMALL_OPS": np.inf},
+    "pruned": {"AUTO_SMALL_OPS": -1},
+}
+
+#: Micro-sweep operand sizes: both sides of the size rule (n³ ≤ 2¹⁵ means
+#: n ≤ 32) and across the ~190² broadcast cache cliff.
+MICRO_SIZES = [16, 32, 64, 100, 196, 324]
 
 #: Coarse high-μ decomposition of the 56×56 grid: a fat band separator.
 FAT_BAND = 4
 FAT_LEAF = 300
 
-#: Acceptance bars on the coarse-tree doubling augmentation: blocked or
-#: pruned must beat reference by ≥1.5×, and (where numba is installed) jit
-#: must beat pruned by ≥1.5× on top.
+#: Acceptance bar on the coarse-tree doubling augmentation: the pruned path
+#: must beat the broadcast path by ≥1.5×.
 MACRO_SPEEDUP = 1.5
-JIT_MACRO_SPEEDUP = 1.5
 
 
 def _record_json(results_dir, key: str, record: dict) -> None:
@@ -63,6 +69,11 @@ def _record_json(results_dir, key: str, record: dict) -> None:
     path = results_dir / "BENCH_kernels.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data[key] = record
+    data["host"] = {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
     tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
     tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
@@ -75,6 +86,15 @@ def _best_of(fn, reps=3) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _forced(monkeypatch, path: str):
+    for name, value in PATHS[path].items():
+        monkeypatch.setattr(minplus, name, value)
+
+
+def _rule_path(n: int) -> str:
+    return "reference" if float(n) ** 3 <= minplus.AUTO_SMALL_OPS else "pruned"
 
 
 def _one_hop_matrix(g) -> np.ndarray:
@@ -108,102 +128,79 @@ def grid_workload():
     return g
 
 
-def _micro_graph(family: str, n: int):
+def _micro_operands(family: str, n: int):
+    """``(label, matrix)`` pairs of one family at size ``n`` (grids round
+    to the nearest square side, so their n is the actual vertex count)."""
+    rng = np.random.default_rng(n)
+    if family == "random":
+        a = rng.uniform(1.0, 99.0, (n, n))
+        a[rng.random((n, n)) < 0.5] = np.inf
+        return [("50% inf", a)]
     if family == "grid":
         side = int(round(n**0.5))
-        return grid_digraph((side, side), np.random.default_rng(n))
-    g, _ = delaunay_digraph(n, np.random.default_rng(n))
-    return g
+        g = grid_digraph((side, side), rng)
+    else:
+        g, _ = delaunay_digraph(n, rng)
+    one_hop = _one_hop_matrix(g)
+    return [("one-hop", one_hop), ("closed", semiring_closure(one_hop))]
 
 
-def test_jit_compile_record(report, results_dir):
-    """Cold vs warm compile time of the compiled backend, recorded so the
-    one-time cost is visible in the trajectory (and the steady-state micro
-    curves below are known to exclude it)."""
-    if not JIT:
-        from repro.kernels import jit as jit_mod
-
-        record = {"available": False, "error": jit_mod.NUMBA_IMPORT_ERROR}
-        report("E-kern-jit-compile", "jit backend unavailable (numba not installed)")
-        _record_json(results_dir, "jit_compile", record)
-        return
-    import numba
-
-    from repro.kernels import jit as jit_mod
-
-    cold = jit_mod.warm_up()  # first call: compile (or load numba's disk cache)
-    warm = jit_mod.warm_up()  # repeat: everything already compiled
-    record = {
-        "available": True,
-        "numba": numba.__version__,
-        "numpy": np.__version__,
-        "cold_compile_s": cold,
-        "warm_compile_s": warm,
-        "numba_cache_dir": os.environ.get("NUMBA_CACHE_DIR", ""),
-    }
-    report(
-        "E-kern-jit-compile",
-        f"jit compile: cold {cold:.2f}s, warm {warm * 1e3:.1f}ms "
-        f"(numba {numba.__version__})",
-    )
-    _record_json(results_dir, "jit_compile", record)
-
-
-def test_micro_kernel_curves(report, results_dir):
-    """One doubling square per kernel on sparse (one-hop) and dense (closed)
-    operands from the grid and Delaunay families."""
-    if JIT:
-        from repro.kernels import jit as jit_mod
-
-        jit_mod.warm_up()  # keep compile time out of the curves
+def test_micro_kernel_curves(report, results_dir, monkeypatch):
+    """One doubling square per path on sparse, dense and half-filled
+    operands; every row is checked bit-identical across paths."""
     rows = []
     record = {}
-    for family in ("grid", "delaunay"):
-        for n in MICRO_SIZES:
-            g = _micro_graph(family, n)
-            one_hop = _one_hop_matrix(g)
-            closed = semiring_closure(one_hop)  # dense late-round iterate
-            for label, a in (("one-hop", one_hop), ("closed", closed)):
-                want = semiring_matmul(a, a, MIN_PLUS, kernel="reference")
+    rule_right = {}
+    for family in ("grid", "delaunay", "random"):
+        for size in MICRO_SIZES:
+            for label, a in _micro_operands(family, size):
+                n = a.shape[0]
+                want = semiring_matmul(a, a, MIN_PLUS)
                 times = {}
-                for kernel in KERNELS:
-                    got = semiring_matmul(a, a, MIN_PLUS, kernel=kernel)
-                    assert np.array_equal(got, want), (family, n, label, kernel)
-                    times[kernel] = _best_of(
-                        lambda k=kernel: semiring_matmul(a, a, MIN_PLUS, kernel=k)
-                    )
-                ref = times["reference"]
+                for path in PATHS:
+                    _forced(monkeypatch, path)
+                    got = semiring_matmul(a, a, MIN_PLUS)
+                    assert np.array_equal(got, want), (family, n, label, path)
+                    times[path] = _best_of(lambda: semiring_matmul(a, a, MIN_PLUS))
+                    monkeypatch.undo()
+                rule = _rule_path(n)
+                faster = min(times, key=times.get)
+                rule_right[f"{family}-{n}-{label}"] = rule == faster
+                ratio = times["reference"] / times["pruned"]
                 rows.append([
                     family, n, label,
-                    *(round(times[k] * 1e3, 2) for k in KERNELS),
-                    *(round(ref / times[k], 2) for k in KERNELS[1:]),
+                    round(times["reference"] * 1e3, 3),
+                    round(times["pruned"] * 1e3, 3),
+                    round(ratio, 2), rule, faster,
                 ])
                 record[f"{family}-{n}-{label}"] = {
-                    "times_ms": {k: times[k] * 1e3 for k in KERNELS},
-                    **{
-                        f"speedup_{k}": ref / times[k] for k in KERNELS[1:]
-                    },
+                    "n": n,
+                    "times_ms": {p: times[p] * 1e3 for p in PATHS},
+                    "speedup_pruned": ratio,
+                    "rule_path": rule,
+                    "faster_path": faster,
                 }
+    record["auto_small_ops"] = minplus.AUTO_SMALL_OPS
+    record["rule_picks_faster"] = sum(rule_right.values())
+    record["rows"] = len(rule_right)
     table = render_table(
-        ["family", "n", "iterate",
-         *(f"{k} ms" for k in KERNELS),
-         *(f"{k} x" for k in KERNELS[1:])],
+        ["family", "n", "iterate", "reference ms", "pruned ms", "pruned x",
+         "rule picks", "faster"],
         rows,
-        title="E-kern micro: one min-plus square per kernel (bit-identity checked)",
+        title=(
+            "E-kern micro: one min-plus square per path (bit-identity checked); "
+            f"the rule broadcasts n^3 <= {minplus.AUTO_SMALL_OPS} and picks the "
+            f"faster path on {record['rule_picks_faster']}/{record['rows']} rows"
+        ),
     )
     report("E-kern-micro", table)
     _record_json(results_dir, "micro", record)
 
 
-def test_macro_doubling_augmentation(grid_workload, report, results_dir):
-    """End-to-end Algorithm 4.3 per kernel on the 56×56 grid, fine and
-    coarse trees; asserts bit-identical E⁺, the ≥1.5× coarse-tree bar, and
-    (numba installed) the compiled backend's ≥1.5× over pruned."""
+def test_macro_doubling_augmentation(grid_workload, report, results_dir, monkeypatch):
+    """End-to-end Algorithm 4.3 per path on the 56×56 grid, fine and coarse
+    trees; asserts bit-identical E⁺ and the ≥1.5× coarse-tree bar."""
     g = grid_workload
-    if JIT:
-        from repro.kernels import jit as jit_mod
-
-        jit_mod.warm_up()
     trees = {
         "fine (mu=1/2 grid tree)": decompose_grid(g, (SIDE, SIDE)),
         "coarse (high-mu fat-band tree)": fat_grid_tree(g, SIDE),
@@ -213,45 +210,38 @@ def test_macro_doubling_augmentation(grid_workload, report, results_dir):
     for tree_label, tree in trees.items():
         times = {}
         augs = {}
-        for kernel in KERNELS:
+        for path in (*PATHS, "rule"):
+            if path in PATHS:
+                _forced(monkeypatch, path)
             t0 = time.perf_counter()
-            augs[kernel] = augment_doubling(
-                g, tree, kernel=kernel, keep_node_distances=False
-            )
-            times[kernel] = time.perf_counter() - t0
+            augs[path] = augment_doubling(g, tree, keep_node_distances=False)
+            times[path] = time.perf_counter() - t0
+            monkeypatch.undo()
         base = augs["reference"]
-        for kernel in KERNELS[1:]:
-            assert np.array_equal(base.src, augs[kernel].src), kernel
-            assert np.array_equal(base.dst, augs[kernel].dst), kernel
-            assert np.array_equal(base.weight, augs[kernel].weight), kernel
+        for path in ("pruned", "rule"):
+            assert np.array_equal(base.src, augs[path].src), path
+            assert np.array_equal(base.dst, augs[path].dst), path
+            assert np.array_equal(base.weight, augs[path].weight), path
         ref = times["reference"]
         rows.append([
             tree_label, base.size,
-            *(round(times[k], 2) for k in KERNELS),
-            *(round(ref / times[k], 2) for k in KERNELS[1:]),
+            *(round(times[p], 2) for p in times),
+            round(ref / times["pruned"], 2), round(ref / times["rule"], 2),
         ])
         record[tree_label.split(" ")[0]] = {
             "eplus": base.size,
-            "times_s": {k: times[k] for k in KERNELS},
-            **{f"speedup_{k}": ref / times[k] for k in KERNELS[1:]},
+            "times_s": times,
+            "speedup_pruned": ref / times["pruned"],
+            "speedup_rule": ref / times["rule"],
         }
     table = render_table(
-        ["tree", "|E+|",
-         *(f"{k} s" for k in KERNELS),
-         *(f"{k} x" for k in KERNELS[1:])],
+        ["tree", "|E+|", "reference s", "pruned s", "rule s", "pruned x", "rule x"],
         rows,
-        title="E-kern macro: augment_doubling(56x56 grid) per kernel — E+ bit-identical",
+        title="E-kern macro: augment_doubling(56x56 grid) per path — E+ bit-identical",
     )
     report("E-kern-macro", table)
     _record_json(results_dir, "macro", record)
-    coarse = record["coarse"]
-    best = max(coarse["speedup_blocked"], coarse["speedup_pruned"])
-    assert best >= MACRO_SPEEDUP, (
-        f"best coarse-tree kernel speedup {best:.2f}x < {MACRO_SPEEDUP}x"
+    speedup = record["coarse"]["speedup_pruned"]
+    assert speedup >= MACRO_SPEEDUP, (
+        f"coarse-tree pruned speedup {speedup:.2f}x < {MACRO_SPEEDUP}x"
     )
-    if JIT:
-        jit_vs_pruned = coarse["speedup_jit"] / coarse["speedup_pruned"]
-        assert jit_vs_pruned >= JIT_MACRO_SPEEDUP, (
-            f"jit only {jit_vs_pruned:.2f}x over pruned on the coarse tree "
-            f"(< {JIT_MACRO_SPEEDUP}x)"
-        )

@@ -3,9 +3,9 @@
 A cache key must change exactly when the augmentation's *content* can
 change.  E⁺ is a pure function of the graph's edge arrays, the separator
 tree, the semiring and the construction method — and of nothing else:
-``executor`` and ``kernel`` are bit-identical implementation choices,
-``validate`` only checks, ``leaf_size``/``separator`` are already folded
-into the tree itself.  So the key is a SHA-256 over a canonical
+``executor`` is a bit-identical implementation choice, ``validate`` only
+checks, ``leaf_size``/``separator`` are already folded into the tree
+itself.  So the key is a SHA-256 over a canonical
 serialization of those four inputs (plus a format tag so incompatible
 layouts never collide across versions).
 """

@@ -34,7 +34,6 @@ DEFAULT_AUTOSCALE_P99_MS = 50.0
 _CONFIG_FLAG_FIELDS = {
     "method": "method",
     "leaf_size": "leaf_size",
-    "kernel": "kernel",
     "backend": "executor",
     "engine": "engine",
     "cache": "cache",
@@ -565,9 +564,6 @@ def main(argv: list[str] | None = None) -> int:
     p3.add_argument("--n", type=int, default=1024)
     p3.add_argument("--sources", type=int, default=4)
     p3.add_argument("--method", choices=["leaves_up", "doubling"], default="leaves_up")
-    p3.add_argument("--kernel", choices=["auto", "reference", "blocked", "pruned", "jit"],
-                    default=None,
-                    help="min-plus kernel (jit needs the numba extra)")
     p3.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p3.add_argument("--seed", type=int, default=0)
     _add_cache_flags(p3)
@@ -597,9 +593,6 @@ def main(argv: list[str] | None = None) -> int:
     p7.add_argument("--method",
                     choices=["leaves_up", "doubling", "doubling_shared"],
                     default="leaves_up")
-    p7.add_argument("--kernel", choices=["auto", "reference", "blocked", "pruned", "jit"],
-                    default=None,
-                    help="min-plus kernel (jit needs the numba extra)")
     p7.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p7.add_argument("--seed", type=int, default=0)
     p7.add_argument("--check", action="store_true",
@@ -622,9 +615,6 @@ def main(argv: list[str] | None = None) -> int:
     p8.add_argument("--method",
                     choices=["leaves_up", "doubling", "doubling_shared"],
                     default="leaves_up")
-    p8.add_argument("--kernel", choices=["auto", "reference", "blocked", "pruned", "jit"],
-                    default=None,
-                    help="min-plus kernel (jit needs the numba extra)")
     p8.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p8.add_argument("--seed", type=int, default=0)
     p8.add_argument("--backend", default="shm",

@@ -81,7 +81,7 @@ class ShortestPathOracle:
         self.query_ledger = Ledger()
         #: The resolved build configuration — reused by
         #: :meth:`with_new_weights` so rebuilds keep the original
-        #: ``executor`` / ``kernel`` choices, and serializable for the
+        #: ``executor`` choice, and serializable for the
         #: server/CLI (``config.to_dict()``).
         self.config = config if config is not None else OracleConfig()
         #: How the augmentation cache participated in this build (see
@@ -112,7 +112,6 @@ class ShortestPathOracle:
         executor=UNSET,
         validate: bool = UNSET,
         keep_node_distances: bool = UNSET,
-        kernel: str | None = UNSET,
         cache: str = UNSET,
         cache_dir: str | None = UNSET,
         mode: str = UNSET,
@@ -125,8 +124,7 @@ class ShortestPathOracle:
         (pass ``config=``); the individual kwargs remain as a back-compat
         overlay with their historical defaults (``method="leaves_up"``,
         ``semiring=MIN_PLUS``, ``leaf_size=8``, ``executor="serial"``,
-        ``validate=False``, ``keep_node_distances=False``,
-        ``kernel=None``).  A kwarg that contradicts an explicit ``config``
+        ``validate=False``, ``keep_node_distances=False``).  A kwarg that contradicts an explicit ``config``
         emits a :class:`DeprecationWarning` and wins.
 
         Parameters
@@ -140,8 +138,7 @@ class ShortestPathOracle:
         config:
             See :class:`~repro.core.config.OracleConfig` for the full knob
             inventory (``method``, ``separator``, ``semiring``,
-            ``leaf_size``, ``executor``, ``kernel``,
-            ``keep_node_distances``, ``validate`` are consumed here; the
+            ``leaf_size``, ``executor``, ``keep_node_distances``, ``validate`` are consumed here; the
             serving fields ride along untouched for
             :meth:`query_engine`).
         cache:
@@ -164,7 +161,6 @@ class ShortestPathOracle:
             executor=executor,
             validate=validate,
             keep_node_distances=keep_node_distances,
-            kernel=kernel,
             cache=cache,
             cache_dir=cache_dir,
             mode=mode,
@@ -273,12 +269,8 @@ class ShortestPathOracle:
                 cfg.resolved_semiring,
                 ledger=ledger,
                 keep_node_distances=cfg.keep_node_distances,
-                kernel=cfg.kernel,
                 **pool,
             )
-            # Thread the kernel choice into every relaxer/schedule derived
-            # from this augmentation (must precede aug.schedule() below).
-            aug.kernel = cfg.kernel
             oracle = cls(
                 graph, tree, aug, aug.schedule(), preprocess_ledger=ledger, config=cfg
             )
@@ -323,7 +315,6 @@ class ShortestPathOracle:
         aug, meta = loaded
         if cfg.validate and not meta.get("validated"):
             tree.validate(graph)
-        aug.kernel = cfg.kernel
         oracle = cls(graph, tree, aug, aug.schedule(), preprocess_ledger=Ledger(), config=cfg)
         cache_info.update(
             status="hit",
@@ -376,10 +367,7 @@ class ShortestPathOracle:
                     oracle.tree.selection = {"mode_decision": decision}
                 return oracle
         try:
-            hopset = build_hopset(
-                graph, semiring,
-                eps=cfg.eps, beta=cfg.hopset_beta, kernel=cfg.kernel,
-            )
+            hopset = build_hopset(graph, semiring, eps=cfg.eps, beta=cfg.hopset_beta)
             ledger.charge(
                 work=float(sum(b * p.shape[0] for b, p in zip(hopset.budgets, hopset.pivots)))
                 * max(1, graph.m),
@@ -398,7 +386,6 @@ class ShortestPathOracle:
                 method="hopset",
                 hopset=hopset,
             )
-            aug.kernel = cfg.kernel
             oracle = cls(
                 graph, tree, aug, aug.schedule(), preprocess_ledger=ledger, config=cfg
             )
@@ -675,7 +662,7 @@ class ShortestPathOracle:
         if mode != "rebuild" and incremental_ok:
             return self._reweight_incremental(graph, dirty_edges, cfg, validate)
         # Rebuild with the *original* build config — in particular its
-        # executor and kernel choices, which earlier versions silently
+        # executor choice, which earlier versions silently
         # dropped back to the defaults here — updating only what the new
         # instance dictates (method/semiring follow the augmentation,
         # keep_node_distances follows whether matrices were retained).
@@ -713,7 +700,6 @@ class ShortestPathOracle:
             base_state=base_state,
             dirty_edges=dirty_edges,
             keep_node_distances=cfg.keep_node_distances,
-            kernel=cfg.kernel,
         )
         aug.weights_epoch = self.augmentation.weights_epoch + 1
         if validate:
@@ -770,14 +756,11 @@ class ShortestPathOracle:
                 "sample; pass reweight='auto' to fall back to a resample"
             )
         if mode != "rebuild" and same_skeleton and prior is not None:
-            hopset = replay_hopset(
-                graph, prior, semiring=self.semiring, kernel=cfg.kernel
-            )
+            hopset = replay_hopset(graph, prior, semiring=self.semiring)
             status = "reweight"
         else:
             hopset = build_hopset(
-                graph, self.semiring,
-                eps=cfg.eps, beta=cfg.hopset_beta, kernel=cfg.kernel,
+                graph, self.semiring, eps=cfg.eps, beta=cfg.hopset_beta
             )
             status = "rebuild"
         aug = HopsetAugmentation(
@@ -792,7 +775,6 @@ class ShortestPathOracle:
             method="hopset",
             hopset=hopset,
         )
-        aug.kernel = cfg.kernel
         aug.weights_epoch = self.augmentation.weights_epoch + 1
         if status == "reweight":
             aug.reuse_layout(self.augmentation)
@@ -835,7 +817,7 @@ class ShortestPathOracle:
         """Persist graph + tree + E⁺ to one ``.npz`` (see :mod:`repro.io`);
         reload with :meth:`load` — the schedule is recompiled on load.  The
         build config travels in the archive header, so a loaded oracle
-        keeps this build's ``kernel`` / ``executor`` / serving knobs."""
+        keeps this build's ``executor`` / serving knobs."""
         from ..io import save_augmentation
 
         save_augmentation(
@@ -874,7 +856,6 @@ class ShortestPathOracle:
         else:
             changes["method"] = "leaves_up"
         cfg = cfg.replace(**changes)
-        aug.kernel = cfg.kernel
         return cls(
             aug.graph, aug.tree, aug, aug.schedule(),
             preprocess_ledger=Ledger(), config=cfg,

@@ -83,11 +83,6 @@ class Augmentation:
     leaf_diameters: dict[int, int]
     node_distances: dict[int, NodeDistances] = field(default_factory=dict)
     method: str = ""
-    #: Kernel preference (``OracleConfig.kernel``) threaded into every
-    #: relaxer and schedule built from this augmentation; ``None`` defers
-    #: to the process default (``$REPRO_KERNEL`` /
-    #: :func:`~repro.kernels.dispatch.set_default_kernel`).
-    kernel: str | None = field(default=None, compare=False)
     #: Monotone counter invalidating per-source distance-row caches (see
     #: :class:`repro.core.query.QueryEngine`): bumped by
     #: ``ShortestPathOracle.with_new_weights`` along a reweighting lineage,
@@ -132,9 +127,7 @@ class Augmentation:
         if self._relaxer is None:
             from ..kernels.bellman_ford import EdgeRelaxer  # local: avoids cycle
 
-            self._relaxer = EdgeRelaxer.from_graph(
-                self.augmented_graph(), self.semiring, kernel=self.kernel
-            )
+            self._relaxer = EdgeRelaxer.from_graph(self.augmented_graph(), self.semiring)
         return self._relaxer
 
     def schedule(self):

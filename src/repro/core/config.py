@@ -2,13 +2,12 @@
 
 The build/serve surface grew one keyword at a time — ``method=`` on
 :meth:`~repro.core.api.ShortestPathOracle.build`, ``executor=`` on the
-augmentation builders, ``engine=`` on the query paths, ``kernel=`` on
-everything — and every layer (facade, query engine, CLI, server) repeated
+augmentation builders, ``engine=`` on the query paths — and every layer (facade, query engine, CLI, server) repeated
 the same sprawl.  :class:`OracleConfig` consolidates the knobs into a single
 frozen dataclass that travels intact through ``build`` →
 ``oracle.query_engine()`` → the socket server → the CLI.
 
-The three historically overloaded knob names keep their meaning everywhere
+The two historically overloaded knob names keep their meaning everywhere
 (see ``docs/KNOBS.md`` for the one-page reference):
 
 ``engine``
@@ -18,12 +17,6 @@ The three historically overloaded knob names keep their meaning everywhere
     *Hardware backend* running independent work:
     ``"serial" | "thread[:N]" | "process[:N]" | "shm[:N]"`` (or an
     executor instance) per :func:`repro.pram.executor.get_executor`.
-``kernel``
-    *Min-plus inner-loop implementation* used by preprocessing products
-    and relaxation phases: ``None``/``"auto" | "reference" | "blocked" |
-    "pruned" | "jit"`` per :mod:`repro.kernels.dispatch`; all choices are
-    bit-identical (``"jit"`` is the compiled numba backend and requires
-    the optional ``repro[jit]`` extra).
 
 Back-compat contract
 --------------------
@@ -70,8 +63,7 @@ _ENGINES = ("scheduled", "naive")
 
 def _mode_error(name: object) -> ValueError:
     """A helpful error for an unknown distance mode: names every valid mode
-    (same pattern as the kernel dispatcher's ``_kernel_error`` and the
-    separator registry's ``_engine_error``)."""
+    (same pattern as the separator registry's ``_engine_error``)."""
     have = ", ".join(_MODES)
     return ValueError(
         f"unknown mode {name!r}; valid modes: {have} ('exact' serves exact "
@@ -79,7 +71,6 @@ def _mode_error(name: object) -> ValueError:
         f"separator quality via approx_gate; select via mode= or "
         f"OracleConfig.mode)"
     )
-_KERNELS = (None, "auto", "reference", "blocked", "pruned", "jit")
 _CACHE_MODES = ("off", "read", "readwrite")
 _SHARD_BACKENDS = ("inline", "process")
 _REWEIGHT_MODES = ("auto", "incremental", "rebuild")
@@ -129,11 +120,6 @@ class OracleConfig:
         Decomposition recursion stops below this node size.
     executor:
         Backend spec per :func:`repro.pram.executor.get_executor`.
-    kernel:
-        Min-plus inner-loop kernel (:mod:`repro.kernels.dispatch`),
-        threaded into both the matmuls and the relaxation phases;
-        ``"jit"`` selects the compiled numba backend (optional
-        ``repro[jit]`` extra — raises at resolve time when absent).
     keep_node_distances:
         Retain per-node distance matrices after the build (needed by the
         k-pair witness oracle; costs memory).
@@ -224,7 +210,6 @@ class OracleConfig:
     semiring: str | Semiring = MIN_PLUS
     leaf_size: int = 8
     executor: Any = "serial"
-    kernel: str | None = None
     keep_node_distances: bool = False
     validate: bool = False
     engine: str = "scheduled"
@@ -261,8 +246,6 @@ class OracleConfig:
             )
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        if self.kernel not in _KERNELS:
-            raise ValueError(f"kernel must be one of {_KERNELS}, got {self.kernel!r}")
         if isinstance(self.semiring, str) and self.semiring not in SEMIRINGS:
             raise ValueError(
                 f"unknown semiring {self.semiring!r}; known: {sorted(SEMIRINGS)}"

@@ -154,7 +154,7 @@ def _square_worker(payload: dict[str, Any]) -> dict[str, Any]:
     semiring = SEMIRINGS[payload["semiring"]]
     ledger = Ledger()
     w = payload["matrix"]
-    prod = semiring_matmul(w, w, semiring, ledger=ledger, kernel=payload.get("kernel"))
+    prod = semiring_matmul(w, w, semiring, ledger=ledger)
     new = semiring.add(w, prod)
     changed = bool(semiring.improves(new, w).any())
     out = {
@@ -180,13 +180,11 @@ def augment_doubling(
     keep_node_distances: bool = True,
     raise_on_negative_cycle: bool = True,
     early_stop: bool = True,
-    kernel: str | None = None,
 ) -> Augmentation:
     """Compute the augmentation with Algorithm 4.3.
 
-    ``kernel`` selects the min-plus matmul implementation for the squaring
-    rounds (see :mod:`repro.kernels.dispatch`); the ``pruned`` kernel skips
-    the all-+inf panels that dominate early rounds.
+    The squaring rounds' products skip the all-+inf panels that dominate
+    early rounds (:func:`~repro.kernels.minplus.semiring_matmul`).
 
     On the ``shm`` backend every node matrix is a shared-memory block:
     rounds send (idx, descriptor) pairs, workers square their block in
@@ -220,7 +218,6 @@ def augment_doubling(
                     {
                         "idx": t.idx,
                         "semiring": semiring.name,
-                        "kernel": kernel,
                         "matrix": mat_refs[t.idx],
                         "inplace": True,
                     }
@@ -231,7 +228,6 @@ def augment_doubling(
                     {
                         "idx": t.idx,
                         "semiring": semiring.name,
-                        "kernel": kernel,
                         "matrix": matrices[t.idx],
                     }
                     for t in internal

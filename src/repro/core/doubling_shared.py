@@ -55,7 +55,7 @@ def _shared_square_worker(payload: dict[str, Any]) -> dict[str, Any]:
     weights = payload["weights"]
     idx_matrix = payload["block"]
     block = weights[idx_matrix]
-    prod = semiring_matmul(block, block, sr, ledger=ledger, kernel=payload.get("kernel"))
+    prod = semiring_matmul(block, block, sr, ledger=ledger)
     changed = bool(sr.improves(prod, block).any())
     if changed:
         payload["scratch"][...] = prod
@@ -126,7 +126,7 @@ class SharedEdgeTable:
         idx = self.blocks[node_idx]
         self.semiring.scatter_min(self.weights, idx.ravel(), block.ravel())
 
-    def square_round(self, *, ledger: Ledger = NULL_LEDGER, kernel: str | None = None) -> bool:
+    def square_round(self, *, ledger: Ledger = NULL_LEDGER) -> bool:
         """One Remark-4.4 round: every node's block is gathered, min-plus
         squared against the *shared* weights, and scattered back.  Returns
         whether anything improved."""
@@ -139,7 +139,7 @@ class SharedEdgeTable:
             if h == 0:
                 continue
             block = self.weights[idx_matrix]
-            prod = semiring_matmul(block, block, sr, kernel=kernel)
+            prod = semiring_matmul(block, block, sr)
             better = sr.improves(prod, block)
             if better.any():
                 changed = True
@@ -175,12 +175,8 @@ def augment_doubling_shared(
     keep_node_distances: bool = True,
     raise_on_negative_cycle: bool = True,
     early_stop: bool = True,
-    kernel: str | None = None,
 ) -> Augmentation:
     """Compute the augmentation with the Remark-4.4 shared-table doubling.
-
-    ``kernel`` selects the min-plus matmul implementation for the per-node
-    squares (see :mod:`repro.kernels.dispatch`).
 
     Shortcut weights may be strictly tighter than the per-node algorithms'
     (they converge to ``min_t dist_{G(t)}``, bounded below by ``dist_G``);
@@ -235,10 +231,10 @@ def augment_doubling_shared(
         ledger.merge_parallel(branches, label="shared-init-leaf")
         rounds = 2 * max(1, int(np.ceil(np.log2(max(2, graph.n))))) + 2 * tree.height
         if use_shm and table.blocks:
-            _parallel_rounds(table, exe, arena, rounds, early_stop, ledger, kernel=kernel)
+            _parallel_rounds(table, exe, arena, rounds, early_stop, ledger)
         else:
             for _ in range(rounds):
-                if not table.square_round(ledger=ledger, kernel=kernel) and early_stop:
+                if not table.square_round(ledger=ledger) and early_stop:
                     break
         results: dict[int, NodeDistances] = dict(leaf_results)
         for t in tree.nodes:
@@ -281,8 +277,6 @@ def _parallel_rounds(
     rounds: int,
     early_stop: bool,
     ledger: Ledger,
-    *,
-    kernel: str | None = None,
 ) -> None:
     """Run the Remark-4.4 rounds on the shm pool: the weight vector and the
     per-node index/scratch blocks are published once; each round ships only
@@ -300,7 +294,6 @@ def _parallel_rounds(
         {
             "idx": idx,
             "semiring": sr.name,
-            "kernel": kernel,
             "weights": weights_ref,
             "block": block_refs[idx],
             "scratch": scratch[idx][0],

@@ -33,7 +33,6 @@ later incremental reweights.
 
 from __future__ import annotations
 
-from ..kernels.dispatch import resolve_kernel
 # ``semiring_matmul`` stays importable here: the perfbench tracer wraps it
 # by this module's name.
 from ..kernels.minplus import semiring_matmul  # noqa: F401
@@ -56,24 +55,15 @@ def augment_leaves_up(
     ledger: Ledger = NULL_LEDGER,
     keep_node_distances: bool = True,
     raise_on_negative_cycle: bool = True,
-    kernel: str | None = None,
 ) -> Augmentation:
     """Compute the augmentation with Algorithm 4.1 (one parallel step per
-    tree level, deepest first), charging its PRAM costs to ``ledger``.
-
-    ``kernel`` is the kernel preference recorded on the result (see
-    :mod:`repro.kernels.dispatch`); a spec this install cannot run — an
-    unknown name, or ``jit`` without numba — fails the build here rather
-    than the first query.
-    """
+    tree level, deepest first), charging its PRAM costs to ``ledger``."""
     if semiring.name not in SEMIRINGS:
         raise ValueError("semiring must be one of the registered instances")
-    resolve_kernel(kernel, 1, 1, 1)
     return ReweightPlan.capture(graph, tree).run(
         graph,
         semiring,
         keep_node_distances=keep_node_distances,
         raise_on_negative_cycle=raise_on_negative_cycle,
-        kernel=kernel,
         ledger=ledger,
     )

@@ -73,13 +73,12 @@ def _shard_relaxers(spec: dict[str, Any]) -> list[EdgeRelaxer]:
     relaxers = _ENGINE_CACHE.get(spec["token"])
     if relaxers is None:
         semiring = SEMIRINGS[spec["semiring"]]
-        kernel = spec.get("kernel")  # the build's kernel choice, worker-side
         built: dict[int, EdgeRelaxer] = {}
         relaxers = []
         for ph in spec["phases"]:
             r = built.get(id(ph))
             if r is None:
-                r = EdgeRelaxer.from_compiled(ph, semiring, kernel=kernel)
+                r = EdgeRelaxer.from_compiled(ph, semiring)
                 built[id(ph)] = r
             relaxers.append(r)
         if len(_ENGINE_CACHE) >= _ENGINE_CACHE_MAX:
@@ -277,7 +276,6 @@ class QueryEngine:
             "mode": self.engine,
             "cap": aug.diameter_bound,
             "source_block": self.source_block,
-            "kernel": aug.kernel,
             "phases": phases,
         }
 

@@ -336,7 +336,6 @@ class ReweightPlan:
         dirty_edges: np.ndarray | None = None,
         keep_node_distances: bool = False,
         raise_on_negative_cycle: bool = True,
-        kernel: str | None = None,
         ledger: Ledger = NULL_LEDGER,
     ) -> Augmentation:
         """One weight-only sweep; returns a fresh :class:`Augmentation`
@@ -346,9 +345,6 @@ class ReweightPlan:
         ``base_state``) restricts the sweep to the root paths of leaves
         containing those edges.  The base state is never mutated — a
         negative-cycle raise leaves the serving augmentation intact.
-        ``kernel`` is the lineage's relaxation-kernel preference; it must
-        arrive here (not be patched on afterwards) because the cloned
-        schedule's relaxers are built before this method returns.
         ``ledger`` is charged Algorithm 4.1's PRAM costs, level by level
         (dense sweeps only — a sparse sweep is not a build).
         """
@@ -402,7 +398,6 @@ class ReweightPlan:
             # lineage keeps the builder's method tag (and with it its
             # eligibility for further incremental reweights).
             method="leaves_up",
-            kernel=kernel,
         )
         aug._reweight_state = ReweightState(  # type: ignore[attr-defined]
             heap=heap, leaf_diam=leaf_diam, plan=self

@@ -136,14 +136,14 @@ class ScheduleLayout:
     def bind(self, aug: Augmentation) -> PhaseSchedule:
         """The schedule for ``aug``'s weights: ℓ prefix phases over E, the
         middle phases, ℓ suffix phases over E."""
-        semiring, g, kern = aug.semiring, aug.graph, aug.kernel
+        semiring, g = aug.semiring, aug.graph
         w = np.concatenate([g.weight.astype(semiring.dtype), aug.weight])
-        original = EdgeRelaxer.from_layout(self.original, w, semiring, kernel=kern)
+        original = EdgeRelaxer.from_layout(self.original, w, semiring)
         ell = aug.ell
         relaxers = [original] * ell
         labels = [f"prefix-E-{i + 1}" for i in range(ell)]
         for label, lay in self.middle:
-            relaxers.append(EdgeRelaxer.from_layout(lay, w, semiring, kernel=kern))
+            relaxers.append(EdgeRelaxer.from_layout(lay, w, semiring))
             labels.append(label)
         relaxers += [original] * ell
         labels += [f"suffix-E-{i + 1}" for i in range(ell)]

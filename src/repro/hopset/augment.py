@@ -107,9 +107,7 @@ class HopsetAugmentation(Augmentation):
         gplus = self.augmented_graph()
         if old.layout.matches(gplus.src, gplus.dst):
             weight = np.asarray(gplus.weight, dtype=self.semiring.dtype)
-            self._relaxer = EdgeRelaxer.from_layout(
-                old.layout, weight, self.semiring, kernel=self.kernel
-            )
+            self._relaxer = EdgeRelaxer.from_layout(old.layout, weight, self.semiring)
 
     def schedule(self):
         """The cached :class:`HopSchedule`: ``hop_cap`` phases of one

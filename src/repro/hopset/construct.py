@@ -14,8 +14,7 @@ within a ``(1+ε)`` multiplicative error:
   paths without re-paying the dense scale-0 balls.
 * **Ball growing**: per scale, ``k_j`` frontier-pruned multi-source
   Bellman–Ford phases from ``P_j`` (one shared
-  :class:`~repro.kernels.bellman_ford.EdgeRelaxer` over ``G``, so the whole
-  kernel suite — ``reference``/``blocked``/``pruned``/``jit`` — applies).
+  :class:`~repro.kernels.bellman_ford.EdgeRelaxer` over ``G``).
   After ``h`` phases row ``p`` holds exactly the best weight over ≤h-edge
   paths from ``p``, so each emitted ``p → q`` shortcut carries a *real path
   weight*: ``H`` can never underestimate a distance, giving ``d ≤ d̂``
@@ -200,15 +199,14 @@ def _construct(
     pivots: tuple[np.ndarray, ...],
     budgets: tuple[int, ...],
     seed: int,
-    kernel: str | None,
     graph_layout: RelaxerLayout | None = None,
 ) -> Hopset:
     t0 = time.perf_counter()
     if graph_layout is None or not graph_layout.matches(graph.src, graph.dst):
-        relaxer = EdgeRelaxer.from_graph(graph, semiring, kernel=kernel)
+        relaxer = EdgeRelaxer.from_graph(graph, semiring)
     else:
         weight = np.asarray(graph.weight, dtype=semiring.dtype)
-        relaxer = EdgeRelaxer.from_layout(graph_layout, weight, semiring, kernel=kernel)
+        relaxer = EdgeRelaxer.from_layout(graph_layout, weight, semiring)
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     w_parts: list[np.ndarray] = []
@@ -267,14 +265,12 @@ def build_hopset(
     eps: float = 0.1,
     beta: int = 0,
     seed: int = 0,
-    kernel: str | None = None,
 ) -> Hopset:
     """Build a ``(1+ε)`` hopset over ``graph``.
 
     ``beta`` overrides the base hop budget ``k`` (0 ⇒
     :func:`default_hop_budget`); ``seed`` fixes the pivot sample so builds
-    are reproducible and cacheable; ``kernel`` flows into the ball-growing
-    relaxer exactly as it does for E⁺ builds.
+    are reproducible and cacheable.
     """
     _check_semiring(semiring)
     if eps < 0:
@@ -286,8 +282,7 @@ def build_hopset(
     # With no pivots sampled (tiny graph) H is empty and hop_cap_for
     # degrades to plain capped Bellman–Ford over G, which is exact.
     return _construct(
-        graph, semiring, eps=eps, k=k, pivots=pivots, budgets=budgets,
-        seed=seed, kernel=kernel,
+        graph, semiring, eps=eps, k=k, pivots=pivots, budgets=budgets, seed=seed
     )
 
 
@@ -296,7 +291,6 @@ def replay_hopset(
     prior: Hopset,
     *,
     semiring: Semiring = MIN_PLUS,
-    kernel: str | None = None,
 ) -> Hopset:
     """Rebuild shortcut weights under new edge weights, *reusing the prior
     pivot sample and budgets* — the hopset analogue of an incremental
@@ -311,6 +305,5 @@ def replay_hopset(
         pivots=prior.pivots,
         budgets=prior.budgets,
         seed=prior.seed,
-        kernel=kernel,
         graph_layout=prior.graph_layout,
     )

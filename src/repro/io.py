@@ -13,8 +13,10 @@ Augmentation archives carry a versioned header (format 2):
 * ``validated`` — whether the decomposition validity check ran at build
   time, letting a cache hit skip re-validation (``repro.cache``);
 * ``config_json`` — the build's :class:`~repro.core.config.OracleConfig`,
-  so ``save → load → query_engine`` keeps the original ``kernel`` /
-  ``executor`` choices instead of silently reverting to defaults.
+  so ``save → load → query_engine`` keeps the original ``executor`` and
+  serving choices instead of silently reverting to defaults.  Keys a
+  newer build no longer knows (such as the retired ``kernel``) are
+  dropped on load.
 
 ``load_augmentation(..., arena=...)`` streams the edge arrays from the
 archive directly into a :class:`~repro.pram.shm.ShmArena` — the shared

@@ -46,7 +46,6 @@ import numpy as np
 from ..core.digraph import WeightedDigraph
 from ..core.semiring import MIN_PLUS, Semiring
 from ..pram.machine import NULL_LEDGER, Ledger, reduce_depth
-from . import dispatch, jit
 
 __all__ = [
     "EdgeRelaxer",
@@ -214,22 +213,9 @@ class Frontier:
 
 class EdgeRelaxer:
     """Relaxation engine for a fixed edge set (see the module docstring for
-    the push/pull phase).
+    the push/pull phase)."""
 
-    ``kernel`` selects the phase implementation the same way it does for
-    the matmuls (:mod:`repro.kernels.dispatch`): ``None`` defers to the
-    process default (``$REPRO_KERNEL`` / :func:`~repro.kernels.dispatch.
-    set_default_kernel`), ``"jit"`` forces the compiled CSR core of
-    :mod:`repro.kernels.jit` (raising the numba-extra error when
-    unavailable), ``"auto"`` takes the compiled core when it is importable
-    and the phase clears the (autotunable) ``jit_min_relax_ops`` scan
-    floor, and any numpy matmul name keeps the push/pull path.  Every
-    choice is bit-identical: the compiled phase buffers its grouped ⊕
-    before writing (synchronous Jacobi) and every shipped ⊕ is an exact
-    selection.
-    """
-
-    __slots__ = ("semiring", "m", "kernel", "layout", "_pull_w", "_push_w", "_csr")
+    __slots__ = ("semiring", "m", "layout", "_pull_w", "_push_w")
 
     def __init__(
         self,
@@ -237,21 +223,17 @@ class EdgeRelaxer:
         dst: np.ndarray,
         weight: np.ndarray,
         semiring: Semiring = MIN_PLUS,
-        kernel: str | None = None,
     ) -> None:
         layout = RelaxerLayout.build(src, dst)
         weight = np.asarray(weight, dtype=semiring.dtype)
-        self._bind(layout, weight[layout.pull_perm], weight[layout.push_perm],
-                   semiring, kernel)
+        self._bind(layout, weight[layout.pull_perm], weight[layout.push_perm], semiring)
 
-    def _bind(self, layout, pull_w, push_w, semiring, kernel) -> None:
+    def _bind(self, layout, pull_w, push_w, semiring) -> None:
         self.semiring = semiring
-        self.kernel = kernel
         self.layout = layout
         self.m = layout.m
         self._pull_w = pull_w
         self._push_w = push_w
-        self._csr = None
 
     @classmethod
     def from_layout(
@@ -259,13 +241,11 @@ class EdgeRelaxer:
         layout: RelaxerLayout,
         weight: np.ndarray,
         semiring: Semiring = MIN_PLUS,
-        kernel: str | None = None,
     ) -> "EdgeRelaxer":
         """Bind a weight array (indexed by the layout's edge ids, already in
         ``semiring.dtype``) to a shared layout — two gathers, no sorting."""
         obj = cls.__new__(cls)
-        obj._bind(layout, weight[layout.pull_perm], weight[layout.push_perm],
-                  semiring, kernel)
+        obj._bind(layout, weight[layout.pull_perm], weight[layout.push_perm], semiring)
         return obj
 
     @classmethod
@@ -273,10 +253,9 @@ class EdgeRelaxer:
         cls,
         g: WeightedDigraph,
         semiring: Semiring = MIN_PLUS,
-        kernel: str | None = None,
     ) -> "EdgeRelaxer":
         """Relaxer over all edges of ``g``."""
-        return cls(g.src, g.dst, g.weight, semiring, kernel=kernel)
+        return cls(g.src, g.dst, g.weight, semiring)
 
     def compiled(self) -> dict[str, np.ndarray]:
         """The layout and weight arrays of this relaxer, for shipping across
@@ -293,43 +272,13 @@ class EdgeRelaxer:
         cls,
         arrays: dict[str, np.ndarray],
         semiring: Semiring = MIN_PLUS,
-        kernel: str | None = None,
     ) -> "EdgeRelaxer":
         """Rebuild a relaxer from :meth:`compiled` output (zero sorting; the
         arrays are used as-is, so shared-memory views stay zero-copy)."""
         obj = cls.__new__(cls)
         obj._bind(RelaxerLayout.from_arrays(arrays), arrays["pull_w"],
-                  arrays["push_w"], semiring, kernel)
+                  arrays["push_w"], semiring)
         return obj
-
-    def _use_jit(self, nrows: int) -> bool:
-        """Whether this phase should run on the compiled CSR core (see the
-        class docstring for the resolution rules)."""
-        name = self.kernel if self.kernel is not None else dispatch.get_default_kernel()
-        if name == "jit":
-            if not jit.jit_available():
-                raise dispatch._kernel_error("jit", via_env=self.kernel is None)
-            return jit.relax_supported(self.semiring)
-        if name == "auto" and jit.jit_available() and jit.relax_supported(self.semiring):
-            return float(nrows) * self.m >= dispatch.relax_jit_threshold()
-        return False
-
-    def _jit_csr(self) -> tuple[np.ndarray, ...]:
-        """Head-grouped ``(src, w, starts, targets)`` for the compiled core,
-        derived from the slot layout on first use."""
-        if self._csr is None:
-            lay = self.layout
-            width = np.diff(lay.slot_ptr)
-            slot_head = lay.slot_heads()
-            deg = np.bincount(slot_head, minlength=lay.heads.shape[0])
-            starts = np.cumsum(deg) - deg
-            pos = starts[slot_head] + np.repeat(np.arange(width.shape[0]), width)
-            src = np.empty_like(lay.pull_src)
-            w = np.empty_like(self._pull_w)
-            src[pos] = lay.pull_src
-            w[pos] = self._pull_w
-            self._csr = (src, w, starts, lay.heads)
-        return self._csr
 
     def relax(self, dist: np.ndarray, *, ledger: Ledger = NULL_LEDGER) -> bool:
         """One synchronous phase over ``dist`` of shape ``(..., n)``, in
@@ -394,14 +343,6 @@ class EdgeRelaxer:
         full = rows.size == dist.shape[0] and bool(
             (rows == np.arange(rows.size)).all()
         )
-        if self._use_jit(rows.size):
-            sub = dist if full else dist[rows]
-            row_changed = jit.relax_phase(sub, *self._jit_csr(), sr)
-            if sub is not dist:
-                dist[rows[row_changed]] = sub[row_changed]
-            if frontier is not None:
-                frontier.owner = None  # entries unknown: next phase rescans
-            return rows[row_changed]
         flat = dist.reshape(-1)
         sub = None
         if frontier is not None and frontier.owner is self:

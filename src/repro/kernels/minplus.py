@@ -6,23 +6,23 @@ a path-doubling (squaring) step.  The paper plugs in Han–Pan–Reif parallel
 APSP for O(|S|³) work; we substitute numpy-vectorized cubic kernels, which
 have the same work exponent (DESIGN.md §5), and charge the PRAM ledger with
 the model quantities: ``work = l·k·m`` scalar ⊕/⊗ operations and
-``depth = ⌈log₂ k⌉`` for the reduction tree — independent of which concrete
-kernel executed (the ledger is the cost model; kernels are execution detail).
+``depth = ⌈log₂ k⌉`` for the reduction tree — independent of which code path
+executed (the ledger is the cost model; the paths are execution detail).
 
-Three interchangeable, bit-identical implementations register with
-:mod:`repro.kernels.dispatch` (see that module for the selection policy and
-the exactness argument):
+:func:`semiring_matmul` picks one of two bit-identical paths by product size:
 
-* ``reference`` — the broadcast product: an ``(rows, k, m)`` intermediate
-  per row block sized to a memory budget, ⊕-reduced densely;
-* ``blocked`` — cache-blocked panels over ``(l, k, m)`` with a running
-  ⊕-accumulator, temporary bounded by ``block_l·block_k·block_m``;
-* ``pruned`` — per row panel, ``k`` columns that are all 0̄ in ``A`` (or
-  whose ``B`` row is all 0̄) are compressed away before multiplying; 0̄ is
-  ⊗-annihilating and the ⊕-identity, so the result is unchanged bit for bit.
+* ``l·k·m ≤`` :data:`AUTO_SMALL_OPS` — the broadcast product
+  (:func:`_matmul_reference`): an ``(rows, k, m)`` intermediate per row
+  block sized to :data:`BUDGET`, ⊕-reduced densely;
+* larger — the pruned product (:func:`_matmul_pruned`): per row panel, ``k``
+  columns that are all 0̄ in ``A`` (or whose ``B`` row is all 0̄) are
+  compressed away before multiplying; 0̄ is ⊗-annihilating and the
+  ⊕-identity, so the result is unchanged bit for bit.  A panel with nothing
+  worth pruning is ⊕-accumulated over cache-sized ``(k, m)`` panels.
 
-A fourth, ``jit`` (:mod:`repro.kernels.jit`), is compiled via numba and
-registers only when that optional dependency imports.
+Both agree to the bit because every shipped ``⊕`` (min / max / or) is an
+exact, order-independent selection: re-associating the reduction over ``k``
+cannot change a single bit (see ``tests/test_kernel_dispatch.py``).
 """
 
 from __future__ import annotations
@@ -31,12 +31,23 @@ import numpy as np
 
 from ..core.semiring import MIN_PLUS, Semiring
 from ..pram.machine import NULL_LEDGER, Ledger, reduce_depth
-from .dispatch import register_kernel, resolve_kernel, tuning_for
 
-__all__ = ["semiring_matmul", "semiring_square", "semiring_closure", "hop_limited_product"]
+__all__ = ["semiring_matmul", "semiring_square", "semiring_closure"]
 
-#: Default cap on the broadcast temporary, in float64 elements (~64 MiB).
-_DEFAULT_BUDGET = 8 * 1024 * 1024
+#: Cap on any product temporary, in float64 elements (~64 MiB).
+BUDGET = 8 * 1024 * 1024
+
+#: Up to this many ⊗-operations the broadcast product runs (masking and
+#: panel-loop overhead beat any pruning savings on tiny products).
+AUTO_SMALL_OPS = 1 << 15
+
+#: Rows per panel of the pruned product.
+BLOCK_L = 48
+#: ``(k, m)`` panel shape of the dense-panel ⊕-accumulation.
+BLOCK_K = 128
+BLOCK_M = 128
+#: A row panel is pruned when at least this share of its ``k`` terms is dead.
+DEAD_FRAC = 0.0625
 
 
 def _row_block(k: int, m: int, budget: int) -> int:
@@ -57,8 +68,8 @@ def _bool_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _panel_product(ablk: np.ndarray, bblk: np.ndarray, semiring: Semiring) -> np.ndarray:
-    """⊕-reduced ``ablk ⊗ bblk`` of one panel pair (the shared primitive of
-    the blocked and pruned kernels)."""
+    """⊕-reduced ``ablk ⊗ bblk`` of one panel pair (the primitive of the
+    pruned product)."""
     if semiring.name == "boolean":
         return _bool_gemm(ablk, bblk)
     ext = semiring.mul(ablk[:, :, None], bblk[None, :, :])
@@ -72,27 +83,19 @@ def _combine(out_view: np.ndarray, red: np.ndarray, semiring: Semiring, accumula
         out_view[...] = red
 
 
-# ------------------------------------------------------------------ #
-# Kernel implementations (uniform signature, registered with dispatch)
-# ------------------------------------------------------------------ #
-
-
-@register_kernel("reference")
 def _matmul_reference(
     a: np.ndarray,
     b: np.ndarray,
     semiring: Semiring,
     out: np.ndarray,
     accumulate: bool,
-    budget: int,
-    tuning: dict,
 ) -> np.ndarray:
     l, k = a.shape
     m = b.shape[1]
     if semiring.name == "boolean":
         _combine(out, _bool_gemm(a, b), semiring, accumulate)
         return out
-    block = _row_block(k, m, budget)
+    block = _row_block(k, m, BUDGET)
     for start in range(0, l, block):
         stop = min(l, start + block)
         # (rows, k, m) broadcast of A-rows against all of B, then ⊕-reduce
@@ -109,14 +112,15 @@ def _accumulate_panels(
     semiring: Semiring,
     out: np.ndarray,
     accumulate: bool,
-    bk: int,
-    bm: int,
 ) -> None:
     """⊕-accumulate ``a ⊗ b`` into ``out`` over (k, m) panels; ``a`` is one
     row panel.  Re-associating the ⊕ over k panels is exact for the shipped
     semirings (min/max/or select a value, they never round)."""
-    k = a.shape[1]
+    rows, k = a.shape
     m = b.shape[1]
+    bk, bm = BLOCK_K, BLOCK_M
+    while rows * bk * bm > BUDGET and bm > 1:  # never exceed the memory budget
+        bm = max(1, bm // 2)
     for j0 in range(0, m, bm):
         j1 = min(m, j0 + bm)
         acc: np.ndarray | None = None
@@ -130,45 +134,15 @@ def _accumulate_panels(
         _combine(out[:, j0:j1], acc, semiring, accumulate)
 
 
-@register_kernel("blocked")
-def _matmul_blocked(
-    a: np.ndarray,
-    b: np.ndarray,
-    semiring: Semiring,
-    out: np.ndarray,
-    accumulate: bool,
-    budget: int,
-    tuning: dict,
-) -> np.ndarray:
-    l = a.shape[0]
-    bl = max(1, int(tuning.get("block_l", 32)))
-    bk = max(1, int(tuning.get("block_k", 128)))
-    bm = max(1, int(tuning.get("block_m", 128)))
-    while bl * bk * bm > budget and bm > 1:  # never exceed the memory budget
-        bm = max(1, bm // 2)
-    for i0 in range(0, l, bl):
-        i1 = min(l, i0 + bl)
-        _accumulate_panels(a[i0:i1], b, semiring, out[i0:i1], accumulate, bk, bm)
-    return out
-
-
-@register_kernel("pruned")
 def _matmul_pruned(
     a: np.ndarray,
     b: np.ndarray,
     semiring: Semiring,
     out: np.ndarray,
     accumulate: bool,
-    budget: int,
-    tuning: dict,
 ) -> np.ndarray:
     l, k = a.shape
     m = b.shape[1]
-    bl = max(1, int(tuning.get("block_l", 48)))
-    dead_frac = float(tuning.get("dead_frac", 0.0625))
-    blocked_params = tuning_for("blocked")
-    bk = max(1, int(blocked_params.get("block_k", 128)))
-    bm = max(1, int(blocked_params.get("block_m", 128)))
     zero = semiring.zero
     # Liveness masks: a k term contributes 0̄ to every ⊕ (hence nothing)
     # whenever A[:, k] is 0̄ for the whole row panel or B[k, :] is all 0̄.
@@ -178,8 +152,8 @@ def _matmul_pruned(
     else:
         nz_a = a != zero
         b_live = (b != zero).any(axis=1)
-    for i0 in range(0, l, bl):
-        i1 = min(l, i0 + bl)
+    for i0 in range(0, l, BLOCK_L):
+        i1 = min(l, i0 + BLOCK_L)
         panel_nz = nz_a[i0:i1]
         live = panel_nz.any(axis=0) & b_live
         kk = int(live.sum())
@@ -188,19 +162,19 @@ def _matmul_pruned(
             if not accumulate:
                 out[i0:i1] = zero
             continue
-        if kk <= (1.0 - dead_frac) * k:
+        if kk <= (1.0 - DEAD_FRAC) * k:
             idx = np.nonzero(live)[0]
             a2 = a[i0:i1][:, idx]  # fancy index: a fresh contiguous copy
             b2 = b[idx]
             rows = i1 - i0
-            mchunk = max(1, min(m, budget // max(1, rows * kk)))
+            mchunk = max(1, min(m, BUDGET // max(1, rows * kk)))
             for j0 in range(0, m, mchunk):
                 j1 = min(m, j0 + mchunk)
                 red = _panel_product(a2, b2[:, j0:j1], semiring)
                 _combine(out[i0:i1, j0:j1], red, semiring, accumulate)
         else:
-            # Dense panel: nothing worth pruning, use blocked accumulation.
-            _accumulate_panels(a[i0:i1], b, semiring, out[i0:i1], accumulate, bk, bm)
+            # Dense panel: nothing worth pruning, accumulate over panels.
+            _accumulate_panels(a[i0:i1], b, semiring, out[i0:i1], accumulate)
     return out
 
 
@@ -217,22 +191,13 @@ def semiring_matmul(
     out: np.ndarray | None = None,
     accumulate: bool = False,
     ledger: Ledger = NULL_LEDGER,
-    budget: int = _DEFAULT_BUDGET,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """``C = A ⊗ B`` in the given semiring: ``C[i,j] = ⊕_k A[i,k] ⊗ B[k,j]``.
 
-    Parameters
-    ----------
-    out:
-        Optional output array; with ``accumulate=True`` the product is
-        ⊕-combined into ``out`` instead of overwriting it (the idiom for
-        ``W ← W ⊕ (W ⊗ W)`` doubling steps).
-    kernel:
-        ``"reference"``, ``"blocked"``, ``"pruned"``, ``"jit"`` (numba,
-        optional extra), ``"auto"`` or ``None`` (the process default — see
-        :mod:`repro.kernels.dispatch`).  Every choice is bit-identical;
-        they trade temporaries and scanned work.
+    ``out`` is an optional output array; with ``accumulate=True`` the
+    product is ⊕-combined into ``out`` instead of overwriting it (the idiom
+    for ``W ← W ⊕ (W ⊗ W)`` doubling steps).  The code path is chosen by
+    product size (see the module docstring); both are bit-identical.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -243,8 +208,10 @@ def semiring_matmul(
     if out is None:
         out = semiring.empty_matrix(l, m)
         accumulate = True  # combining into all-zero is plain assignment
-    name, fn = resolve_kernel(kernel, l, k, m)
-    fn(a, b, semiring, out, accumulate, budget, tuning_for(name))
+    if float(l) * k * m <= AUTO_SMALL_OPS:
+        _matmul_reference(a, b, semiring, out, accumulate)
+    else:
+        _matmul_pruned(a, b, semiring, out, accumulate)
     ledger.charge(work=float(l) * k * m, depth=reduce_depth(k), label="semiring-matmul")
     return out
 
@@ -254,15 +221,13 @@ def semiring_square(
     semiring: Semiring = MIN_PLUS,
     *,
     ledger: Ledger = NULL_LEDGER,
-    budget: int = _DEFAULT_BUDGET,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """One path-doubling step ``W ← W ⊕ (W ⊗ W)``, in place, returning ``W``.
 
     If ``W`` holds best weights over paths of ≤h hops (with 1̄ diagonal), the
     result holds best weights over ≤2h hops.
     """
-    prod = semiring_matmul(w, w, semiring, ledger=ledger, budget=budget, kernel=kernel)
+    prod = semiring_matmul(w, w, semiring, ledger=ledger)
     semiring.add(w, prod, out=w)
     return w
 
@@ -272,8 +237,6 @@ def semiring_closure(
     semiring: Semiring = MIN_PLUS,
     *,
     ledger: Ledger = NULL_LEDGER,
-    budget: int = _DEFAULT_BUDGET,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Reflexive-transitive closure by repeated squaring: ⌈log₂ n⌉ doublings
     of the one-hop matrix (diagonal forced to 1̄).  Returns a new matrix.
@@ -288,53 +251,5 @@ def semiring_closure(
     semiring.add(diag, np.full(n, semiring.one, dtype=semiring.dtype), out=diag)
     steps = max(1, int(np.ceil(np.log2(max(2, n)))))
     for _ in range(steps):
-        semiring_square(c, semiring, ledger=ledger, budget=budget, kernel=kernel)
+        semiring_square(c, semiring, ledger=ledger)
     return c
-
-
-def hop_limited_product(
-    w: np.ndarray,
-    hops: int,
-    semiring: Semiring = MIN_PLUS,
-    *,
-    ledger: Ledger = NULL_LEDGER,
-    budget: int = _DEFAULT_BUDGET,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """Best weights over paths of at most ``hops`` edges.
-
-    ``w`` is the one-hop matrix; its diagonal is ⊕-combined with 1̄ first so
-    shorter paths are included.  This is step (iv) of Algorithm 4.1 with
-    ``hops = 3`` (the "3-limited shortest-paths computation").
-    """
-    if hops < 1:
-        raise ValueError("hops must be >= 1")
-    base = np.array(w, dtype=semiring.dtype, copy=True)
-    n = base.shape[0]
-    diag = np.einsum("ii->i", base)
-    semiring.add(diag, np.full(n, semiring.one, dtype=semiring.dtype), out=diag)
-    if hops > 1:
-        # Compiled fast path: when the resolved kernel is ``jit``, run the
-        # whole hop loop through the compiled cores with ping-pong buffers
-        # (bit-identical to ``hops - 1`` dispatched jit matmuls; skips the
-        # per-hop allocation and dispatch overhead of Algorithm 4.1's
-        # 3-limited computation).  The ledger still sees one model-cost
-        # product per hop — kernels are execution detail.
-        from . import jit as _jit
-
-        if (
-            resolve_kernel(kernel, n, n, n)[0] == "jit"
-            and _jit.matmul_supported(semiring)
-        ):
-            acc = _jit.hop_limited_jit(base, hops, semiring)
-            for _ in range(hops - 1):
-                ledger.charge(
-                    work=float(n) * n * n,
-                    depth=reduce_depth(n),
-                    label="semiring-matmul",
-                )
-            return acc
-    acc = base
-    for _ in range(hops - 1):
-        acc = semiring_matmul(acc, base, semiring, ledger=ledger, budget=budget, kernel=kernel)
-    return acc

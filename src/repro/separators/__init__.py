@@ -51,8 +51,7 @@ def available_engines() -> tuple[str, ...]:
 
 def _engine_error(name: object) -> ValueError:
     """A helpful error for an unknown engine name: lists every registered
-    engine plus the extra-argument families (same pattern as the kernel
-    dispatcher's ``_kernel_error``)."""
+    engine plus the extra-argument families."""
     have = ", ".join(available_engines())
     return ValueError(
         f"unknown separator engine {name!r}; registered engines: {have} "

@@ -63,7 +63,7 @@ class ShardEngine:
         Local ids of the shard's boundary vertices ``B(t)``.
     config:
         Fleet :class:`~repro.core.config.OracleConfig`; build fields
-        (method, semiring, kernel, cache mode/dir) are honored via
+        (method, semiring, cache mode/dir) are honored via
         :func:`shard_build_config`.
     """
 

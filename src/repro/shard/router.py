@@ -142,9 +142,7 @@ class ShardRouter:
                 for s in self.plan.shards
             ]
             boundary_rows = [e.boundary_matrix() for e in self._engines]
-        self.spine = SpineSolver(
-            self.plan, boundary_rows, self.semiring, kernel=self.config.kernel
-        )
+        self.spine = SpineSolver(self.plan, boundary_rows, self.semiring)
         # Leg 3 operand per shard: boundary rows restricted to the shard's
         # interior columns (spine columns are answered by σ directly).
         self._interior_rows = [
@@ -243,9 +241,7 @@ class ShardRouter:
                         dirty_local[i] if dirty_local is not None else None,
                     )
                 boundary_rows = [e.boundary_matrix() for e in self._engines]
-            self.spine = SpineSolver(
-            self.plan, boundary_rows, self.semiring, kernel=self.config.kernel
-        )
+            self.spine = SpineSolver(self.plan, boundary_rows, self.semiring)
             self._interior_rows = [
                 np.ascontiguousarray(rows[:, shard.interior_local])
                 for shard, rows in zip(self.plan.shards, boundary_rows)

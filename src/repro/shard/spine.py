@@ -43,11 +43,6 @@ class SpineSolver:
         :meth:`~repro.shard.engine.ShardEngine.boundary_matrix`.
     semiring:
         The path algebra (same instance the shard engines relax under).
-    kernel:
-        Relaxation-kernel preference for the spine Bellman–Ford
-        (:mod:`repro.kernels.dispatch` names; ``None`` defers to the
-        process default) — the fleet passes ``OracleConfig.kernel`` so
-        ``kernel="jit"`` accelerates the spine too.
     """
 
     def __init__(
@@ -55,7 +50,6 @@ class SpineSolver:
         plan,
         boundary_rows: list[np.ndarray],
         semiring: Semiring,
-        kernel: str | None = None,
     ) -> None:
         self.semiring = semiring
         self.n_spine = int(plan.spine.shape[0])
@@ -87,7 +81,7 @@ class SpineSolver:
             src = dst = np.empty(0, dtype=np.int64)
             w = np.empty(0, dtype=semiring.dtype)
         self.m = int(src.shape[0])
-        self._relaxer = EdgeRelaxer(src, dst, w, semiring, kernel=kernel)
+        self._relaxer = EdgeRelaxer(src, dst, w, semiring)
         self.phases_last = 0
         self.phases_max = 0
 

@@ -69,7 +69,7 @@ class TestKeying:
         )
 
     def test_insensitive_to_implementation_knobs(self, grid7):
-        """executor/kernel produce bit-identical E⁺ — same key by design."""
+        """the executor produces bit-identical E⁺ — same key by design."""
         g, tree = grid7
         assert augmentation_key(g, tree, MIN_PLUS, "leaves_up") == augmentation_key(
             g, tree, MIN_PLUS, "leaves_up"
@@ -147,14 +147,14 @@ class TestBuildRoundTrip:
     def test_config_on_cache_object(self, grid7, tmp_path):
         g, tree = grid7
         cfg = OracleConfig(
-            cache="readwrite", cache_dir=str(tmp_path / "store"), kernel="blocked"
+            cache="readwrite", cache_dir=str(tmp_path / "store"), source_block=16
         )
         first = ShortestPathOracle.build(g, tree, config=cfg)
         second = ShortestPathOracle.build(g, tree, config=cfg)
         assert (first.cache_info["status"], second.cache_info["status"]) == (
             "stored", "hit",
         )
-        assert second.config.kernel == "blocked"
+        assert second.config.source_block == 16
 
     def test_corrupt_entry_is_a_miss(self, grid7, tmp_path):
         g, tree = grid7

@@ -153,18 +153,17 @@ class TestOracleSaveLoad:
         assert np.array_equal(back.distances([0, 20]), oracle.distances([0, 20]))
 
     def test_roundtrip_preserves_build_config(self, grid7, tmp_path):
-        """save → load → query_engine keeps the build's kernel/executor —
+        """save → load → query_engine keeps the build's executor —
         the format-2 ``config_json`` header (earlier formats silently
         reverted a loaded oracle to default knobs)."""
         from repro import ShortestPathOracle
         from repro.core.config import OracleConfig
 
         g, tree = grid7
-        cfg = OracleConfig(kernel="blocked", executor="thread:2", source_block=16)
+        cfg = OracleConfig(executor="thread:2", source_block=16)
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         oracle.save(tmp_path / "oracle.npz")
         back = ShortestPathOracle.load(tmp_path / "oracle.npz")
-        assert back.config.kernel == "blocked"
         assert back.config.executor == "thread:2"
         assert back.config.source_block == 16
         with back.query_engine(OracleConfig(executor="serial")) as eng:
@@ -180,8 +179,33 @@ class TestOracleSaveLoad:
         p = tmp_path / "legacy.npz"
         save_augmentation(p, aug)  # no config= → header omits config_json
         back = ShortestPathOracle.load(p)
-        assert back.config.kernel is None
+        assert back.config.executor == "serial"
+        assert back.config.source_block is None
         assert np.array_equal(back.distances(0), sssp_scheduled(aug, [0])[0])
+
+    def test_retired_kernel_key_still_loads(self, grid7, tmp_path):
+        """Archives written while ``OracleConfig`` still had a ``kernel``
+        field carry it in ``config_json``; they load, keep the other knobs
+        and answer bit-identically."""
+        import json
+
+        from repro import ShortestPathOracle
+        from repro.core.config import OracleConfig
+
+        g, tree = grid7
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(source_block=16))
+        p = tmp_path / "old.npz"
+        oracle.save(p)
+        with np.load(p, allow_pickle=False) as z:
+            payload = {k: z[k] for k in z.files}
+        saved = json.loads(str(payload["config_json"]))
+        saved["kernel"] = "blocked"
+        payload["config_json"] = np.array(json.dumps(saved, sort_keys=True))
+        np.savez_compressed(p, **payload)
+        back = ShortestPathOracle.load(p)
+        assert back.config.source_block == 16
+        assert not hasattr(back.config, "kernel")
+        assert np.array_equal(back.distances([0, 11, 30]), oracle.distances([0, 11, 30]))
 
     def test_future_format_refused(self, grid7, tmp_path):
         import numpy as _np

@@ -1,52 +1,49 @@
-"""Kernel dispatch: every registered matmul kernel is bit-identical, the
-registry/tuning plumbing works, and frontier-pruned relaxation equals the
-full scan (including on negative weights).
-
-The compiled ``jit`` backend rides the same equivalence suite: where numba
-is installed it registers like any other kernel and ``KERNELS`` includes
-it; everywhere else the ``jit_registered`` fixture simulates the install —
-``repro.kernels.jit``'s ``@njit`` shim runs the identical kernel *logic*
-as interpreted Python — so bit-identity, fallback and error paths are
-exercised with and without the optional dependency."""
+"""Min-plus products and relaxation: both product paths are bit-identical
+and the size rule picks between them, and frontier-pruned relaxation equals
+the full scan (including on negative weights)."""
 
 import numpy as np
 import pytest
 
 from repro.core.semiring import BOOLEAN, COUNTING_HOPS, MAX_MIN, MIN_MAX, MIN_PLUS
 from repro.kernels import bellman_ford as bf
-from repro.kernels import dispatch
-from repro.kernels import jit as jit_mod
+from repro.kernels import minplus
 from repro.kernels.bellman_ford import (
     EdgeRelaxer,
     initial_distances,
     relax_fixpoint,
     run_phases,
 )
-from repro.kernels.minplus import hop_limited_product, semiring_matmul
+from repro.kernels.minplus import semiring_matmul
 from repro.workloads.generators import gnm_digraph, grid_digraph
 
 SEMIRINGS = [MIN_PLUS, BOOLEAN, MAX_MIN, MIN_MAX]
-#: ``jit`` joins the parametrized kernel list wherever numba is installed
-#: (the numba CI lane); the shim-based TestJitBackend below covers the same
-#: logic on numba-less installs.
-KERNELS = ["reference", "blocked", "pruned"] + (
-    ["jit"] if dispatch.jit_available() else []
-)
 
-
-@pytest.fixture
-def jit_registered(monkeypatch):
-    """Simulate an installed numba: mark the backend available and register
-    the matmul entry (the shim makes the kernels run as pure Python, so the
-    full dispatch → kernel path is exercised without the dependency)."""
-    dispatch.available_kernels()  # force baseline registration first
-    monkeypatch.setattr(jit_mod, "HAVE_NUMBA", True)
-    monkeypatch.setitem(dispatch._KERNELS, "jit", jit_mod.matmul_jit)
-    yield  # monkeypatch restores both the flag and the registry entry
+#: The product's code paths, forced through its module constants:
+#: ``reference`` broadcasts every product, ``pruned`` prunes every one, and
+#: ``blocked`` is the pruned product with pruning switched off, so every
+#: live row panel takes the dense-panel loop.
+MATMUL_PATHS = {
+    "reference": {"AUTO_SMALL_OPS": np.inf},
+    "pruned": {"AUTO_SMALL_OPS": -1},
+    "blocked": {"AUTO_SMALL_OPS": -1, "DEAD_FRAC": 1.0},
+}
 
 #: Adversarial shapes: single row, non-block-multiples (ragged), square,
-#: k of exactly one, wide/narrow.
+#: k of exactly one, wide/narrow.  They fall on both sides of
+#: ``AUTO_SMALL_OPS``.
 SHAPES = [(1, 30, 9), (5, 7, 4), (33, 65, 17), (64, 64, 64), (3, 1, 5), (2, 200, 3)]
+
+
+def force_path(monkeypatch, path):
+    for name, value in MATMUL_PATHS[path].items():
+        monkeypatch.setattr(minplus, name, value)
+
+
+def reference(a, b, semiring):
+    """``a ⊗ b`` through the broadcast product alone."""
+    out = semiring.empty_matrix(a.shape[0], b.shape[1])
+    return minplus._matmul_reference(a, b, semiring, out, True)
 
 
 def random_operands(semiring, l, k, m, rng, zero_frac=0.3):
@@ -65,160 +62,110 @@ def random_operands(semiring, l, k, m, rng, zero_frac=0.3):
 class TestBitIdentity:
     @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_kernels_bit_identical(self, semiring, shape, rng):
+    def test_kernels_bit_identical(self, semiring, shape, rng, monkeypatch):
         l, k, m = shape
         a, b = random_operands(semiring, l, k, m, rng)
-        want = semiring_matmul(a, b, semiring, kernel="reference")
-        for kernel in KERNELS[1:]:
-            got = semiring_matmul(a, b, semiring, kernel=kernel)
-            assert np.array_equal(got, want), kernel
-        auto = semiring_matmul(a, b, semiring, kernel="auto")
-        assert np.array_equal(auto, want)
+        want = reference(a, b, semiring)
+        assert np.array_equal(semiring_matmul(a, b, semiring), want)
+        for path in MATMUL_PATHS:
+            force_path(monkeypatch, path)
+            got = semiring_matmul(a, b, semiring)
+            assert np.array_equal(got, want), path
+            monkeypatch.undo()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_tiny_budget(self, kernel, rng):
+    @pytest.mark.parametrize("path", sorted(MATMUL_PATHS))
+    def test_tiny_budget(self, path, rng, monkeypatch):
         """A pathological memory budget forces maximal blocking — still exact."""
         a, b = random_operands(MIN_PLUS, 13, 29, 11, rng)
-        want = semiring_matmul(a, b, MIN_PLUS, kernel="reference")
-        got = semiring_matmul(a, b, MIN_PLUS, kernel=kernel, budget=8)
+        want = reference(a, b, MIN_PLUS)
+        force_path(monkeypatch, path)
+        monkeypatch.setattr(minplus, "BUDGET", 8)
+        got = semiring_matmul(a, b, MIN_PLUS)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("path", sorted(MATMUL_PATHS))
     @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
-    def test_all_zero_operands(self, kernel, semiring, rng):
+    def test_all_zero_operands(self, path, semiring, monkeypatch):
         """All-0̄ inputs (no paths at all): output must be all 0̄."""
+        force_path(monkeypatch, path)
         a = np.full((6, 10), semiring.zero, dtype=semiring.dtype)
         b = np.full((10, 4), semiring.zero, dtype=semiring.dtype)
-        got = semiring_matmul(a, b, semiring, kernel=kernel)
+        got = semiring_matmul(a, b, semiring)
         assert (got == semiring.zero).all()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_mostly_dead_panels(self, kernel, rng):
+    @pytest.mark.parametrize("path", sorted(MATMUL_PATHS))
+    def test_mostly_dead_panels(self, path, rng, monkeypatch):
         """A doubling-like matrix — nearly all +inf with a live band — is the
-        pruned kernel's favorable case; results stay bit-identical."""
+        pruned path's favorable case; results stay bit-identical."""
         n = 80
         a = np.full((n, n), np.inf)
         np.fill_diagonal(a, 0.0)
         band = rng.integers(0, n, size=(60, 2))
         a[band[:, 0], band[:, 1]] = rng.uniform(0.5, 5.0, 60)
-        want = semiring_matmul(a, a, MIN_PLUS, kernel="reference")
-        got = semiring_matmul(a, a, MIN_PLUS, kernel=kernel)
+        want = reference(a, a, MIN_PLUS)
+        force_path(monkeypatch, path)
+        got = semiring_matmul(a, a, MIN_PLUS)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_accumulate_into_out(self, kernel, rng):
+    @pytest.mark.parametrize("path", sorted(MATMUL_PATHS))
+    def test_accumulate_into_out(self, path, rng, monkeypatch):
         a, b = random_operands(MIN_PLUS, 21, 33, 14, rng)
         base = rng.uniform(0.5, 2.0, (21, 14))
-        want = np.minimum(base, semiring_matmul(a, b, MIN_PLUS, kernel="reference"))
+        want = np.minimum(base, reference(a, b, MIN_PLUS))
+        force_path(monkeypatch, path)
         out = base.copy()
-        res = semiring_matmul(a, b, MIN_PLUS, out=out, accumulate=True, kernel=kernel)
+        res = semiring_matmul(a, b, MIN_PLUS, out=out, accumulate=True)
         assert res is out
         assert np.array_equal(out, want)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_overwrite_out(self, kernel, rng):
+    @pytest.mark.parametrize("path", sorted(MATMUL_PATHS))
+    def test_overwrite_out(self, path, rng, monkeypatch):
         a, b = random_operands(MIN_PLUS, 9, 40, 9, rng)
-        want = semiring_matmul(a, b, MIN_PLUS, kernel="reference")
+        want = reference(a, b, MIN_PLUS)
+        force_path(monkeypatch, path)
         out = np.full((9, 9), -123.0)  # garbage that must be fully overwritten
-        semiring_matmul(a, b, MIN_PLUS, out=out, accumulate=False, kernel=kernel)
+        semiring_matmul(a, b, MIN_PLUS, out=out, accumulate=False)
         assert np.array_equal(out, want)
 
 
 class TestDispatch:
-    def test_registry_lists_all(self):
-        assert set(KERNELS) <= set(dispatch.available_kernels())
+    def test_auto_policy(self, rng, monkeypatch):
+        """Products up to ``AUTO_SMALL_OPS`` ⊗-operations broadcast, larger
+        ones prune; the answer is the same either way."""
+        calls = []
+        for name in ("_matmul_reference", "_matmul_pruned"):
+            real = getattr(minplus, name)
 
-    def test_auto_policy(self):
-        assert dispatch.choose_kernel(4, 4, 4) == "reference"
-        big = "jit" if dispatch.jit_available() else "pruned"
-        assert dispatch.choose_kernel(256, 256, 256) == big
+            def spy(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
 
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            dispatch.resolve_kernel("nope", 8, 8, 8)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            semiring_matmul(np.zeros((2, 2)), np.zeros((2, 2)), kernel="nope")
+            monkeypatch.setattr(minplus, name, spy)
+        cases = [((4, 4, 4), "reference"), ((32, 32, 32), "reference"),
+                 ((32, 32, 33), "pruned"), ((256, 256, 256), "pruned")]
+        for shape, path in cases:
+            a, b = random_operands(MIN_PLUS, *shape, rng)
+            calls.clear()
+            got = semiring_matmul(a, b, MIN_PLUS)
+            assert calls == [f"_matmul_{path}"], shape
+            assert np.array_equal(got, reference(a, b, MIN_PLUS)), shape
 
-    def test_default_kernel_override(self):
-        try:
-            dispatch.set_default_kernel("blocked")
-            assert dispatch.resolve_kernel(None, 512, 512, 512)[0] == "blocked"
-        finally:
-            dispatch.set_default_kernel(None)
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        assert dispatch.get_default_kernel() == "reference"
-        assert dispatch.resolve_kernel(None, 512, 512, 512)[0] == "reference"
-
-    def test_set_unknown_default_raises(self):
-        with pytest.raises(ValueError):
-            dispatch.set_default_kernel("nope")
-
-    def test_ledger_charges_model_cost(self, rng):
-        """Kernel choice must not leak into the PRAM ledger (it is the cost
+    def test_ledger_charges_model_cost(self, monkeypatch):
+        """The code path must not leak into the PRAM ledger (it is the cost
         model, not an execution trace)."""
         from repro.pram.machine import Ledger
 
         a = np.full((40, 40), np.inf)
         np.fill_diagonal(a, 0.0)
         ledgers = {}
-        for kernel in KERNELS:
+        for path in MATMUL_PATHS:
+            force_path(monkeypatch, path)
             led = Ledger()
-            semiring_matmul(a, a, MIN_PLUS, ledger=led, kernel=kernel)
-            ledgers[kernel] = (led.work, led.depth)
+            semiring_matmul(a, a, MIN_PLUS, ledger=led)
+            ledgers[path] = (led.work, led.depth)
+            monkeypatch.undo()
         assert len(set(ledgers.values())) == 1
         assert ledgers["reference"][0] == 40.0**3
-
-
-class TestTuning:
-    def test_save_load_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TUNE", str(tmp_path / "tune.json"))
-        dispatch.reload_tuning()
-        try:
-            assert dispatch.load_tuning() == {}
-            base = dispatch.tuning_for("blocked")
-            assert base == dispatch.DEFAULT_TUNING["blocked"]
-            dispatch.save_tuning({"blocked": {"block_l": 7}})
-            eff = dispatch.tuning_for("blocked")
-            assert eff["block_l"] == 7  # persisted winner
-            assert eff["block_k"] == base["block_k"]  # default survives
-            # Merge, not clobber: a later save of another kernel keeps blocked.
-            dispatch.save_tuning({"pruned": {"dead_frac": 0.25}})
-            assert dispatch.reload_tuning()["blocked"] == {"block_l": 7}
-            assert dispatch.tuning_for("pruned")["dead_frac"] == 0.25
-        finally:
-            monkeypatch.delenv("REPRO_KERNEL_TUNE")
-            dispatch.reload_tuning()
-
-    def test_corrupt_file_ignored(self, tmp_path, monkeypatch):
-        p = tmp_path / "tune.json"
-        p.write_text("{not json")
-        monkeypatch.setenv("REPRO_KERNEL_TUNE", str(p))
-        dispatch.reload_tuning()
-        try:
-            assert dispatch.tuning_for("blocked") == dispatch.DEFAULT_TUNING["blocked"]
-        finally:
-            monkeypatch.delenv("REPRO_KERNEL_TUNE")
-            dispatch.reload_tuning()
-
-    def test_tuned_sizes_stay_exact(self, rng, tmp_path, monkeypatch):
-        """Whatever the autotuner persists, results are unchanged."""
-        monkeypatch.setenv("REPRO_KERNEL_TUNE", str(tmp_path / "tune.json"))
-        dispatch.reload_tuning()
-        try:
-            a, b = random_operands(MIN_PLUS, 50, 70, 30, rng)
-            want = semiring_matmul(a, b, MIN_PLUS, kernel="reference")
-            dispatch.save_tuning({
-                "blocked": {"block_l": 5, "block_k": 13, "block_m": 7},
-                "pruned": {"block_l": 11, "dead_frac": 0.5},
-            })
-            for kernel in ("blocked", "pruned"):
-                got = semiring_matmul(a, b, MIN_PLUS, kernel=kernel)
-                assert np.array_equal(got, want), kernel
-        finally:
-            monkeypatch.delenv("REPRO_KERNEL_TUNE")
-            dispatch.reload_tuning()
 
 
 def dense_jacobi_phase(src, dst, w, semiring, dist):
@@ -394,7 +341,7 @@ class TestFrontierRelaxation:
         relaxer = EdgeRelaxer(src, dst, w, MIN_PLUS)
         best = initial_distances(n, np.arange(n), MIN_PLUS)
         for k in range(1, 7):
-            best = semiring_matmul(best, adj, MIN_PLUS, kernel="reference")
+            best = reference(best, adj, MIN_PLUS)
             got = initial_distances(n, np.arange(n), MIN_PLUS)
             relax_fixpoint(relaxer, got, k)
             assert np.array_equal(got, best), k  # same sums, same order
@@ -476,268 +423,31 @@ class TestFrontierRelaxation:
 
 class TestEndToEndKernels:
     @pytest.mark.parametrize("method", ["leaves_up", "doubling", "doubling_shared"])
-    def test_oracle_distances_invariant_under_kernel(self, grid7, method):
-        """Within one augmentation method, every kernel choice yields the
+    def test_oracle_distances_invariant_under_kernel(self, grid7, method, monkeypatch):
+        """Within one augmentation method, every product path yields the
         bit-identical oracle (cross-method bit identity is NOT promised —
         different shortcut sets sum in different float orders)."""
         from repro.core.api import ShortestPathOracle
 
         g, tree = grid7
-        want = ShortestPathOracle.build(
-            g, tree, method=method, kernel="reference"
-        ).distances([0, 11, 30])
-        for kernel in ("blocked", "pruned", "auto"):
-            oracle = ShortestPathOracle.build(g, tree, method=method, kernel=kernel)
+        want = ShortestPathOracle.build(g, tree, method=method).distances([0, 11, 30])
+        for path in MATMUL_PATHS:
+            force_path(monkeypatch, path)
+            oracle = ShortestPathOracle.build(g, tree, method=method)
             got = oracle.distances([0, 11, 30])
-            assert np.array_equal(got, want), (method, kernel)
+            assert np.array_equal(got, want), (method, path)
+            monkeypatch.undo()
 
-    def test_negative_weights_all_kernels(self, grid6_negative):
+    def test_negative_weights_all_kernels(self, grid6_negative, monkeypatch):
         from repro.core.api import ShortestPathOracle
         from repro.kernels.johnson import johnson
 
         g, tree = grid6_negative
         want = johnson(g, [0, 7])
-        for kernel in ("reference", "blocked", "pruned"):
-            oracle = ShortestPathOracle.build(g, tree, kernel=kernel)
-            assert np.allclose(oracle.distances([0, 7]), want, atol=1e-8), kernel
-
-
-class TestJitBackend:
-    """The compiled backend's logic, run through the pure-Python shim (or
-    for real where numba is installed) — bit-identity, the hop-limited fast
-    path, relaxation cores, and the availability/fallback contract."""
-
-    @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
-    @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_matmul_bit_identical(self, semiring, shape, rng, jit_registered):
-        l, k, m = shape
-        a, b = random_operands(semiring, l, k, m, rng)
-        want = semiring_matmul(a, b, semiring, kernel="reference")
-        got = semiring_matmul(a, b, semiring, kernel="jit")
-        assert np.array_equal(got, want)
-
-    def test_matmul_accumulate_and_overwrite(self, rng, jit_registered):
-        a, b = random_operands(MIN_PLUS, 12, 20, 9, rng)
-        want = np.minimum(
-            rng.uniform(0.5, 2.0, (12, 9)),
-            semiring_matmul(a, b, MIN_PLUS, kernel="reference"),
-        )
-        out = want.copy()  # not yet reduced — rebuild base then accumulate
-        base = want.copy()
-        out = base.copy()
-        res = semiring_matmul(a, b, MIN_PLUS, out=out, accumulate=True, kernel="jit")
-        assert res is out
-        assert np.array_equal(
-            out, np.minimum(base, semiring_matmul(a, b, MIN_PLUS, kernel="reference"))
-        )
-        garbage = np.full((12, 9), -777.0)
-        semiring_matmul(a, b, MIN_PLUS, out=garbage, accumulate=False, kernel="jit")
-        assert np.array_equal(
-            garbage, semiring_matmul(a, b, MIN_PLUS, kernel="reference")
-        )
-
-    def test_unknown_semiring_falls_back(self, rng, jit_registered):
-        """A semiring without a compiled core (rounding ⊕ is not argued
-        bit-identical) silently takes the pruned kernel."""
-        from repro.core.semiring import Semiring
-
-        plus_times = Semiring(
-            name="plus-times-test",
-            zero=0.0,
-            one=1.0,
-            dtype=np.dtype(np.float64),
-            add=np.add,
-            add_reduce=np.add.reduce,
-            mul=np.multiply,
-            improves=np.not_equal,
-            idempotent=False,
-        )
-        a = rng.random((6, 8))
-        b = rng.random((8, 5))
-        want = semiring_matmul(a, b, plus_times, kernel="pruned")
-        got = semiring_matmul(a, b, plus_times, kernel="jit")
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("hops", [1, 2, 3, 5])
-    def test_hop_limited_fast_path(self, rng, hops, jit_registered):
-        w = rng.uniform(0.5, 9.0, (17, 17))
-        w[rng.random((17, 17)) < 0.4] = np.inf
-        want = hop_limited_product(w, hops, kernel="reference")
-        got = hop_limited_product(w, hops, kernel="jit")
-        assert np.array_equal(got, want)
-
-    def test_hop_limited_charges_model_cost(self, rng, jit_registered):
-        from repro.pram.machine import Ledger
-
-        w = rng.uniform(0.5, 9.0, (9, 9))
-        led_ref, led_jit = Ledger(), Ledger()
-        hop_limited_product(w, 3, kernel="reference", ledger=led_ref)
-        hop_limited_product(w, 3, kernel="jit", ledger=led_jit)
-        assert (led_ref.work, led_ref.depth) == (led_jit.work, led_jit.depth)
-
-    # ---------------- relaxation cores ---------------- #
-
-    def _random_graph(self, rng, negative=False):
-        from repro.workloads.generators import apply_potential_weights
-
-        g = grid_digraph((6, 6), rng)
-        return apply_potential_weights(g, rng) if negative else g
-
-    @pytest.mark.parametrize("negative", [False, True], ids=["positive", "negative"])
-    def test_relax_bit_identical(self, rng, negative, jit_registered):
-        g = self._random_graph(rng, negative)
-        want_r = EdgeRelaxer.from_graph(g, MIN_PLUS)
-        jit_r = EdgeRelaxer.from_graph(g, MIN_PLUS, kernel="jit")
-        want = initial_distances(g.n, rng.integers(0, g.n, 5), MIN_PLUS)
-        got = want.copy()
-        for _ in range(200):
-            cw = want_r.relax(want)
-            cg = jit_r.relax(got)
-            assert cw == cg
-            assert np.array_equal(got, want)
-            if not cw:
-                break
-
-    def test_relax_rows_bit_identical_subset(self, rng, jit_registered):
-        """Permuted strict-subset frontier through the compiled core: same
-        rows updated, untouched rows untouched (the scatter-back path)."""
-        g = self._random_graph(rng)
-        want_r = EdgeRelaxer.from_graph(g, MIN_PLUS)
-        jit_r = EdgeRelaxer.from_graph(g, MIN_PLUS, kernel="jit")
-        dist = initial_distances(g.n, rng.integers(0, g.n, 6), MIN_PLUS)
-        want, got = dist.copy(), dist.copy()
-        aw = ag = np.array([4, 2, 0])
-        for _ in range(200):
-            if not aw.size and not ag.size:
-                break
-            aw = want_r.relax_rows(want, aw) if aw.size else aw
-            ag = jit_r.relax_rows(got, ag) if ag.size else ag
-            assert np.array_equal(np.sort(aw), np.sort(ag))
-            assert np.array_equal(got, want)
-
-    def test_relax_rows_full_frontier_in_place(self, rng, jit_registered):
-        g = self._random_graph(rng, negative=True)
-        want_r = EdgeRelaxer.from_graph(g, MIN_PLUS)
-        jit_r = EdgeRelaxer.from_graph(g, MIN_PLUS, kernel="jit")
-        dist = initial_distances(g.n, np.arange(g.n), MIN_PLUS)
-        want, got = dist.copy(), dist.copy()
-        aw, ag = np.arange(g.n), np.arange(g.n)
-        while aw.size or ag.size:
-            aw = want_r.relax_rows(want, aw) if aw.size else aw
-            ag = jit_r.relax_rows(got, ag) if ag.size else ag
-            assert np.array_equal(got, want)
-
-    def test_relax_all_inf_rows(self, rng, jit_registered):
-        """Rows with no finite entry (unreachable sources) stay all-0̄ and
-        never report a change."""
-        g = self._random_graph(rng)
-        jit_r = EdgeRelaxer.from_graph(g, MIN_PLUS, kernel="jit")
-        dist = np.full((3, g.n), np.inf)
-        assert not jit_r.relax(dist)
-        assert np.isinf(dist).all()
-        out = jit_r.relax_rows(dist, np.arange(3))
-        assert out.size == 0
-
-    def test_relax_boolean(self, rng, jit_registered):
-        g = self._random_graph(rng)
-        want_r = EdgeRelaxer(g.src, g.dst, np.ones(g.m, dtype=bool), BOOLEAN)
-        jit_r = EdgeRelaxer(
-            g.src, g.dst, np.ones(g.m, dtype=bool), BOOLEAN, kernel="jit"
-        )
-        want = initial_distances(g.n, [0, 9], BOOLEAN)
-        got = want.copy()
-        for _ in range(g.n + 1):
-            cw = want_r.relax(want)
-            cg = jit_r.relax(got)
-            assert cw == cg
-            assert np.array_equal(got, want)
-            if not cw:
-                break
-
-    def test_relax_max_min_and_min_max(self, rng, jit_registered):
-        for semiring in (MAX_MIN, MIN_MAX):
-            g = self._random_graph(rng)
-            w = g.weight.astype(np.float64)
-            want_r = EdgeRelaxer(g.src, g.dst, w, semiring)
-            jit_r = EdgeRelaxer(g.src, g.dst, w, semiring, kernel="jit")
-            want = initial_distances(g.n, [0, 5], semiring)
-            got = want.copy()
-            for _ in range(g.n + 1):
-                cw = want_r.relax(want)
-                cg = jit_r.relax(got)
-                assert cw == cg
-                assert np.array_equal(got, want), semiring.name
-                if not cw:
-                    break
-
-    def test_auto_relax_threshold(self, rng, jit_registered, monkeypatch):
-        """``auto`` routes a phase to the compiled core exactly when the
-        scan volume clears the (autotunable) floor."""
-        g = self._random_graph(rng)
-        r = EdgeRelaxer.from_graph(g, MIN_PLUS, kernel="auto")
-        assert not r._use_jit(0)
-        floor = dispatch.relax_jit_threshold()
-        assert r._use_jit(int(floor // r.m) + 1)
-        assert not r._use_jit(max(0, int(floor // r.m) - 1))
-
-    def test_warm_up_runs(self, jit_registered):
-        assert jit_mod.warm_up() >= 0.0
-
-
-class TestJitFallback:
-    """The contract on a numba-less install: never auto-selected, helpful
-    errors on explicit requests (simulated via a monkeypatched import
-    failure so these run identically on the numba CI lane)."""
-
-    @pytest.fixture
-    def no_numba(self, monkeypatch):
-        dispatch.available_kernels()
-        monkeypatch.setattr(jit_mod, "HAVE_NUMBA", False)
-        monkeypatch.setattr(
-            jit_mod, "NUMBA_IMPORT_ERROR", "ModuleNotFoundError: No module named 'numba'"
-        )
-        monkeypatch.delitem(dispatch._KERNELS, "jit", raising=False)
-
-    def test_auto_never_selects_jit(self, no_numba):
-        assert not dispatch.jit_available()
-        for lkm in [(64, 64, 64), (256, 256, 256), (1024, 1024, 1024)]:
-            assert dispatch.choose_kernel(*lkm) != "jit"
-
-    def test_registry_excludes_jit(self, no_numba):
-        assert "jit" not in dispatch.available_kernels()
-
-    def test_explicit_request_raises_helpfully(self, no_numba):
-        with pytest.raises(ValueError, match=r"numba.*pip install 'repro\[jit\]'|requires the optional numba"):
-            dispatch.resolve_kernel("jit", 64, 64, 64)
-        # the message lists what *is* registered
-        with pytest.raises(ValueError, match="reference"):
-            dispatch.resolve_kernel("jit", 64, 64, 64)
-
-    def test_env_var_request_names_the_env(self, no_numba, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "jit")
-        with pytest.raises(ValueError, match=r"\$REPRO_KERNEL"):
-            dispatch.resolve_kernel(None, 64, 64, 64)
-
-    def test_set_default_jit_raises(self, no_numba):
-        with pytest.raises(ValueError, match="numba"):
-            dispatch.set_default_kernel("jit")
-
-    def test_relaxer_explicit_jit_raises(self, no_numba, rng):
-        g = grid_digraph((4, 4), rng)
-        r = EdgeRelaxer.from_graph(g, MIN_PLUS, kernel="jit")
-        with pytest.raises(ValueError, match="numba"):
-            r.relax(initial_distances(g.n, [0], MIN_PLUS))
-
-    def test_relaxer_auto_stays_numpy(self, no_numba, rng):
-        g = grid_digraph((4, 4), rng)
-        r = EdgeRelaxer.from_graph(g, MIN_PLUS, kernel="auto")
-        assert not r._use_jit(10**9)
-
-    def test_oracle_config_accepts_but_build_raises(self, no_numba, rng):
-        from repro.core.api import ShortestPathOracle
-        from repro.core.config import OracleConfig
-
-        cfg = OracleConfig(kernel="jit")  # validation is at resolve time
-        g = grid_digraph((4, 4), rng)
-        with pytest.raises(ValueError, match="numba"):
-            ShortestPathOracle.build(g, config=cfg)
+        for method in ("leaves_up", "doubling"):
+            for path in MATMUL_PATHS:
+                force_path(monkeypatch, path)
+                oracle = ShortestPathOracle.build(g, tree, method=method)
+                got = oracle.distances([0, 7])
+                assert np.allclose(got, want, atol=1e-8), (method, path)
+                monkeypatch.undo()

@@ -12,12 +12,8 @@ from repro.kernels.floyd_warshall import (
     floyd_warshall,
     floyd_warshall_with_parents,
 )
-from repro.kernels.minplus import (
-    hop_limited_product,
-    semiring_closure,
-    semiring_matmul,
-    semiring_square,
-)
+from repro.kernels import minplus
+from repro.kernels.minplus import semiring_closure, semiring_matmul, semiring_square
 from repro.pram.machine import Ledger
 
 
@@ -42,10 +38,11 @@ class TestSemiringMatmul:
         b = np.array([[0.0], [2.0]])
         assert semiring_matmul(a, b)[0, 0] == 3.0
 
-    def test_blocked_equals_unblocked(self, rng):
+    def test_blocked_equals_unblocked(self, rng, monkeypatch):
         a = rng.uniform(0, 10, (20, 20))
         full = semiring_matmul(a, a)
-        tiny_blocks = semiring_matmul(a, a, budget=40)  # forces many row blocks
+        monkeypatch.setattr(minplus, "BUDGET", 40)  # forces many row blocks
+        tiny_blocks = semiring_matmul(a, a)
         assert np.allclose(full, tiny_blocks)
 
     def test_accumulate_into_out(self, rng):
@@ -67,8 +64,9 @@ class TestSemiringMatmul:
         k = 256
         a = np.ones((1, k), dtype=bool)
         b = np.ones((k, 1), dtype=bool)
-        for kernel in ("reference", "blocked", "pruned"):
-            assert semiring_matmul(a, b, BOOLEAN, kernel=kernel)[0, 0], kernel
+        for path in (minplus._matmul_reference, minplus._matmul_pruned):
+            out = BOOLEAN.empty_matrix(1, 1)
+            assert path(a, b, BOOLEAN, out, True)[0, 0], path.__name__
         # ... and any multiple of 256 among decoys.
         a_wide = np.zeros((3, 512), dtype=bool)
         a_wide[0, :256] = True  # 256 witnesses
@@ -103,17 +101,6 @@ class TestSemiringMatmul:
             np.array([[np.inf, 1.0, np.inf], [np.inf, np.inf, 1.0], [np.inf] * 3])
         )
         assert c[0, 2] == 2.0 and c[0, 0] == 0.0
-
-    def test_hop_limited(self):
-        w = np.full((4, 4), np.inf)
-        for i in range(3):
-            w[i, i + 1] = 1.0
-        h2 = hop_limited_product(w, 2)
-        assert h2[0, 2] == 2.0 and h2[0, 3] == np.inf
-        h3 = hop_limited_product(w, 3)
-        assert h3[0, 3] == 3.0
-        with pytest.raises(ValueError):
-            hop_limited_product(w, 0)
 
 
 class TestFloydWarshall:

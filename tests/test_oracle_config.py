@@ -1,7 +1,7 @@
 """The :class:`~repro.core.config.OracleConfig` consolidation: kwargs
 equivalence, the deprecation shim, serialization, the unified
 ``query_engine`` parameter set, and the ``with_new_weights``
-executor/kernel regression."""
+executor regression."""
 
 from __future__ import annotations
 
@@ -26,14 +26,13 @@ class TestDefaults:
         assert cfg.resolved_semiring is MIN_PLUS
         assert cfg.leaf_size == 8
         assert cfg.executor == "serial"
-        assert cfg.kernel is None
         assert cfg.keep_node_distances is False
         assert cfg.validate is False
         assert cfg.engine == "scheduled"
         assert cfg.source_block is None
 
     @pytest.mark.parametrize(
-        "bad", [{"method": "magic"}, {"engine": "warp"}, {"kernel": "fast"},
+        "bad", [{"method": "magic"}, {"engine": "warp"}, {"cache": "sometimes"},
                 {"semiring": "tropical-ish"}]
     )
     def test_invalid_values_raise(self, bad):
@@ -53,8 +52,8 @@ class TestDefaults:
 
 class TestMerge:
     def test_kwargs_only_path_is_plain_defaults(self):
-        cfg = resolve_config(None, method="doubling", kernel=UNSET)
-        assert cfg.method == "doubling" and cfg.kernel is None
+        cfg = resolve_config(None, method="doubling", executor=UNSET)
+        assert cfg.method == "doubling" and cfg.executor == "serial"
 
     def test_conflicting_kwarg_warns_and_wins(self):
         base = OracleConfig(method="doubling")
@@ -79,12 +78,12 @@ class TestMerge:
 
 class TestSerialization:
     def test_to_from_dict_round_trip(self):
-        cfg = OracleConfig(method="doubling", kernel="blocked", executor="shm:4",
+        cfg = OracleConfig(method="doubling", executor="shm:4", source_block=16,
                            engine="naive", leaf_size=6)
         d = cfg.to_dict()
         assert d["semiring"] == "min-plus"
         back = OracleConfig.from_dict(d)
-        assert back.method == cfg.method and back.kernel == cfg.kernel
+        assert back.method == cfg.method and back.source_block == cfg.source_block
         assert back.executor == cfg.executor and back.engine == cfg.engine
         assert back.resolved_semiring is cfg.resolved_semiring
 
@@ -101,17 +100,17 @@ class TestBuildEquivalence:
     def test_config_build_equals_kwargs_build(self, grid6_negative):
         g, tree = grid6_negative
         via_kwargs = ShortestPathOracle.build(g, tree, method="doubling",
-                                              kernel="reference")
+                                              executor="serial")
         via_config = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method="doubling", kernel="reference")
+            g, tree, config=OracleConfig(method="doubling", executor="serial")
         )
         assert np.array_equal(via_kwargs.distances([0, 7]), via_config.distances([0, 7]))
         assert via_config.config.method == "doubling"
 
     def test_build_stores_resolved_config(self, grid6_negative):
         g, tree = grid6_negative
-        oracle = ShortestPathOracle.build(g, tree, kernel="blocked")
-        assert oracle.config.kernel == "blocked"
+        oracle = ShortestPathOracle.build(g, tree, executor="thread:2")
+        assert oracle.config.executor == "thread:2"
         assert oracle.config.method == "leaves_up"
 
     def test_conflicting_build_kwarg_warns(self, grid6_negative):
@@ -164,18 +163,18 @@ class TestQueryEngineUnification:
 
 
 class TestWithNewWeightsRegression:
-    """`with_new_weights` used to rebuild with default executor/kernel,
+    """`with_new_weights` used to rebuild with the default executor,
     silently dropping the original build's choices."""
 
-    def test_executor_and_kernel_survive_rebuild(self, grid6_negative, rng):
+    def test_executor_and_source_block_survive_rebuild(self, grid6_negative, rng):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(executor="thread:2", kernel="blocked")
+            g, tree, config=OracleConfig(executor="thread:2", source_block=16)
         )
         w2 = np.abs(g.weight) + rng.uniform(0.1, 1.0, size=g.m)
         rebuilt = oracle.with_new_weights(w2)
         assert rebuilt.config.executor == "thread:2"
-        assert rebuilt.config.kernel == "blocked"
+        assert rebuilt.config.source_block == 16
         # and the rebuild is still correct for the new weights
         want = ShortestPathOracle.build(
             g.__class__(g.n, g.src, g.dst, w2), tree
@@ -185,8 +184,8 @@ class TestWithNewWeightsRegression:
     def test_method_still_follows_augmentation(self, grid6_negative, rng):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method="doubling", kernel="pruned")
+            g, tree, config=OracleConfig(method="doubling", source_block=16)
         )
         rebuilt = oracle.with_new_weights(graph=g.reverse())
         assert rebuilt.config.method == "doubling"
-        assert rebuilt.config.kernel == "pruned"
+        assert rebuilt.config.source_block == 16
