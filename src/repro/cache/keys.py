@@ -46,11 +46,6 @@ def augmentation_key(
     tree: SeparatorTree,
     semiring: Semiring,
     method: str,
-    *,
-    mode: str = "exact",
-    eps: float = 0.0,
-    hopset_beta: int = 0,
-    hopset_seed: int = 0,
 ) -> str:
     """Hex SHA-256 content address of the augmentation these inputs build.
 
@@ -62,23 +57,11 @@ def augmentation_key(
     and boundaries with their offset tables — unambiguous, and hashed as a
     dozen large buffers instead of thousands of per-node feeds), and the
     semiring by its registry name.
-
-    Hopset artifacts (``mode != "exact"``) additionally fold ``mode``,
-    ``eps``, ``hopset_beta`` and the pivot-sampling seed into the hash, so
-    an approximate artifact can never collide with an exact one (or with a
-    different-ε hopset over the same graph).  Exact keys feed *nothing*
-    extra — every key minted before the hopset subsystem existed is still
-    bit-stable.
     """
     h = hashlib.sha256()
     _feed_str(h, f"repro-aug-v{KEY_VERSION}")
     _feed_str(h, method)
     _feed_str(h, semiring.name)
-    if mode != "exact":
-        _feed_str(h, f"mode={mode}")
-        _feed_str(h, f"eps={float(eps)!r}")
-        _feed_str(h, f"beta={int(hopset_beta)}")
-        _feed_str(h, f"seed={int(hopset_seed)}")
     h.update(int(graph.n).to_bytes(8, "little"))
     _feed_array(h, graph.src)
     _feed_array(h, graph.dst)

@@ -49,9 +49,6 @@ _CONFIG_FLAG_FIELDS = {
     "refine": "refine_separators",
     "refine_max_nodes": "refine_max_nodes",
     "mode": "mode",
-    "eps": "eps",
-    "hopset_beta": "hopset_beta",
-    "approx_gate": "approx_gate",
 }
 
 
@@ -99,16 +96,11 @@ def _add_refine_flags(p) -> None:
 
 
 def _add_mode_flags(p) -> None:
-    """The shared exact/approx mode flags (``--mode``/``--eps``/…).  ``--mode``
-    deliberately has no argparse ``choices``: an unknown name reaches
+    """The shared ``--mode`` flag (exact/direct/auto).  It deliberately has
+    no argparse ``choices``: an unknown name reaches
     :class:`~repro.core.config.OracleConfig` and raises its mode error,
     which names every valid mode and how each is selected."""
     p.add_argument("--mode", default=None, help=_cfg_help("mode"))
-    p.add_argument("--eps", type=float, default=None, help=_cfg_help("eps"))
-    p.add_argument("--hopset-beta", dest="hopset_beta", type=int, default=None,
-                   help=_cfg_help("hopset_beta"))
-    p.add_argument("--approx-gate", dest="approx_gate", type=float, default=None,
-                   help=_cfg_help("approx_gate"))
 
 
 def _workload_from_args(args):
@@ -123,8 +115,8 @@ def _workload_from_args(args):
         g = grid_digraph((side, side), rng)
         tree = decompose_grid(g, (side, side), leaf_size=args.leaf_size)
     elif args.family == "expander":
-        # No sublinear separator exists here — pair with --mode approx (or
-        # auto, which gates to the hopset on the poor separability score).
+        # No sublinear separator exists here — pair with --mode direct (or
+        # auto, which gates to the direct tier on the poor separability score).
         g = expander_digraph(args.n, rng)
         tree = None
     else:
@@ -198,12 +190,8 @@ def _cmd_stats(args) -> int:
     if tree is not None:
         print("decomposition:", assess(tree).summary())
     s = oracle.stats()
-    hs = s.get("hopset")
-    summary = f"mode={s.get('mode', 'exact')}"
-    if hs is not None:
-        summary += (f" eps={s.get('eps')} hopset_edges={hs.get('edges')} "
-                    f"hop_cap={hs.get('hop_cap')} scales={hs.get('scales')}")
-    print("oracle:", summary)
+    print(f"oracle: mode={s['mode']} eplus={s['eplus']} "
+          f"diameter_bound={s['diameter_bound']}")
     for k, v in s.items():
         print(f"  {k}: {v}")
     srcs = rng.integers(0, g.n, size=args.sources)

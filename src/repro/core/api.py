@@ -35,7 +35,13 @@ from .semiring import Semiring
 from .septree import SeparatorTree, build_separator_tree
 from .sssp import measured_diameter, sssp_naive, sssp_scheduled
 
-__all__ = ["ShortestPathOracle"]
+__all__ = ["ShortestPathOracle", "DIRECT_GATE"]
+
+#: Separability threshold of ``mode="auto"``: a best first-pass tree scoring
+#: below it (:func:`repro.separators.quality.separability_score`; grids score
+#: near 1, expanders near 0) is served by the direct tier, at or above it by
+#: the exact E⁺ build.
+DIRECT_GATE = 0.5
 
 
 def _resolve_tree(
@@ -51,6 +57,45 @@ def _resolve_tree(
     from ..separators import decompose
 
     return decompose(graph, separator, leaf_size=leaf_size)
+
+
+def _auto_gate(
+    graph: WeightedDigraph, tree: SeparatorTree | None, leaf_size: int
+) -> tuple[SeparatorTree | None, dict]:
+    """``mode="auto"``: score the given tree (or the best first-pass one)
+    and pick a tier.  Returns the scored tree and the decision record —
+    ``mode``, ``why`` and, when a tree was scored, ``separability``,
+    ``gate`` and the per-engine ``candidates``."""
+    from ..separators import quality
+
+    if tree is None:
+        try:
+            _, tree = quality.best_first_pass(graph, leaf_size=leaf_size)
+        except Exception as exc:  # noqa: BLE001 — any engine may reject
+            return None, {
+                "mode": "direct",
+                "gate": DIRECT_GATE,
+                "why": (
+                    "every first-pass separator engine failed "
+                    f"({type(exc).__name__}: {exc})"
+                ),
+            }
+    score = quality.separability_score(tree)
+    decision = {"gate": DIRECT_GATE, "separability": score}
+    if tree.selection is not None:
+        decision["candidates"] = tree.selection.get("candidates")
+    if score < DIRECT_GATE:
+        decision["mode"] = "direct"
+        decision["why"] = (
+            f"separability {score:.3f} below gate {DIRECT_GATE:g}: serving G directly"
+        )
+    else:
+        decision["mode"] = "exact"
+        decision["why"] = (
+            f"separability {score:.3f} at or above gate {DIRECT_GATE:g}: "
+            "building exact E⁺"
+        )
+    return tree, decision
 
 
 def _is_shm_spec(executor) -> bool:
@@ -115,8 +160,6 @@ class ShortestPathOracle:
         cache: str = UNSET,
         cache_dir: str | None = UNSET,
         mode: str = UNSET,
-        eps: float = UNSET,
-        hopset_beta: int = UNSET,
     ) -> "ShortestPathOracle":
         """Run the full preprocessing pipeline.
 
@@ -164,70 +207,34 @@ class ShortestPathOracle:
             cache=cache,
             cache_dir=cache_dir,
             mode=mode,
-            eps=eps,
-            hopset_beta=hopset_beta,
         )
-        # Distance-fidelity dispatch (the hopset subsystem, repro.hopset):
-        # "approx" skips the separator machinery entirely; "auto" scores the
-        # best first-pass tree and gates on cfg.approx_gate; "exact" (the
-        # default) is the historical path, bit-for-bit.
-        if cfg.mode == "approx":
-            return cls._build_approx(
-                graph, cfg,
-                decision={"mode": "approx", "why": "mode='approx' requested"},
-            )
-        if cfg.mode == "auto":
-            from ..separators.quality import separability_score
-
-            if tree is None:
-                from ..separators.quality import best_first_pass
-
-                try:
-                    _, tree = best_first_pass(graph, leaf_size=cfg.leaf_size)
-                except Exception as exc:  # noqa: BLE001 — any engine may reject
-                    return cls._build_approx(
-                        graph, cfg,
-                        decision={
-                            "mode": "approx",
-                            "gate": cfg.approx_gate,
-                            "why": (
-                                "every first-pass separator engine failed "
-                                f"({type(exc).__name__}: {exc})"
-                            ),
-                        },
-                    )
-            score = separability_score(tree)
-            decision = {"gate": cfg.approx_gate, "separability": score}
-            if tree.selection is not None:
-                decision["candidates"] = tree.selection.get("candidates")
-            if score < cfg.approx_gate:
-                decision.update(
-                    mode="approx",
-                    why=(
-                        f"separability {score:.3f} below gate "
-                        f"{cfg.approx_gate:g}: building a (1+eps) hopset"
-                    ),
-                )
-                return cls._build_approx(graph, cfg, decision=decision)
-            decision.update(
-                mode="exact",
-                why=(
-                    f"separability {score:.3f} at or above gate "
-                    f"{cfg.approx_gate:g}: building exact E⁺"
-                ),
-            )
-            sel = dict(tree.selection or {})
-            sel["mode_decision"] = decision
-            tree.selection = sel
+        # Tier dispatch: "direct" skips the separator machinery and serves
+        # G itself; "auto" scores the best first-pass tree against
+        # DIRECT_GATE; "exact" (the default) is the historical path,
+        # bit-for-bit.  Both tiers share the cache path below.
+        decision = None
+        if cfg.mode == "direct":
+            decision = {"mode": "direct", "why": "mode='direct' requested"}
+        elif cfg.mode == "auto":
+            tree, decision = _auto_gate(graph, tree, cfg.leaf_size)
         ledger = Ledger()
-        given_tree = tree is not None
-        tree = _resolve_tree(graph, tree, cfg.separator, cfg.leaf_size)
-        # Post-pass flow refinement — applies to supplied trees too; skipped
-        # when separator="flow" just built an already-refined tree.
-        if cfg.refine_separators and (given_tree or cfg.separator != "flow"):
-            from ..separators.flow import refine_tree
+        method = cfg.method
+        if decision is not None and decision["mode"] == "direct":
+            from .direct import trivial_tree
 
-            tree, _ = refine_tree(graph, tree, max_nodes=cfg.refine_max_nodes)
+            method = "direct"
+            tree = trivial_tree(graph.n)
+        else:
+            given_tree = tree is not None
+            tree = _resolve_tree(graph, tree, cfg.separator, cfg.leaf_size)
+            # Post-pass flow refinement — applies to supplied trees too;
+            # skipped when separator="flow" just built an already-refined tree.
+            if cfg.refine_separators and (given_tree or cfg.separator != "flow"):
+                from ..separators.flow import refine_tree
+
+                tree, _ = refine_tree(graph, tree, max_nodes=cfg.refine_max_nodes)
+        if decision is not None:
+            tree.selection = {**(tree.selection or {}), "mode_decision": decision}
         cache_info: dict = {"mode": cfg.cache, "status": "off"}
         store = key = lock = None
         if cfg.cache != "off":
@@ -237,7 +244,7 @@ class ShortestPathOracle:
                 from ..cache import AugmentationCache, augmentation_key
 
                 store = AugmentationCache(cfg.cache_dir)
-                key = augmentation_key(graph, tree, cfg.resolved_semiring, cfg.method)
+                key = augmentation_key(graph, tree, cfg.resolved_semiring, method)
                 cache_info.update(key=key, dir=str(store.dir), status="miss")
                 t0 = time.perf_counter()
                 oracle = cls._from_cache(store, key, graph, tree, cfg, cache_info)
@@ -255,22 +262,25 @@ class ShortestPathOracle:
         try:
             if cfg.validate:
                 tree.validate(graph)
-            # Algorithm 4.1 is one stacked sweep per tree level: no executor.
-            pool = {} if cfg.method == "leaves_up" else {"executor": cfg.executor}
-            if cfg.method == "doubling_shared":
-                from .doubling_shared import augment_doubling_shared as build_fn
+            if method == "direct":
+                from .direct import direct_augmentation
+
+                aug = direct_augmentation(graph, tree, cfg.resolved_semiring)
             else:
-                build_fn = (
-                    augment_leaves_up if cfg.method == "leaves_up" else augment_doubling
+                # Algorithm 4.1 is one stacked sweep per tree level: no executor.
+                pool = {} if method == "leaves_up" else {"executor": cfg.executor}
+                if method == "doubling_shared":
+                    from .doubling_shared import augment_doubling_shared as build_fn
+                else:
+                    build_fn = augment_leaves_up if method == "leaves_up" else augment_doubling
+                aug = build_fn(
+                    graph,
+                    tree,
+                    cfg.resolved_semiring,
+                    ledger=ledger,
+                    keep_node_distances=cfg.keep_node_distances,
+                    **pool,
                 )
-            aug = build_fn(
-                graph,
-                tree,
-                cfg.resolved_semiring,
-                ledger=ledger,
-                keep_node_distances=cfg.keep_node_distances,
-                **pool,
-            )
             oracle = cls(
                 graph, tree, aug, aug.schedule(), preprocess_ledger=ledger, config=cfg
             )
@@ -325,81 +335,6 @@ class ShortestPathOracle:
         oracle.cache_info = cache_info
         return oracle
 
-    @classmethod
-    def _build_approx(
-        cls, graph: WeightedDigraph, cfg: OracleConfig, *, decision: dict | None = None
-    ) -> "ShortestPathOracle":
-        """The hopset build path (``mode="approx"``, or ``mode="auto"``
-        below the gate): construct a ``(1+eps)`` hopset instead of E⁺, hang
-        it off the trivial one-leaf tree, and serve through the same
-        oracle/engine machinery.  Hopset artifacts are cached exactly like
-        augmentations, under keys that fold in ``mode``/``eps``/``beta``
-        (so they can never collide with exact entries)."""
-        from ..hopset import HopsetAugmentation, build_hopset, trivial_tree
-
-        ledger = Ledger()
-        tree = trivial_tree(graph.n)
-        if decision is not None:
-            tree.selection = {"mode_decision": decision}
-        semiring = cfg.resolved_semiring
-        cache_info: dict = {"mode": cfg.cache, "status": "off"}
-        store = key = lock = None
-        if cfg.cache != "off":
-            from ..cache import AugmentationCache, augmentation_key
-
-            store = AugmentationCache(cfg.cache_dir)
-            key = augmentation_key(
-                graph, tree, semiring, "hopset",
-                mode="approx", eps=cfg.eps, hopset_beta=cfg.hopset_beta,
-            )
-            cache_info.update(key=key, dir=str(store.dir), status="miss")
-            t0 = time.perf_counter()
-            oracle = cls._from_cache(store, key, graph, tree, cfg, cache_info)
-            if oracle is None and cfg.cache == "readwrite":
-                lock = store.try_lock(key)
-                if lock is None and store.wait_for_entry(key):
-                    oracle = cls._from_cache(store, key, graph, tree, cfg, cache_info)
-            if oracle is not None:
-                if lock is not None:
-                    lock.release()
-                cache_info["load_s"] = time.perf_counter() - t0
-                if decision is not None and oracle.tree.selection is None:
-                    oracle.tree.selection = {"mode_decision": decision}
-                return oracle
-        try:
-            hopset = build_hopset(graph, semiring, eps=cfg.eps, beta=cfg.hopset_beta)
-            ledger.charge(
-                work=float(sum(b * p.shape[0] for b, p in zip(hopset.budgets, hopset.pivots)))
-                * max(1, graph.m),
-                depth=float(max(hopset.budgets, default=1)),
-                label="hopset-balls",
-            )
-            aug = HopsetAugmentation(
-                graph=graph,
-                tree=tree,
-                semiring=semiring,
-                src=hopset.src,
-                dst=hopset.dst,
-                weight=hopset.weight,
-                leaf_diameters={},
-                node_distances={},
-                method="hopset",
-                hopset=hopset,
-            )
-            oracle = cls(
-                graph, tree, aug, aug.schedule(), preprocess_ledger=ledger, config=cfg
-            )
-            if store is not None and cfg.cache == "readwrite":
-                t0 = time.perf_counter()
-                wrote = store.store(key, aug, config=cfg, validated=False)
-                cache_info["status"] = "stored" if wrote else "miss"
-                cache_info["store_s"] = time.perf_counter() - t0
-            oracle.cache_info = cache_info
-            return oracle
-        finally:
-            if lock is not None:
-                lock.release()
-
     # -------------------------------------------------------------- #
     # Queries
     # -------------------------------------------------------------- #
@@ -436,38 +371,21 @@ class ShortestPathOracle:
         oracle's augmentation.
 
         Takes the same ``(config, *, executor, engine, source_block)``
-        parameter set as :class:`~repro.core.query.QueryEngine` itself;
-        the only difference is the serving default ``executor="shm"``
-        when neither ``config`` nor the kwarg chooses one (a fresh build
-        defaults to ``"serial"``).  The engine reuses the oracle's cached
-        G⁺ / relaxer / schedule and (on the ``"shm"`` backend) publishes
-        the compiled phase arrays to shared memory once, so every
-        subsequent batched query ships only row-range descriptors to a
-        warm worker pool.  Close it (or use it as a context manager) when
-        done serving.
+        parameter set as :class:`~repro.core.query.QueryEngine` itself and
+        passes it through, so the two share one fallback,
+        ``executor="serial"`` (``"shm"`` is opt-in).  The engine
+        reuses the oracle's cached G⁺ / relaxer / schedule and (on the
+        ``"shm"`` backend) publishes the compiled phase arrays to shared
+        memory once, so every subsequent batched query ships only
+        row-range descriptors to a warm worker pool.  Close it (or use it
+        as a context manager) when done serving.
         """
         from .query import QueryEngine
 
-        if config is None:
-            changes = {
-                k: v
-                for k, v in (
-                    ("executor", executor),
-                    ("engine", engine),
-                    ("source_block", source_block),
-                )
-                if v is not UNSET
-            }
-            cfg = OracleConfig(executor="shm").replace(**changes)
-        else:
-            cfg = resolve_config(
-                config, executor=executor, engine=engine, source_block=source_block
-            )
-        if self.augmentation.method == "hopset":
-            from ..hopset import ApproxEngine
-
-            return ApproxEngine(self.augmentation, cfg)
-        return QueryEngine(self.augmentation, cfg)
+        return QueryEngine(
+            self.augmentation, config,
+            executor=executor, engine=engine, source_block=source_block,
+        )
 
     def shard_fleet(
         self,
@@ -496,12 +414,12 @@ class ShortestPathOracle:
         """
         from ..shard import ShardRouter
 
-        if self.augmentation.method == "hopset":
+        if self.augmentation.method == "direct":
             raise ValueError(
                 "shard_fleet() cuts the separator tree into shard subtrees, "
-                "but a hopset oracle has no separator decomposition (that is "
-                "why it exists); serve it with query_engine() — the server's "
-                "replica tier still scales it out"
+                "but a direct-tier oracle has no separator decomposition "
+                "(that is why it serves G directly); serve it with "
+                "query_engine() — the server's replica tier still scales it out"
             )
         cfg = config if config is not None else self.config
         return ShardRouter(
@@ -637,23 +555,23 @@ class ShortestPathOracle:
             raise ValueError(f"reweight must be auto/incremental/rebuild, got {mode!r}")
         if validate is None:
             validate = self.config.validate
-        if self.augmentation.method == "hopset":
-            return self._reweight_hopset(graph, mode, validate)
         method = self.augmentation.method
-        if method not in ("leaves_up", "doubling", "doubling_shared"):
+        if method not in ("leaves_up", "doubling", "doubling_shared", "direct"):
             method = "leaves_up"
         same_skeleton = (
             graph.m == self.graph.m
             and np.array_equal(graph.src, self.graph.src)
             and np.array_equal(graph.dst, self.graph.dst)
         )
-        incremental_ok = method == "leaves_up" and same_skeleton
+        incremental_ok = method in ("leaves_up", "direct") and same_skeleton
         if mode == "incremental" and not incremental_ok:
             raise ValueError(
-                "reweight='incremental' needs a leaves_up lineage and an "
-                "unchanged edge skeleton (same src/dst arrays); pass "
+                "reweight='incremental' needs a leaves_up or direct lineage "
+                "and an unchanged edge skeleton (same src/dst arrays); pass "
                 "reweight='auto' to fall back to a rebuild"
             )
+        if method == "direct":
+            return self._reweight_direct(graph, mode != "rebuild" and incremental_ok)
         cfg = self.config.replace(
             method=method,
             semiring=self.semiring,
@@ -728,68 +646,24 @@ class ShortestPathOracle:
         oracle._reweight_plan = plan
         return oracle
 
-    def _reweight_hopset(
-        self, graph: WeightedDigraph, mode: str, validate
-    ) -> "ShortestPathOracle":
-        """The rebuild-or-replay decision for a hopset lineage.
+    def _reweight_direct(self, graph: WeightedDigraph, rebind: bool) -> "ShortestPathOracle":
+        """A direct-tier lineage has nothing to replay: ``rebind`` binds the
+        new weights to the prior G relaxer's layout (same skeleton), else
+        the layout is laid out afresh.  Either way the epoch moves on."""
+        from .direct import direct_augmentation
 
-        With an unchanged edge skeleton, ``"auto"``/``"incremental"``
-        *replay* the prior construction — same pivot sample, same scale
-        budgets, only the hop-limited balls re-run over the new weights —
-        so the approximation structure (and the cacheable identity of the
-        artifact) is stable across the reweighting lineage.  A changed
-        skeleton (or ``"rebuild"``) resamples from scratch.
-        """
-        from ..hopset import HopsetAugmentation, build_hopset, replay_hopset
-
-        cfg = self.config
-        prior = getattr(self.augmentation, "hopset", None)
-        same_skeleton = (
-            graph.m == self.graph.m
-            and np.array_equal(graph.src, self.graph.src)
-            and np.array_equal(graph.dst, self.graph.dst)
-        )
-        if mode == "incremental" and not (same_skeleton and prior is not None):
-            raise ValueError(
-                "reweight='incremental' on a hopset oracle needs an unchanged "
-                "edge skeleton (same src/dst arrays) and a recorded pivot "
-                "sample; pass reweight='auto' to fall back to a resample"
-            )
-        if mode != "rebuild" and same_skeleton and prior is not None:
-            hopset = replay_hopset(graph, prior, semiring=self.semiring)
-            status = "reweight"
-        else:
-            hopset = build_hopset(
-                graph, self.semiring, eps=cfg.eps, beta=cfg.hopset_beta
-            )
-            status = "rebuild"
-        aug = HopsetAugmentation(
-            graph=graph,
-            tree=self.tree,
-            semiring=self.semiring,
-            src=hopset.src,
-            dst=hopset.dst,
-            weight=hopset.weight,
-            leaf_diameters={},
-            node_distances={},
-            method="hopset",
-            hopset=hopset,
+        aug = direct_augmentation(
+            graph, self.tree, self.semiring,
+            prior=self.augmentation if rebind else None,
         )
         aug.weights_epoch = self.augmentation.weights_epoch + 1
-        if status == "reweight":
-            aug.reuse_layout(self.augmentation)
-        if validate:
-            dev = aug.verify_edges()
-            if dev > 1e-9:
-                raise AssertionError(
-                    f"replayed hopset shortcuts underestimate ground-truth "
-                    f"distances by {dev!r}"
-                )
         oracle = ShortestPathOracle(
             graph, self.tree, aug, aug.schedule(),
-            preprocess_ledger=Ledger(), config=cfg,
+            preprocess_ledger=Ledger(), config=self.config,
         )
-        oracle.cache_info = {"mode": cfg.cache, "status": status}
+        oracle.cache_info = {
+            "mode": self.config.cache, "status": "reweight" if rebind else "rebuild"
+        }
         return oracle
 
     def path(self, u: int, v: int) -> list[int] | None:
@@ -846,11 +720,10 @@ class ShortestPathOracle:
             semiring=aug.semiring,
             keep_node_distances=bool(aug.node_distances),
         )
-        if aug.method == "hopset":
-            # A hopset lineage: cfg.method stays whatever the build used
-            # (it names the E⁺ algorithm, which did not run); the mode is
-            # what marks the artifact approximate.
-            changes["mode"] = "approx"
+        if aug.method == "direct":
+            # A direct-tier artifact: cfg.method stays whatever the build
+            # used (it names the E⁺ algorithm, which did not run).
+            changes["mode"] = "direct"
         elif aug.method in ("leaves_up", "doubling", "doubling_shared"):
             changes["method"] = aug.method
         else:

@@ -57,7 +57,7 @@ class _Unset:
 UNSET = _Unset()
 
 _METHODS = ("leaves_up", "doubling", "doubling_shared")
-_MODES = ("exact", "approx", "auto")
+_MODES = ("exact", "direct", "auto")
 _ENGINES = ("scheduled", "naive")
 
 
@@ -65,12 +65,24 @@ def _mode_error(name: object) -> ValueError:
     """A helpful error for an unknown distance mode: names every valid mode
     (same pattern as the separator registry's ``_engine_error``)."""
     have = ", ".join(_MODES)
-    return ValueError(
-        f"unknown mode {name!r}; valid modes: {have} ('exact' serves exact "
-        f"E⁺ distances, 'approx' builds a (1+eps) hopset, 'auto' gates on "
-        f"separator quality via approx_gate; select via mode= or "
-        f"OracleConfig.mode)"
+    retired = (
+        "mode='approx' (the (1+eps) hopset) was removed; use 'direct', which "
+        "answers exactly. " if name == "approx" else ""
     )
+    return ValueError(
+        f"{retired}unknown mode {name!r}; valid modes: {have} ('exact' builds "
+        f"E⁺ over a separator tree, 'direct' relaxes G itself with no "
+        f"preprocessing, 'auto' picks one by separator quality; select via "
+        f"mode= or OracleConfig.mode)"
+    )
+
+
+#: Fields removed with the (1+eps) hopset, and where their job went.
+_RETIRED = {
+    "hopset_beta": "the hopset it sized is gone, and mode='direct' has no knobs",
+    "approx_gate": "mode='auto' gates on the constant repro.core.api.DIRECT_GATE",
+}
+
 _CACHE_MODES = ("off", "read", "readwrite")
 _SHARD_BACKENDS = ("inline", "process")
 _REWEIGHT_MODES = ("auto", "incremental", "rebuild")
@@ -87,26 +99,18 @@ class OracleConfig:
         ``"doubling"`` (Algorithm 4.3) or ``"doubling_shared"``
         (Remark 4.4 shared pairing table).
     mode:
-        Distance fidelity: ``"exact"`` builds E⁺ and serves exact
-        distances; ``"approx"`` builds a sampled-pivot ``(1+eps)`` hopset
-        instead (:mod:`repro.hopset`) — the fit for dense digraphs,
-        expanders and other graphs with no good separator; ``"auto"``
-        scores the best first-pass separator tree
-        (:func:`repro.separators.quality.separability_score`) and takes
-        the hopset path when the score falls below ``approx_gate``.
+        Distance tier: ``"exact"`` builds E⁺ over a separator tree;
+        ``"direct"`` skips all preprocessing and relaxes G itself with
+        frontier Bellman–Ford (:mod:`repro.core.direct`) — the fit for
+        dense digraphs, expanders and other graphs with no small
+        separator; ``"auto"`` scores the best first-pass separator tree
+        (:func:`repro.separators.quality.separability_score`) and takes the
+        direct tier below :data:`repro.core.api.DIRECT_GATE`.  Every mode
+        answers exactly.
     eps:
-        Approximation slack of the hopset modes: every served distance
-        satisfies ``d <= d_hat <= (1+eps)*d``.  Smaller eps means finer
-        shortcut-weight rounding (a larger, slower-to-build hopset);
-        ignored in exact mode.
-    hopset_beta:
-        Base hop budget ``k`` of the hopset construction (pivot rate
-        ``3*ln(n)/k``, ball depth ``k``); ``0`` derives the
-        work-balancing default ``k ~ sqrt(n*ln n)``.
-    approx_gate:
-        Separability threshold of ``mode="auto"``: below it the hopset
-        path is taken, at or above it the exact E⁺ build runs.  Scores
-        live in ``[0, 1]`` (grids score near 1, expanders near 0).
+        Distance tolerance: a served ``d_hat`` must satisfy
+        ``d <= d_hat <= (1+eps)*d``.  Every mode meets it exactly
+        (``d_hat = d``); it stays a field so configs that set it stay valid.
     separator:
         Decomposition engine when no tree is supplied: ``"auto"`` /
         ``"spectral"``, ``"planar"``, ``"treewidth"``, ``"multilevel"``,
@@ -204,8 +208,6 @@ class OracleConfig:
     method: str = "leaves_up"
     mode: str = "exact"
     eps: float = 0.1
-    hopset_beta: int = 0
-    approx_gate: float = 0.5
     separator: str | Callable | None = "auto"
     semiring: str | Semiring = MIN_PLUS
     leaf_size: int = 8
@@ -228,6 +230,14 @@ class OracleConfig:
     refine_max_nodes: int = 20_000
     reweight: str = "auto"
 
+    def __new__(cls, *args, **kwargs):
+        gone = sorted(_RETIRED.keys() & kwargs.keys())
+        if gone:
+            raise TypeError("; ".join(
+                f"OracleConfig.{k} was removed: {_RETIRED[k]}" for k in gone
+            ))
+        return super().__new__(cls)
+
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
@@ -235,15 +245,6 @@ class OracleConfig:
             raise _mode_error(self.mode)
         if float(self.eps) < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps!r}")
-        if int(self.hopset_beta) < 0:
-            raise ValueError(
-                f"hopset_beta must be >= 0 (0 derives sqrt(n*ln n)), "
-                f"got {self.hopset_beta!r}"
-            )
-        if not 0.0 <= float(self.approx_gate) <= 1.0:
-            raise ValueError(
-                f"approx_gate must be in [0, 1], got {self.approx_gate!r}"
-            )
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if isinstance(self.semiring, str) and self.semiring not in SEMIRINGS:
@@ -367,9 +368,10 @@ class OracleConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "OracleConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected loudly."""
+        """Inverse of :meth:`to_dict`; unknown keys are rejected loudly
+        (retired ones with the reason)."""
         known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
+        extra = set(d) - known - _RETIRED.keys()
         if extra:
             raise ValueError(f"unknown OracleConfig keys: {sorted(extra)}")
         return cls(**d)

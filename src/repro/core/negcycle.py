@@ -12,15 +12,17 @@ Detection happens in two places:
   the lowest node whose separator (or leaf) the cycle touches, so the check
   costs nothing extra;
 * *standalone* — :func:`has_negative_cycle` is the classic n-phase
-  Bellman–Ford criterion, used as the independent oracle in tests, and
-  :func:`find_negative_cycle` extracts an explicit cycle for diagnostics.
+  Bellman–Ford criterion, used as the independent oracle in tests and by
+  the direct tier (:mod:`repro.core.direct`, which has no tree to check),
+  and :func:`find_negative_cycle` extracts an explicit cycle for
+  diagnostics.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.bellman_ford import EdgeRelaxer, initial_distances
+from ..kernels.bellman_ford import EdgeRelaxer, relax_fixpoint
 from .digraph import WeightedDigraph
 from .semiring import MIN_PLUS
 
@@ -28,15 +30,17 @@ __all__ = ["has_negative_cycle", "find_negative_cycle", "cycle_weight"]
 
 
 def has_negative_cycle(g: WeightedDigraph) -> bool:
-    """True iff ``g`` contains a negative-weight cycle (anywhere — every
-    vertex is a source, so reachability from a particular vertex does not
-    mask the cycle)."""
-    dist = initial_distances(g.n, np.arange(g.n), MIN_PLUS)
-    relaxer = EdgeRelaxer.from_graph(g, MIN_PLUS)
-    for _ in range(g.n - 1):
-        if not relaxer.relax(dist):
-            return False
-    return relaxer.relax(dist)
+    """True iff ``g`` contains a negative-weight cycle (anywhere: the one
+    distance row starts at 0 everywhere — a virtual super-source with a
+    zero-weight edge to every vertex — so reachability from a particular
+    vertex does not mask the cycle).  Without a cycle every entry settles
+    within ``n - 1`` phases, so an ``n``-th phase that still improves is
+    the certificate."""
+    if not g.m:
+        return False
+    dist = np.zeros((1, g.n))
+    _, active = relax_fixpoint(EdgeRelaxer.from_graph(g, MIN_PLUS), dist, g.n)
+    return bool(active.size)
 
 
 def find_negative_cycle(g: WeightedDigraph) -> list[int] | None:

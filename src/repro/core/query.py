@@ -119,9 +119,9 @@ class QueryEngine:
 
     Takes the same ``(config, *, executor, engine, source_block)``
     parameter set — in the same order — as
-    :meth:`repro.core.api.ShortestPathOracle.query_engine`; only the
-    fallback ``executor`` differs (``"serial"`` here, ``"shm"`` on the
-    serving facade).
+    :meth:`repro.core.api.ShortestPathOracle.query_engine`, which passes
+    it through; with neither ``config`` nor the kwarg the executor falls
+    back to ``"serial"``.
 
     Parameters
     ----------

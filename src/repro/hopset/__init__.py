@@ -1,37 +1,19 @@
-"""``repro.hopset`` — the (1+ε) approximate-distance subsystem.
+"""Retired: the sampled-pivot (1+ε) hopset.  Graphs without small
+separators are served exactly by ``mode="direct"`` (:mod:`repro.core.direct`);
+these names remain so that old imports get a pointed error."""
 
-For digraphs with no good separator decomposition (dense, expander,
-social-graph-like), ``api.build`` swaps the exact E⁺ augmentation for a
-sampled-pivot hopset ``H`` (``mode="approx"``, or ``mode="auto"`` below the
-``approx_gate`` quality threshold) and serves bounded-hop Bellman–Ford over
-``G ∪ H`` with a ``d ≤ d̂ ≤ (1+ε)·d`` guarantee.
+from .augment import HopsetAugmentation
 
-* :mod:`.construct` — pivot sampling, hop-limited ball growing, geometric
-  weight rounding (:func:`build_hopset` / :func:`replay_hopset`).
-* :mod:`.augment` — :class:`HopsetAugmentation`, the E⁺-shaped adapter the
-  whole serving stack consumes unchanged.
-* :mod:`.engine` — :class:`ApproxEngine`, the
-  :class:`~repro.core.protocols.ServingBackend`-conforming query engine.
-"""
+__all__ = ["HopsetAugmentation", "build_hopset", "replay_hopset"]
 
-from .augment import HopsetAugmentation, HopSchedule, trivial_tree
-from .construct import (
-    Hopset,
-    build_hopset,
-    default_hop_budget,
-    hop_cap_for,
-    replay_hopset,
-)
-from .engine import ApproxEngine
+_REMOVED = "removed with the (1+eps) hopset; use mode='direct', which answers exactly"
 
-__all__ = [
-    "ApproxEngine",
-    "Hopset",
-    "HopSchedule",
-    "HopsetAugmentation",
-    "build_hopset",
-    "default_hop_budget",
-    "hop_cap_for",
-    "replay_hopset",
-    "trivial_tree",
-]
+
+def build_hopset(*args, **kwargs):
+    """Removed: raises.  Build with ``mode="direct"`` instead."""
+    raise RuntimeError(f"build_hopset was {_REMOVED}")
+
+
+def replay_hopset(*args, **kwargs):
+    """Removed: raises.  A direct-tier reweight rebinds G's relaxer."""
+    raise RuntimeError(f"replay_hopset was {_REMOVED}")

@@ -15,8 +15,12 @@ Augmentation archives carry a versioned header (format 2):
 * ``config_json`` — the build's :class:`~repro.core.config.OracleConfig`,
   so ``save → load → query_engine`` keeps the original ``executor`` and
   serving choices instead of silently reverting to defaults.  Keys a
-  newer build no longer knows (such as the retired ``kernel``) are
-  dropped on load.
+  newer build no longer knows (such as the retired ``kernel``,
+  ``hopset_beta`` and ``approx_gate``) are dropped on load.
+
+Archives of the retired (1+ε) hopset mode (a ``hopset_json`` member) are
+refused with a pointed error; a direct-tier archive (``method="direct"``)
+loads as a :class:`~repro.core.direct.DirectAugmentation`.
 
 ``load_augmentation(..., arena=...)`` streams the edge arrays from the
 archive directly into a :class:`~repro.pram.shm.ShmArena` — the shared
@@ -32,6 +36,7 @@ import numpy as np
 
 from .core.augment import Augmentation, NodeDistances
 from .core.digraph import WeightedDigraph
+from .core.direct import DirectAugmentation
 from .core.semiring import SEMIRINGS
 from .core.septree import SeparatorTree, SepTreeNode
 
@@ -167,31 +172,6 @@ def save_augmentation(path, aug: Augmentation, *, config=None, validated: bool =
     cfg_dict = _serializable_config(config)
     if cfg_dict is not None:
         payload["config_json"] = json.dumps(cfg_dict, sort_keys=True)
-    hopset = getattr(aug, "hopset", None)
-    if hopset is not None:
-        # Hopset augmentations persist the construction record alongside the
-        # shortcut arrays (which already travel as aug_src/dst/weight), so a
-        # cache hit can replay the same pivots on reweight.
-        payload["hopset_json"] = json.dumps(
-            {
-                "eps": hopset.eps,
-                "beta": hopset.beta,
-                "rounded": hopset.rounded,
-                "hop_cap": hopset.hop_cap,
-                "seed": hopset.seed,
-                "build_wall_s": hopset.build_wall_s,
-                "budgets": [int(b) for b in hopset.budgets],
-            },
-            sort_keys=True,
-        )
-        pivots = list(hopset.pivots)
-        payload["hopset_pivots"] = (
-            np.concatenate(pivots) if pivots else np.empty(0, np.int64)
-        )
-        poff = np.zeros(len(pivots) + 1, dtype=np.int64)
-        for i, p in enumerate(pivots):
-            poff[i + 1] = poff[i] + p.shape[0]
-        payload["hopset_poff"] = poff
     import io as _io
 
     buf = _io.BytesIO()
@@ -264,6 +244,11 @@ def load_augmentation(path, *, arena=None, with_meta: bool = False):
                 f"{path} has augmentation format {version}; this build reads "
                 f"<= {AUG_FORMAT_VERSION}"
             )
+        if "hopset_json" in z.files:
+            raise ValueError(
+                f"{path} holds a (1+eps) hopset, which was removed; rebuild "
+                f"the oracle with mode='direct', which answers exactly"
+            )
         meta = {
             "version": version,
             "validated": bool(z["validated"]) if "validated" in z.files else False,
@@ -286,50 +271,17 @@ def load_augmentation(path, *, arena=None, with_meta: bool = False):
             int(k): int(d) for k, d in zip(z["leaf_idx"], z["leaf_diam"])
         }
         weight = np.asarray(aug_weight).astype(semiring.dtype, copy=False)
-        if "hopset_json" in z.files:
-            from .hopset import Hopset, HopsetAugmentation  # local: avoids cycle
-
-            rec = json.loads(str(z["hopset_json"]))
-            flat, poff = z["hopset_pivots"], z["hopset_poff"]
-            pivots = tuple(
-                flat[poff[i] : poff[i + 1]].astype(np.int64)
-                for i in range(poff.shape[0] - 1)
-            )
-            aug = HopsetAugmentation(
-                graph=graph,
-                tree=tree,
-                semiring=semiring,
-                src=aug_src,
-                dst=aug_dst,
-                weight=weight,
-                leaf_diameters=leaf_diameters,
-                node_distances={},
-                method=str(z["method"]),
-                hopset=Hopset(
-                    src=aug_src,
-                    dst=aug_dst,
-                    weight=weight,
-                    pivots=pivots,
-                    budgets=tuple(int(b) for b in rec["budgets"]),
-                    eps=float(rec["eps"]),
-                    beta=int(rec["beta"]),
-                    rounded=bool(rec["rounded"]),
-                    hop_cap=int(rec["hop_cap"]),
-                    seed=int(rec["seed"]),
-                    build_wall_s=float(rec["build_wall_s"]),
-                ),
-            )
-        else:
-            aug = Augmentation(
-                graph=graph,
-                tree=tree,
-                semiring=semiring,
-                src=aug_src,
-                dst=aug_dst,
-                weight=weight,
-                leaf_diameters=leaf_diameters,
-                node_distances={},
-                method=str(z["method"]),
-            )
+        cls = DirectAugmentation if str(z["method"]) == "direct" else Augmentation
+        aug = cls(
+            graph=graph,
+            tree=tree,
+            semiring=semiring,
+            src=aug_src,
+            dst=aug_dst,
+            weight=weight,
+            leaf_diameters=leaf_diameters,
+            node_distances={},
+            method=str(z["method"]),
+        )
         aug.arena = arena
         return (aug, meta) if with_meta else aug

@@ -98,8 +98,9 @@ def separability_score(tree: SeparatorTree) -> float:
     A good decomposition (|S(t)| ≪ |V(t)|) keeps the clique terms
     near-linear, so the score approaches 1; an expander or dense digraph
     forces Θ(n)-size top separators, the quadratic terms dominate n², and
-    the score collapses toward 0.  ``OracleConfig.approx_gate`` compares
-    against this value to decide exact-E⁺ vs hopset in ``mode="auto"``."""
+    the score collapses toward 0.  ``mode="auto"`` compares it against
+    :data:`repro.core.api.DIRECT_GATE` to choose between the exact E⁺
+    build and the direct tier (plain G, no preprocessing)."""
     n = max(1, tree.n)
     return float(1.0 - min(1.0, eplus_score(tree) / float(n * n)))
 

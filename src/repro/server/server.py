@@ -144,7 +144,8 @@ class OracleServer:
         :class:`~repro.core.config.OracleConfig` for the serving engine —
         its ``executor`` / ``engine`` / ``source_block`` fields select the
         backend exactly as in :meth:`ShortestPathOracle.query_engine`
-        (default: the shm pool).
+        (default: serial; the ``repro-spsp serve`` CLI passes its
+        ``--backend``).
     server:
         :class:`ServerConfig` with the socket address and the coalescing /
         backpressure / timeout knobs.
@@ -587,14 +588,11 @@ class OracleServer:
         # probe never stalls the event loop behind an in-flight batch.
         engine_stats = await loop.run_in_executor(None, self.engine.stats)
         cfg = self.server_config
-        aug = self.oracle.augmentation
-        approx = aug.method == "hopset"
         return {
             "server": self.metrics.snapshot(),
             "engine": engine_stats,
             "graph": {"n": int(self._graph.n), "m": int(self._graph.m)},
-            "mode": "approx" if approx else "exact",
-            "eps": float(getattr(aug, "eps", 0.0)) if approx else None,
+            "mode": "direct" if self.oracle.augmentation.method == "direct" else "exact",
             "separators": self.oracle.tree.separator_stats(),
             "cache": {
                 "build": dict(self.oracle.cache_info),

@@ -131,8 +131,8 @@ def expander_digraph(
 ) -> WeightedDigraph:
     """Random ``degree``-out digraph plus a Hamiltonian cycle — an expander
     whp, i.e. *no* sublinear separator exists.  The regime where E⁺ blows
-    up and the hopset mode (:mod:`repro.hopset`) earns its keep; the cycle
-    guarantees strong connectivity so every distance is finite."""
+    up and the direct tier (:mod:`repro.core.direct`) serves G instead; the
+    cycle guarantees strong connectivity so every distance is finite."""
     if n < 2:
         raise ValueError("n must be >= 2")
     degree = min(int(degree), n - 1)
