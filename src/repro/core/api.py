@@ -65,12 +65,19 @@ def _auto_gate(
     """``mode="auto"``: score the given tree (or the best first-pass one)
     and pick a tier.  Returns the scored tree and the decision record —
     ``mode``, ``why`` and, when a tree was scored, ``separability``,
-    ``gate`` and the per-engine ``candidates``."""
+    ``gate`` and the per-engine ``candidates``.
+
+    The first pass runs with ``budget = n²``: an engine stops recursing
+    once its clique terms pass n², where the separability score is
+    already exactly 0.0, so every verdict, score and exact-tier tree is
+    the unbudgeted one.  A gate at or below 0 could pick a 0.0 tree for
+    the exact tier, so only a positive gate sets the budget."""
     from ..separators import quality
 
     if tree is None:
+        budget = max(1, graph.n) ** 2 if DIRECT_GATE > 0 else None
         try:
-            _, tree = quality.best_first_pass(graph, leaf_size=leaf_size)
+            _, tree = quality.best_first_pass(graph, leaf_size=leaf_size, budget=budget)
         except Exception as exc:  # noqa: BLE001 — any engine may reject
             return None, {
                 "mode": "direct",

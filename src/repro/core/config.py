@@ -105,8 +105,10 @@ class OracleConfig:
         dense digraphs, expanders and other graphs with no small
         separator; ``"auto"`` scores the best first-pass separator tree
         (:func:`repro.separators.quality.separability_score`) and takes the
-        direct tier below :data:`repro.core.api.DIRECT_GATE`.  Every mode
-        answers exactly.
+        direct tier below :data:`repro.core.api.DIRECT_GATE`.  The first
+        pass stops each engine once its clique terms reach n², where the
+        score is already exactly 0, so the gate costs little even on
+        expanders.  Every mode answers exactly.
     eps:
         Distance tolerance: a served ``d_hat`` must satisfy
         ``d <= d_hat <= (1+eps)*d``.  Every mode meets it exactly

@@ -113,6 +113,9 @@ class SeparatorTree:
         #: (``quality.best_first_pass``, ``api.build`` auto-mode gating):
         #: per-candidate scores plus why this tree won (None = direct build).
         self.selection: dict | None = None
+        #: Nodes built before a budgeted :func:`build_separator_tree` stopped
+        #: recursing (None = complete tree).
+        self.cut_at: int | None = None
         self.vertex_level = np.full(n, -1, dtype=np.int64)
         self.vertex_node = np.full(n, -1, dtype=np.int64)
         # Scan top-down (nodes are created parent-before-child) so the first
@@ -364,6 +367,7 @@ def build_separator_tree(
     leaf_size: int = 8,
     full_separator_inclusion: bool = True,
     alpha: float = 0.95,
+    budget: int | None = None,
 ) -> SeparatorTree:
     """Recursively decompose ``g`` with ``separator_fn``.
 
@@ -379,10 +383,21 @@ def build_separator_tree(
         Sanity bound: each child must satisfy ``|V(child)| ≤ α·|V(t)| +
         |S(t)|``; a violation means the oracle is not producing balanced
         separators and raises.
+    budget:
+        Cap on the clique terms Σ_t (|S(t)|² + |B(t)|²) of E⁺
+        (:func:`repro.separators.quality.eplus_score`), summed over the
+        nodes built so far and the boundaries of the subproblems queued.
+        Once the sum passes it, every queued subproblem becomes a leaf,
+        oversized or not: the result is a valid tree whose score exceeds
+        ``budget``, with ``cut_at`` set.  The sum only ever counts terms of
+        the complete tree, so a tree whose complete score stays within the
+        budget is built exactly as without one.  ``None`` = no cap.
     """
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
     nodes: list[SepTreeNode] = []
+    score = 0  # Σ |S|² over ``nodes`` + Σ |B|² over ``nodes`` and ``stack``
+    cut_at: int | None = None
     # Work stack of (parent_idx, level, global_vertices, boundary).
     stack: list[tuple[int, int, np.ndarray, np.ndarray]] = [
         (-1, 0, np.arange(g.n, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -393,8 +408,10 @@ def build_separator_tree(
         if parent >= 0:
             p = nodes[parent]
             p.children = p.children + (idx,)
+        if cut_at is None and budget is not None and score > budget:
+            cut_at = idx
         local_sep = None
-        if verts.shape[0] > leaf_size:
+        if verts.shape[0] > leaf_size and cut_at is None:
             sub, mapping = g.induced_subgraph(verts)
             try:
                 local_sep = np.unique(np.asarray(separator_fn(sub, mapping), dtype=np.int64))
@@ -416,6 +433,7 @@ def build_separator_tree(
             raise DecompositionError("separator oracle returned out-of-range local index")
         v1_local, v2_local = split_components(sub, local_sep)
         sep_global = mapping[local_sep]
+        score += int(sep_global.shape[0]) ** 2
         node = SepTreeNode(
             idx=idx,
             level=level,
@@ -449,8 +467,11 @@ def build_separator_tree(
                     f"node {idx}: unbalanced split ({child_verts.shape[0]} of {verts.shape[0]})"
                 )
             child_boundary = np.intersect1d(new_bound_pool, child_verts, assume_unique=False)
+            score += int(child_boundary.shape[0]) ** 2
             stack.append((idx, level + 1, child_verts, child_boundary))
-    return SeparatorTree(nodes, g.n)
+    tree = SeparatorTree(nodes, g.n)
+    tree.cut_at = cut_at
+    return tree
 
 
 def _adjacent_separator(

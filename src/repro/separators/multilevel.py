@@ -226,6 +226,7 @@ def decompose_multilevel(
     coarsest: int = 80,
     seed: int = 0,
     full_separator_inclusion: bool = True,
+    budget: int | None = None,
 ) -> SeparatorTree:
     """Separator decomposition via multilevel nested dissection."""
     return build_separator_tree(
@@ -233,4 +234,5 @@ def decompose_multilevel(
         multilevel_separator_fn(coarsest=coarsest, seed=seed),
         leaf_size=leaf_size,
         full_separator_inclusion=full_separator_inclusion,
+        budget=budget,
     )

@@ -100,7 +100,11 @@ def separability_score(tree: SeparatorTree) -> float:
     forces Θ(n)-size top separators, the quadratic terms dominate n², and
     the score collapses toward 0.  ``mode="auto"`` compares it against
     :data:`repro.core.api.DIRECT_GATE` to choose between the exact E⁺
-    build and the direct tier (plain G, no preprocessing)."""
+    build and the direct tier (plain G, no preprocessing).
+
+    The score is flat at 0 once the clique terms reach n², so a tree cut
+    by a ``budget`` of n² (:func:`best_first_pass`) scores exactly what
+    its complete build would: 0.0."""
     n = max(1, tree.n)
     return float(1.0 - min(1.0, eplus_score(tree) / float(n * n)))
 
@@ -110,10 +114,20 @@ def best_first_pass(
     *,
     leaf_size: int = 8,
     engines: tuple[str, ...] = ("spectral", "multilevel"),
+    budget: int | None = None,
 ) -> tuple[str, SeparatorTree]:
     """Build one tree per candidate engine and keep the cheapest by
     :func:`eplus_score`.  Engines that fail on this graph are skipped; if
     every candidate fails, the last error propagates.
+
+    With a ``budget`` (only the default engines take one), each engine
+    stops recursing once its running :func:`eplus_score` passes it
+    (``build_separator_tree(budget=...)``).
+    A cut tree scores above the budget, so it loses to any complete one;
+    its candidate entry records ``eplus_score_at_least`` and ``cut_at``
+    (nodes built) instead of ``eplus_score``.  With ``budget ≥ n²`` — the
+    auto gate's — a cut tree's :func:`separability_score` is exactly its
+    complete build's, 0.0, and every complete tree is the unbudgeted one.
 
     The winning tree carries the full decision on ``tree.selection`` —
     per-engine scores, failures, and why the winner won — so the choice is
@@ -121,13 +135,14 @@ def best_first_pass(
     server ``stats`` RPC) instead of silently discarded."""
     from . import decompose
 
+    extra = {} if budget is None else {"budget": budget}
     best: tuple[str, SeparatorTree] | None = None
     best_score = 0
     last_error: Exception | None = None
     candidates: list[dict] = []
     for name in engines:
         try:
-            tree = decompose(graph, name, leaf_size=leaf_size)
+            tree = decompose(graph, name, leaf_size=leaf_size, **extra)
         except Exception as exc:  # noqa: BLE001 — any engine may reject a family
             last_error = exc
             candidates.append(
@@ -135,13 +150,12 @@ def best_first_pass(
             )
             continue
         score = eplus_score(tree)
-        candidates.append(
-            {
-                "engine": name,
-                "eplus_score": score,
-                "separability": separability_score(tree),
-            }
-        )
+        cut = tree.cut_at is not None
+        entry = {"engine": name, ("eplus_score_at_least" if cut else "eplus_score"): score}
+        entry["separability"] = separability_score(tree)
+        if cut:
+            entry["cut_at"] = tree.cut_at
+        candidates.append(entry)
         if best is None or score < best_score:
             best, best_score = (name, tree), score
     if best is None:
@@ -150,7 +164,8 @@ def best_first_pass(
     tree.selection = {
         "chosen": name,
         "why": (
-            f"lowest eplus_score ({best_score}) among "
+            f"lowest eplus_score ({'≥' if tree.cut_at is not None else ''}"
+            f"{best_score}) among "
             f"{len(engines)} first-pass engine(s)"
         ),
         "candidates": candidates,

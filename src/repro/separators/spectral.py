@@ -84,6 +84,7 @@ def decompose_spectral(
     dense_cutoff: int = 512,
     seed: int = 0,
     full_separator_inclusion: bool = True,
+    budget: int | None = None,
 ) -> SeparatorTree:
     """Separator decomposition of an arbitrary sparse graph via spectral
     nested dissection."""
@@ -92,4 +93,5 @@ def decompose_spectral(
         spectral_separator_fn(dense_cutoff=dense_cutoff, seed=seed),
         leaf_size=leaf_size,
         full_separator_inclusion=full_separator_inclusion,
+        budget=budget,
     )
