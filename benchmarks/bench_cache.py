@@ -1,6 +1,6 @@
 """E-cache — the content-addressed build cache and the query-row LRU.
 
-Three experiments on the 56×56 grid workload (the E-par/E-serve graph),
+Two experiments on the 56×56 grid workload (the E-par/E-serve graph),
 all appended to ``benchmarks/results/BENCH_cache.json``:
 
 * **cold vs cached build** — the same ``(graph, tree, method)`` built twice
@@ -12,9 +12,6 @@ all appended to ``benchmarks/results/BENCH_cache.json``:
   answered from the per-source LRU at least ``ROW_HIT_SPEEDUP``× faster
   (p50) than a cold single-source relaxation — the serving path
   ``repro.server`` rides for repeated sources.
-* **shm warm start** — a cache hit loaded for the ``shm`` backend streams
-  the edge arrays straight into a fresh arena; distances stay
-  bit-identical and closing the oracle leaves ``/dev/shm`` clean.
 """
 
 from __future__ import annotations
@@ -177,45 +174,3 @@ def test_ecache_row_lru_hit_latency(benchmark, workload, report, results_dir):
     with oracle.query_engine(OracleConfig(executor="serial", row_cache=64)) as eng:
         eng.query(hot_src)
         benchmark(lambda: eng.query(hot_src))
-
-
-def test_ecache_shm_warm_start(workload, report, results_dir, tmp_path):
-    """An shm-destined cache hit loads arena-backed (edge arrays streamed
-    into shared pages), serves bit-identical distances, and unlinks
-    everything on close."""
-    from repro.pram.shm import orphaned_segments
-
-    g, tree = workload
-    cache_dir = str(tmp_path / "store")
-    cold = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=cache_dir)
-    t0 = time.perf_counter()
-    warm = ShortestPathOracle.build(
-        g, tree, cache="read", cache_dir=cache_dir, executor="shm:2"
-    )
-    warm_s = time.perf_counter() - t0
-    assert warm.cache_info["status"] == "hit"
-    assert warm.cache_info["arena_backed"] is True
-    srcs = np.random.default_rng(3).integers(0, g.n, size=8)
-    want = cold.distances(srcs)
-    with warm.query_engine(executor="shm:2") as eng:
-        got = eng.query(srcs)
-    assert np.array_equal(want, got)
-    warm.close()
-    assert orphaned_segments() == []
-    _record_json(
-        results_dir,
-        "shm_warm_start_56x56",
-        {
-            "workload": f"shm warm-start hit, {SIDE}x{SIDE} grid",
-            "load_s": warm_s,
-            "arena_backed": True,
-            "bit_identical": True,
-            "shm_clean_after_close": True,
-        },
-    )
-    report(
-        "E-cache-shm-warm-start",
-        f"shm warm-start hit in {warm_s:.3f}s: edge arrays streamed into "
-        "a fresh arena (no intermediate copies), distances bit-identical, "
-        "/dev/shm clean after close.\n",
-    )

@@ -207,15 +207,12 @@ class AugmentationCache:
     # Load / store
     # ------------------------------------------------------------ #
 
-    def load(self, key: str, *, arena=None):
+    def load(self, key: str):
         """``(augmentation, meta)`` for a present entry, else ``None``.
 
         ``meta`` is the versioned header dict of :func:`repro.io.
         load_augmentation` (``version`` / ``validated`` / ``config``).
-        With ``arena`` (a :class:`~repro.pram.shm.ShmArena`) the edge
-        arrays are streamed from the archive straight into shared memory —
-        no intermediate private copies.  A corrupt entry is deleted and
-        reported as a miss.
+        A corrupt entry is deleted and reported as a miss.
         """
         path = self.entry_path(key)
         if not path.exists():
@@ -223,7 +220,7 @@ class AugmentationCache:
         from ..io import load_augmentation
 
         try:
-            aug, meta = load_augmentation(path, arena=arena, with_meta=True)
+            aug, meta = load_augmentation(path, with_meta=True)
         except (ValueError, KeyError, OSError, zipfile.BadZipFile, EOFError):
             # Truncated or foreign file at the entry path: drop it so the
             # next builder repairs the slot (atomic writes make this rare).

@@ -576,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     p7.add_argument("--sources", type=int, default=64, help="sources per batch")
     p7.add_argument("--batches", type=int, default=4)
     p7.add_argument("--backend", default="shm",
-                    help="executor spec: serial | thread[:N] | process[:N] | shm[:N]")
+                    help="executor spec: serial | thread[:N] | shm[:N]")
     p7.add_argument("--engine", choices=["scheduled", "naive"], default="scheduled")
     p7.add_argument("--method",
                     choices=["leaves_up", "doubling", "doubling_shared"],
@@ -606,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     p8.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p8.add_argument("--seed", type=int, default=0)
     p8.add_argument("--backend", default="shm",
-                    help="serving executor: serial | thread[:N] | process[:N] | shm[:N]")
+                    help="serving executor: serial | thread[:N] | shm[:N]")
     p8.add_argument("--engine", choices=["scheduled", "naive"], default="scheduled")
     p8.add_argument("--max-batch", dest="max_batch", type=int, default=256,
                     help="coalescing cap in source rows per batch")

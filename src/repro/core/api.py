@@ -105,12 +105,6 @@ def _auto_gate(
     return tree, decision
 
 
-def _is_shm_spec(executor) -> bool:
-    """Whether an executor spec names the shared-memory backend (the case
-    where a cache hit warm-starts an arena for the loaded edge arrays)."""
-    return isinstance(executor, str) and (executor == "shm" or executor.startswith("shm:"))
-
-
 class ShortestPathOracle:
     """Preprocessed multi-source shortest-path oracle for a digraph with a
     separator decomposition (the paper's end-to-end system)."""
@@ -312,22 +306,11 @@ class ShortestPathOracle:
     def _from_cache(cls, store, key, graph, tree, cfg, cache_info) -> "ShortestPathOracle | None":
         """One load attempt against the store; ``None`` on a miss.
 
-        For shm-destined builds the entry's edge arrays are streamed into a
-        fresh :class:`~repro.pram.shm.ShmArena` (``aug.arena``) so serving
-        workers share the pages; close it via :meth:`close` (a finalizer
-        covers forgetful owners).  Validation already paid at store time
-        (per the entry header) is *not* re-run — the ``validate`` fast
-        path of a hit.
+        Validation already paid at store time (per the entry header) is
+        *not* re-run — the ``validate`` fast path of a hit.
         """
-        arena = None
-        if _is_shm_spec(cfg.executor):
-            from ..pram.shm import ShmArena
-
-            arena = ShmArena()
-        loaded = store.load(key, arena=arena)
+        loaded = store.load(key)
         if loaded is None:
-            if arena is not None:
-                arena.close()
             return None
         aug, meta = loaded
         if cfg.validate and not meta.get("validated"):
@@ -337,7 +320,6 @@ class ShortestPathOracle:
             status="hit",
             version=int(meta.get("version", 1)),
             validated=bool(meta.get("validated", False)),
-            arena_backed=arena is not None,
         )
         oracle.cache_info = cache_info
         return oracle
@@ -742,13 +724,9 @@ class ShortestPathOracle:
         )
 
     def close(self) -> None:
-        """Release the warm-start arena of a cache-hit shm build (if any);
-        idempotent and optional — the arena's finalizer unlinks segments at
-        GC time for owners that forget.  Views already handed out stay
-        readable in this process; new worker attaches stop working."""
-        arena = getattr(self.augmentation, "arena", None)
-        if arena is not None:
-            arena.close()
+        """Idempotent no-op, kept for callers that close an oracle: the
+        oracle owns no pools or shared memory (a :class:`~repro.core.query.
+        QueryEngine` owns its own and is closed on its own)."""
 
     def check_no_negative_cycle(self) -> bool:
         """Independent Bellman–Ford certificate (the build already raises on

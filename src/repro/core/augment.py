@@ -88,10 +88,6 @@ class Augmentation:
     #: ``ShortestPathOracle.with_new_weights`` along a reweighting lineage,
     #: and to be bumped manually by anyone mutating ``weight`` in place.
     weights_epoch: int = field(default=0, compare=False)
-    #: The :class:`~repro.pram.shm.ShmArena` hosting the edge arrays when
-    #: this augmentation was loaded arena-backed (``repro.io`` /
-    #: ``repro.cache``); ``None`` for ordinary private-memory builds.
-    arena: object = field(default=None, repr=False, compare=False)
     # Query-path caches: G⁺, its full-edge relaxer and the §3.2 schedule are
     # pure functions of the fields above and expensive to rebuild, so they
     # are constructed at most once per augmentation (every query used to

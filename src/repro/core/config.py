@@ -15,8 +15,8 @@ The two historically overloaded knob names keep their meaning everywhere
     ``"naive"`` (full-edge Bellman–Ford to convergence).
 ``executor``
     *Hardware backend* running independent work:
-    ``"serial" | "thread[:N]" | "process[:N]" | "shm[:N]"`` (or an
-    executor instance) per :func:`repro.pram.executor.get_executor`.
+    ``"serial" | "thread[:N]" | "shm[:N]"`` (or an executor instance) per
+    :func:`repro.pram.executor.get_executor`.
 
 Back-compat contract
 --------------------

@@ -64,10 +64,10 @@ def _check_diagonal(matrix: np.ndarray, vertices: np.ndarray, semiring: Semiring
 
 
 # ------------------------------------------------------------------ #
-# Per-node workers (module level so the process backends can pickle them)
+# Per-node workers (module level so the shm process pool can pickle them)
 #
 # Two payload styles share these functions: the classic style carries the
-# arrays themselves (serial/thread/process), while the shm style carries
+# arrays themselves (serial/thread), while the shm style carries
 # ArrayRef descriptors that the ShmExecutor resolves to zero-copy views
 # before dispatch, plus an ``out`` block the worker fills in place so the
 # result matrix is never pickled either (see repro.pram.shm).

@@ -187,9 +187,8 @@ def augment_doubling_shared(
     per-node gather→square steps out over the pool (descriptors only) and
     the orchestrator ⊕-scatters the improved products back — the iteration
     reaches the same unique fixpoint as the sequential rounds, within the
-    same Proposition 4.5 round bound.  Other executors keep the sequential
-    rounds (a round is read-modify-write on one vector, so thread/process
-    pools without shared pages have nothing to win).
+    same Proposition 4.5 round bound.  Other executors run the whole build
+    in the calling thread (a round is read-modify-write on one vector).
     """
     exe = get_executor(executor)
     owns_executor = isinstance(executor, str) and not isinstance(exe, SerialExecutor)

@@ -21,9 +21,9 @@ makes it explicit:
   ``workers``, supervisor-side ``queue_depth``, recent-window
   ``queue_wait_ms`` p50/p99, the served ``weights_epoch``, lifetime
   ``queries_served`` / ``rows_served``, and a ``per_shard`` breakdown
-  (empty for a single engine).  Tier-specific keys ride along; historical
-  keys (``shards`` on the router, ``phases`` on the engine, …) are kept as
-  deprecated aliases for one release.
+  (empty for a single engine).  Tier-specific keys ride along
+  (``engine`` and ``phases`` on the engine, ``plan`` and ``spine`` on the
+  router, …); the router's per-shard list lives only under ``per_shard``.
 
 The signatures intentionally differ per tier where the *payload* differs
 (``QueryEngine.reweight`` takes an :class:`~repro.core.augment.

@@ -47,7 +47,7 @@ from ..kernels.bellman_ford import (
     relax_fixpoint,
     run_phases,
 )
-from ..pram.executor import SerialExecutor, ThreadExecutor, get_executor
+from ..pram.executor import SerialExecutor, get_executor
 from .augment import Augmentation
 from .config import UNSET, OracleConfig, resolve_config
 from .semiring import SEMIRINGS
@@ -87,31 +87,24 @@ def _shard_relaxers(spec: dict[str, Any]) -> list[EdgeRelaxer]:
     return relaxers
 
 
-def _shard_worker(payload: dict[str, Any]) -> dict[str, Any]:
-    """Relax one shard of distance rows to completion (module level for
-    pickling).
+def _shard_worker(payload: dict[str, Any]) -> int:
+    """Relax one shard of distance rows to completion in place (module
+    level for pickling); returns the phase count.
 
-    The shard is either a view into the shared distance block (``dist`` +
-    row range; results are written in place and not returned) or a pickled
-    row matrix (plain process backend; rows are returned).  ``scheduled``
-    mode runs the one exact §3.2 pass; ``naive`` mode iterates the
-    full-edge relaxer until this shard's rows converge.
+    The shard is a row range of the shared distance block ``dist``;
+    results are written in place and not returned.  ``scheduled`` mode
+    runs the one exact §3.2 pass; ``naive`` mode iterates the full-edge
+    relaxer until this shard's rows converge.
     """
     relaxers = _shard_relaxers(payload["engine"])
-    if "dist" in payload:
-        rows = payload["dist"][payload["row_start"] : payload["row_stop"]]
-        shared = True
-    else:
-        rows = payload["rows"]
-        shared = False
+    rows = payload["dist"][payload["row_start"] : payload["row_stop"]]
     if payload["engine"]["mode"] == "scheduled":
         block = max(1, int(payload["engine"]["source_block"]))
         for start in range(0, rows.shape[0], block):
             run_phases(relaxers, rows[start : start + block])
-        phases = len(relaxers)
-    else:
-        phases, _ = relax_fixpoint(relaxers[0], rows, int(payload["engine"]["cap"]))
-    return {"rows": None if shared else rows, "phases": phases}
+        return len(relaxers)
+    phases, _ = relax_fixpoint(relaxers[0], rows, int(payload["engine"]["cap"]))
+    return phases
 
 
 class QueryEngine:
@@ -183,7 +176,7 @@ class QueryEngine:
         self._use_shm = getattr(self._exe, "uses_shared_memory", False)
         self._closed = False
         # Build-once structures (cached on the augmentation itself), plus
-        # the publish-once compiled arrays for cross-process backends — one
+        # the publish-once compiled arrays on the shm backend — one
         # *generation* of serving state; reweight() compiles the next
         # generation and flips.
         self._dist_ref = None
@@ -193,7 +186,6 @@ class QueryEngine:
             self._relaxers,
             self._arena,
             self._spec,
-            self._token,
         ) = self._compile_generation(aug)
         # Telemetry.  The lock makes submissions (and the counters) safe to
         # drive from multiple threads — the asyncio server submits batches
@@ -220,70 +212,53 @@ class QueryEngine:
 
     def _compile_generation(self, aug: Augmentation):
         """Build one generation of serving state for ``aug``: relaxers (and
-        schedule), plus — for cross-process backends — a fresh engine token
-        and the published compiled arrays.  On shm the arena's segments are
-        tagged ``g<weights_epoch>`` so ``/dev/shm`` listings (and the leak
-        checker) attribute every segment to its generation."""
+        schedule), plus — on the shm backend — a new arena holding the
+        published compiled arrays and the worker spec that names them under
+        a fresh engine token.  The arena's segments are tagged
+        ``g<weights_epoch>`` so ``/dev/shm`` listings (and the leak checker)
+        attribute every segment to its generation."""
         if self.engine == "scheduled":
             schedule = aug.schedule()
             relaxers = schedule.relaxers
         else:
             schedule = None
             relaxers = [aug.relaxer()]
-        token = f"qe{os.getpid()}_{next(_TOKENS)}"
-        arena = None
-        spec: dict[str, Any] | None = None
-        if self._use_shm:
-            from ..pram.shm import ShmArena
+        if not self._use_shm:
+            return schedule, relaxers, None, None
+        from ..pram.shm import ShmArena
 
-            arena = ShmArena(tag=f"g{int(getattr(aug, 'weights_epoch', 0))}")
-            spec = self._make_spec(
-                aug,
-                token,
-                self._dedup_phases(relaxers, lambda r: {
-                    k: arena.publish(v) for k, v in r.compiled().items()
-                }),
-            )
-        elif not isinstance(self._exe, (SerialExecutor, ThreadExecutor)):
-            spec = self._make_spec(
-                aug, token, self._dedup_phases(relaxers, lambda r: r.compiled())
-            )
-        return schedule, relaxers, arena, spec, token
-
-    @staticmethod
-    def _dedup_phases(relaxers, compile_one) -> list[dict[str, Any]]:
-        """Compile (and, on shm, publish) each *distinct* relaxer object
-        once; repeated phases share the resulting dict.  The sharing is what
-        lets workers frontier-prune the repeated prefix/suffix phases, and
-        on shm it also publishes the full edge set once instead of 2ℓ
-        times."""
-        compiled: dict[int, dict[str, Any]] = {}
-        phases = []
-        for r in relaxers:
-            d = compiled.get(id(r))
-            if d is None:
-                d = compile_one(r)
-                compiled[id(r)] = d
-            phases.append(d)
-        return phases
-
-    def _make_spec(
-        self, aug: Augmentation, token: str, phases: list[dict[str, Any]]
-    ) -> dict[str, Any]:
-        return {
-            "token": token,
+        arena = ShmArena(tag=f"g{int(getattr(aug, 'weights_epoch', 0))}")
+        spec = {
+            "token": f"qe{os.getpid()}_{next(_TOKENS)}",
             "semiring": aug.semiring.name,
             "mode": self.engine,
             "cap": aug.diameter_bound,
             "source_block": self.source_block,
-            "phases": phases,
+            "phases": self._publish_phases(relaxers, arena),
         }
+        return schedule, relaxers, arena, spec
+
+    @staticmethod
+    def _publish_phases(relaxers, arena) -> list[dict[str, Any]]:
+        """Publish each *distinct* relaxer object's compiled arrays once;
+        repeated phases share the resulting dict.  The sharing is what lets
+        workers frontier-prune the repeated prefix/suffix phases, and it
+        publishes the full edge set once instead of 2ℓ times."""
+        published: dict[int, dict[str, Any]] = {}
+        phases = []
+        for r in relaxers:
+            d = published.get(id(r))
+            if d is None:
+                d = {k: arena.publish(v) for k, v in r.compiled().items()}
+                published[id(r)] = d
+            phases.append(d)
+        return phases
 
     def reweight(self, aug: Augmentation) -> None:
         """Hot-swap to a reweighted augmentation with zero downtime.
 
-        The next generation (relaxers, schedule, and — on cross-process
-        backends — a freshly published arena under a new engine token) is
+        The next generation (relaxers, schedule, and — on the shm
+        backend — a freshly published arena under a new engine token) is
         compiled *outside* the engine lock, so concurrent :meth:`submit`
         batches keep serving the old epoch while it builds.  The flip
         itself is a pointer swap under the lock: any in-flight batch
@@ -297,7 +272,7 @@ class QueryEngine:
             raise ValueError("reweight() needs an augmentation over the same vertex set")
         if aug.semiring.name != self.aug.semiring.name:
             raise ValueError("reweight() cannot change the semiring")
-        schedule, relaxers, arena, spec, token = self._compile_generation(aug)
+        schedule, relaxers, arena, spec = self._compile_generation(aug)
         with self._lock:
             if self._closed:
                 if arena is not None:
@@ -309,7 +284,6 @@ class QueryEngine:
             self._relaxers = relaxers
             self._arena = arena
             self._spec = spec
-            self._token = token
             # The reusable distance block lived in the old generation's
             # arena; the next batch re-allocates it in the new one.
             self._dist_ref = None
@@ -364,13 +338,6 @@ class QueryEngine:
             ]
             self._exe.map(_shard_worker, payloads)
             dist[...] = self._dist_view[:s]
-        elif self._spec is not None:  # plain process pool: rows are pickled
-            payloads = [
-                {"engine": self._spec, "rows": dist[a:b]} for a, b in shards
-            ]
-            outs = self._exe.map(_shard_worker, payloads)
-            for (a, b), out in zip(shards, outs):
-                dist[a:b] = out["rows"]
         else:  # thread pool: shared address space, relax shards in place
             self._exe.map(lambda ab: self._run_inline(dist[ab[0] : ab[1]]), shards)
         return len(shards)

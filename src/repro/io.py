@@ -21,11 +21,6 @@ Augmentation archives carry a versioned header (format 2):
 Archives of the retired (1+ε) hopset mode (a ``hopset_json`` member) are
 refused with a pointed error; a direct-tier archive (``method="direct"``)
 loads as a :class:`~repro.core.direct.DirectAugmentation`.
-
-``load_augmentation(..., arena=...)`` streams the edge arrays from the
-archive directly into a :class:`~repro.pram.shm.ShmArena` — the shared
-pages are the *only* destination buffer (no private intermediate copy), so
-a cache hit warm-starts shm serving with one disk→arena copy per array.
 """
 
 from __future__ import annotations
@@ -180,58 +175,14 @@ def save_augmentation(path, aug: Augmentation, *, config=None, validated: bool =
     np.savez_compressed(path, **payload)
 
 
-def _stream_member_into_arena(z, name: str, arena):
-    """Decompress one ``.npy`` archive member straight into a fresh arena
-    allocation — the shared pages are the only destination buffer.
-
-    Falls back to load-then-copy for exotic headers (fortran order,
-    object dtypes never occur in our payloads but cost nothing to guard).
-    """
-    from numpy.lib import format as npf
-
-    try:
-        with z.zip.open(name + ".npy") as fp:
-            version = npf.read_magic(fp)
-            if version == (1, 0):
-                shape, fortran, dtype = npf.read_array_header_1_0(fp)
-            elif version == (2, 0):
-                shape, fortran, dtype = npf.read_array_header_2_0(fp)
-            else:
-                raise ValueError(f"unknown npy version {version}")
-            if fortran or dtype.hasobject:
-                raise ValueError("non-C layout")
-            _, view = arena.alloc(shape, dtype)
-            mv = memoryview(view).cast("B") if view.nbytes else memoryview(b"")
-            filled = 0
-            while filled < view.nbytes:
-                got = fp.readinto(mv[filled:])
-                if not got:
-                    raise EOFError(f"truncated archive member {name}")
-                filled += got
-            return view
-    except (ValueError, KeyError):
-        _, view = arena.alloc(z[name].shape, z[name].dtype)
-        view[...] = z[name]
-        return view
-
-
-def load_augmentation(path, *, arena=None, with_meta: bool = False):
+def load_augmentation(path, *, with_meta: bool = False):
     """Read an augmentation written by :func:`save_augmentation`.
 
     Per-node distance matrices are not persisted (rebuild with
     ``keep_node_distances=True`` when the k-pair oracle is needed).
-
-    Parameters
-    ----------
-    arena:
-        A :class:`~repro.pram.shm.ShmArena`: the graph and augmentation
-        edge arrays are streamed into shared memory (see module docs) and
-        the returned augmentation records the arena on ``aug.arena``.  The
-        arena must outlive the augmentation's use by worker processes.
-    with_meta:
-        Also return the header dict ``{"version", "validated", "config"}``
-        (``config`` is the saved build-config dict, or ``None`` for
-        legacy archives).
+    With ``with_meta``, also return the header dict ``{"version",
+    "validated", "config"}`` (``config`` is the saved build-config dict,
+    or ``None`` for legacy archives).
     """
     import io as _io
 
@@ -255,33 +206,22 @@ def load_augmentation(path, *, arena=None, with_meta: bool = False):
             "config": json.loads(str(z["config_json"])) if "config_json" in z.files else None,
         }
         semiring = SEMIRINGS[str(z["semiring"])]
-        if arena is not None:
-            g_src = _stream_member_into_arena(z, "g_src", arena)
-            g_dst = _stream_member_into_arena(z, "g_dst", arena)
-            g_weight = _stream_member_into_arena(z, "g_weight", arena)
-            aug_src = _stream_member_into_arena(z, "aug_src", arena)
-            aug_dst = _stream_member_into_arena(z, "aug_dst", arena)
-            aug_weight = _stream_member_into_arena(z, "aug_weight", arena)
-        else:
-            g_src, g_dst, g_weight = z["g_src"], z["g_dst"], z["g_weight"]
-            aug_src, aug_dst, aug_weight = z["aug_src"], z["aug_dst"], z["aug_weight"]
-        graph = WeightedDigraph(int(z["g_n"]), g_src, g_dst, g_weight)
+        graph = WeightedDigraph(int(z["g_n"]), z["g_src"], z["g_dst"], z["g_weight"])
         tree = load_tree(_io.BytesIO(z["tree_blob"].tobytes()))
         leaf_diameters = {
             int(k): int(d) for k, d in zip(z["leaf_idx"], z["leaf_diam"])
         }
-        weight = np.asarray(aug_weight).astype(semiring.dtype, copy=False)
+        weight = z["aug_weight"].astype(semiring.dtype, copy=False)
         cls = DirectAugmentation if str(z["method"]) == "direct" else Augmentation
         aug = cls(
             graph=graph,
             tree=tree,
             semiring=semiring,
-            src=aug_src,
-            dst=aug_dst,
+            src=z["aug_src"],
+            dst=z["aug_dst"],
             weight=weight,
             leaf_diameters=leaf_diameters,
             node_distances={},
             method=str(z["method"]),
         )
-        aug.arena = arena
         return (aug, meta) if with_meta else aug

@@ -5,33 +5,33 @@ real hardware: all tree nodes of a level are independent in Algorithm 4.1,
 all nodes are independent within one doubling round of Algorithm 4.3, and
 all sources of a batched §3.2 query relax disjoint rows of the distance
 matrix.  These backends let the same orchestration code run serially, on a
-thread pool (numpy kernels release the GIL inside BLAS/ufunc loops), on a
-plain process pool (true parallelism at the cost of pickling the payloads),
-or on the zero-copy shared-memory process pool (true parallelism with O(1)
-bytes of task traffic — see :mod:`repro.pram.shm`).
+thread pool (numpy kernels release the GIL inside BLAS/ufunc loops), or on
+the zero-copy shared-memory process pool (true parallelism with O(1) bytes
+of task traffic — see :mod:`repro.pram.shm`).  Each one wins at least one
+measured row (EXPERIMENTS.md, "Executors that earn their keep").
 
 Spec grammar
 ------------
 :func:`get_executor` resolves a *spec* to a backend instance::
 
     spec      ::=  None | instance | name [":" workers]
-    name      ::=  "serial" | "thread" | "process" | "shm"
+    name      ::=  "serial" | "thread" | "shm"
     workers   ::=  positive integer (default: min(8, cpu_count))
 
-Examples: ``"serial"``, ``"thread:4"``, ``"process"``, ``"shm:8"``.
+Examples: ``"serial"``, ``"thread:4"``, ``"shm"``, ``"shm:8"``.
 ``None`` means serial; an existing executor instance passes through
 unchanged (the caller keeps ownership and must ``close()`` it).
 
 Worker-function contract
 ------------------------
 * ``serial`` / ``thread`` — any callable and payload.
-* ``process`` — module-level functions and picklable payloads.
-* ``shm`` — like ``process``, but any :class:`~repro.pram.shm.ArrayRef`
-  inside a payload (dicts/lists/tuples, arbitrarily nested) is resolved to
-  a zero-copy numpy view *before* the function runs.  Orchestrators publish
-  large arrays into a :class:`~repro.pram.shm.ShmArena` and put only the
-  descriptors in the payload; workers write results into pre-allocated
-  arena blocks and return scalars.
+* ``shm`` — module-level functions and picklable payloads; any
+  :class:`~repro.pram.shm.ArrayRef` inside a payload (dicts/lists/tuples,
+  arbitrarily nested) is resolved to a zero-copy numpy view *before* the
+  function runs.  Orchestrators publish large arrays into a
+  :class:`~repro.pram.shm.ShmArena` and put only the descriptors in the
+  payload; workers write results into pre-allocated arena blocks and
+  return scalars.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .shm import resolve
 __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "ShmExecutor",
     "get_executor",
 ]
@@ -83,25 +82,6 @@ class ThreadExecutor:
         self._pool.shutdown(wait=True)
 
 
-class ProcessExecutor:
-    """Process-pool backend; requires module-level worker functions and
-    picklable payloads (which are copied to and from every worker)."""
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = workers or min(8, os.cpu_count() or 1)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-
-    def map(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> list[Any]:
-        """Apply ``fn`` on the process pool, preserving order."""
-        return list(self._pool.map(fn, payloads))
-
-    def close(self) -> None:
-        """Shut the pool down, waiting for in-flight tasks."""
-        self._pool.shutdown(wait=True)
-
-
 def _resolving_call(item: tuple[Callable[[Any], Any], Any]) -> Any:
     """Worker-side trampoline: resolve shared-memory descriptors in the
     payload, then run the task (module level so it pickles)."""
@@ -113,11 +93,9 @@ class ShmExecutor:
     """Persistent process pool whose payloads travel as shared-memory
     descriptors instead of pickled arrays.
 
-    Identical ``map`` contract to :class:`ProcessExecutor`; the only
-    difference is that every :class:`~repro.pram.shm.ArrayRef` found inside
-    a payload is resolved to a zero-copy view in the worker before the task
-    function runs.  Payloads without descriptors behave exactly like the
-    plain process backend, so the same worker functions serve both.
+    Worker functions must be module level and payloads picklable; every
+    :class:`~repro.pram.shm.ArrayRef` found inside a payload is resolved to
+    a zero-copy view in the worker before the task function runs.
 
     The pool persists across ``map`` calls — algorithms publish their big
     arrays once per run (to a :class:`~repro.pram.shm.ShmArena` they own)
@@ -126,7 +104,7 @@ class ShmExecutor:
     Because payloads are descriptor-sized, tasks are dispatched in chunks
     (several payloads per IPC round trip) — the per-task pool overhead that
     dominates fine-grained levels is amortized away without duplicating any
-    array bytes, something the pickling backend cannot afford.
+    array bytes.
     """
 
     name = "shm"
@@ -156,11 +134,13 @@ class ShmExecutor:
         self._pool.shutdown(wait=True)
 
 
-def get_executor(spec) -> SerialExecutor | ThreadExecutor | ProcessExecutor | ShmExecutor:
+def get_executor(spec) -> SerialExecutor | ThreadExecutor | ShmExecutor:
     """Resolve an executor spec (see the module docstring's grammar).
 
     ``None`` → serial; ``"name[:N]"`` → a fresh backend with ``N`` workers;
-    an instance → passed through unchanged (caller keeps ownership).
+    an instance → passed through unchanged (caller keeps ownership).  The
+    retired ``"process[:N]"`` raises a :class:`ValueError` naming its
+    replacements.
     """
     if spec is None:
         return SerialExecutor()
@@ -172,8 +152,13 @@ def get_executor(spec) -> SerialExecutor | ThreadExecutor | ProcessExecutor | Sh
         return SerialExecutor()
     if name == "thread":
         return ThreadExecutor(workers)
-    if name == "process":
-        return ProcessExecutor(workers)
     if name == "shm":
         return ShmExecutor(workers)
-    raise ValueError(f"unknown executor spec {spec!r}")
+    retired = (
+        "the 'process' executor (a pickling process pool) was removed; use "
+        "'thread:N' or 'shm:N'. " if name == "process" else ""
+    )
+    raise ValueError(
+        f"{retired}unknown executor spec {spec!r}; valid specs: serial, "
+        f"thread[:N], shm[:N]"
+    )

@@ -1,6 +1,6 @@
-"""Zero-copy shared-memory plane for the process backends.
+"""Zero-copy shared-memory plane for the ``shm`` executor and the shard fleet.
 
-The process executor is honest parallelism, but pickling a node's distance
+A process pool is honest parallelism, but pickling a node's distance
 matrix into the task payload and pickling the result matrix back costs more
 than the min-plus kernel it parallelizes.  This module removes both copies:
 
@@ -236,39 +236,8 @@ class ShmArena:
         view = np.ndarray(ref.shape, dtype=dtype, buffer=seg.buf, offset=start)
         return ref, view
 
-    def ref_of(self, array: np.ndarray) -> ArrayRef | None:
-        """Descriptor of an array that already aliases this arena's pages
-        (detected by buffer address), or ``None``.
-
-        Lets :meth:`publish` be idempotent for arena-resident arrays — in
-        particular arrays streamed into a warm-start arena by
-        ``repro.io.load_augmentation(..., arena=...)`` are re-published to
-        workers as a ~100-byte descriptor instead of a second copy of the
-        pages.
-        """
-        if (
-            not isinstance(array, np.ndarray)
-            or array.nbytes == 0
-            or not array.flags["C_CONTIGUOUS"]
-        ):
-            return None
-        addr = array.__array_interface__["data"][0]
-        with self._lock:
-            for seg in self._segments:
-                base = np.frombuffer(seg.buf, dtype=np.uint8).__array_interface__["data"][0]
-                if base <= addr and addr + array.nbytes <= base + seg.size:
-                    return ArrayRef(
-                        seg.name, addr - base, tuple(array.shape), array.dtype.str
-                    )
-        return None
-
     def publish(self, array: np.ndarray) -> ArrayRef:
-        """Copy an array into the arena once; returns its descriptor.
-        An array already living in this arena's pages is not copied again —
-        its existing location is described as-is (see :meth:`ref_of`)."""
-        resident = self.ref_of(array)
-        if resident is not None:
-            return resident
+        """Copy an array into the arena once; returns its descriptor."""
         array = np.ascontiguousarray(array)
         ref, view = self.alloc(array.shape, array.dtype)
         view[...] = array

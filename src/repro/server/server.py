@@ -259,12 +259,9 @@ class OracleServer:
 
         Ordering is load-bearing: (1) the listener closes so no new work
         arrives; (2) already-admitted requests drain through the batcher —
-        their responses still go out; (3) only then do the engine *and the
-        oracle* close, unlinking the serving-pool arena the drained
-        batches were still reading plus any warm-start arena a cache-hit
-        build left behind (closing only the engine used to leak the
-        latter into ``/dev/shm`` until GC); (4) remaining connections are
-        closed.  Idempotent.
+        their responses still go out; (3) only then does the engine close,
+        unlinking the serving-pool arena the drained batches were still
+        reading; (4) remaining connections are closed.  Idempotent.
         """
         if self._stopped or not self._started:
             self._stopped = True
@@ -281,9 +278,6 @@ class OracleServer:
         loop = asyncio.get_running_loop()
         if self.engine is not None:
             await loop.run_in_executor(None, self.engine.close)
-        # The oracle may hold its own arena (warm-start pages of a
-        # cache-hit shm build) independent of the engine's; release it too.
-        await loop.run_in_executor(None, self.oracle.close)
         for writer in list(self._writers):
             writer.close()
             with contextlib.suppress(Exception):

@@ -124,7 +124,7 @@ class ShardEngine:
         the edges that actually changed, enabling the sparse
         provenance-replay path once the shard's lineage holds a retained
         heap.  The serving engine flips atomically (in-flight rows finish
-        on the old epoch), then the old oracle's arenas are released.
+        on the old epoch).
         """
         t0 = time.perf_counter()
         weight = np.asarray(weight, dtype=self.oracle.graph.weight.dtype)
@@ -137,8 +137,7 @@ class ShardEngine:
             new_oracle = self.oracle.with_new_weights(weight)
         new_oracle.augmentation.weights_epoch = int(epoch)
         self.engine.reweight(new_oracle.augmentation)
-        old, self.oracle = self.oracle, new_oracle
-        old.close()
+        self.oracle = new_oracle
         self.reweights += 1
         wall = time.perf_counter() - t0
         _log.debug(
@@ -184,6 +183,5 @@ class ShardEngine:
         }
 
     def close(self) -> None:
-        """Release the engine and the shard oracle's arenas (idempotent)."""
+        """Release the engine (idempotent)."""
         self.engine.close()
-        self.oracle.close()

@@ -326,8 +326,7 @@ class ShardRouter:
     def stats(self) -> dict[str, Any]:
         """Fleet telemetry on the canonical serving-stats schema
         (:data:`~repro.core.protocols.SERVING_STATS_KEYS`): plan shape,
-        spine, and the per-shard breakdown under ``per_shard`` (``shards``
-        is kept as a deprecated alias for one release)."""
+        spine, and the per-shard breakdown under ``per_shard``."""
         from ..core.protocols import serving_stats
 
         with self._lock:
@@ -379,7 +378,6 @@ class ShardRouter:
             engine="sharded",
             plan=self.plan.stats(),
             spine=self.spine.stats(),
-            shards=per_shard,  # deprecated alias of per_shard (one release)
             **extra,
         )
         return base

@@ -1,6 +1,6 @@
 """Tests for the content-addressed augmentation cache (:mod:`repro.cache`):
 keying, the store round-trip through ``ShortestPathOracle.build``, locking,
-eviction, warm-start arenas, the query-row LRU, and the CLI subcommand.
+eviction, the query-row LRU, and the CLI subcommand.
 
 Process-spawning concurrency tests carry the ``multiproc`` marker; the
 default fast lane covers the same stampede protocol with threads.
@@ -322,37 +322,6 @@ class TestConcurrentBuilders:
         ]
         assert leftovers == []
         assert orphaned_segments() == []
-
-
-class TestWarmStartArena:
-    @pytest.mark.multiproc
-    def test_shm_hit_serves_from_arena(self, grid6_negative, tmp_path):
-        from repro.pram.shm import orphaned_segments
-
-        g, tree = grid6_negative
-        d = str(tmp_path / "store")
-        cold = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)
-        warm = ShortestPathOracle.build(
-            g, tree, cache="read", cache_dir=d, executor="shm:2"
-        )
-        assert warm.cache_info["status"] == "hit"
-        assert warm.cache_info["arena_backed"] is True
-        assert warm.augmentation.arena is not None
-        with warm.query_engine(executor="shm:2") as eng:
-            got = eng.query([0, 9, 21])
-        assert np.array_equal(got, cold.distances([0, 9, 21]))
-        warm.close()
-        warm.close()  # idempotent
-        assert orphaned_segments() == []
-
-    def test_non_shm_hit_has_no_arena(self, grid7, tmp_path):
-        g, tree = grid7
-        d = str(tmp_path / "store")
-        ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)
-        hit = ShortestPathOracle.build(g, tree, cache="read", cache_dir=d)
-        assert hit.cache_info["arena_backed"] is False
-        assert hit.augmentation.arena is None
-        hit.close()  # no-op without an arena
 
 
 class TestRowLRU:

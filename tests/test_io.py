@@ -170,6 +170,30 @@ class TestOracleSaveLoad:
             got = eng.query([0, 11])
         assert np.array_equal(got, oracle.distances([0, 11]))
 
+    def test_archive_with_retired_process_executor_still_loads(self, grid7, tmp_path):
+        """An archive saved with ``executor="process:2"`` loads and answers;
+        only opening a query engine on the saved config raises."""
+        import json
+
+        from repro import ShortestPathOracle
+
+        g, tree = grid7
+        oracle = ShortestPathOracle.build(g, tree)
+        path = tmp_path / "oracle.npz"
+        oracle.save(path)
+        with np.load(path, allow_pickle=False) as z:
+            payload = {k: z[k] for k in z.files}
+        saved = json.loads(str(payload["config_json"]))
+        saved["executor"] = "process:2"
+        payload["config_json"] = np.array(json.dumps(saved, sort_keys=True))
+        np.savez_compressed(path, **payload)
+
+        back = ShortestPathOracle.load(path)
+        assert back.config.executor == "process:2"
+        assert np.array_equal(back.distances([0, 11]), oracle.distances([0, 11]))
+        with pytest.raises(ValueError, match=r"'process'.*removed.*thread:N.*shm:N"):
+            back.query_engine(back.config)
+
     def test_legacy_archive_defaults_config(self, grid7, tmp_path):
         """An archive without the config header loads with default knobs."""
         from repro import ShortestPathOracle

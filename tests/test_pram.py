@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pram.executor import ProcessExecutor, SerialExecutor, ThreadExecutor, get_executor
+from repro.pram.executor import SerialExecutor, ThreadExecutor, get_executor
 from repro.pram.machine import NULL_LEDGER, Ledger, log2ceil
 from repro.pram.primitives import (
     list_rank,
@@ -102,13 +102,10 @@ class TestExecutors:
         assert exe.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
         exe.close()
 
-    @pytest.mark.multiproc
-    def test_process_executor(self):
-        exe = ProcessExecutor(2)
-        try:
-            assert exe.map(_square, [3, 5]) == [9, 25]
-        finally:
-            exe.close()
+    @pytest.mark.parametrize("spec", ["process", "process:2"])
+    def test_process_executor_is_retired_with_a_pointed_error(self, spec):
+        with pytest.raises(ValueError, match=r"'process'.*removed.*thread:N.*shm:N"):
+            get_executor(spec)
 
     @pytest.mark.multiproc
     def test_shm_executor_spec(self):

@@ -112,7 +112,7 @@ class TestUnifiedStatsSchema:
             assert key in s, key
         assert s["backend"] == "serial"
         assert s["rows_served"] == 2
-        # deprecated aliases survive for old dashboards
+        # tier-specific keys ride along with the canonical ones
         assert s["engine"] == engine.engine
         assert "phases" in s and "row_cache" in s
 
@@ -124,8 +124,8 @@ class TestUnifiedStatsSchema:
         for key in SERVING_STATS_KEYS:
             assert key in s, key
         assert s["backend"] == "inline"
-        assert s["engine"] == "sharded"  # deprecated alias
-        assert s["shards"] == s["per_shard"]  # deprecated alias
+        assert s["engine"] == "sharded"
+        assert "shards" not in s  # the retired alias of per_shard
         assert len(s["per_shard"]) == 2
         assert s["rows_served"] == 2
 

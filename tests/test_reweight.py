@@ -423,7 +423,7 @@ class TestRouterReweight:
             assert np.array_equal(r.query(srcs), want)
             st = r.stats()
             assert st["weights_epoch"] == 2 and st["reweights"] == 2
-            assert all(s["weights_epoch"] == 2 for s in st["shards"])
+            assert all(s["weights_epoch"] == 2 for s in st["per_shard"])
         finally:
             r.close()
 
@@ -458,7 +458,7 @@ class TestFleetReweight:
             assert r.reweight(w2)["weights_epoch"] == 1
             got = r.query(srcs)
             st = r.stats()
-            assert all(s["weights_epoch"] == 1 for s in st["shards"])
+            assert all(s["weights_epoch"] == 1 for s in st["per_shard"])
         with ShardRouter(
             _reweighted_graph(g, w2), tree, cfg, k=2, backend="inline"
         ) as cold:

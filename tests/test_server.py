@@ -421,15 +421,13 @@ class TestShutdown:
         assert np.array_equal(got, want)
         assert orphaned_segments() == []
 
-    def test_shutdown_closes_oracle_warm_start_arena(self, grid6_negative, tmp_path):
-        """Regression: stop() must close the *oracle* too, not only the
-        engine.  A cache-hit build destined for the shm backend loads its
-        augmentation into a warm-start arena owned by the oracle; before
-        the fix, shutdown left that arena's segments in /dev/shm until GC.
-        """
+    def test_shm_cache_hit_allocates_no_segment(self, grid6_negative, tmp_path):
+        """A cache hit destined for the shm backend loads into private
+        memory: ``/dev/shm`` is empty right after ``build``, and serving it
+        (then stopping) leaves it empty."""
         g, tree = grid6_negative
         store = str(tmp_path / "store")
-        # build #1 populates the store; build #2 is an arena-backed hit
+        # build #1 populates the store; build #2 is a hit
         ShortestPathOracle.build(
             g, tree, config=OracleConfig(cache="readwrite", cache_dir=store)
         )
@@ -438,14 +436,13 @@ class TestShutdown:
             config=OracleConfig(cache="read", cache_dir=store, executor="shm:2"),
         )
         assert oracle.cache_info["status"] == "hit"
-        assert oracle.cache_info["arena_backed"] is True
-        assert orphaned_segments() != []  # the warm-start arena is live
+        assert orphaned_segments() == []
         want = oracle.distances([0, 7])
         with serving(oracle, tmp_path) as (sock, _):  # serial engine
             with OracleClient(sock) as c:
                 got = c.distances([0, 7])
         assert np.array_equal(got, want)
-        assert orphaned_segments() == []  # oracle arena unlinked by stop()
+        assert orphaned_segments() == []
 
     def test_requests_after_drain_rejected(self, oracle, tmp_path):
         with serving(oracle, tmp_path) as (sock, server):

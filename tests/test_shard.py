@@ -239,7 +239,7 @@ class TestRouterProtocol:
             assert s["engine"] == "sharded"
             assert s["backend"] == "inline"
             assert s["workers"] == r.plan.k
-            assert len(s["shards"]) == r.plan.k
+            assert len(s["per_shard"]) == r.plan.k
             assert s["spine"]["vertices"] == r.plan.spine.size
             assert s["last_batch"]["rows"] == 3
             assert r.health_check()["backend"] == "inline"

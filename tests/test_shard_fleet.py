@@ -108,7 +108,7 @@ class TestFleetSupervision:
             # respawn was warm: the shard augmentation came from the store
             assert victim.ready_info["cache_status"] == "hit"
             stats = router.stats()
-            assert stats["shards"][0]["restarts"] == 1
+            assert stats["per_shard"][0]["restarts"] == 1
 
     def test_health_check_restarts_dead_worker(self):
         g, tree = integer_workload(8, seed=2)
@@ -154,7 +154,7 @@ class TestFleetSupervision:
         with ShardRouter(g, tree, k=2, backend="process", pin=True) as router:
             oracle = ShortestPathOracle.build(g, tree)
             assert np.array_equal(router.query([0, 5]), oracle.distances([0, 5]))
-            for i, shard_stats in enumerate(router.stats()["shards"]):
+            for i, shard_stats in enumerate(router.stats()["per_shard"]):
                 assert shard_stats["pinned_cpu"] == cpus[i % len(cpus)]
 
 
@@ -369,7 +369,7 @@ class TestServedFleet:
                 stats = client.stats()
                 assert stats["engine"]["engine"] == "sharded"
                 assert stats["engine"]["workers"] == 2
-                assert len(stats["engine"]["shards"]) == 2
+                assert len(stats["engine"]["per_shard"]) == 2
                 assert stats["engine"]["last_batch"]["rows"] == len(srcs)
         finally:
             loop.call_soon_threadsafe(server.request_shutdown)

@@ -1,5 +1,5 @@
 """Zero-copy shared-memory plane: arena unit tests, backend equivalence
-(bit-equal augmentations across serial/thread/process/shm on two semirings,
+(bit-equal augmentations across serial/thread/shm on two semirings,
 with negative weights and negative cycles), and /dev/shm leak checks.
 
 Pool-spawning tests carry the ``multiproc`` marker; the default fast lane
@@ -148,10 +148,12 @@ class TestShmBackendEquivalence:
             build(g, tree, executor="shm:2")
         assert orphaned_segments() == []
 
-    def test_process_backend_still_matches(self, grid6_negative):
+    def test_thread_backend_matches_serial(self, grid6_negative, build):
         g, tree = grid6_negative
-        base = augment_doubling(g, tree)
-        alt = augment_doubling(g, tree, executor="process:2")
+        base = build(g, tree)
+        alt = build(g, tree, executor="thread:2")
+        assert np.array_equal(base.src, alt.src)
+        assert np.array_equal(base.dst, alt.dst)
         assert np.array_equal(base.weight, alt.weight)
 
 
