@@ -17,7 +17,7 @@ EXPERIMENT_ORDER = [
     "T1-pre-grid2d", "T1-pre-grid3d", "T1-pre-path",
     "T1-src-grid2d", "T1-src-grid3d", "T1-src-path", "T1-src-sweep",
     "T1-time-leaves_up", "T1-time-doubling", "T1-brent",
-    "F1-grid-decomposition", "F1-hyperplane-check",
+    "F1-grid-decomposition", "F1-hyperplane-check", "E-grid-decompose",
     "F2-right-shortcuts",
     "E-diam-grid", "E-diam-delaunay",
     "E-size-grid2d", "E-size-grid3d", "E-size-path",

@@ -26,7 +26,7 @@ from both children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -118,17 +118,24 @@ class SeparatorTree:
         self.cut_at: int | None = None
         self.vertex_level = np.full(n, -1, dtype=np.int64)
         self.vertex_node = np.full(n, -1, dtype=np.int64)
-        # Scan top-down (nodes are created parent-before-child) so the first
-        # separator containing a vertex wins — that is the min level.
-        for t in sorted(self.nodes, key=lambda t: t.level):
-            s = t.separator
-            fresh = self.vertex_level[s] < 0
-            self.vertex_level[s[fresh]] = t.level
-            self.vertex_node[s[fresh]] = t.idx
-        for t in self.nodes:
-            if t.is_leaf:
-                undef = t.vertices[self.vertex_level[t.vertices] < 0]
-                self.vertex_node[undef] = t.idx
+        levels = np.array([t.level for t in self.nodes], dtype=np.int64)
+        ids = np.array([t.idx for t in self.nodes], dtype=np.int64)
+        # Every separator membership, ordered by (level, node position): the
+        # first occurrence of a vertex is its min-level node, the earliest
+        # listed one on a tie.
+        members, owner = _memberships([t.separator for t in self.nodes])
+        order = np.lexsort((owner, levels[owner]))
+        verts, first = np.unique(members[order], return_index=True)
+        self.vertex_level[verts] = levels[owner[order[first]]]
+        self.vertex_node[verts] = ids[owner[order[first]]]
+        # A vertex in no separator belongs to its leaf (the last listed one,
+        # should leaves overlap).
+        leaves = np.array([i for i, t in enumerate(self.nodes) if t.is_leaf], dtype=np.int64)
+        members, owner = _memberships([self.nodes[i].vertices for i in leaves])
+        undef = self.vertex_level[members] < 0
+        members, owner = members[undef][::-1], owner[undef][::-1]
+        verts, last = np.unique(members, return_index=True)
+        self.vertex_node[verts] = ids[leaves[owner[last]]]
 
     # -------------------------------------------------------------- #
     # Traversal helpers
@@ -265,6 +272,14 @@ class SeparatorTree:
             f"SeparatorTree(n={self.n}, nodes={len(self.nodes)}, height={self.height}, "
             f"max_leaf={self.max_leaf_size()})"
         )
+
+
+def _memberships(sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(members, owner)``: the concatenated ``sets`` and, per entry, the
+    position of the set it came from."""
+    sizes = [s.shape[0] for s in sets]
+    members = np.concatenate(sets).astype(np.int64, copy=False) if sets else np.empty(0, np.int64)
+    return members, np.repeat(np.arange(len(sets), dtype=np.int64), sizes)
 
 
 def _skeleton_edges(skel) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from repro.cache import augmentation_key
 from repro.core.semiring import MIN_PLUS
 from repro.core.septree import undirected_components
 from repro.separators import decompose
-from repro.separators.grid import decompose_grid
+from repro.separators.grid import grid_separator_fn
 from repro.workloads.generators import grid_digraph, random_tree_digraph
 
 
@@ -83,7 +83,8 @@ GRID24 = grid_digraph((24, 24), np.random.default_rng(2))
 TREE80 = random_tree_digraph(80, np.random.default_rng(3))
 
 ENGINE_CASES = [
-    ("grid", GRID12, lambda g: decompose_grid(g, (12, 12))),
+    # The generic builder: decompose_grid labels no components on a lattice.
+    ("grid", GRID12, lambda g: septree.build_separator_tree(g, grid_separator_fn((12, 12)))),
     ("planar", GRID12, lambda g: decompose(g, "planar")),
     ("treewidth", TREE80, lambda g: decompose(g, "treewidth")),
     ("multilevel", GRID12, lambda g: decompose(g, "multilevel")),
@@ -110,7 +111,9 @@ class TestTreesUnchanged:
 
         monkeypatch.setattr(septree, "undirected_components", counting)
         g = grid_digraph((20, 20), None)
-        tree = decompose_grid(g, (20, 20))
+        # The generic builder: decompose_grid builds a full lattice's tree
+        # from box arithmetic and labels no components at all.
+        tree = septree.build_separator_tree(g, grid_separator_fn((20, 20)))
         internal = sum(1 for t in tree.nodes if not t.is_leaf)
         assert internal > 0 and len(calls) <= 2 * internal
 
