@@ -47,12 +47,6 @@ from repro.workloads.synthetic import separator_programmable_family
 BATCH_SOURCES = 64
 REPEATS = 5
 THROUGHPUT_BOUND = 1.5  # k=4 fleet vs single engine (issue acceptance)
-REPLICA_BOUND = 2.0  # k=2 + 3 replicas vs unreplicated k=2, skewed batch
-#: Cores the replica bound needs before it is enforceable: 3 replicas on
-#: the hot shard + 1 for everything else.  On fewer cores the replicas
-#: time-slice one another and chunked dispatch only adds IPC, so the
-#: ratio is recorded but not gated.
-REPLICA_BOUND_MIN_CPUS = 4
 
 
 def _record_json(results_dir, key: str, record: dict) -> None:
@@ -172,90 +166,6 @@ def test_eshard_fleet_vs_single_engine_56x56(benchmark, report, results_dir):
     with ShardRouter(g, tree, k=4, backend="inline") as router:
         router.query(srcs)
         benchmark(lambda: router.query(srcs))
-
-
-def test_eshard_replicated_hot_shard_skew(benchmark, report, results_dir):
-    """Replication acceptance (this PR): a 90%-hot-shard skewed batch on
-    the k=2 fleet with 3 replicas vs the unreplicated k=2 fleet.
-
-    Bit-identity to the direct engine is asserted unconditionally —
-    replicas hold the identical augmentation, so replication must never
-    change a single bit.  The ≥2x throughput gate is enforced only on
-    hosts with at least :data:`REPLICA_BOUND_MIN_CPUS` cores; the
-    measured ratio is recorded either way so multi-core runs of the same
-    artifact are comparable."""
-    g, tree = _integer_grid_56()
-    rng = np.random.default_rng(11)
-    oracle = ShortestPathOracle.build(g, tree)
-    shm_before = set(orphaned_segments())
-    runs: dict[str, dict] = {}
-    srcs = want = None
-    for replicas in (1, 3):
-        cfg = OracleConfig(replicas=replicas)
-        with ShardRouter(g, tree, cfg, k=2, backend="process") as router:
-            if srcs is None:  # the plan is deterministic across runs
-                home = router.plan.home
-                hot = np.flatnonzero(home == 0)
-                cold = np.flatnonzero(home != 0)
-                n_hot = int(round(BATCH_SOURCES * 0.9))
-                srcs = np.concatenate([
-                    rng.choice(hot, size=n_hot, replace=False),
-                    rng.choice(cold, size=BATCH_SOURCES - n_hot, replace=False),
-                ])
-                want = oracle.distances(srcs)
-            got, samples = _time_batches(router.query, srcs)
-            pool_stats = router.stats()
-            if replicas == 3:
-                benchmark(lambda: router.query(srcs))
-        runs[f"replicas{replicas}"] = {
-            "p50_s": _percentile(samples, 50),
-            "p99_s": _percentile(samples, 99),
-            "rows_per_s": len(srcs) / _percentile(samples, 50),
-            "exact": bool(np.array_equal(got, want)),
-            "workers": pool_stats["workers"],
-        }
-    leaked = sorted(set(orphaned_segments()) - shm_before)
-    ratio = runs["replicas3"]["rows_per_s"] / runs["replicas1"]["rows_per_s"]
-    cpus = len(os.sched_getaffinity(0))
-    gated = cpus >= REPLICA_BOUND_MIN_CPUS
-    base = runs["replicas1"]["rows_per_s"]
-    table = render_table(
-        ["fleet", "p50 ms", "p99 ms", "rows/s", "vs replicas=1"],
-        [[label, round(r["p50_s"] * 1e3, 1), round(r["p99_s"] * 1e3, 1),
-          round(r["rows_per_s"], 1), round(r["rows_per_s"] / base, 2)]
-         for label, r in runs.items()],
-        title=f"E-shard-replicated: {BATCH_SOURCES}-source batch, 90% on "
-              f"shard 0, 56x56 integer grid, replicated/unreplicated = "
-              f"{ratio:.2f}x ({cpus} host cpu(s), bound "
-              f"{'enforced' if gated else 'recorded only'})",
-    )
-    report(
-        "E-shard-replicated",
-        table + "\n\nFinding: a skewed batch parks ~90% of its rows on one "
-        "home shard, so the unreplicated fleet serializes on that worker; "
-        "least-loaded chunked dispatch spreads the hot shard's rows over "
-        "its replicas — identical augmentations keep the answers "
-        "bit-identical while the hot shard's wall drops with the replica "
-        "count (given the cores to back it).",
-    )
-    _record_json(results_dir, "replicated_hot_shard", {
-        "workload": f"{BATCH_SOURCES}-source batch, 90% on shard 0, "
-                    "56x56 integer grid, k=2",
-        "runs": runs,
-        "replicas3_vs_replicas1": ratio,
-        "bound": REPLICA_BOUND,
-        "bound_enforced": gated,
-        "host_cpus": cpus,
-        "shm_clean_after_drain": not leaked,
-    })
-    for label, r in runs.items():
-        assert r["exact"], f"{label} not bit-identical"
-    assert not leaked, f"replicated fleet leaked segments: {leaked}"
-    if gated:
-        assert ratio >= REPLICA_BOUND, (
-            f"k=2 + 3 replicas only {ratio:.2f}x the unreplicated fleet "
-            f"(bound {REPLICA_BOUND}x on {cpus} cpus)"
-        )
 
 
 def test_eshard_multilevel_random_digraph(benchmark, report, results_dir):

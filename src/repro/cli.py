@@ -22,10 +22,6 @@ import sys
 import numpy as np
 
 
-#: Default queue-wait p99 target (ms) selected by the bare ``--autoscale``
-#: switch (``--autoscale-p99-ms`` overrides it with an explicit target).
-DEFAULT_AUTOSCALE_P99_MS = 50.0
-
 #: argparse dest → :class:`~repro.core.config.OracleConfig` field.  This
 #: table is the *only* flag→config plumbing: every serving/build flag maps
 #: 1:1 onto a config field through :func:`config_from_args`, and its
@@ -42,9 +38,6 @@ _CONFIG_FLAG_FIELDS = {
     "reweight": "reweight",
     "shards": "shards",
     "pin": "shard_pin",
-    "replicas": "replicas",
-    "max_replicas": "max_replicas",
-    "autoscale_p99_ms": "autoscale_target_p99_ms",
     "admission_queue_limit": "admission_queue_limit",
     "refine": "refine_separators",
     "refine_max_nodes": "refine_max_nodes",
@@ -325,10 +318,7 @@ def _cmd_serve(args) -> int:
     DESIGN.md §6) over a built — or loaded — oracle until SIGINT/SIGTERM,
     then drain and shut down gracefully.  With ``--shards K`` the serving
     engine is a :class:`~repro.shard.ShardRouter` fleet (one worker
-    process per shard; ``--pin`` adds per-worker CPU affinity);
-    ``--replicas N`` serves each shard through a
-    :class:`~repro.shard.ReplicaPool`, and ``--autoscale`` lets the pool
-    grow/shrink replicas against a queue-wait p99 target."""
+    process per shard; ``--pin`` adds per-worker CPU affinity)."""
     import asyncio
     import signal
 
@@ -336,8 +326,6 @@ def _cmd_serve(args) -> int:
     from .server import OracleServer, ServerConfig
 
     _configure_logging(args.verbose)
-    if args.autoscale_p99_ms is None and args.autoscale:
-        args.autoscale_p99_ms = DEFAULT_AUTOSCALE_P99_MS
     cfg = config_from_args(args)
     if args.load:
         oracle = ShortestPathOracle.load(args.load)
@@ -371,12 +359,7 @@ def _cmd_serve(args) -> int:
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, server.request_shutdown)
         if args.shards > 0:
-            mode = f"shards={args.shards} replicas={cfg.replicas} pin={args.pin}"
-            if cfg.autoscale_target_p99_ms > 0:
-                mode += (
-                    f" autoscale_p99={cfg.autoscale_target_p99_ms:g}ms"
-                    f" max_replicas={cfg.resolved_max_replicas}"
-                )
+            mode = f"shards={args.shards} pin={args.pin}"
         else:
             mode = f"backend={cfg.executor}"
         print(f"serving on {server.address} "
@@ -622,15 +605,6 @@ def main(argv: list[str] | None = None) -> int:
                     default="auto", help=_cfg_help("reweight"))
     p8.add_argument("--shards", type=int, default=0, help=_cfg_help("shards"))
     p8.add_argument("--pin", action="store_true", help=_cfg_help("shard_pin"))
-    p8.add_argument("--replicas", type=int, default=None,
-                    help=_cfg_help("replicas"))
-    p8.add_argument("--max-replicas", dest="max_replicas", type=int, default=None,
-                    help=_cfg_help("max_replicas"))
-    p8.add_argument("--autoscale", action="store_true",
-                    help="enable the hot-shard autoscaler at the default "
-                         f"{DEFAULT_AUTOSCALE_P99_MS:g} ms queue-wait p99 target")
-    p8.add_argument("--autoscale-p99-ms", dest="autoscale_p99_ms", type=float,
-                    default=None, help=_cfg_help("autoscale_target_p99_ms"))
     p8.add_argument("--admission-queue-limit", dest="admission_queue_limit",
                     type=int, default=None,
                     help=_cfg_help("admission_queue_limit"))

@@ -383,23 +383,18 @@ class ShortestPathOracle:
         config: OracleConfig | None = None,
         backend: str | None = None,
         pin: bool | None = None,
-        replicas: int | None = None,
     ):
         """A :class:`~repro.shard.ShardRouter` over this oracle's graph and
         separator tree — K per-shard oracles routed through the
         boundary-clique spine instead of one engine over the whole graph.
 
-        ``k`` / ``backend`` / ``pin`` / ``replicas`` override the
-        ``shards`` / ``shard_backend`` / ``shard_pin`` / ``replicas``
-        fields of ``config`` (defaulting to this oracle's build config, so
-        cache mode, semiring and method carry over to the shard builds).
-        ``replicas > 1`` — or a nonzero ``autoscale_target_p99_ms`` in the
-        config — serves each shard through a
-        :class:`~repro.shard.ReplicaPool` of interchangeable workers.  The
-        fleet builds its own shard oracles from the graph; this oracle's
-        augmentation is not reused — keep using :meth:`query_engine` for
-        single-engine serving.  Close the router (or use it as a context
-        manager) to drain the fleet.
+        ``k`` / ``backend`` / ``pin`` override the ``shards`` /
+        ``shard_backend`` / ``shard_pin`` fields of ``config`` (defaulting
+        to this oracle's build config, so cache mode, semiring and method
+        carry over to the shard builds).  The fleet builds its own shard
+        oracles from the graph; this oracle's augmentation is not reused —
+        keep using :meth:`query_engine` for single-engine serving.  Close
+        the router (or use it as a context manager) to drain the fleet.
         """
         from ..shard import ShardRouter
 
@@ -408,13 +403,11 @@ class ShortestPathOracle:
                 "shard_fleet() cuts the separator tree into shard subtrees, "
                 "but a direct-tier oracle has no separator decomposition "
                 "(that is why it serves G directly); serve it with "
-                "query_engine() — the server's replica tier still scales it out"
+                "query_engine(), with executor='thread:N' or 'shm:N' to fan "
+                "a batch's rows out across workers"
             )
         cfg = config if config is not None else self.config
-        return ShardRouter(
-            self.graph, self.tree, cfg,
-            k=k, backend=backend, pin=pin, replicas=replicas,
-        )
+        return ShardRouter(self.graph, self.tree, cfg, k=k, backend=backend, pin=pin)
 
     def distance(self, u: int, v: int) -> float:
         """Exact ``dist_G(u, v)`` (one scheduled pass from ``u``)."""

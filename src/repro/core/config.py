@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .semiring import MIN_PLUS, SEMIRINGS, Semiring
@@ -77,10 +77,15 @@ def _mode_error(name: object) -> ValueError:
     )
 
 
-#: Fields removed with the (1+eps) hopset, and where their job went.
+#: Retired fields, and where their job went.
 _RETIRED = {
     "hopset_beta": "the hopset it sized is gone, and mode='direct' has no knobs",
     "approx_gate": "mode='auto' gates on the constant repro.core.api.DIRECT_GATE",
+    **dict.fromkeys(
+        ("replicas", "max_replicas", "autoscale_target_p99_ms"),
+        "the shard replica tier measured 0.92-1.06x of one worker per shard "
+        "on a 2-CPU host; use shards=K",
+    ),
 }
 
 _CACHE_MODES = ("off", "read", "readwrite")
@@ -163,23 +168,6 @@ class OracleConfig:
         Pin each shard worker process to one CPU via
         ``os.sched_setaffinity`` (process backend only), so a shard's
         pages stay on the NUMA node of the CPU that computes them.
-    replicas:
-        Worker replicas per shard for the process-backend fleet. ``1``
-        keeps one worker per shard; ``N > 1`` serves every shard through
-        a :class:`~repro.shard.replica.ReplicaPool` with least-loaded
-        chunked dispatch across N warm replicas — bit-identical results,
-        a hot shard no longer caps throughput.
-    max_replicas:
-        Autoscale ceiling on replicas per shard. ``0`` derives it
-        (``replicas`` with autoscale off, ``2 * replicas`` with it on);
-        an explicit value must be ``>= replicas``.
-    autoscale_target_p99_ms:
-        Queue-wait p99 target (milliseconds) driving the hot-shard
-        autoscaler; ``0`` disables autoscale. A shard whose recent
-        dispatch queue-wait p99 exceeds the target gains a replica
-        spawned warm from the augmentation cache (up to
-        ``max_replicas``); a shard idling far below it drain-retires an
-        extra replica with zero failed in-flight queries.
     admission_queue_limit:
         Admission-control cap on admitted-but-unfinished row requests at
         the :class:`~repro.server.OracleServer`; past it (or when the
@@ -224,9 +212,6 @@ class OracleConfig:
     shards: int = 0
     shard_backend: str = "process"
     shard_pin: bool = False
-    replicas: int = 1
-    max_replicas: int = 0
-    autoscale_target_p99_ms: float = 0.0
     admission_queue_limit: int = 0
     refine_separators: bool = False
     refine_max_nodes: int = 20_000
@@ -268,20 +253,6 @@ class OracleConfig:
                 f"shard_backend must be one of {_SHARD_BACKENDS}, "
                 f"got {self.shard_backend!r}"
             )
-        if int(self.replicas) < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas!r}")
-        if int(self.max_replicas) < 0:
-            raise ValueError(f"max_replicas must be >= 0, got {self.max_replicas!r}")
-        if self.max_replicas and int(self.max_replicas) < int(self.replicas):
-            raise ValueError(
-                f"max_replicas ({self.max_replicas}) must be >= replicas "
-                f"({self.replicas}); pass 0 to derive it"
-            )
-        if float(self.autoscale_target_p99_ms) < 0:
-            raise ValueError(
-                "autoscale_target_p99_ms must be >= 0 (0 disables autoscale), "
-                f"got {self.autoscale_target_p99_ms!r}"
-            )
         if int(self.admission_queue_limit) < 0:
             raise ValueError(
                 "admission_queue_limit must be >= 0 (0 defers to the server's "
@@ -304,17 +275,6 @@ class OracleConfig:
         if isinstance(self.semiring, str):
             return SEMIRINGS[self.semiring]
         return self.semiring
-
-    @property
-    def resolved_max_replicas(self) -> int:
-        """The effective per-shard replica ceiling: ``max_replicas`` when
-        set, else ``replicas`` (autoscale off) or ``2 * replicas``
-        (autoscale on — headroom for the hot shard)."""
-        if int(self.max_replicas) > 0:
-            return int(self.max_replicas)
-        if float(self.autoscale_target_p99_ms) > 0:
-            return 2 * int(self.replicas)
-        return int(self.replicas)
 
     @classmethod
     def field_docs(cls) -> dict[str, str]:

@@ -1,37 +1,35 @@
 """The formal serving contract: :class:`ServingBackend`.
 
-Three tiers grew an *informal* serving surface one PR at a time — the
-single :class:`~repro.core.query.QueryEngine` (PR 1), the sharded
-:class:`~repro.shard.router.ShardRouter` (PR 5), and now the replicated
-:class:`~repro.shard.replica.ReplicaPool` (this PR).  Each speaks the same
-verbs, but until now the contract lived in docstrings and ``hasattr``
-checks scattered through :class:`~repro.server.OracleServer`.  This module
-makes it explicit:
+Two tiers serve queries — the single
+:class:`~repro.core.query.QueryEngine` and the sharded
+:class:`~repro.shard.router.ShardRouter`.  Both speak the same verbs, and
+this module writes that contract down instead of leaving it to docstrings
+and ``hasattr`` checks in :class:`~repro.server.OracleServer`:
 
 * :class:`ServingBackend` — a runtime-checkable :class:`typing.Protocol`
   naming the five serving verbs (``submit`` / ``stats`` / ``reweight`` /
   ``close`` plus the ``weights_epoch`` marker and the ``query``
-  convenience).  ``QueryEngine``, ``ShardRouter`` and ``ReplicaPool`` are
-  its declared implementations; anything an ``engine_factory`` returns is
-  checked against it at server startup (:func:`ensure_serving_backend`),
-  so a missing method is a clear startup error naming the method instead
-  of a mid-request ``AttributeError``.
+  convenience).  ``QueryEngine`` and ``ShardRouter`` are its declared
+  implementations; anything an ``engine_factory`` returns is checked
+  against it at server startup (:func:`ensure_serving_backend`), so a
+  missing method is a clear startup error naming the method instead of a
+  mid-request ``AttributeError``.
 * the **unified stats schema** — every backend's ``stats()`` carries the
   same canonical keys (:data:`SERVING_STATS_KEYS`): execution ``backend``,
-  ``workers``, supervisor-side ``queue_depth``, recent-window
-  ``queue_wait_ms`` p50/p99, the served ``weights_epoch``, lifetime
-  ``queries_served`` / ``rows_served``, and a ``per_shard`` breakdown
-  (empty for a single engine).  Tier-specific keys ride along
-  (``engine`` and ``phases`` on the engine, ``plan`` and ``spine`` on the
-  router, …); the router's per-shard list lives only under ``per_shard``.
+  ``workers``, supervisor-side ``queue_depth``, ``queue_wait_ms`` p50/p99
+  (zeros in both tiers: queueing lives in the server), the served
+  ``weights_epoch``, lifetime ``queries_served`` / ``rows_served``, and a
+  ``per_shard`` breakdown (empty for a single engine).  Tier-specific keys
+  ride along (``engine`` and ``phases`` on the engine, ``plan`` and
+  ``spine`` on the router, …); the router's per-shard list lives only
+  under ``per_shard``.
 
 The signatures intentionally differ per tier where the *payload* differs
 (``QueryEngine.reweight`` takes an :class:`~repro.core.augment.
-Augmentation`, ``ShardRouter.reweight`` a full weight vector,
-``ReplicaPool.reweight`` per-shard local vectors): the contract is the
-verb set and its semantics — epoch-guarded hot swap, thread-safe submit,
-idempotent close — not one universal argument type, which is why the
-protocol members are declared with permissive signatures.
+Augmentation`, ``ShardRouter.reweight`` a full weight vector): the
+contract is the verb set and its semantics — epoch-guarded hot swap,
+thread-safe submit, idempotent close — not one universal argument type,
+which is why the protocol members are declared with permissive signatures.
 """
 
 from __future__ import annotations
@@ -68,9 +66,8 @@ class ServingBackend(Protocol):
     """What the coalescing server (and anything else that serves queries)
     may assume about an engine: the five verbs plus the epoch marker.
 
-    Declared implementations: :class:`~repro.core.query.QueryEngine`,
-    :class:`~repro.shard.router.ShardRouter`,
-    :class:`~repro.shard.replica.ReplicaPool`.  The check is structural
+    Declared implementations: :class:`~repro.core.query.QueryEngine` and
+    :class:`~repro.shard.router.ShardRouter`.  The check is structural
     (``isinstance`` with this runtime-checkable protocol verifies member
     *presence*), so third-party engine factories participate by simply
     growing the members.
@@ -131,7 +128,6 @@ def serving_stats(
     weights_epoch: int,
     queries_served: int,
     rows_served: int,
-    queue_wait_ms: dict[str, float] | None = None,
     per_shard: list[dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """The canonical stats skeleton (:data:`SERVING_STATS_KEYS`); backends
@@ -140,9 +136,7 @@ def serving_stats(
         "backend": str(backend),
         "workers": int(workers),
         "queue_depth": int(queue_depth),
-        "queue_wait_ms": (
-            {"p50": 0.0, "p99": 0.0} if queue_wait_ms is None else queue_wait_ms
-        ),
+        "queue_wait_ms": {"p50": 0.0, "p99": 0.0},
         "weights_epoch": int(weights_epoch),
         "queries_served": int(queries_served),
         "rows_served": int(rows_served),

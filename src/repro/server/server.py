@@ -156,8 +156,8 @@ class OracleServer:
         :class:`~repro.core.protocols.ServingBackend` (checked at
         :meth:`start`, which raises a :class:`TypeError` naming any
         missing method) — in particular a
-        :class:`~repro.shard.ShardRouter` to serve a sharded (and
-        optionally replicated) fleet behind the same coalescing front end.
+        :class:`~repro.shard.ShardRouter` to serve a sharded fleet behind
+        the same coalescing front end.
     """
 
     def __init__(

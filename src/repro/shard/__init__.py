@@ -24,22 +24,16 @@ and §3's boundary cliques carry exact distances across that interface
   shard, each owning its own :class:`~repro.pram.shm.ShmArena` and
   optionally pinned with ``os.sched_setaffinity`` (NUMA-aware placement:
   a worker's distance rows live in pages it touched first), supervised
-  with health checks and warm restart-on-crash;
-* :mod:`~repro.shard.replica` — the replicated tier: N interchangeable
-  workers per shard behind least-loaded chunked dispatch, queue-wait-p99
-  autoscale (warm spawn via the augmentation cache, drain-retire), and
-  crash-safe reweight broadcast to every replica.
+  with health checks and warm restart-on-crash.
 
 Entry point: :meth:`repro.core.api.ShortestPathOracle.shard_fleet` (or
-``repro-spsp serve --shards K --replicas N [--pin] [--autoscale]``).
+``repro-spsp serve --shards K [--pin]``).
 """
 
 from .partition import Shard, ShardPlan, extract_subtree, make_shard_plan
-from .replica import ReplicaPool
 from .router import ShardRouter
 
 __all__ = [
-    "ReplicaPool",
     "Shard",
     "ShardPlan",
     "ShardRouter",

@@ -66,12 +66,6 @@ class ShardRouter:
         shm arena, supervised by :class:`~repro.shard.fleet.ShardFleet`).
     pin:
         Pin each worker process to one CPU (process backend only).
-    replicas:
-        Worker replicas per shard (process backend only).  ``> 1`` — or an
-        ``autoscale_target_p99_ms`` in the config — serves the fleet
-        through a :class:`~repro.shard.replica.ReplicaPool` (least-loaded
-        chunked dispatch, optional autoscale) instead of the one-worker-
-        per-shard :class:`~repro.shard.fleet.ShardFleet`.
     """
 
     def __init__(
@@ -83,26 +77,14 @@ class ShardRouter:
         k: int | None = None,
         backend: str | None = None,
         pin: bool | None = None,
-        replicas: int | None = None,
     ) -> None:
         cfg = config if config is not None else OracleConfig()
         k = int(k if k is not None else (cfg.shards or 2))
         backend = backend if backend is not None else cfg.shard_backend
         pin = bool(cfg.shard_pin if pin is None else pin)
-        replicas = int(replicas if replicas is not None else cfg.replicas)
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        replicated = replicas > 1 or cfg.autoscale_target_p99_ms > 0
-        if replicated and backend != "process":
-            raise ValueError(
-                "replicas > 1 (or autoscale) requires the 'process' backend: "
-                "inline engines share one address space, so replication "
-                f"cannot add capacity there (got backend={backend!r}, "
-                f"replicas={replicas})"
-            )
-        self.config = cfg.replace(
-            shards=k, shard_backend=backend, shard_pin=pin, replicas=replicas
-        )
+        self.config = cfg.replace(shards=k, shard_backend=backend, shard_pin=pin)
         self.backend = backend
         self.semiring = cfg.resolved_semiring
         self.plan: ShardPlan = make_shard_plan(graph, tree, k)
@@ -122,14 +104,9 @@ class ShardRouter:
             self.plan.fingerprint()[:16],
         )
         if backend == "process":
-            if replicated:
-                from .replica import ReplicaPool
+            from .fleet import ShardFleet
 
-                self._fleet = ReplicaPool(self.plan, self.config, pin=pin)
-            else:
-                from .fleet import ShardFleet
-
-                self._fleet = ShardFleet(self.plan, self.config, pin=pin)
+            self._fleet = ShardFleet(self.plan, self.config, pin=pin)
             self._engines = None
             self._fleet.start()
             boundary_rows = self._fleet.boundary_matrices()
@@ -339,35 +316,17 @@ class ShardRouter:
                 "last_batch": None if self.last_batch is None else dict(self.last_batch),
             }
         queue_depth = 0
-        queue_wait = None
-        workers = self.plan.k
         extra: dict[str, Any] = {}
         if self._fleet is None:
             per_shard = [e.stats() for e in self._engines]
         else:
-            fs = self._fleet.stats()
-            if isinstance(fs, dict):  # ReplicaPool: already canonical
-                per_shard = fs["per_shard"]
-                workers = fs["workers"]
-                queue_depth = fs["queue_depth"]
-                queue_wait = fs["queue_wait_ms"]
-                extra = {
-                    key: fs[key]
-                    for key in (
-                        "base_replicas", "max_replicas",
-                        "autoscale_target_p99_ms", "scale_ups",
-                        "scale_downs", "restarts_total",
-                    )
-                }
-            else:  # ShardFleet: one worker per shard
-                per_shard = fs
-                queue_depth = sum(int(s.get("queue_depth", 0)) for s in fs)
-                extra = {"restarts_total": self._fleet.restarts_total}
+            per_shard = self._fleet.stats()
+            queue_depth = sum(int(s.get("queue_depth", 0)) for s in per_shard)
+            extra = {"restarts_total": self._fleet.restarts_total}
         base = serving_stats(
             backend=self.backend,
-            workers=workers,
+            workers=self.plan.k,
             queue_depth=queue_depth,
-            queue_wait_ms=queue_wait,
             weights_epoch=snap["weights_epoch"],
             queries_served=snap["queries_served"],
             rows_served=snap["rows_served"],

@@ -197,10 +197,8 @@ class WorkerHandle:
         *,
         pin_cpu: int | None = None,
         log_level: int | None = None,
-        replica: int = 0,
     ) -> None:
         self.shard_id = int(shard_id)
-        self.replica = int(replica)
         self.tag = f"s{self.shard_id}"
         self.pin_cpu = pin_cpu
         self._payload = (graph, tree, boundary_local, config.to_dict())
@@ -214,7 +212,7 @@ class WorkerHandle:
         self.ready_info: dict[str, Any] | None = None
         self.restarts = 0
         #: Requests sent and not yet answered — the supervisor-side queue
-        #: depth that least-loaded dispatch ranks replicas by.
+        #: depth the fleet reports per shard.
         self.inflight = 0
         #: Last successful ``stats`` payload, kept so supervisors can
         #: report a crashed/busy worker without blocking on its pipe.
@@ -285,26 +283,6 @@ class WorkerHandle:
         """Whether the worker process is currently running."""
         return self.process is not None and self.process.is_alive()
 
-    def poll_ready(self) -> dict[str, Any] | None:
-        """Non-blocking :meth:`wait_ready`: consume the ``ready`` message if
-        it has arrived, else return ``None`` (the caller keeps serving on
-        the old capacity while the new replica warms).  Raises
-        :class:`WorkerCrash` if the worker died during its build."""
-        if self.ready_info is not None:
-            return self.ready_info
-        try:
-            if not self._conn.poll(0):
-                if not self.alive:
-                    raise WorkerCrash(
-                        f"shard {self.shard_id} worker died while warming"
-                    )
-                return None
-        except (EOFError, OSError) as exc:
-            raise WorkerCrash(
-                f"shard {self.shard_id} worker died while warming: {exc}"
-            ) from exc
-        return self.wait_ready(timeout=1.0)
-
     def try_stats(self, timeout: float = 5.0) -> dict[str, Any] | None:
         """Probe the worker's engine counters *without* risking the pipe.
 
@@ -323,8 +301,8 @@ class WorkerHandle:
                 self._conn.send(("stats", None))
                 # Account for the outstanding reply *before* waiting: if the
                 # wait below times out the reply is still owed, and a raised
-                # ``inflight`` both deprioritizes this handle in dispatch
-                # and makes the next probe decline instead of desyncing.
+                # ``inflight`` makes the next probe decline instead of
+                # desyncing.
                 self.inflight += 1
                 if not self._conn.poll(timeout):  # pragma: no cover - wedged
                     return None

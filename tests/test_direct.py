@@ -207,7 +207,10 @@ class TestConfigAndErrors:
         with pytest.raises(ValueError, match="removed"):
             ShortestPathOracle.build(expander_digraph(40, rng), mode="approx")
 
-    @pytest.mark.parametrize("field", ["hopset_beta", "approx_gate"])
+    @pytest.mark.parametrize("field", [
+        "hopset_beta", "approx_gate",
+        "replicas", "max_replicas", "autoscale_target_p99_ms",
+    ])
     def test_retired_fields_raise_pointed_errors(self, field):
         with pytest.raises(TypeError, match=f"OracleConfig.{field} was removed"):
             OracleConfig(**{field: 1})
@@ -243,6 +246,19 @@ class TestConfigAndErrors:
         oracle = ShortestPathOracle.build(expander_digraph(100, rng, degree=5), mode="direct")
         with pytest.raises(ValueError, match="direct"):
             oracle.shard_fleet(2)
+
+    def test_shard_fleet_refusal_points_at_query_engine(self, rng):
+        """The refusal names the way that works — a query engine with a
+        worker executor — and no tier that does not exist."""
+        g = _int_weighted(expander_digraph(100, rng, degree=5), rng)
+        oracle = ShortestPathOracle.build(g, mode="direct")
+        with pytest.raises(ValueError) as ei:
+            oracle.shard_fleet(2)
+        msg = str(ei.value)
+        assert "query_engine" in msg and "thread:N" in msg and "shm:N" in msg
+        assert "replica" not in msg
+        with oracle.query_engine(OracleConfig(executor="thread:2")) as eng:
+            assert np.array_equal(eng.query([0, 5]), oracle.distances([0, 5]))
 
 
 class TestServing:
@@ -316,9 +332,14 @@ class TestPersistenceAndCache:
 
     def test_retired_config_keys_still_load(self, rng, tmp_path):
         """Archives and cache entries written while OracleConfig still had
-        ``hopset_beta`` and ``approx_gate`` load and answer the same."""
+        ``hopset_beta`` and ``approx_gate``, or the replica tier's
+        ``replicas`` / ``max_replicas`` / ``autoscale_target_p99_ms``, load
+        and answer the same."""
         g = expander_digraph(90, rng)
-        retired = {"hopset_beta": 16, "approx_gate": 0.4}
+        retired = {
+            "hopset_beta": 16, "approx_gate": 0.4,
+            "replicas": 3, "max_replicas": 6, "autoscale_target_p99_ms": 50.0,
+        }
         oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct", source_block=8))
         path = tmp_path / "old.npz"
         oracle.save(path)

@@ -1,8 +1,8 @@
 """The :class:`~repro.core.protocols.ServingBackend` contract (tier-1, no
 subprocesses): every serving tier satisfies the protocol, the unified
-stats schema is what :func:`serving_stats` says it is, the replica/
-autoscale/admission config knobs validate, and the CLI flag table maps
-1:1 onto :class:`~repro.core.config.OracleConfig` fields.
+stats schema is what :func:`serving_stats` says it is, the admission
+knob validates, the retired replica knobs fail loudly, and the CLI flag
+table maps 1:1 onto :class:`~repro.core.config.OracleConfig` fields.
 """
 
 from __future__ import annotations
@@ -130,36 +130,35 @@ class TestUnifiedStatsSchema:
         assert s["rows_served"] == 2
 
 
-class TestReplicaConfig:
-    def test_field_validation(self):
-        with pytest.raises(ValueError, match="replicas"):
-            OracleConfig(replicas=0)
-        with pytest.raises(ValueError, match="max_replicas"):
-            OracleConfig(max_replicas=-1)
-        with pytest.raises(ValueError, match="max_replicas"):
-            OracleConfig(replicas=2, max_replicas=1)
-        with pytest.raises(ValueError, match="autoscale_target_p99_ms"):
-            OracleConfig(autoscale_target_p99_ms=-0.5)
+class TestServingConfig:
+    def test_admission_queue_limit_validation(self):
         with pytest.raises(ValueError, match="admission_queue_limit"):
             OracleConfig(admission_queue_limit=-1)
 
-    def test_resolved_max_replicas(self):
-        assert OracleConfig(replicas=3).resolved_max_replicas == 3
-        assert (
-            OracleConfig(replicas=3, autoscale_target_p99_ms=5.0).resolved_max_replicas
-            == 6
-        )
-        assert OracleConfig(replicas=2, max_replicas=5).resolved_max_replicas == 5
 
-    def test_inline_router_rejects_replication(self, grid6_negative):
+_REPLICA_FIELDS = ("replicas", "max_replicas", "autoscale_target_p99_ms")
+
+
+class TestReplicaConfig:
+    """The replica tier is gone: its config fields and the router's
+    ``replicas=`` parameter fail loudly instead of being ignored."""
+
+    def test_field_validation(self):
+        """Each retired field names its replacement and is gone from the
+        dataclass and the CLI flag table (the generic retired-field
+        behaviour is covered in ``test_direct``)."""
+        for field in _REPLICA_FIELDS:
+            with pytest.raises(TypeError, match=f"{field} was removed.*use shards=K"):
+                OracleConfig(**{field: 2})
+            assert field not in OracleConfig.__dataclass_fields__
+            assert field not in _CONFIG_FLAG_FIELDS.values()
+
+    def test_inline_router_rejects_replication(self, grid6_negative, oracle):
         g, tree = grid6_negative
-        with pytest.raises(ValueError, match="process"):
-            ShardRouter(g, tree, OracleConfig(replicas=2), k=2, backend="inline")
-        with pytest.raises(ValueError, match="process"):
-            ShardRouter(
-                g, tree, OracleConfig(autoscale_target_p99_ms=10.0),
-                k=2, backend="inline",
-            )
+        with pytest.raises(TypeError, match="replicas"):
+            ShardRouter(g, tree, k=2, backend="inline", replicas=2)
+        with pytest.raises(TypeError, match="replicas"):
+            oracle.shard_fleet(2, backend="inline", replicas=2)
 
 
 class TestCliConfigMapping:
@@ -173,26 +172,38 @@ class TestCliConfigMapping:
     def test_config_from_args_maps_set_flags_only(self):
         ns = argparse.Namespace(**{dest: None for dest in _CONFIG_FLAG_FIELDS})
         ns.shards = 2
-        ns.replicas = 3
-        ns.autoscale_p99_ms = 12.5
+        ns.pin = True
         ns.admission_queue_limit = 9
         ns.backend = "shm"
         ns.row_cache = 64
         cfg = config_from_args(ns)
         assert cfg.shards == 2
-        assert cfg.replicas == 3
-        assert cfg.autoscale_target_p99_ms == 12.5
+        assert cfg.shard_pin is True
         assert cfg.admission_queue_limit == 9
         assert cfg.executor == "shm"
         assert cfg.row_cache == 64
         # unset flags keep the dataclass defaults
         default = OracleConfig()
         assert cfg.method == default.method
-        assert cfg.max_replicas == default.max_replicas
+        assert cfg.refine_max_nodes == default.refine_max_nodes
 
     def test_config_from_args_tolerates_missing_dests(self):
         """A subcommand that defines only a subset of the flags still maps
         cleanly (absent attributes are simply not set)."""
-        cfg = config_from_args(argparse.Namespace(replicas=2))
-        assert cfg.replicas == 2
+        cfg = config_from_args(argparse.Namespace(admission_queue_limit=5))
+        assert cfg.admission_queue_limit == 5
         assert cfg.shards == OracleConfig().shards
+
+    @pytest.mark.parametrize("argv", [
+        ["--replicas", "2"],
+        ["--max-replicas", "3"],
+        ["--autoscale"],
+        ["--autoscale-p99-ms", "5"],
+    ])
+    def test_serve_rejects_retired_replica_flags(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as ei:
+            main(["serve", *argv])
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

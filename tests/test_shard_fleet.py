@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from repro import OracleConfig, ShortestPathOracle, WeightedDigraph
-from repro.core.protocols import SERVING_STATS_KEYS, ServingBackend
+from repro.core.protocols import SERVING_STATS_KEYS
 from repro.pram.shm import orphaned_segments
 from repro.separators.grid import decompose_grid
 from repro.server import OracleClient, OracleServer, ServerConfig
-from repro.shard import ReplicaPool, ShardRouter
+from repro.shard import ShardRouter
 from repro.workloads.generators import grid_digraph
 
 pytestmark = pytest.mark.multiproc
@@ -69,6 +69,25 @@ class TestProcessFleetEquivalence:
             got2 = router.query(srcs2)
         assert np.array_equal(got, want)
         assert np.array_equal(got2, oracle.distances(srcs2))
+
+    def test_skewed_hot_shard_bit_identical(self):
+        """A 90%-hot-shard batch parks almost every row on one worker; the
+        answers stay bit-identical to the direct engine, warm batch too."""
+        g, tree = integer_workload(10, seed=7, negative=True)
+        oracle = ShortestPathOracle.build(g, tree)
+        rng = np.random.default_rng(1)
+        with ShardRouter(g, tree, k=2, backend="process") as router:
+            home = router.plan.home
+            hot = np.flatnonzero(home == 0)
+            cold = np.flatnonzero(home != 0)
+            srcs = np.concatenate(
+                [hot, rng.permutation(cold)[: max(1, hot.size // 9)]]
+            )
+            want = oracle.distances(srcs)
+            got = router.query(srcs)
+            got2 = router.query(srcs[:13])  # second batch on the warm fleet
+        assert np.array_equal(got, want)
+        assert np.array_equal(got2, want[:13])
 
     def test_unreachable_rows_process_backend(self):
         n = 40
@@ -156,179 +175,6 @@ class TestFleetSupervision:
             assert np.array_equal(router.query([0, 5]), oracle.distances([0, 5]))
             for i, shard_stats in enumerate(router.stats()["per_shard"]):
                 assert shard_stats["pinned_cpu"] == cpus[i % len(cpus)]
-
-
-class TestReplicaPool:
-    """The replicated fleet tier (tentpole): lifecycle (spawn → warm
-    respawn → drain-retire), skewed-workload bit-identity across replica
-    counts, queue-wait-driven autoscale, and the epoch-guarded reweight
-    broadcast under concurrent load."""
-
-    def test_lifecycle_spawn_promote_crash_retire(self, tmp_path):
-        g, tree = integer_workload(10, seed=6)
-        oracle = ShortestPathOracle.build(g, tree)
-        cfg = OracleConfig(
-            replicas=2, max_replicas=3,
-            cache="readwrite", cache_dir=str(tmp_path),
-        )
-        srcs = list(range(0, g.n, 7))
-        want = oracle.distances(srcs)
-        with ShardRouter(g, tree, cfg, k=2, backend="process") as router:
-            pool = router._fleet
-            assert isinstance(pool, ReplicaPool)
-            assert isinstance(pool, ServingBackend)
-            assert np.array_equal(router.query(srcs), want)
-            # scale out: a background spawn warms from the augmentation
-            # store and is promoted only once ready
-            h = pool.spawn_replica(0)
-            assert len(pool.replicas[0]) == 2  # not dispatchable yet
-            for _ in range(600):
-                if pool._promote_warming():
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("warming replica never became ready")
-            assert len(pool.replicas[0]) == 3
-            assert h.ready_info["cache_status"] == "hit"  # PR-4 warm path
-            assert np.array_equal(router.query(srcs), want)
-            # crash one replica: serving continues exactly, supervision
-            # respawns it warm
-            victim = pool.replicas[0][1]
-            old_pid = victim.pid
-            victim.send_request("crash")
-            victim.process.join(10)
-            assert np.array_equal(router.query(srcs), want)
-            pool.health_check()
-            assert pool.restarts_total >= 1
-            assert victim.alive and victim.pid != old_pid
-            assert victim.ready_info["cache_status"] == "hit"
-            # drain-retire back to base; serving unaffected
-            pool.retire_replica(0)
-            assert len(pool.replicas[0]) == 2
-            assert np.array_equal(router.query(srcs), want)
-            # stats: canonical schema + per-shard replica breakdown
-            snap = pool.stats()
-            for key in SERVING_STATS_KEYS:
-                assert key in snap, key
-            assert snap["backend"] == "replicated"
-            assert snap["workers"] == 4
-            assert snap["per_shard"][0]["replicas"] == 2
-            assert snap["per_shard"][0]["warming"] == 0
-            assert len(snap["per_shard"][0]["workers"]) == 2
-
-    @pytest.mark.parametrize("replicas", [1, 2, 3])
-    def test_skewed_hot_shard_bit_identical(self, replicas):
-        """Acceptance property: a 90%-hot-shard workload answers
-        bit-identically to the direct engine for every replica count
-        (replicas only add capacity, never change results)."""
-        g, tree = integer_workload(10, seed=7, negative=True)
-        oracle = ShortestPathOracle.build(g, tree)
-        rng = np.random.default_rng(replicas)
-        cfg = OracleConfig(replicas=replicas)
-        with ShardRouter(g, tree, cfg, k=2, backend="process") as router:
-            assert isinstance(router._fleet, ReplicaPool) == (replicas > 1)
-            home = router.plan.home
-            hot = np.flatnonzero(home == 0)
-            cold = np.flatnonzero(home != 0)
-            srcs = np.concatenate(
-                [hot, rng.permutation(cold)[: max(1, hot.size // 9)]]
-            )
-            want = oracle.distances(srcs)
-            got = router.query(srcs)
-            got2 = router.query(srcs[:13])  # second batch on warm replicas
-        assert np.array_equal(got, want)
-        assert np.array_equal(got2, want[:13])
-
-    def test_autoscale_up_then_down(self):
-        g, tree = integer_workload(8, seed=8)
-        oracle = ShortestPathOracle.build(g, tree)
-        cfg = OracleConfig(replicas=1, max_replicas=2, autoscale_target_p99_ms=1e-3)
-        srcs = np.arange(g.n)
-        want = oracle.distances(srcs)
-        with ShardRouter(g, tree, cfg, k=2, backend="process") as router:
-            pool = router._fleet
-            assert pool.base_replicas == 1 and pool.max_replicas == 2
-            pool.cooldown_s = 0.0
-            pool.dispatch_rows = 4  # many chunks → measurable queue waits
-            # any real queue wait beats the microscopic target → scale up
-            assert np.array_equal(router.query(srcs), want)
-            assert pool.scale_ups >= 1
-            for _ in range(600):
-                pool._promote_warming()
-                if sum(len(grp) for grp in pool.replicas) == 3:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("autoscaled replica never promoted")
-            assert np.array_equal(router.query(srcs), want)  # still exact
-            # p99 now sits far below an enormous target → drain-retire
-            # (the pre-flip batch may have started a second scale-up, so
-            # loop until the pool is back at base size)
-            pool.autoscale_target_p99_ms = 1e9
-            for _ in range(100):
-                assert np.array_equal(router.query(srcs[::5]), want[::5])
-                total = sum(len(grp) for grp in pool.replicas) + sum(
-                    len(grp) for grp in pool.warming
-                )
-                if pool.scale_downs >= 1 and total == 2:
-                    break
-                time.sleep(0.05)
-            assert pool.scale_downs >= 1
-            assert sum(len(grp) for grp in pool.replicas) == 2
-            snap = pool.stats()
-            assert snap["scale_ups"] >= 1 and snap["scale_downs"] >= 1
-            assert snap["autoscale_target_p99_ms"] == 1e9
-
-    def test_reweight_broadcast_under_concurrent_load(self):
-        """Acceptance: reweight while queries hammer the pool — zero
-        failed queries, every answer from a coherent epoch, and the flip
-        lands on every replica."""
-        g, tree = integer_workload(10, seed=9)
-        oracle1 = ShortestPathOracle.build(g, tree)
-        w2 = np.round(np.abs(g.weight)) + 3.0
-        oracle2 = ShortestPathOracle.build(
-            WeightedDigraph(g.n, g.src, g.dst, w2), tree
-        )
-        srcs = np.arange(0, g.n, 5)
-        want1 = oracle1.distances(srcs)
-        want2 = oracle2.distances(srcs)
-        assert not np.array_equal(want1, want2)
-        cfg = OracleConfig(replicas=2)
-        with ShardRouter(g, tree, cfg, k=2, backend="process") as router:
-            assert isinstance(router._fleet, ReplicaPool)
-            errors: list = []
-            stop = threading.Event()
-
-            def hammer():
-                try:
-                    while not stop.is_set():
-                        got = router.query(srcs)
-                        if not (
-                            np.array_equal(got, want1)
-                            or np.array_equal(got, want2)
-                        ):
-                            errors.append("torn answer across epochs")
-                except Exception as exc:  # noqa: BLE001 - surfaced below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=hammer) for _ in range(2)]
-            for t in threads:
-                t.start()
-            time.sleep(0.2)
-            res = router.reweight(w2)
-            assert res["weights_epoch"] == 1
-            time.sleep(0.3)
-            stop.set()
-            for t in threads:
-                t.join(60)
-            assert not errors, errors
-            assert router.weights_epoch == 1
-            assert router._fleet.weights_epoch == 1
-            # every replica of every shard serves the new epoch
-            for group in router._fleet.replicas:
-                for h in group:
-                    assert int(h.call("stats")["weights_epoch"]) == 1
-            assert np.array_equal(router.query(srcs), want2)
 
 
 class TestServedFleet:
