@@ -70,13 +70,17 @@ def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, t
     g, tree = workload
     cache_dir = str(tmp_path / "store")
     t0 = time.perf_counter()
-    cold_oracle = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=cache_dir)
+    cold_oracle = ShortestPathOracle.build(
+        g, tree, config=OracleConfig(cache="readwrite", cache_dir=cache_dir)
+    )
     cold_s = time.perf_counter() - t0
     assert cold_oracle.cache_info["status"] == "stored", cold_oracle.cache_info
     warm_s = np.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        hit_oracle = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=cache_dir)
+        hit_oracle = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=cache_dir)
+        )
         warm_s = min(warm_s, time.perf_counter() - t0)
     assert hit_oracle.cache_info["status"] == "hit", hit_oracle.cache_info
     srcs = np.random.default_rng(7).integers(0, g.n, size=8)
@@ -116,7 +120,9 @@ def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, t
         f"(cold {cold_s:.3f}s, cached {warm_s:.3f}s; bar {BUILD_SPEEDUP}x)"
     )
     benchmark(
-        lambda: ShortestPathOracle.build(g, tree, cache="read", cache_dir=cache_dir)
+        lambda: ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="read", cache_dir=cache_dir)
+        )
     )
 
 

@@ -27,6 +27,7 @@ import pytest
 
 from repro.analysis.tables import render_table
 from repro.core.api import ShortestPathOracle
+from repro.core.config import OracleConfig
 from repro.core.doubling import augment_doubling
 from repro.pram.machine import Ledger
 from repro.separators.grid import decompose_grid
@@ -119,13 +120,13 @@ def test_epar_query_engine_batched(benchmark, workload, report, results_dir):
     bit-equal distances, wall-clock per backend, amortization evidence
     (second batch at least as fast as the first on warm pools)."""
     g, tree = workload
-    oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+    oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
     rng = np.random.default_rng(7)
     srcs = rng.integers(0, g.n, size=QUERY_BATCH)
     want = oracle.distances(srcs)
     times, second = {}, {}
     for backend in BACKENDS:
-        with oracle.query_engine(executor=backend) as eng:
+        with oracle.query_engine(OracleConfig(executor=backend)) as eng:
             t0 = time.perf_counter()
             got = eng.query(srcs)
             times[backend] = time.perf_counter() - t0
@@ -160,7 +161,7 @@ def test_epar_query_engine_batched(benchmark, workload, report, results_dir):
             "speedup_vs_serial": {b: times["serial"] / times[b] for b in BACKENDS},
         },
     )
-    with oracle.query_engine(executor=SHM) as eng:
+    with oracle.query_engine(OracleConfig(executor=SHM)) as eng:
         eng.query(srcs)  # warm the pool and the shared distance block
         benchmark(lambda: eng.query(srcs))
 

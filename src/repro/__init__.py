@@ -11,7 +11,7 @@ work/depth cost model that makes the paper's Table 1 measurable.
 Quick start::
 
     import numpy as np
-    from repro import ShortestPathOracle
+    from repro import OracleConfig, ShortestPathOracle
     from repro.workloads.generators import grid_digraph
     from repro.separators.grid import decompose_grid
 
@@ -19,6 +19,12 @@ Quick start::
     tree = decompose_grid(g, (32, 32))
     oracle = ShortestPathOracle.build(g, tree)
     dist = oracle.distances([0, 17, 513])
+
+    # Every knob goes through one OracleConfig:
+    cfg = OracleConfig(method="doubling", executor="thread:2")
+    oracle = ShortestPathOracle.build(g, tree, config=cfg)
+    with oracle.query_engine(cfg) as engine:
+        dist = engine.query([0, 17, 513])
 """
 
 from .core.api import ShortestPathOracle

@@ -5,7 +5,7 @@ magnitude above a single query — yet the augmentation E⁺ is a pure
 function of ``(graph, tree, semiring, method)``.  This package makes the
 cold path as fast as a disk load: :func:`augmentation_key` hashes the
 canonicalized inputs into a SHA-256 address, and :class:`AugmentationCache`
-is the on-disk store behind ``ShortestPathOracle.build(cache=...)`` and the
+is the on-disk store behind ``OracleConfig(cache=...)`` builds and the
 ``repro-spsp cache`` CLI.
 """
 

@@ -31,7 +31,6 @@ _CONFIG_FLAG_FIELDS = {
     "method": "method",
     "leaf_size": "leaf_size",
     "backend": "executor",
-    "engine": "engine",
     "cache": "cache",
     "cache_dir": "cache_dir",
     "row_cache": "row_cache",
@@ -284,14 +283,14 @@ def _cmd_query(args) -> int:
     rows = sum(d.shape[0] for d in dists)
     finite = float(np.mean([np.isfinite(d).mean() for d in dists]))
     print(f"served {stats['queries_served']} batches / {rows} source rows on "
-          f"backend={stats['backend']}:{stats['workers']} engine={stats['engine']} "
+          f"backend={stats['backend']}:{stats['workers']} "
           f"in {serve_s:.3f}s ({rows / max(serve_s, 1e-9):.1f} rows/s)")
     print(f"shared bytes published once: {stats['shared_bytes']}; "
           f"finite distance fraction {finite:.3f}")
     if args.check:
-        want = oracle.distances(batches[0], engine=args.engine)
+        want = oracle.distances(batches[0])
         same = np.array_equal(want, dists[0])
-        print(f"bit-identical to serial {args.engine} pass: {same}")
+        print(f"bit-identical to a serial pass: {same}")
         return 0 if same else 1
     return 0
 
@@ -363,7 +362,7 @@ def _cmd_serve(args) -> int:
         else:
             mode = f"backend={cfg.executor}"
         print(f"serving on {server.address} "
-              f"({mode} engine={cfg.engine} "
+              f"({mode} "
               f"max_batch={server_cfg.max_batch_rows} "
               f"max_wait={server_cfg.max_wait_us}µs "
               f"queue_limit={server_cfg.queue_limit}); Ctrl-C to stop")
@@ -453,6 +452,7 @@ def _cmd_selftest(args) -> int:
     pipeline across families/methods and cross-checks against independent
     baselines.  Exit code 0 = healthy install."""
     from .core.api import ShortestPathOracle
+    from .core.config import OracleConfig
     from .kernels.dijkstra import dijkstra
     from .kernels.johnson import johnson
     from .separators.grid import decompose_grid
@@ -476,7 +476,9 @@ def _cmd_selftest(args) -> int:
     tree = decompose_grid(g, (12, 12))
     check("decomposition valid", not tree.validate(g, strict=False))
     for method in ("leaves_up", "doubling", "doubling_shared"):
-        oracle = ShortestPathOracle.build(g, tree, method=method)
+        oracle = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(method=method)
+        )
         ok = np.allclose(oracle.distances(0), dijkstra(g, 0))
         check(f"{method} distances == dijkstra", ok)
         check(f"{method} E+ self-check", oracle.augmentation.verify_edges() < 1e-6)
@@ -490,7 +492,7 @@ def _cmd_selftest(args) -> int:
     check("negative weights == johnson", np.allclose(oracle.distances([0]), johnson(gn, [0])))
     print("selftest: planar family")
     gd, _ = delaunay_digraph(200, rng)
-    od = ShortestPathOracle.build(gd, separator="planar")
+    od = ShortestPathOracle.build(gd, config=OracleConfig(separator="planar"))
     check("delaunay distances == dijkstra", np.allclose(od.distances(0), dijkstra(gd, 0)))
     print("selftest: decomposition quality")
     print("   ", assess(tree).summary())
@@ -560,7 +562,6 @@ def main(argv: list[str] | None = None) -> int:
     p7.add_argument("--batches", type=int, default=4)
     p7.add_argument("--backend", default="shm",
                     help="executor spec: serial | thread[:N] | shm[:N]")
-    p7.add_argument("--engine", choices=["scheduled", "naive"], default="scheduled")
     p7.add_argument("--method",
                     choices=["leaves_up", "doubling", "doubling_shared"],
                     default="leaves_up")
@@ -590,7 +591,6 @@ def main(argv: list[str] | None = None) -> int:
     p8.add_argument("--seed", type=int, default=0)
     p8.add_argument("--backend", default="shm",
                     help="serving executor: serial | thread[:N] | shm[:N]")
-    p8.add_argument("--engine", choices=["scheduled", "naive"], default="scheduled")
     p8.add_argument("--max-batch", dest="max_batch", type=int, default=256,
                     help="coalescing cap in source rows per batch")
     p8.add_argument("--max-wait-us", dest="max_wait_us", type=int, default=2000,

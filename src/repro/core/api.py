@@ -5,11 +5,11 @@ or computed), augmentation E⁺ (Algorithm 4.1 or 4.3), the §3.2 phase
 schedule, and query methods for distances, trees, paths and reachability —
 with PRAM work/depth accounting throughout.
 
-    >>> from repro import ShortestPathOracle
+    >>> from repro import OracleConfig, ShortestPathOracle
     >>> from repro.workloads.generators import grid_digraph
     >>> import numpy as np
     >>> g = grid_digraph((16, 16), np.random.default_rng(0))
-    >>> oracle = ShortestPathOracle.build(g, separator="auto")
+    >>> oracle = ShortestPathOracle.build(g, config=OracleConfig(separator="auto"))
     >>> d = oracle.distances([0, 5])          # (2, 256) distance matrix
     >>> tree = oracle.shortest_path_tree(0)   # parent array
 """
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable
 
 import numpy as np
 
 from ..pram.machine import Ledger
 from .augment import Augmentation
-from .config import UNSET, OracleConfig, resolve_config
+from .config import OracleConfig
 from .digraph import WeightedDigraph
 from .doubling import augment_doubling
 from .leaves_up import augment_leaves_up
@@ -151,25 +150,8 @@ class ShortestPathOracle:
         tree: SeparatorTree | None = None,
         *,
         config: OracleConfig | None = None,
-        separator: str | Callable | None = UNSET,
-        method: str = UNSET,
-        semiring: Semiring = UNSET,
-        leaf_size: int = UNSET,
-        executor=UNSET,
-        validate: bool = UNSET,
-        keep_node_distances: bool = UNSET,
-        cache: str = UNSET,
-        cache_dir: str | None = UNSET,
-        mode: str = UNSET,
     ) -> "ShortestPathOracle":
         """Run the full preprocessing pipeline.
-
-        All knobs live on one :class:`~repro.core.config.OracleConfig`
-        (pass ``config=``); the individual kwargs remain as a back-compat
-        overlay with their historical defaults (``method="leaves_up"``,
-        ``semiring=MIN_PLUS``, ``leaf_size=8``, ``executor="serial"``,
-        ``validate=False``, ``keep_node_distances=False``).  A kwarg that contradicts an explicit ``config``
-        emits a :class:`DeprecationWarning` and wins.
 
         Parameters
         ----------
@@ -180,35 +162,24 @@ class ShortestPathOracle:
             an engine: ``"auto"``/``"spectral"``, ``"planar"``,
             ``"treewidth"``, or a callable oracle.
         config:
-            See :class:`~repro.core.config.OracleConfig` for the full knob
-            inventory (``method``, ``separator``, ``semiring``,
-            ``leaf_size``, ``executor``, ``keep_node_distances``, ``validate`` are consumed here; the
-            serving fields ride along untouched for
-            :meth:`query_engine`).
-        cache:
-            Augmentation-cache mode (see :mod:`repro.cache`): ``"off"``
-            never touches the store; ``"read"`` loads a content-addressed
-            hit but never writes; ``"readwrite"`` additionally persists a
-            miss (under an ``O_EXCL`` build lock so concurrent builders of
-            the same key produce one store entry).  A hit skips the whole
-            §4 construction *and* — when the entry's header records that
+            Every knob (default: ``OracleConfig()``); see
+            :class:`~repro.core.config.OracleConfig` for the inventory.
+            ``mode``, ``method``, ``separator``, ``semiring``, ``leaf_size``,
+            ``executor``, ``keep_node_distances``, ``validate``, the
+            refinement fields and the cache fields are consumed here; the
+            serving fields ride along untouched for :meth:`query_engine`.
+            ``config.cache`` selects the augmentation-cache mode (see
+            :mod:`repro.cache`): ``"off"`` never touches the store;
+            ``"read"`` loads a content-addressed hit but never writes;
+            ``"readwrite"`` additionally persists a miss (under an
+            ``O_EXCL`` build lock so concurrent builders of the same key
+            produce one store entry).  A hit skips the whole §4
+            construction *and* — when the entry's header records that
             validation already ran — the decomposition validity check.
             ``keep_node_distances=True`` bypasses the cache (per-node
             matrices are not persisted).
         """
-        cfg = resolve_config(
-            config,
-            separator=separator,
-            method=method,
-            semiring=semiring,
-            leaf_size=leaf_size,
-            executor=executor,
-            validate=validate,
-            keep_node_distances=keep_node_distances,
-            cache=cache,
-            cache_dir=cache_dir,
-            mode=mode,
-        )
+        cfg = config if config is not None else OracleConfig()
         # Tier dispatch: "direct" skips the separator machinery and serves
         # G itself; "auto" scores the best first-pass tree against
         # DIRECT_GATE; "exact" (the default) is the historical path,
@@ -348,33 +319,21 @@ class ShortestPathOracle:
             return sssp_naive(self.augmentation, sources, ledger=self.query_ledger)
         raise ValueError("engine must be 'scheduled' or 'naive'")
 
-    def query_engine(
-        self,
-        config: OracleConfig | None = None,
-        *,
-        executor=UNSET,
-        engine: str = UNSET,
-        source_block: int | None = UNSET,
-    ):
+    def query_engine(self, config: OracleConfig | None = None):
         """A persistent :class:`~repro.core.query.QueryEngine` over this
         oracle's augmentation.
 
-        Takes the same ``(config, *, executor, engine, source_block)``
-        parameter set as :class:`~repro.core.query.QueryEngine` itself and
-        passes it through, so the two share one fallback,
-        ``executor="serial"`` (``"shm"`` is opt-in).  The engine
-        reuses the oracle's cached G⁺ / relaxer / schedule and (on the
-        ``"shm"`` backend) publishes the compiled phase arrays to shared
-        memory once, so every subsequent batched query ships only
-        row-range descriptors to a warm worker pool.  Close it (or use it
-        as a context manager) when done serving.
+        ``config`` is passed straight through, so the two share one
+        fallback, ``OracleConfig()`` with ``executor="serial"`` (``"shm"``
+        is opt-in).  The engine reuses the oracle's cached G⁺ / relaxer /
+        schedule and (on the ``"shm"`` backend) publishes the compiled
+        phase arrays to shared memory once, so every subsequent batched
+        query ships only row-range descriptors to a warm worker pool.
+        Close it (or use it as a context manager) when done serving.
         """
         from .query import QueryEngine
 
-        return QueryEngine(
-            self.augmentation, config,
-            executor=executor, engine=engine, source_block=source_block,
-        )
+        return QueryEngine(self.augmentation, config)
 
     def shard_fleet(
         self,

@@ -1,64 +1,28 @@
 """One configuration object for the whole pipeline: :class:`OracleConfig`.
 
-The build/serve surface grew one keyword at a time — ``method=`` on
-:meth:`~repro.core.api.ShortestPathOracle.build`, ``executor=`` on the
-augmentation builders, ``engine=`` on the query paths — and every layer (facade, query engine, CLI, server) repeated
-the same sprawl.  :class:`OracleConfig` consolidates the knobs into a single
-frozen dataclass that travels intact through ``build`` →
-``oracle.query_engine()`` → the socket server → the CLI.
+Every knob of the build and serve surface lives on one frozen dataclass that
+travels intact through ``ShortestPathOracle.build(graph, tree, config=...)`` →
+``oracle.query_engine(config)`` → the socket server → the CLI.  ``config=`` is
+the only way in: there are no per-knob keyword arguments beside it.
 
-The two historically overloaded knob names keep their meaning everywhere
-(see ``docs/KNOBS.md`` for the one-page reference):
-
-``engine``
-    *Relaxation mode* of a query: ``"scheduled"`` (one exact §3.2 pass) or
-    ``"naive"`` (full-edge Bellman–Ford to convergence).
-``executor``
-    *Hardware backend* running independent work:
-    ``"serial" | "thread[:N]" | "shm[:N]"`` (or an executor instance) per
-    :func:`repro.pram.executor.get_executor`.
-
-Back-compat contract
---------------------
-Every call site that accepts ``config=`` keeps its historical kwargs.  A
-kwarg alone behaves exactly as before (it overlays the defaults).  A kwarg
-*and* a config that disagree emit a :class:`DeprecationWarning` and the
-explicit kwarg wins — so existing callers see zero behavior change, and
-mixed callers are nudged toward the config object.
+``executor`` names the *hardware backend* running independent work
+(``"serial" | "thread[:N]" | "shm[:N]"``, or an executor instance) per
+:func:`repro.pram.executor.get_executor`; see ``docs/KNOBS.md`` for the
+one-page reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .semiring import MIN_PLUS, SEMIRINGS, Semiring
 
-__all__ = ["OracleConfig", "UNSET", "resolve_config"]
-
-
-class _Unset:
-    """Sentinel distinguishing 'kwarg not passed' from any real value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<UNSET>"
-
-
-#: The module-wide sentinel used as the default of every back-compat kwarg.
-UNSET = _Unset()
+__all__ = ["OracleConfig"]
 
 _METHODS = ("leaves_up", "doubling", "doubling_shared")
 _MODES = ("exact", "direct", "auto")
-_ENGINES = ("scheduled", "naive")
 
 
 def _mode_error(name: object) -> ValueError:
@@ -73,7 +37,7 @@ def _mode_error(name: object) -> ValueError:
         f"{retired}unknown mode {name!r}; valid modes: {have} ('exact' builds "
         f"E⁺ over a separator tree, 'direct' relaxes G itself with no "
         f"preprocessing, 'auto' picks one by separator quality; select via "
-        f"mode= or OracleConfig.mode)"
+        f"OracleConfig(mode=...) or --mode)"
     )
 
 
@@ -86,6 +50,9 @@ _RETIRED = {
         "the shard replica tier measured 0.92-1.06x of one worker per shard "
         "on a 2-CPU host; use shards=K",
     ),
+    "engine": "queries run the exact §3.2 schedule only; sssp_naive stays the "
+    "A3 reference",
+    "source_block": "rows are blocked by the constant repro.core.sssp.SOURCE_BLOCK",
 }
 
 _CACHE_MODES = ("off", "read", "readwrite")
@@ -136,11 +103,6 @@ class OracleConfig:
         k-pair witness oracle; costs memory).
     validate:
         Run the decomposition validity check before augmenting.
-    engine:
-        Query relaxation mode: ``"scheduled"`` or ``"naive"``.
-    source_block:
-        Row-block size bounding per-phase temporaries in batched queries,
-        at least 1 (``None`` → :data:`repro.core.sssp.SOURCE_BLOCK`).
     cache:
         Augmentation-cache mode for :meth:`ShortestPathOracle.build`:
         ``"off"`` (never touch the store), ``"read"`` (load a hit, never
@@ -153,7 +115,7 @@ class OracleConfig:
         Capacity (in source rows) of the per-source distance-row LRU of
         :class:`~repro.core.query.QueryEngine`; ``0`` disables it.
         A repeated source is answered from the cache without relaxation —
-        bit-identical by determinism of both engines.
+        bit-identical because relaxation is deterministic.
     shards:
         Shard count for the separator-sharded fleet
         (:mod:`repro.shard`): ``0`` serves with a single engine, ``k >= 1``
@@ -204,8 +166,6 @@ class OracleConfig:
     executor: Any = "serial"
     keep_node_distances: bool = False
     validate: bool = False
-    engine: str = "scheduled"
-    source_block: int | None = None
     cache: str = "off"
     cache_dir: str | None = None
     row_cache: int = 0
@@ -232,18 +192,12 @@ class OracleConfig:
             raise _mode_error(self.mode)
         if float(self.eps) < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps!r}")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if isinstance(self.semiring, str) and self.semiring not in SEMIRINGS:
             raise ValueError(
                 f"unknown semiring {self.semiring!r}; known: {sorted(SEMIRINGS)}"
             )
         if self.cache not in _CACHE_MODES:
             raise ValueError(f"cache must be one of {_CACHE_MODES}, got {self.cache!r}")
-        if self.source_block is not None and int(self.source_block) < 1:
-            raise ValueError(
-                f"source_block must be >= 1 (None = default), got {self.source_block!r}"
-            )
         if int(self.row_cache) < 0:
             raise ValueError(f"row_cache must be >= 0, got {self.row_cache!r}")
         if int(self.shards) < 0:
@@ -337,37 +291,3 @@ class OracleConfig:
         if extra:
             raise ValueError(f"unknown OracleConfig keys: {sorted(extra)}")
         return cls(**d)
-
-
-def _values_equal(name: str, a: Any, b: Any) -> bool:
-    if name == "semiring":
-        a = a.name if isinstance(a, Semiring) else a
-        b = b.name if isinstance(b, Semiring) else b
-    return a is b or a == b
-
-
-def resolve_config(config: OracleConfig | None, **overrides) -> OracleConfig:
-    """Merge back-compat kwargs over a config into one resolved config.
-
-    ``overrides`` values equal to :data:`UNSET` are ignored (the kwarg was
-    not passed).  With ``config=None``, the remaining overrides simply fill
-    an :class:`OracleConfig` — the historical kwargs-only path, bit-for-bit.
-    With a config given, an explicitly passed kwarg that *disagrees* with
-    the config emits a :class:`DeprecationWarning` and wins, so legacy
-    callers migrating incrementally never change behavior silently.
-    """
-    changes = {k: v for k, v in overrides.items() if v is not UNSET}
-    if config is None:
-        return OracleConfig(**changes)
-    conflicts = [
-        k for k, v in changes.items() if not _values_equal(k, v, getattr(config, k))
-    ]
-    if conflicts:
-        warnings.warn(
-            "both config= and explicit kwargs were given with different values "
-            f"for {conflicts}; the explicit kwargs win. Pass the value inside "
-            "OracleConfig (kwarg overrides of a config are deprecated).",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return config.replace(**changes) if changes else config

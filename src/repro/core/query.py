@@ -17,15 +17,14 @@ than the relaxation itself.  :class:`QueryEngine` is the amortized form:
   parallelism), so the batch is sharded row-wise across the pool; each
   worker relaxes its rows against the shared edge arrays and writes them
   into the shared distance block in place;
-* **cheap convergence** — in ``naive`` mode each shard iterates only until
-  *its own* rows stop improving (a per-shard changed-flag reduction);
-  in ``scheduled`` mode one schedule pass is exact by Theorem 3.1.
+* **one pass** — each shard runs the §3.2 schedule once, which is exact
+  by Theorem 3.1.
 
 Worker processes memoize the compiled relaxers per engine (keyed by an
 engine token), so repeated batches touch no setup code anywhere.
 
     >>> oracle = ShortestPathOracle.build(g, tree)
-    >>> with oracle.query_engine(executor="shm:4") as eng:
+    >>> with oracle.query_engine(OracleConfig(executor="shm:4")) as eng:
     ...     d1 = eng.query(batch1)       # (s, n) distances
     ...     d2 = eng.query(batch2)       # same pool, zero new setup
 """
@@ -41,15 +40,10 @@ from typing import Any
 
 import numpy as np
 
-from ..kernels.bellman_ford import (
-    EdgeRelaxer,
-    initial_distances,
-    relax_fixpoint,
-    run_phases,
-)
+from ..kernels.bellman_ford import EdgeRelaxer, initial_distances, run_phases
 from ..pram.executor import SerialExecutor, get_executor
 from .augment import Augmentation
-from .config import UNSET, OracleConfig, resolve_config
+from .config import OracleConfig
 from .semiring import SEMIRINGS
 from .sssp import SOURCE_BLOCK, _as_source_array
 
@@ -92,29 +86,22 @@ def _shard_worker(payload: dict[str, Any]) -> int:
     level for pickling); returns the phase count.
 
     The shard is a row range of the shared distance block ``dist``;
-    results are written in place and not returned.  ``scheduled`` mode
-    runs the one exact §3.2 pass; ``naive`` mode iterates the full-edge
-    relaxer until this shard's rows converge.
+    results are written in place and not returned.  Rows run the one
+    exact §3.2 pass in blocks of :data:`~repro.core.sssp.SOURCE_BLOCK`.
     """
     relaxers = _shard_relaxers(payload["engine"])
     rows = payload["dist"][payload["row_start"] : payload["row_stop"]]
-    if payload["engine"]["mode"] == "scheduled":
-        block = max(1, int(payload["engine"]["source_block"]))
-        for start in range(0, rows.shape[0], block):
-            run_phases(relaxers, rows[start : start + block])
-        return len(relaxers)
-    phases, _ = relax_fixpoint(relaxers[0], rows, int(payload["engine"]["cap"]))
-    return phases
+    for start in range(0, rows.shape[0], SOURCE_BLOCK):
+        run_phases(relaxers, rows[start : start + SOURCE_BLOCK])
+    return len(relaxers)
 
 
 class QueryEngine:
     """Amortized multi-source distance queries over one augmentation.
 
-    Takes the same ``(config, *, executor, engine, source_block)``
-    parameter set — in the same order — as
-    :meth:`repro.core.api.ShortestPathOracle.query_engine`, which passes
-    it through; with neither ``config`` nor the kwarg the executor falls
-    back to ``"serial"``.
+    :meth:`repro.core.api.ShortestPathOracle.query_engine` passes its
+    ``config`` straight through; with none the engine runs on
+    ``OracleConfig()`` (``executor="serial"``).
 
     Parameters
     ----------
@@ -122,55 +109,19 @@ class QueryEngine:
         The augmentation to serve queries for; its cached G⁺ / relaxer /
         schedule are (re)used, never rebuilt.
     config:
-        An :class:`~repro.core.config.OracleConfig`; its ``executor``,
-        ``engine`` and ``source_block`` fields are consumed here (build
-        fields ride along untouched).  The individual kwargs remain as a
-        back-compat overlay; a kwarg contradicting an explicit ``config``
-        emits a :class:`DeprecationWarning` and wins.
-    executor:
-        Spec or instance per :func:`repro.pram.executor.get_executor`.
-        ``"shm:N"`` gives zero-copy sharding; ``"thread:N"`` shards in
-        threads (numpy releases the GIL); ``"serial"`` runs inline.
-    engine:
-        ``"scheduled"`` (one exact §3.2 pass) or ``"naive"`` (full-scan
-        Bellman–Ford to convergence, capped by the Theorem 3.1 bound).
-    source_block:
-        Row-block size bounding per-phase temporaries (see
-        :data:`repro.core.sssp.SOURCE_BLOCK`).
+        An :class:`~repro.core.config.OracleConfig`; its ``executor`` and
+        ``row_cache`` fields are consumed here (build fields ride along
+        untouched).  ``executor`` is a spec or instance per
+        :func:`repro.pram.executor.get_executor`: ``"shm:N"`` gives
+        zero-copy sharding; ``"thread:N"`` shards in threads (numpy
+        releases the GIL); ``"serial"`` runs inline.
     """
 
-    def __init__(
-        self,
-        aug: Augmentation,
-        config: OracleConfig | None = None,
-        *,
-        executor=UNSET,
-        engine: str = UNSET,
-        source_block: int = UNSET,
-    ) -> None:
-        if config is None:
-            changes = {
-                k: v
-                for k, v in (
-                    ("executor", executor),
-                    ("engine", engine),
-                    ("source_block", source_block),
-                )
-                if v is not UNSET
-            }
-            config = OracleConfig().replace(**changes)
-        else:
-            config = resolve_config(
-                config, executor=executor, engine=engine, source_block=source_block
-            )
+    def __init__(self, aug: Augmentation, config: OracleConfig | None = None) -> None:
+        config = config if config is not None else OracleConfig()
         self.config = config
         executor = config.executor
-        engine = config.engine
         self.aug = aug
-        self.engine = engine
-        self.source_block = int(
-            SOURCE_BLOCK if config.source_block is None else config.source_block
-        )
         self._exe = get_executor(executor)
         self._owns_exe = isinstance(executor, str) and not isinstance(self._exe, SerialExecutor)
         self._use_shm = getattr(self._exe, "uses_shared_memory", False)
@@ -181,12 +132,7 @@ class QueryEngine:
         # generation and flips.
         self._dist_ref = None
         self._dist_view = None
-        (
-            self.schedule,
-            self._relaxers,
-            self._arena,
-            self._spec,
-        ) = self._compile_generation(aug)
+        self.schedule, self._arena, self._spec = self._compile_generation(aug)
         # Telemetry.  The lock makes submissions (and the counters) safe to
         # drive from multiple threads — the asyncio server submits batches
         # from an event-loop executor thread while ``stats`` requests read
@@ -198,8 +144,8 @@ class QueryEngine:
         # Per-source distance-row LRU (config.row_cache rows; 0 = off).
         # Keyed by source id, valid for one weights epoch: a reweighting
         # lineage bumps ``aug.weights_epoch`` and the next submit clears the
-        # cache wholesale.  Rows are answered bit-identically by determinism
-        # of both engines, so serving repeated sources from here is exact.
+        # cache wholesale.  Relaxation is deterministic, so serving repeated
+        # sources from here is bit-identical, hence exact.
         self.row_cache_capacity = int(config.row_cache)
         self._row_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._row_epoch = int(getattr(aug, "weights_epoch", 0))
@@ -211,32 +157,24 @@ class QueryEngine:
         self.rows_epoch_dropped = 0
 
     def _compile_generation(self, aug: Augmentation):
-        """Build one generation of serving state for ``aug``: relaxers (and
-        schedule), plus — on the shm backend — a new arena holding the
+        """Build one generation of serving state for ``aug``: its schedule,
+        plus — on the shm backend — a new arena holding the
         published compiled arrays and the worker spec that names them under
         a fresh engine token.  The arena's segments are tagged
         ``g<weights_epoch>`` so ``/dev/shm`` listings (and the leak checker)
         attribute every segment to its generation."""
-        if self.engine == "scheduled":
-            schedule = aug.schedule()
-            relaxers = schedule.relaxers
-        else:
-            schedule = None
-            relaxers = [aug.relaxer()]
+        schedule = aug.schedule()
         if not self._use_shm:
-            return schedule, relaxers, None, None
+            return schedule, None, None
         from ..pram.shm import ShmArena
 
         arena = ShmArena(tag=f"g{int(getattr(aug, 'weights_epoch', 0))}")
         spec = {
             "token": f"qe{os.getpid()}_{next(_TOKENS)}",
             "semiring": aug.semiring.name,
-            "mode": self.engine,
-            "cap": aug.diameter_bound,
-            "source_block": self.source_block,
-            "phases": self._publish_phases(relaxers, arena),
+            "phases": self._publish_phases(schedule.relaxers, arena),
         }
-        return schedule, relaxers, arena, spec
+        return schedule, arena, spec
 
     @staticmethod
     def _publish_phases(relaxers, arena) -> list[dict[str, Any]]:
@@ -257,7 +195,7 @@ class QueryEngine:
     def reweight(self, aug: Augmentation) -> None:
         """Hot-swap to a reweighted augmentation with zero downtime.
 
-        The next generation (relaxers, schedule, and — on the shm
+        The next generation (schedule and — on the shm
         backend — a freshly published arena under a new engine token) is
         compiled *outside* the engine lock, so concurrent :meth:`submit`
         batches keep serving the old epoch while it builds.  The flip
@@ -272,7 +210,7 @@ class QueryEngine:
             raise ValueError("reweight() needs an augmentation over the same vertex set")
         if aug.semiring.name != self.aug.semiring.name:
             raise ValueError("reweight() cannot change the semiring")
-        schedule, relaxers, arena, spec = self._compile_generation(aug)
+        schedule, arena, spec = self._compile_generation(aug)
         with self._lock:
             if self._closed:
                 if arena is not None:
@@ -281,7 +219,6 @@ class QueryEngine:
             old_arena = self._arena
             self.aug = aug
             self.schedule = schedule
-            self._relaxers = relaxers
             self._arena = arena
             self._spec = spec
             # The reusable distance block lived in the old generation's
@@ -296,14 +233,10 @@ class QueryEngine:
     # -------------------------------------------------------------- #
 
     def _run_inline(self, rows: np.ndarray) -> None:
-        """Relax ``rows`` in the calling thread (serial path / small batch);
-        both modes frontier-prune converged source rows."""
-        block = max(1, self.source_block)
-        if self.engine == "scheduled":
-            for start in range(0, rows.shape[0], block):
-                self.schedule.run(rows[start : start + block])
-        else:
-            relax_fixpoint(self._relaxers[0], rows, self.aug.diameter_bound)
+        """Relax ``rows`` in the calling thread (serial path / small batch),
+        one schedule pass per block of ``SOURCE_BLOCK`` rows."""
+        for start in range(0, rows.shape[0], SOURCE_BLOCK):
+            self.schedule.run(rows[start : start + SOURCE_BLOCK])
 
     def _shards(self, s: int) -> list[tuple[int, int]]:
         """Split ``s`` rows into one contiguous range per worker."""
@@ -366,8 +299,8 @@ class QueryEngine:
 
     def query(self, sources) -> np.ndarray:
         """Distance rows for each source: ``(s, n)``, or ``(n,)`` for a bare
-        int — bit-identical to :func:`repro.core.sssp.sssp_scheduled`
-        (respectively ``sssp_naive``) on the same augmentation."""
+        int — bit-identical to :func:`repro.core.sssp.sssp_scheduled` on
+        the same augmentation."""
         return self.submit(sources)[0]
 
     def submit(self, sources) -> tuple[np.ndarray, dict[str, Any]]:
@@ -463,8 +396,8 @@ class QueryEngine:
                 rows_served=self.rows_served,
             )
             base.update({
-                "engine": self.engine,
-                "phases": len(self._relaxers),
+                "engine": "scheduled",
+                "phases": self.schedule.num_phases,
                 "shared_bytes": self._arena.allocated_bytes if self._arena else 0,
                 "last_batch": None if self.last_batch is None else dict(self.last_batch),
                 "reweights": self.reweights,

@@ -142,7 +142,7 @@ class OracleServer:
         The built (or loaded) oracle to serve.
     config:
         :class:`~repro.core.config.OracleConfig` for the serving engine —
-        its ``executor`` / ``engine`` / ``source_block`` fields select the
+        its ``executor`` and ``row_cache`` fields select the
         backend exactly as in :meth:`ShortestPathOracle.query_engine`
         (default: serial; the ``repro-spsp serve`` CLI passes its
         ``--backend``).

@@ -114,3 +114,16 @@ class TestTable1Mu:
         out = capsys.readouterr().out
         assert "programmed μ = 0.5" in out
         assert "theory 1.50" in out
+
+
+class TestQuery:
+    def test_check_against_a_serial_pass(self, capsys):
+        assert main(["query", "--n", "64", "--backend", "serial", "--check"]) == 0
+        assert "bit-identical to a serial pass: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", ["query", "serve"])
+    def test_retired_engine_flag_is_rejected(self, cmd, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main([cmd, "--engine", "naive"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --engine naive" in capsys.readouterr().err

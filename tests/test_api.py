@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ShortestPathOracle
+from repro import OracleConfig, ShortestPathOracle
 from repro.core.paths import path_weight
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import apply_potential_weights, delaunay_digraph, grid_digraph
@@ -13,7 +13,7 @@ from tests.conftest import assert_distances_equal, reference_apsp
 class TestBuild:
     def test_with_explicit_tree(self, grid7):
         g, tree = grid7
-        oracle = ShortestPathOracle.build(g, tree, validate=True)
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(validate=True))
         assert oracle.tree is tree
         assert oracle.diameter_bound == oracle.augmentation.diameter_bound
 
@@ -25,27 +25,29 @@ class TestBuild:
 
     def test_planar_separator_spec(self, rng):
         g, _ = delaunay_digraph(60, rng)
-        oracle = ShortestPathOracle.build(g, separator="planar")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(separator="planar"))
         assert_distances_equal(oracle.distances(0), reference_apsp(g)[0])
 
     def test_callable_separator_spec(self, rng):
         from repro.separators.grid import grid_separator_fn
 
         g = grid_digraph((5, 5), rng)
-        oracle = ShortestPathOracle.build(g, separator=grid_separator_fn((5, 5)))
+        oracle = ShortestPathOracle.build(
+            g, config=OracleConfig(separator=grid_separator_fn((5, 5)))
+        )
         assert_distances_equal(oracle.distances(0), reference_apsp(g)[0])
 
     def test_unknown_specs_raise(self, grid7):
         g, tree = grid7
         with pytest.raises(ValueError):
-            ShortestPathOracle.build(g, separator="voodoo")
+            ShortestPathOracle.build(g, config=OracleConfig(separator="voodoo"))
         with pytest.raises(ValueError):
-            ShortestPathOracle.build(g, tree, method="magic")
+            ShortestPathOracle.build(g, tree, config=OracleConfig(method="magic"))
 
     @pytest.mark.parametrize("method", ["leaves_up", "doubling"])
     def test_methods_agree(self, grid7, method):
         g, tree = grid7
-        oracle = ShortestPathOracle.build(g, tree, method=method)
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method=method))
         assert_distances_equal(oracle.distances([0, 24]), reference_apsp(g)[[0, 24]])
 
 
@@ -106,8 +108,10 @@ class TestExecutors:
     def test_backends_identical_results(self, rng, executor, method):
         g = apply_potential_weights(grid_digraph((6, 6), rng), rng)
         tree = decompose_grid(g, (6, 6), leaf_size=4)
-        base = ShortestPathOracle.build(g, tree, method=method)
-        alt = ShortestPathOracle.build(g, tree, method=method, executor=executor)
+        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method=method))
+        alt = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(method=method, executor=executor)
+        )
         assert np.array_equal(base.augmentation.src, alt.augmentation.src)
         assert np.allclose(base.augmentation.weight, alt.augmentation.weight)
         assert_distances_equal(alt.distances(0), base.distances(0))

@@ -16,6 +16,7 @@ import pytest
 from repro.cache import augmentation_key
 from repro.core import api
 from repro.core.api import ShortestPathOracle
+from repro.core.config import OracleConfig
 from repro.core.digraph import WeightedDigraph
 from repro.core.semiring import MIN_PLUS
 from repro.core.septree import build_separator_tree
@@ -163,7 +164,7 @@ class TestCutTree:
 
     def test_auto_on_expander_256_goes_direct_without_building_the_tree(self):
         g = expander_digraph(256, np.random.default_rng(0), degree=8)
-        oracle = ShortestPathOracle.build(g, mode="auto")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="auto"))
         assert oracle.stats()["mode"] == "direct"
         decision = oracle.stats()["separators"]["selection"]["mode_decision"]
         assert decision["separability"] == 0.0

@@ -84,9 +84,13 @@ class TestBuildRoundTrip:
     def test_miss_store_hit(self, grid6_negative, tmp_path):
         g, tree = grid6_negative
         d = str(tmp_path / "store")
-        first = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)
+        first = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
         assert first.cache_info["status"] == "stored"
-        second = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)
+        second = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
         assert second.cache_info["status"] == "hit"
         assert second.cache_info["key"] == first.cache_info["key"]
         assert np.array_equal(first.distances([0, 17]), second.distances([0, 17]))
@@ -97,7 +101,9 @@ class TestBuildRoundTrip:
     def test_read_mode_never_writes(self, grid7, tmp_path):
         g, tree = grid7
         d = tmp_path / "store"
-        oracle = ShortestPathOracle.build(g, tree, cache="read", cache_dir=str(d))
+        oracle = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="read", cache_dir=str(d))
+        )
         assert oracle.cache_info["status"] == "miss"
         assert not _entry_files(AugmentationCache(str(d)))
 
@@ -110,10 +116,10 @@ class TestBuildRoundTrip:
 
     def test_keep_node_distances_bypasses(self, grid7, tmp_path):
         g, tree = grid7
-        oracle = ShortestPathOracle.build(
-            g, tree, cache="readwrite", cache_dir=str(tmp_path / "store"),
-            keep_node_distances=True,
+        cfg = OracleConfig(
+            cache="readwrite", cache_dir=str(tmp_path / "store"), keep_node_distances=True
         )
+        oracle = ShortestPathOracle.build(g, tree, config=cfg)
         assert oracle.cache_info["status"] == "bypass"
         assert not _entry_files(AugmentationCache(str(tmp_path / "store")))
         assert oracle.augmentation.node_distances  # matrices retained
@@ -121,12 +127,16 @@ class TestBuildRoundTrip:
     def test_hit_skips_validation_when_store_validated(self, grid7, tmp_path, monkeypatch):
         g, tree = grid7
         d = str(tmp_path / "store")
-        ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d, validate=True)
+        ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d, validate=True)
+        )
         calls = []
         monkeypatch.setattr(
             type(tree), "validate", lambda self, graph: calls.append(1)
         )
-        hit = ShortestPathOracle.build(g, tree, cache="read", cache_dir=d, validate=True)
+        hit = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="read", cache_dir=d, validate=True)
+        )
         assert hit.cache_info["status"] == "hit"
         assert hit.cache_info["validated"] is True
         assert not calls  # fast path: validation already paid at store time
@@ -134,12 +144,16 @@ class TestBuildRoundTrip:
     def test_hit_revalidates_when_store_unvalidated(self, grid7, tmp_path, monkeypatch):
         g, tree = grid7
         d = str(tmp_path / "store")
-        ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)  # validate=False
+        ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )  # validate=False
         calls = []
         monkeypatch.setattr(
             type(tree), "validate", lambda self, graph: calls.append(1)
         )
-        hit = ShortestPathOracle.build(g, tree, cache="read", cache_dir=d, validate=True)
+        hit = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="read", cache_dir=d, validate=True)
+        )
         assert hit.cache_info["status"] == "hit"
         assert hit.cache_info["validated"] is False
         assert calls  # the requester wants validation the entry never paid
@@ -147,22 +161,26 @@ class TestBuildRoundTrip:
     def test_config_on_cache_object(self, grid7, tmp_path):
         g, tree = grid7
         cfg = OracleConfig(
-            cache="readwrite", cache_dir=str(tmp_path / "store"), source_block=16
+            cache="readwrite", cache_dir=str(tmp_path / "store"), row_cache=16
         )
         first = ShortestPathOracle.build(g, tree, config=cfg)
         second = ShortestPathOracle.build(g, tree, config=cfg)
         assert (first.cache_info["status"], second.cache_info["status"]) == (
             "stored", "hit",
         )
-        assert second.config.source_block == 16
+        assert second.config.row_cache == 16
 
     def test_corrupt_entry_is_a_miss(self, grid7, tmp_path):
         g, tree = grid7
         d = str(tmp_path / "store")
-        first = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)
+        first = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
         store = AugmentationCache(d)
         store.entry_path(first.cache_info["key"]).write_bytes(b"not an npz")
-        again = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)
+        again = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
         assert again.cache_info["status"] == "stored"  # rebuilt and re-stored
         assert np.array_equal(first.distances(0), again.distances(0))
 
@@ -270,7 +288,7 @@ class TestConcurrentBuilders:
         def worker(i: int) -> None:
             barrier.wait()
             results[i] = ShortestPathOracle.build(
-                g, tree, cache="readwrite", cache_dir=d
+                g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
             )
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
@@ -393,7 +411,9 @@ class TestCacheCLI:
 
         g, tree = grid7
         d = str(tmp_path / "store")
-        ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=d)
+        ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
         assert main(["cache", "ls", "--cache-dir", d]) == 0
         out = capsys.readouterr().out
         assert "1 entries" in out and "leaves_up" in out
@@ -411,5 +431,7 @@ def _stampede_worker(cache_dir: str, q) -> None:
     rng = np.random.default_rng(5)
     g = grid_digraph((12, 12), rng)
     tree = decompose_grid(g, (12, 12), leaf_size=8)
-    oracle = ShortestPathOracle.build(g, tree, cache="readwrite", cache_dir=cache_dir)
+    oracle = ShortestPathOracle.build(
+        g, tree, config=OracleConfig(cache="readwrite", cache_dir=cache_dir)
+    )
     q.put((oracle.cache_info["status"], oracle.distances(0).tolist()))

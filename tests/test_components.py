@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.septree as septree
-from repro import ShortestPathOracle
+from repro import OracleConfig, ShortestPathOracle
 from repro.cache import augmentation_key
 from repro.core.semiring import MIN_PLUS
 from repro.core.septree import undirected_components
@@ -128,7 +128,11 @@ class TestSparseSpectralDeterminism:
 
     def test_default_separator_cache_round_trip_hits(self, tmp_path):
         d = str(tmp_path / "store")
-        cold = ShortestPathOracle.build(GRID24, cache="readwrite", cache_dir=d)
+        cold = ShortestPathOracle.build(
+            GRID24, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
         assert cold.cache_info["status"] == "stored", cold.cache_info
-        warm = ShortestPathOracle.build(GRID24, cache="read", cache_dir=d)
+        warm = ShortestPathOracle.build(
+            GRID24, config=OracleConfig(cache="read", cache_dir=d)
+        )
         assert warm.cache_info["status"] == "hit", warm.cache_info

@@ -67,7 +67,7 @@ class TestExactAnswers:
             g = neg
         else:
             want = _dijkstra_rows(g, sources)
-        oracle = ShortestPathOracle.build(g, mode="direct")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         assert isinstance(oracle.augmentation, DirectAugmentation)
         assert oracle.augmentation.size == 0
         assert np.array_equal(oracle.distances(sources, engine=engine), want)
@@ -77,8 +77,10 @@ class TestExactAnswers:
         g, tree = grid7
         g = _int_weighted(g, rng)
         semiring = SEMIRINGS[name]
-        exact = ShortestPathOracle.build(g, tree, semiring=semiring)
-        direct = ShortestPathOracle.build(g, semiring=semiring, mode="direct")
+        exact = ShortestPathOracle.build(g, tree, config=OracleConfig(semiring=semiring))
+        direct = ShortestPathOracle.build(
+            g, config=OracleConfig(semiring=semiring, mode="direct")
+        )
         sources = np.arange(g.n)
         want = exact.distances(sources)
         assert np.array_equal(direct.distances(sources), want)
@@ -95,14 +97,14 @@ class TestExactAnswers:
         with pytest.raises(NegativeCycleDetected):
             ShortestPathOracle.build(bad, tree)
         with pytest.raises(NegativeCycleDetected) as ei:
-            ShortestPathOracle.build(bad, mode="direct")
+            ShortestPathOracle.build(bad, config=OracleConfig(mode="direct"))
         assert ei.value.vertex in (int(g.src[e]), int(g.dst[e]))
 
 
 class TestAutoGate:
     def test_expander_routes_to_direct_with_decision_record(self, rng):
         g = expander_digraph(80, rng, degree=6)
-        oracle = ShortestPathOracle.build(g, mode="auto")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="auto"))
         assert oracle.augmentation.method == "direct"
         assert oracle.stats()["mode"] == "direct"
         decision = oracle.stats()["separators"]["selection"]["mode_decision"]
@@ -116,7 +118,7 @@ class TestAutoGate:
 
     def test_grid_stays_exact_with_decision_record(self, rng):
         g = grid_digraph((14, 14), rng)
-        oracle = ShortestPathOracle.build(g, mode="auto")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="auto"))
         assert oracle.augmentation.method == "leaves_up"
         decision = oracle.stats()["separators"]["selection"]["mode_decision"]
         assert decision["mode"] == "exact"
@@ -125,7 +127,7 @@ class TestAutoGate:
     def test_gate_constant_flips_the_decision(self, rng, monkeypatch):
         g = grid_digraph((12, 12), rng)
         monkeypatch.setattr(api, "DIRECT_GATE", 1.0)  # nothing scores >= 1.0
-        oracle = ShortestPathOracle.build(g, mode="auto")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="auto"))
         assert oracle.augmentation.method == "direct"
         assert oracle.stats()["separators"]["selection"]["mode_decision"]["gate"] == 1.0
 
@@ -137,7 +139,7 @@ class TestAutoGate:
 
         monkeypatch.setattr(quality, "best_first_pass", refuse)
         g = grid_digraph((6, 6), rng)
-        oracle = ShortestPathOracle.build(g, mode="auto")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="auto"))
         decision = oracle.stats()["separators"]["selection"]["mode_decision"]
         assert decision["mode"] == "direct"
         assert "no engine accepts this graph" in decision["why"]
@@ -200,16 +202,20 @@ class TestConfigAndErrors:
         msg = str(ei.value)
         assert "valid modes: exact, direct, auto" in msg
         assert "bogus" in msg
+        assert msg.endswith("select via OracleConfig(mode=...) or --mode)")
 
     def test_approx_mode_is_retired_with_a_pointed_error(self, rng):
         with pytest.raises(ValueError, match="mode='approx'.*removed.*'direct'"):
             OracleConfig(mode="approx")
         with pytest.raises(ValueError, match="removed"):
-            ShortestPathOracle.build(expander_digraph(40, rng), mode="approx")
+            ShortestPathOracle.build(
+                expander_digraph(40, rng), config=OracleConfig(mode="approx")
+            )
 
     @pytest.mark.parametrize("field", [
         "hopset_beta", "approx_gate",
         "replicas", "max_replicas", "autoscale_target_p99_ms",
+        "engine", "source_block",
     ])
     def test_retired_fields_raise_pointed_errors(self, field):
         with pytest.raises(TypeError, match=f"OracleConfig.{field} was removed"):
@@ -243,7 +249,9 @@ class TestConfigAndErrors:
                 fn()
 
     def test_shard_fleet_refuses_direct(self, rng):
-        oracle = ShortestPathOracle.build(expander_digraph(100, rng, degree=5), mode="direct")
+        oracle = ShortestPathOracle.build(
+            expander_digraph(100, rng, degree=5), config=OracleConfig(mode="direct")
+        )
         with pytest.raises(ValueError, match="direct"):
             oracle.shard_fleet(2)
 
@@ -251,7 +259,7 @@ class TestConfigAndErrors:
         """The refusal names the way that works — a query engine with a
         worker executor — and no tier that does not exist."""
         g = _int_weighted(expander_digraph(100, rng, degree=5), rng)
-        oracle = ShortestPathOracle.build(g, mode="direct")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         with pytest.raises(ValueError) as ei:
             oracle.shard_fleet(2)
         msg = str(ei.value)
@@ -264,7 +272,7 @@ class TestConfigAndErrors:
 class TestServing:
     def test_query_engine_serves_direct_rows(self, rng):
         g = _int_weighted(expander_digraph(140, rng, degree=5), rng)
-        oracle = ShortestPathOracle.build(g, mode="direct")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         with oracle.query_engine() as eng:
             got, info = eng.submit([3, 9])
             stats = eng.stats()
@@ -286,7 +294,7 @@ class TestServing:
         from tests.test_server import SERIAL, serving
 
         g, tree = grid7
-        oracle = ShortestPathOracle.build(g, tree, mode=mode)
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(mode=mode))
         with serving(oracle, tmp_path, engine_cfg=SERIAL) as (sock, _):
             with OracleClient(sock) as c:
                 d = c.distances(5)
@@ -299,7 +307,7 @@ class TestServing:
 class TestPersistenceAndCache:
     def test_save_load_round_trip(self, rng, tmp_path):
         g = expander_digraph(130, rng, degree=5)
-        oracle = ShortestPathOracle.build(g, mode="direct")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         want = oracle.distances([1, 2, 3])
         path = tmp_path / "direct.npz"
         oracle.save(path)
@@ -322,7 +330,9 @@ class TestPersistenceAndCache:
 
     def test_saved_hopset_archive_is_refused(self, rng, tmp_path):
         path = tmp_path / "old.npz"
-        ShortestPathOracle.build(expander_digraph(60, rng), mode="direct").save(path)
+        ShortestPathOracle.build(
+            expander_digraph(60, rng), config=OracleConfig(mode="direct")
+        ).save(path)
         with np.load(path, allow_pickle=False) as z:
             payload = {k: z[k] for k in z.files}
         payload["hopset_json"] = np.array(json.dumps({"eps": 0.1}))
@@ -332,20 +342,22 @@ class TestPersistenceAndCache:
 
     def test_retired_config_keys_still_load(self, rng, tmp_path):
         """Archives and cache entries written while OracleConfig still had
-        ``hopset_beta`` and ``approx_gate``, or the replica tier's
-        ``replicas`` / ``max_replicas`` / ``autoscale_target_p99_ms``, load
-        and answer the same."""
+        ``hopset_beta`` and ``approx_gate``, the replica tier's
+        ``replicas`` / ``max_replicas`` / ``autoscale_target_p99_ms``, or the
+        query engine's ``engine`` / ``source_block``, load and answer the
+        same."""
         g = expander_digraph(90, rng)
         retired = {
             "hopset_beta": 16, "approx_gate": 0.4,
             "replicas": 3, "max_replicas": 6, "autoscale_target_p99_ms": 50.0,
+            "engine": "naive", "source_block": 16,
         }
-        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct", source_block=8))
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct", row_cache=8))
         path = tmp_path / "old.npz"
         oracle.save(path)
         _rewrite_config(path, **retired)
         back = ShortestPathOracle.load(path)
-        assert back.config.source_block == 8
+        assert back.config.row_cache == 8
         assert np.array_equal(back.distances([0, 7]), oracle.distances([0, 7]))
 
         cfg = OracleConfig(mode="direct", cache="readwrite", cache_dir=str(tmp_path / "c"))
@@ -359,7 +371,7 @@ class TestPersistenceAndCache:
 class TestReweight:
     def test_reweight_bumps_epoch_and_rebinds_the_layout(self, rng):
         g = _int_weighted(expander_digraph(140, rng, degree=5), rng)
-        oracle = ShortestPathOracle.build(g, mode="direct")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         with oracle.query_engine() as eng:
             eng.submit([7])  # compiles the G relaxer
             w2 = g.weight.copy()
@@ -381,7 +393,7 @@ class TestReweight:
 
     def test_changed_skeleton_lays_out_afresh(self, rng):
         g = _int_weighted(expander_digraph(100, rng, degree=5), rng)
-        oracle = ShortestPathOracle.build(g, mode="direct")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         oracle.distances([0])
         g2 = _int_weighted(expander_digraph(100, np.random.default_rng(999), degree=5), rng)
         with pytest.raises(ValueError, match="unchanged edge skeleton"):
@@ -394,7 +406,7 @@ class TestReweight:
 
     def test_reweight_into_a_negative_cycle_raises(self, rng):
         g = _int_weighted(grid_digraph((5, 5), rng), rng)
-        oracle = ShortestPathOracle.build(g, mode="direct")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         back = np.flatnonzero((g.src == g.dst[0]) & (g.dst == g.src[0]))[0]
         with pytest.raises(NegativeCycleDetected):
             oracle.with_new_weights(weight_delta={0: -20.0, int(back): 1.0})

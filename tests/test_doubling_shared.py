@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ShortestPathOracle
+from repro import OracleConfig, ShortestPathOracle
 from repro.core.doubling_shared import SharedEdgeTable, augment_doubling_shared
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.augment import NegativeCycleDetected
@@ -103,7 +103,9 @@ class TestAugmentDoublingShared:
 
     def test_through_oracle_facade(self, delaunay80):
         g, tree, _ = delaunay80
-        oracle = ShortestPathOracle.build(g, tree, method="doubling_shared")
+        oracle = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(method="doubling_shared")
+        )
         assert_distances_equal(oracle.distances([0, 40]), reference_apsp(g)[[0, 40]])
         # Reuse keeps the method.
         rng = np.random.default_rng(1)

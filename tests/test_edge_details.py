@@ -6,7 +6,7 @@ extreme leaf sizes."""
 import numpy as np
 import pytest
 
-from repro import ShortestPathOracle
+from repro import OracleConfig, ShortestPathOracle
 from repro.core.digraph import WeightedDigraph
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.scheduler import build_schedule
@@ -172,7 +172,9 @@ class TestExtremeLeafSizes:
 
     def test_leaf_size_covers_whole_graph(self, rng):
         g = grid_digraph((4, 4), rng)
-        oracle = ShortestPathOracle.build(g, separator="spectral", leaf_size=100)
+        oracle = ShortestPathOracle.build(
+            g, config=OracleConfig(separator="spectral", leaf_size=100)
+        )
         assert oracle.tree.root.is_leaf
         assert_distances_equal(oracle.distances(0), reference_apsp(g)[0])
 

@@ -160,12 +160,12 @@ class TestOracleSaveLoad:
         from repro.core.config import OracleConfig
 
         g, tree = grid7
-        cfg = OracleConfig(executor="thread:2", source_block=16)
+        cfg = OracleConfig(executor="thread:2", row_cache=16)
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         oracle.save(tmp_path / "oracle.npz")
         back = ShortestPathOracle.load(tmp_path / "oracle.npz")
         assert back.config.executor == "thread:2"
-        assert back.config.source_block == 16
+        assert back.config.row_cache == 16
         with back.query_engine(OracleConfig(executor="serial")) as eng:
             got = eng.query([0, 11])
         assert np.array_equal(got, oracle.distances([0, 11]))
@@ -204,7 +204,7 @@ class TestOracleSaveLoad:
         save_augmentation(p, aug)  # no config= → header omits config_json
         back = ShortestPathOracle.load(p)
         assert back.config.executor == "serial"
-        assert back.config.source_block is None
+        assert back.config.row_cache == 0
         assert np.array_equal(back.distances(0), sssp_scheduled(aug, [0])[0])
 
     def test_retired_kernel_key_still_loads(self, grid7, tmp_path):
@@ -217,7 +217,7 @@ class TestOracleSaveLoad:
         from repro.core.config import OracleConfig
 
         g, tree = grid7
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(source_block=16))
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(row_cache=16))
         p = tmp_path / "old.npz"
         oracle.save(p)
         with np.load(p, allow_pickle=False) as z:
@@ -227,7 +227,7 @@ class TestOracleSaveLoad:
         payload["config_json"] = np.array(json.dumps(saved, sort_keys=True))
         np.savez_compressed(p, **payload)
         back = ShortestPathOracle.load(p)
-        assert back.config.source_block == 16
+        assert back.config.row_cache == 16
         assert not hasattr(back.config, "kernel")
         assert np.array_equal(back.distances([0, 11, 30]), oracle.distances([0, 11, 30]))
 

@@ -428,18 +428,21 @@ class TestEndToEndKernels:
         bit-identical oracle (cross-method bit identity is NOT promised —
         different shortcut sets sum in different float orders)."""
         from repro.core.api import ShortestPathOracle
+        from repro.core.config import OracleConfig
 
         g, tree = grid7
-        want = ShortestPathOracle.build(g, tree, method=method).distances([0, 11, 30])
+        cfg = OracleConfig(method=method)
+        want = ShortestPathOracle.build(g, tree, config=cfg).distances([0, 11, 30])
         for path in MATMUL_PATHS:
             force_path(monkeypatch, path)
-            oracle = ShortestPathOracle.build(g, tree, method=method)
+            oracle = ShortestPathOracle.build(g, tree, config=cfg)
             got = oracle.distances([0, 11, 30])
             assert np.array_equal(got, want), (method, path)
             monkeypatch.undo()
 
     def test_negative_weights_all_kernels(self, grid6_negative, monkeypatch):
         from repro.core.api import ShortestPathOracle
+        from repro.core.config import OracleConfig
         from repro.kernels.johnson import johnson
 
         g, tree = grid6_negative
@@ -447,7 +450,9 @@ class TestEndToEndKernels:
         for method in ("leaves_up", "doubling"):
             for path in MATMUL_PATHS:
                 force_path(monkeypatch, path)
-                oracle = ShortestPathOracle.build(g, tree, method=method)
+                oracle = ShortestPathOracle.build(
+                    g, tree, config=OracleConfig(method=method)
+                )
                 got = oracle.distances([0, 7])
                 assert np.allclose(got, want, atol=1e-8), (method, path)
                 monkeypatch.undo()

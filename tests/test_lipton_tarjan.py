@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ShortestPathOracle
+from repro import OracleConfig, ShortestPathOracle
 from repro.core.digraph import WeightedDigraph
 from repro.separators.common import has_two_sides
 from repro.separators.lipton_tarjan import (
@@ -81,7 +81,7 @@ class TestEngine:
 
     def test_distances_exact_through_oracle(self, rng):
         g, _ = delaunay_digraph(150, rng)
-        oracle = ShortestPathOracle.build(g, separator="lipton_tarjan")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(separator="lipton_tarjan"))
         ref = reference_apsp(g)
         assert_distances_equal(oracle.distances([0, 75, 149]), ref[[0, 75, 149]])
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ShortestPathOracle
+from repro import OracleConfig, ShortestPathOracle
 from repro.core.digraph import WeightedDigraph
 from repro.separators.multilevel import (
     _coarsen,
@@ -84,7 +84,7 @@ class TestEngine:
 
     def test_distances_exact_through_oracle(self, rng):
         g, _ = delaunay_digraph(120, rng)
-        oracle = ShortestPathOracle.build(g, separator="multilevel")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(separator="multilevel"))
         ref = reference_apsp(g)
         assert_distances_equal(oracle.distances([0, 60, 119]), ref[[0, 60, 119]])
 

@@ -1,21 +1,19 @@
-"""The :class:`~repro.core.config.OracleConfig` consolidation: kwargs
-equivalence, the deprecation shim, serialization, the unified
-``query_engine`` parameter set, and the ``with_new_weights``
-executor regression."""
+"""The :class:`~repro.core.config.OracleConfig` consolidation: ``config=``
+as the one way in (removed kwargs raise), serialization, the shared
+``query_engine`` parameter set, and the ``with_new_weights`` executor
+regression."""
 
 from __future__ import annotations
 
 import inspect
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import OracleConfig, ShortestPathOracle
-from repro.core.config import UNSET, resolve_config
 from repro.core.query import QueryEngine
 from repro.core.semiring import MIN_PLUS, SEMIRINGS
-from repro.core.sssp import sssp_naive
+from repro.core.sssp import sssp_scheduled
 
 
 class TestDefaults:
@@ -28,63 +26,28 @@ class TestDefaults:
         assert cfg.executor == "serial"
         assert cfg.keep_node_distances is False
         assert cfg.validate is False
-        assert cfg.engine == "scheduled"
-        assert cfg.source_block is None
 
     @pytest.mark.parametrize(
-        "bad", [{"method": "magic"}, {"engine": "warp"}, {"cache": "sometimes"},
+        "bad", [{"method": "magic"}, {"reweight": "warp"}, {"cache": "sometimes"},
                 {"semiring": "tropical-ish"}]
     )
     def test_invalid_values_raise(self, bad):
         with pytest.raises(ValueError):
             OracleConfig(**bad)
 
-    @pytest.mark.parametrize("block", [0, -1])
-    def test_source_block_below_one_raises(self, block):
-        with pytest.raises(ValueError, match="source_block"):
-            OracleConfig(source_block=block)
-        assert OracleConfig(source_block=1).source_block == 1
-
     def test_semiring_by_name(self):
         cfg = OracleConfig(semiring="boolean")
         assert cfg.resolved_semiring is SEMIRINGS["boolean"]
 
 
-class TestMerge:
-    def test_kwargs_only_path_is_plain_defaults(self):
-        cfg = resolve_config(None, method="doubling", executor=UNSET)
-        assert cfg.method == "doubling" and cfg.executor == "serial"
-
-    def test_conflicting_kwarg_warns_and_wins(self):
-        base = OracleConfig(method="doubling")
-        with pytest.warns(DeprecationWarning, match="explicit kwargs win"):
-            cfg = resolve_config(base, method="leaves_up")
-        assert cfg.method == "leaves_up"
-
-    def test_consistent_kwarg_is_silent(self):
-        base = OracleConfig(method="doubling")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = resolve_config(base, method="doubling", executor=UNSET)
-        assert cfg == base
-
-    def test_semiring_name_vs_instance_not_a_conflict(self):
-        base = OracleConfig(semiring="min-plus")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = resolve_config(base, semiring=MIN_PLUS)
-        assert cfg.resolved_semiring is MIN_PLUS
-
-
 class TestSerialization:
     def test_to_from_dict_round_trip(self):
-        cfg = OracleConfig(method="doubling", executor="shm:4", source_block=16,
-                           engine="naive", leaf_size=6)
+        cfg = OracleConfig(method="doubling", executor="shm:4", row_cache=16,
+                           leaf_size=6)
         d = cfg.to_dict()
         assert d["semiring"] == "min-plus"
         back = OracleConfig.from_dict(d)
-        assert back.method == cfg.method and back.source_block == cfg.source_block
-        assert back.executor == cfg.executor and back.engine == cfg.engine
+        assert back == cfg.replace(semiring="min-plus")
         assert back.resolved_semiring is cfg.resolved_semiring
 
     def test_unserializable_fields_rejected(self):
@@ -96,30 +59,40 @@ class TestSerialization:
             OracleConfig.from_dict({"methd": "leaves_up"})
 
 
+#: Every keyword the build and the query engine used to take beside
+#: ``config=``; each is now only an OracleConfig field (``engine`` and
+#: ``source_block`` are retired entirely).
+_REMOVED_BUILD_KWARGS = (
+    "separator", "method", "semiring", "leaf_size", "executor", "validate",
+    "keep_node_distances", "cache", "cache_dir", "mode",
+)
+_REMOVED_ENGINE_KWARGS = ("executor", "engine", "source_block")
+
+
 class TestBuildEquivalence:
-    def test_config_build_equals_kwargs_build(self, grid6_negative):
+    @pytest.mark.parametrize(
+        "entry, kwarg",
+        [("build", k) for k in _REMOVED_BUILD_KWARGS]
+        + [(e, k) for e in ("query_engine", "QueryEngine") for k in _REMOVED_ENGINE_KWARGS],
+    )
+    def test_removed_kwarg_raises_type_error_naming_it(self, grid6_negative, entry, kwarg):
         g, tree = grid6_negative
-        via_kwargs = ShortestPathOracle.build(g, tree, method="doubling",
-                                              executor="serial")
-        via_config = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method="doubling", executor="serial")
-        )
-        assert np.array_equal(via_kwargs.distances([0, 7]), via_config.distances([0, 7]))
-        assert via_config.config.method == "doubling"
+        value = getattr(OracleConfig(), kwarg, None)
+        with pytest.raises(TypeError, match=rf"\b{kwarg}\b"):
+            if entry == "build":
+                ShortestPathOracle.build(g, tree, **{kwarg: value})
+            else:
+                oracle = ShortestPathOracle.build(g, tree)
+                if entry == "query_engine":
+                    oracle.query_engine(**{kwarg: value})
+                else:
+                    QueryEngine(oracle.augmentation, **{kwarg: value})
 
     def test_build_stores_resolved_config(self, grid6_negative):
         g, tree = grid6_negative
-        oracle = ShortestPathOracle.build(g, tree, executor="thread:2")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(executor="thread:2"))
         assert oracle.config.executor == "thread:2"
         assert oracle.config.method == "leaves_up"
-
-    def test_conflicting_build_kwarg_warns(self, grid6_negative):
-        g, tree = grid6_negative
-        with pytest.warns(DeprecationWarning):
-            oracle = ShortestPathOracle.build(
-                g, tree, config=OracleConfig(method="doubling"), method="leaves_up"
-            )
-        assert oracle.augmentation.method == "leaves_up"
 
 
 class TestQueryEngineUnification:
@@ -128,18 +101,18 @@ class TestQueryEngineUnification:
         facade_params = list(
             inspect.signature(ShortestPathOracle.query_engine).parameters
         )[1:]
-        assert eng_params == facade_params == [
-            "config", "executor", "engine", "source_block"
-        ]
+        build_params = list(inspect.signature(ShortestPathOracle.build).parameters)
+        assert eng_params == facade_params == ["config"]
+        assert build_params == ["graph", "tree", "config"]
 
     def test_query_engine_takes_config(self, grid6_negative):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(g, tree)
-        cfg = OracleConfig(executor="serial", engine="naive")
+        cfg = OracleConfig(executor="thread:2", row_cache=4)
         with oracle.query_engine(cfg) as eng:
-            assert eng.engine == "naive"
+            assert eng.config is cfg and eng.row_cache_capacity == 4
             got = eng.query([0, 5])
-        assert np.array_equal(got, sssp_naive(oracle.augmentation, [0, 5]))
+        assert np.array_equal(got, sssp_scheduled(oracle.augmentation, [0, 5]))
 
     def test_facade_default_is_shm_engine_default_is_serial(self, grid6_negative):
         g, tree = grid6_negative
@@ -150,31 +123,20 @@ class TestQueryEngineUnification:
         finally:
             eng.close()
 
-    def test_engine_kwarg_overrides_config_with_warning(self, grid6_negative):
-        g, tree = grid6_negative
-        oracle = ShortestPathOracle.build(g, tree)
-        cfg = OracleConfig(executor="serial", engine="scheduled")
-        with pytest.warns(DeprecationWarning):
-            eng = QueryEngine(oracle.augmentation, cfg, engine="naive")
-        try:
-            assert eng.engine == "naive"
-        finally:
-            eng.close()
-
 
 class TestWithNewWeightsRegression:
     """`with_new_weights` used to rebuild with the default executor,
     silently dropping the original build's choices."""
 
-    def test_executor_and_source_block_survive_rebuild(self, grid6_negative, rng):
+    def test_executor_and_row_cache_survive_rebuild(self, grid6_negative, rng):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(executor="thread:2", source_block=16)
+            g, tree, config=OracleConfig(executor="thread:2", row_cache=16)
         )
         w2 = np.abs(g.weight) + rng.uniform(0.1, 1.0, size=g.m)
         rebuilt = oracle.with_new_weights(w2)
         assert rebuilt.config.executor == "thread:2"
-        assert rebuilt.config.source_block == 16
+        assert rebuilt.config.row_cache == 16
         # and the rebuild is still correct for the new weights
         want = ShortestPathOracle.build(
             g.__class__(g.n, g.src, g.dst, w2), tree
@@ -184,8 +146,8 @@ class TestWithNewWeightsRegression:
     def test_method_still_follows_augmentation(self, grid6_negative, rng):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method="doubling", source_block=16)
+            g, tree, config=OracleConfig(method="doubling", leaf_size=6)
         )
         rebuilt = oracle.with_new_weights(graph=g.reverse())
         assert rebuilt.config.method == "doubling"
-        assert rebuilt.config.source_block == 16
+        assert rebuilt.config.leaf_size == 6

@@ -113,7 +113,7 @@ class TestUnifiedStatsSchema:
         assert s["backend"] == "serial"
         assert s["rows_served"] == 2
         # tier-specific keys ride along with the canonical ones
-        assert s["engine"] == engine.engine
+        assert s["engine"] == "scheduled"
         assert "phases" in s and "row_cache" in s
 
     def test_inline_router_stats_carry_canonical_keys(self, grid6_negative):

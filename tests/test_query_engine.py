@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core.api import ShortestPathOracle
+from repro.core.config import OracleConfig
 from repro.core.query import QueryEngine
-from repro.core.sssp import sssp_naive, sssp_scheduled
+from repro.core.sssp import sssp_scheduled
 from repro.pram.shm import orphaned_segments
 from tests.conftest import assert_distances_equal, reference_apsp
 
@@ -28,12 +29,10 @@ def oracle(grid6_negative):
 
 class TestEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("mode", ["scheduled", "naive"])
-    def test_bit_identical_to_serial_pass(self, oracle, rng, backend, mode):
+    def test_bit_identical_to_serial_pass(self, oracle, rng, backend):
         srcs = rng.integers(0, oracle.graph.n, size=17)
-        ref_fn = sssp_scheduled if mode == "scheduled" else sssp_naive
-        want = ref_fn(oracle.augmentation, srcs)
-        with oracle.query_engine(executor=backend, engine=mode) as eng:
+        want = sssp_scheduled(oracle.augmentation, srcs)
+        with oracle.query_engine(OracleConfig(executor=backend)) as eng:
             got = eng.query(srcs)
             again = eng.query(srcs)  # second batch through the warm pool
         assert np.array_equal(got, want)
@@ -44,12 +43,12 @@ class TestEquivalence:
     def test_matches_reference_apsp(self, grid6_negative, backend):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(g, tree)
-        with oracle.query_engine(executor=backend) as eng:
+        with oracle.query_engine(OracleConfig(executor=backend)) as eng:
             got = eng.query(np.arange(g.n))
         assert_distances_equal(got, reference_apsp(g))
 
     def test_single_source_and_tiny_batch(self, oracle):
-        with oracle.query_engine(executor="serial") as eng:
+        with oracle.query_engine(OracleConfig(executor="serial")) as eng:
             d = eng.query(3)
             assert d.shape == (oracle.graph.n,)
             d1 = eng.query([3])
@@ -61,7 +60,7 @@ class TestEquivalence:
         """Batch size not divisible by worker count still covers every row."""
         srcs = np.arange(7)
         want = sssp_scheduled(oracle.augmentation, srcs)
-        with oracle.query_engine(executor="shm:3") as eng:
+        with oracle.query_engine(OracleConfig(executor="shm:3")) as eng:
             assert np.array_equal(eng.query(srcs), want)
         assert orphaned_segments() == []
 
@@ -69,20 +68,14 @@ class TestEquivalence:
 class TestCaching:
     def test_engine_reuses_augmentation_caches(self, oracle):
         """The build-once contract: the engine must hold the *same* schedule
-        / relaxer objects the augmentation caches — not rebuilds."""
+        the augmentation caches — not a rebuild."""
         aug = oracle.augmentation
         eng = QueryEngine(aug)
         try:
             assert eng.schedule is aug.schedule()
             assert eng.schedule is oracle.schedule
-            assert eng._relaxers is aug.schedule().relaxers
         finally:
             eng.close()
-        naive = QueryEngine(aug, engine="naive")
-        try:
-            assert naive._relaxers[0] is aug.relaxer()
-        finally:
-            naive.close()
 
     def test_augmentation_caches_are_singletons(self, oracle):
         aug = oracle.augmentation
@@ -91,13 +84,13 @@ class TestCaching:
         assert aug.augmented_graph() is aug.augmented_graph()
 
     def test_engines_share_one_schedule(self, oracle):
-        with oracle.query_engine(executor="serial") as a, \
-             oracle.query_engine(executor="serial") as b:
+        with oracle.query_engine(OracleConfig(executor="serial")) as a, \
+             oracle.query_engine(OracleConfig(executor="serial")) as b:
             assert a.schedule is b.schedule
 
     @pytest.mark.multiproc
     def test_shm_publishes_once_across_queries(self, oracle):
-        with oracle.query_engine(executor="shm:2") as eng:
+        with oracle.query_engine(OracleConfig(executor="shm:2")) as eng:
             eng.query(np.arange(8))
             published = eng.stats()["shared_bytes"]
             eng.query(np.arange(8))
@@ -107,7 +100,7 @@ class TestCaching:
 
 class TestLifecycle:
     def test_stats_counters(self, oracle):
-        with oracle.query_engine(executor="serial") as eng:
+        with oracle.query_engine(OracleConfig(executor="serial")) as eng:
             eng.query([0, 1, 2])
             eng.query(5)
             s = eng.stats()
@@ -116,19 +109,15 @@ class TestLifecycle:
         assert s["engine"] == "scheduled" and s["phases"] >= 1
 
     def test_query_after_close_raises(self, oracle):
-        eng = oracle.query_engine(executor="serial")
+        eng = oracle.query_engine(OracleConfig(executor="serial"))
         eng.close()
         eng.close()  # idempotent
         with pytest.raises(ValueError):
             eng.query([0])
 
-    def test_invalid_engine_rejected(self, oracle):
-        with pytest.raises(ValueError):
-            QueryEngine(oracle.augmentation, engine="warp")
-
     @pytest.mark.multiproc
     def test_close_releases_segments(self, oracle):
-        eng = oracle.query_engine(executor="shm:2")
+        eng = oracle.query_engine(OracleConfig(executor="shm:2"))
         eng.query(np.arange(6))
         assert orphaned_segments() != []  # arena is live while serving
         eng.close()

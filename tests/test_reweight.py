@@ -52,29 +52,33 @@ def grid10(rng):
 class TestBitIdentityDense:
     def test_minplus_float(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         w2 = rng.uniform(0.5, 20.0, size=g.m)
         got = oracle.with_new_weights(w2)
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        cold = ShortestPathOracle.build(
+            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+        )
         _assert_bit_identical(got, cold, [0, 17, 55, 99])
         assert got.augmentation.weights_epoch == 1
         assert got.cache_info["status"] == "reweight"
 
     def test_minplus_negative_weights(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         gn = apply_potential_weights(g, rng)  # negative but cycle-free
         assert (gn.weight < 0).any()
         got = oracle.with_new_weights(gn.weight)
-        cold = ShortestPathOracle.build(gn, tree, method="leaves_up")
+        cold = ShortestPathOracle.build(gn, tree, config=OracleConfig(method="leaves_up"))
         _assert_bit_identical(got, cold, [0, 42, 99])
 
     def test_minplus_integer_valued(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         w2 = np.round(g.weight * 7.0) + 1.0
         got = oracle.with_new_weights(w2)
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        cold = ShortestPathOracle.build(
+            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+        )
         _assert_bit_identical(got, cold, list(range(0, 100, 9)))
 
     def test_boolean_semiring(self, rng, grid10):
@@ -102,19 +106,23 @@ class TestBitIdentityDense:
         """The programmable-μ multilevel family: deep trees, chained
         boundaries — the replay must agree there too, not just on grids."""
         g, tree = separator_programmable_family(260, mu, rng)
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         w2 = rng.uniform(1.0, 10.0, size=g.m)
         got = oracle.with_new_weights(w2)
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        cold = ShortestPathOracle.build(
+            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+        )
         _assert_bit_identical(got, cold, [0, g.n // 2, g.n - 1])
 
     def test_reverse_graph(self, rng, grid10):
         """``graph=`` accepts any same-skeleton graph — the reverse
         orientation goes through the rebuild fallback (src/dst change)."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         got = oracle.with_new_weights(graph=g.reverse())
-        cold = ShortestPathOracle.build(g.reverse(), tree, method="leaves_up")
+        cold = ShortestPathOracle.build(
+            g.reverse(), tree, config=OracleConfig(method="leaves_up")
+        )
         assert np.array_equal(got.distances([0, 9]), cold.distances([0, 9]))
 
 
@@ -123,14 +131,16 @@ class TestBitIdentitySparse:
         """A 1%-edge delta on an oracle produced by a reweight takes the
         restricted root-path sweep and still matches a cold rebuild."""
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, method="leaves_up")
+        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         w1 = rng.uniform(1.0, 9.0, size=g.m)
         o1 = base.with_new_weights(w1)  # o1 carries the retained heap
         dirty = rng.choice(g.m, size=max(2, g.m // 100), replace=False)
         w2 = w1.copy()
         w2[dirty] = rng.uniform(1.0, 9.0, size=dirty.size)
         got = o1.with_new_weights(weight_delta=(dirty, w2[dirty]))
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        cold = ShortestPathOracle.build(
+            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+        )
         _assert_bit_identical(got, cold, [0, 33, 66, 99])
         assert got.augmentation.weights_epoch == 2
 
@@ -138,7 +148,7 @@ class TestBitIdentitySparse:
         """Deltas are absolute assignments — replaying the same delta is a
         no-op (the property the client/server retry policy relies on)."""
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, method="leaves_up")
+        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         o1 = base.with_new_weights(rng.uniform(1.0, 9.0, size=g.m))
         delta = {3: 42.0, 17: 0.5}
         o2 = o1.with_new_weights(weight_delta=delta)
@@ -151,14 +161,16 @@ class TestBitIdentitySparse:
         rebuild's +inf rows exactly — deleted edges, possibly unreachable
         vertices."""
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, method="leaves_up")
+        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         o1 = base.with_new_weights(g.weight.copy())
         # Sever every edge out of vertex 0's corner neighborhood.
         dirty = np.nonzero((g.src == 0) | (g.dst == 0))[0]
         w2 = o1.graph.weight.copy()
         w2[dirty] = np.inf
         got = o1.with_new_weights(weight_delta=(dirty, w2[dirty]))
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        cold = ShortestPathOracle.build(
+            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+        )
         _assert_bit_identical(got, cold, [0, 1, 99])
         assert np.isinf(got.distances([0])[0][1:]).all()
 
@@ -171,7 +183,7 @@ class TestBitIdentitySparse:
 
         g, tree = grid10
         g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
-        base = ShortestPathOracle.build(g, tree, method="leaves_up")
+        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         state = getattr(base.augmentation, "_reweight_state", None)
         assert state is not None
         assert state.plan is base._reweight_plan
@@ -191,9 +203,11 @@ class TestBitIdentitySparse:
         w2 = g.weight.copy()
         w2[5] = 99.0
         g2 = _reweighted_graph(g, w2)
-        cold = ShortestPathOracle.build(g2, tree, method="leaves_up")
+        cold = ShortestPathOracle.build(g2, tree, config=OracleConfig(method="leaves_up"))
         _assert_bit_identical(got, cold, [0, 99])
-        doubling = ShortestPathOracle.build(g2, tree, method="doubling")
+        doubling = ShortestPathOracle.build(
+            g2, tree, config=OracleConfig(method="doubling")
+        )
         _assert_bit_identical(got, doubling, [0, 42, 99])
         assert getattr(got.augmentation, "_reweight_state", None) is not None
 
@@ -235,13 +249,15 @@ class TestBitIdentitySparse:
         assert got._reweight_plan is state.plan
         w2 = g.weight.copy()
         w2[5] = 99.0
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="leaves_up")
+        cold = ShortestPathOracle.build(
+            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+        )
         _assert_bit_identical(got, cold, [0, 99])
         assert np.array_equal(pair.aug.weight, cold.augmentation.weight)
 
     def test_plan_shared_along_lineage(self, rng, grid10):
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, method="leaves_up")
+        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         o1 = base.with_new_weights(rng.uniform(1.0, 5.0, size=g.m))
         o2 = o1.with_new_weights(rng.uniform(1.0, 5.0, size=g.m))
         assert base._reweight_plan is not None
@@ -252,22 +268,24 @@ class TestBitIdentitySparse:
 class TestModesAndErrors:
     def test_incremental_requires_leaves_up(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="doubling")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="doubling"))
         with pytest.raises(ValueError, match="incremental"):
             oracle.with_new_weights(g.weight * 2.0, reweight="incremental")
 
     def test_auto_falls_back_to_rebuild(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="doubling")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="doubling"))
         w2 = np.round(g.weight * 3.0) + 1.0
         got = oracle.with_new_weights(w2)  # auto → rebuild, no raise
-        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, method="doubling")
+        cold = ShortestPathOracle.build(
+            _reweighted_graph(g, w2), tree, config=OracleConfig(method="doubling")
+        )
         assert np.array_equal(got.distances([0, 9]), cold.distances([0, 9]))
         assert got.augmentation.weights_epoch == 1
 
     def test_rebuild_mode_matches_incremental(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         w2 = rng.uniform(1.0, 9.0, size=g.m)
         inc = oracle.with_new_weights(w2, reweight="incremental")
         reb = oracle.with_new_weights(w2, reweight="rebuild")
@@ -275,7 +293,7 @@ class TestModesAndErrors:
 
     def test_exactly_one_input(self, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         with pytest.raises(ValueError):
             oracle.with_new_weights()
         with pytest.raises(ValueError):
@@ -285,7 +303,7 @@ class TestModesAndErrors:
         """A delta creating a negative cycle raises on both paths, and the
         base oracle keeps serving its old weights untouched."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         before = oracle.distances([0, 99])
         # Any reciprocal edge pair is a 2-cycle; make it very negative.
         pair = {(int(s), int(d)): i for i, (s, d) in enumerate(zip(g.src, g.dst))}
@@ -308,7 +326,7 @@ class TestValidateFlag:
 
     def test_validate_true_skips_structural(self, rng, grid10, monkeypatch):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         called = []
         monkeypatch.setattr(
             type(tree), "validate",
@@ -323,14 +341,14 @@ class TestValidateFlag:
         """Regression: the weight check is live on the incremental path (a
         semiring-name mismatch once made it silently vacuous)."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         monkeypatch.setattr(Augmentation, "verify_edges", lambda self, *a, **k: 1.0)
         with pytest.raises(AssertionError, match="deviate"):
             oracle.with_new_weights(g.weight * 2.0, validate=True)
 
     def test_validate_passes_on_healthy_replay(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
         got = oracle.with_new_weights(rng.uniform(1.0, 9.0, size=g.m), validate=True)
         assert got.augmentation.weights_epoch == 1
 

@@ -180,7 +180,7 @@ class TestRefineTree:
 
 class TestQueryEquivalence:
     def _assert_equiv(self, g, srcs):
-        base = ShortestPathOracle.build(g, separator="spectral")
+        base = ShortestPathOracle.build(g, config=OracleConfig(separator="spectral"))
         refined = ShortestPathOracle.build(
             g, config=OracleConfig(separator="spectral", refine_separators=True)
         )
@@ -202,7 +202,7 @@ class TestQueryEquivalence:
     def test_float_weights_allclose(self):
         rng = np.random.default_rng(6)
         g = grid_digraph((10, 10), rng)
-        base = ShortestPathOracle.build(g, separator="spectral")
+        base = ShortestPathOracle.build(g, config=OracleConfig(separator="spectral"))
         refined = ShortestPathOracle.build(
             g, config=OracleConfig(separator="spectral", refine_separators=True)
         )
@@ -217,8 +217,8 @@ class TestQueryEquivalence:
         rng = np.random.default_rng(2)
         g = grid_digraph((10, 10), rng)
         g = WeightedDigraph(g.n, g.src, g.dst, np.ceil(g.weight * 8.0))
-        flow = ShortestPathOracle.build(g, separator="flow")
-        base = ShortestPathOracle.build(g, separator="spectral")
+        flow = ShortestPathOracle.build(g, config=OracleConfig(separator="flow"))
+        base = ShortestPathOracle.build(g, config=OracleConfig(separator="spectral"))
         assert flow.tree.validate(g, strict=False) == []
         assert eplus_score(flow.tree) <= eplus_score(base.tree)
         assert np.array_equal(base.distances([0, 55]), flow.distances([0, 55]))
@@ -244,7 +244,7 @@ class TestEngineRegistry:
         rng = np.random.default_rng(0)
         g = grid_digraph((6, 6), rng)
         with pytest.raises(ValueError, match="registered engines"):
-            ShortestPathOracle.build(g, separator="nonsense")
+            ShortestPathOracle.build(g, config=OracleConfig(separator="nonsense"))
 
     def test_best_first_pass_skips_failing_engines(self):
         rng = np.random.default_rng(1)
@@ -291,7 +291,7 @@ class TestStats:
     def test_separator_stats_in_build_stats(self):
         rng = np.random.default_rng(0)
         g = grid_digraph((8, 8), rng)
-        oracle = ShortestPathOracle.build(g, separator="spectral")
+        oracle = ShortestPathOracle.build(g, config=OracleConfig(separator="spectral"))
         stats = oracle.augmentation.stats()["separators"]
         assert stats["internal_nodes"] >= 1
         assert stats["sep_total"] == int(oracle.tree.separator_sizes().sum())

@@ -5,7 +5,7 @@ order of magnitude bigger than the unit tests, with sampled verification
 import numpy as np
 import pytest
 
-from repro import ShortestPathOracle
+from repro import OracleConfig, ShortestPathOracle
 from repro.core.sssp import sssp_scheduled
 from repro.kernels.dijkstra import dijkstra
 from repro.kernels.johnson import johnson
@@ -38,7 +38,9 @@ class TestLargeGrid:
     def test_48x48_negative_weights(self, rng):
         g = apply_potential_weights(grid_digraph((48, 48), rng), rng)
         tree = decompose_grid(g, (48, 48))
-        oracle = ShortestPathOracle.build(g, tree, method="doubling_shared")
+        oracle = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(method="doubling_shared")
+        )
         srcs = [0, 1000, 2303]
         assert np.allclose(oracle.distances(srcs), johnson(g, srcs), atol=1e-7)
 

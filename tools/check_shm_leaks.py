@@ -114,6 +114,7 @@ def exercise() -> None:
     import numpy as np
 
     from repro.core.api import ShortestPathOracle
+    from repro.core.config import OracleConfig
     from repro.pram.executor import get_executor
     from repro.separators.grid import decompose_grid
     from repro.workloads.generators import grid_digraph
@@ -121,8 +122,10 @@ def exercise() -> None:
     rng = np.random.default_rng(0)
     g = grid_digraph((12, 12), rng)
     tree = decompose_grid(g, (12, 12))
-    oracle = ShortestPathOracle.build(g, tree, method="leaves_up", executor="shm:2")
-    with oracle.query_engine(executor="shm:2") as eng:
+    oracle = ShortestPathOracle.build(
+        g, tree, config=OracleConfig(method="leaves_up", executor="shm:2")
+    )
+    with oracle.query_engine(OracleConfig(executor="shm:2")) as eng:
         eng.query(rng.integers(0, g.n, size=64))
     # A crashing worker task must not take any segment down with it.
     exe = get_executor("shm:2")
