@@ -23,12 +23,17 @@ reweight itself from slowing down.
   p99 query latency across the flips is recorded (the flip itself happens
   under the engine lock, so a query never observes a half-swapped
   generation).
+* **replay under query load** (record-only, 40×40 grid) — the same 1%-edge
+  delta replay timed alone and while one thread submits 2-row batches in
+  the same process, as a server's batch thread does during a reweight
+  RPC; the ratio is the interpreter-lock share of the served replay gap.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import threading
 import time
 
@@ -59,6 +64,8 @@ ABS_SLACK = 1.25
 DIRTY_FRACTION = 0.01   # sparse experiment: 1% of the edges move
 FLIPS = 3               # served experiment: mid-stream reweights
 LOAD_QUERIES = 150      # served experiment: single-source queries under load
+LOAD_SIDE = 40          # replay-under-load experiment: perfbench's grid
+LOAD_REPLAYS = 9        # replay-under-load experiment: replays per side
 
 
 def _record_json(results_dir, key: str, record: dict) -> None:
@@ -313,3 +320,78 @@ def test_reweight_served_flip_p99(workload, base_oracle, report, results_dir):
         },
     )
     assert len(latencies) >= LOAD_QUERIES // 2, len(latencies)
+
+
+def test_replay_under_query_load(report, results_dir):
+    """Record-only: a 1%-edge delta replay on the 40×40 grid, alone and with
+    one thread submitting 2-row batches to a serial engine in the same
+    process (no bar; the served replay gap is explained, not closed)."""
+    rng = np.random.default_rng(0)
+    g = grid_digraph((LOAD_SIDE, LOAD_SIDE))
+    g = type(g)(g.n, g.src, g.dst, rng.integers(1, 10, size=g.m).astype(np.float64))
+    oracle = ShortestPathOracle.build(g, decompose_grid(g, (LOAD_SIDE, LOAD_SIDE)))
+    k = max(1, int(g.m * DIRTY_FRACTION))
+    deltas = [(np.sort(rng.choice(g.m, size=k, replace=False)),
+               rng.integers(1, 10, size=k).astype(np.float64))
+              for _ in range(LOAD_REPLAYS)]
+    oracle.with_new_weights(weight_delta=deltas[0]).close()  # warm-up
+
+    def replays() -> list[float]:
+        walls = []
+        for delta in deltas:
+            t0 = time.perf_counter()
+            new = oracle.with_new_weights(weight_delta=delta)
+            walls.append(time.perf_counter() - t0)
+            new.close()
+        return walls
+
+    alone = replays()
+    stop = threading.Event()
+    batches = [0]
+    with oracle.query_engine(OracleConfig(executor="serial", row_cache=0)) as eng:
+
+        def load() -> None:
+            i = 0
+            while not stop.is_set():
+                eng.query([i % g.n, (i + 811) % g.n])
+                batches[0] += 1
+                i += 37
+
+        t = threading.Thread(target=load)
+        t.start()
+        try:
+            time.sleep(0.2)  # the batch thread is busy before the first replay
+            loaded = replays()
+        finally:
+            stop.set()
+            t.join(timeout=60)
+        assert not t.is_alive()
+    oracle.close()
+    alone_ms = float(np.median(alone)) * 1e3
+    under_ms = float(np.median(loaded)) * 1e3
+    rows = [
+        ["replays per side", LOAD_REPLAYS],
+        ["replay alone ms (median)", round(alone_ms, 1)],
+        ["replay under 2-row batch load ms (median)", round(under_ms, 1)],
+        ["ratio", round(under_ms / alone_ms, 2)],
+        ["batches served during the loaded replays", batches[0]],
+    ]
+    report(
+        "E-served-replay",
+        render_table(["metric", "value"], rows,
+                     title=f"E-served-replay: 1% delta replay, {LOAD_SIDE}x{LOAD_SIDE} "
+                           "grid, alone vs beside a batch thread")
+        + "\n\nFinding: the replay is numpy calls issued from Python; beside a "
+        "thread that keeps relaxing small batches, each call waits for the "
+        "interpreter lock, so the replay's wall stretches with no extra work.",
+    )
+    _record_json(results_dir, "replay_under_load", {
+        "workload": f"{k}-edge delta ({DIRTY_FRACTION:.0%}), {LOAD_SIDE}x{LOAD_SIDE} "
+                    "grid, serial engine, 2-row batches in one thread",
+        "alone_ms": alone_ms,
+        "under_load_ms": under_ms,
+        "ratio": under_ms / alone_ms,
+        "batches": batches[0],
+        "host": {"nproc": len(os.sched_getaffinity(0)),
+                 "python": platform.python_version(), "numpy": np.__version__},
+    })

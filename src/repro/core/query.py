@@ -18,7 +18,10 @@ than the relaxation itself.  :class:`QueryEngine` is the amortized form:
   worker relaxes its rows against the shared edge arrays and writes them
   into the shared distance block in place;
 * **one pass** — each shard runs the §3.2 schedule once, which is exact
-  by Theorem 3.1.
+  by Theorem 3.1, through :func:`~repro.kernels.bellman_ford.run_phases`:
+  the ℓ prefix and suffix keep their frontier fixpoint, and the
+  once-per-pass middle phases relax one vertex-major copy of the shard's
+  rows.
 
 Worker processes memoize the compiled relaxers per engine (keyed by an
 engine token), so repeated batches touch no setup code anywhere.

@@ -63,7 +63,9 @@ class PhaseSchedule:
         :func:`~repro.kernels.bellman_ford.run_phases` frontier-prunes
         within those runs: source rows the shared relaxer stopped improving
         skip its remaining repetitions (bit-identical — rows are
-        independent), and the ledger records the work actually scanned."""
+        independent), and the ledger records the work actually scanned.
+        The middle phases each run once; they are relaxed back to back on
+        one vertex-major copy of ``dist`` with no frontier bookkeeping."""
         return run_phases(self.relaxers, dist, ledger=ledger)
 
 

@@ -34,6 +34,13 @@ group (see :mod:`repro.core.scheduler`).  The layouts are weight-
 independent (:class:`RelaxerLayout`), so a reweighting binds new weights to
 them by gathering.
 
+Most of a §3.2 pass is phases whose relaxer runs once (the middle phases).
+Nothing reads the frontier or the improved rows such a phase would leave,
+so :func:`run_phases` relaxes each stretch of them on one vertex-major
+``(n, s)`` copy of the block with an untracked phase — the same push/pull
+rule, candidates gathered by whole rows (``np.take``), heads written back
+by row — and keeps the frontier for runs of a repeated relaxer.
+
 A phase charges ``work = s·(edges scanned)`` and ``depth = ⌈log₂ n⌉`` to the
 ledger (the ⊕-reduction tree per head vertex) — the model cost of a full
 scan of its rows, whichever path ran.
@@ -285,14 +292,13 @@ class EdgeRelaxer:
         place.  Returns whether any entry strictly improved."""
         if not self.m:
             return False
-        n = dist.shape[-1]
-        rows = int(np.prod(dist.shape[:-1], dtype=np.int64)) if dist.ndim > 1 else 1
-        ledger.charge(work=float(rows) * self.m, depth=reduce_depth(n), label="bf-phase")
-        work = np.ascontiguousarray(dist).reshape(rows, n)
-        changed = self._phase(work, np.arange(work.shape[0]), None).size > 0
-        if not np.may_share_memory(work, dist):  # relaxed a contiguous copy
-            dist[...] = work.reshape(dist.shape)
-        return changed
+        view = dist.reshape(-1, dist.shape[-1])
+        block = view.T.copy()  # vertex-major, (n, rows)
+        self._relax_block(block, ledger=ledger)
+        if np.array_equal(block.T, view):
+            return False
+        dist[...] = block.T.reshape(dist.shape)
+        return True
 
     def relax_rows(
         self,
@@ -331,6 +337,59 @@ class EdgeRelaxer:
         return changed
 
     # ------------------------------------------------------------------ #
+
+    def _relax_block(self, block: np.ndarray, *, ledger: Ledger = NULL_LEDGER) -> None:
+        """One Jacobi phase over every row of a C-contiguous vertex-major
+        ``(n, s)`` ``block``, in place, with no frontier and no list of
+        improved rows: the untracked phase of :func:`run_phases`'s
+        once-per-pass relaxers.  Same push/pull rule and ledger charge as
+        :meth:`relax_rows` over all ``s`` rows."""
+        n, s = block.shape
+        if not self.m or not s:
+            return
+        ledger.charge(work=float(s) * self.m, depth=reduce_depth(n), label="bf-phase")
+        sr, lay = self.semiring, self.layout
+        tail = block if lay.tails.shape[0] == n else np.take(block, lay.tails, axis=0)
+        live = tail != sr.zero
+        work = int(lay.tail_deg @ live.sum(axis=1))
+        if work == 0:
+            return
+        if work * PUSH_COST < s * self.m:
+            # Expand the live (tail, row) entries and ⊕-scatter the
+            # candidates that beat their head at ``v*s + row``.
+            at = np.flatnonzero(live)  # grouped by tail
+            tt = at // s
+            deg = lay.tail_deg[tt]
+            ends = np.cumsum(deg)
+            e = np.repeat(lay.out_ptr[lay.tails[tt]] - (ends - deg), deg) + np.arange(work)
+            cand = sr.mul(np.repeat(tail.reshape(-1)[at], deg), self._push_w[e])
+            key = lay.push_dst[e].astype(np.int64) * s + np.repeat(at - tt * s, deg)
+            flat = block.reshape(-1)
+            better = sr.improves(cand, flat[key])
+            sr.scatter_min(flat, key[better], cand[better])
+            return
+        # Vertex-major rows gather whole: the candidates come out edge-major,
+        # (m, s), so each slot block is a run of contiguous rows.
+        cand = np.take(block, lay.pull_src, axis=0)
+        sr.mul(cand, self._pull_w[:, None], out=cand)
+        acc = self._reduce_slabs(cand)
+        sr.add(acc, np.take(block, lay.heads, axis=0), out=acc)
+        block[lay.heads] = acc
+
+    def _reduce_slabs(self, cand: np.ndarray) -> np.ndarray:
+        """⊕-reduce edge-major candidates ``(m, rows)`` over the slot
+        layout into one ``(heads, rows)`` accumulator (overwrites ``cand``)."""
+        sr, nrows = self.semiring, cand.shape[1]
+        acc = None
+        for width, nslots, a, b in self.layout.slabs:
+            blk = cand[a:b]
+            if nslots > 1:
+                blk = sr.add_reduce(blk.reshape(nslots, width, nrows), axis=0)
+            if acc is None:
+                acc = blk  # the first slab spans every head
+            else:
+                sr.add(acc[:width], blk, out=acc[:width])
+        return acc
 
     def _phase(
         self, dist: np.ndarray, rows: np.ndarray, frontier: Frontier | None
@@ -426,15 +485,7 @@ class EdgeRelaxer:
             # of whole contiguous rows, reduced over its slots in one call.
             cand = sub.T[lay.pull_src]
             sr.mul(cand, self._pull_w[:, None], out=cand)
-            acc = None
-            for width, nslots, a, b in lay.slabs:
-                blk = cand[a:b]
-                if nslots > 1:
-                    blk = sr.add_reduce(blk.reshape(nslots, width, nrows), axis=0)
-                if acc is None:
-                    acc = blk  # the first slab spans every head
-                else:
-                    sr.add(acc[:width], blk, out=acc[:width])
+            acc = self._reduce_slabs(cand)
         better = sr.improves(acc, sub.T[lay.heads])
         rr, hh = np.nonzero(better.T)  # grouped by row
         r, v = rows[rr], lay.heads[hh]
@@ -481,21 +532,38 @@ def run_phases(
     schedule, or a capped Bellman–Ford loop) is one :func:`relax_fixpoint`:
     a row the relaxer left unchanged is at that relaxer's fixpoint and drops
     out, and within a row only the entries the last phase improved are
-    read.  Results are bit-identical to relaxing every row every phase; the
-    ledger is charged only the rows actually scanned.  Distinct relaxers
-    start from every non-0̄ entry (a row converged under one edge subset
-    may still improve under another).
+    read.  Distinct relaxers start from every non-0̄ entry (a row converged
+    under one edge subset may still improve under another).
+
+    A run of one phase has no later phase to read its frontier, so each
+    maximal stretch of such runs (the §3.2 middle phases) is relaxed on one
+    vertex-major ``(n, s)`` copy of ``dist``, written back once, by an
+    untracked phase that builds neither frontier nor improved-row list.
+    Results are bit-identical to relaxing every row every phase; the
+    ledger is charged ``rows·m`` for every row a phase scans, exactly as
+    :meth:`EdgeRelaxer.relax_rows` charges.
     """
     n = dist.shape[-1]
     view = dist[None, :] if dist.ndim == 1 else dist.reshape(-1, n)
+    block = None  # the vertex-major copy a stretch of single phases relaxes
     i, n_phases = 0, len(relaxers)
     while i < n_phases:
         r = relaxers[i]
         j = i + 1
         while j < n_phases and relaxers[j] is r:
             j += 1
-        relax_fixpoint(r, view, j - i, ledger=ledger)
+        if j - i == 1:
+            if block is None:
+                block = np.ascontiguousarray(view.T)
+            r._relax_block(block, ledger=ledger)
+        else:
+            if block is not None:
+                view[...] = block.T
+                block = None
+            relax_fixpoint(r, view, j - i, ledger=ledger)
         i = j
+    if block is not None:
+        view[...] = block.T
     if not np.may_share_memory(view, dist):  # reshape had to copy
         dist[...] = view.reshape(dist.shape)
     return dist

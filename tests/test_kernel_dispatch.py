@@ -421,6 +421,126 @@ class TestFrontierRelaxation:
         assert np.array_equal(a, b)
 
 
+def _subset_relaxers(n, src, dst, w, semiring, rng, count):
+    """``count`` relaxers over random edge subsets, each with the dense
+    oracle's arguments ``(src, dst, w)`` of its edges."""
+    out = []
+    for _ in range(count):
+        keep = rng.random(src.shape[0]) < 0.6
+        out.append((EdgeRelaxer(src[keep], dst[keep], w[keep], semiring),
+                    (src[keep], dst[keep], w[keep])))
+    return out
+
+
+class TestBlockPhase:
+    """The untracked vertex-major phase ``run_phases`` gives once-per-pass
+    relaxers, checked against the dense Jacobi oracle (not against
+    ``relax()``, which runs through the same block phase)."""
+
+    @pytest.mark.parametrize("path", ["push", "pull"])
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    @pytest.mark.parametrize("weights", ["integer", "float", "negative"])
+    @pytest.mark.parametrize(
+        "semiring", [MIN_PLUS, BOOLEAN, MAX_MIN, MIN_MAX, COUNTING_HOPS],
+        ids=lambda s: s.name,
+    )
+    def test_bit_identical_to_dense_phases(
+        self, semiring, weights, rows, path, rng, monkeypatch
+    ):
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(bf, name, value)
+        n, src, dst, w = _relax_case(semiring, weights, rng)
+        relaxer = EdgeRelaxer(src, dst, w, semiring)
+        dist = initial_distances(n, rng.integers(0, n, size=rows), semiring)
+        if rows > 1:
+            dist[-1] = semiring.zero  # an all-0̄ row stays all-0̄
+        block = dist.T.copy()
+        for k in range(1, 7):
+            dist = dense_jacobi_phase(src, dst, w, semiring, dist)
+            relaxer._relax_block(block)
+            assert np.array_equal(block.T, dist), k
+        assert (block == semiring.zero).any()
+        if rows > 1:
+            assert (block[:, -1] == semiring.zero).all()
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_all_zero_block_and_empty_relaxer(self, path, rng, monkeypatch):
+        """No live tail: nothing is written, yet the model cost is charged;
+        an empty relaxer neither writes nor charges."""
+        from repro.pram.machine import Ledger
+
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(bf, name, value)
+        n, src, dst, w = _relax_case(MIN_PLUS, "integer", rng)
+        block = np.full((n, 3), np.inf)
+        led = Ledger()
+        EdgeRelaxer(src, dst, w, MIN_PLUS)._relax_block(block, ledger=led)
+        assert (block == np.inf).all()
+        assert led.work == 3.0 * src.shape[0]
+        empty = EdgeRelaxer(np.empty(0, np.int64), np.empty(0, np.int64),
+                            np.empty(0), MIN_PLUS)
+        block = initial_distances(n, [0, 5], MIN_PLUS).T.copy()
+        want = block.copy()
+        led = Ledger()
+        empty._relax_block(block, ledger=led)
+        assert np.array_equal(block, want)
+        assert led.work == 0.0 and led.depth == 0.0
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("semiring", [MIN_PLUS, BOOLEAN], ids=lambda s: s.name)
+    def test_run_phases_mixed_sequence(self, semiring, path, rng, monkeypatch):
+        """``[a, b, c×3, d, c×2]``: single phases share one block, repeated
+        runs keep the frontier fixpoint, and the pass equals the dense
+        oracle phase by phase on 2-D, 1-D, strided and Fortran input."""
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(bf, name, value)
+        n, src, dst, w = _relax_case(semiring, "negative", rng)
+        (a, da), (b, db), (c, dc), (d, dd) = _subset_relaxers(
+            n, src, dst, w, semiring, rng, 4)
+        seq = [(a, da), (b, db)] + [(c, dc)] * 3 + [(d, dd)] + [(c, dc)] * 2
+        init = initial_distances(n, rng.integers(0, n, size=5), semiring)
+        want = init.copy()
+        for _, edges in seq:
+            want = dense_jacobi_phase(*edges, semiring, want)
+        relaxers = [r for r, _ in seq]
+        got = init.copy()
+        run_phases(relaxers, got)
+        assert np.array_equal(got, want)
+        one = init[2].copy()
+        run_phases(relaxers, one)
+        assert np.array_equal(one, want[2])
+        wide = np.repeat(init, 2, axis=1)
+        strided = wide[:, ::2]
+        run_phases(relaxers, strided)
+        assert np.array_equal(strided, want)
+        assert np.array_equal(wide[:, 1::2], init)  # the gaps are untouched
+        fortran = np.asfortranarray(init)
+        run_phases(relaxers, fortran)
+        assert np.array_equal(fortran, want)
+
+    @pytest.mark.parametrize(
+        "sources,work,depth",
+        [([0], 3516, 168), ([3, 40, 77], 10260, 168), (range(81), 289404, 350)],
+        ids=["1", "3", "81"],
+    )
+    def test_scheduled_ledger_pinned(self, sources, work, depth):
+        """The PRAM ledger of one §3.2 pass on a 9×9 negative-potential grid
+        is what the per-phase frontier path charged before single phases
+        were relaxed as a block."""
+        from repro.core.api import ShortestPathOracle
+        from repro.core.sssp import sssp_scheduled
+        from repro.pram.machine import Ledger
+        from repro.separators.grid import decompose_grid
+        from repro.workloads.generators import apply_potential_weights
+
+        rng = np.random.default_rng(0)
+        g = apply_potential_weights(grid_digraph((9, 9), rng), rng)
+        aug = ShortestPathOracle.build(g, decompose_grid(g, (9, 9))).augmentation
+        led = Ledger()
+        sssp_scheduled(aug, list(sources), ledger=led)
+        assert (led.work, led.depth) == (work, depth)
+
+
 class TestEndToEndKernels:
     @pytest.mark.parametrize("method", ["leaves_up", "doubling", "doubling_shared"])
     def test_oracle_distances_invariant_under_kernel(self, grid7, method, monkeypatch):
