@@ -489,15 +489,16 @@ class TestBlockPhase:
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("semiring", [MIN_PLUS, BOOLEAN], ids=lambda s: s.name)
     def test_run_phases_mixed_sequence(self, semiring, path, rng, monkeypatch):
-        """``[a, b, c×3, d, c×2]``: single phases share one block, repeated
-        runs keep the frontier fixpoint, and the pass equals the dense
-        oracle phase by phase on 2-D, 1-D, strided and Fortran input."""
+        """``[a, b, c×3, d, c×2, a]``: single phases share one block (the
+        last one written back after the loop), repeated runs keep the
+        frontier fixpoint, and the pass equals the dense oracle phase by
+        phase on 2-D, 1-D, strided and Fortran input."""
         for name, value in PATHS[path].items():
             monkeypatch.setattr(bf, name, value)
         n, src, dst, w = _relax_case(semiring, "negative", rng)
         (a, da), (b, db), (c, dc), (d, dd) = _subset_relaxers(
             n, src, dst, w, semiring, rng, 4)
-        seq = [(a, da), (b, db)] + [(c, dc)] * 3 + [(d, dd)] + [(c, dc)] * 2
+        seq = [(a, da), (b, db)] + [(c, dc)] * 3 + [(d, dd)] + [(c, dc)] * 2 + [(a, da)]
         init = initial_distances(n, rng.integers(0, n, size=5), semiring)
         want = init.copy()
         for _, edges in seq:
