@@ -2,47 +2,43 @@
 and every incremental reweight.
 
 Paper comment (iv): the separator decomposition, and therefore the
-*structure* of ``E⁺`` (which vertex pairs get a shortcut, which leaf or
-separator clique each shortcut's weight flows through), depends only on the
-unweighted skeleton.  A :class:`ReweightPlan` captures that structure once,
-in a constant number of vectorized passes per tree level — per-node matrix
-offsets into one flat "heap", the per-leaf edge scatter lists, the
-per-level gather/scatter index stacks of the child-combine and three-hop
-products, the pair multiset behind E⁺ assembly, and the §3.2 phase layout.
+*structure* of ``E⁺``, depends only on the unweighted skeleton.  A
+:class:`ReweightPlan` captures that structure once, in a constant number
+of vectorized passes per tree level: where each node's matrix lives in one
+flat heap, the per-leaf edge scatter lists, the child-combine index pairs,
+the pair multiset behind E⁺ assembly, and the §3.2 phase layout.
 :meth:`ReweightPlan.run` then derives E⁺ for a weight vector on that
-skeleton: no separator recursion, no per-node Python loop, no schedule
+skeleton with no separator recursion, per-node Python loop or schedule
 rebuild.  The cold build *is* this sweep with every node dirty
-(:func:`~repro.core.leaves_up.augment_leaves_up`), which takes Algorithm
-4.1's "one tree level is one parallel step" literally:
+(:func:`~repro.core.leaves_up.augment_leaves_up`).
 
-* leaves: one padded ``(L, P, P)`` Floyd–Warshall(-with-hops) over all
-  leaves at once.  Padding rows/cols hold 0̄, which is absorbing under ⊗ and
-  the ⊕-identity, so extra pivots and product terms are elementwise no-ops
-  for every shipped semiring.
-* internal levels, deepest first: identity init, child blocks ⊕-combined
-  (one vectorized pass per child position), a padded batched FW on the
-  separator cliques, the three ``Direct[:,S] ⊗ D_S ⊗ Direct[S,:]``
-  products, and their ⊕ into the node (full block, separator columns,
-  separator rows).  Every shipped ⊕ is an exact selection, so batching and
-  reassociating cannot move a bit; the FW pivot loop also stands in for
-  the boolean closure kernel — transitive closure is unique.
-* assembly: the *full* pair multiset (only the structural ``src != dst``
-  filter applied) with a stable sort permutation; the 0̄ "no path" filter
-  comes *after* the ⊕-reduction, which yields the same edge set (0̄ is the
-  ⊕-identity, so a pair reduces to 0̄ exactly when no node has a path).
-* the PRAM ledger (dense runs only): each level is one parallel region of
-  per-node closed forms, matching the per-node formulation (DESIGN §5,
-  "Algorithm 4.1: the plan is the build"; see :meth:`ReweightPlan._charge`).
+The heap holds one padded block per level, so the sweep works on views
+(DESIGN §5, "Algorithm 4.1: the plan is the build"):
 
-The **sparse** path (``dirty_edges``) touches only the root paths of leaves
-containing changed edges: every original edge has both endpoints in at
-least one leaf and internal direct matrices contain no one-hop edges, so
-the dirty set is precisely those leaves plus their ancestors.  Clean nodes'
-matrices and diameters are carried over from the base
-:class:`ReweightState`; assembly always re-reduces the full pair multiset.
+* leaves: one ``(L, P, P)`` stack (labels at ``[0, h)`` in label order),
+  one padded Floyd–Warshall(-with-hops) over all leaves at once.
+* internal levels, deepest first: one ``(B, H, H)`` block with each
+  node's separator at ``[0, |S|)`` in ``separator`` order and its other
+  labels from ``S_max`` on, so ``D_S``, ``Direct[:,S]`` and
+  ``Direct[S,:]`` are slices.  Identity init, child blocks ⊕-combined (one
+  pass per child position), a batched FW on a copy of the separator
+  cliques, and the three-hop product ``Direct[:,S] ⊗ D_S ⊗ Direct[S,:]``
+  ⊕-ed into the block in place.  The paper's two-hop ⊕ into the separator
+  columns and rows cannot change a value (the diagonal is at least as
+  good as 1̄ and ⊗ is monotone; ``tests/test_semiring.py`` guards this),
+  but the PRAM ledger still charges all three products.
 
-Negative-cycle detection walks levels deepest first, nodes in index order
-within a level, first offending vertex in label order.
+Padding holds 0̄, absorbing under ⊗ and the ⊕-identity; every shipped ⊕ is
+an exact selection, so batching and reassociating cannot move a bit.
+Assembly ⊕-reduces the full pair multiset, then drops 0̄ pairs.
+
+The **sparse** path (``dirty_edges``) re-sweeps only the leaves holding a
+changed edge and their ancestors (every edge lies inside some leaf, and
+internal matrices hold no one-hop edges); clean nodes carry over from the
+base :class:`ReweightState`.  The child-combine passes run unmasked: the
+dirty set is closed upward, so re-⊕-ing a clean parent's clean children is
+a bitwise no-op.  Negative-cycle detection walks levels deepest first,
+nodes in index order, first offending vertex in label order.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ class ReweightState:
     (as ``aug._reweight_state``) so a later *sparse* reweight can start from
     them instead of from scratch."""
 
-    #: flat per-node matrix heap (one extra 0̄ sentinel slot at the end).
+    #: flat heap: the leaf stack, then one padded block per internal level.
     heap: np.ndarray
     #: per-leaf min-weight diameters, aligned with the plan's leaf rows.
     leaf_diam: np.ndarray
@@ -82,22 +78,17 @@ class ReweightState:
 
 @dataclass
 class _LevelPlan:
-    """Index stacks for one tree level (nodes in tree index order)."""
+    """One tree level (nodes in tree index order) and the padded
+    ``(B, H, H)`` heap block of its internal nodes."""
 
-    nodes: np.ndarray            # node idx of the level's internal nodes
-    H: int                       # max |S ∪ B| over the level
-    S: int                       # max |S| over the level
-    #: per child position: (scatter into parent, gather from child, owner).
-    passes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    fw_gather: np.ndarray        # (B, S, S) → separator-clique blocks
-    a1_gather: np.ndarray        # (B, H, S) → Direct[:, S]
-    r_gather: np.ndarray         # (B, S, H) → Direct[S, :]
-    block_idx: np.ndarray        # (B, H, H) → full node region (padding:
-                                 # the sentinel slot)
-    check_nodes: np.ndarray      # ALL nodes of this tree level, idx order
-    check_diag_idx: np.ndarray   # their diagonal slots, concatenated
-    check_owner: np.ndarray      # diag slot → row into check_nodes
-    check_vertex: np.ndarray     # diag slot → global vertex label
+    nodes: np.ndarray            # every node of the level, leaves included
+    internal: np.ndarray         # the internal ones: the block's rows
+    off: int                     # heap offset of the block
+    H: int                       # S + max |labels ∖ S| over the level
+    S: int                       # max |S| over the level (at least 1)
+    real: np.ndarray             # (B, H): which positions hold a label
+    #: per child position: (parent slots, child slots) to ⊕-combine.
+    passes: list[tuple[np.ndarray, np.ndarray]]
 
 
 class ReweightPlan:
@@ -133,13 +124,14 @@ class ReweightPlan:
         n = self.n
         self.is_leaf = np.fromiter((t.is_leaf for t in nodes), dtype=bool, count=n_nodes)
         self.node_level = np.fromiter((t.level for t in nodes), dtype=np.int64, count=n_nodes)
+        self.parent = np.fromiter((t.parent for t in nodes), dtype=np.int64, count=n_nodes)
         self.sep_flat, self.sep_len = _flatten([t.separator for t in nodes])
         self.bdy_flat, self.bdy_len = _flatten([t.boundary for t in nodes])
         self.sep_ptr, self.bdy_ptr = _ptr(self.sep_len), _ptr(self.bdy_len)
         ch_flat, ch_cnt = _flatten([t.children for t in nodes])
         # Labeled vertex set of every node: V(t) for a leaf, S(t) ∪ B(t)
         # otherwise; one sorted key array ``node·n + vertex`` answers every
-        # "local position of v in node t" lookup with a searchsorted.
+        # "label index of v in node t" lookup with a searchsorted.
         leaf_v, leaf_len = _flatten([t.vertices if t.is_leaf else () for t in nodes])
         ids = np.arange(n_nodes, dtype=np.int64)
         sep_owner = np.repeat(ids, self.sep_len)
@@ -154,21 +146,77 @@ class ReweightPlan:
         self.vh_flat = self._label_keys % n
         self.node_h = np.bincount(self._label_keys // n, minlength=n_nodes).astype(np.int64)
         self.vh_ptr = _ptr(self.node_h)
-        self.node_off = _ptr(self.node_h**2)
-        self.heap_size = int(self.node_off[-1])
-        self.sentinel = self.heap_size  # one extra 0̄ slot for padded gathers
 
+        self._capture_layout()
         self._capture_leaves(graph)
         self._capture_levels(ch_flat, ch_cnt)
         self._capture_assembly()
 
+    def _capture_layout(self) -> None:
+        """Place every node's matrix: the ``(L, P, P)`` leaf stack first,
+        then one ``(B, H, H)`` block per level, deepest first.  Records each
+        node's block offset and width and each label's position in it."""
+        n_nodes = self.node_h.shape[0]
+        self.leaf_nodes = np.nonzero(self.is_leaf)[0]
+        self.leaf_h = self.node_h[self.leaf_nodes]
+        self.P = P = int(self.leaf_h.max(initial=1))
+        self.node_base = np.zeros(n_nodes, dtype=np.int64)
+        self.node_stride = np.full(n_nodes, P, dtype=np.int64)
+        self.node_base[self.leaf_nodes] = np.arange(self.leaf_nodes.shape[0]) * P * P
+        node_s = np.zeros(n_nodes, dtype=np.int64)
+        off = self.leaf_nodes.shape[0] * P * P
+        self.levels: list[_LevelPlan] = []
+        for level in np.unique(self.node_level)[::-1]:
+            nodes = np.nonzero(self.node_level == level)[0]
+            internal = nodes[~self.is_leaf[nodes]]
+            ss, rest = self.sep_len[internal], self.node_h[internal] - self.sep_len[internal]
+            S = max(1, int(ss.max(initial=0)))
+            H = S + int(rest.max(initial=0)) if internal.size else 0
+            ar = np.arange(H)
+            real = (ar < ss[:, None]) | ((ar >= S) & (ar < S + rest[:, None]))
+            self.node_base[internal] = off + np.arange(internal.shape[0]) * H * H
+            self.node_stride[internal] = H
+            node_s[internal] = S
+            self.levels.append(_LevelPlan(
+                nodes=nodes, internal=internal, off=off, H=H, S=S, real=real, passes=[],
+            ))
+            off += internal.shape[0] * H * H
+        self.heap_size = off
+        # label positions: a leaf keeps label order; an internal node puts
+        # S(t) first in separator order, the rest from S_max in label order
+        owner, k = _segments(self.node_h)
+        sep_owner, sk = _segments(self.sep_len)
+        inner = ~self.is_leaf[sep_owner]
+        sep_owner, sk = sep_owner[inner].astype(np.int64), sk[inner].astype(np.int64)
+        sep_slot = self.vh_ptr[sep_owner] + self._local(
+            sep_owner, self.sep_flat[self.sep_ptr[sep_owner] + sk]
+        )
+        is_sep = np.zeros(k.shape[0], dtype=bool)
+        is_sep[sep_slot] = True
+        seps_before = np.cumsum(is_sep) - is_sep
+        rank = k - (seps_before - seps_before[self.vh_ptr[owner]])
+        rest = ~self.is_leaf[owner] & ~is_sep
+        self.vh_pos = k
+        self.vh_pos[rest] = node_s[owner[rest]] + rank[rest]
+        self.vh_pos[sep_slot] = sk
+
+    def _slot(self, node: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Heap slot of entry ``(i, j)`` (label indices) of each ``node``'s
+        matrix."""
+        first = self.vh_ptr[node]
+        return (
+            self.node_base[node]
+            + self.vh_pos[first + i] * self.node_stride[node]
+            + self.vh_pos[first + j]
+        )
+
     def _slots(self, idx: np.ndarray) -> np.ndarray:
         """Heap-slot indices, narrowed to int32 when the heap allows."""
-        return idx.astype(np.int32) if self.sentinel < 2**31 - 1 else idx
+        return idx.astype(np.int32) if self.heap_size < 2**31 else idx
 
     def _local(self, node: np.ndarray, vertex: np.ndarray) -> np.ndarray:
-        """Position of each ``vertex`` among ``node``'s labeled vertices
-        (every pair must be labeled)."""
+        """Label index of each ``vertex`` at ``node`` (every pair must be
+        labeled)."""
         return np.searchsorted(self._label_keys, node * self.n + vertex) - self.vh_ptr[node]
 
     def _labeled(self, node: np.ndarray, vertex: np.ndarray) -> np.ndarray:
@@ -185,9 +233,6 @@ class ReweightPlan:
 
     def _capture_leaves(self, graph: WeightedDigraph) -> None:
         n = self.n
-        self.leaf_nodes = np.nonzero(self.is_leaf)[0]
-        self.leaf_h = self.node_h[self.leaf_nodes]
-        self.P = P = int(self.leaf_h.max(initial=1))
         # An edge lies in leaf r iff both endpoints are labeled there: pair
         # every edge with the leaves holding its tail, keep those holding
         # its head too, and order the pairs by (leaf row, edge id).
@@ -204,12 +249,6 @@ class ReweightPlan:
         leaf_of = self.leaf_nodes[self.le_row]
         self.le_src = self._local(leaf_of, graph.src[self.le_edge])
         self.le_dst = self._local(leaf_of, graph.dst[self.le_edge])
-        # write-back of each leaf's real (h, h) region from the padded stack
-        wb_row, k = _segments(self.leaf_h**2)
-        ii, jj = np.divmod(k, self.leaf_h[wb_row])
-        self.wb_row = wb_row.astype(np.int32)
-        self.wb_local = (ii * P + jj).astype(np.int32)
-        self.wb_heap = self._slots(self.node_off[self.leaf_nodes][wb_row] + k)
         #: edge id -> rows of the leaves containing it (several when the
         #: edge lies inside overlapping leaf vertex sets).
         order = np.argsort(self.le_edge, kind="stable")
@@ -217,50 +256,17 @@ class ReweightPlan:
         self._edge_sorted_row = self.le_row[order]
 
     def _capture_levels(self, ch_flat: np.ndarray, ch_cnt: np.ndarray) -> None:
-        off, node_h, sentinel = self.node_off, self.node_h, self.sentinel
         ch_ptr = _ptr(ch_cnt)
-        self.levels: list[_LevelPlan] = []
-        for level in np.unique(self.node_level)[::-1]:
-            check_nodes = np.nonzero(self.node_level == level)[0]
-            owner, k = _segments(node_h[check_nodes])
-            check = dict(
-                check_nodes=check_nodes,
-                check_diag_idx=self._slots(
-                    off[check_nodes][owner] + k * (node_h[check_nodes][owner] + 1)
-                ),
-                check_owner=owner,
-                check_vertex=self._vertices(check_nodes[owner], k),
-            )
-            internal = check_nodes[~self.is_leaf[check_nodes]]
-            if internal.size == 0:
-                none = np.empty((0, 0, 0), dtype=np.int64)
-                self.levels.append(_LevelPlan(
-                    nodes=internal, H=0, S=0, passes=[], fw_gather=none,
-                    a1_gather=none, r_gather=none, block_idx=none, **check,
-                ))
-                continue
-            B = internal.shape[0]
-            hs, ss, base = node_h[internal], self.sep_len[internal], off[internal]
-            H, S = int(hs.max()), int(max(1, ss.max(initial=0)))
-            # separator positions within each node's labels, padded with -1
-            owner, k = _segments(ss)
-            pos_s = np.full((B, S), -1, dtype=np.int64)
-            pos_s[owner, k] = self._local(
-                internal[owner], self.sep_flat[self.sep_ptr[internal][owner] + k]
-            )
-            in_s = pos_s >= 0
-            ar = np.arange(H, dtype=np.int64)
-            in_h = ar[None, :] < hs[:, None]
-            b3, h3 = base[:, None, None], hs[:, None, None]
-            ps_row, ps_col, ar_row, ar_col = (
-                pos_s[:, :, None], pos_s[:, None, :], ar[None, :, None], ar[None, None, :]
-            )
-            fw = np.where(in_s[:, :, None] & in_s[:, None, :], b3 + ps_row * h3 + ps_col, sentinel)
-            a1 = np.where(in_h[:, :, None] & in_s[:, None, :], b3 + ar_row * h3 + ps_col, sentinel)
-            rr = np.where(in_s[:, :, None] & in_h[:, None, :], b3 + ps_row * h3 + ar_col, sentinel)
-            blk = np.where(in_h[:, :, None] & in_h[:, None, :], b3 + ar_row * h3 + ar_col, sentinel)
-            passes = []
-            for p in range(int(ch_cnt[internal].max())):
+        diag, diag_node, diag_vertex = [], [], []
+        for lp in self.levels:
+            # every real diagonal slot, in the negative-cycle walk order
+            owner, k = _segments(self.node_h[lp.nodes])
+            t = lp.nodes[owner]
+            diag.append(self._slot(t, k, k))
+            diag_node.append(t)
+            diag_vertex.append(self._vertices(t, k))
+            internal = lp.internal
+            for p in range(int(ch_cnt[internal].max(initial=0))):
                 sel = np.nonzero(ch_cnt[internal] > p)[0]
                 parent, child = internal[sel], ch_flat[ch_ptr[internal[sel]] + p]
                 # the child's boundary ∩ the parent's labels, in label order
@@ -272,16 +278,13 @@ class ReweightPlan:
                 pos_p = self._local(parent[owner], v)
                 pos_c = self._local(child[owner], v)
                 pair, i, j = _outer(common)
-                tgt = base[sel][pair] + pos_p[i] * hs[sel][pair] + pos_p[j]
-                src = off[child][pair] + pos_c[i] * node_h[child][pair] + pos_c[j]
-                passes.append((self._slots(tgt), self._slots(src), sel[pair].astype(np.int32)))
-            self.levels.append(_LevelPlan(
-                nodes=internal, H=H, S=S,
-                passes=passes,
-                fw_gather=self._slots(fw), a1_gather=self._slots(a1),
-                r_gather=self._slots(rr), block_idx=self._slots(blk),
-                **check,
-            ))
+                lp.passes.append((
+                    self._slots(self._slot(parent[pair], pos_p[i], pos_p[j])),
+                    self._slots(self._slot(child[pair], pos_c[i], pos_c[j])),
+                ))
+        self.diag_slot = self._slots(_concat_i64(diag))
+        self.diag_node = _concat_i64(diag_node)
+        self.diag_vertex = _concat_i64(diag_vertex)
 
     def _capture_assembly(self) -> None:
         """The ``B×B ∪ S×S`` pair multiset of every node (nodes in index
@@ -295,7 +298,8 @@ class ReweightPlan:
         start = np.where(is_sep, self.bdy_flat.shape[0] + self.sep_ptr[node], self.bdy_ptr[node])
         owner, k = _segments(size)
         group = np.concatenate([self.bdy_flat, self.sep_flat])[start[owner] + k]
-        pos = self._local(node[owner], group)
+        # each group vertex's position in its node's block
+        pos = self.vh_pos[self.vh_ptr[node[owner]] + self._local(node[owner], group)]
         del owner, k
         # the multiset is the largest capture-time array: filter the
         # i == j pairs first and drop every temporary once used
@@ -303,7 +307,7 @@ class ReweightPlan:
         keep = i != j
         t, i, j = node[pair[keep]], i[keep], j[keep]
         del pair, keep
-        gather = self._slots(self.node_off[t] + pos[i] * self.node_h[t] + pos[j])
+        gather = self._slots(self.node_base[t] + pos[i] * self.node_stride[t] + pos[j])
         del t
         key = group[i] * n + group[j]
         del i, j
@@ -356,7 +360,8 @@ class ReweightPlan:
             leaf_diam = base_state.leaf_diam.copy()
         else:
             dirty_nodes = None
-            heap = np.full(self.heap_size + 1, zero, dtype=dtype)
+            heap = np.full(self.heap_size, zero, dtype=dtype)
+            heap[self.diag_slot] = semiring.one
             leaf_diam = np.zeros(self.leaf_nodes.shape[0], dtype=np.int64)
         # boolean closure rounds per node, read off the matrices only when
         # a live ledger needs them (see _charge)
@@ -366,7 +371,6 @@ class ReweightPlan:
 
         self._run_leaves(graph, semiring, heap, leaf_diam, dirty_nodes, rounds)
         self._run_levels(semiring, heap, dirty_nodes, rounds)
-        heap[self.sentinel] = zero  # padded scatters keep the slot 0̄
         self._check_cycles(semiring, heap, raise_on_negative_cycle)
         best = self._assemble(semiring, heap)
         keep = best if semiring.dtype == np.dtype(bool) else best != zero
@@ -375,16 +379,7 @@ class ReweightPlan:
             self._charge(ledger, rounds)
             ledger.charge(work=max(1.0, float(src.shape[0])), depth=1.0, label="assemble-eplus")
         diam_map = dict(zip(self.leaf_nodes.tolist(), leaf_diam.tolist()))
-        node_distances: dict[int, NodeDistances] = {}
-        if keep_node_distances:
-            for t in range(self.node_h.shape[0]):
-                h = int(self.node_h[t])
-                base = int(self.node_off[t])
-                node_distances[t] = NodeDistances(
-                    node_idx=t,
-                    vertices=self.vh_flat[self.vh_ptr[t] : self.vh_ptr[t + 1]],
-                    matrix=heap[base : base + h * h].reshape(h, h),
-                )
+        node_distances = self._node_distances(heap) if keep_node_distances else {}
         aug = Augmentation(
             graph=graph,
             tree=self.tree,
@@ -409,6 +404,27 @@ class ReweightPlan:
             aug._schedule = self._layout.bind(aug)
         return aug
 
+    def _node_distances(self, heap: np.ndarray) -> dict[int, NodeDistances]:
+        """Every node's matrix in label order: a leaf's as a view into the
+        leaf stack, the internal ones gathered one level block at a time."""
+        P, L = self.P, self.leaf_nodes.shape[0]
+        leaves = heap[: L * P * P].reshape(L, P, P)
+        mats = {t: m[:h, :h] for t, m, h in zip(self.leaf_nodes.tolist(), leaves, self.leaf_h)}
+        for lp in self.levels:
+            h = self.node_h[lp.internal]
+            owner, k = _segments(h)
+            pos = self.vh_pos[self.vh_ptr[lp.internal][owner] + k]
+            seg, i, j = _outer(h)
+            flat = heap[lp.off :][(seg * lp.H + pos[i]) * lp.H + pos[j]]
+            off = _ptr(h * h).tolist()
+            for b, (t, hb) in enumerate(zip(lp.internal.tolist(), h.tolist())):
+                mats[t] = flat[off[b] : off[b + 1]].reshape(hb, hb)
+        vh_ptr = self.vh_ptr.tolist()
+        return {
+            t: NodeDistances(t, self.vh_flat[vh_ptr[t] : vh_ptr[t + 1]], mats[t])
+            for t in range(len(mats))
+        }
+
     # -------------------------- leaves ----------------------------- #
 
     def _dirty_nodes(self, dirty_edges: np.ndarray) -> np.ndarray:
@@ -416,15 +432,14 @@ class ReweightPlan:
         plus all their ancestors (the shortcut root paths)."""
         lo = np.searchsorted(self._edge_sorted, dirty_edges, side="left")
         hi = np.searchsorted(self._edge_sorted, dirty_edges, side="right")
-        rows: list[np.ndarray] = [
-            self._edge_sorted_row[a:b] for a, b in zip(lo, hi)
-        ]
-        dirty = np.zeros(len(self.tree.nodes), dtype=bool)
-        for r in np.unique(_concat_i64(rows)):
-            t = self.tree.nodes[int(self.leaf_nodes[r])]
-            while t is not None and not dirty[t.idx]:
-                dirty[t.idx] = True
-                t = self.tree.nodes[t.parent] if t.parent is not None and t.parent >= 0 else None
+        owner, k = _segments(hi - lo)
+        dirty = np.zeros(self.node_h.shape[0], dtype=bool)
+        dirty[self.leaf_nodes[self._edge_sorted_row[lo[owner] + k]]] = True
+        # deepest level first: a level's marks are complete before they
+        # move up to its parents
+        for lp in self.levels:
+            up = self.parent[lp.nodes[dirty[lp.nodes]]]
+            dirty[up[up >= 0]] = True
         return dirty
 
     def _run_leaves(
@@ -439,15 +454,20 @@ class ReweightPlan:
         """Batched leaf APSP + min-weight diameters (the ℓ of Thm 3.1)."""
         P = self.P
         L = self.leaf_nodes.shape[0]
+        leaves = heap[: L * P * P].reshape(L, P, P)
         sel = np.ones(L, dtype=bool) if dirty_nodes is None else dirty_nodes[self.leaf_nodes]
         rows = np.nonzero(sel)[0]
         K = rows.shape[0]
         if K == 0:
             return
         hsel = self.leaf_h[rows]
-        stack = np.full((K, P, P), semiring.zero, dtype=semiring.dtype)
         ar = np.arange(P)
-        stack[:, ar, ar] = semiring.one
+        real = (ar[None, :] < hsel[:, None])  # (K, P) row/col validity
+        if dirty_nodes is None:
+            stack = leaves  # the cold heap already holds the identity
+        else:
+            stack = np.full((K, P, P), semiring.zero, dtype=semiring.dtype)
+            stack.reshape(K, P * P)[:, :: P + 1] = np.where(real, semiring.one, semiring.zero)
         emask = sel[self.le_row]
         row_map = np.cumsum(sel) - 1  # old leaf row -> compact stack row
         e_rows = row_map[self.le_row[emask]]
@@ -458,7 +478,6 @@ class ReweightPlan:
             )
         if rounds is not None:
             rounds[self.leaf_nodes[rows]] = _closure_rounds(stack, hsel)
-        real = (ar[None, :] < hsel[:, None])  # (K, P) row/col validity
         if semiring.name in ("min-plus", "hops"):
             hops = np.where(np.isfinite(stack), 1.0, np.inf)
             hops[:, ar, ar] = 0.0
@@ -502,10 +521,8 @@ class ReweightPlan:
                     leaf_diam[rows[r]] = min_weight_diameter(sub, semiring=semiring)
                 else:
                     leaf_diam[rows[r]] = 0
-        # write the real regions back into the flat heap
-        pos = sel[self.wb_row]
-        flat = stack.reshape(K, -1)
-        heap[self.wb_heap[pos]] = flat[row_map[self.wb_row[pos]], self.wb_local[pos]]
+        if stack is not leaves:
+            leaves[rows] = stack
 
     # -------------------------- internals --------------------------- #
 
@@ -516,50 +533,40 @@ class ReweightPlan:
         dirty_nodes: np.ndarray | None,
         rounds: np.ndarray | None,
     ) -> None:
-        sentinel = self.sentinel
+        zero, one = semiring.zero, semiring.one
         for lp in self.levels:
-            if lp.nodes.size == 0:
+            B, H, S = lp.internal.shape[0], lp.H, lp.S
+            if B == 0:
                 continue
-            sel = slice(None) if dirty_nodes is None else dirty_nodes[lp.nodes]
-            if not lp.nodes[sel].size:
-                continue
-            # identity init of the dirty regions (padding hits the
-            # sentinel, which is reset to 0̄ before anything reads it)
-            blk = lp.block_idx[sel]
-            heap[blk] = semiring.zero
-            diag = np.arange(lp.H)
-            heap[blk[:, diag, diag]] = semiring.one
-            heap[sentinel] = semiring.zero
-            # ⊕-combine child blocks, one vectorized pass per child position
-            for ti, si, owner in lp.passes:
-                if dirty_nodes is not None:
-                    ti, si = ti[sel[owner]], si[sel[owner]]
+            W = heap[lp.off : lp.off + B * H * H].reshape(B, H, H)
+            rows: slice | np.ndarray = slice(None)
+            if dirty_nodes is not None:
+                # identity init of the dirty nodes (the cold heap holds it)
+                rows = np.nonzero(dirty_nodes[lp.internal])[0]
+                if not rows.size:
+                    continue
+                W[rows] = zero
+                W.reshape(B, H * H)[rows, :: H + 1] = np.where(lp.real[rows], one, zero)
+            # ⊕-combine child blocks, one vectorized pass per child
+            # position; clean parents take a bitwise no-op
+            for ti, si in lp.passes:
                 heap[ti] = semiring.add(heap[ti], heap[si])
-            # separator-clique APSP + the three-hop products, batched
-            fw = lp.fw_gather[sel]
-            ds = heap[fw]
+            # separator-clique APSP on a copy, then the three-hop product
+            # Direct[:, S] ⊗ D_S ⊗ Direct[S, :] ⊕-ed into the block
+            blk = W[rows]
+            ds = blk[:, :S, :S].copy()
             if rounds is not None:
-                rounds[lp.nodes[sel]] = _closure_rounds(ds, self.sep_len[lp.nodes[sel]])
-            S = lp.S
+                rounds[lp.internal] = _closure_rounds(ds, self.sep_len[lp.internal])
             for k in range(S):
                 semiring.add(
                     ds,
                     semiring.mul(ds[:, :, k][:, :, None], ds[:, k, :][:, None, :]),
                     out=ds,
                 )
-            a1 = heap[lp.a1_gather[sel]]          # (B, H, S) = Direct[:, S]
-            rm = heap[lp.r_gather[sel]]           # (B, S, H) = Direct[S, :]
-            left = _product(semiring, a1, ds)
-            right = _product(semiring, ds, rm)
-            three = _product(semiring, left, rm)
-            # ⊕ into the node: full block, separator columns, separator rows
-            bi = blk.ravel()
-            heap[bi] = semiring.add(heap[bi], three.ravel())
-            ci = lp.a1_gather[sel].ravel()
-            heap[ci] = semiring.add(heap[ci], left.ravel())
-            ri = lp.r_gather[sel].ravel()
-            heap[ri] = semiring.add(heap[ri], right.ravel())
-            heap[sentinel] = semiring.zero
+            left = _product(semiring, blk[:, :, :S], ds)
+            semiring.add(blk, _product(semiring, left, blk[:, :S, :]), out=blk)
+            if dirty_nodes is not None:
+                W[rows] = blk
 
     def _check_cycles(
         self,
@@ -576,18 +583,10 @@ class ReweightPlan:
         to a dirty node.)"""
         if not raise_on_negative_cycle or semiring.name not in ("min-plus", "hops"):
             return
-        one = semiring.one
-        for lp in self.levels:
-            diag = heap[lp.check_diag_idx]
-            bad = semiring.improves(
-                diag, np.full(diag.shape[0], one, dtype=semiring.dtype)
-            )
-            if bad.any():
-                p = int(np.argmax(bad))
-                raise NegativeCycleDetected(
-                    int(lp.check_nodes[int(lp.check_owner[p])]),
-                    int(lp.check_vertex[p]),
-                )
+        bad = semiring.improves(heap[self.diag_slot], semiring.one)
+        if bad.any():
+            p = int(np.argmax(bad))
+            raise NegativeCycleDetected(int(self.diag_node[p]), int(self.diag_vertex[p]))
 
     # -------------------------- ledger ------------------------------ #
 
@@ -604,7 +603,7 @@ class ReweightPlan:
         reduce = _log2ceil if pram_model() != "CRCW" else np.ones_like
         omega = charged_omega()
         for lp in self.levels:
-            t = lp.check_nodes
+            t = lp.nodes
             leaf = self.is_leaf[t]
             # a leaf's APSP is over h vertices, an internal node's over s
             k = np.where(leaf, self.node_h[t], self.sep_len[t]).astype(np.float64)

@@ -265,6 +265,134 @@ class TestBitIdentitySparse:
         assert o2._reweight_plan is base._reweight_plan
 
 
+def _scattered_delta(g, rng, semiring):
+    """1% of the edges, drawn across the whole graph, with new float
+    weights (boolean: edges toggled present/absent)."""
+    idx = np.sort(rng.choice(g.m, size=max(2, g.m // 100), replace=False))
+    if semiring == "boolean":
+        return idx, (rng.uniform(size=idx.size) < 0.5).astype(np.float64)
+    return idx, rng.uniform(0.5, 20.0, size=idx.size)
+
+
+def _real_slots(plan):
+    """Mask of the heap slots that hold a node-matrix entry (the rest is
+    level-block padding)."""
+    real = np.zeros(plan.heap_size, dtype=bool)
+    for t in range(plan.node_h.shape[0]):
+        pos = plan.vh_pos[plan.vh_ptr[t] : plan.vh_ptr[t + 1]]
+        real[plan.node_base[t] + pos[:, None] * plan.node_stride[t] + pos[None, :]] = True
+    return real
+
+
+def _reference_dirty(plan, edges):
+    """The root-path walk the vectorized mask replaces: every leaf holding
+    a changed edge, then its ancestors one parent at a time."""
+    dirty = np.zeros(len(plan.tree.nodes), dtype=bool)
+    for e in edges:
+        for r in plan.le_row[plan.le_edge == e]:
+            t = int(plan.leaf_nodes[r])
+            while t >= 0 and not dirty[t]:
+                dirty[t] = True
+                t = plan.tree.nodes[t].parent
+    return dirty
+
+
+class TestLevelHeap:
+    """The sweep's level-major heap: sparse sweeps equal cold builds bit
+    for bit, padding stays 0̄, and the dirty mask is the root-path walk."""
+
+    @pytest.fixture
+    def grid12(self, rng):
+        g = grid_digraph((12, 12), rng)
+        g = _reweighted_graph(g, rng.uniform(0.5, 20.0, size=g.m))
+        return g, decompose_grid(g, (12, 12))
+
+    @pytest.mark.parametrize("semiring", ["boolean", "hops", "max-min", "min-max", "min-plus"])
+    def test_scattered_float_delta_matches_cold(self, rng, grid12, semiring):
+        g, tree = grid12
+        cfg = OracleConfig(method="leaves_up", semiring=semiring, keep_node_distances=True)
+        base = ShortestPathOracle.build(g, tree, config=cfg)
+        idx, vals = _scattered_delta(g, rng, semiring)
+        dirty = base._reweight_plan._dirty_nodes(idx)
+        assert 0 < dirty.sum() < dirty.size  # a genuinely sparse sweep
+        got = base.with_new_weights(weight_delta=(idx, vals)).augmentation
+        w2 = g.weight.copy()
+        w2[idx] = vals
+        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree, config=cfg).augmentation
+        for part in ("src", "dst", "weight"):
+            assert np.array_equal(getattr(got, part), getattr(cold, part)), part
+        assert got.leaf_diameters == cold.leaf_diameters
+        assert sorted(got.node_distances) == sorted(cold.node_distances)
+        for t, nd in cold.node_distances.items():
+            assert np.array_equal(got.node_distances[t].vertices, nd.vertices)
+            assert np.array_equal(got.node_distances[t].matrix, nd.matrix), t
+            # label order: vertices ascending, as the per-node builder kept them
+            assert (np.diff(nd.vertices) > 0).all()
+
+    @pytest.mark.parametrize("semiring", ["boolean", "max-min", "min-plus"])
+    def test_padding_stays_zero(self, rng, grid12, semiring):
+        g, tree = grid12
+        cfg = OracleConfig(method="leaves_up", semiring=semiring)
+        oracle = ShortestPathOracle.build(g, tree, config=cfg)
+        plan = oracle._reweight_plan
+        pad = ~_real_slots(plan)
+        assert pad.any()
+        zero = oracle.augmentation.semiring.zero
+        assert (oracle.augmentation._reweight_state.heap[pad] == zero).all()
+        for _ in range(3):
+            oracle = oracle.with_new_weights(weight_delta=_scattered_delta(g, rng, semiring))
+            state = oracle.augmentation._reweight_state
+            assert state.plan is plan
+            assert (state.heap[pad] == zero).all()
+
+    def test_leaf_matrices_are_heap_views(self, grid12):
+        """Kept node distances copy only the internal matrices: a leaf's is
+        a view into the retained heap."""
+        from repro.core.leaves_up import augment_leaves_up
+
+        g, tree = grid12
+        aug = augment_leaves_up(g, tree, keep_node_distances=True)
+        heap = aug._reweight_state.heap
+        for t, nd in aug.node_distances.items():
+            assert np.shares_memory(nd.matrix, heap) == tree.nodes[t].is_leaf, t
+
+    @pytest.mark.parametrize("family", ["grid", "mu"])
+    def test_dirty_mask_is_the_root_path_walk(self, rng, grid12, family):
+        from repro.core.reweight import ReweightPlan
+
+        g, tree = grid12 if family == "grid" else separator_programmable_family(260, 0.5, rng)
+        plan = ReweightPlan.capture(g, tree)
+        for size in (1, 3, max(2, g.m // 100), g.m // 5):
+            edges = rng.choice(g.m, size=size, replace=False)
+            assert np.array_equal(plan._dirty_nodes(edges), _reference_dirty(plan, edges))
+
+    def test_dirty_mask_on_the_distance_oracle_path(self, rng, grid12, monkeypatch):
+        from repro.apps.routing import DistanceOracle
+        from repro.core.leaves_up import augment_leaves_up
+        from repro.core.reweight import ReweightPlan
+
+        g, tree = grid12
+        pair = DistanceOracle(augment_leaves_up(g, tree, keep_node_distances=True))
+        seen = []
+        real = ReweightPlan._dirty_nodes
+
+        def spy(plan, edges):
+            mask = real(plan, edges)
+            seen.append((plan, edges, mask))
+            return mask
+
+        monkeypatch.setattr(ReweightPlan, "_dirty_nodes", spy)
+        idx, vals = _scattered_delta(g, rng, "min-plus")
+        got = pair.with_new_weights(weight_delta=(idx, vals))
+        monkeypatch.undo()
+        (plan, edges, mask), = seen
+        assert np.array_equal(mask, _reference_dirty(plan, edges))
+        w2 = g.weight.copy()
+        w2[idx] = vals
+        cold = augment_leaves_up(_reweighted_graph(g, w2), tree, keep_node_distances=True)
+        assert np.array_equal(got.aug.weight, cold.weight)
+
+
 class TestModesAndErrors:
     def test_incremental_requires_leaves_up(self, rng, grid10):
         g, tree = grid10

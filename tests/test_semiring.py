@@ -90,3 +90,56 @@ def test_semiring_axioms(sr, triple):
 
 def test_zero_annihilates_min_plus():
     assert MIN_PLUS.mul(np.float64(np.inf), np.float64(5.0)) == np.inf
+
+
+def _guard_values(sr, rng):
+    """Random values of ``sr``'s dtype plus 0̄, 1̄ and, for floats, ±inf,
+    ±0 and negatives."""
+    if sr.dtype == np.dtype(bool):
+        return np.array([False, True])
+    special = [sr.zero, sr.one, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0]
+    return np.concatenate([special, rng.normal(scale=50.0, size=40)]).astype(sr.dtype)
+
+
+def _same(a, b):
+    """Bitwise equality of ``a`` and ``b``, with two exceptions.  A
+    position where either side is NaN is skipped: ``-inf ⊗ +inf`` is
+    undefined in min-plus, so no such value reaches a sweep.  A signed-zero
+    tie (``0.0`` against ``-0.0``) matches by value: ``np.minimum`` returns
+    its second operand on a tie, so the sign of a zero follows the order of
+    the ⊕ operands."""
+    a, b = np.broadcast_arrays(a, b)
+    if a.dtype.kind != "f":
+        return np.array_equal(a, b)
+    tie = ((a == 0) & (b == 0)) | np.isnan(a) | np.isnan(b)
+    return np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64)[~tie],
+        np.ascontiguousarray(b).view(np.uint64)[~tie],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_one_bounded_diagonal_only_improves_a_product(name):
+    """The premises that let the Algorithm 4.1 sweep drop its two-hop
+    products (``core/reweight.py``).  A value ``d`` at least as good as 1̄
+    (``d ⊕ 1̄ == d``, as a node's diagonal always is) never worsens what it
+    multiplies on either side: ``(d ⊗ y) ⊕ y == d ⊗ y`` and
+    ``(y ⊗ d) ⊕ y == y ⊗ d``.  And ⊗ is monotone on both sides:
+    ``x ⊕ x' == x`` implies ``(x ⊗ y) ⊕ (x' ⊗ y) == x ⊗ y`` and
+    ``(y ⊗ x) ⊕ (y ⊗ x') == y ⊗ x``.  Results compare bitwise (see
+    :func:`_same` for the signed-zero tie)."""
+    sr = SEMIRINGS[name]
+    vals = _guard_values(sr, np.random.default_rng(7))
+    one = np.asarray(sr.one, dtype=sr.dtype)
+    d = vals[sr.add(vals, one) == vals]
+    assert d.size >= 1  # 1̄ itself qualifies
+    x, xp = np.meshgrid(vals, vals, indexing="ij")
+    better = sr.add(x, xp) == x
+    x, xp = x[better][:, None], xp[better][:, None]
+    y = vals[None, :]
+    with np.errstate(invalid="ignore"):  # -inf ⊗ +inf is NaN in min-plus
+        dy, yd = sr.mul(d[:, None], y), sr.mul(y, d[:, None])
+        assert _same(sr.add(dy, y), dy)
+        assert _same(sr.add(yd, y), yd)
+        assert _same(sr.add(sr.mul(x, y), sr.mul(xp, y)), sr.mul(x, y))
+        assert _same(sr.add(sr.mul(y, x), sr.mul(y, xp)), sr.mul(y, x))
