@@ -64,7 +64,8 @@ def workload():
     return g, tree
 
 
-def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, tmp_path):
+def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, tmp_path,
+                                    provenance):
     """Second build of the same content is a store hit ≥5× faster than the
     cold construction, with bit-identical distances."""
     g, tree = workload
@@ -100,8 +101,10 @@ def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, t
         render_table(["metric", "value"], rows,
                      title=f"E-cache: cold vs store-hit build, {SIDE}x{SIDE} grid")
         + "\n\nFinding: the content-addressed store turns repeat "
-        "preprocessing (paper comment (iv)'s reuse regime) into one "
-        "decompress-and-recompile pass.",
+        "preprocessing (paper comment (iv)'s reuse regime) into reading the "
+        "E⁺ arrays and compiling the §3.2 schedule. The key is a digest of "
+        "the caller's graph and tree, so a hit reuses them and never reads "
+        "the entry's copies.\n\n" + provenance["line"],
     )
     _record_json(
         results_dir,
@@ -113,6 +116,7 @@ def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, t
             "speedup": speedup,
             "eplus": int(cold_oracle.augmentation.size),
             "bit_identical": True,
+            "provenance": provenance,
         },
     )
     assert speedup >= BUILD_SPEEDUP, (
@@ -126,7 +130,7 @@ def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, t
     )
 
 
-def test_ecache_row_lru_hit_latency(benchmark, workload, report, results_dir):
+def test_ecache_row_lru_hit_latency(benchmark, workload, report, results_dir, provenance):
     """A repeated source is answered from the engine's row LRU ≥10× faster
     (p50) than a cold single-source relaxation, bit-identically."""
     g, tree = workload
@@ -156,7 +160,8 @@ def test_ecache_row_lru_hit_latency(benchmark, workload, report, results_dir):
     report(
         "E-cache-row-lru",
         render_table(["metric", "value"], rows,
-                     title=f"E-cache: row-LRU hit vs cold query, {SIDE}x{SIDE} grid"),
+                     title=f"E-cache: row-LRU hit vs cold query, {SIDE}x{SIDE} grid")
+        + "\n\n" + provenance["line"],
     )
     _record_json(
         results_dir,
@@ -169,6 +174,7 @@ def test_ecache_row_lru_hit_latency(benchmark, workload, report, results_dir):
             "hits": stats["hits"],
             "misses": stats["misses"],
             "bit_identical": True,
+            "provenance": provenance,
         },
     )
     assert stats["hits"] >= HIT_REPEATS, stats

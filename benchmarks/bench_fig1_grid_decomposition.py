@@ -9,7 +9,6 @@ arithmetic against the generic recursive builder it reproduces."""
 from __future__ import annotations
 
 import importlib.util
-import os
 import time
 
 import numpy as np
@@ -88,7 +87,7 @@ def _best_of(fn, reps: int = 5) -> float:
     return best
 
 
-def test_box_tree_vs_generic_builder(report):
+def test_box_tree_vs_generic_builder(report, provenance):
     """E-grid-decompose: ``decompose_grid`` (box arithmetic) against
     ``build_separator_tree`` with ``grid_separator_fn`` (one induced
     subgraph and component labelling per node) on the same full lattice;
@@ -111,7 +110,7 @@ def test_box_tree_vs_generic_builder(report):
         title="E-grid-decompose: decompose_grid vs the generic builder (leaf_size 8, best of 5)",
     )
     host = (
-        f"host: {os.cpu_count()} CPU(s), numpy {np.__version__}, numba "
+        f"{provenance['line']}, numba "
         f"{'present' if importlib.util.find_spec('numba') else 'absent'}; "
         f"gate: speedup >= {BOX_SPEEDUP:g}x at 40x40"
     )

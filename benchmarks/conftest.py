@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 import pathlib
+import platform
+import subprocess
 
 import numpy as np
 import pytest
@@ -40,6 +42,40 @@ def report(results_dir):
         atomic_write_text(results_dir / f"{exp_id}.md", text.rstrip() + "\n")
 
     return write
+
+
+@pytest.fixture(scope="session")
+def provenance() -> dict:
+    """The code revision and host a result was measured on: ``git describe
+    --always --dirty`` of the checkout (``-dirty`` = uncommitted changes on
+    top of that commit) and the host's CPU count, CPU, Python and numpy,
+    plus ``line``, the same as one markdown line."""
+    try:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=RESULTS_DIR.parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = "unknown"
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    facts = {
+        "revision": revision,
+        "cpus": os.cpu_count(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    facts["line"] = (
+        f"revision {facts['revision']}; host: {facts['cpus']} CPU(s) "
+        f"({facts['cpu']}), Python {facts['python']}, numpy {facts['numpy']}"
+    )
+    return facts
 
 
 @pytest.fixture(scope="session")

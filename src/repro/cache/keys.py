@@ -52,10 +52,11 @@ def augmentation_key(
     Two calls collide iff they would produce the same E⁺ payload: the
     graph arrays are hashed with their dtypes (a float32 and a float64
     reweighting differ), the tree in its flattened canonical form (the
-    same offset-table layout :func:`repro.io.save_tree` persists: per-node
-    level/parent/children columns, then concatenated vertices, separators
-    and boundaries with their offset tables — unambiguous, and hashed as a
-    dozen large buffers instead of thousands of per-node feeds), and the
+    tree's :class:`~repro.core.septree.FlatTree`, the offset-table layout
+    :func:`repro.io.save_tree` persists: per-node level/parent/children
+    columns, then concatenated vertices, separators and boundaries with
+    their offset tables — unambiguous, and hashed as a dozen large buffers
+    instead of thousands of per-node feeds), and the
     semiring by its registry name.
     """
     h = hashlib.sha256()
@@ -68,24 +69,13 @@ def augmentation_key(
     _feed_array(h, graph.weight)
     h.update(int(tree.n).to_bytes(8, "little"))
     h.update(len(tree.nodes).to_bytes(8, "little"))
-    count = len(tree.nodes)
-    meta = np.empty((count, 4), dtype=np.int64)
-    voff = np.zeros(count + 1, dtype=np.int64)
-    soff = np.zeros(count + 1, dtype=np.int64)
-    boff = np.zeros(count + 1, dtype=np.int64)
-    verts, seps, bounds = [], [], []
-    for i, t in enumerate(tree.nodes):
-        kids = tuple(t.children) + (-1, -1)
-        meta[i] = (t.level, t.parent, kids[0], kids[1])
-        verts.append(t.vertices)
-        seps.append(t.separator)
-        bounds.append(t.boundary)
-        voff[i + 1] = voff[i] + t.vertices.shape[0]
-        soff[i + 1] = soff[i] + t.separator.shape[0]
-        boff[i + 1] = boff[i] + t.boundary.shape[0]
-    empty = np.empty(0, dtype=np.int64)
-    _feed_array(h, meta)
-    for off, chunks in ((voff, verts), (soff, seps), (boff, bounds)):
+    flat = tree.flat
+    _feed_array(h, flat.meta)
+    for off, labels in (
+        (flat.voff, flat.vertices),
+        (flat.soff, flat.separators),
+        (flat.boff, flat.boundaries),
+    ):
         _feed_array(h, off)
-        _feed_array(h, np.concatenate(chunks) if chunks else empty)
+        _feed_array(h, labels)
     return h.hexdigest()

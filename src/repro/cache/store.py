@@ -207,11 +207,14 @@ class AugmentationCache:
     # Load / store
     # ------------------------------------------------------------ #
 
-    def load(self, key: str):
+    def load(self, key: str, *, graph=None, tree=None):
         """``(augmentation, meta)`` for a present entry, else ``None``.
 
         ``meta`` is the versioned header dict of :func:`repro.io.
         load_augmentation` (``version`` / ``validated`` / ``config``).
+        ``graph`` and ``tree`` are the inputs ``key`` was computed from;
+        when given, the augmentation reuses them instead of reading the
+        entry's copies (the key is a digest of exactly those arrays).
         A corrupt entry is deleted and reported as a miss.
         """
         path = self.entry_path(key)
@@ -220,7 +223,7 @@ class AugmentationCache:
         from ..io import load_augmentation
 
         try:
-            aug, meta = load_augmentation(path, with_meta=True)
+            aug, meta = load_augmentation(path, with_meta=True, graph=graph, tree=tree)
         except (ValueError, KeyError, OSError, zipfile.BadZipFile, EOFError):
             # Truncated or foreign file at the entry path: drop it so the
             # next builder repairs the slot (atomic writes make this rare).

@@ -277,10 +277,12 @@ class ShortestPathOracle:
     def _from_cache(cls, store, key, graph, tree, cfg, cache_info) -> "ShortestPathOracle | None":
         """One load attempt against the store; ``None`` on a miss.
 
+        ``key`` is a digest of ``graph`` and ``tree``, so a hit reuses the
+        caller's objects and reads only the E⁺ arrays and the header.
         Validation already paid at store time (per the entry header) is
         *not* re-run — the ``validate`` fast path of a hit.
         """
-        loaded = store.load(key)
+        loaded = store.load(key, graph=graph, tree=tree)
         if loaded is None:
             return None
         aug, meta = loaded

@@ -119,26 +119,26 @@ class ReweightPlan:
     # ------------------------------------------------------------------ #
 
     def _capture(self, graph: WeightedDigraph, tree: SeparatorTree) -> None:
-        nodes = tree.nodes
-        n_nodes = len(nodes)
+        flat = tree.flat
+        n_nodes = flat.meta.shape[0]
         n = self.n
-        self.is_leaf = np.fromiter((t.is_leaf for t in nodes), dtype=bool, count=n_nodes)
-        self.node_level = np.fromiter((t.level for t in nodes), dtype=np.int64, count=n_nodes)
-        self.parent = np.fromiter((t.parent for t in nodes), dtype=np.int64, count=n_nodes)
-        self.sep_flat, self.sep_len = _flatten([t.separator for t in nodes])
-        self.bdy_flat, self.bdy_len = _flatten([t.boundary for t in nodes])
-        self.sep_ptr, self.bdy_ptr = _ptr(self.sep_len), _ptr(self.bdy_len)
-        ch_flat, ch_cnt = _flatten([t.children for t in nodes])
+        self.is_leaf = flat.meta[:, 2] < 0
+        self.node_level = flat.meta[:, 0].copy()
+        self.parent = flat.meta[:, 1].copy()
+        self.sep_flat = flat.separators.astype(np.int64, copy=False)
+        self.bdy_flat = flat.boundaries.astype(np.int64, copy=False)
+        self.sep_ptr, self.bdy_ptr = flat.soff, flat.boff
+        self.sep_len, self.bdy_len = np.diff(flat.soff), np.diff(flat.boff)
         # Labeled vertex set of every node: V(t) for a leaf, S(t) ∪ B(t)
         # otherwise; one sorted key array ``node·n + vertex`` answers every
         # "label index of v in node t" lookup with a searchsorted.
-        leaf_v, leaf_len = _flatten([t.vertices if t.is_leaf else () for t in nodes])
+        leaf_v, leaf_owner = flat.members("vertices", self.is_leaf)
         ids = np.arange(n_nodes, dtype=np.int64)
         sep_owner = np.repeat(ids, self.sep_len)
         bdy_owner = np.repeat(ids, self.bdy_len)
         inner_bdy = ~self.is_leaf[bdy_owner]
         keys = np.concatenate([
-            np.repeat(ids, leaf_len) * n + leaf_v,
+            leaf_owner * n + leaf_v,
             sep_owner * n + self.sep_flat,
             bdy_owner[inner_bdy] * n + self.bdy_flat[inner_bdy],
         ])
@@ -149,7 +149,7 @@ class ReweightPlan:
 
         self._capture_layout()
         self._capture_leaves(graph)
-        self._capture_levels(ch_flat, ch_cnt)
+        self._capture_levels(flat.meta[:, 2:])
         self._capture_assembly()
 
     def _capture_layout(self) -> None:
@@ -255,8 +255,8 @@ class ReweightPlan:
         self._edge_sorted = self.le_edge[order]
         self._edge_sorted_row = self.le_row[order]
 
-    def _capture_levels(self, ch_flat: np.ndarray, ch_cnt: np.ndarray) -> None:
-        ch_ptr = _ptr(ch_cnt)
+    def _capture_levels(self, kids: np.ndarray) -> None:
+        """``kids``: each node's two children, −1 for none."""
         diag, diag_node, diag_vertex = [], [], []
         for lp in self.levels:
             # every real diagonal slot, in the negative-cycle walk order
@@ -266,9 +266,9 @@ class ReweightPlan:
             diag_node.append(t)
             diag_vertex.append(self._vertices(t, k))
             internal = lp.internal
-            for p in range(int(ch_cnt[internal].max(initial=0))):
-                sel = np.nonzero(ch_cnt[internal] > p)[0]
-                parent, child = internal[sel], ch_flat[ch_ptr[internal[sel]] + p]
+            for p in range(kids.shape[1]):
+                sel = np.nonzero(kids[internal, p] >= 0)[0]
+                parent, child = internal[sel], kids[internal[sel], p]
                 # the child's boundary ∩ the parent's labels, in label order
                 owner, k = _segments(self.bdy_len[child])
                 v = self.bdy_flat[self.bdy_ptr[child][owner] + k]
@@ -673,12 +673,6 @@ def _concat_i64(chunks: list[np.ndarray]) -> np.ndarray:
     if not chunks:
         return np.empty(0, dtype=np.int64)
     return np.concatenate([np.asarray(c, dtype=np.int64) for c in chunks])
-
-
-def _flatten(chunks: list) -> tuple[np.ndarray, np.ndarray]:
-    """``(concatenation, per-chunk lengths)`` of integer sequences."""
-    lens = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
-    return _concat_i64(chunks), lens
 
 
 def _ptr(counts: np.ndarray) -> np.ndarray:

@@ -86,40 +86,43 @@ class ScheduleLayout:
 
     @classmethod
     def build(cls, aug: Augmentation) -> "ScheduleLayout":
-        """Filter ``E ∪ E⁺`` by endpoint levels into the middle phases and
-        lay out every phase's edges (the cold part of a compile)."""
+        """Assign every ``E ∪ E⁺`` edge its middle phases from its endpoint
+        levels and lay out all phases at once (the cold part of a compile).
+
+        With ``d = d_G``, the filters of the module docstring place an edge
+        with levels ``(a, b)``, both defined, in
+
+        * ``a == b``: ``desc-same-a`` and, for ``a ≥ 1``, ``asc-same-a``;
+        * ``a > b``: ``desc-drop-a``;
+        * ``a < b``: ``asc-rise-a``;
+
+        and in none when a level is undefined.  ``asc-same-λ`` scans exactly
+        ``desc-same-λ``'s edges, so the two phases share one layout: each
+        edge is laid out once, in group ``2(d−a)`` (same), ``2(d−a)+1``
+        (drop) or ``2d+1+a`` (rise), in edge-id order as a filter mask
+        would keep it.  Edge ids index the combined ``E ∪ E⁺`` array."""
         tree, g = aug.tree, aug.graph
         d_g = tree.height
-        lv = tree.vertex_level  # -1 = undefined
+        # -1 = undefined; the narrowest type that holds every group number
+        lv = tree.vertex_level.astype(np.min_scalar_type(-(3 * d_g + 1)))
         src = np.concatenate([g.src, aug.src])
         dst = np.concatenate([g.dst, aug.dst])
-        lv1, lv2 = lv[src], lv[dst]
-        counts = np.zeros(src.shape[0], dtype=np.int64)
-        middle = []
-
-        def add_filtered(mask: np.ndarray, label: str) -> None:
-            counts[mask] += 1
-            idx = np.flatnonzero(mask)
-            middle.append((label, RelaxerLayout.build(src[idx], dst[idx], idx)))
-
-        # Descending half: levels d_G, d_G, d_G-1, d_G-1, ..., 0.
-        for i in range(1, 2 * d_g + 2):
-            if i % 2 == 1:
-                lam = d_g - (i - 1) // 2
-                add_filtered((lv1 == lam) & (lv2 == lam), f"desc-same-{lam}")
-            else:
-                lam = d_g - i // 2 + 1
-                add_filtered(
-                    (lv1 == lam) & (lv2 >= 0) & (lv2 < lam), f"desc-drop-{lam}"
-                )
-        # Ascending half: rises from 0, 1, ..., interleaved with same-level.
-        for i in range(1, 2 * d_g + 1):
-            if i % 2 == 1:
-                lam = (i - 1) // 2
-                add_filtered((lv1 == lam) & (lv2 > lam), f"asc-rise-{lam}")
-            else:
-                lam = i // 2
-                add_filtered((lv1 == lam) & (lv2 == lam), f"asc-same-{lam}")
+        a, b = lv[src], lv[dst]
+        defined = np.minimum(a, b) >= 0
+        counts = defined.astype(np.int64)
+        counts += (a == b) & (a >= 1)
+        # Edges with an undefined level go to a last group, left unused.
+        group = np.where(a < b, 2 * d_g + 1 + a, 2 * (d_g - a) + (a > b))
+        group[~defined] = 3 * d_g + 1
+        lay = RelaxerLayout.build_groups(src, dst, group, 3 * d_g + 2)
+        desc, rise = lay[: 2 * d_g + 1], lay[2 * d_g + 1 :]
+        middle = [
+            (f"desc-same-{d_g - j // 2}" if j % 2 == 0 else f"desc-drop-{d_g - j // 2}", desc[j])
+            for j in range(2 * d_g + 1)
+        ]
+        for lam in range(d_g):
+            middle.append((f"asc-rise-{lam}", rise[lam]))
+            middle.append((f"asc-same-{lam + 1}", desc[2 * (d_g - lam - 1)]))
         return cls(
             aug_src=aug.src,
             aug_dst=aug.dst,

@@ -34,6 +34,7 @@ import numpy as np
 from .digraph import WeightedDigraph
 
 __all__ = [
+    "FlatTree",
     "SepTreeNode",
     "SeparatorTree",
     "SeparatorFn",
@@ -101,12 +102,16 @@ class SeparatorTree:
     realizing the minimum, or the leaf containing ``v`` when undefined.
     """
 
-    def __init__(self, nodes: Sequence[SepTreeNode], n: int) -> None:
+    def __init__(
+        self, nodes: Sequence[SepTreeNode], n: int, flat: "FlatTree | None" = None
+    ) -> None:
         if not nodes or nodes[0].parent != -1:
             raise DecompositionError("nodes[0] must be the root (parent == -1)")
         self.nodes: list[SepTreeNode] = list(nodes)
         self.n = int(n)
-        self.height: int = max(t.level for t in self.nodes)
+        #: The labels as flat arrays (builders that hold them pass them in).
+        self.flat = flat if flat is not None else FlatTree.of(self.nodes)
+        self.height: int = int(self.flat.meta[:, 0].max())
         #: Stats record left by the flow refinement pass (None = unrefined).
         self.refinement: dict | None = None
         #: Engine-selection record left by multi-engine builders
@@ -118,24 +123,38 @@ class SeparatorTree:
         self.cut_at: int | None = None
         self.vertex_level = np.full(n, -1, dtype=np.int64)
         self.vertex_node = np.full(n, -1, dtype=np.int64)
-        levels = np.array([t.level for t in self.nodes], dtype=np.int64)
-        ids = np.array([t.idx for t in self.nodes], dtype=np.int64)
+        levels = self.flat.meta[:, 0]
+        ids = np.fromiter((t.idx for t in self.nodes), dtype=np.int64, count=len(self.nodes))
         # Every separator membership, ordered by (level, node position): the
         # first occurrence of a vertex is its min-level node, the earliest
         # listed one on a tie.
-        members, owner = _memberships([t.separator for t in self.nodes])
+        members, owner = self.flat.members("separators")
         order = np.lexsort((owner, levels[owner]))
         verts, first = np.unique(members[order], return_index=True)
         self.vertex_level[verts] = levels[owner[order[first]]]
         self.vertex_node[verts] = ids[owner[order[first]]]
         # A vertex in no separator belongs to its leaf (the last listed one,
         # should leaves overlap).
-        leaves = np.array([i for i, t in enumerate(self.nodes) if t.is_leaf], dtype=np.int64)
-        members, owner = _memberships([self.nodes[i].vertices for i in leaves])
+        members, owner = self.flat.members("vertices", self.flat.meta[:, 2] < 0)
         undef = self.vertex_level[members] < 0
         members, owner = members[undef][::-1], owner[undef][::-1]
         verts, last = np.unique(members, return_index=True)
-        self.vertex_node[verts] = ids[leaves[owner[last]]]
+        self.vertex_node[verts] = ids[owner[last]]
+
+    @classmethod
+    def from_flat(cls, flat: "FlatTree", n: int) -> "SeparatorTree":
+        """The tree of ``flat``, each node's labels slices of its arrays."""
+        vo, so, bo = flat.voff.tolist(), flat.soff.tolist(), flat.boff.tolist()
+        v, s, b = flat.vertices, flat.separators, flat.boundaries
+        # Positional arguments: keyword calls double the cost of this loop.
+        nodes = [
+            SepTreeNode(i, level, parent, v[v0:v1], s[s0:s1], b[b0:b1],
+                        () if c0 < 0 else (c0,) if c1 < 0 else (c0, c1))
+            for i, (level, parent, c0, c1), v0, v1, s0, s1, b0, b1 in zip(
+                range(len(vo) - 1), flat.meta.tolist(), vo, vo[1:], so, so[1:], bo, bo[1:]
+            )
+        ]
+        return cls(nodes, n, flat)
 
     # -------------------------------------------------------------- #
     # Traversal helpers
@@ -274,12 +293,56 @@ class SeparatorTree:
         )
 
 
-def _memberships(sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``(members, owner)``: the concatenated ``sets`` and, per entry, the
-    position of the set it came from."""
-    sizes = [s.shape[0] for s in sets]
-    members = np.concatenate(sets).astype(np.int64, copy=False) if sets else np.empty(0, np.int64)
-    return members, np.repeat(np.arange(len(sets), dtype=np.int64), sizes)
+@dataclass(frozen=True)
+class FlatTree:
+    """A tree's node columns and labels as flat arrays: ``meta`` holds one
+    ``(level, parent, first child, second child)`` row per node (−1 = none),
+    and the vertices, separators and boundaries of node ``i`` are
+    ``vertices[voff[i]:voff[i+1]]`` and so on.  This is the layout
+    :func:`repro.io.save_tree` persists and
+    :func:`repro.cache.augmentation_key` hashes."""
+
+    meta: np.ndarray
+    voff: np.ndarray
+    vertices: np.ndarray
+    soff: np.ndarray
+    separators: np.ndarray
+    boff: np.ndarray
+    boundaries: np.ndarray
+
+    @classmethod
+    def of(cls, nodes: Sequence[SepTreeNode]) -> "FlatTree":
+        """Flatten ``nodes`` (label arrays keep their dtype)."""
+        meta = np.array(
+            [(t.level, t.parent, *(tuple(t.children) + (-1, -1))[:2]) for t in nodes],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        parts = {}
+        for name, field in (("vertices", "vertices"), ("separators", "separator"),
+                            ("boundaries", "boundary")):
+            chunks = [getattr(t, field) for t in nodes]
+            ptr = np.zeros(len(chunks) + 1, dtype=np.int64)
+            np.cumsum([c.shape[0] for c in chunks], out=ptr[1:])
+            parts[_OFFSETS[name]], parts[name] = ptr, np.concatenate(chunks)
+        return cls(meta=meta, **parts)
+
+    def members(
+        self, name: str, which: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(members, owner)``: the ``name`` labels (``"vertices"``,
+        ``"separators"`` or ``"boundaries"``) of the nodes the boolean mask
+        ``which`` selects (default all), concatenated in node order as
+        int64, and per entry the node it came from."""
+        ptr, values = getattr(self, _OFFSETS[name]), getattr(self, name)
+        nodes = np.arange(ptr.shape[0] - 1) if which is None else np.flatnonzero(which)
+        lens = ptr[nodes + 1] - ptr[nodes]
+        owner = np.repeat(nodes, lens)
+        pos = np.arange(owner.shape[0]) + np.repeat(ptr[nodes] - np.cumsum(lens) + lens, lens)
+        return values[pos].astype(np.int64, copy=False), owner
+
+
+#: The offset table of each label array of a :class:`FlatTree`.
+_OFFSETS = {"vertices": "voff", "separators": "soff", "boundaries": "boff"}
 
 
 def _skeleton_edges(skel) -> tuple[np.ndarray, np.ndarray]:

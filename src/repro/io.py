@@ -33,7 +33,7 @@ from .core.augment import Augmentation, NodeDistances
 from .core.digraph import WeightedDigraph
 from .core.direct import DirectAugmentation
 from .core.semiring import SEMIRINGS
-from .core.septree import SeparatorTree, SepTreeNode
+from .core.septree import FlatTree, SeparatorTree
 
 __all__ = [
     "AUG_FORMAT_VERSION",
@@ -67,34 +67,21 @@ def load_graph(path) -> WeightedDigraph:
 def save_tree(path, tree: SeparatorTree) -> None:
     """Write a separator tree to ``path`` (.npz).
 
-    Node arrays are stored flattened with offset tables (npz holds flat
-    arrays best); parent/level/children are small int arrays.
+    Node arrays are stored flattened with offset tables (the tree's
+    :class:`~repro.core.septree.FlatTree`; npz holds flat arrays best);
+    parent/level/children are small int arrays.
     """
-    verts, seps, bounds = [], [], []
-    voff, soff, boff = [0], [0], [0]
-    parents, levels, child0, child1 = [], [], [], []
-    for t in tree.nodes:
-        verts.append(t.vertices)
-        seps.append(t.separator)
-        bounds.append(t.boundary)
-        voff.append(voff[-1] + t.vertices.shape[0])
-        soff.append(soff[-1] + t.separator.shape[0])
-        boff.append(boff[-1] + t.boundary.shape[0])
-        parents.append(t.parent)
-        levels.append(t.level)
-        kids = list(t.children) + [-1, -1]
-        child0.append(kids[0])
-        child1.append(kids[1])
+    flat = tree.flat
     np.savez_compressed(
         path,
         kind="septree",
         n=tree.n,
-        vertices=np.concatenate(verts) if verts else np.empty(0, np.int64),
-        separators=np.concatenate(seps) if seps else np.empty(0, np.int64),
-        boundaries=np.concatenate(bounds) if bounds else np.empty(0, np.int64),
-        voff=np.array(voff), soff=np.array(soff), boff=np.array(boff),
-        parents=np.array(parents), levels=np.array(levels),
-        child0=np.array(child0), child1=np.array(child1),
+        vertices=flat.vertices,
+        separators=flat.separators,
+        boundaries=flat.boundaries,
+        voff=flat.voff, soff=flat.soff, boff=flat.boff,
+        parents=flat.meta[:, 1], levels=flat.meta[:, 0],
+        child0=flat.meta[:, 2], child1=flat.meta[:, 3],
     )
 
 
@@ -108,25 +95,13 @@ def load_tree(path) -> SeparatorTree:
         # inside the node loop is quadratic (tens of seconds for a few
         # thousand nodes — the cache's whole win would drown in it).
         n = int(z["n"])
-        vertices, separators, boundaries = z["vertices"], z["separators"], z["boundaries"]
-        voff, soff, boff = z["voff"], z["soff"], z["boff"]
-        parents, levels = z["parents"], z["levels"]
-        child0, child1 = z["child0"], z["child1"]
-    nodes = []
-    for i in range(parents.shape[0]):
-        kids = tuple(int(c) for c in (child0[i], child1[i]) if c >= 0)
-        nodes.append(
-            SepTreeNode(
-                idx=i,
-                level=int(levels[i]),
-                parent=int(parents[i]),
-                vertices=vertices[voff[i] : voff[i + 1]],
-                separator=separators[soff[i] : soff[i + 1]],
-                boundary=boundaries[boff[i] : boff[i + 1]],
-                children=kids,
-            )
+        flat = FlatTree(
+            meta=np.stack([z["levels"], z["parents"], z["child0"], z["child1"]], axis=1).astype(
+                np.int64, copy=False
+            ),
+            **{k: z[k] for k in ("voff", "vertices", "soff", "separators", "boff", "boundaries")},
         )
-    return SeparatorTree(nodes, n)
+    return SeparatorTree.from_flat(flat, n)
 
 
 def _serializable_config(config) -> dict | None:
@@ -175,7 +150,13 @@ def save_augmentation(path, aug: Augmentation, *, config=None, validated: bool =
     np.savez_compressed(path, **payload)
 
 
-def load_augmentation(path, *, with_meta: bool = False):
+def load_augmentation(
+    path,
+    *,
+    with_meta: bool = False,
+    graph: WeightedDigraph | None = None,
+    tree: SeparatorTree | None = None,
+):
     """Read an augmentation written by :func:`save_augmentation`.
 
     Per-node distance matrices are not persisted (rebuild with
@@ -183,6 +164,11 @@ def load_augmentation(path, *, with_meta: bool = False):
     With ``with_meta``, also return the header dict ``{"version",
     "validated", "config"}`` (``config`` is the saved build-config dict,
     or ``None`` for legacy archives).
+
+    A caller that already holds the archive's graph and tree — a cache hit,
+    whose key is a digest of exactly those arrays — passes them as
+    ``graph`` and ``tree``: the augmentation then uses them as they are,
+    and the archive's ``g_*`` and ``tree_blob`` members are never read.
     """
     import io as _io
 
@@ -206,13 +192,16 @@ def load_augmentation(path, *, with_meta: bool = False):
             "config": json.loads(str(z["config_json"])) if "config_json" in z.files else None,
         }
         semiring = SEMIRINGS[str(z["semiring"])]
-        graph = WeightedDigraph(int(z["g_n"]), z["g_src"], z["g_dst"], z["g_weight"])
-        tree = load_tree(_io.BytesIO(z["tree_blob"].tobytes()))
-        leaf_diameters = {
-            int(k): int(d) for k, d in zip(z["leaf_idx"], z["leaf_diam"])
-        }
+        if graph is None:
+            graph = WeightedDigraph(int(z["g_n"]), z["g_src"], z["g_dst"], z["g_weight"])
+        if tree is None:
+            tree = load_tree(_io.BytesIO(z["tree_blob"].tobytes()))
+        leaf_diameters = dict(
+            zip(z["leaf_idx"].astype(np.int64).tolist(), z["leaf_diam"].astype(np.int64).tolist())
+        )
         weight = z["aug_weight"].astype(semiring.dtype, copy=False)
-        cls = DirectAugmentation if str(z["method"]) == "direct" else Augmentation
+        method = str(z["method"])
+        cls = DirectAugmentation if method == "direct" else Augmentation
         aug = cls(
             graph=graph,
             tree=tree,
@@ -222,6 +211,6 @@ def load_augmentation(path, *, with_meta: bool = False):
             weight=weight,
             leaf_diameters=leaf_diameters,
             node_distances={},
-            method=str(z["method"]),
+            method=method,
         )
         return (aug, meta) if with_meta else aug

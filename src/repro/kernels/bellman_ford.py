@@ -79,6 +79,28 @@ def _narrow(a: np.ndarray, bound: int) -> np.ndarray:
     return a.astype(np.int32) if bound <= np.iinfo(np.int32).max else a
 
 
+def _sort_key(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a`` (values in ``[0, bound)``) in the narrowest unsigned dtype that
+    holds it, up to 16 bits: numpy's stable sort is a radix sort there."""
+    if bound <= 1 << 8:
+        return a.astype(np.uint8)
+    return a.astype(np.uint16) if bound <= 1 << 16 else a
+
+
+def _grouped_order(
+    key: np.ndarray, low: np.ndarray, base: int, group: np.ndarray, groups: int
+) -> np.ndarray:
+    """The stable order of ``key = group·base + low`` (``low`` in ``[0,
+    base)``, ``group`` in ``[0, groups)``): one radix pass over ``key`` when
+    it fits 16 bits, else two, least significant first."""
+    if groups * base <= 1 << 16:
+        return np.argsort(_sort_key(key, groups * base), kind="stable")
+    order = np.argsort(_sort_key(low, base), kind="stable")
+    if groups > 1:
+        order = order[np.argsort(_sort_key(group[order], groups), kind="stable")]
+    return order
+
+
 class NegativeCycleError(ValueError):
     """Raised when a relaxation is asked to certify distances but a negative
     cycle is reachable from some source."""
@@ -108,48 +130,84 @@ class RelaxerLayout:
     SHIPPED = ("pull_src", "heads", "slot_ptr", "push_dst", "out_ptr")
 
     @classmethod
-    def build(
-        cls, src: np.ndarray, dst: np.ndarray, edges: np.ndarray | None = None
-    ) -> "RelaxerLayout":
-        """Layout of the edges ``src[i] → dst[i]``; ``edges[i]`` is edge
-        ``i``'s id in the weight array bound later (default ``i``)."""
+    def build(cls, src: np.ndarray, dst: np.ndarray) -> "RelaxerLayout":
+        """Layout of the edges ``src[i] → dst[i]``, bound later to a weight
+        array indexed by ``i``."""
+        return cls.build_groups(src, dst, np.zeros(np.shape(src)[0], dtype=np.int64), 1)[0]
+
+    @classmethod
+    def build_groups(
+        cls, src: np.ndarray, dst: np.ndarray, group: np.ndarray, groups: int
+    ) -> list["RelaxerLayout"]:
+        """One layout per group ``0..groups-1``: group ``g`` holds the edges
+        ``i`` with ``group[i] == g``, in input order, exactly as
+        :meth:`build` would lay them out alone, except that its permutations
+        index the whole input (``i``).  The pull and push orders of every
+        group come from two stable sorts over all edges at once."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
+        group = np.asarray(group, dtype=np.int64)
         m = int(src.shape[0])
-        by_head = np.argsort(dst, kind="stable")
-        dst_sorted = dst[by_head]
+        nv = int(max(src.max(initial=0), dst.max(initial=0))) + 1
+        # Pull: edges grouped by (group, head), a head's in-edges in input
+        # order; heads ranked by in-degree, descending, ties by head id.
+        head_key = group * nv + dst
+        by_head = _grouped_order(head_key, dst, nv, group, groups)
+        head_key = head_key[by_head]
         new_head = np.ones(m, dtype=bool)
-        new_head[1:] = dst_sorted[1:] != dst_sorted[:-1]
+        new_head[1:] = head_key[1:] != head_key[:-1]
         first = np.flatnonzero(new_head)
         indeg = np.diff(np.append(first, m))
-        order = np.argsort(-indeg, kind="stable")
-        deg = indeg[order]
-        slots = int(deg[0]) if m else 0
-        # slot k covers the heads with in-degree > k (deg is descending)
-        width = np.searchsorted(-deg, -np.arange(slots), side="left")
-        slot_ptr = np.zeros(slots + 1, dtype=np.int64)
-        np.cumsum(width, out=slot_ptr[1:])
-        slot_head = np.arange(m, dtype=np.int64) - np.repeat(slot_ptr[:-1], width)
-        pull = by_head[first[order][slot_head] + np.repeat(np.arange(slots), width)]
-        push = np.argsort(src, kind="stable")
-        nv = int(max(src.max(), dst.max())) + 1 if m else 0
-        out_ptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=nv), out=out_ptr[1:])
+        head_group, heads = np.divmod(head_key[first], nv)
+        start = np.searchsorted(head_key, np.arange(groups + 1) * nv)
+        head_start = np.searchsorted(head_group, np.arange(groups + 1))
+        top = int(indeg.max(initial=0))
+        order = _grouped_order(head_group * (top + 1) + top - indeg, top - indeg, top + 1,
+                               head_group, groups)
+        rank = np.empty(first.shape[0], dtype=np.int64)
+        rank[order] = np.arange(first.shape[0]) - head_start[head_group[order]]
+        # Slot k of a group holds the k-th in-edge of each head with
+        # in-degree > k, by rank: the heads of rank < width[k].
+        by_deg = np.bincount(head_group * (top + 1) + indeg, minlength=groups * (top + 1))
+        width = np.cumsum(by_deg.reshape(groups, top + 1)[:, :0:-1], axis=1)[:, ::-1]
+        slot_ptr = np.zeros((groups, top + 1), dtype=np.int64)
+        np.cumsum(width, axis=1, out=slot_ptr[:, 1:])
+        slot_base = (slot_ptr[:, :-1] + start[:-1, None]).ravel()
+        # An edge's slot: group·top + its position among its head's edges.
+        slot = np.arange(m) + np.repeat(head_group * top - first, indeg)
+        pull = np.empty(m, dtype=np.int64)
+        pull[slot_base[slot] + np.repeat(rank, indeg)] = by_head
+        # Push: edges grouped by (group, tail), and per group CSR row
+        # pointers over the vertex ids up to its largest, which ends its
+        # tail-sorted and its head-sorted edge order.
+        push = _grouped_order(group * nv + src, src, nv, group, groups)
+        src_pushed = src[push]
+        sizes = np.diff(start)
+        last = start[1:][sizes > 0] - 1
+        nv_g = np.zeros(groups, dtype=np.int64)
+        nv_g[sizes > 0] = np.maximum(src_pushed[last], head_key[last] % nv) + 1
         # Arrays used as indices (pull_src, heads, and the permutations a
         # reweight gathers through) stay int64: numpy converts any other
         # index dtype on every call.  push_dst and out_ptr are only read as
         # values, and int32 halves what they keep.
-        arrays = {
-            "pull_src": src[pull],
-            "heads": dst_sorted[first][order],
-            "slot_ptr": slot_ptr,
-            "push_dst": _narrow(dst[push], nv),
-            "out_ptr": _narrow(out_ptr, m),
-        }
-        if edges is not None:
-            edges = np.asarray(edges, dtype=np.int64)
-            pull, push = edges[pull], edges[push]
-        return cls.from_arrays(arrays, pull, push)
+        pull_src, heads = src[pull], heads[order]
+        push_dst = _narrow(dst, nv)[push]
+        slots = np.count_nonzero(width, axis=1).tolist()
+        start, head_start, nv_g = start.tolist(), head_start.tolist(), nv_g.tolist()
+        layouts = []
+        for g in range(groups):
+            a, b = start[g], start[g + 1]
+            out_ptr = np.zeros(nv_g[g] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src_pushed[a:b], minlength=nv_g[g]), out=out_ptr[1:])
+            arrays = {
+                "pull_src": pull_src[a:b],
+                "heads": heads[head_start[g] : head_start[g + 1]],
+                "slot_ptr": slot_ptr[g, : slots[g] + 1],
+                "push_dst": push_dst[a:b],
+                "out_ptr": _narrow(out_ptr, b - a),
+            }
+            layouts.append(cls.from_arrays(arrays, pull[a:b], push[a:b]))
+        return layouts
 
     def slot_heads(self) -> np.ndarray:
         """Each pull entry's position in ``heads`` (derived on first use;
@@ -190,6 +248,7 @@ class RelaxerLayout:
         lay.tail_deg = out_deg[lay.tails]
         # Runs of equal-width slots, as (width, slots, start, stop): each run
         # is one (slots, width) block of pull_src.
+        ptr = lay.slot_ptr.tolist()
         width = np.diff(lay.slot_ptr).tolist()
         lay.slabs = []
         k = 0
@@ -198,7 +257,7 @@ class RelaxerLayout:
             while j < len(width) and width[j] == width[k]:
                 j += 1
             lay.slabs.append(
-                (width[k], j - k, int(lay.slot_ptr[k]), int(lay.slot_ptr[j]))
+                (width[k], j - k, ptr[k], ptr[j])
             )
             k = j
         return lay

@@ -2,10 +2,11 @@
 
 Small library of classic PRAM building blocks, each executing a real
 (vectorized) computation while charging the ledger with the textbook
-work/depth.  They serve three purposes: (1) the paper's §3.2/§4 phase
-structure composes from them, (2) they document the cost model concretely,
-and (3) the tests pin the model's accounting (e.g. prefix sums must charge
-O(n) work, O(log n) depth — not n log n).
+work/depth.  It is a cost-model library: it documents the model concretely,
+and the tests pin its accounting (e.g. prefix sums must charge O(n) work,
+O(log n) depth — not n log n).  No module of the package imports it; the
+§3.2 and §4 code charges the ledger directly (``repro.kernels``,
+``repro.core.reweight``).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.digraph import WeightedDigraph
-from ..core.septree import SeparatorFn, SeparatorTree, SepTreeNode, build_separator_tree
+from ..core.septree import FlatTree, SeparatorFn, SeparatorTree, build_separator_tree
 from .common import component_aware
 
 __all__ = ["grid_separator_fn", "decompose_grid", "grid_mu"]
@@ -131,50 +131,110 @@ def _box_tree(shape: tuple[int, ...], leaf_size: int) -> SeparatorTree:
     ``[lo, cut]`` and ``[cut, hi]`` along that axis.  ``split_components``
     lists the side with more vertices first (the upper one on a tie, which
     is an odd width); the builder's stack then numbers the other child
-    first.  ``B(t)`` is the set of box vertices on a face that lies inside
-    the grid: every such face is an ancestor's cut and every ancestor cut
-    meeting the box is such a face, which is ``(S(p) ∪ B(p)) ∩ V(t)``.
+    first, and numbers nodes in preorder.  ``B(t)`` is the set of box
+    vertices on a face that lies inside the grid: every such face is an
+    ancestor's cut and every ancestor cut meeting the box is such a face,
+    which is ``(S(p) ∪ B(p)) ∩ V(t)``.
+
+    The boxes are cut one tree level at a time, the preorder numbers come
+    from the subtree sizes, and every node's labels are slices of three
+    arrays enumerated at once (:func:`_box_vertices`).
     """
-    n = int(np.prod(shape))
-    ids = np.arange(n, dtype=np.int64).reshape(shape)
-    top = tuple(s - 1 for s in shape)
-    nodes: list[SepTreeNode] = []
-    # Work stack of (parent_idx, level, lo, hi), as in build_separator_tree.
-    stack = [(-1, 0, (0,) * len(shape), top)]
-    while stack:
-        parent, level, lo, hi = stack.pop()
-        idx = len(nodes)
-        if parent >= 0:
-            nodes[parent].children += (idx,)
-        box = ids[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
-        separator = np.empty(0, dtype=np.int64)
-        if box.size > leaf_size:
-            widths = [b - a + 1 for a, b in zip(lo, hi)]
-            axis = widths.index(max(widths))
-            cut = lo[axis] + widths[axis] // 2
-            separator = np.take(box, cut - lo[axis], axis=axis).ravel()
-            lower = (lo, hi[:axis] + (cut,) + hi[axis + 1:])
-            upper = (lo[:axis] + (cut,) + lo[axis + 1:], hi)
-            first, second = (upper, lower) if widths[axis] % 2 else (lower, upper)
-            stack.append((idx, level + 1, *first))
-            stack.append((idx, level + 1, *second))
-        on_face = np.zeros(box.shape, dtype=bool)
-        for axis, (a, b, t) in enumerate(zip(lo, hi, top)):
-            face = [slice(None)] * len(shape)
-            if a > 0:
-                face[axis] = 0
-                on_face[tuple(face)] = True
-            if b < t:
-                face[axis] = -1
-                on_face[tuple(face)] = True
-        nodes.append(
-            SepTreeNode(
-                idx=idx,
-                level=level,
-                parent=parent,
-                vertices=box.flatten(),
-                separator=separator,
-                boundary=box[on_face],
-            )
-        )
-    return SeparatorTree(nodes, n)
+    top = np.array(shape, dtype=np.int64) - 1
+    # Per level: boxes (lo, hi), parent positions in the level above, the
+    # split boxes and their cut hyperplanes as boxes.  A split box's
+    # children sit at positions 2r (numbered first) and 2r + 1 of the next
+    # level, r its rank among the split boxes of its level.
+    levels = []
+    lo, hi = np.zeros((1, top.shape[0]), dtype=np.int64), top[None, :]
+    up = np.full(1, -1, dtype=np.int64)
+    while lo.shape[0]:
+        width = hi - lo + 1
+        split = np.flatnonzero(width.prod(axis=1) > leaf_size)
+        rows = np.arange(split.shape[0])
+        axis = np.argmax(width[split], axis=1)
+        w = width[split, axis]
+        cut = lo[split, axis] + w // 2
+        cut_lo, cut_hi = lo[split], hi[split].copy()
+        cut_lo[rows, axis] = cut_hi[rows, axis] = cut
+        levels.append((lo, hi, up, split, cut_lo, cut_hi))
+        # The lower child [lo, cut] comes first for an odd width.
+        odd = w % 2
+        lo, hi = np.repeat(lo[split], 2, axis=0), np.repeat(hi[split], 2, axis=0)
+        hi[2 * rows + 1 - odd, axis] = cut
+        lo[2 * rows + odd, axis] = cut
+        up = np.repeat(split, 2)
+    # Subtree sizes bottom-up, then preorder numbers top-down.
+    size = [np.ones(level[0].shape[0], dtype=np.int64) for level in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        size[d][levels[d][3]] += size[d + 1].reshape(-1, 2).sum(axis=1)
+    index = [np.zeros(1, dtype=np.int64)]
+    for d in range(1, len(levels)):
+        offset = np.zeros(size[d].shape[0], dtype=np.int64)
+        offset[1::2] = size[d][0::2]
+        index.append(index[d - 1][levels[d][2]] + 1 + offset)
+    count = int(size[0][0])
+    node_lo = np.empty((count, top.shape[0]), dtype=np.int64)
+    node_hi, sep_lo, sep_hi = (np.empty_like(node_lo) for _ in range(3))
+    meta = np.full((count, 4), -1, dtype=np.int64)
+    has_sep = np.zeros(count, dtype=bool)
+    for d, (lo, hi, up, split, cut_lo, cut_hi) in enumerate(levels):
+        idx = index[d]
+        node_lo[idx], node_hi[idx] = lo, hi
+        meta[idx, 0] = d
+        if d:
+            meta[idx, 1] = index[d - 1][up]
+        if split.shape[0]:
+            meta[idx[split], 2:] = index[d + 1].reshape(-1, 2)
+            sep_lo[idx[split]], sep_hi[idx[split]] = cut_lo, cut_hi
+            has_sep[idx[split]] = True
+    voff, vertices, on_face = _box_vertices(node_lo, node_hi, top)
+    soff, separators, _ = _box_vertices(sep_lo[has_sep], sep_hi[has_sep], top)
+    soff = soff[np.concatenate([[0], np.cumsum(has_sep)])]
+    owner = np.repeat(np.arange(count), np.diff(voff))
+    boff = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[on_face], minlength=count), out=boff[1:])
+    flat = FlatTree(
+        meta=meta, voff=voff, vertices=vertices, soff=soff, separators=separators,
+        boff=boff, boundaries=vertices[on_face],
+    )
+    return SeparatorTree.from_flat(flat, int(np.prod(shape)))
+
+
+def _box_vertices(
+    lo: np.ndarray, hi: np.ndarray, top: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, vertices, on_face)`` of the boxes ``[lo[i], hi[i]]`` of
+    the lattice ``[0, top]``: box ``i``'s vertex ids in C order are
+    ``vertices[offsets[i]:offsets[i+1]]``, and ``on_face`` marks the ones on
+    a face of their box that lies inside the lattice.
+
+    A box is a run of rows, each a range of consecutive ids along the last
+    axis: the rows are enumerated first, then expanded."""
+    width = hi - lo + 1
+    # Rows: every box's index tuples over all axes but the last, in C order.
+    row_count = width[:, :-1].prod(axis=1)
+    owner = np.repeat(np.arange(lo.shape[0]), row_count)
+    rest = np.arange(owner.shape[0]) - np.repeat(np.cumsum(row_count) - row_count, row_count)
+    row_start = lo[owner, -1]
+    row_face = np.zeros(owner.shape[0], dtype=bool)
+    stride = int(top[-1]) + 1
+    for axis in range(top.shape[0] - 2, -1, -1):
+        rest, k = np.divmod(rest, width[owner, axis])
+        coord = lo[owner, axis] + k
+        row_start += coord * stride
+        stride *= int(top[axis]) + 1
+        a, b = lo[owner, axis], hi[owner, axis]
+        row_face |= ((coord == a) & (a > 0)) | ((coord == b) & (b < top[axis]))
+    # Ids: each row's range; on a face: the whole row if it lies on one,
+    # else its ends where the box's last-axis sides lie inside the lattice.
+    row_len = width[owner, -1]
+    row_ptr = np.zeros(owner.shape[0] + 1, dtype=np.int64)
+    np.cumsum(row_len, out=row_ptr[1:])
+    vertices = np.arange(row_ptr[-1]) + np.repeat(row_start - row_ptr[:-1], row_len)
+    on_face = np.repeat(row_face, row_len)
+    on_face[row_ptr[:-1][lo[owner, -1] > 0]] = True
+    on_face[row_ptr[1:][hi[owner, -1] < top[-1]] - 1] = True
+    offsets = np.zeros(lo.shape[0] + 1, dtype=np.int64)
+    np.cumsum(width.prod(axis=1), out=offsets[1:])
+    return offsets, vertices, on_face

@@ -185,6 +185,51 @@ class TestBuildRoundTrip:
         assert np.array_equal(first.distances(0), again.distances(0))
 
 
+class TestHitPath:
+    """A hit reuses the caller's graph and tree: the key is a digest of
+    exactly those arrays, so the entry's copies are never read."""
+
+    def test_hit_reuses_callers_tree_without_loading_one(self, tmp_path, monkeypatch):
+        import repro.io
+
+        g = grid_digraph((12, 12), np.random.default_rng(7))
+        tree = decompose_grid(g, (12, 12))
+        d = str(tmp_path / "store")
+        cold = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit loaded the entry's tree")
+
+        monkeypatch.setattr(repro.io, "load_tree", refuse)
+        warm = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="read", cache_dir=d)
+        )
+        assert warm.cache_info["status"] == "hit"
+        assert warm.augmentation.tree is tree
+        assert warm.augmentation.graph is g
+        assert warm.schedule.labels == cold.schedule.labels
+        assert warm.schedule.edge_scans == cold.schedule.edge_scans
+        sources = np.arange(0, g.n, 7)
+        got, want = warm.distances(sources), cold.distances(sources)
+        assert got.tobytes() == want.tobytes()
+
+    def test_archive_load_without_inputs_materializes_them(self, grid7, tmp_path):
+        from repro.io import load_augmentation
+
+        g, tree = grid7
+        d = str(tmp_path / "store")
+        first = ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=d)
+        )
+        key = first.cache_info["key"]
+        back = load_augmentation(AugmentationCache(d).entry_path(key))
+        assert back.tree is not tree and back.graph is not g
+        assert augmentation_key(back.graph, back.tree, MIN_PLUS, "leaves_up") == key
+        assert np.array_equal(back.tree.vertex_level, tree.vertex_level)
+
+
 class TestStoreMechanics:
     def _small_aug(self, seed: int):
         rng = np.random.default_rng(seed)
