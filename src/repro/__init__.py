@@ -20,7 +20,8 @@ Quick start::
     oracle = ShortestPathOracle.build(g, tree)
     dist = oracle.distances([0, 17, 513])
 
-    # Every knob goes through one OracleConfig:
+    # Every knob goes through one OracleConfig: method picks the build,
+    # executor the pool a query batch's rows fan out on.
     cfg = OracleConfig(method="doubling", executor="thread:2")
     oracle = ShortestPathOracle.build(g, tree, config=cfg)
     with oracle.query_engine(cfg) as engine:

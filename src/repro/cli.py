@@ -266,9 +266,7 @@ def _cmd_query(args) -> int:
     g, tree = _workload_from_args(args)
     cfg = config_from_args(args)
     t0 = time.perf_counter()
-    oracle = ShortestPathOracle.build(
-        g, tree, config=cfg.replace(executor="serial")
-    )
+    oracle = ShortestPathOracle.build(g, tree, config=cfg)
     build_s = time.perf_counter() - t0
     print(f"built oracle: n={g.n} m={g.m} |E+|={oracle.augmentation.size} "
           f"({build_s:.3f}s)")
@@ -332,9 +330,7 @@ def _cmd_serve(args) -> int:
               f"m={oracle.graph.m} |E+|={oracle.augmentation.size}")
     else:
         g, tree = _workload_from_args(args)
-        oracle = ShortestPathOracle.build(
-            g, tree, config=cfg.replace(executor="serial")
-        )
+        oracle = ShortestPathOracle.build(g, tree, config=cfg)
         print(f"built oracle: n={g.n} m={g.m} |E+|={oracle.augmentation.size}")
     engine_factory = None
     if args.shards > 0:
@@ -560,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     p7.add_argument("--n", type=int, default=1024)
     p7.add_argument("--sources", type=int, default=64, help="sources per batch")
     p7.add_argument("--batches", type=int, default=4)
-    p7.add_argument("--backend", default="shm",
+    p7.add_argument("--backend", default="serial",
                     help="executor spec: serial | thread[:N] | shm[:N]")
     p7.add_argument("--method",
                     choices=["leaves_up", "doubling", "doubling_shared"],
@@ -589,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
                     default="leaves_up")
     p8.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p8.add_argument("--seed", type=int, default=0)
-    p8.add_argument("--backend", default="shm",
+    p8.add_argument("--backend", default="serial",
                     help="serving executor: serial | thread[:N] | shm[:N]")
     p8.add_argument("--max-batch", dest="max_batch", type=int, default=256,
                     help="coalescing cap in source rows per batch")

@@ -165,8 +165,8 @@ class ShortestPathOracle:
             Every knob (default: ``OracleConfig()``); see
             :class:`~repro.core.config.OracleConfig` for the inventory.
             ``mode``, ``method``, ``separator``, ``semiring``, ``leaf_size``,
-            ``executor``, ``keep_node_distances``, ``validate``, the
-            refinement fields and the cache fields are consumed here; the
+            ``keep_node_distances``, ``validate``, the refinement fields
+            and the cache fields are consumed here; ``executor`` and the
             serving fields ride along untouched for :meth:`query_engine`.
             ``config.cache`` selects the augmentation-cache mode (see
             :mod:`repro.cache`): ``"off"`` never touches the store;
@@ -239,8 +239,6 @@ class ShortestPathOracle:
 
                 aug = direct_augmentation(graph, tree, cfg.resolved_semiring)
             else:
-                # Algorithm 4.1 is one stacked sweep per tree level: no executor.
-                pool = {} if method == "leaves_up" else {"executor": cfg.executor}
                 if method == "doubling_shared":
                     from .doubling_shared import augment_doubling_shared as build_fn
                 else:
@@ -251,7 +249,6 @@ class ShortestPathOracle:
                     cfg.resolved_semiring,
                     ledger=ledger,
                     keep_node_distances=cfg.keep_node_distances,
-                    **pool,
                 )
             oracle = cls(
                 graph, tree, aug, aug.schedule(), preprocess_ledger=ledger, config=cfg

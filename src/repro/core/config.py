@@ -5,10 +5,10 @@ travels intact through ``ShortestPathOracle.build(graph, tree, config=...)`` →
 ``oracle.query_engine(config)`` → the socket server → the CLI.  ``config=`` is
 the only way in: there are no per-knob keyword arguments beside it.
 
-``executor`` names the *hardware backend* running independent work
-(``"serial" | "thread[:N]" | "shm[:N]"``, or an executor instance) per
-:func:`repro.pram.executor.get_executor`; see ``docs/KNOBS.md`` for the
-one-page reference.
+``executor`` names the pool a :class:`~repro.core.query.QueryEngine`
+fans a batch's rows out on (``"serial" | "thread[:N]" | "shm[:N]"``, or an
+executor instance) per :func:`repro.pram.executor.get_executor`; builds
+ignore it.  See ``docs/KNOBS.md`` for the one-page reference.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class OracleConfig:
     leaf_size:
         Decomposition recursion stops below this node size.
     executor:
-        Backend spec per :func:`repro.pram.executor.get_executor`.
+        Pool that fans a query batch's rows out, a spec per
+        :func:`repro.pram.executor.get_executor`; builds ignore it.
     keep_node_distances:
         Retain per-node distance matrices after the build (needed by the
         k-pair witness oracle; costs memory).

@@ -30,15 +30,12 @@ def reachability_augmentation(
     tree: SeparatorTree,
     *,
     method: str = "leaves_up",
-    executor="serial",
     ledger: Ledger = NULL_LEDGER,
 ) -> Augmentation:
-    """Boolean E⁺ for ``graph`` (edge weights are ignored).  ``executor``
-    runs Algorithm 4.3's per-node rounds; Algorithm 4.1 is one stacked
-    sweep per level and takes none."""
+    """Boolean E⁺ for ``graph`` (edge weights are ignored)."""
     if method == "leaves_up":
         return augment_leaves_up(graph, tree, BOOLEAN, ledger=ledger)
-    return augment_doubling(graph, tree, BOOLEAN, executor=executor, ledger=ledger)
+    return augment_doubling(graph, tree, BOOLEAN, ledger=ledger)
 
 
 def reachable_from(

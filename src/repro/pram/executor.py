@@ -1,14 +1,17 @@
-"""Execution backends for per-node independent work.
+"""Execution backends for the rows of a batched query.
 
-The paper's algorithms expose three sources of parallelism that survive on
-real hardware: all tree nodes of a level are independent in Algorithm 4.1,
-all nodes are independent within one doubling round of Algorithm 4.3, and
-all sources of a batched §3.2 query relax disjoint rows of the distance
-matrix.  These backends let the same orchestration code run serially, on a
-thread pool (numpy kernels release the GIL inside BLAS/ufunc loops), or on
-the zero-copy shared-memory process pool (true parallelism with O(1) bytes
-of task traffic — see :mod:`repro.pram.shm`).  Each one wins at least one
-measured row (EXPERIMENTS.md, "Executors that earn their keep").
+The paper's algorithms expose three sources of parallelism: all tree nodes
+of a level are independent in Algorithm 4.1, all nodes are independent
+within one doubling round of Algorithm 4.3, and all sources of a batched
+§3.2 query relax disjoint rows of the distance matrix.  Only the last one
+runs on a pool here: :class:`~repro.core.query.QueryEngine` fans a batch's
+rows out over its executor.  The builders run their nodes in the calling
+thread and charge each level or round to the ledger as one parallel step;
+on a 2-vCPU host no pool beat serial on a build (EXPERIMENTS.md,
+E-exec-rows).  A batch runs serially, on a thread pool (numpy releases the
+GIL inside its loops), or on the zero-copy shared-memory process pool (true
+parallelism with O(1) bytes of task traffic — see :mod:`repro.pram.shm`).
+Each one wins at least one measured batch size or graph.
 
 Spec grammar
 ------------

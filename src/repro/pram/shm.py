@@ -1,8 +1,10 @@
 """Zero-copy shared-memory plane for the ``shm`` executor and the shard fleet.
 
-A process pool is honest parallelism, but pickling a node's distance
-matrix into the task payload and pickling the result matrix back costs more
-than the min-plus kernel it parallelizes.  This module removes both copies:
+A process pool is honest parallelism, but pickling a query engine's edge
+arrays and a batch's distance rows into the task payload, and the rows back,
+costs more than the relaxation it parallelizes.  This module removes both
+copies for its two users, the ``shm`` query engine and the shard fleet's
+workers:
 
 * a :class:`ShmArena` publishes numpy arrays into ``multiprocessing``
   POSIX shared-memory segments once, handing back tiny :class:`ArrayRef`

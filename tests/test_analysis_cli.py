@@ -1,5 +1,7 @@
 """Tests for the analysis helpers and the CLI harness."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ class TestReportAggregation:
 
         with pytest.raises(FileNotFoundError):
             aggregate_results(tmp_path / "nope")
+
+    def test_committed_results_doc_is_the_aggregate(self):
+        """``RESULTS.md`` is exactly what ``repro-spsp report --output
+        RESULTS.md`` writes from ``benchmarks/results``, so no recorded
+        result is missing from it and none it shows is stale."""
+        from repro.analysis.report import aggregate_results
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        want = aggregate_results(root / "benchmarks" / "results")
+        assert (root / "RESULTS.md").read_text() == want, (
+            "RESULTS.md is out of date; regenerate it with "
+            "`repro-spsp report --output RESULTS.md`"
+        )
 
     def test_cli_report(self, tmp_path, capsys):
         (tmp_path / "A3-schedule.md").write_text("sched row")

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import OracleConfig, ShortestPathOracle
+from repro import (
+    OracleConfig,
+    ShortestPathOracle,
+    augment_doubling,
+    augment_doubling_shared,
+    reachability_augmentation,
+)
 from repro.core.paths import path_weight
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import apply_potential_weights, delaunay_digraph, grid_digraph
@@ -106,6 +112,8 @@ class TestExecutors:
     )
     @pytest.mark.parametrize("method", ["leaves_up", "doubling"])
     def test_backends_identical_results(self, rng, executor, method):
+        """A config's executor fans query rows out only; the build it
+        rides along with is the same E⁺ whatever it names."""
         g = apply_potential_weights(grid_digraph((6, 6), rng), rng)
         tree = decompose_grid(g, (6, 6), leaf_size=4)
         base = ShortestPathOracle.build(g, tree, config=OracleConfig(method=method))
@@ -115,3 +123,14 @@ class TestExecutors:
         assert np.array_equal(base.augmentation.src, alt.augmentation.src)
         assert np.allclose(base.augmentation.weight, alt.augmentation.weight)
         assert_distances_equal(alt.distances(0), base.distances(0))
+
+    @pytest.mark.parametrize(
+        "builder", [augment_doubling, augment_doubling_shared, reachability_augmentation]
+    )
+    def test_builders_take_no_executor(self, grid7, builder):
+        """A build's per-node work runs in the calling thread: no pool beat
+        serial on any build (EXPERIMENTS, E-exec-rows), so the builders
+        have no executor parameter."""
+        g, tree = grid7
+        with pytest.raises(TypeError, match="executor"):
+            builder(g, tree, executor="thread:2")

@@ -114,14 +114,13 @@ class TestQueryEngineUnification:
             got = eng.query([0, 5])
         assert np.array_equal(got, sssp_scheduled(oracle.augmentation, [0, 5]))
 
-    def test_facade_default_is_shm_engine_default_is_serial(self, grid6_negative):
+    def test_facade_and_engine_default_to_serial(self, grid6_negative):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(g, tree)
-        eng = QueryEngine(oracle.augmentation)
-        try:
-            assert eng.config.executor == "serial"
-        finally:
-            eng.close()
+        for eng in (QueryEngine(oracle.augmentation), oracle.query_engine()):
+            with eng:
+                assert eng.config.executor == "serial"
+                assert eng.stats()["backend"] == "serial"
 
 
 class TestWithNewWeightsRegression:

@@ -187,6 +187,22 @@ class TestCliConfigMapping:
         assert cfg.method == default.method
         assert cfg.refine_max_nodes == default.refine_max_nodes
 
+    @pytest.mark.parametrize("cmd", ["query", "serve"])
+    def test_query_and_serve_default_to_the_serial_backend(self, cmd, monkeypatch):
+        """Without ``--backend`` both commands serve on ``OracleConfig``'s
+        default executor: serial."""
+        import repro.cli as cli
+
+        seen = []
+
+        def capture(args):
+            seen.append(config_from_args(args))
+            return 0
+
+        monkeypatch.setattr(cli, f"_cmd_{cmd}", capture)
+        assert cli.main([cmd]) == 0
+        assert seen[0].executor == OracleConfig().executor == "serial"
+
     def test_config_from_args_tolerates_missing_dests(self):
         """A subcommand that defines only a subset of the flags still maps
         cleanly (absent attributes are simply not set)."""

@@ -1,6 +1,6 @@
-"""Zero-copy shared-memory plane: arena unit tests, backend equivalence
-(bit-equal augmentations across serial/thread/shm on two semirings,
-with negative weights and negative cycles), and /dev/shm leak checks.
+"""Zero-copy shared-memory plane: arena unit tests, descriptor payloads
+on the ``shm`` pool, and /dev/shm leak checks.  (The ``shm`` engine's
+rows are checked against serial in ``test_query_engine.py``.)
 
 Pool-spawning tests carry the ``multiproc`` marker; the default fast lane
 (``-m "not multiproc"``) still exercises the arena itself in-process.
@@ -11,27 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.conftest import assert_distances_equal, reference_apsp
-from repro.core.augment import NegativeCycleDetected
-from repro.core.doubling import augment_doubling
-from repro.core.doubling_shared import augment_doubling_shared
-from repro.core.semiring import BOOLEAN
-from repro.core.sssp import sssp_scheduled
 from repro.pram.shm import ArrayRef, ShmArena, as_array, orphaned_segments, resolve
-from repro.separators.grid import decompose_grid
-from repro.workloads.generators import grid_digraph
-
-# Algorithm 4.1 runs as one stacked sweep per tree level with no executor,
-# so only the per-node builders of Algorithm 4.3 cross backends here.
-BUILDERS = {
-    "doubling": augment_doubling,
-    "doubling_shared": augment_doubling_shared,
-}
-
-
-@pytest.fixture(params=list(BUILDERS))
-def build(request):
-    return BUILDERS[request.param]
 
 
 class TestShmArena:
@@ -111,50 +91,6 @@ class TestShmArena:
             b0 = arena.allocated_bytes
             arena.publish(np.ones(100))
             assert arena.allocated_bytes >= b0 + 800
-
-
-@pytest.mark.multiproc
-class TestShmBackendEquivalence:
-    """shm:N must reproduce the serial augmentation bit for bit."""
-
-    def test_min_plus_negative_weights(self, grid6_negative, build):
-        g, tree = grid6_negative
-        base = build(g, tree, keep_node_distances=True)
-        alt = build(g, tree, executor="shm:2", keep_node_distances=True)
-        assert np.array_equal(base.src, alt.src)
-        assert np.array_equal(base.dst, alt.dst)
-        assert np.array_equal(base.weight, alt.weight)
-        assert base.leaf_diameters == alt.leaf_diameters
-        for idx, nd in base.node_distances.items():
-            assert np.array_equal(nd.vertices, alt.node_distances[idx].vertices)
-            assert np.array_equal(nd.matrix, alt.node_distances[idx].matrix)
-        assert orphaned_segments() == []
-        assert_distances_equal(sssp_scheduled(alt, [0, 7]), reference_apsp(g)[[0, 7]])
-
-    def test_boolean_semiring(self, grid7, build):
-        g, tree = grid7
-        base = build(g, tree, BOOLEAN, keep_node_distances=False)
-        alt = build(g, tree, BOOLEAN, executor="shm:2", keep_node_distances=False)
-        assert np.array_equal(base.src, alt.src)
-        assert np.array_equal(base.dst, alt.dst)
-        assert np.array_equal(base.weight, alt.weight)
-        assert orphaned_segments() == []
-
-    def test_negative_cycle_detected_and_no_leak(self, build):
-        g = grid_digraph((4, 4), None)
-        g = g.with_extra_edges([0, 1], [1, 0], [-3.0, 1.0])
-        tree = decompose_grid(g, (4, 4), leaf_size=4)
-        with pytest.raises(NegativeCycleDetected):
-            build(g, tree, executor="shm:2")
-        assert orphaned_segments() == []
-
-    def test_thread_backend_matches_serial(self, grid6_negative, build):
-        g, tree = grid6_negative
-        base = build(g, tree)
-        alt = build(g, tree, executor="thread:2")
-        assert np.array_equal(base.src, alt.src)
-        assert np.array_equal(base.dst, alt.dst)
-        assert np.array_equal(base.weight, alt.weight)
 
 
 def _touch(payload):

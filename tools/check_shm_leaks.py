@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Shared-memory leak checker for the ``shm`` backend.
+"""Shared-memory leak checker for the ``shm`` executor and the shard fleet.
 
 The zero-copy plane (:mod:`repro.pram.shm`) promises that every segment it
 creates in ``/dev/shm`` is unlinked when its arena closes — even across
@@ -12,8 +12,10 @@ worker crashes.  This tool verifies that promise on a live machine:
   ``psps<shard>_<pid>_<hex>`` (see :class:`repro.pram.shm.ShmArena`'s
   ``tag``) — the report annotates which shard and owner pid a leaked
   segment belonged to.
-* ``--exercise``: run a full augmentation + batched-query workload on the
-  ``shm`` backend (including a deliberately crashing task), then scan.
+* ``--exercise``: run both arena owners — a batch, a reweight and a batch
+  on an ``shm:2`` query engine, then a batch, a killed worker and a batch
+  on a ``process`` shard fleet, then a crashing ``shm`` pool task — and
+  scan.
 * ``--clean``: unlink whatever stale ``psp_*`` segments are found (e.g.
   after a SIGKILL'd orchestrator, where no finalizer could run).
 * ``--cache-dir DIR``: also scan the augmentation store (:mod:`repro.cache`)
@@ -111,22 +113,45 @@ def clean(names: list[str]) -> None:
 
 
 def exercise() -> None:
+    """Drive both owners of shared-memory arenas, checking rows against a
+    serial pass: an ``shm:2`` query engine (a 64-row batch, a reweight
+    that flips it to a new arena generation, a second batch) and a
+    ``ShardRouter(backend="process", k=2)`` fleet (a 64-row batch, a
+    killed worker that the fleet restarts, a second batch); then a
+    crashing task on the ``shm`` pool."""
     import numpy as np
 
     from repro.core.api import ShortestPathOracle
     from repro.core.config import OracleConfig
+    from repro.core.digraph import WeightedDigraph
     from repro.pram.executor import get_executor
     from repro.separators.grid import decompose_grid
+    from repro.shard import ShardRouter
     from repro.workloads.generators import grid_digraph
 
     rng = np.random.default_rng(0)
     g = grid_digraph((12, 12), rng)
+    # Integer weights: the fleet's rows are bit-identical to serial on them.
+    g = WeightedDigraph(g.n, g.src, g.dst, np.round(g.weight * 8.0))
     tree = decompose_grid(g, (12, 12))
-    oracle = ShortestPathOracle.build(
-        g, tree, config=OracleConfig(method="leaves_up", executor="shm:2")
-    )
+    oracle = ShortestPathOracle.build(g, tree)
+    srcs = rng.integers(0, g.n, size=64)
+    want = oracle.distances(srcs)
     with oracle.query_engine(OracleConfig(executor="shm:2")) as eng:
-        eng.query(rng.integers(0, g.n, size=64))
+        if not np.array_equal(eng.query(srcs), want):
+            raise SystemExit("shm:2 engine rows differ from serial")
+        heavier = oracle.with_new_weights(g.weight + 1.0)
+        eng.reweight(heavier.augmentation)
+        if not np.array_equal(eng.query(srcs), heavier.distances(srcs)):
+            raise SystemExit("shm:2 engine rows differ from serial after reweight")
+    with ShardRouter(g, tree, k=2, backend="process") as router:
+        if not np.array_equal(router.query(srcs), want):
+            raise SystemExit("process fleet rows differ from serial")
+        router._fleet.handles[0].kill()
+        if not np.array_equal(router.query(srcs), want):
+            raise SystemExit("process fleet rows differ after a worker restart")
+        if router._fleet.restarts_total != 1:
+            raise SystemExit("the killed fleet worker was not restarted")
     # A crashing worker task must not take any segment down with it.
     exe = get_executor("shm:2")
     try:
@@ -135,7 +160,9 @@ def exercise() -> None:
         pass
     finally:
         exe.close()
-    print("exercise complete (augmentation + 64-source batch + worker crash)")
+    print("exercise complete (shm:2 engine: 64-row batch, reweight, batch; "
+          "process fleet k=2: 64-row batch, killed worker restarted, batch; "
+          "shm pool: crashed task)")
 
 
 def _crash(payload):
@@ -145,7 +172,8 @@ def _crash(payload):
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--exercise", action="store_true",
-                    help="run an shm workload (incl. a worker crash) first")
+                    help="run the shm engine and process fleet workloads "
+                         "(incl. a killed worker and a crashed task) first")
     ap.add_argument("--clean", action="store_true",
                     help="unlink any stale segments / cache files found")
     ap.add_argument("--cache-dir", dest="cache_dir", default=None,
