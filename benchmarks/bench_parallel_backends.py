@@ -49,7 +49,6 @@ def _record_json(results_dir, key: str, record: dict, provenance: dict) -> None:
     temp+rename — a crashed run must not truncate accumulated results)."""
     path = results_dir / "BENCH_parallel.json"
     data = json.loads(path.read_text()) if path.exists() else {}
-    data.pop("augmentation_56x56", None)  # builders no longer take an executor
     data[key] = record
     data["provenance"] = {k: v for k, v in provenance.items() if k != "line"}
     tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"

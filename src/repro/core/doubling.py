@@ -60,11 +60,11 @@ def _check_diagonal(matrix: np.ndarray, vertices: np.ndarray, semiring: Semiring
     return -1
 
 
-def _node_branch(work: Ledger) -> Ledger:
+def _node_branch(step: Ledger) -> Ledger:
     """One independent node step as a branch of a parallel level or round:
     the step's total work and depth, charged under ``node``."""
     branch = Ledger()
-    branch.charge(work.work, work.depth, label="node")
+    branch.charge(step.work, step.depth, label="node")
     return branch
 
 
