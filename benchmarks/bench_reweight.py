@@ -24,13 +24,17 @@ reweight itself from slowing down.
   under the engine lock, so a query never observes a half-swapped
   generation).
 * **replay under query load** (record-only, 40×40 grid) — the same 1%-edge
-  delta replay timed alone and while one thread submits 2-row batches in
-  the same process, as a server's batch thread does during a reweight
-  RPC; the ratio is the interpreter-lock share of the served replay gap.
+  delta replay timed alone, while one thread submits 2-row batches in the
+  same process, and as a ``reweight`` RPC through an ``OracleServer``
+  while one client connection streams 1-row ``distances`` requests.  The
+  second row is the interpreter-lock cost of a replay beside a batch
+  thread; the third is what a served reweight pays, now that the server
+  runs it between two batches on its one engine thread.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import platform
@@ -44,6 +48,7 @@ from repro.analysis.tables import render_table
 from repro.core.api import ShortestPathOracle
 from repro.core.config import OracleConfig
 from repro.separators.grid import decompose_grid
+from repro.server import OracleClient, OracleServer, ServerConfig
 from repro.workloads.generators import grid_digraph
 
 SIDE = 56
@@ -66,6 +71,7 @@ FLIPS = 3               # served experiment: mid-stream reweights
 LOAD_QUERIES = 150      # served experiment: single-source queries under load
 LOAD_SIDE = 40          # replay-under-load experiment: perfbench's grid
 LOAD_REPLAYS = 9        # replay-under-load experiment: replays per side
+SERVED_GAP_S = 0.01     # replay-under-load experiment: pause between served reweights
 
 
 def _record_json(results_dir, key: str, record: dict) -> None:
@@ -322,10 +328,59 @@ def test_reweight_served_flip_p99(workload, base_oracle, report, results_dir):
     assert len(latencies) >= LOAD_QUERIES // 2, len(latencies)
 
 
-def test_replay_under_query_load(report, results_dir):
-    """Record-only: a 1%-edge delta replay on the 40×40 grid, alone and with
+def _served_reweights(oracle, deltas, sock: str) -> tuple[list[float], int]:
+    """Reweight RPC walls through an :class:`OracleServer` over ``oracle``
+    (serial engine, row cache off) while a second connection streams 1-row
+    ``distances`` requests; returns the walls and the rows streamed."""
+    server = OracleServer(
+        oracle, OracleConfig(executor="serial", row_cache=0), ServerConfig(path=sock)
+    )
+    loop = asyncio.new_event_loop()
+    loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
+    loop_thread.start()
+    asyncio.run_coroutine_threadsafe(server.start(), loop).result(60)
+    stop = threading.Event()
+    streamed = [0]
+
+    def stream() -> None:
+        with OracleClient(sock) as c:
+            i = 0
+            while not stop.is_set():
+                c.distances([i % oracle.graph.n])
+                streamed[0] += 1
+                i += 37
+
+    t = threading.Thread(target=stream)
+    walls = []
+    try:
+        with OracleClient(sock) as c:
+            c.reweight(delta=deltas[0])  # warm-up, untimed
+            t.start()
+            time.sleep(0.2)  # the stream is busy before the first reweight
+            rows_before = streamed[0]
+            for delta in deltas:
+                t0 = time.perf_counter()
+                c.reweight(delta=delta)
+                walls.append(time.perf_counter() - t0)
+                time.sleep(SERVED_GAP_S)  # the stream runs between reweights
+            rows = streamed[0] - rows_before
+    finally:
+        stop.set()
+        if t.is_alive():
+            t.join(timeout=60)
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(60)
+        loop.call_soon_threadsafe(loop.stop)
+        loop_thread.join(timeout=30)
+        loop.close()
+    assert not t.is_alive() and not loop_thread.is_alive()
+    return walls, rows
+
+
+def test_replay_under_query_load(report, results_dir, tmp_path):
+    """Record-only: a 1%-edge delta replay on the 40×40 grid, alone, with
     one thread submitting 2-row batches to a serial engine in the same
-    process (no bar; the served replay gap is explained, not closed)."""
+    process, and as a reweight RPC through the server beside a 1-row
+    request stream (no bar)."""
     rng = np.random.default_rng(0)
     g = grid_digraph((LOAD_SIDE, LOAD_SIDE))
     g = type(g)(g.n, g.src, g.dst, rng.integers(1, 10, size=g.m).astype(np.float64))
@@ -366,24 +421,34 @@ def test_replay_under_query_load(report, results_dir):
             stop.set()
             t.join(timeout=60)
         assert not t.is_alive()
+    # Last: the server's first reweight closes the oracle it was given.
+    served, streamed = _served_reweights(oracle, deltas, str(tmp_path / "replay.sock"))
     oracle.close()
     alone_ms = float(np.median(alone)) * 1e3
     under_ms = float(np.median(loaded)) * 1e3
+    served_ms = float(np.median(served)) * 1e3
     rows = [
         ["replays per side", LOAD_REPLAYS],
         ["replay alone ms (median)", round(alone_ms, 1)],
         ["replay under 2-row batch load ms (median)", round(under_ms, 1)],
         ["ratio", round(under_ms / alone_ms, 2)],
         ["batches served during the loaded replays", batches[0]],
+        ["served reweight RPC ms beside a 1-row stream (median)", round(served_ms, 1)],
+        ["served ratio", round(served_ms / alone_ms, 2)],
+        [f"rows streamed over the served reweights ({SERVED_GAP_S * 1e3:.0f} ms apart)",
+         streamed],
     ]
     report(
         "E-served-replay",
         render_table(["metric", "value"], rows,
                      title=f"E-served-replay: 1% delta replay, {LOAD_SIDE}x{LOAD_SIDE} "
-                           "grid, alone vs beside a batch thread")
+                           "grid, alone, beside a batch thread, and served")
         + "\n\nFinding: the replay is numpy calls issued from Python; beside a "
         "thread that keeps relaxing small batches, each call waits for the "
-        "interpreter lock, so the replay's wall stretches with no extra work.",
+        "interpreter lock, so the replay's wall stretches with no extra work. "
+        "The server runs a reweight on its one engine thread between two "
+        "batches, so the served RPC pays the replay, at most one batch it "
+        "queues behind, and the socket round trip, not the lock waits.",
     )
     _record_json(results_dir, "replay_under_load", {
         "workload": f"{k}-edge delta ({DIRTY_FRACTION:.0%}), {LOAD_SIDE}x{LOAD_SIDE} "
@@ -392,6 +457,9 @@ def test_replay_under_query_load(report, results_dir):
         "under_load_ms": under_ms,
         "ratio": under_ms / alone_ms,
         "batches": batches[0],
+        "served_ms": served_ms,
+        "served_ratio": served_ms / alone_ms,
+        "served_rows_streamed": streamed,
         "host": {"nproc": len(os.sched_getaffinity(0)),
                  "python": platform.python_version(), "numpy": np.__version__},
     })

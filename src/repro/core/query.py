@@ -138,8 +138,8 @@ class QueryEngine:
         self.schedule, self._arena, self._spec = self._compile_generation(aug)
         # Telemetry.  The lock makes submissions (and the counters) safe to
         # drive from multiple threads — the asyncio server submits batches
-        # from an event-loop executor thread while ``stats`` requests read
-        # the counters from another.
+        # from its engine thread while ``stats`` requests read the
+        # counters from the event loop's default executor.
         self.queries_served = 0
         self.rows_served = 0
         self.last_batch: dict[str, Any] | None = None

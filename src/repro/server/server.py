@@ -7,9 +7,12 @@ that gap with **request coalescing**: concurrent ``distances`` /
 ``nearest_source`` / ``path`` requests are admitted into a queue, and a
 single batcher task gathers everything that arrives within one *coalesce
 tick* (``max_wait_us``, capped at ``max_batch_rows`` source rows) into one
-:meth:`~repro.core.query.QueryEngine.submit` call.  The engine shards that
-one batch row-wise across its warm pool (shm backend: zero-copy), so 32
-single-source clients cost one sharded batch, not 32 engine round trips.
+:meth:`~repro.core.query.QueryEngine.submit` call.  A tick closes early
+once no open connection is idle — every connection already waits for the
+answer to a row, ``reweight`` or ``stats`` request, so none can add a row
+to it.  The engine shards that one batch row-wise across its warm pool
+(shm backend: zero-copy), so 32 single-source clients cost one sharded
+batch, not 32 engine round trips.
 
 Operational behavior:
 
@@ -26,21 +29,27 @@ Operational behavior:
 * **zero-downtime reweight** — the ``reweight`` op hot-swaps the serving
   stack to new edge weights (full vector or sparse delta) without dropping
   queries: weights replay through the retained E⁺ provenance
-  (:meth:`~repro.core.api.ShortestPathOracle.with_new_weights`), in-flight
-  batches finish on the old weights epoch, and every later batch is
-  answered entirely at the new one — the single engine flips its arena
-  generation, a shard fleet flips worker-by-worker behind the router's
-  per-leg epoch guard;
+  (:meth:`~repro.core.api.ShortestPathOracle.with_new_weights`) on the
+  engine thread between two batches, so the batch before it is answered
+  entirely at the old weights epoch and every later batch at the new one —
+  the single engine flips its arena generation, a shard fleet flips
+  worker-by-worker behind the router's per-leg epoch guard;
 * **graceful shutdown** — :meth:`stop` first stops accepting connections,
   then lets the batcher *drain* every admitted request, and only then
-  closes the engine (which unlinks the shm arena) and the remaining
-  connections.  Ordering matters: the arena must outlive the last batch
-  that references it (see DESIGN.md §6).
+  closes the engine (which unlinks the shm arena), joins the engine
+  thread and closes the remaining connections.  Ordering matters: the
+  arena must outlive the last batch that references it (see DESIGN.md §6).
 
-The event loop never runs the relaxation itself — batches run on the
-loop's default thread-pool executor, and :meth:`QueryEngine.submit` /
-``stats`` are thread-safe (engine lock), which is what lets ``stats``
-requests stream back while a batch is in flight.
+The event loop never runs the relaxation itself.  Every engine call — the
+engine factory, each batch's :meth:`QueryEngine.submit`, a reweight's
+replay and flip, and ``close`` — runs on the server's one *engine thread*,
+which :meth:`start` creates and :meth:`stop` joins after the drain.  On a
+sequential host a second engine thread buys no work, only waits for the
+interpreter lock (EXPERIMENTS "E-served-replay"), and one thread also
+serializes reweights without a lock of their own.  ``stats`` runs on the
+loop's default executor: ``QueryEngine.stats`` is thread-safe (engine
+lock), which lets ``stats`` requests stream back while a batch is in
+flight.
 """
 
 from __future__ import annotations
@@ -48,8 +57,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
-import threading
+import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -99,9 +109,11 @@ class ServerConfig:
         Coalescing cap — a batch closes early once this many source rows
         are gathered.
     max_wait_us:
-        Coalescing window in microseconds — how long the batcher holds the
-        first request of a tick open for companions.  0 disables
-        coalescing (every request is its own batch).
+        Coalescing window in microseconds — the longest the batcher holds
+        the first request of a tick open for companions.  The tick closes
+        sooner once no open connection is idle (each waits for an answer,
+        so none can add a row).  0 disables coalescing (every request is
+        its own batch).
     queue_limit:
         Maximum admitted-but-unfinished row requests; beyond it the server
         sheds with :data:`~repro.server.protocol.OVERLOADED` (429).
@@ -119,6 +131,17 @@ class ServerConfig:
     request_timeout_ms: float = 30_000.0
 
 
+class _Conn:
+    """One open connection: how many of its row, ``reweight`` and
+    ``stats`` requests are unanswered."""
+
+    __slots__ = ("unanswered", "open")
+
+    def __init__(self) -> None:
+        self.unanswered = 0
+        self.open = True
+
+
 @dataclass
 class _Pending:
     """One admitted row request waiting for its coalesced batch."""
@@ -126,10 +149,49 @@ class _Pending:
     sources: np.ndarray
     fut: asyncio.Future
     t_enqueue: float
+    #: The asking connection until the request is answered, then ``None``.
+    conn: _Conn | None
     rows: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.rows = int(self.sources.shape[0])
+
+
+#: What :meth:`OracleServer._window_get` returns when the tick closes.
+_CLOSE = object()
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: ``json`` decodes ``1.0`` to a float and ``true`` to
+    a bool, and neither names a vertex or an edge."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_ids(raw, what: str) -> np.ndarray:
+    """A flat list of JSON integers as ``int64``; 400 on anything else,
+    instead of a cast that would quietly truncate ``1.5`` or ``true``."""
+    if not isinstance(raw, (list, tuple)):
+        raise ServerError(BAD_REQUEST, f"{what} ids must be a list of ints")
+    for x in raw:
+        if not _is_int(x):
+            raise ServerError(BAD_REQUEST, f"non-integer {what} id {x!r}")
+    try:
+        return np.asarray(raw, dtype=np.int64)
+    except OverflowError as exc:
+        raise ServerError(BAD_REQUEST, f"{what} id out of range: {exc}") from exc
+
+
+def _timeout_ms(req: dict, default: float) -> float:
+    """The request's ``timeout_ms``: a finite positive number, else 400."""
+    raw = req.get("timeout_ms", default)
+    if _is_int(raw) or isinstance(raw, float):
+        with contextlib.suppress(OverflowError):  # an int past float range
+            ms = float(raw)
+            if math.isfinite(ms) and ms > 0:
+                return ms
+    raise ServerError(
+        BAD_REQUEST, f"'timeout_ms' must be a finite positive number, got {raw!r}"
+    )
 
 
 class OracleServer:
@@ -180,9 +242,20 @@ class OracleServer:
         # is not re-derived).  Source validation and path reconstruction
         # must read this one.
         self._graph = oracle.graph
-        self._reweight_lock = threading.Lock()
+        #: The one thread every engine call runs on; made by :meth:`start`.
+        self._engine_thread: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
+        #: Open connections with no unanswered request.  A tick closes
+        #: once it reaches 0: nobody is left who could add a row.
+        self._idle = 0
+        #: ``_idle`` was 0 at some moment since the tick took its first
+        #: request — also when an answered ``stats`` made it 1 again
+        #: before the batcher looked.
+        self._none_idle = False
+        #: Set on every admitted row and whenever ``_idle`` drops to 0;
+        #: the batcher waits on it inside a tick's window.
+        self._wake: asyncio.Event | None = None
         self._batcher: asyncio.Task | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._pending = 0
@@ -222,30 +295,42 @@ class OracleServer:
         loop = asyncio.get_running_loop()
         self._t_start = loop.time()
         self._queue = asyncio.Queue()
+        self._wake = asyncio.Event()
         self._stop_event = asyncio.Event()
+        self._engine_thread = ThreadPoolExecutor(1, thread_name_prefix="oracle-engine")
         # Engine construction compiles/publishes the phase arrays (or
         # spins up a whole shard fleet) — keep the loop responsive by
-        # doing it on the executor.
+        # doing it on the engine thread.
         factory = self.engine_factory or (
             lambda: self.oracle.query_engine(self.engine_config)
         )
-        self.engine = await loop.run_in_executor(None, factory)
-        # Fail at startup, naming the missing method, instead of with a
-        # mid-request AttributeError on the first batch.
-        ensure_serving_backend(
-            self.engine,
-            context="engine_factory result" if self.engine_factory else "engine",
-        )
-        self._batcher = asyncio.create_task(self._batch_loop())
         cfg = self.server_config
-        if cfg.path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=cfg.path, limit=_STREAM_LIMIT
+        try:
+            self.engine = await self._on_engine(factory)
+            # Fail at startup, naming the missing method, instead of with
+            # a mid-request AttributeError on the first batch.
+            ensure_serving_backend(
+                self.engine,
+                context="engine_factory result" if self.engine_factory else "engine",
             )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_conn, cfg.host, cfg.port, limit=_STREAM_LIMIT
-            )
+            if cfg.path is not None:
+                self._server = await asyncio.start_unix_server(
+                    self._handle_conn, path=cfg.path, limit=_STREAM_LIMIT
+                )
+            else:
+                self._server = await asyncio.start_server(
+                    self._handle_conn, cfg.host, cfg.port, limit=_STREAM_LIMIT
+                )
+        except BaseException:
+            self._stopped = True  # nothing to drain; stop() has no work
+            if self.engine is not None:  # e.g. the bind failed: free its pool
+                try:
+                    await self._on_engine(self.engine.close)
+                except Exception:
+                    _log.exception("server: closing the engine of a failed start")
+            self._engine_thread.shutdown()
+            raise
+        self._batcher = asyncio.create_task(self._batch_loop())
         _log.info(
             "server: listening on %s (engine %s, coalesce %dus/%d rows)",
             self.address,
@@ -261,7 +346,8 @@ class OracleServer:
         arrives; (2) already-admitted requests drain through the batcher —
         their responses still go out; (3) only then does the engine close,
         unlinking the serving-pool arena the drained batches were still
-        reading; (4) remaining connections are closed.  Idempotent.
+        reading, and the engine thread exit; (4) remaining connections are
+        closed.  Idempotent.
         """
         if self._stopped or not self._started:
             self._stopped = True
@@ -272,12 +358,15 @@ class OracleServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self._queue.put(None)  # sentinel: batcher drains, then exits
+        self._enqueue(None)  # sentinel: batcher drains, then exits
         if self._batcher is not None:
             await self._batcher
-        loop = asyncio.get_running_loop()
-        if self.engine is not None:
-            await loop.run_in_executor(None, self.engine.close)
+        try:
+            if self.engine is not None:
+                await self._on_engine(self.engine.close)
+        finally:
+            # Idle by now: the close above was its last call.
+            self._engine_thread.shutdown()
         for writer in list(self._writers):
             writer.close()
             with contextlib.suppress(Exception):
@@ -311,9 +400,51 @@ class OracleServer:
         """Async context exit: graceful stop."""
         await self.stop()
 
+    def _on_engine(self, fn, *args) -> asyncio.Future:
+        """Run ``fn(*args)`` on the engine thread, after every engine call
+        queued before it."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._engine_thread, fn, *args
+        )
+
     # ------------------------------------------------------------ #
     # Connections and requests
     # ------------------------------------------------------------ #
+
+    def _ask(self, conn: _Conn) -> None:
+        """``conn`` sent a request the batcher should wait out."""
+        conn.unanswered += 1
+        if conn.unanswered == 1 and conn.open:
+            self._idle -= 1
+            self._note_idle()
+
+    def _note_idle(self) -> None:
+        if self._idle == 0:
+            self._none_idle = True
+            self._wake.set()
+
+    def _answered(self, conn: _Conn) -> None:
+        conn.unanswered -= 1
+        if conn.unanswered == 0 and conn.open:
+            self._idle += 1
+
+    def _settle(self, p: _Pending) -> None:
+        """Count ``p`` answered, once (by its batch or by its timeout)."""
+        if p.conn is not None:
+            self._answered(p.conn)
+            p.conn = None
+
+    @contextlib.contextmanager
+    def _asking(self, conn: _Conn):
+        self._ask(conn)
+        try:
+            yield
+        finally:
+            self._answered(conn)
+
+    def _enqueue(self, item: _Pending | None) -> None:
+        self._queue.put_nowait(item)
+        self._wake.set()
 
     async def _write(self, writer, wlock: asyncio.Lock, obj: dict) -> None:
         data = encode(obj)
@@ -324,6 +455,8 @@ class OracleServer:
 
     async def _handle_conn(self, reader, writer) -> None:
         self._writers.add(writer)
+        conn = _Conn()
+        self._idle += 1
         wlock = asyncio.Lock()  # responses interleave per request-task
         tasks: set[asyncio.Task] = set()
         try:
@@ -341,12 +474,19 @@ class OracleServer:
                         writer, wlock, error_response(None, exc.code, exc.message)
                     )
                     continue
-                task = asyncio.create_task(self._handle_request(req, writer, wlock))
+                task = asyncio.create_task(
+                    self._handle_request(req, conn, writer, wlock)
+                )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         except (ConnectionResetError, asyncio.LimitOverrunError, ValueError):
             pass
         finally:
+            # A closed connection adds no row: stop counting it idle.
+            conn.open = False
+            if conn.unanswered == 0:
+                self._idle -= 1
+                self._note_idle()
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             self._writers.discard(writer)
@@ -354,7 +494,9 @@ class OracleServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _handle_request(self, req: dict, writer, wlock: asyncio.Lock) -> None:
+    async def _handle_request(
+        self, req: dict, conn: _Conn, writer, wlock: asyncio.Lock
+    ) -> None:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         req_id = req.get("id")
@@ -364,11 +506,13 @@ class OracleServer:
             if op == "ping":
                 resp = ok_response(req_id, {"pong": True})
             elif op == "stats":
-                resp = ok_response(req_id, await self._stats_result())
+                with self._asking(conn):
+                    resp = ok_response(req_id, await self._stats_result())
             elif op == "reweight":
-                resp = ok_response(req_id, await self._reweight_op(req))
+                with self._asking(conn):
+                    resp = ok_response(req_id, await self._reweight_op(req))
             elif op in ROW_OPS:
-                resp = await self._row_op(req_id, op, req, t0)
+                resp = await self._row_op(req_id, op, req, conn, t0)
             else:
                 raise ServerError(BAD_REQUEST, f"unknown op {op!r}")
         except ServerError as exc:
@@ -403,7 +547,7 @@ class OracleServer:
                         f"'weight' must list all {g.m} edge weights, got {w.shape}",
                     )
                 return w, None, None
-            edges = np.asarray(raw_d.get("edges"), dtype=np.int64)
+            edges = _int_ids(raw_d.get("edges"), "'delta' edge")
             values = np.asarray(raw_d.get("weights"), dtype=g.weight.dtype)
         except ServerError:
             raise
@@ -421,70 +565,68 @@ class OracleServer:
         """The ``reweight`` RPC: hot-swap the serving stack to new edge
         weights without dropping queries.
 
-        Parsing happens on the loop; the replay + flip runs on the
-        executor (it is CPU work).  In-flight coalesced batches finish on
-        the old epoch — both the engine and the router flip under their
-        own serving lock — and every batch submitted after the flip is
-        answered entirely at the new one.  A sparse ``delta`` assigns
-        absolute weights (idempotent, so a client retry after a dropped
-        connection is safe).
+        Parsing happens on the loop; the replay + flip runs on the engine
+        thread between two batches (it is CPU work), so the batch before
+        it is answered at the old epoch and every batch after it entirely
+        at the new one.  A sparse ``delta`` assigns absolute weights
+        (idempotent, so a client retry after a dropped connection is
+        safe).
         """
         if self._draining:
             raise ServerError(UNAVAILABLE, "server is shutting down")
         weight, edges, values = self._parse_reweight(req)
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self._reweight_sync, weight, edges, values
-        )
+        return await self._on_engine(self._reweight_sync, weight, edges, values)
 
     def _reweight_sync(self, weight, edges, values) -> dict:
-        """Executor-side reweight: serialized so two concurrent RPCs
-        cannot interleave the oracle/engine swap."""
+        """Engine-thread reweight; that one thread also keeps two RPCs
+        from interleaving the oracle/engine swap."""
         from ..core.query import QueryEngine
 
-        with self._reweight_lock:
-            t0 = time.perf_counter()
-            if isinstance(self.engine, QueryEngine):
-                if weight is not None:
-                    new_oracle = self.oracle.with_new_weights(weight)
-                else:
-                    new_oracle = self.oracle.with_new_weights(
-                        weight_delta=(edges, values)
-                    )
-                self.engine.reweight(new_oracle.augmentation)
-                old, self.oracle = self.oracle, new_oracle
-                old.close()
-                self._graph = new_oracle.graph
-                epoch = int(getattr(new_oracle.augmentation, "weights_epoch", 0))
-                mode = "engine"
-            elif hasattr(self.engine, "reweight"):
-                # Fleet path: the router wants the full vector (it slices
-                # per-shard local weights out of it); a delta additionally
-                # names the dirty ids so shards replay sparsely.
-                if weight is None:
-                    weight = self._graph.weight.copy()
-                    weight[edges] = values
-                    res = self.engine.reweight(weight, dirty=edges)
-                else:
-                    res = self.engine.reweight(weight)
-                self._graph = self.engine.graph
-                epoch = int(res["weights_epoch"])
-                mode = "fleet"
+        t0 = time.perf_counter()
+        if isinstance(self.engine, QueryEngine):
+            if weight is not None:
+                new_oracle = self.oracle.with_new_weights(weight)
             else:
-                raise ServerError(
-                    BAD_REQUEST,
-                    f"engine {type(self.engine).__name__} does not support reweight",
+                new_oracle = self.oracle.with_new_weights(
+                    weight_delta=(edges, values)
                 )
-            wall = time.perf_counter() - t0
-            _log.info(
-                "server: reweighted (%s) to weights epoch %d in %.3fs",
-                mode, epoch, wall,
+            self.engine.reweight(new_oracle.augmentation)
+            old, self.oracle = self.oracle, new_oracle
+            old.close()
+            self._graph = new_oracle.graph
+            epoch = int(getattr(new_oracle.augmentation, "weights_epoch", 0))
+            mode = "engine"
+        elif hasattr(self.engine, "reweight"):
+            # Fleet path: the router wants the full vector (it slices
+            # per-shard local weights out of it); a delta additionally
+            # names the dirty ids so shards replay sparsely.
+            if weight is None:
+                weight = self._graph.weight.copy()
+                weight[edges] = values
+                res = self.engine.reweight(weight, dirty=edges)
+            else:
+                res = self.engine.reweight(weight)
+            self._graph = self.engine.graph
+            epoch = int(res["weights_epoch"])
+            mode = "fleet"
+        else:
+            raise ServerError(
+                BAD_REQUEST,
+                f"engine {type(self.engine).__name__} does not support reweight",
             )
-            return {"weights_epoch": epoch, "mode": mode, "wall_s": wall}
+        wall = time.perf_counter() - t0
+        _log.info(
+            "server: reweighted (%s) to weights epoch %d in %.3fs",
+            mode, epoch, wall,
+        )
+        return {"weights_epoch": epoch, "mode": mode, "wall_s": wall}
 
     def _parse_sources(self, op: str, req: dict) -> np.ndarray:
         n = self._graph.n
         if op == "path":
+            target = req.get("target")
+            if not _is_int(target) or not 0 <= target < n:
+                raise ServerError(BAD_REQUEST, "'target' must be a vertex id")
             raw = [req.get("source")]
         else:
             raw = req.get("sources")
@@ -494,12 +636,7 @@ class OracleServer:
                 "'source' must be an int" if op == "path"
                 else "'sources' must be a non-empty list of ints",
             )
-        try:
-            srcs = np.asarray(raw, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ServerError(BAD_REQUEST, f"non-integer source: {exc}") from exc
-        if srcs.ndim != 1 or srcs.size == 0:
-            raise ServerError(BAD_REQUEST, "sources must be a flat non-empty list")
+        srcs = _int_ids(raw, "source")
         if (srcs < 0).any() or (srcs >= n).any():
             raise ServerError(BAD_REQUEST, f"source out of range [0, {n})")
         return srcs
@@ -511,7 +648,7 @@ class OracleServer:
         limit = int(getattr(self.engine_config, "admission_queue_limit", 0) or 0)
         return limit or self.server_config.queue_limit
 
-    async def _row_op(self, req_id, op: str, req: dict, t0: float) -> dict:
+    async def _row_op(self, req_id, op: str, req: dict, conn: _Conn, t0: float) -> dict:
         if self._draining:
             raise ServerError(UNAVAILABLE, "server is shutting down")
         srcs = self._parse_sources(op, req)
@@ -521,7 +658,7 @@ class OracleServer:
                 OVERLOADED,
                 f"queue limit {limit} reached; retry later",
             )
-        timeout_ms = float(req.get("timeout_ms", self.server_config.request_timeout_ms))
+        timeout_ms = _timeout_ms(req, self.server_config.request_timeout_ms)
         # Admission control: a request whose *predicted* queue wait — rows
         # already backlogged, priced at the recent per-row batch wall —
         # exceeds its own deadline would only time out after consuming a
@@ -538,15 +675,17 @@ class OracleServer:
                     f"exceeds the {timeout_ms:.0f} ms deadline; retry later",
                 )
         loop = asyncio.get_running_loop()
-        pending = _Pending(srcs, loop.create_future(), loop.time())
+        pending = _Pending(srcs, loop.create_future(), loop.time(), conn)
         self._pending += 1
         self._pending_rows += pending.rows
-        self._queue.put_nowait(pending)
+        self._ask(conn)
+        self._enqueue(pending)
         try:
             rows = await asyncio.wait_for(pending.fut, timeout_ms / 1e3)
         except asyncio.TimeoutError:
             # The batch still completes server-side; only the response is
             # given up (the batcher skips done/cancelled futures).
+            self._settle(pending)
             raise ServerError(
                 TIMEOUT, f"timed out after {float(timeout_ms):.0f} ms"
             ) from None
@@ -563,9 +702,7 @@ class OracleServer:
             assigned = np.where(np.isfinite(d), srcs[best], -1)
             return {"assigned": assigned.tolist(), "distance": d.tolist()}
         # path: one source row → shortest-path tree → explicit path
-        target = req.get("target")
-        if not isinstance(target, (int,)) or not 0 <= target < rows.shape[1]:
-            raise ServerError(BAD_REQUEST, "'target' must be a vertex id")
+        target = req["target"]  # checked by _parse_sources
         source = int(srcs[0])
         parent = shortest_path_tree(self._graph, source, rows[0])
         path = reconstruct_path(parent, source, int(target))
@@ -615,9 +752,10 @@ class OracleServer:
 
     async def _batch_loop(self) -> None:
         """One tick per iteration: block for the first admitted request,
-        hold the window open ``max_wait_us`` (or until ``max_batch_rows``),
-        run the coalesced batch, answer every member.  After the shutdown
-        sentinel, keep ticking without waiting until the queue is dry."""
+        hold the window open ``max_wait_us`` (or until ``max_batch_rows``,
+        or until no open connection is idle), run the coalesced batch,
+        answer every member.  After the shutdown sentinel, keep ticking
+        without waiting until the queue is dry."""
         loop = asyncio.get_running_loop()
         cfg = self.server_config
         draining = False
@@ -633,6 +771,7 @@ class OracleServer:
                 continue
             batch = [head]
             rows = head.rows
+            self._none_idle = False
             deadline = loop.time() + cfg.max_wait_us / 1e6
             while rows < cfg.max_batch_rows:
                 if draining:
@@ -640,12 +779,8 @@ class OracleServer:
                         break
                     nxt = self._queue.get_nowait()
                 else:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
+                    nxt = await self._window_get(deadline)
+                    if nxt is _CLOSE:
                         break
                 if nxt is None:
                     draining = True
@@ -654,19 +789,39 @@ class OracleServer:
                 rows += nxt.rows
             await self._run_batch(batch)
 
+    async def _window_get(self, deadline: float):
+        """The next queued item of a tick whose window ends at ``deadline``,
+        or :data:`_CLOSE` once the window is over or every open connection
+        waits for an answer (the rows queued by then still join)."""
+        loop = asyncio.get_running_loop()
+        while True:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                return _CLOSE
+            if not self._queue.empty():
+                return self._queue.get_nowait()
+            if self._none_idle or self._idle <= 0:
+                return _CLOSE
+            self._wake.clear()
+            try:
+                await asyncio.wait_for(self._wake.wait(), remaining)
+            except asyncio.TimeoutError:
+                return _CLOSE
+
     async def _run_batch(self, batch: list[_Pending]) -> None:
         loop = asyncio.get_running_loop()
         t_batch = loop.time()
         waits = [t_batch - p.t_enqueue for p in batch]
         srcs = np.concatenate([p.sources for p in batch])
         try:
-            dist, info = await loop.run_in_executor(None, self.engine.submit, srcs)
+            dist, info = await self._on_engine(self.engine.submit, srcs)
         except Exception as exc:
             _log.error(
                 "server: batch of %d rows failed: %s: %s",
                 int(srcs.shape[0]), type(exc).__name__, exc,
             )
             for p in batch:
+                self._settle(p)
                 if not p.fut.done():
                     p.fut.set_exception(
                         ServerError(INTERNAL, f"batch failed: {type(exc).__name__}: {exc}")
@@ -676,6 +831,7 @@ class OracleServer:
             return
         off = 0
         for p in batch:
+            self._settle(p)
             if not p.fut.done():
                 p.fut.set_result(dist[off : off + p.rows])
             off += p.rows

@@ -104,25 +104,23 @@ class TestQueries:
 class TestExecutors:
     @pytest.mark.parametrize(
         "executor",
-        [
-            "serial",
-            "thread:2",
-            pytest.param("shm:2", marks=pytest.mark.multiproc),
-        ],
+        ["thread:2", pytest.param("shm:2", marks=pytest.mark.multiproc)],
     )
     @pytest.mark.parametrize("method", ["leaves_up", "doubling"])
     def test_backends_identical_results(self, rng, executor, method):
-        """A config's executor fans query rows out only; the build it
-        rides along with is the same E⁺ whatever it names."""
+        """A config's executor fans a ``QueryEngine`` batch's rows out; the
+        rows it returns are the serial engine's, bit for bit."""
         g = apply_potential_weights(grid_digraph((6, 6), rng), rng)
         tree = decompose_grid(g, (6, 6), leaf_size=4)
-        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method=method))
-        alt = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method=method, executor=executor)
-        )
-        assert np.array_equal(base.augmentation.src, alt.augmentation.src)
-        assert np.allclose(base.augmentation.weight, alt.augmentation.weight)
-        assert_distances_equal(alt.distances(0), base.distances(0))
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method=method))
+        sources = np.arange(g.n)
+        with oracle.query_engine(OracleConfig(executor="serial")) as eng:
+            want = eng.query(sources)
+        with oracle.query_engine(OracleConfig(executor=executor)) as eng:
+            got, info = eng.submit(sources)
+        assert info["shards"] == 2  # the batch really fanned out
+        assert np.array_equal(got, want)
+        assert_distances_equal(want, oracle.distances(sources))
 
     @pytest.mark.parametrize(
         "builder", [augment_doubling, augment_doubling_shared, reachability_augmentation]

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import OracleConfig, ShortestPathOracle
+from repro import OracleConfig, QueryEngine, ShortestPathOracle
 from repro.core.protocols import SERVING_STATS_KEYS, ServingBackend, serving_stats
 from repro.pram.shm import orphaned_segments
 from repro.server import OracleClient, OracleServer, ServerConfig, ServerError
@@ -68,6 +68,46 @@ class _SlowEngine:
 
     def close(self):
         pass
+
+
+class _RecordingEngine(QueryEngine):
+    """A serial engine that logs each ``submit`` and ``reweight``: its
+    thread, its start and end, and for a submit the sources and the
+    weights epoch that answered them.  Submit number ``hold_at`` signals
+    ``entered`` and waits for ``release``, so a test can send a reweight
+    while that batch is in flight."""
+
+    def __init__(self, aug, config=None, hold_at: int = 5) -> None:
+        super().__init__(aug, config)
+        self.threads = {threading.current_thread()}
+        self.calls: list[tuple] = []
+        self.hold_at = hold_at
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._submits = 0
+
+    def _record(self, kind, t0, extra=None) -> None:
+        self.threads.add(threading.current_thread())
+        self.calls.append((kind, threading.get_ident(), t0, time.perf_counter(), extra))
+
+    def submit(self, sources):
+        t0 = time.perf_counter()
+        self._submits += 1
+        if self._submits == self.hold_at:
+            self.entered.set()
+            assert self.release.wait(20)
+        dist, info = super().submit(sources)
+        self._record("submit", t0, (np.asarray(sources).tolist(), self.weights_epoch))
+        return dist, info
+
+    def reweight(self, aug) -> None:
+        t0 = time.perf_counter()
+        super().reweight(aug)
+        self._record("reweight", t0)
+
+    def close(self) -> None:
+        self.threads.add(threading.current_thread())
+        super().close()
 
 
 @contextlib.contextmanager
@@ -148,6 +188,39 @@ class TestCorrectness:
                     c._call("teleport")
                 assert err.value.code == 400
                 assert c.ping()  # connection survives rejected requests
+
+    @pytest.mark.parametrize(
+        "op,fields",
+        [
+            ("distances", {"sources": [1.5]}),
+            ("distances", {"sources": [True]}),
+            ("nearest_source", {"sources": [0, 2.0]}),
+            ("path", {"source": 1.5, "target": 3}),
+            ("path", {"source": True, "target": 3}),
+            ("path", {"source": 0, "target": True}),
+            ("path", {"source": 0, "target": 3.0}),
+            ("reweight", {"delta": {"edges": [2.9], "weights": [1.0]}}),
+            ("reweight", {"delta": {"edges": [False], "weights": [1.0]}}),
+        ],
+    )
+    def test_non_integer_ids_get_400(self, oracle, tmp_path, op, fields):
+        """An id must be a JSON integer: a float or a bool is refused, not
+        truncated to the vertex or edge it would cast to."""
+        with serving(oracle, tmp_path) as (sock, _):
+            with OracleClient(sock) as c:
+                with pytest.raises(ServerError) as err:
+                    c._call(op, **fields)
+                assert err.value.code == 400
+                assert c.stats()["engine"]["weights_epoch"] == 0
+
+    @pytest.mark.parametrize("timeout_ms", ["soon", None, 0, -5, float("nan"), True])
+    def test_malformed_timeout_gets_400(self, oracle, tmp_path, timeout_ms):
+        with serving(oracle, tmp_path) as (sock, _):
+            with OracleClient(sock) as c:
+                with pytest.raises(ServerError) as err:
+                    c._call("distances", sources=[0], timeout_ms=timeout_ms)
+                assert err.value.code == 400
+                assert np.array_equal(c.distances([0]), oracle.distances([0]))
 
     def test_malformed_line_is_answered_not_fatal(self, oracle, tmp_path):
         with serving(oracle, tmp_path) as (sock, _):
@@ -238,12 +311,189 @@ class TestCoalescing:
         assert adm["shed_early_total"] == 0
 
 
+class TestEngineThread:
+    """Every engine call runs on one engine thread: a reweight runs between
+    two batches, never beside one, and the thread is gone after stop."""
+
+    def test_reweight_runs_between_batches_on_one_thread(self, oracle, tmp_path):
+        engines = []
+
+        def factory():
+            engines.append(_RecordingEngine(oracle.augmentation, SERIAL))
+            return engines[0]
+
+        n = oracle.graph.n
+        edges = np.array([2, 9, 20])
+        values = oracle.graph.weight[edges] + 7.0
+        want = {
+            0: oracle.distances(np.arange(n)),
+            1: oracle.with_new_weights(weight_delta=(edges, values)).distances(
+                np.arange(n)
+            ),
+        }
+        streamed: list[tuple[int, np.ndarray]] = []
+        rows_seen = threading.Semaphore(0)
+        stop = threading.Event()
+
+        def stream(sock) -> None:
+            with OracleClient(sock) as c:
+                i = 0
+                while not stop.is_set():
+                    s = (7 * i) % n
+                    streamed.append((s, c.distances([s])[0]))
+                    rows_seen.release()
+                    i += 1
+
+        def reweight(sock, out) -> None:
+            with OracleClient(sock) as c:
+                out.append(c.reweight(delta=dict(zip(edges.tolist(), values.tolist()))))
+
+        acked: list[dict] = []
+        with serving(oracle, tmp_path, engine_factory=factory) as (sock, server):
+            t = threading.Thread(target=stream, args=(sock,))
+            t.start()
+            try:
+                assert engines and engines[0].entered.wait(20)
+                r = threading.Thread(target=reweight, args=(sock, acked))
+                r.start()
+                # The reweight arrives while batch ``hold_at`` is in flight;
+                # it must wait for that batch, not run beside it.
+                for _ in range(400):
+                    if server.metrics.requests_by_op.get("reweight"):
+                        break
+                    time.sleep(0.005)
+                time.sleep(0.05)
+                engines[0].release.set()
+                r.join(20)
+                assert not r.is_alive()
+                for _ in range(5):
+                    assert rows_seen.acquire(timeout=20)
+            finally:
+                engines[0].release.set()
+                stop.set()
+                t.join(20)
+            assert not t.is_alive()
+        assert acked and acked[0]["weights_epoch"] == 1
+        eng = engines[0]
+        assert len(eng.threads) == 1, eng.threads
+        assert not next(iter(eng.threads)).is_alive()  # joined by stop()
+        calls = sorted(eng.calls, key=lambda c: c[2])
+        assert len({c[1] for c in calls}) == 1
+        for a, b in zip(calls, calls[1:]):
+            assert a[3] <= b[2], f"{a[0]} overlaps {b[0]}"
+        kinds = [c[0] for c in calls]
+        assert kinds.count("reweight") == 1
+        assert 0 < kinds.index("reweight") < len(kinds) - 1  # mid-stream
+        # The streamer is the only row client and sends one row at a time,
+        # so its k-th request is the k-th submit.
+        submits = [c[4] for c in calls if c[0] == "submit"]
+        assert len(submits) == len(streamed)
+        for (src, epoch), (s, row) in zip(submits, streamed):
+            assert src == [s]
+            assert np.array_equal(row, want[epoch][s])
+        assert {epoch for _, epoch in submits} == {0, 1}
+
+    def test_failed_start_closes_engine_and_thread(self, oracle, tmp_path):
+        """A start whose bind fails closes the engine it built (which
+        would otherwise hold its pool and arena) and joins the thread."""
+        engines = []
+
+        def factory():
+            engines.append(_RecordingEngine(oracle.augmentation, SERIAL))
+            return engines[0]
+
+        taken = tmp_path / "taken"
+        taken.mkdir()  # a directory: binding a socket there fails
+        server = OracleServer(
+            oracle, SERIAL, ServerConfig(path=str(taken)), engine_factory=factory
+        )
+        with pytest.raises(OSError):
+            asyncio.run(server.start())
+        assert engines[0]._closed
+        assert len(engines[0].threads) == 1
+        assert not next(iter(engines[0].threads)).is_alive()
+
+    def test_unstarted_server_owns_no_thread(self, oracle, tmp_path):
+        before = set(threading.enumerate())
+        server = OracleServer(oracle, SERIAL, ServerConfig(path=str(tmp_path / "x.sock")))
+        asyncio.run(server.stop())
+        assert set(threading.enumerate()) == before
+        assert server._engine_thread is None
+
+
+class TestTickClose:
+    """A coalescing tick closes once no open connection is idle; only an
+    idle connection, which could still add a row, holds the window."""
+
+    def test_tick_closes_once_every_connection_waits(self, oracle, tmp_path):
+        want = oracle.distances([0, 1])
+        with serving(oracle, tmp_path, max_wait_us=5_000_000) as (sock, server):
+            a, b = OracleClient(sock), OracleClient(sock)
+            barrier = threading.Barrier(2)
+            got = [None, None]
+
+            def ask(i, c):
+                barrier.wait()
+                got[i] = c.distances([i])[0]
+
+            t0 = time.perf_counter()
+            threads = [threading.Thread(target=ask, args=(i, c))
+                       for i, c in enumerate((a, b))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(20)
+            assert not any(t.is_alive() for t in threads)
+            together_s = time.perf_counter() - t0
+            snap = server.metrics.snapshot()
+            # A non-row request that makes the last idle connection busy
+            # closes the tick too.
+            t0 = time.perf_counter()
+            th = threading.Thread(target=lambda: a.distances([0]))
+            th.start()
+            for _ in range(400):
+                if server._pending >= 1:
+                    break
+                time.sleep(0.005)
+            assert server._pending == 1
+            b.stats()
+            th.join(20)
+            assert not th.is_alive()
+            stats_close_s = time.perf_counter() - t0
+            # A lone connection closes its tick at once.
+            b.close()
+            t0 = time.perf_counter()
+            a.distances([1])
+            lone_s = time.perf_counter() - t0
+            a.close()
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert snap["batches_total"] == 1 and snap["max_coalesce"] == 2, snap
+        assert together_s < 2.0, together_s
+        assert stats_close_s < 2.0, stats_close_s
+        assert lone_s < 2.0, lone_s
+
+    def test_idle_connection_holds_the_window(self, oracle, tmp_path):
+        window_s = 0.25
+        with serving(
+            oracle, tmp_path, max_wait_us=int(window_s * 1e6)
+        ) as (sock, server):
+            with OracleClient(sock) as idle, OracleClient(sock) as c:
+                assert idle.ping()
+                t0 = time.perf_counter()
+                c.distances([0])
+                waited_s = time.perf_counter() - t0
+        assert waited_s >= window_s, waited_s
+
+
 class TestDegradation:
     def test_timeout_answers_504(self, oracle, tmp_path):
         """A request whose deadline is shorter than the coalescing window
-        gets a timeout response (the batch still completes server-side)."""
+        gets a timeout response (the batch still completes server-side).
+        An idle second connection keeps the window open: it could still
+        add a row."""
         with serving(oracle, tmp_path, max_wait_us=500_000) as (sock, server):
-            with OracleClient(sock) as c:
+            with OracleClient(sock) as idle, OracleClient(sock) as c:
+                assert idle.ping()
                 c.timeout = 0.02  # timeout_ms sent with the request
                 with pytest.raises(ServerError) as err:
                     c.distances([0])
@@ -252,10 +502,14 @@ class TestDegradation:
         assert snap["timeout_total"] == 1
 
     def test_overload_sheds_429(self, oracle, tmp_path):
-        """Beyond queue_limit admitted requests, new ones are shed."""
+        """Beyond queue_limit admitted requests, new ones are shed.  An idle
+        connection holds the first request's window open until the second
+        one is sent."""
         with serving(
             oracle, tmp_path, max_wait_us=500_000, queue_limit=1
         ) as (sock, server):
+            idle = OracleClient(sock)
+            assert idle.ping()
             admitted = OracleClient(sock)
             t = threading.Thread(target=lambda: admitted.distances([0]))
             t.start()
@@ -269,7 +523,9 @@ class TestDegradation:
                     c.distances([1])
             assert err.value.code == 429
             t.join(20)
+            assert not t.is_alive()
             admitted.close()
+            idle.close()
             snap = server.metrics.snapshot()
         assert snap["shed_total"] == 1
         assert snap["requests_total"] >= 2
