@@ -177,6 +177,27 @@ def test_eserve_coalescing_under_concurrency(
     benchmark(lambda: _percentile(latencies, 99))
 
 
+def _latency_finding(direct_s: float, served_s: float, batch_s: float) -> str:
+    """The E-serve-latency finding, read off the measured p50s: the
+    server's own batch wall and what the served path spends outside it."""
+    ratio = served_s / direct_s
+    outside = served_s - batch_s
+    verdict = "within" if ratio <= 2.0 else "outside"
+    cause = (
+        "the relaxation dominates the served path"
+        if batch_s >= outside
+        else "serving overhead dominates the served path, not the relaxation"
+    )
+    return (
+        f"Finding: the served p50 is {ratio:.2f}× the direct engine's "
+        f"({served_s * 1e3:.2f} against {direct_s * 1e3:.2f} ms), {verdict} "
+        f"the 2× bound.  The server's batch wall is {batch_s * 1e3:.2f} ms of "
+        f"it; the other {outside * 1e3:.2f} ms ({outside / served_s:.0%}) go "
+        f"to framing and JSON of the {BATCH_SOURCES}-row float reply, the "
+        f"event loop and the thread hop, so {cause}."
+    )
+
+
 def test_eserve_latency_within_2x_of_direct(
     benchmark, oracle, report, results_dir, tmp_path
 ):
@@ -218,11 +239,7 @@ def test_eserve_latency_within_2x_of_direct(
     )
     report(
         "E-serve-latency",
-        table
-        + "\n\nFinding: serving overhead (JSON framing, event loop, thread "
-        "hop) stays a constant additive cost per batch — the relaxation "
-        "itself still dominates, so the socket front end does not tax the "
-        "paper's per-source economics.",
+        table + "\n\n" + _latency_finding(d50, s50, srv_snap["batch_wall_s"]["p50"]),
     )
     _record_json(
         results_dir,

@@ -25,8 +25,8 @@ phase then takes the cheaper of two paths:
 A phase pushes iff Σ out-degree over its frontier × :data:`PUSH_COST` is
 below ``rows · m``.  Both paths read every value before writing any (a
 synchronous Jacobi phase) and every shipped ⊕ is an exact selection, so
-results are bit-identical to a dense scan and ``k`` phases still hold the
-best ≤k-edge paths.
+results are bit-identical to a dense scan (up to the sign of a zero, see
+below) and ``k`` phases still hold the best ≤k-edge paths.
 
 The *scheduled* variant of §3.2 — which scans different edge subsets in
 different phases — reuses :class:`EdgeRelaxer` with one relaxer per phase
@@ -40,6 +40,24 @@ so :func:`run_phases` relaxes each stretch of them on one vertex-major
 ``(n, s)`` copy of the block with an untracked phase — the same push/pull
 rule, candidates gathered by whole rows (``np.take``), heads written back
 by row — and keeps the frontier for runs of a repeated relaxer.
+
+At one row those phases cost their numpy calls, not their edges, so a
+block of at most :data:`ROW_PASS_ROWS` rows runs the pass one 1-D row at a
+time.  A single phase of at most :data:`ROW_PHASE_EDGES` edges is then the
+*one-row phase*: one ⊗-gather over ``pull_src`` and one ⊕-scatter of every
+candidate into the row — no vertex-major copy, no live check, no slab
+loop.  A larger one takes the block phase on the row as an ``(n, 1)``
+view, whose live check and push beat a dense scan of a sparsely reached
+phase.  A run of a repeated relaxer is a row fixpoint: each phase pushes
+the vertices the one before improved, or runs the one-row phase, by the
+same :data:`PUSH_COST` rule, and the run stops at the first phase that
+improves nothing.
+
+⊕ ties between −0.0 and +0.0 resolve by reduction order, which differs
+between push, pull and the one-row phase, so rows agree under IEEE equality
+and may differ in the sign of a zero.  Only the bottleneck semirings can
+make a −0.0 (from ±0 weights); min-plus rows started at 1̄ = +0.0 never hold
+one.
 
 A phase charges ``work = s·(edges scanned)`` and ``depth = ⌈log₂ n⌉`` to the
 ledger (the ⊕-reduction tree per head vertex) — the model cost of a full
@@ -72,6 +90,14 @@ __all__ = [
 #: rows · m``.  Measured by forcing each path on every phase of 64-row
 #: batches (see DESIGN §5, "Relaxation kernel").
 PUSH_COST = 4.0
+
+#: Blocks of at most this many rows run :func:`run_phases` one 1-D row at
+#: a time (see DESIGN §5, "Relaxation kernel").
+ROW_PASS_ROWS = 3
+
+#: A single phase over one row takes the one-row phase (a dense pull) up to
+#: this many edges, and the block phase above it.
+ROW_PHASE_EDGES = 12000
 
 
 def _narrow(a: np.ndarray, bound: int) -> np.ndarray:
@@ -123,7 +149,7 @@ class RelaxerLayout:
     __slots__ = (
         "m", "pull_perm", "pull_src", "heads", "slot_ptr",
         "push_perm", "push_dst", "out_ptr", "tails", "tail_deg", "slabs",
-        "_slot_heads",
+        "_pull_dst",
     )
 
     #: the arrays :meth:`EdgeRelaxer.compiled` ships besides the weights.
@@ -209,13 +235,14 @@ class RelaxerLayout:
             layouts.append(cls.from_arrays(arrays, pull[a:b], push[a:b]))
         return layouts
 
-    def slot_heads(self) -> np.ndarray:
-        """Each pull entry's position in ``heads`` (derived on first use;
-        only single-row pulls and the compiled core need it)."""
-        if self._slot_heads is None:
+    def pull_dst(self) -> np.ndarray:
+        """Each pull entry's head vertex (derived on first use; only the
+        one-row phase needs it)."""
+        if self._pull_dst is None:
             width = np.diff(self.slot_ptr)
-            self._slot_heads = np.arange(self.m) - np.repeat(self.slot_ptr[:-1], width)
-        return self._slot_heads
+            pos = np.arange(self.m) - np.repeat(self.slot_ptr[:-1], width)
+            self._pull_dst = self.heads[pos]
+        return self._pull_dst
 
     def matches(self, src: np.ndarray, dst: np.ndarray) -> bool:
         """Whether this layout, bound by edge id, describes the edges
@@ -242,7 +269,7 @@ class RelaxerLayout:
             setattr(lay, name, arrays[name])
         lay.pull_perm, lay.push_perm = pull_perm, push_perm
         lay.m = int(lay.pull_src.shape[0])
-        lay._slot_heads = None
+        lay._pull_dst = None
         out_deg = np.diff(lay.out_ptr)
         lay.tails = np.flatnonzero(out_deg)
         lay.tail_deg = out_deg[lay.tails]
@@ -419,7 +446,7 @@ class EdgeRelaxer:
             at = np.flatnonzero(live)  # grouped by tail
             tt = at // s
             deg = lay.tail_deg[tt]
-            ends = np.cumsum(deg)
+            ends = np.add.accumulate(deg)
             e = np.repeat(lay.out_ptr[lay.tails[tt]] - (ends - deg), deg) + np.arange(work)
             cand = sr.mul(np.repeat(tail.reshape(-1)[at], deg), self._push_w[e])
             key = lay.push_dst[e].astype(np.int64) * s + np.repeat(at - tt * s, deg)
@@ -465,7 +492,8 @@ class EdgeRelaxer:
         sub = None
         if frontier is not None and frontier.owner is self:
             r, u = frontier.r, frontier.v
-            deg = lay.out_ptr[u + 1] - lay.out_ptr[u]
+            start = lay.out_ptr[u]
+            deg = lay.out_ptr[u + 1] - start
             work = int(deg.sum())
         else:
             sub = dist if full else dist[rows]
@@ -481,8 +509,9 @@ class EdgeRelaxer:
                 at = np.flatnonzero(live)
                 rr = at // tail.shape[1]
                 tt = at - rr * tail.shape[1]
-                r, u, vals, deg = rows[rr], lay.tails[tt], tail.reshape(-1)[at], lay.tail_deg[tt]
-            r, v = self._push(flat, n, r, u, vals, deg, work)
+                r, vals, deg = rows[rr], tail.reshape(-1)[at], lay.tail_deg[tt]
+                start = lay.out_ptr[lay.tails[tt]]
+            r, v = self._push(flat, n, r, start, vals, deg, np.add.accumulate(deg))
             if frontier is not None and r.size > 1:
                 # one entry per (row, head): several candidates may improve it
                 key = r * n + v
@@ -506,15 +535,14 @@ class EdgeRelaxer:
         np.not_equal(r[1:], r[:-1], out=first[1:])
         return r[first]  # entries come grouped by row
 
-    def _push(self, flat, n, r, u, vals, deg, work):
-        """Expand frontier entries ``(r, u)`` (values ``vals``, out-degrees
-        ``deg``, ``work`` candidates in all) through the tail-sorted CSR and
-        ⊕-scatter the candidates that beat their head into ``flat`` (the
-        flattened ``dist``).  Returns the improved entries, grouped by row,
-        possibly repeated."""
+    def _push(self, flat, n, r, start, vals, deg, ends):
+        """Expand frontier entries in rows ``r`` (values ``vals``, out-edges
+        ``start[i]`` onwards in the tail-sorted CSR, ``deg[i]`` of them,
+        ``ends`` their running sum) and ⊕-scatter the candidates that beat
+        their head into ``flat`` (the flattened ``dist``).  Returns the
+        improved entries, grouped by row, possibly repeated."""
         sr, lay = self.semiring, self.layout
-        ends = np.cumsum(deg)
-        e = np.repeat(lay.out_ptr[u] - (ends - deg), deg) + np.arange(work)
+        e = np.repeat(start - (ends - deg), deg) + np.arange(int(ends[-1]))
         cand = sr.mul(np.repeat(vals, deg), self._push_w[e])
         r = np.repeat(r, deg)
         v = lay.push_dst[e]
@@ -530,26 +558,89 @@ class EdgeRelaxer:
         to ``flat`` (the flattened ``dist``).  Returns them, grouped by
         row."""
         sr, lay = self.semiring, self.layout
-        nrows = sub.shape[0]
-        if nrows == 1:
-            # One row: ⊕-scatter by head position, one call for all slots
-            # (the slot blocks would each reduce a single column).
-            cand = sr.mul(sub[0, lay.pull_src], self._pull_w)
-            h = lay.heads.shape[0]  # slot 0 covers every head once
-            acc = cand[:h].copy()
-            sr.scatter_min(acc, lay.slot_heads()[h:], cand[h:])
-            acc = acc[:, None]
-        else:
-            # Edge-major candidates, (m, rows): a slot block is then a run
-            # of whole contiguous rows, reduced over its slots in one call.
-            cand = sub.T[lay.pull_src]
-            sr.mul(cand, self._pull_w[:, None], out=cand)
-            acc = self._reduce_slabs(cand)
+        if sub.shape[0] == 1:
+            r = rows[0]
+            row = flat[r * n : (r + 1) * n]
+            old = row.copy()
+            self._pull_row(row)
+            v = (row != old).nonzero()[0]
+            return np.full(v.size, r), v
+        # Edge-major candidates, (m, rows): a slot block is then a run of
+        # whole contiguous rows, reduced over its slots in one call.
+        cand = sub.T[lay.pull_src]
+        sr.mul(cand, self._pull_w[:, None], out=cand)
+        acc = self._reduce_slabs(cand)
         better = sr.improves(acc, sub.T[lay.heads])
         rr, hh = np.nonzero(better.T)  # grouped by row
         r, v = rows[rr], lay.heads[hh]
         flat[r * n + v] = acc[hh, rr]
         return r, v
+
+    def _pull_row(self, row: np.ndarray) -> None:
+        """The one-row phase: a dense pull over a contiguous 1-D ``row``, in
+        place — one ⊗-gather over ``pull_src`` and one ⊕-scatter of the
+        candidates into their heads.  Every candidate is read before any is
+        written, so the phase is synchronous; no live check, no slab loop,
+        no list of improved vertices."""
+        sr, lay = self.semiring, self.layout
+        sr.scatter_min(row, lay.pull_dst(), sr.mul(row[lay.pull_src], self._pull_w))
+
+    def _push_row(self, row: np.ndarray, u: np.ndarray, deg: np.ndarray, ends: np.ndarray) -> None:
+        """Push the vertices ``u`` of a contiguous 1-D ``row`` (out-degrees
+        ``deg``, ``ends`` their running sum) through the tail-sorted CSR and
+        ⊕-scatter every candidate into its head, in place (candidates are
+        read before any is written)."""
+        sr, lay = self.semiring, self.layout
+        e = np.repeat(lay.out_ptr[u] - (ends - deg), deg) + np.arange(int(ends[-1]))
+        cand = sr.mul(np.repeat(row[u], deg), self._push_w[e])
+        sr.scatter_min(row, lay.push_dst[e], cand)
+
+    def _relax_row(self, row: np.ndarray) -> None:
+        """One untracked phase over a contiguous 1-D ``row``, in place: the
+        one-row phase while this relaxer has at most
+        :data:`ROW_PHASE_EDGES` edges, else the block phase on the row as an
+        ``(n, 1)`` view (its live check and push win on large, sparsely
+        reached phases).  Charges no ledger."""
+        if self.m <= ROW_PHASE_EDGES:
+            self._pull_row(row)
+        elif self.m:
+            self._relax_block(row.reshape(-1, 1))
+
+    def _row_fixpoint(self, row: np.ndarray, max_phases: int) -> tuple[int, bool]:
+        """Up to ``max_phases`` phases of this relaxer over a contiguous 1-D
+        ``row``, in place, stopping after the first phase that improves
+        nothing.  The first phase reads every non-0̄ entry, each later one
+        the vertices the phase before changed (found by comparing the row
+        with its copy, so each vertex once); a phase pushes them iff their
+        out-degree × :data:`PUSH_COST` is below ``m`` (the 2-D rule at one
+        row), else runs the one-row phase.  Returns ``(phases run, whether
+        the last one improved)``.  Charges no ledger."""
+        if max_phases < 1:
+            return 0, True  # no phase ran, so the row counts as active
+        if not self.m:
+            return 1, False
+        sr, lay = self.semiring, self.layout
+        if lay.tails.shape[0] == row.shape[0]:  # every vertex is a tail
+            u = (row != sr.zero).nonzero()[0]
+            deg = lay.tail_deg[u]
+        else:
+            live = (row[lay.tails] != sr.zero).nonzero()[0]
+            u, deg = lay.tails[live], lay.tail_deg[live]
+        for phase in range(1, max_phases + 1):
+            if phase > 1:
+                deg = lay.out_ptr[u + 1] - lay.out_ptr[u]
+            ends = np.add.accumulate(deg)
+            if not ends.size or not ends[-1]:
+                return phase, False
+            old = row.copy()
+            if ends[-1] * PUSH_COST < self.m:
+                self._push_row(row, u, deg, ends)
+            else:
+                self._pull_row(row)
+            u = (row != old).nonzero()[0]
+            if not u.size:
+                return phase, False
+        return max_phases, True
 
 
 def relax_fixpoint(
@@ -566,9 +657,20 @@ def relax_fixpoint(
     Returns ``(phases run, rows that improved in the last phase)``; no rows
     means the fixpoint was reached (the last phase changed nothing).  After
     ``k`` phases every entry holds the best path of at most ``k`` relaxer
-    edges on top of the initial values.
+    edges on top of the initial values.  A single row runs as a 1-D row
+    fixpoint (:meth:`EdgeRelaxer._row_fixpoint`, through a contiguous copy
+    when the row is strided), charged as :meth:`EdgeRelaxer.relax_rows`
+    charges it.
     """
     view = dist[None, :] if dist.ndim == 1 else dist
+    if view.shape[0] == 1:
+        row = view[0]
+        one = row if row.flags.c_contiguous else row.copy()
+        phases, improved = relaxer._row_fixpoint(one, max_phases)
+        if one is not row:
+            row[...] = one
+        _charge_run(ledger, relaxer, [phases], dist.shape[-1])
+        return phases, np.arange(1 if improved else 0)
     active = np.arange(view.shape[0])
     frontier = Frontier() if max_phases > 1 else None
     phases = 0
@@ -576,6 +678,18 @@ def relax_fixpoint(
         active = relaxer.relax_rows(view, active, ledger=ledger, frontier=frontier)
         phases += 1
     return phases, active
+
+
+def _charge_run(ledger: Ledger, relaxer: EdgeRelaxer, phases: list[int], n: int) -> None:
+    """Charge a run of one relaxer whose rows ran ``phases[i]`` phases each,
+    as the 2-D fixpoint charges it: one ``bf-phase`` per phase, with the
+    work of the rows still active in it."""
+    if ledger is NULL_LEDGER or not relaxer.m:
+        return
+    depth = reduce_depth(n)
+    for k in range(1, max(phases, default=0) + 1):
+        rows = sum(1 for p in phases if p >= k)
+        ledger.charge(work=float(rows) * relaxer.m, depth=depth, label="bf-phase")
 
 
 def run_phases(
@@ -598,20 +712,39 @@ def run_phases(
     maximal stretch of such runs (the §3.2 middle phases) is relaxed on one
     vertex-major ``(n, s)`` copy of ``dist``, written back once, by an
     untracked phase that builds neither frontier nor improved-row list.
-    Results are bit-identical to relaxing every row every phase; the
-    ledger is charged ``rows·m`` for every row a phase scans, exactly as
+
+    A block of at most :data:`ROW_PASS_ROWS` rows instead runs the whole
+    pass one 1-D row at a time: single phases through
+    :meth:`EdgeRelaxer._relax_row`, runs through the row fixpoint.
+
+    Results are bit-identical to relaxing every row every phase (up to the
+    sign of a zero, see the module docstring); the ledger is charged
+    ``rows·m`` for every row a phase scans, exactly as
     :meth:`EdgeRelaxer.relax_rows` charges.
     """
     n = dist.shape[-1]
     view = dist[None, :] if dist.ndim == 1 else dist.reshape(-1, n)
+    runs = []  # (relaxer, phases) for each maximal run of one relaxer
+    for r in relaxers:
+        if runs and runs[-1][0] is r:
+            runs[-1][1] += 1
+        else:
+            runs.append([r, 1])
+    if 0 < view.shape[0] <= ROW_PASS_ROWS:
+        _row_pass(runs, view, ledger)
+    else:
+        _block_pass(runs, view, ledger)
+    if not np.may_share_memory(view, dist):  # reshape had to copy
+        dist[...] = view.reshape(dist.shape)
+    return dist
+
+
+def _block_pass(runs: list, view: np.ndarray, ledger: Ledger) -> None:
+    """The pass over a 2-D ``view``: stretches of single phases on one
+    vertex-major block, runs through :func:`relax_fixpoint`."""
     block = None  # the vertex-major copy a stretch of single phases relaxes
-    i, n_phases = 0, len(relaxers)
-    while i < n_phases:
-        r = relaxers[i]
-        j = i + 1
-        while j < n_phases and relaxers[j] is r:
-            j += 1
-        if j - i == 1:
+    for r, phases in runs:
+        if phases == 1:
             if block is None:
                 block = np.ascontiguousarray(view.T)
             r._relax_block(block, ledger=ledger)
@@ -619,13 +752,32 @@ def run_phases(
             if block is not None:
                 view[...] = block.T
                 block = None
-            relax_fixpoint(r, view, j - i, ledger=ledger)
-        i = j
+            relax_fixpoint(r, view, phases, ledger=ledger)
     if block is not None:
         view[...] = block.T
-    if not np.may_share_memory(view, dist):  # reshape had to copy
-        dist[...] = view.reshape(dist.shape)
-    return dist
+
+
+def _row_pass(runs: list, view: np.ndarray, ledger: Ledger) -> None:
+    """The pass over a few rows of a 2-D ``view``, one row at a time, then
+    the ledger charges of every phase in pass order."""
+    spent = [[] for _ in runs]  # phases each row ran, per run
+    for row in view:
+        one = row if row.flags.c_contiguous else row.copy()
+        for (r, phases), took in zip(runs, spent):
+            if phases > 1:
+                took.append(r._row_fixpoint(one, phases)[0])
+            else:
+                r._relax_row(one)
+        if one is not row:
+            row[...] = one
+    if ledger is NULL_LEDGER:
+        return
+    n, s = view.shape[1], view.shape[0]
+    for (r, phases), took in zip(runs, spent):
+        if phases > 1:
+            _charge_run(ledger, r, took, n)
+        elif r.m:
+            ledger.charge(work=float(s) * r.m, depth=reduce_depth(n), label="bf-phase")
 
 
 def initial_distances(

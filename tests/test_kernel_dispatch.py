@@ -186,6 +186,13 @@ PATHS = {
     "auto": {},
 }
 
+#: The row pass's routes for a single phase, forced the same way: the
+#: one-row phase on every phase, or the block phase on the row's view.
+ROW_PATHS = {
+    "one-row": {"ROW_PHASE_EDGES": np.inf},
+    "row-block": {"ROW_PHASE_EDGES": 0},
+}
+
 
 def _relax_case(semiring, weights, rng):
     """(n, src, dst, w) on a sparse random digraph with parallel edges and
@@ -197,9 +204,24 @@ def _relax_case(semiring, weights, rng):
     elif weights == "negative":
         pot = rng.uniform(0.0, 6.0, size=g.n)
         w = w + pot[g.src] - pot[g.dst]  # negative edges, no negative cycle
+    elif weights == "zeros-inf":
+        w = w.astype(np.float64)
+        pick = rng.random(g.m)
+        w[pick < 0.2] = -0.0
+        w[(pick >= 0.2) & (pick < 0.4)] = 0.0
+        w[pick >= 0.9] = np.inf
     if semiring is BOOLEAN:
         w = w > 3.0
     return g.n, g.src, g.dst, w.astype(semiring.dtype)
+
+
+def assert_same_rows(got, want, semiring):
+    """Rows equal under IEEE ``==``, and bit for bit unless the semiring is
+    a bottleneck one: only those make −0.0 (from ±0 weights), and a ±0 tie
+    resolves by reduction order (the ``bellman_ford`` module docstring)."""
+    assert np.array_equal(got, want)
+    if semiring not in (MAX_MIN, MIN_MAX):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestFrontierRelaxation:
@@ -486,43 +508,127 @@ class TestBlockPhase:
         assert np.array_equal(block, want)
         assert led.work == 0.0 and led.depth == 0.0
 
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    @pytest.mark.parametrize("semiring", [MIN_PLUS, BOOLEAN], ids=lambda s: s.name)
+    @pytest.mark.parametrize("path", sorted(PATHS) + sorted(ROW_PATHS))
+    @pytest.mark.parametrize(
+        "semiring", [MIN_PLUS, BOOLEAN, MAX_MIN, MIN_MAX, COUNTING_HOPS],
+        ids=lambda s: s.name,
+    )
     def test_run_phases_mixed_sequence(self, semiring, path, rng, monkeypatch):
         """``[a, b, c×3, d, c×2, a]``: single phases share one block (the
-        last one written back after the loop), repeated runs keep the
-        frontier fixpoint, and the pass equals the dense oracle phase by
-        phase on 2-D, 1-D, strided and Fortran input."""
-        for name, value in PATHS[path].items():
+        last one written back after the loop), or at 1–3 rows run one row
+        at a time; repeated runs keep the frontier fixpoint; and the pass
+        equals the dense oracle phase by phase on 2-D, 1-D, strided and
+        Fortran input, with negative-potential or ±0/inf weights."""
+        for name, value in {**PATHS, **ROW_PATHS}[path].items():
             monkeypatch.setattr(bf, name, value)
-        n, src, dst, w = _relax_case(semiring, "negative", rng)
+        for rows in (1, 2, 3, 5):
+            for weights in ("negative", "zeros-inf"):
+                self._check_mixed_sequence(semiring, weights, rows, rng)
+
+    @staticmethod
+    def _check_mixed_sequence(semiring, weights, rows, rng):
+        n, src, dst, w = _relax_case(semiring, weights, rng)
         (a, da), (b, db), (c, dc), (d, dd) = _subset_relaxers(
             n, src, dst, w, semiring, rng, 4)
         seq = [(a, da), (b, db)] + [(c, dc)] * 3 + [(d, dd)] + [(c, dc)] * 2 + [(a, da)]
-        init = initial_distances(n, rng.integers(0, n, size=5), semiring)
+        init = initial_distances(n, rng.integers(0, n, size=rows), semiring)
         want = init.copy()
         for _, edges in seq:
             want = dense_jacobi_phase(*edges, semiring, want)
         relaxers = [r for r, _ in seq]
         got = init.copy()
         run_phases(relaxers, got)
-        assert np.array_equal(got, want)
-        one = init[2].copy()
+        assert_same_rows(got, want, semiring)
+        one = init[-1].copy()
         run_phases(relaxers, one)
-        assert np.array_equal(one, want[2])
+        assert_same_rows(one, want[-1], semiring)
         wide = np.repeat(init, 2, axis=1)
         strided = wide[:, ::2]
         run_phases(relaxers, strided)
-        assert np.array_equal(strided, want)
+        assert_same_rows(strided, want, semiring)
         assert np.array_equal(wide[:, 1::2], init)  # the gaps are untouched
         fortran = np.asfortranarray(init)
         run_phases(relaxers, fortran)
-        assert np.array_equal(fortran, want)
+        assert_same_rows(fortran, want, semiring)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("weights", ["negative", "zeros-inf"])
+    @pytest.mark.parametrize(
+        "semiring", [MIN_PLUS, BOOLEAN, MAX_MIN, MIN_MAX, COUNTING_HOPS],
+        ids=lambda s: s.name,
+    )
+    def test_direct_tier_run(self, semiring, weights, rows, path, rng, monkeypatch):
+        """The direct tier's ``[relaxer] × n`` is one fixpoint run: it ends
+        at the dense oracle's fixpoint, and stops at the first phase that
+        improves nothing instead of scanning all n phases."""
+        from repro.pram.machine import Ledger
+
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(bf, name, value)
+        n, src, dst, w = _relax_case(semiring, weights, rng)
+        relaxer = EdgeRelaxer(src, dst, w, semiring)
+        init = initial_distances(n, rng.integers(0, n, size=rows), semiring)
+        want, phases = init.copy(), 0
+        while True:
+            nxt = dense_jacobi_phase(src, dst, w, semiring, want)
+            phases += 1
+            if np.array_equal(nxt, want):
+                break
+            want = nxt
+        got = init.copy()
+        led = Ledger()
+        run_phases([relaxer] * n, got, ledger=led)
+        assert_same_rows(got, want, semiring)
+        assert led.breakdown()["bf-phase"]["calls"] == phases < n
+
+    def test_row_frontier_holds_each_vertex_once(self, rng, monkeypatch):
+        """On a unit-weight grid many shortest paths tie, so a pushed
+        frontier that kept every improving candidate would hold a vertex
+        once per tying path (2^k entries after k phases); the row fixpoint
+        keeps each vertex once."""
+        g = grid_digraph((8, 8), rng)
+        relaxer = EdgeRelaxer(g.src, g.dst, np.ones(g.m), MIN_PLUS)
+        monkeypatch.setattr(bf, "PUSH_COST", 0.0)
+        frontiers = []
+        push = EdgeRelaxer._push_row
+
+        def spy(self, row, u, *args):
+            frontiers.append(u)
+            return push(self, row, u, *args)
+
+        monkeypatch.setattr(EdgeRelaxer, "_push_row", spy)
+        dist = initial_distances(g.n, [0], MIN_PLUS)
+        phases, active = relax_fixpoint(relaxer, dist, g.n)
+        assert not active.size and len(frontiers) == phases >= 14
+        assert all(np.unique(f).size == f.size for f in frontiers)
+        assert np.array_equal(dist[0], (np.arange(g.n) // 8 + np.arange(g.n) % 8).astype(float))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_row_pass_charges_as_block_pass(self, rows, rng, monkeypatch):
+        """One row at a time, the pass charges the ledger phase for phase as
+        the 2-D pass does (runs whose rows stop at different phases
+        included), and leaves the same rows."""
+        from repro.pram.machine import Ledger
+
+        n, src, dst, w = _relax_case(MIN_PLUS, "negative", rng)
+        (a, _), (b, _), (c, _) = _subset_relaxers(n, src, dst, w, MIN_PLUS, rng, 3)
+        full = EdgeRelaxer(src, dst, w, MIN_PLUS)
+        relaxers = [full] * 4 + [a, b, c] + [full] * 6
+        init = initial_distances(n, rng.integers(0, n, size=rows), MIN_PLUS)
+        tallies = []
+        for cutoff in (bf.ROW_PASS_ROWS, 0):
+            monkeypatch.setattr(bf, "ROW_PASS_ROWS", cutoff)
+            got, led = init.copy(), Ledger()
+            run_phases(relaxers, got, ledger=led)
+            tallies.append((got.tobytes(), led.work, led.depth, led.breakdown()))
+        assert tallies[0] == tallies[1]
 
     @pytest.mark.parametrize(
         "sources,work,depth",
-        [([0], 3516, 168), ([3, 40, 77], 10260, 168), (range(81), 289404, 350)],
-        ids=["1", "3", "81"],
+        [([0], 3516, 168), ([5, 60], 7032, 175), ([3, 40, 77], 10260, 168),
+         (range(81), 289404, 350)],
+        ids=["1", "2", "3", "81"],
     )
     def test_scheduled_ledger_pinned(self, sources, work, depth):
         """The PRAM ledger of one §3.2 pass on a 9×9 negative-potential grid
