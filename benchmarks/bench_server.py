@@ -9,8 +9,9 @@ appended to ``benchmarks/results/BENCH_server.json``:
 * **latency overhead** — the same 32-source batch is served (a) directly
   by :meth:`QueryEngine.query` in process and (b) through the socket
   (connect once, repeat requests); the server-path p50 must stay within
-  2× of direct — i.e. JSON framing + event loop + thread hop must not
-  dominate the §3.2 relaxation.  p50/p99 of both paths are recorded.
+  2× of direct — i.e. framing the reply (a JSON header plus the raw
+  float64 rows) + event loop + thread hop must not dominate the §3.2
+  relaxation.  p50/p99 of both paths are recorded.
 
 Both experiments run the serial executor on both sides so the comparison
 isolates the *serving* overhead, not pool scheduling noise.
@@ -193,8 +194,9 @@ def _latency_finding(direct_s: float, served_s: float, batch_s: float) -> str:
         f"({served_s * 1e3:.2f} against {direct_s * 1e3:.2f} ms), {verdict} "
         f"the 2× bound.  The server's batch wall is {batch_s * 1e3:.2f} ms of "
         f"it; the other {outside * 1e3:.2f} ms ({outside / served_s:.0%}) go "
-        f"to framing and JSON of the {BATCH_SOURCES}-row float reply, the "
-        f"event loop and the thread hop, so {cause}."
+        f"to the request line, the {BATCH_SOURCES}-row reply's raw float64 "
+        f"frame through the socket, the event loop and the thread hop, so "
+        f"{cause}."
     )
 
 

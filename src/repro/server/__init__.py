@@ -4,7 +4,8 @@
 * :class:`~repro.server.server.OracleServer` — asyncio TCP/Unix-socket
   server with request coalescing, bounded-queue backpressure, per-request
   timeouts and drain-then-close shutdown;
-* :class:`~repro.server.client.OracleClient` — blocking JSON-line client;
+* :class:`~repro.server.client.OracleClient` — blocking client (JSON-line
+  requests; replies are JSON-header frames carrying raw row arrays);
 * :class:`~repro.server.server.ServerConfig` — coalescing/limit knobs;
 * :class:`~repro.server.metrics.ServerMetrics` — per-request/per-batch
   telemetry (queue wait, coalesce factor, shard fan-out, p50/p99).

@@ -1,7 +1,9 @@
 """Blocking client for the query server: :class:`OracleClient`.
 
-A thin synchronous wrapper over the JSON-line protocol — one socket, one
-request in flight at a time, responses matched by id.  Intended for worker
+A thin synchronous wrapper over the wire protocol of
+:mod:`repro.server.protocol` (JSON-line requests, JSON-header frames with
+raw array bytes back) — one socket, one request in flight at a time,
+responses matched by id.  Intended for worker
 processes, notebooks and the CLI; concurrency comes from many clients (the
 server coalesces them), not from pipelining inside one client.
 
@@ -21,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .protocol import UNAVAILABLE, ServerError, decode, encode
+from .protocol import UNAVAILABLE, ServerError, encode, read_frame
 
 __all__ = ["OracleClient"]
 
@@ -126,10 +128,7 @@ class OracleClient:
         req = {"id": req_id, "op": op, "timeout_ms": self.timeout * 1e3, **fields}
         self._file.write(encode(req))
         self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        resp = decode(line)
+        resp = read_frame(self._file)
         if resp.get("id") != req_id:
             raise ServerError(500, f"response id mismatch: {resp.get('id')!r}")
         if not resp.get("ok"):
@@ -143,20 +142,18 @@ class OracleClient:
     def distances(self, sources) -> np.ndarray:
         """Distance rows for each source: ``(s, n)``, or ``(n,)`` for a
         bare int — the server-side equivalent of
-        :meth:`QueryEngine.query`."""
+        :meth:`QueryEngine.query`, as writable float64 views of the
+        received frame."""
         single = isinstance(sources, (int, np.integer))
         srcs = [int(sources)] if single else [int(s) for s in sources]
-        out = np.asarray(self._call("distances", sources=srcs)["distances"], dtype=np.float64)
+        out = self._call("distances", sources=srcs)["distances"]
         return out[0] if single else out
 
     def nearest_source(self, sources) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex closest source and its distance (multi-depot
         assignment); unreachable vertices get source −1 and +inf."""
         res = self._call("nearest_source", sources=[int(s) for s in sources])
-        return (
-            np.asarray(res["assigned"], dtype=np.int64),
-            np.asarray(res["distance"], dtype=np.float64),
-        )
+        return res["assigned"], res["distance"]
 
     def path(self, source: int, target: int) -> list[int] | None:
         """An explicit minimum-weight path (original edges), or ``None``."""

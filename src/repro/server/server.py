@@ -88,8 +88,9 @@ __all__ = ["ServerConfig", "OracleServer"]
 
 _log = logging.getLogger(__name__)
 
-#: Stream buffer limit — a request line listing thousands of sources (or a
-#: response carrying (s, n) distances) far exceeds asyncio's 64 KiB default.
+#: The request reader's line limit: a request listing thousands of sources,
+#: or a full-vector ``reweight``, far exceeds asyncio's 64 KiB default.
+#: Responses are written, not read here, so it does not bound them.
 _STREAM_LIMIT = 16 << 20
 
 
@@ -695,12 +696,14 @@ class OracleServer:
 
     def _postprocess(self, op: str, req: dict, srcs: np.ndarray, rows: np.ndarray) -> dict:
         if op == "distances":
-            return {"sources": srcs.tolist(), "distances": rows.tolist()}
+            # protocol.encode frames the arrays as raw bytes; a boolean
+            # semiring's rows go out as float64 0/1, as JSON numbers did.
+            return {"sources": srcs.tolist(), "distances": rows}
         if op == "nearest_source":
             best = np.argmin(rows, axis=0)
             d = rows[best, np.arange(rows.shape[1])]
             assigned = np.where(np.isfinite(d), srcs[best], -1)
-            return {"assigned": assigned.tolist(), "distance": d.tolist()}
+            return {"assigned": assigned, "distance": d}
         # path: one source row → shortest-path tree → explicit path
         target = req["target"]  # checked by _parse_sources
         source = int(srcs[0])

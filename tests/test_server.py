@@ -21,9 +21,13 @@ import numpy as np
 import pytest
 
 from repro import OracleConfig, QueryEngine, ShortestPathOracle
+from repro.core.digraph import WeightedDigraph
 from repro.core.protocols import SERVING_STATS_KEYS, ServingBackend, serving_stats
 from repro.pram.shm import orphaned_segments
+from repro.separators.grid import decompose_grid
 from repro.server import OracleClient, OracleServer, ServerConfig, ServerError
+from repro.server.protocol import encode
+from repro.workloads.generators import grid_digraph
 
 SERIAL = OracleConfig(executor="serial")
 
@@ -233,6 +237,64 @@ class TestCorrectness:
             resp = json.loads(f.readline())
             assert resp["ok"] is False and resp["code"] == 400
             s.close()
+
+
+def _one_way_grid(side: int, seed: int = 3):
+    """A side×side grid keeping only the edges from a lower to a higher
+    vertex id: every vertex is unreachable from those after it (+inf)."""
+    g = grid_digraph((side, side), np.random.default_rng(seed))
+    keep = g.src < g.dst
+    g = WeightedDigraph(g.n, g.src[keep], g.dst[keep], g.weight[keep])
+    return g, decompose_grid(g, (side, side), leaf_size=4)
+
+
+class TestWireFrame:
+    """Rows travel as raw array bytes after a JSON header: served rows must
+    be bit-identical to the in-process oracle's."""
+
+    def test_rows_bitwise_with_unreachable_and_large_reply(self, tmp_path):
+        g, tree = _one_way_grid(16)
+        oracle = ShortestPathOracle.build(g, tree)
+        srcs = list(range(g.n))  # 256 rows: a 512 KiB payload
+        depots = srcs[20::29]
+        want = oracle.distances(srcs)
+        want_assigned, want_dist = oracle.nearest_source(depots)
+        assert np.isinf(want).any() and np.isinf(want_dist).any()
+        with serving(oracle, tmp_path) as (sock, _):
+            with OracleClient(sock) as c:
+                buffered = sum(c._sock.getsockopt(socket.SOL_SOCKET, opt)
+                               for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF))
+                assert want.nbytes > buffered
+                got = c.distances(srcs)
+                assigned, dist = c.nearest_source(depots)
+        assert got.shape == want.shape == (256, 256)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert assigned.dtype == np.int64
+        assert np.array_equal(assigned, want_assigned)
+        assert np.array_equal(dist.view(np.uint64), want_dist.view(np.uint64))
+
+    def test_non_min_plus_semiring_rows(self, tmp_path):
+        g, tree = _one_way_grid(6)
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(semiring="boolean"))
+        srcs = [0, 14, 35]
+        want = np.asarray(oracle.distances(srcs), dtype=np.float64)
+        with serving(oracle, tmp_path) as (sock, _):
+            with OracleClient(sock) as c:
+                got = c.distances(srcs)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rows_are_writable_contiguous_float64(self, oracle, tmp_path):
+        with serving(oracle, tmp_path) as (sock, _):
+            with OracleClient(sock) as c:
+                rows = c.distances([0, 7])
+                single = c.distances(7)
+                assigned, dist = c.nearest_source([0, 7])
+        for arr in (rows, single, assigned, dist):
+            assert arr.flags.writeable and arr.flags.c_contiguous
+        assert rows.dtype == single.dtype == dist.dtype == np.float64
+        assert rows.shape == (2, oracle.graph.n) and single.shape == (oracle.graph.n,)
+        rows[0, 0] = -1.0  # a view the caller owns
 
 
 class TestCoalescing:
@@ -836,6 +898,11 @@ class TestClientRetry:
                 if line:
                     received.append(json.loads(line))
                 req_id = received[-1]["id"] if received else None
+
+                def ok(rows):
+                    return {"id": req_id, "ok": True,
+                            "result": {"sources": received[-1]["sources"], "distances": rows}}
+
                 if mode == "drop":
                     pass  # close without answering → ConnectionError
                 elif mode == "unavailable":
@@ -846,11 +913,15 @@ class TestClientRetry:
                     resp = {"id": req_id, "ok": False, "code": 400,
                             "error": "no such thing"}
                     conn.sendall((json.dumps(resp) + "\n").encode())
+                elif mode == "short":
+                    # The header promises 16 payload bytes; 8 arrive.
+                    conn.sendall(encode(ok(np.array([[0.0, 1.0]])))[:-8])
+                elif mode == "mismatch":
+                    # 8 payload bytes against a declared (1, 2) float64.
+                    head = {**ok({"dtype": "<f8", "shape": [1, 2]}), "payload": 8}
+                    conn.sendall((json.dumps(head) + "\n").encode() + bytes(8))
                 else:  # "ok"
-                    resp = {"id": req_id, "ok": True,
-                            "result": {"sources": received[-1]["sources"],
-                                       "distances": [[0.0, 1.0]]}}
-                    conn.sendall((json.dumps(resp) + "\n").encode())
+                    conn.sendall(encode(ok(np.array([[0.0, 1.0]]))))
                 f.close()
                 conn.close()
             srv.close()
@@ -897,3 +968,21 @@ class TestClientRetry:
                 c.distances([0])
         assert err.value.code == 400
         assert len(received) == 1  # 400 is the caller's problem, no retry
+
+    def test_truncated_payload_is_retried_once(self, tmp_path):
+        """EOF inside the payload is a dropped connection: one resend."""
+        sock = str(tmp_path / "flaky.sock")
+        received = self._flaky_server(sock, ["short", "ok"])
+        with OracleClient(sock, retry_backoff_s=0.01) as c:
+            got = c.distances([0])
+        assert np.array_equal(got, [[0.0, 1.0]])
+        assert len(received) == 2
+
+    def test_payload_shape_mismatch_is_500_not_retried(self, tmp_path):
+        sock = str(tmp_path / "flaky.sock")
+        received = self._flaky_server(sock, ["mismatch", "ok"])
+        with OracleClient(sock, retry_backoff_s=0.01) as c:
+            with pytest.raises(ServerError) as err:
+                c.distances([0])
+        assert err.value.code == 500
+        assert len(received) == 1
