@@ -18,9 +18,9 @@ integer-weight grids (``decompose_grid``) and the ceiled μ=0.5 family
 * ``scipy Dijkstra`` — compiled ``csgraph.dijkstra``, a reference only
   (DESIGN rules scipy out as the algorithm).
 
-Each cell is ten alternating rounds (the column order rotates every
-round); a round times each column as the median of a few calls, and the
-cell reports the median with its quartiles.  Relaxers and the scipy
+Each cell is twelve rotating rounds (the column order rotates every round);
+a round times each column as the mean of a few back-to-back calls, and
+the cell reports the median with its quartiles.  Relaxers and the scipy
 matrix are built before timing; every timed call starts from fresh
 initial distances.  The engine columns must agree bit for bit with each
 other and with BF on G; scipy within 1e-9.  Record-only: no speed gate.
@@ -28,13 +28,7 @@ other and with BF on G; scipy within 1e-9.  Record-only: no speed gate.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-
 import numpy as np
-import scipy
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
@@ -54,8 +48,8 @@ from repro.workloads.generators import grid_digraph
 from repro.workloads.synthetic import separator_programmable_family
 
 ROWS = (1, 2, 3, 8, 64)
-ROUNDS = 10
-#: calls per column per round, by row count (the median is kept)
+ROUNDS = 12
+#: calls per column per round, by row count (their mean is one sample)
 CALLS = {1: 5, 2: 5, 3: 5, 8: 5, 64: 3}
 COLUMNS = ("engine (block pass)", "engine", "frontier BF on G", "scipy Dijkstra")
 
@@ -133,31 +127,7 @@ def _solvers(g, tree):
     ))), len(relaxers)
 
 
-def _time_cell(solvers, srcs, calls):
-    samples = {c: [] for c in COLUMNS}
-    for r in range(ROUNDS):
-        for c in COLUMNS[r % len(COLUMNS):] + COLUMNS[: r % len(COLUMNS)]:
-            walls = []
-            for _ in range(calls):
-                t0 = time.perf_counter()
-                solvers[c](srcs)
-                walls.append(time.perf_counter() - t0)
-            samples[c].append(float(np.median(walls)) * 1e3)
-    return {c: [float(q) for q in np.percentile(v, [25, 50, 75])] for c, v in samples.items()}
-
-
-def _host() -> dict:
-    return {
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu": platform.processor() or platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
-    }
-
-
-def test_schedule_pass_against_baselines(report, results_dir, provenance):
+def test_schedule_pass_against_baselines(timed, report, record_json, provenance):
     cells, lines, cut, same = [], [], None, []
     for label, g, tree in [_grid(40), _grid(56), _grid(80), _mu_family()]:
         solvers, phases = _solvers(g, tree)
@@ -168,28 +138,25 @@ def test_schedule_pass_against_baselines(report, results_dir, provenance):
             assert np.array_equal(solvers["engine"](srcs), want), (label, rows)
             assert np.array_equal(solvers["engine (block pass)"](srcs), want)
             assert np.allclose(solvers["scipy Dijkstra"](srcs), want, rtol=0, atol=1e-9)
-            ms = _time_cell(solvers, srcs, CALLS[rows])
+            res = timed({c: (lambda c=c: solvers[c](srcs)) for c in COLUMNS}, ROUNDS,
+                        calls=CALLS[rows])
+            ms = {c: res.quartiles(c, 1e3) for c in COLUMNS}
+            ratios = {
+                "block pass / engine": res.ratio_quartiles("engine (block pass)", "engine"),
+                "BF on G / engine": res.ratio_quartiles("frontier BF on G", "engine"),
+                "engine / scipy": res.ratio_quartiles("engine", "scipy Dijkstra"),
+            }
             cells.append({"graph": label, "n": g.n, "m": g.m, "phases": phases,
-                          "rows": rows, "ms_q25_q50_q75": ms})
-            med = {c: ms[c][1] for c in COLUMNS}
-            ratio = med["engine"] / med["scipy Dijkstra"]
+                          "rows": rows, "ms_q25_q50_q75": ms, "ratios_q25_q50_q75": ratios})
             if (label, rows) == ("grid 40²", 1):
-                cut = ratio
+                cut = ratios["engine / scipy"][1]
             if rows > ROW_PASS_ROWS:
-                same.append(med["engine (block pass)"] / med["engine"])
-            lines.append([label, rows] + [
-                f"{ms[c][1]:.2f} [{ms[c][0]:.2f}–{ms[c][2]:.2f}]" for c in COLUMNS
-            ] + [f"{med['engine (block pass)'] / med['engine']:.2f}×",
-                 f"{med['frontier BF on G'] / med['engine']:.2f}×",
-                 f"{ratio:.2f}×"])
-    host = _host()
-    data = {"cells": cells, "host": host, "rounds": ROUNDS, "calls": CALLS,
-            "columns": list(COLUMNS),
-            "provenance": {k: v for k, v in provenance.items() if k != "line"}}
-    path = results_dir / "BENCH_baselines.json"
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+                same.append(ratios["block pass / engine"])
+            lines.append([label, rows] + [res.span(ms[c]) for c in COLUMNS]
+                         + [res.span(q) for q in ratios.values()])
+    record_json("BENCH_baselines.json", "schedule_pass", {
+        "cells": cells, "rounds": ROUNDS, "calls": CALLS, "columns": list(COLUMNS),
+    })
     verdict = "meets" if cut <= 4.0 else "misses"
     report(
         "E-schedule-pass",
@@ -197,13 +164,16 @@ def test_schedule_pass_against_baselines(report, results_dir, provenance):
             ["graph", "rows", *(f"{c} ms" for c in COLUMNS),
              "block pass / engine", "BF on G / engine", "engine / scipy"],
             lines,
-            title=f"E-schedule-pass: batch wall, median [quartiles] of {ROUNDS} "
-                  f"alternating rounds ({host['nproc']} CPUs, numpy {host['numpy']})",
+            title=f"E-schedule-pass: batch wall and per-round ratios, median "
+                  f"[quartiles] of {ROUNDS} rotating rounds "
+                  f"({provenance['affinity_cpus']} CPUs, numpy {provenance['numpy']})",
         )
         + f"\n\nA one-row pass on 40² takes {cut:.2f}× scipy's compiled Dijkstra, "
         f"so it {verdict} the 4× bar of ROADMAP item 4.  Above {ROW_PASS_ROWS} rows "
-        "both engine columns run the same pass, so their ratio there "
-        f"({min(same):.2f}–{max(same):.2f}×) is this table's noise.  scipy is a "
+        "both engine columns run the same pass, so their per-round ratio there "
+        f"(medians {min(q[1] for q in same):.2f}–{max(q[1] for q in same):.2f}, "
+        f"quartiles within {min(q[0] for q in same):.2f}–{max(q[2] for q in same):.2f}) "
+        "is this table's noise.  scipy is a "
         "yardstick only; the engine and BF on G run on the same numpy "
         "substrate.\n\n" + provenance["line"],
     )

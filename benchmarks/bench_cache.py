@@ -3,22 +3,24 @@
 Two experiments on the 56×56 grid workload (the E-par/E-serve graph),
 all appended to ``benchmarks/results/BENCH_cache.json``:
 
-* **cold vs cached build** — the same ``(graph, tree, method)`` built twice
-  through ``cache="readwrite"``: the second build must be a store hit, at
-  least ``BUILD_SPEEDUP``× faster than the cold §4 construction, with
-  bit-identical distances.
+* **cold vs cached build** — the same ``(graph, tree, method)`` built
+  through ``cache="readwrite"``: a build into a populated store must be a
+  store hit, at least ``BUILD_SPEEDUP``× faster than the cold §4
+  construction into an empty one, with bit-identical distances.
 * **row-LRU hit latency** — a repeated single-source query against a
   ``row_cache``-enabled :class:`~repro.core.query.QueryEngine` must be
   answered from the per-source LRU at least ``ROW_HIT_SPEEDUP``× faster
-  (p50) than a cold single-source relaxation — the serving path
+  than a cold single-source relaxation — the serving path
   ``repro.server`` rides for repeated sources.
+
+Both experiments time their two sides in the same rotating rounds (each
+cold build gets a fresh store directory, each cold query a new source);
+the bars read the median per-round ratio.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
+import itertools
 
 import numpy as np
 import pytest
@@ -37,23 +39,8 @@ BUILD_SPEEDUP = 5.0
 #: Acceptance bar: a row-LRU hit must beat a cold single-source query (p50).
 ROW_HIT_SPEEDUP = 10.0
 
-COLD_SOURCES = 9        # distinct sources for the cold-query p50
-HIT_REPEATS = 15        # repeats of one source for the hit p50
-
-
-def _record_json(results_dir, key: str, record: dict) -> None:
-    """Merge one experiment record into ``BENCH_cache.json`` (atomic
-    temp+rename — a crashed run must not truncate accumulated results)."""
-    path = results_dir / "BENCH_cache.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[key] = record
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def _p50(samples: list[float]) -> float:
-    return float(np.percentile(np.asarray(samples), 50))
+BUILD_ROUNDS = 4        # rotating rounds of cold build vs store hit
+QUERY_ROUNDS = 16       # rotating rounds of cold query vs row-cache hit
 
 
 @pytest.fixture(scope="module")
@@ -64,125 +51,105 @@ def workload():
     return g, tree
 
 
-def test_ecache_cold_vs_cached_build(benchmark, workload, report, results_dir, tmp_path,
+def test_ecache_cold_vs_cached_build(timed, workload, report, record_json, tmp_path,
                                     provenance):
     """Second build of the same content is a store hit ≥5× faster than the
     cold construction, with bit-identical distances."""
     g, tree = workload
-    cache_dir = str(tmp_path / "store")
-    t0 = time.perf_counter()
-    cold_oracle = ShortestPathOracle.build(
-        g, tree, config=OracleConfig(cache="readwrite", cache_dir=cache_dir)
-    )
-    cold_s = time.perf_counter() - t0
+    store = str(tmp_path / "store")
+    fresh = (str(tmp_path / f"cold-{i}") for i in itertools.count())
+    res = timed({
+        "cold": lambda: ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=next(fresh))),
+        "cached": lambda: ShortestPathOracle.build(
+            g, tree, config=OracleConfig(cache="readwrite", cache_dir=store)),
+    }, BUILD_ROUNDS)
+    cold_oracle, hit_oracle = res.outputs["cold"], res.outputs["cached"]
     assert cold_oracle.cache_info["status"] == "stored", cold_oracle.cache_info
-    warm_s = np.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        hit_oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(cache="readwrite", cache_dir=cache_dir)
-        )
-        warm_s = min(warm_s, time.perf_counter() - t0)
     assert hit_oracle.cache_info["status"] == "hit", hit_oracle.cache_info
     srcs = np.random.default_rng(7).integers(0, g.n, size=8)
     want = cold_oracle.distances(srcs)
     got = hit_oracle.distances(srcs)
     assert np.array_equal(want, got)
-    speedup = cold_s / warm_s
+    speedup = res.ratio_quartiles("cold", "cached")
     rows = [
-        ["cold build s", round(cold_s, 3)],
-        ["cached build s (best of 3)", round(warm_s, 3)],
-        ["speedup", round(speedup, 1)],
+        ["cold build ms", res.span(res.quartiles("cold", 1e3), 1)],
+        ["cached build ms", res.span(res.quartiles("cached", 1e3), 1)],
+        ["speedup (per-round ratio)", res.span(speedup, 1)],
         ["|E+|", cold_oracle.augmentation.size],
         ["bit-identical distances", True],
     ]
     report(
         "E-cache-build",
-        render_table(["metric", "value"], rows,
-                     title=f"E-cache: cold vs store-hit build, {SIDE}x{SIDE} grid")
+        render_table(["metric", "median [quartiles]"], rows,
+                     title=f"E-cache: cold vs store-hit build, {SIDE}x{SIDE} grid, "
+                           f"{BUILD_ROUNDS} rotating rounds")
         + "\n\nFinding: the content-addressed store turns repeat "
         "preprocessing (paper comment (iv)'s reuse regime) into reading the "
         "E⁺ arrays and compiling the §3.2 schedule. The key is a digest of "
         "the caller's graph and tree, so a hit reuses them and never reads "
         "the entry's copies.\n\n" + provenance["line"],
     )
-    _record_json(
-        results_dir,
-        "build_56x56",
-        {
-            "workload": f"leaves_up build, {SIDE}x{SIDE} grid, cache=readwrite",
-            "cold_s": cold_s,
-            "cached_s": warm_s,
-            "speedup": speedup,
-            "eplus": int(cold_oracle.augmentation.size),
-            "bit_identical": True,
-            "provenance": provenance,
-        },
-    )
-    assert speedup >= BUILD_SPEEDUP, (
-        f"cache hit only {speedup:.1f}x faster than cold build "
-        f"(cold {cold_s:.3f}s, cached {warm_s:.3f}s; bar {BUILD_SPEEDUP}x)"
-    )
-    benchmark(
-        lambda: ShortestPathOracle.build(
-            g, tree, config=OracleConfig(cache="read", cache_dir=cache_dir)
-        )
+    record_json("BENCH_cache.json", "build_56x56", {
+        "workload": f"leaves_up build, {SIDE}x{SIDE} grid, cache=readwrite",
+        "cold_s": res.median("cold"),
+        "cached_s": res.median("cached"),
+        "speedup": speedup[1],
+        "speedup_quartiles": speedup,
+        "timings_s": res.record(),
+        "eplus": int(cold_oracle.augmentation.size),
+        "bit_identical": True,
+    })
+    assert speedup[1] >= BUILD_SPEEDUP, (
+        f"cache hit only {speedup[1]:.1f}x faster than cold build "
+        f"(cold {res.median('cold'):.3f}s, cached {res.median('cached'):.3f}s; "
+        f"bar {BUILD_SPEEDUP}x)"
     )
 
 
-def test_ecache_row_lru_hit_latency(benchmark, workload, report, results_dir, provenance):
+def test_ecache_row_lru_hit_latency(timed, workload, report, record_json, provenance):
     """A repeated source is answered from the engine's row LRU ≥10× faster
     (p50) than a cold single-source relaxation, bit-identically."""
     g, tree = workload
     oracle = ShortestPathOracle.build(g, tree)
+    hot_src = 0
     with oracle.query_engine(OracleConfig(executor="serial", row_cache=64)) as eng:
-        cold_samples = []
-        for src in range(COLD_SOURCES):
-            t0 = time.perf_counter()
-            eng.query(src)
-            cold_samples.append(time.perf_counter() - t0)
-        hot_src = 0  # already resident from the cold sweep
-        hit_samples = []
-        for _ in range(HIT_REPEATS):
-            t0 = time.perf_counter()
-            got = eng.query(hot_src)
-            hit_samples.append(time.perf_counter() - t0)
+        misses = itertools.count(1)  # every cold call asks for a source not yet cached
+        res = timed({
+            "cold": lambda: eng.query(next(misses)),
+            "hit": lambda: eng.query(hot_src),
+        }, QUERY_ROUNDS)
         stats = eng.stats()["row_cache"]
-    assert np.array_equal(got, oracle.distances(hot_src))
-    cold_p50, hit_p50 = _p50(cold_samples), _p50(hit_samples)
-    speedup = cold_p50 / hit_p50
+    assert np.array_equal(res.outputs["hit"], oracle.distances(hot_src))
+    cold_p50, hit_p50 = res.median("cold"), res.median("hit")
+    speedup = res.ratio_quartiles("cold", "hit")
     rows = [
-        ["cold single-source p50 ms", round(cold_p50 * 1e3, 3)],
-        ["row-cache hit p50 ms", round(hit_p50 * 1e3, 4)],
-        ["speedup", round(speedup, 1)],
+        ["cold single-source ms", res.span(res.quartiles("cold", 1e3), 3)],
+        ["row-cache hit ms", res.span(res.quartiles("hit", 1e3), 4)],
+        ["speedup (per-round ratio)", res.span(speedup, 1)],
         ["LRU hits / misses", f"{stats['hits']} / {stats['misses']}"],
     ]
     report(
         "E-cache-row-lru",
-        render_table(["metric", "value"], rows,
-                     title=f"E-cache: row-LRU hit vs cold query, {SIDE}x{SIDE} grid")
+        render_table(["metric", "median [quartiles]"], rows,
+                     title=f"E-cache: row-LRU hit vs cold query, {SIDE}x{SIDE} grid, "
+                           f"{QUERY_ROUNDS} rotating rounds")
         + "\n\n" + provenance["line"],
     )
-    _record_json(
-        results_dir,
-        "row_lru_56x56",
-        {
-            "workload": f"single-source queries, {SIDE}x{SIDE} grid, row_cache=64",
-            "cold_p50_s": cold_p50,
-            "hit_p50_s": hit_p50,
-            "speedup": speedup,
-            "hits": stats["hits"],
-            "misses": stats["misses"],
-            "bit_identical": True,
-            "provenance": provenance,
-        },
-    )
-    assert stats["hits"] >= HIT_REPEATS, stats
-    assert speedup >= ROW_HIT_SPEEDUP, (
-        f"row-cache hit only {speedup:.1f}x faster than cold query "
+    record_json("BENCH_cache.json", "row_lru_56x56", {
+        "workload": f"single-source queries, {SIDE}x{SIDE} grid, row_cache=64",
+        "cold_p50_s": cold_p50,
+        "hit_p50_s": hit_p50,
+        "speedup": speedup[1],
+        "speedup_quartiles": speedup,
+        "timings_s": res.record(),
+        "hits": stats["hits"],
+        "misses": stats["misses"],
+        "bit_identical": True,
+    })
+    assert stats["hits"] >= QUERY_ROUNDS, stats
+    assert speedup[1] >= ROW_HIT_SPEEDUP, (
+        f"row-cache hit only {speedup[1]:.1f}x faster than cold query "
         f"(cold p50 {cold_p50 * 1e3:.3f}ms, hit p50 {hit_p50 * 1e3:.4f}ms; "
         f"bar {ROW_HIT_SPEEDUP}x)"
     )
-    with oracle.query_engine(OracleConfig(executor="serial", row_cache=64)) as eng:
-        eng.query(hot_src)
-        benchmark(lambda: eng.query(hot_src))

@@ -8,9 +8,6 @@ arithmetic against the generic recursive builder it reproduces."""
 
 from __future__ import annotations
 
-import importlib.util
-import time
-
 import numpy as np
 
 from repro.analysis.tables import render_table
@@ -23,10 +20,13 @@ from repro.workloads.generators import grid_digraph
 #: than the generic builder on the 40×40 grid.
 BOX_SPEEDUP = 4.0
 
+#: Rotating rounds of box vs generic construction per grid side.
+ROUNDS = 4
 
-def test_fig1_nine_by_nine(benchmark, report):
+
+def test_fig1_nine_by_nine(report):
     g = grid_digraph((9, 9), np.random.default_rng(0))
-    tree = benchmark(lambda: decompose_grid(g, (9, 9), leaf_size=4))
+    tree = decompose_grid(g, (9, 9), leaf_size=4)
     tree.validate(g)
     root = tree.root
     # The paper's figure: the root separator is the middle column/row of 9.
@@ -55,11 +55,10 @@ def test_fig1_nine_by_nine(benchmark, report):
     assert q.max_separator <= 9
 
 
-def test_fig1_separator_is_hyperplane_at_every_level(benchmark, report):
+def test_fig1_separator_is_hyperplane_at_every_level(report):
     """Every internal separator the oracle produces is a grid hyperplane
     restricted to the node's vertex set (the structure Fig. 1 depicts)."""
     g = grid_digraph((9, 9), np.random.default_rng(0))
-    fn = grid_separator_fn((9, 9))
     tree = decompose_grid(g, (9, 9), leaf_size=4)
     planar_count = 0
     for t in tree.nodes:
@@ -75,19 +74,9 @@ def test_fig1_separator_is_hyperplane_at_every_level(benchmark, report):
         "(non-hyperplane cases come from the degenerate-box fallback)",
     )
     assert planar_count >= 0.9 * internal
-    benchmark(lambda: fn(*g.induced_subgraph(np.arange(g.n))))
 
 
-def _best_of(fn, reps: int = 5) -> float:
-    best = np.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_box_tree_vs_generic_builder(report, provenance):
+def test_box_tree_vs_generic_builder(timed, report, provenance):
     """E-grid-decompose: ``decompose_grid`` (box arithmetic) against
     ``build_separator_tree`` with ``grid_separator_fn`` (one induced
     subgraph and component labelling per node) on the same full lattice;
@@ -96,23 +85,23 @@ def test_box_tree_vs_generic_builder(report, provenance):
     for side in (40, 56, 80):
         shape = (side, side)
         g = grid_digraph(shape, None)
-        box_s = _best_of(lambda: decompose_grid(g, shape))
-        generic_s = _best_of(lambda: build_separator_tree(g, grid_separator_fn(shape)))
-        speedups[side] = generic_s / box_s
-        nodes = len(decompose_grid(g, shape).nodes)
+        res = timed({
+            "box": lambda: decompose_grid(g, shape),
+            "generic": lambda: build_separator_tree(g, grid_separator_fn(shape)),
+        }, ROUNDS)
+        speedup = res.ratio_quartiles("generic", "box")
+        speedups[side] = speedup[1]
         rows.append([
-            f"{side}x{side}", nodes, f"{box_s * 1e3:.1f}", f"{generic_s * 1e3:.1f}",
-            f"{speedups[side]:.1f}x",
+            f"{side}x{side}", len(res.outputs["box"].nodes),
+            res.span(res.quartiles("box", 1e3), 1),
+            res.span(res.quartiles("generic", 1e3), 1), res.span(speedup, 1),
         ])
     table = render_table(
         ["grid", "nodes", "box ms", "generic ms", "speedup"],
         rows,
-        title="E-grid-decompose: decompose_grid vs the generic builder (leaf_size 8, best of 5)",
+        title=f"E-grid-decompose: decompose_grid vs the generic builder (leaf_size 8), "
+              f"median [quartiles] of {ROUNDS} rotating rounds",
     )
-    host = (
-        f"{provenance['line']}, numba "
-        f"{'present' if importlib.util.find_spec('numba') else 'absent'}; "
-        f"gate: speedup >= {BOX_SPEEDUP:g}x at 40x40"
-    )
-    report("E-grid-decompose", table + "\n\n" + host)
+    report("E-grid-decompose", table + "\n\n" + provenance["line"]
+           + f"; gate: median per-round speedup >= {BOX_SPEEDUP:g}x at 40x40")
     assert speedups[40] >= BOX_SPEEDUP, speedups

@@ -20,7 +20,7 @@ from repro.separators.planar import decompose_planar
 from repro.workloads.generators import delaunay_digraph, grid_digraph
 
 
-def test_fig2_right_shortcuts_on_grid_paths(benchmark, report):
+def test_fig2_right_shortcuts_on_grid_paths(report):
     g = grid_digraph((9, 9), np.random.default_rng(0))
     tree = decompose_grid(g, (9, 9), leaf_size=4)
     rng = np.random.default_rng(7)
@@ -47,11 +47,10 @@ def test_fig2_right_shortcuts_on_grid_paths(benchmark, report):
     report("F2-right-shortcuts", table)
     walk = list(range(9)) + [17 - i for i in range(9)]
     levels = tree.vertex_level[np.array(walk)]
-    benchmark(lambda: shortcut_chain(levels))
 
 
 @pytest.mark.parametrize("family", ["grid", "delaunay"])
-def test_ediam_diameter_bound_and_shrinkage(benchmark, report, family):
+def test_ediam_diameter_bound_and_shrinkage(report, family):
     rows = []
     rng = np.random.default_rng(3)
     cases = [(8, 8), (12, 12), (16, 16)] if family == "grid" else [64, 128, 256]
@@ -75,4 +74,3 @@ def test_ediam_diameter_bound_and_shrinkage(benchmark, report, family):
     report(f"E-diam-{family}", table)
     # The augmentation must shrink the diameter substantially at the top size.
     assert rows[-1][2] < rows[-1][1]
-    benchmark(lambda: measured_diameter(aug))

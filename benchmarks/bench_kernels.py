@@ -18,17 +18,13 @@ all recorded in ``benchmarks/results/BENCH_kernels.json``:
   hundred² and the pruned path wins ≥1.5×).  Augmentation edges are
   checked bit-identical across paths.
 
-A path is forced through the module constants, the way the tests force
+A path is forced through the module constant, the way the tests force
 it: ``AUTO_SMALL_OPS = inf`` broadcasts every product, ``-1`` prunes every
-one.
+one.  The paths of one cell run in rotating rounds, and the macro bar reads
+the median per-round ratio.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import platform
-import time
 
 import numpy as np
 import pytest
@@ -44,11 +40,13 @@ from repro.workloads.generators import delaunay_digraph, grid_digraph
 
 SIDE = 56
 
-#: Forced paths (module constants to patch) and the unforced size rule.
-PATHS = {
-    "reference": {"AUTO_SMALL_OPS": np.inf},
-    "pruned": {"AUTO_SMALL_OPS": -1},
-}
+#: Forced paths: the value of ``minplus.AUTO_SMALL_OPS`` that forces each.
+PATHS = {"reference": np.inf, "pruned": -1}
+
+#: Rotating rounds per micro cell, and per macro tree (a coarse-tree
+#: doubling takes tens of seconds, so its rounds run without a warm-up).
+MICRO_ROUNDS = 4
+MACRO_ROUNDS = 2
 
 #: Micro-sweep operand sizes: both sides of the size rule (n³ ≤ 2¹⁵ means
 #: n ≤ 32) and across the ~190² broadcast cache cliff.
@@ -63,34 +61,18 @@ FAT_LEAF = 300
 MACRO_SPEEDUP = 1.5
 
 
-def _record_json(results_dir, key: str, record: dict) -> None:
-    """Merge one experiment record into ``BENCH_kernels.json`` (atomic
-    temp+rename — a crashed run must not truncate accumulated results)."""
-    path = results_dir / "BENCH_kernels.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[key] = record
-    data["host"] = {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def _forced(monkeypatch, path: str, fn):
+    """``fn`` as a zero-argument call with every product forced onto
+    ``path``."""
 
+    def run():
+        monkeypatch.setattr(minplus, "AUTO_SMALL_OPS", PATHS[path])
+        try:
+            return fn()
+        finally:
+            monkeypatch.undo()
 
-def _best_of(fn, reps=3) -> float:
-    best = np.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _forced(monkeypatch, path: str):
-    for name, value in PATHS[path].items():
-        monkeypatch.setattr(minplus, name, value)
+    return run
 
 
 def _rule_path(n: int) -> str:
@@ -145,7 +127,7 @@ def _micro_operands(family: str, n: int):
     return [("one-hop", one_hop), ("closed", semiring_closure(one_hop))]
 
 
-def test_micro_kernel_curves(report, results_dir, monkeypatch):
+def test_micro_kernel_curves(timed, report, record_json, monkeypatch):
     """One doubling square per path on sparse, dense and half-filled
     operands; every row is checked bit-identical across paths."""
     rows = []
@@ -156,17 +138,17 @@ def test_micro_kernel_curves(report, results_dir, monkeypatch):
             for label, a in _micro_operands(family, size):
                 n = a.shape[0]
                 want = semiring_matmul(a, a, MIN_PLUS)
-                times = {}
+                res = timed({
+                    path: _forced(monkeypatch, path, lambda: semiring_matmul(a, a, MIN_PLUS))
+                    for path in PATHS
+                }, MICRO_ROUNDS)
                 for path in PATHS:
-                    _forced(monkeypatch, path)
-                    got = semiring_matmul(a, a, MIN_PLUS)
-                    assert np.array_equal(got, want), (family, n, label, path)
-                    times[path] = _best_of(lambda: semiring_matmul(a, a, MIN_PLUS))
-                    monkeypatch.undo()
+                    assert np.array_equal(res.outputs[path], want), (family, n, label, path)
+                times = {path: res.median(path) for path in PATHS}
                 rule = _rule_path(n)
                 faster = min(times, key=times.get)
                 rule_right[f"{family}-{n}-{label}"] = rule == faster
-                ratio = times["reference"] / times["pruned"]
+                ratio = res.ratio_quartiles("reference", "pruned")[1]
                 rows.append([
                     family, n, label,
                     round(times["reference"] * 1e3, 3),
@@ -175,7 +157,7 @@ def test_micro_kernel_curves(report, results_dir, monkeypatch):
                 ])
                 record[f"{family}-{n}-{label}"] = {
                     "n": n,
-                    "times_ms": {p: times[p] * 1e3 for p in PATHS},
+                    "times_ms": res.record(1e3),
                     "speedup_pruned": ratio,
                     "rule_path": rule,
                     "faster_path": faster,
@@ -188,16 +170,17 @@ def test_micro_kernel_curves(report, results_dir, monkeypatch):
          "rule picks", "faster"],
         rows,
         title=(
-            "E-kern micro: one min-plus square per path (bit-identity checked); "
-            f"the rule broadcasts n^3 <= {minplus.AUTO_SMALL_OPS} and picks the "
-            f"faster path on {record['rule_picks_faster']}/{record['rows']} rows"
+            "E-kern micro: one min-plus square per path (bit-identity checked), "
+            f"medians of {MICRO_ROUNDS} rotating rounds; the rule broadcasts "
+            f"n^3 <= {minplus.AUTO_SMALL_OPS} and picks the faster path on "
+            f"{record['rule_picks_faster']}/{record['rows']} rows"
         ),
     )
     report("E-kern-micro", table)
-    _record_json(results_dir, "micro", record)
+    record_json("BENCH_kernels.json", "micro", record)
 
 
-def test_macro_doubling_augmentation(grid_workload, report, results_dir, monkeypatch):
+def test_macro_doubling_augmentation(timed, grid_workload, report, record_json, monkeypatch):
     """End-to-end Algorithm 4.3 per path on the 56×56 grid, fine and coarse
     trees; asserts bit-identical E⁺ and the ≥1.5× coarse-tree bar."""
     g = grid_workload
@@ -208,39 +191,38 @@ def test_macro_doubling_augmentation(grid_workload, report, results_dir, monkeyp
     rows = []
     record = {}
     for tree_label, tree in trees.items():
-        times = {}
-        augs = {}
-        for path in (*PATHS, "rule"):
-            if path in PATHS:
-                _forced(monkeypatch, path)
-            t0 = time.perf_counter()
-            augs[path] = augment_doubling(g, tree, keep_node_distances=False)
-            times[path] = time.perf_counter() - t0
-            monkeypatch.undo()
-        base = augs["reference"]
+        def build():
+            return augment_doubling(g, tree, keep_node_distances=False)
+
+        sides = {path: _forced(monkeypatch, path, build) for path in PATHS}
+        res = timed({**sides, "rule": build}, MACRO_ROUNDS, warmup=0)
+        base = res.outputs["reference"]
         for path in ("pruned", "rule"):
-            assert np.array_equal(base.src, augs[path].src), path
-            assert np.array_equal(base.dst, augs[path].dst), path
-            assert np.array_equal(base.weight, augs[path].weight), path
-        ref = times["reference"]
+            assert np.array_equal(base.src, res.outputs[path].src), path
+            assert np.array_equal(base.dst, res.outputs[path].dst), path
+            assert np.array_equal(base.weight, res.outputs[path].weight), path
+        pruned_x = res.ratio_quartiles("reference", "pruned")
+        rule_x = res.ratio_quartiles("reference", "rule")
         rows.append([
             tree_label, base.size,
-            *(round(times[p], 2) for p in times),
-            round(ref / times["pruned"], 2), round(ref / times["rule"], 2),
+            *(round(res.median(p), 2) for p in res.samples),
+            round(pruned_x[1], 2), round(rule_x[1], 2),
         ])
         record[tree_label.split(" ")[0]] = {
             "eplus": base.size,
-            "times_s": times,
-            "speedup_pruned": ref / times["pruned"],
-            "speedup_rule": ref / times["rule"],
+            "times_s": res.record(),
+            "speedup_pruned": pruned_x[1],
+            "speedup_pruned_quartiles": pruned_x,
+            "speedup_rule": rule_x[1],
         }
     table = render_table(
         ["tree", "|E+|", "reference s", "pruned s", "rule s", "pruned x", "rule x"],
         rows,
-        title="E-kern macro: augment_doubling(56x56 grid) per path — E+ bit-identical",
+        title=f"E-kern macro: augment_doubling(56x56 grid) per path, medians of "
+              f"{MACRO_ROUNDS} rotating rounds — E+ bit-identical",
     )
     report("E-kern-macro", table)
-    _record_json(results_dir, "macro", record)
+    record_json("BENCH_kernels.json", "macro", record)
     speedup = record["coarse"]["speedup_pruned"]
     assert speedup >= MACRO_SPEEDUP, (
         f"coarse-tree pruned speedup {speedup:.2f}x < {MACRO_SPEEDUP}x"

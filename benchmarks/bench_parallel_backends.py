@@ -5,9 +5,10 @@ real: the rows of a batched query relax independently.  A
 :class:`~repro.core.query.QueryEngine` fans a batch's rows out over its
 executor, so this bench times warmed batches on the serial, thread and
 zero-copy shm executors (pools sized to the host's CPU count) in rotating
-rounds and checks every row bit-equal to serial.  (The builders take no
-executor: their per-node work runs in the calling thread, and no pool beat
-serial on a build — EXPERIMENTS, E-exec-rows.)
+rounds, one fixed batch per cell, and checks every row bit-equal to
+serial.  (The builders take no executor: their per-node work runs in the
+calling thread, and no pool beat serial on a build — EXPERIMENTS,
+E-exec-rows.)
 
 Besides the markdown tables, both experiments write machine-readable
 records, stamped with the revision and host, to
@@ -16,9 +17,7 @@ records, stamped with the revision and host, to
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ BACKENDS = ["serial", f"thread:{WORKERS}", f"shm:{WORKERS}"]
 
 #: Rotating rounds per cell; each round times every backend once, in an
 #: order shifted by one backend per round.
-ROUNDS = 10
+ROUNDS = 12
 
 #: Batch sizes (rows) and calls per timed sample for the row-count table.
 ROW_COUNTS = [(1, 10), (8, 4), (64, 1)]
@@ -44,43 +43,12 @@ ROW_COUNTS = [(1, 10), (8, 4), (64, 1)]
 QUERY_BATCH = 96
 
 
-def _record_json(results_dir, key: str, record: dict, provenance: dict) -> None:
-    """Merge one experiment record into ``BENCH_parallel.json`` (atomic
-    temp+rename — a crashed run must not truncate accumulated results)."""
-    path = results_dir / "BENCH_parallel.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[key] = record
-    data["provenance"] = {k: v for k, v in provenance.items() if k != "line"}
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def _quartiles(xs) -> list[float]:
-    """Median, lower and upper quartile."""
-    return [float(v) for v in np.percentile(xs, [50, 25, 75])]
-
-
-def _cell(q: list[float], digits: int = 2) -> str:
-    return f"{q[0]:.{digits}f} [{q[1]:.{digits}f}–{q[2]:.{digits}f}]"
-
-
-def _rotating_rounds(engines: dict, batches: list[np.ndarray], reps: int):
-    """Per-call ms of every backend over rotating rounds (one batch per
-    round, the same for every backend); asserts rows bit-equal to serial."""
-    names = list(engines)
-    ms = {b: [] for b in names}
-    for r, srcs in enumerate(batches):
-        order = names[r % len(names):] + names[: r % len(names)]
-        got = {}
-        for b in order:
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                got[b] = engines[b].query(srcs)
-            ms[b].append((time.perf_counter() - t0) / reps * 1e3)
-        for b in names:
-            assert np.array_equal(got[b], got["serial"]), b
-    return ms
+def _assert_rows_agree(engines: dict, batches) -> None:
+    """Every engine's rows bit-equal serial's on each batch (untimed)."""
+    for srcs in batches:
+        want = engines["serial"].query(srcs)
+        for b, eng in engines.items():
+            assert np.array_equal(eng.query(srcs), want), b
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +61,7 @@ def workload():
     return g, tree, oracle
 
 
-def test_epar_backends_agree_and_speed(benchmark, workload, report, results_dir, provenance):
+def test_epar_backends_agree_and_speed(timed, workload, report, record_json, provenance):
     """Warmed batches of 1, 8 and 64 rows on every executor, rotating
     rounds: median ms [quartiles], and the per-round speed ratio against
     serial (above 1 = faster than serial)."""
@@ -105,16 +73,16 @@ def test_epar_backends_agree_and_speed(benchmark, workload, report, results_dir,
             eng.query(rng.integers(0, g.n, size=64))  # warm pools and caches
         table_rows, record = [], {}
         for rows, reps in ROW_COUNTS:
-            batches = [rng.integers(0, g.n, size=rows) for _ in range(ROUNDS)]
-            ms = _rotating_rounds(engines, batches, reps)
-            serial = np.array(ms["serial"])
+            _assert_rows_agree(engines, [rng.integers(0, g.n, size=rows) for _ in range(ROUNDS)])
+            srcs = rng.integers(0, g.n, size=rows)
+            res = timed({b: (lambda b=b: engines[b].query(srcs)) for b in BACKENDS},
+                        ROUNDS, calls=reps)
             record[str(rows)] = {}
             for b in BACKENDS:
-                speed = _quartiles(serial / np.array(ms[b]))
-                record[str(rows)][b] = {"ms": _quartiles(ms[b]), "speed_vs_serial": speed}
-                table_rows.append([rows, b, _cell(_quartiles(ms[b])), _cell(speed)])
-        srcs = rng.integers(0, g.n, size=64)
-        benchmark(lambda: engines["serial"].query(srcs))
+                assert np.array_equal(res.outputs[b], res.outputs["serial"]), b
+                speed = res.ratio_quartiles("serial", b)
+                record[str(rows)][b] = {"ms": res.quartiles(b, 1e3), "speed_vs_serial": speed}
+                table_rows.append([rows, b, res.span(res.quartiles(b, 1e3)), res.span(speed)])
     finally:
         for eng in engines.values():
             eng.close()
@@ -128,45 +96,46 @@ def test_epar_backends_agree_and_speed(benchmark, workload, report, results_dir,
         ),
     )
     report("E-par-backends", table + "\n\n" + provenance["line"])
-    _record_json(
-        results_dir,
-        "query_rows_56x56",
-        {
-            "workload": "warmed QueryEngine batches, 56x56 grid, row_cache=0",
-            "rounds": ROUNDS,
-            "cells": record,
-        },
-        provenance,
-    )
+    record_json("BENCH_parallel.json", "query_rows_56x56", {
+        "workload": "warmed QueryEngine batches, 56x56 grid, row_cache=0",
+        "rounds": ROUNDS,
+        "cells": record,
+    })
 
 
-def test_epar_query_engine_batched(benchmark, workload, report, results_dir, provenance):
+def test_epar_query_engine_batched(timed, workload, report, record_json, provenance):
     """A ≥64-source batch on every executor: the first batch on a fresh
-    engine (pool start-up included) against warm batches in rotating
-    rounds, with rows bit-equal to the facade's serial pass."""
+    engine (pool start-up included, one round without warm-up) against
+    warm batches in rotating rounds, with rows bit-equal to the facade's
+    serial pass."""
     g, _, oracle = workload
     rng = np.random.default_rng(11)
     srcs = rng.integers(0, g.n, size=QUERY_BATCH)
     want = oracle.distances(srcs)
-    engines, first = {}, {}
+    engines = {}
+
+    def first_batch(b):
+        engines[b] = oracle.query_engine(OracleConfig(executor=b, row_cache=0))
+        return engines[b].query(srcs)
+
     try:
+        first = timed({b: (lambda b=b: first_batch(b)) for b in BACKENDS}, 1, warmup=0)
         for b in BACKENDS:
-            t0 = time.perf_counter()
-            engines[b] = oracle.query_engine(OracleConfig(executor=b, row_cache=0))
-            assert np.array_equal(engines[b].query(srcs), want), b
-            first[b] = (time.perf_counter() - t0) * 1e3
-        batches = [rng.integers(0, g.n, size=QUERY_BATCH) for _ in range(ROUNDS)]
-        ms = _rotating_rounds(engines, batches, 1)
-        benchmark(lambda: engines["serial"].query(srcs))
+            assert np.array_equal(first.outputs[b], want), b
+        _assert_rows_agree(engines, [rng.integers(0, g.n, size=QUERY_BATCH)
+                                     for _ in range(ROUNDS)])
+        warm_srcs = rng.integers(0, g.n, size=QUERY_BATCH)
+        res = timed({b: (lambda b=b: engines[b].query(warm_srcs)) for b in BACKENDS}, ROUNDS)
     finally:
         for eng in engines.values():
             eng.close()
-    serial = np.array(ms["serial"])
-    speed = {b: _quartiles(serial / np.array(ms[b])) for b in BACKENDS}
+    for b in BACKENDS:
+        assert np.array_equal(res.outputs[b], res.outputs["serial"]), b
+    speed = {b: res.ratio_quartiles("serial", b) for b in BACKENDS}
     table = render_table(
         ["executor", "first batch ms", "warm batch ms", "speed vs serial"],
-        [[b, round(first[b], 1), _cell(_quartiles(ms[b]), 1), _cell(speed[b])]
-         for b in BACKENDS],
+        [[b, round(first.median(b) * 1e3, 1), res.span(res.quartiles(b, 1e3), 1),
+          res.span(speed[b])] for b in BACKENDS],
         title=(
             f"E-par: QueryEngine, {QUERY_BATCH}-source batch on the 56x56 grid "
             f"(n={g.n}, |E+|={oracle.augmentation.size}); warm batches: "
@@ -174,21 +143,16 @@ def test_epar_query_engine_batched(benchmark, workload, report, results_dir, pro
         ),
     )
     report("E-par-query-engine", table + "\n\n" + provenance["line"])
-    _record_json(
-        results_dir,
-        f"query_batch_{QUERY_BATCH}",
-        {
-            "workload": f"QueryEngine {QUERY_BATCH}-source batch, 56x56 grid, row_cache=0",
-            "rounds": ROUNDS,
-            "first_batch_ms": first,
-            "warm_batch_ms": {b: _quartiles(ms[b]) for b in BACKENDS},
-            "speed_vs_serial": speed,
-        },
-        provenance,
-    )
+    record_json("BENCH_parallel.json", f"query_batch_{QUERY_BATCH}", {
+        "workload": f"QueryEngine {QUERY_BATCH}-source batch, 56x56 grid, row_cache=0",
+        "rounds": ROUNDS,
+        "first_batch_ms": {b: first.median(b) * 1e3 for b in BACKENDS},
+        "warm_batch_ms": {b: res.quartiles(b, 1e3) for b in BACKENDS},
+        "speed_vs_serial": speed,
+    })
 
 
-def test_epar_per_level_width(benchmark, workload, report):
+def test_epar_per_level_width(workload, report):
     """The available parallelism per tree level (nodes per level) — what a
     PRAM would exploit; the builders run a level's nodes in the calling
     thread and charge them to the ledger as one parallel step."""
@@ -207,4 +171,3 @@ def test_epar_per_level_width(benchmark, workload, report):
     report("E-par-fanout", table)
     widths = [r[1] for r in rows]
     assert max(widths) >= 64  # plenty of independent node work at the bottom
-    benchmark(lambda: list(tree.levels_desc()))

@@ -11,7 +11,6 @@ Shapes to reproduce:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.tables import render_table
 from repro.core.api import ShortestPathOracle
@@ -23,7 +22,7 @@ from repro.separators.quality import assess
 from repro.workloads.generators import delaunay_digraph
 
 
-def test_planar_pipeline_end_to_end(benchmark, report):
+def test_planar_pipeline_end_to_end(report):
     rng = np.random.default_rng(0)
     g, _ = delaunay_digraph(500, rng)
     tree = decompose_planar(g)
@@ -36,10 +35,9 @@ def test_planar_pipeline_end_to_end(benchmark, report):
     report("E-planar-delaunay",
            f"Delaunay n=500: decomposition {q.summary()}; oracle stats "
            f"{oracle.stats()}; distances match Dijkstra on {len(srcs)} sources")
-    benchmark(lambda: oracle.distances(srcs))
 
 
-def test_qface_gprime_scales_with_q_not_n(benchmark, report):
+def test_qface_gprime_scales_with_q_not_n(report):
     rows = []
     rng = np.random.default_rng(4)
     # Fixed q, growing hammock size: G' stays put.
@@ -59,10 +57,9 @@ def test_qface_gprime_scales_with_q_not_n(benchmark, report):
     # 4x the q at same hammock size: G' grows ~4x.
     assert rows[4][3] >= 3 * rows[1][3]
     g, dec = ring_of_hammocks(8, 16, rng)
-    benchmark(lambda: QFaceOracle.build(g, dec))
 
 
-def test_qface_query_correctness_and_speed(benchmark, report):
+def test_qface_query_correctness_and_speed(report):
     rng = np.random.default_rng(8)
     g, dec = ring_of_hammocks(10, 30, rng)
     oracle = QFaceOracle.build(g, dec)
@@ -72,4 +69,3 @@ def test_qface_query_correctness_and_speed(benchmark, report):
     report("E-planar-qface-queries",
            f"ring of 10 hammocks (n={g.n}): per-source distances equal "
            "Dijkstra; stats " + str(oracle.stats()))
-    benchmark(lambda: oracle.distances_from(0))

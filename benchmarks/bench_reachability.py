@@ -9,7 +9,6 @@ near-linear.  Correctness is cross-checked against BFS closure."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.complexity import fit_exponent_with_log
 from repro.analysis.tables import render_table
@@ -20,6 +19,7 @@ from repro.separators.spectral import decompose_spectral
 from repro.workloads.generators import gnm_digraph, grid_digraph
 
 SHAPES = [(12, 12), (18, 18), (26, 26), (38, 38)]
+ROUNDS = 4
 
 
 def _oriented_grid(shape, rng):
@@ -38,7 +38,7 @@ def _oriented_grid(shape, rng):
     return WeightedDigraph(g.n, g.src[keep], g.dst[keep], g.weight[keep])
 
 
-def test_reach_preprocessing_work_shape(benchmark, report):
+def test_reach_preprocessing_work_shape(report):
     rows, sizes, works = [], [], []
     for shape in SHAPES:
         rng = np.random.default_rng(1)
@@ -60,10 +60,9 @@ def test_reach_preprocessing_work_shape(benchmark, report):
     rng = np.random.default_rng(1)
     g = _oriented_grid(SHAPES[1], rng)
     tree = decompose_grid(g, SHAPES[1])
-    benchmark(lambda: reachability_augmentation(g, tree))
 
 
-def test_reach_queries_match_bfs(benchmark, report):
+def test_reach_queries_match_bfs(report):
     import networkx as nx
 
     rng = np.random.default_rng(5)
@@ -82,16 +81,15 @@ def test_reach_queries_match_bfs(benchmark, report):
     report("E-reach-queries",
            f"one-orientation 16x16 grid: mean reachable fraction from "
            f"{len(srcs)} sources = {reach_frac:.3f}; matches BFS closure exactly")
-    benchmark(lambda: reachable_from(aug, srcs))
 
 
-def test_transitive_closure_random_digraph(benchmark, report):
+def test_transitive_closure_random_digraph(report):
     import networkx as nx
 
     rng = np.random.default_rng(9)
     g = gnm_digraph(120, 260, rng)
     tree = decompose_spectral(g, leaf_size=6)
-    clo = benchmark(lambda: transitive_closure(g, tree))
+    clo = transitive_closure(g, tree)
     nxg = g.to_networkx()
     want = np.zeros((g.n, g.n), dtype=bool)
     for u in range(g.n):
@@ -103,29 +101,24 @@ def test_transitive_closure_random_digraph(benchmark, report):
            "equal to networkx descendants closure")
 
 
-def test_reach_scc_baseline_agrees(benchmark, report):
+def test_reach_scc_baseline_agrees(timed, report):
     """Independent baseline: SCC condensation closure must agree with the
     separator machinery, and its cost profile is reported alongside."""
-    import time
-
     from repro.core.scc import reachability_via_condensation
 
     rng = np.random.default_rng(3)
     g = _oriented_grid((20, 20), rng)
     tree = decompose_grid(g, (20, 20))
     srcs = list(range(0, g.n, 37))
-    t0 = time.perf_counter()
-    aug = reachability_augmentation(g, tree)
-    sep_result = reachable_from(aug, srcs)
-    t_sep = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    scc_result = reachability_via_condensation(g, srcs)
-    t_scc = time.perf_counter() - t0
-    assert np.array_equal(sep_result, scc_result)
+    res = timed({
+        "separator": lambda: reachable_from(reachability_augmentation(g, tree), srcs),
+        "scc": lambda: reachability_via_condensation(g, srcs),
+    }, ROUNDS)
+    assert np.array_equal(res.outputs["separator"], res.outputs["scc"])
     report("E-reach-scc-baseline",
            f"one-orientation 20x20 grid, {len(srcs)} sources: separator "
-           f"pipeline {t_sep:.3f}s (incl. preprocessing) vs SCC+condensation "
-           f"{t_scc:.3f}s; results identical.  The separator pipeline "
+           f"pipeline {res.median('separator'):.3f}s (incl. preprocessing) vs "
+           f"SCC+condensation {res.median('scc'):.3f}s (medians of {ROUNDS} rotating "
+           "rounds); results identical.  The separator pipeline "
            "amortizes over sources/weight changes; the SCC pass is the "
            "cheap one-shot baseline (Kao-Shannon substrate).")
-    benchmark(lambda: reachability_via_condensation(g, srcs))

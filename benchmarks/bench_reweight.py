@@ -17,7 +17,9 @@ all appended to ``benchmarks/results/BENCH_reweight.json``:
 The rebuild is the same stacked sweep as the reweight plus a plan capture
 (the cold Algorithm 4.1 build *is* the sweep), so the ratio bars measure
 what capture and schedule compile add, and the absolute bars keep the
-reweight itself from slowing down.
+reweight itself from slowing down.  Both sides of a ratio bar run in the
+same rotating rounds; a ratio bar reads the median per-round ratio, an
+absolute bar the median wall.
 * **served flip p99** — a ``QueryEngine`` under continuous single-source
   load absorbs mid-stream ``reweight`` flips with zero failed queries; the
   p99 query latency across the flips is recorded (the flip itself happens
@@ -35,9 +37,6 @@ reweight itself from slowing down.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import platform
 import threading
 import time
 
@@ -69,31 +68,10 @@ ABS_SLACK = 1.25
 DIRTY_FRACTION = 0.01   # sparse experiment: 1% of the edges move
 FLIPS = 3               # served experiment: mid-stream reweights
 LOAD_QUERIES = 150      # served experiment: single-source queries under load
+ROUNDS = 10             # rotating rounds per side of a ratio bar
 LOAD_SIDE = 40          # replay-under-load experiment: perfbench's grid
 LOAD_REPLAYS = 9        # replay-under-load experiment: replays per side
 SERVED_GAP_S = 0.01     # replay-under-load experiment: pause between served reweights
-
-
-def _record_json(results_dir, key: str, record: dict) -> None:
-    """Merge one experiment record into ``BENCH_reweight.json`` (atomic
-    temp+rename — a crashed run must not truncate accumulated results)."""
-    path = results_dir / "BENCH_reweight.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[key] = record
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def _best_of(fn, repeats: int) -> tuple[float, object]:
-    best_s, best_out = np.inf, None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        wall = time.perf_counter() - t0
-        if wall < best_s:
-            best_s, best_out = wall, out
-    return best_s, best_out
 
 
 @pytest.fixture(scope="module")
@@ -112,17 +90,17 @@ def base_oracle(workload):
     oracle.close()
 
 
-def test_reweight_dense_vs_rebuild(benchmark, workload, base_oracle, report, results_dir):
+def test_reweight_dense_vs_rebuild(timed, workload, base_oracle, report, record_json):
     """Dense weight refresh beats the full-rebuild path ≥3×, is no slower
     than the recorded dense wall by more than 25%, sub-second,
     bit-identical to a cold build on the reweighted graph."""
     g, tree = workload
     w2 = np.random.default_rng(11).permutation(g.weight)
-    rebuild_s, rebuilt = _best_of(
-        lambda: base_oracle.with_new_weights(w2, reweight="rebuild"), 2
-    )
-    base_oracle.with_new_weights(w2)  # warm-up
-    dense_s, dense = _best_of(lambda: base_oracle.with_new_weights(w2), 5)
+    res = timed({
+        "rebuild": lambda: base_oracle.with_new_weights(w2, reweight="rebuild"),
+        "dense": lambda: base_oracle.with_new_weights(w2),
+    }, ROUNDS)
+    rebuilt, dense = res.outputs["rebuild"], res.outputs["dense"]
     srcs = np.random.default_rng(7).integers(0, g.n, size=8)
     cold = ShortestPathOracle.build(
         type(g)(g.n, g.src, g.dst, w2), tree
@@ -130,47 +108,46 @@ def test_reweight_dense_vs_rebuild(benchmark, workload, base_oracle, report, res
     want = cold.distances(srcs)
     assert np.array_equal(want, dense.distances(srcs))
     assert np.array_equal(want, rebuilt.distances(srcs))
-    speedup = rebuild_s / dense_s
+    rebuild_s, dense_s = res.median("rebuild"), res.median("dense")
+    speedup = res.ratio_quartiles("rebuild", "dense")
     rows = [
-        ["full rebuild s (best of 2)", round(rebuild_s, 3)],
-        ["dense reweight s (best of 5)", round(dense_s, 4)],
-        ["speedup", round(speedup, 1)],
+        ["full rebuild ms", res.span(res.quartiles("rebuild", 1e3), 1)],
+        ["dense reweight ms", res.span(res.quartiles("dense", 1e3), 1)],
+        ["speedup (per-round ratio)", res.span(speedup, 1)],
         ["weights epoch", dense.augmentation.weights_epoch],
         ["bit-identical distances", True],
     ]
     report(
         "E-reweight-dense",
-        render_table(["metric", "value"], rows,
-                     title=f"E-reweight: dense refresh vs rebuild, {SIDE}x{SIDE} grid")
+        render_table(["metric", "median [quartiles]"], rows,
+                     title=f"E-reweight: dense refresh vs rebuild, {SIDE}x{SIDE} grid, "
+                           f"{ROUNDS} rotating rounds")
         + "\n\nFinding: with structure, schedule and shard plan all "
         "weight-invariant (paper comment (iv)), refreshing every weight is "
         "a leaves-up numeric sweep — no separator recursion, no recompile.",
     )
-    _record_json(
-        results_dir,
-        "dense_56x56",
-        {
-            "workload": f"dense reweight, {SIDE}x{SIDE} grid, leaves_up",
-            "rebuild_s": rebuild_s,
-            "dense_s": dense_s,
-            "speedup": speedup,
-            "sub_second": dense_s < 1.0,
-            "bit_identical": True,
-        },
-    )
+    record_json("BENCH_reweight.json", "dense_56x56", {
+        "workload": f"dense reweight, {SIDE}x{SIDE} grid, leaves_up",
+        "rebuild_s": rebuild_s,
+        "dense_s": dense_s,
+        "speedup": speedup[1],
+        "speedup_quartiles": speedup,
+        "timings_s": res.record(),
+        "sub_second": dense_s < 1.0,
+        "bit_identical": True,
+    })
     assert dense_s < 1.0, f"dense reweight took {dense_s:.3f}s (bar: sub-second)"
-    assert speedup >= DENSE_SPEEDUP, (
-        f"dense reweight only {speedup:.1f}x faster than rebuild "
+    assert speedup[1] >= DENSE_SPEEDUP, (
+        f"dense reweight only {speedup[1]:.1f}x faster than rebuild "
         f"(rebuild {rebuild_s:.3f}s, dense {dense_s:.4f}s; bar {DENSE_SPEEDUP}x)"
     )
     assert dense_s <= PARENT_DENSE_S * ABS_SLACK, (
         f"dense reweight {dense_s:.4f}s exceeds {ABS_SLACK}x the recorded "
         f"{PARENT_DENSE_S}s"
     )
-    benchmark(lambda: base_oracle.with_new_weights(w2))
 
 
-def test_reweight_sparse_delta_vs_rebuild(benchmark, workload, base_oracle, report, results_dir):
+def test_reweight_sparse_delta_vs_rebuild(timed, workload, base_oracle, report, record_json):
     """A 1%-edge delta sweeps only the dirty root paths: ≥10× faster than
     the full rebuild, no slower than the recorded sparse wall by more than
     25%, bit-identical to a cold build."""
@@ -184,58 +161,50 @@ def test_reweight_sparse_delta_vs_rebuild(benchmark, workload, base_oracle, repo
     idx = block[:k]
     assert idx.shape[0] == k, (idx.shape, k)
     vals = g.weight[idx] * 1.5 + 0.25
+    full = _full_vector(g, idx, vals)
     # Every Algorithm 4.1 lineage carries a live heap state (the cold build
     # included), so every delta takes the sparse root-path sweep.
     warm = base_oracle.with_new_weights(g.weight.copy())
-    rebuild_s, _ = _best_of(
-        lambda: warm.with_new_weights(
-            _full_vector(g, idx, vals), reweight="rebuild"
-        ),
-        2,
-    )
-    warm.with_new_weights(weight_delta=(idx, vals))  # warm-up
-    sparse_s, sparse = _best_of(
-        lambda: warm.with_new_weights(weight_delta=(idx, vals)), 5
-    )
+    res = timed({
+        "rebuild": lambda: warm.with_new_weights(full, reweight="rebuild"),
+        "sparse": lambda: warm.with_new_weights(weight_delta=(idx, vals)),
+    }, ROUNDS)
     srcs = np.random.default_rng(7).integers(0, g.n, size=8)
-    cold = ShortestPathOracle.build(
-        type(g)(g.n, g.src, g.dst, _full_vector(g, idx, vals)), tree
-    )
-    assert np.array_equal(cold.distances(srcs), sparse.distances(srcs))
-    speedup = rebuild_s / sparse_s
+    cold = ShortestPathOracle.build(type(g)(g.n, g.src, g.dst, full), tree)
+    assert np.array_equal(cold.distances(srcs), res.outputs["sparse"].distances(srcs))
+    rebuild_s, sparse_s = res.median("rebuild"), res.median("sparse")
+    speedup = res.ratio_quartiles("rebuild", "sparse")
     rows = [
         ["dirty edges (one 10x10 corner)", f"{k} / {g.m}"],
-        ["full rebuild s (best of 2)", round(rebuild_s, 3)],
-        ["sparse delta s (best of 5)", round(sparse_s, 4)],
-        ["speedup", round(speedup, 1)],
+        ["full rebuild ms", res.span(res.quartiles("rebuild", 1e3), 1)],
+        ["sparse delta ms", res.span(res.quartiles("sparse", 1e3), 1)],
+        ["speedup (per-round ratio)", res.span(speedup, 1)],
         ["bit-identical distances", True],
     ]
     report(
         "E-reweight-sparse",
-        render_table(["metric", "value"], rows,
-                     title=f"E-reweight: 1% sparse delta vs rebuild, {SIDE}x{SIDE} grid"),
+        render_table(["metric", "median [quartiles]"], rows,
+                     title=f"E-reweight: 1% sparse delta vs rebuild, {SIDE}x{SIDE} grid, "
+                           f"{ROUNDS} rotating rounds"),
     )
-    _record_json(
-        results_dir,
-        "sparse_56x56",
-        {
-            "workload": f"{k}-edge delta ({DIRTY_FRACTION:.0%}), {SIDE}x{SIDE} grid",
-            "dirty_edges": int(k),
-            "rebuild_s": rebuild_s,
-            "sparse_s": sparse_s,
-            "speedup": speedup,
-            "bit_identical": True,
-        },
-    )
-    assert speedup >= SPARSE_SPEEDUP, (
-        f"sparse delta only {speedup:.1f}x faster than rebuild "
+    record_json("BENCH_reweight.json", "sparse_56x56", {
+        "workload": f"{k}-edge delta ({DIRTY_FRACTION:.0%}), {SIDE}x{SIDE} grid",
+        "dirty_edges": int(k),
+        "rebuild_s": rebuild_s,
+        "sparse_s": sparse_s,
+        "speedup": speedup[1],
+        "speedup_quartiles": speedup,
+        "timings_s": res.record(),
+        "bit_identical": True,
+    })
+    assert speedup[1] >= SPARSE_SPEEDUP, (
+        f"sparse delta only {speedup[1]:.1f}x faster than rebuild "
         f"(rebuild {rebuild_s:.3f}s, sparse {sparse_s:.4f}s; bar {SPARSE_SPEEDUP}x)"
     )
     assert sparse_s <= PARENT_SPARSE_S * ABS_SLACK, (
         f"sparse delta {sparse_s:.4f}s exceeds {ABS_SLACK}x the recorded "
         f"{PARENT_SPARSE_S}s"
     )
-    benchmark(lambda: warm.with_new_weights(weight_delta=(idx, vals)))
 
 
 def _full_vector(g, idx, vals):
@@ -244,7 +213,7 @@ def _full_vector(g, idx, vals):
     return w
 
 
-def test_reweight_served_flip_p99(workload, base_oracle, report, results_dir):
+def test_reweight_served_flip_p99(workload, base_oracle, report, record_json):
     """A live engine under single-source load absorbs mid-stream epoch flips
     with zero failed queries; the p99 across flips is recorded."""
     g, tree = workload
@@ -311,20 +280,16 @@ def test_reweight_served_flip_p99(workload, base_oracle, report, results_dir):
         "the engine lock — load sees a latency blip bounded by one batch, "
         "never an error or a mixed-epoch row.",
     )
-    _record_json(
-        results_dir,
-        "served_flip_56x56",
-        {
-            "workload": f"single-source load + {FLIPS} flips, {SIDE}x{SIDE} grid, shm:2",
-            "queries": len(latencies),
-            "flips": FLIPS,
-            "flip_wall_max_s": max(flip_walls),
-            "p50_s": p50,
-            "p99_s": p99,
-            "failed_queries": 0,
-            "bit_identical_post_flip": True,
-        },
-    )
+    record_json("BENCH_reweight.json", "served_flip_56x56", {
+        "workload": f"single-source load + {FLIPS} flips, {SIDE}x{SIDE} grid, shm:2",
+        "queries": len(latencies),
+        "flips": FLIPS,
+        "flip_wall_max_s": max(flip_walls),
+        "p50_s": p50,
+        "p99_s": p99,
+        "failed_queries": 0,
+        "bit_identical_post_flip": True,
+    })
     assert len(latencies) >= LOAD_QUERIES // 2, len(latencies)
 
 
@@ -376,7 +341,7 @@ def _served_reweights(oracle, deltas, sock: str) -> tuple[list[float], int]:
     return walls, rows
 
 
-def test_replay_under_query_load(report, results_dir, tmp_path):
+def test_replay_under_query_load(report, record_json, tmp_path):
     """Record-only: a 1%-edge delta replay on the 40×40 grid, alone, with
     one thread submitting 2-row batches to a serial engine in the same
     process, and as a reweight RPC through the server beside a 1-row
@@ -450,7 +415,7 @@ def test_replay_under_query_load(report, results_dir, tmp_path):
         "batches, so the served RPC pays the replay, at most one batch it "
         "queues behind, and the socket round trip, not the lock waits.",
     )
-    _record_json(results_dir, "replay_under_load", {
+    record_json("BENCH_reweight.json", "replay_under_load", {
         "workload": f"{k}-edge delta ({DIRTY_FRACTION:.0%}), {LOAD_SIDE}x{LOAD_SIDE} "
                     "grid, serial engine, 2-row batches in one thread",
         "alone_ms": alone_ms,
@@ -460,6 +425,4 @@ def test_replay_under_query_load(report, results_dir, tmp_path):
         "served_ms": served_ms,
         "served_ratio": served_ms / alone_ms,
         "served_rows_streamed": streamed,
-        "host": {"nproc": len(os.sched_getaffinity(0)),
-                 "python": platform.python_version(), "numpy": np.__version__},
     })

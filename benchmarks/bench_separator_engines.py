@@ -4,14 +4,12 @@ The paper takes the decomposition as *input* (comment iv); this bench shows
 what each of our engines delivers on the same Delaunay graph — measured μ̂,
 height, worst balance, construction time, and the |E⁺| each induces — so
 every other experiment's "which decomposition was used" question has a
-reference table."""
+reference table.  Construction times are medians of rotating rounds over
+the engines."""
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
 
 from repro.analysis.tables import render_table
 from repro.core.leaves_up import augment_leaves_up
@@ -23,8 +21,10 @@ from repro.separators.quality import assess
 from repro.separators.spectral import decompose_spectral
 from repro.workloads.generators import delaunay_digraph
 
+ROUNDS = 5
 
-def test_engine_comparison(benchmark, report):
+
+def test_engine_comparison(timed, report):
     rng = np.random.default_rng(0)
     g, pts = delaunay_digraph(600, rng)
     engines = {
@@ -34,11 +34,10 @@ def test_engine_comparison(benchmark, report):
         "multilevel": lambda: decompose_multilevel(g),
         "geometric": lambda: decompose_geometric(g, pts),
     }
+    res = timed(engines, ROUNDS)
     rows = []
-    for name, build in engines.items():
-        t0 = time.perf_counter()
-        tree = build()
-        dt = time.perf_counter() - t0
+    for name in engines:
+        tree, dt = res.outputs[name], res.median(name)
         tree.validate(g)
         q = assess(tree)
         aug = augment_leaves_up(g, tree, keep_node_distances=False)
@@ -55,4 +54,3 @@ def test_engine_comparison(benchmark, report):
     report("E-engines", table)
     # Every engine must stay within the planar regime.
     assert all(float(r[1]) < 0.85 for r in rows)
-    benchmark(lambda: decompose_multilevel(g))

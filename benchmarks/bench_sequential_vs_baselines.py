@@ -5,24 +5,22 @@ sequential algorithms": for s-source shortest paths, Johnson costs
 O(s·(m + n log n)); the separator method pays Õ(n^{3μ}) once, then
 O(n + n^{2μ}) per source.  The *shape* to reproduce: per-source marginal
 cost of the oracle is below the baselines', so a crossover in total cost
-appears as s grows.  We measure wall-clock (Python constants included) and
-ledger/op-count shapes."""
+appears as s grows.  We measure wall-clock (Python constants included,
+both sides in rotating rounds) and ledger/op-count shapes."""
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
 
 from repro.analysis.tables import render_table
 from repro.core.api import ShortestPathOracle
-from repro.core.scheduler import build_schedule
 from repro.core.sssp import sssp_scheduled
 from repro.kernels.dijkstra import dijkstra_multi
 from repro.kernels.johnson import johnson
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import grid_digraph
+
+ROUNDS = 2
 
 
 def _setup(side=48, seed=0):
@@ -32,36 +30,32 @@ def _setup(side=48, seed=0):
     return g, tree
 
 
-def test_eseq_crossover_in_s(benchmark, report):
+def test_eseq_crossover_in_s(timed, report):
     g, tree = _setup()
-    t0 = time.perf_counter()
-    oracle = ShortestPathOracle.build(g, tree)
-    preprocess = time.perf_counter() - t0
+    build = timed({"build": lambda: ShortestPathOracle.build(g, tree)}, ROUNDS)
+    preprocess, oracle = build.median("build"), build.outputs["build"]
     schedule = oracle.schedule
-
-    def oracle_sources(s):
-        t = time.perf_counter()
-        sssp_scheduled(oracle.augmentation, list(range(s)), schedule=schedule)
-        return time.perf_counter() - t
-
-    def dijkstra_sources(s):
-        t = time.perf_counter()
-        dijkstra_multi(g, range(s))
-        return time.perf_counter() - t
 
     rows = []
     crossover = None
+    walls = {}
     for s in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
-        to = preprocess + oracle_sources(s)
-        td = dijkstra_sources(s)
+        res = timed({
+            "oracle": lambda: sssp_scheduled(oracle.augmentation, list(range(s)),
+                                             schedule=schedule),
+            "dijkstra": lambda: dijkstra_multi(g, range(s)),
+        }, ROUNDS)
+        walls[s] = res
+        to = preprocess + res.median("oracle")
+        td = res.median("dijkstra")
         rows.append([s, round(to, 4), round(td, 4), round(td / to, 2)])
         if crossover is None and to < td:
             crossover = s
     # Robust comparison: *marginal* per-source rates at the largest batch
     # (absolute crossover wobbles with machine load; the rates don't).
     s_big = 512
-    rate_oracle = oracle_sources(s_big) / s_big
-    rate_dijkstra = dijkstra_sources(64) / 64
+    rate_oracle = walls[s_big].median("oracle") / s_big
+    rate_dijkstra = walls[s_big].median("dijkstra") / s_big
     implied = (
         int(np.ceil(preprocess / (rate_dijkstra - rate_oracle)))
         if rate_dijkstra > rate_oracle
@@ -71,9 +65,9 @@ def test_eseq_crossover_in_s(benchmark, report):
         ["s sources", "oracle total (s)", "dijkstra total (s)", "speedup"],
         rows,
         title=(
-            f"E-seq wall-clock on 48x48 grid (preprocess {preprocess:.3f}s): "
-            f"marginal {rate_oracle * 1e3:.2f} vs {rate_dijkstra * 1e3:.2f} "
-            f"ms/source — implied crossover s ≈ {implied} "
+            f"E-seq wall-clock on 48x48 grid (preprocess {preprocess:.3f}s), medians "
+            f"of {ROUNDS} rotating rounds: marginal {rate_oracle * 1e3:.2f} vs "
+            f"{rate_dijkstra * 1e3:.2f} ms/source — implied crossover s ≈ {implied} "
             f"(observed {crossover})"
         ),
     )
@@ -82,10 +76,9 @@ def test_eseq_crossover_in_s(benchmark, report):
     # implied crossover must come well before s = n (n = 2304 here).
     assert rate_oracle < rate_dijkstra
     assert implied is not None and implied < 1000
-    benchmark(lambda: sssp_scheduled(oracle.augmentation, list(range(16)), schedule=schedule))
 
 
-def test_eseq_negative_weights_vs_johnson(benchmark, report):
+def test_eseq_negative_weights_vs_johnson(timed, report):
     """With negative weights the baseline is Johnson (extra global BF pass);
     the oracle handles negatives natively and must stay exact."""
     from repro.workloads.generators import apply_potential_weights
@@ -95,21 +88,18 @@ def test_eseq_negative_weights_vs_johnson(benchmark, report):
     tree = decompose_grid(g, (24, 24))
     oracle = ShortestPathOracle.build(g, tree)
     srcs = list(range(24))
-    t0 = time.perf_counter()
-    want = johnson(g, srcs)
-    tj = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    got = oracle.distances(srcs)
-    to = time.perf_counter() - t0
-    assert np.allclose(got, want)
+    res = timed({"johnson": lambda: johnson(g, srcs),
+                 "oracle": lambda: oracle.distances(srcs)}, ROUNDS)
+    assert np.allclose(res.outputs["oracle"], res.outputs["johnson"])
     report("E-seq-johnson",
-           f"24x24 grid with negative weights, 24 sources: johnson {tj:.3f}s, "
-           f"oracle query {to:.3f}s (after {oracle.preprocess_ledger.work:.3g} "
-           "ledger preprocessing work); results identical")
-    benchmark(lambda: oracle.distances(srcs))
+           f"24x24 grid with negative weights, 24 sources: johnson "
+           f"{res.median('johnson'):.3f}s, oracle query {res.median('oracle'):.3f}s "
+           f"(medians of {ROUNDS} rotating rounds, after "
+           f"{oracle.preprocess_ledger.work:.3g} ledger preprocessing work); "
+           "results identical")
 
 
-def test_eseq_networkx_external_baseline(benchmark, report):
+def test_eseq_networkx_external_baseline(timed, report):
     """External (not-our-code) baseline: networkx Dijkstra, for scale."""
     import networkx as nx
 
@@ -117,27 +107,22 @@ def test_eseq_networkx_external_baseline(benchmark, report):
     oracle = ShortestPathOracle.build(g, tree)
     nxg = g.to_networkx()
     srcs = list(range(16))
-    t0 = time.perf_counter()
-    for s in srcs:
-        nx.single_source_dijkstra_path_length(nxg, s)
-    t_nx = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    got = oracle.distances(srcs)
-    t_us = time.perf_counter() - t0
-    ref = nx.single_source_dijkstra_path_length(nxg, 0)
-    ok = all(np.isclose(got[0][v], d) for v, d in ref.items())
-    assert ok
+    res = timed({
+        "networkx": lambda: [nx.single_source_dijkstra_path_length(nxg, s) for s in srcs],
+        "oracle": lambda: oracle.distances(srcs),
+    }, ROUNDS)
+    got, ref = res.outputs["oracle"], res.outputs["networkx"][0]
+    assert all(np.isclose(got[0][v], d) for v, d in ref.items())
     report("E-seq-networkx",
-           f"32x32 grid, 16 sources: networkx dijkstra {t_nx:.3f}s vs oracle "
-           f"query {t_us:.3f}s (+{oracle.preprocess_ledger.work:.3g} ledger "
-           "preprocessing work); distances identical")
-    benchmark(lambda: oracle.distances(srcs))
+           f"32x32 grid, 16 sources: networkx dijkstra {res.median('networkx'):.3f}s vs "
+           f"oracle query {res.median('oracle'):.3f}s (medians of {ROUNDS} rotating "
+           f"rounds; +{oracle.preprocess_ledger.work:.3g} ledger preprocessing work); "
+           "distances identical")
 
 
-def test_eseq_floyd_warshall_dominated(benchmark, report):
+def test_eseq_floyd_warshall_dominated(report):
     """The Õ(n³) dense APSP the paper wants to avoid: at n = 1024 it is
     already far more work than the oracle's full pipeline."""
-    from repro.kernels.floyd_warshall import floyd_warshall
     from repro.pram.machine import Ledger
 
     g, tree = _setup(side=32)
@@ -150,4 +135,3 @@ def test_eseq_floyd_warshall_dominated(benchmark, report):
            f"n=1024 all-pairs: oracle ledger work {oracle_work:.3g} vs "
            f"Floyd-Warshall n^3 = {fw_work:.3g} — ratio {fw_work / oracle_work:.1f}x")
     assert oracle_work < fw_work / 5
-    benchmark(lambda: floyd_warshall(g.dense_weights()))

@@ -16,19 +16,19 @@ Two experiments, both appended to ``benchmarks/results/BENCH_shard.json``:
   flow-refined spectral tree: smaller separators ⇒ smaller boundary
   cliques ⇒ a measurably smaller spine graph H, bit-identical answers.
 
-Why sharding wins even on one CPU: leg 1 relaxes each source over its
+Why sharding can win even on one CPU: leg 1 relaxes each source over its
 home shard's *subgraph* (≈ n/k vertices) instead of the whole graph, the
 spine Bellman–Ford runs on |spine| ≪ n vertices, and leg 3 is a dense
 min-plus combine — so the per-row work drops roughly with the shard size
-and the speedup here is algorithmic, not parallel.  Extra cores multiply
-it via the per-shard worker processes.
+and any speedup is algorithmic, not parallel.  Whether that saving beats
+the three legs' fixed costs depends on the tree; the E-shard-grid and
+E-shard-multilevel findings state which way each graph went.  The direct
+engine and every router run in the same rotating rounds.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
+import contextlib
 
 import numpy as np
 
@@ -45,19 +45,8 @@ from repro.workloads.generators import grid_digraph
 from repro.workloads.synthetic import separator_programmable_family
 
 BATCH_SOURCES = 64
-REPEATS = 5
+ROUNDS = 15             # rotating rounds over the direct engine and every router
 THROUGHPUT_BOUND = 1.5  # k=4 fleet vs single engine (issue acceptance)
-
-
-def _record_json(results_dir, key: str, record: dict) -> None:
-    """Merge one experiment record into ``BENCH_shard.json`` (atomic
-    temp+rename — a crashed run must not truncate accumulated results)."""
-    path = results_dir / "BENCH_shard.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[key] = record
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
 
 
 def _integer_grid_56():
@@ -71,65 +60,49 @@ def _integer_grid_56():
     return g, decompose_grid(g, shape)
 
 
-def _time_batches(query, srcs) -> tuple[np.ndarray, list[float]]:
-    """Warm once, then time ``REPEATS`` identical batches."""
-    result = query(srcs)
-    samples = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        query(srcs)
-        samples.append(time.perf_counter() - t0)
-    return result, samples
-
-
-def _percentile(samples: list[float], p: float) -> float:
-    return float(np.percentile(np.asarray(samples), p))
-
-
-def _compare(g, tree, srcs, ks, backends):
-    """Rows of (label, p50, p99, throughput, exact, extras) for the direct
-    engine and every (backend, k) router, plus the direct reference."""
+def _compare(timed, g, tree, srcs, ks, backends):
+    """Per-engine records for the direct engine and every (backend, k)
+    router, all timed in the same rotating rounds: batch ms quartiles,
+    rows/s at the median, the per-round speed ratio against direct (above
+    1 = faster), exactness and spine size; plus the rounds themselves."""
     oracle = ShortestPathOracle.build(g, tree)
-    with oracle.query_engine(OracleConfig(executor="serial")) as eng:
-        want, direct_s = _time_batches(eng.query, srcs)
-    runs = {"direct": {
-        "p50_s": _percentile(direct_s, 50),
-        "p99_s": _percentile(direct_s, 99),
-        "rows_per_s": len(srcs) / _percentile(direct_s, 50),
-    }}
-    for backend in backends:
-        for k in ks:
-            with ShardRouter(g, tree, k=k, backend=backend) as router:
-                got, shard_s = _time_batches(router.query, srcs)
-                stats = router.stats()
-            runs[f"{backend}-k{k}"] = {
-                "p50_s": _percentile(shard_s, 50),
-                "p99_s": _percentile(shard_s, 99),
-                "rows_per_s": len(srcs) / _percentile(shard_s, 50),
-                "exact": bool(np.array_equal(got, want)),
-                "spine_vertices": stats["spine"]["vertices"],
-                "spine_phases_max": stats["spine"]["phases_max"],
-            }
-    return runs
+    with contextlib.ExitStack() as stack:
+        engines = {"direct": stack.enter_context(
+            oracle.query_engine(OracleConfig(executor="serial")))}
+        for backend in backends:
+            for k in ks:
+                engines[f"{backend}-k{k}"] = stack.enter_context(
+                    ShardRouter(g, tree, k=k, backend=backend))
+        res = timed({label: (lambda e=e: e.query(srcs)) for label, e in engines.items()},
+                    ROUNDS)
+        spines = {label: e.stats()["spine"] for label, e in engines.items()
+                  if label != "direct"}
+    runs = {}
+    for label in engines:
+        runs[label] = {
+            "ms": res.quartiles(label, 1e3),
+            "rows_per_s": len(srcs) / res.median(label),
+            "vs_direct": res.ratio_quartiles("direct", label),
+        }
+        if label in spines:
+            runs[label].update({
+                "exact": bool(np.array_equal(res.outputs[label], res.outputs["direct"])),
+                "spine_vertices": spines[label]["vertices"],
+                "spine_phases_max": spines[label]["phases_max"],
+            })
+    return runs, res
 
 
-def _render(runs: dict, title: str) -> str:
-    base = runs["direct"]["rows_per_s"]
-    rows = []
-    for label, r in runs.items():
-        rows.append([
-            label,
-            round(r["p50_s"] * 1e3, 1),
-            round(r["p99_s"] * 1e3, 1),
-            round(r["rows_per_s"], 1),
-            round(r["rows_per_s"] / base, 2),
-        ])
+def _render(runs: dict, res, title: str) -> str:
+    rows = [[label, res.span(r["ms"], 1), round(r["rows_per_s"], 1), res.span(r["vs_direct"])]
+            for label, r in runs.items()]
     return render_table(
-        ["engine", "p50 ms", "p99 ms", "rows/s", "vs direct"], rows, title=title
+        ["engine", "ms per batch", "rows/s", "vs direct"], rows,
+        title=title + f"; median [quartiles] of {ROUNDS} rotating rounds",
     )
 
 
-def test_eshard_fleet_vs_single_engine_56x56(benchmark, report, results_dir):
+def test_eshard_fleet_vs_single_engine_56x56(timed, report, record_json):
     """The issue's acceptance bound: k=4 fleet batch throughput ≥ 1.5× the
     single-engine baseline on the 56×56 grid, bit-identical answers, and a
     clean /dev/shm once the fleet drains."""
@@ -137,19 +110,25 @@ def test_eshard_fleet_vs_single_engine_56x56(benchmark, report, results_dir):
     rng = np.random.default_rng(7)
     srcs = rng.integers(0, g.n, size=BATCH_SOURCES)
     shm_before = set(orphaned_segments())
-    runs = _compare(g, tree, srcs, ks=(2, 4), backends=("inline", "process"))
+    runs, res = _compare(timed, g, tree, srcs, ks=(2, 4), backends=("inline", "process"))
     leaked = sorted(set(orphaned_segments()) - shm_before)
-    ratio = runs["process-k4"]["rows_per_s"] / runs["direct"]["rows_per_s"]
+    ratio = runs["process-k4"]["vs_direct"][1]
+    inline = runs["inline-k4"]["vs_direct"][1]
     report(
         "E-shard-grid",
-        _render(runs, f"E-shard: {BATCH_SOURCES}-source batches, 56x56 grid "
+        _render(runs, res, f"E-shard: {BATCH_SOURCES}-source batches, 56x56 grid "
                       f"(integer weights), fleet/direct = {ratio:.2f}x")
-        + "\n\nFinding: the three-leg route does ~n/k-sized relaxations plus "
-        "a spine solve instead of full-graph relaxations, so the fleet beats "
-        "one engine even on a single CPU — the speedup is algorithmic; "
-        "worker processes add parallel headroom on real multicore hosts.",
+        + f"\n\nFinding: on this grid the k=4 fleet runs at {ratio:.2f}× and "
+        f"the in-process k=4 route at {inline:.2f}× the direct engine's speed "
+        "(median per-round ratios, above 1 = faster), so the fleet "
+        f"{'meets' if ratio >= THROUGHPUT_BOUND else 'misses'} the "
+        f"{THROUGHPUT_BOUND}× bar.  The route relaxes ~n/k-vertex shards plus a "
+        "spine instead of the whole graph, but pays three legs and, in the "
+        "fleet, the IPC; on this grid the relaxations it saves "
+        f"{'pay' if ratio >= 1 else 'do not pay'} for them (compare the deep "
+        "μ-family tree, E-shard-multilevel).",
     )
-    _record_json(results_dir, "grid_56x56", {
+    record_json("BENCH_shard.json", "grid_56x56", {
         "workload": f"{BATCH_SOURCES}-source batch, 56x56 integer grid",
         "runs": runs,
         "fleet_k4_vs_direct": ratio,
@@ -163,12 +142,9 @@ def test_eshard_fleet_vs_single_engine_56x56(benchmark, report, results_dir):
     assert ratio >= THROUGHPUT_BOUND, (
         f"k=4 fleet only {ratio:.2f}x direct (bound {THROUGHPUT_BOUND}x)"
     )
-    with ShardRouter(g, tree, k=4, backend="inline") as router:
-        router.query(srcs)
-        benchmark(lambda: router.query(srcs))
 
 
-def test_eshard_multilevel_random_digraph(benchmark, report, results_dir):
+def test_eshard_multilevel_random_digraph(timed, report, record_json):
     """Same comparison on the μ-programmed multilevel-separator digraph —
     the deep-tree shape the shard cut targets."""
     rng = np.random.default_rng(3)
@@ -176,11 +152,11 @@ def test_eshard_multilevel_random_digraph(benchmark, report, results_dir):
     # integer weights: keeps the three-leg route bit-identical (DESIGN.md §8)
     g = WeightedDigraph(g.n, g.src, g.dst, np.ceil(g.weight))
     srcs = rng.integers(0, g.n, size=BATCH_SOURCES)
-    runs = _compare(g, tree, srcs, ks=(4,), backends=("inline", "process"))
-    ratio = runs["process-k4"]["rows_per_s"] / runs["direct"]["rows_per_s"]
+    runs, res = _compare(timed, g, tree, srcs, ks=(4,), backends=("inline", "process"))
+    ratio = runs["process-k4"]["vs_direct"][1]
     report(
         "E-shard-multilevel",
-        _render(runs, f"E-shard: {BATCH_SOURCES}-source batches, "
+        _render(runs, res, f"E-shard: {BATCH_SOURCES}-source batches, "
                       f"mu=0.5 multilevel digraph n={g.n}, "
                       f"fleet/direct = {ratio:.2f}x")
         + "\n\nFinding: on a deep programmed separator tree the cut "
@@ -188,7 +164,7 @@ def test_eshard_multilevel_random_digraph(benchmark, report, results_dir):
         "fleet's advantage carries beyond grids to the paper's general "
         "separator-decomposition model.",
     )
-    _record_json(results_dir, "multilevel_mu05", {
+    record_json("BENCH_shard.json", "multilevel_mu05", {
         "workload": f"{BATCH_SOURCES}-source batch, mu=0.5 family n={g.n}",
         "runs": runs,
         "fleet_k4_vs_direct": ratio,
@@ -196,12 +172,9 @@ def test_eshard_multilevel_random_digraph(benchmark, report, results_dir):
     for label, r in runs.items():
         if label != "direct":
             assert r["exact"], f"{label} not bit-identical"
-    with ShardRouter(g, tree, k=4, backend="inline") as router:
-        router.query(srcs)
-        benchmark(lambda: router.query(srcs))
 
 
-def test_eshard_refined_tree_smaller_spine(report, results_dir):
+def test_eshard_refined_tree_smaller_spine(report, record_json):
     """Flow-refining the partition tree shrinks the spine graph H the k=4
     fleet coordinates through — same answers, smaller boundary cliques
     (the ISSUE-9 acceptance: BENCH_shard records a smaller
@@ -242,7 +215,7 @@ def test_eshard_refined_tree_smaller_spine(report, results_dir):
         "coordination graph directly — queries stay bit-identical while "
         "the cross-shard Bellman–Ford shrinks.",
     )
-    _record_json(results_dir, "refined_spine_mu05", {
+    record_json("BENCH_shard.json", "refined_spine_mu05", {
         "workload": f"{BATCH_SOURCES}-source batch, mu=0.5 family n={g.n}, k=4",
         "spine_vertices_unrefined": spines["spectral"]["vertices"],
         "spine_vertices_refined": spines["flow-refined"]["vertices"],

@@ -38,7 +38,7 @@ def _depths(shape, method):
 
 
 @pytest.mark.parametrize("method", ["leaves_up", "doubling"])
-def test_t1_preprocessing_depth_polylog(benchmark, report, method):
+def test_t1_preprocessing_depth_polylog(report, method):
     rows, sizes, depths, qdepths = [], [], [], []
     for shape in SHAPES:
         n, d, qd = _depths(shape, method)
@@ -61,12 +61,9 @@ def test_t1_preprocessing_depth_polylog(benchmark, report, method):
     # Polylog growth: the power-law exponent must be far below linear.
     assert fit.exponent < 0.45
     assert qfit.exponent < 0.35
-    benchmark.extra_info["pre_depth_exponent"] = fit.exponent
-    benchmark.extra_info["query_depth_exponent"] = qfit.exponent
-    benchmark(lambda: _depths(SHAPES[-1], method))
 
 
-def test_t1_doubling_shallower_than_leaves_up(benchmark, report):
+def test_t1_doubling_shallower_than_leaves_up(report):
     """Ablation A2's depth side: Algorithm 4.3 saves a d_G factor of depth
     over Algorithm 4.1, paying a log-factor of work."""
     rows = []
@@ -81,7 +78,6 @@ def test_t1_doubling_shallower_than_leaves_up(benchmark, report):
     rng = np.random.default_rng(0)
     g = grid_digraph(SHAPES[0], rng)
     tree = decompose_grid(g, SHAPES[0])
-    benchmark(lambda: augment_doubling(g, tree, keep_node_distances=False))
     table = render_table(
         ["n", "4.1 depth", "4.3 depth", "4.1 work", "4.3 work"],
         rows,
@@ -93,7 +89,7 @@ def test_t1_doubling_shallower_than_leaves_up(benchmark, report):
     assert rows[-1][4] > rows[-1][3]  # and works harder
 
 
-def test_t1_brent_speedup_curves(benchmark, report):
+def test_t1_brent_speedup_curves(report):
     """Table-1's time column on finite machines: Brent curves from the
     ledgers of both preprocessing algorithms."""
     from repro.analysis.tables import render_table
@@ -122,7 +118,6 @@ def test_t1_brent_speedup_curves(benchmark, report):
     )
     report("T1-brent", table)
     rng = np.random.default_rng(0)
-    benchmark(lambda: brent_curve(_brent_ledger(g, tree)))
 
 
 def _brent_ledger(g, tree):

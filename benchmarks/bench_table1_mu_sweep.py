@@ -15,7 +15,6 @@ their pre-asymptotic deviations."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.complexity import fit_exponent_with_log
 from repro.analysis.tables import render_table
@@ -44,7 +43,7 @@ def _measure(n: int, mu: float, seed: int = 0):
     )
 
 
-def test_t1_mu_sweep(benchmark, report):
+def test_t1_mu_sweep(report):
     fits = {}
     rows = []
     for mu in MUS:
@@ -80,4 +79,3 @@ def test_t1_mu_sweep(benchmark, report):
     # High-μ rows approach the superlinear theory slopes.
     assert pre_seq[-1] > 1.6
     assert size_seq[-1] > 1.2
-    benchmark(lambda: _measure(600, 0.5))

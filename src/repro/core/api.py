@@ -124,10 +124,10 @@ class ShortestPathOracle:
         self.schedule = schedule
         self.preprocess_ledger = preprocess_ledger
         self.query_ledger = Ledger()
-        #: The resolved build configuration — reused by
-        #: :meth:`with_new_weights` so rebuilds keep the original
-        #: ``executor`` choice, and serializable for the
-        #: server/CLI (``config.to_dict()``).
+        #: The resolved build configuration — reused by :meth:`with_new_weights`
+        #: so a rebuilt oracle carries it on (``reweight``/``validate``
+        #: defaults, :meth:`shard_fleet`'s fallback, :meth:`save`'s archive
+        #: header), and serializable for the server/CLI (``config.to_dict()``).
         self.config = config if config is not None else OracleConfig()
         #: How the augmentation cache participated in this build (see
         #: :mod:`repro.cache`): ``mode`` / ``status`` always, plus ``key``,
@@ -519,11 +519,11 @@ class ShortestPathOracle:
         )
         if mode != "rebuild" and incremental_ok:
             return self._reweight_incremental(graph, dirty_edges, cfg, validate)
-        # Rebuild with the *original* build config — in particular its
-        # executor choice, which earlier versions silently
-        # dropped back to the defaults here — updating only what the new
-        # instance dictates (method/semiring follow the augmentation,
-        # keep_node_distances follows whether matrices were retained).
+        # Rebuild with the *original* build config, which the new oracle
+        # carries on (next reweight's defaults, shard_fleet(), save()),
+        # updating only what the new instance dictates (method/semiring
+        # follow the augmentation, keep_node_distances follows whether
+        # matrices were retained).
         if validate == "full":
             cfg = cfg.replace(validate=True)
         oracle = ShortestPathOracle.build(graph, self.tree, config=cfg)

@@ -68,21 +68,60 @@ def test_experiments_md_mentions_every_table_and_figure():
         assert artifact in text, f"EXPERIMENTS.md missing {artifact}"
 
 
+#: Fixtures pytest itself provides (``pytest --fixtures`` without plugins).
+PYTEST_FIXTURES = {
+    "cache", "capfd", "capfdbinary", "caplog", "capsys", "capsysbinary", "capteesys",
+    "doctest_namespace", "monkeypatch", "pytestconfig", "record_property",
+    "record_testsuite_property", "record_xml_attribute", "recwarn", "request",
+    "subtests", "tmp_path", "tmp_path_factory", "tmpdir", "tmpdir_factory",
+}
+
+
+def _load_standalone(path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _fixture_names(mod) -> set[str]:
+    """Names of the ``@pytest.fixture`` functions ``mod`` defines."""
+    names = set()
+    for attr, obj in vars(mod).items():
+        marker = (getattr(obj, "_fixture_function_marker", None)
+                  or getattr(obj, "_pytestfixturefunction", None))
+        if marker is not None:
+            names.add(marker.name or attr)
+    return names
+
+
 def test_benchmarks_importable_and_complete():
     """Every experiment id in DESIGN.md §4's index has a bench module that
     imports cleanly and defines at least one test function (guards against
-    bench rot without running them here)."""
-    import importlib.util
-
+    bench rot without running them here), and every bench test asks only
+    for fixtures that ``benchmarks/conftest.py``, its own module or pytest
+    itself defines — a fixture from an uninstalled plugin would error."""
     bench_dir = REPO / "benchmarks"
+    shared = _fixture_names(_load_standalone(bench_dir / "conftest.py")) | PYTEST_FIXTURES
     seen_tests = 0
     for path in sorted(bench_dir.glob("bench_*.py")):
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
+        mod = _load_standalone(path)
         fns = [n for n in vars(mod) if n.startswith("test_")]
         assert fns, f"{path.name} defines no test functions"
         seen_tests += len(fns)
+        known = shared | _fixture_names(mod)
+        for name in fns:
+            fn = getattr(mod, name)
+            params = set(inspect.signature(fn).parameters)
+            for mark in getattr(fn, "pytestmark", []):
+                if mark.name == "parametrize":
+                    argnames = mark.args[0]
+                    params -= set(argnames.replace(" ", "").split(",")
+                                  if isinstance(argnames, str) else argnames)
+            unknown = sorted(params - known)
+            assert not unknown, f"{path.name}::{name} asks for undefined fixtures {unknown}"
     assert seen_tests >= 30
 
 
