@@ -7,9 +7,6 @@ shrink |E⁺| by ≥ 15%.  Results accumulate in ``BENCH_eplus.json``."""
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -29,17 +26,6 @@ REFINE_N = 900
 REDUCTION_BOUND = 0.15
 
 
-def _record_json(results_dir, key: str, record: dict) -> None:
-    """Merge one experiment record into ``BENCH_eplus.json`` (atomic
-    temp+rename — a crashed run must not truncate accumulated results)."""
-    path = results_dir / "BENCH_eplus.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[key] = record
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
 FAMILIES = {
     "grid2d": dict(
         shapes=[(18, 18), (26, 26), (38, 38), (54, 54), (76, 76), (108, 108)], mu=0.5, logs=1
@@ -50,10 +36,9 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_eplus_size_exponent(report, results_dir, family):
+def test_eplus_size_exponent(report, record_json, family):
     cfg = FAMILIES[family]
     rows, sizes, eplus = [], [], []
-    last = None
     for shape in cfg["shapes"]:
         rng = np.random.default_rng(0)
         g = grid_digraph(shape, rng)
@@ -62,7 +47,6 @@ def test_eplus_size_exponent(report, results_dir, family):
         sizes.append(g.n)
         eplus.append(aug.size)
         rows.append([g.n, g.m, aug.size, aug.size / g.n])
-        last = (g, tree)
     fit = (
         fit_exponent_with_log(sizes, eplus) if cfg["logs"] else fit_exponent(sizes, eplus)
     )
@@ -76,7 +60,7 @@ def test_eplus_size_exponent(report, results_dir, family):
         ),
     )
     report(f"E-size-{family}", table + f"\n\nfitted {fit.exponent:.3f} vs theory {expected:.2f}")
-    _record_json(results_dir, f"exponent_{family}", {
+    record_json("BENCH_eplus.json", f"exponent_{family}", {
         "mu": cfg["mu"],
         "n": sizes,
         "eplus": [int(e) for e in eplus],
@@ -84,11 +68,10 @@ def test_eplus_size_exponent(report, results_dir, family):
         "expected_exponent": expected,
     })
     assert abs(fit.exponent - expected) < 0.4
-    g, tree = last
 
 
 @pytest.mark.parametrize("mu", REFINE_MUS)
-def test_eplus_flow_refinement_reduction(report, results_dir, mu):
+def test_eplus_flow_refinement_reduction(report, record_json, mu):
     """The flow-refinement acceptance gate: refining the spectral tree of a
     μ-programmed digraph shrinks |E⁺| by ≥ 15% (the quadratic
     separator-clique term compounds the per-node |S| wins)."""
@@ -116,7 +99,7 @@ def test_eplus_flow_refinement_reduction(report, results_dir, mu):
         ),
     )
     report(f"E-size-refine-mu{mu:.2f}", table)
-    _record_json(results_dir, f"refine_mu{mu:.2f}", {
+    record_json("BENCH_eplus.json", f"refine_mu{mu:.2f}", {
         "mu": mu,
         "n": g.n,
         "eplus_unrefined": int(base.size),
