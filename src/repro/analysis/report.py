@@ -28,6 +28,7 @@ EXPERIMENT_ORDER = [
     "E-planar-delaunay", "E-planar-qface-scaling", "E-planar-qface-queries",
     "E-tvpi-scaling", "E-tvpi-quality", "E-tvpi-utvpi",
     "E-par-backends", "E-par-fanout",
+    "E-cache-build", "E-cache-restart", "E-cache-row-lru",
     "A1-inclusion", "A2-depth-work", "A2-wallclock", "A3-schedule",
     "A4-leaf-size", "A5-remark44",
 ]
@@ -38,7 +39,7 @@ def aggregate_results(results_dir: str | pathlib.Path) -> str:
     results_dir = pathlib.Path(results_dir)
     if not results_dir.is_dir():
         raise FileNotFoundError(
-            f"{results_dir} not found — run `pytest benchmarks/ --benchmark-only` first"
+            f"{results_dir} not found — run `pytest benchmarks/` first"
         )
     available = {p.stem: p for p in sorted(results_dir.glob("*.md"))}
     parts = ["# Benchmark results (auto-aggregated)\n"]

@@ -3,7 +3,8 @@
 Layout (one directory, default ``~/.cache/repro/aug``, overridable via
 ``OracleConfig.cache_dir`` / ``REPRO_CACHE_DIR``)::
 
-    <key>.npz            one entry — the io.save_augmentation payload
+    <key>.npz            one E⁺ entry — the io.save_augmentation payload
+    tree-<digest>.npz    one tree entry — the io.save_tree payload
     <key>.lock           O_EXCL build lock (JSON: pid + created timestamp)
     <key>.tmp-<pid>-<r>  in-flight atomic write (renamed into place)
     index.json           LRU bookkeeping: bytes / created / last_used per key
@@ -36,6 +37,8 @@ import pathlib
 import secrets
 import time
 import zipfile
+
+from .keys import TREE_KEY_PREFIX
 
 __all__ = ["AugmentationCache", "BuildLock", "default_cache_dir", "DEFAULT_MAX_BYTES"]
 
@@ -217,13 +220,56 @@ class AugmentationCache:
         entry's copies (the key is a digest of exactly those arrays).
         A corrupt entry is deleted and reported as a miss.
         """
+        from ..io import load_augmentation
+
+        return self._read(
+            key, lambda path: load_augmentation(path, with_meta=True, graph=graph, tree=tree)
+        )
+
+    def load_tree(self, key: str):
+        """The separator tree stored under the tree key ``key`` (with its
+        ``selection`` and ``refinement`` records), else ``None``; a corrupt
+        entry is deleted and reported as a miss."""
+        from ..io import load_tree
+
+        return self._read(key, load_tree)
+
+    def store(self, key: str, aug, *, config=None, validated: bool = False) -> bool:
+        """Persist ``aug`` under ``key`` atomically; returns whether this
+        call wrote the entry (``False`` when another builder already had —
+        first writer wins, the payloads are identical by construction)."""
+        from ..io import save_augmentation
+
+        return self._write(
+            key,
+            lambda fh: save_augmentation(fh, aug, config=config, validated=validated),
+            {
+                "n": int(aug.graph.n),
+                "m": int(aug.graph.m),
+                "eplus": int(aug.size),
+                "method": str(aug.method),
+                "semiring": aug.semiring.name,
+            },
+        )
+
+    def store_tree(self, key: str, tree) -> bool:
+        """Persist ``tree`` (and its records) under the tree key ``key``;
+        first writer wins, as in :meth:`store`."""
+        from ..io import save_tree
+
+        decision = (tree.selection or {}).get("mode_decision") or {}
+        return self._write(
+            key,
+            lambda fh: save_tree(fh, tree),
+            {"n": tree.n, "nodes": len(tree.nodes), "tier": decision.get("mode", "exact")},
+        )
+
+    def _read(self, key: str, read):
         path = self.entry_path(key)
         if not path.exists():
             return None
-        from ..io import load_augmentation
-
         try:
-            aug, meta = load_augmentation(path, with_meta=True, graph=graph, tree=tree)
+            out = read(path)
         except (ValueError, KeyError, OSError, zipfile.BadZipFile, EOFError):
             # Truncated or foreign file at the entry path: drop it so the
             # next builder repairs the slot (atomic writes make this rare).
@@ -231,46 +277,27 @@ class AugmentationCache:
                 path.unlink()
             return None
         self._touch(key)
-        return aug, meta
+        return out
 
-    def store(self, key: str, aug, *, config=None, validated: bool = False) -> bool:
-        """Persist ``aug`` under ``key`` atomically; returns whether this
-        call wrote the entry (``False`` when another builder already had —
-        first writer wins, the payloads are identical by construction)."""
+    def _write(self, key: str, save, meta: dict) -> bool:
         self._ensure_dir()
         path = self.entry_path(key)
         if path.exists():
             self._touch(key)
             return False
-        from ..io import save_augmentation
-
         tmp = self.dir / f"{key}.tmp-{os.getpid()}-{secrets.token_hex(4)}"
         try:
             with open(tmp, "wb") as fh:
-                save_augmentation(fh, aug, config=config, validated=validated)
+                save(fh)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         finally:
             with contextlib.suppress(OSError):
                 tmp.unlink()
-        size = path.stat().st_size
         now = time.time()
-        self._update_index(
-            lambda idx: idx.__setitem__(
-                key,
-                {
-                    "bytes": int(size),
-                    "created": now,
-                    "last_used": now,
-                    "n": int(aug.graph.n),
-                    "m": int(aug.graph.m),
-                    "eplus": int(aug.size),
-                    "method": str(aug.method),
-                    "semiring": aug.semiring.name,
-                },
-            )
-        )
+        record = {"bytes": int(path.stat().st_size), "created": now, "last_used": now, **meta}
+        self._update_index(lambda idx: idx.__setitem__(key, record))
         self.evict(protect=key)
         return True
 
@@ -361,6 +388,7 @@ class AugmentationCache:
                 meta = {"bytes": st.st_size, "created": st.st_mtime, "last_used": st.st_mtime}
             rec = dict(meta)
             rec["key"] = key
+            rec["kind"] = "tree" if key.startswith(TREE_KEY_PREFIX) else "eplus"
             rec.setdefault("bytes", st.st_size)
             rec.setdefault("last_used", st.st_mtime)
             out.append(rec)
@@ -371,9 +399,11 @@ class AugmentationCache:
         """Store-level summary for ``repro-spsp cache stats`` and the
         server's ``stats`` op."""
         entries = self.entries()
+        kinds = [e["kind"] for e in entries]
         return {
             "dir": str(self.dir),
             "entries": len(entries),
+            "kinds": {k: kinds.count(k) for k in ("eplus", "tree")},
             "total_bytes": int(sum(e.get("bytes", 0) for e in entries)),
             "max_bytes": self.max_bytes,
         }

@@ -416,8 +416,9 @@ def _cmd_reweight(args) -> int:
 
 def _cmd_cache(args) -> int:
     """Manage the content-addressed augmentation store (:mod:`repro.cache`):
-    ``ls`` lists entries oldest-first, ``stats`` prints the store summary,
-    ``clear`` deletes every entry/lock/temp file."""
+    ``ls`` lists entries (E⁺ and tree) oldest-first, ``stats`` prints the
+    store summary with its per-kind counts, ``clear`` deletes every
+    entry/lock/temp file."""
     from .cache import AugmentationCache
 
     store = AugmentationCache(args.cache_dir)
@@ -428,11 +429,14 @@ def _cmd_cache(args) -> int:
             return 0
         print(f"cache {store.dir}: {len(entries)} entries (oldest first)")
         for e in entries:
+            if e["kind"] == "tree":
+                detail = f"nodes={e.get('nodes', '?')} tier={e.get('tier', '?')}"
+            else:
+                detail = (f"m={e.get('m', '?')} |E+|={e.get('eplus', '?')}"
+                          f" method={e.get('method', '?')}"
+                          f" semiring={e.get('semiring', '?')}")
             print(f"  {e['key'][:16]}…  {int(e.get('bytes', 0)):>12} B"
-                  f"  n={e.get('n', '?')} m={e.get('m', '?')}"
-                  f" |E+|={e.get('eplus', '?')}"
-                  f" method={e.get('method', '?')}"
-                  f" semiring={e.get('semiring', '?')}")
+                  f"  {e['kind']:<5} n={e.get('n', '?')} {detail}")
         return 0
     if args.action == "stats":
         for k, v in store.stats().items():

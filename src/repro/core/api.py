@@ -104,6 +104,38 @@ def _auto_gate(
     return tree, decision
 
 
+def _derive_tree(
+    graph: WeightedDigraph, tree: SeparatorTree | None, cfg: OracleConfig
+) -> tuple[SeparatorTree, dict | None]:
+    """The tree a build runs on and its tier decision (``None`` for a plain
+    ``mode="exact"`` build).
+
+    Tier dispatch: "direct" skips the separator machinery and serves G
+    itself; "auto" scores the best first-pass tree against DIRECT_GATE;
+    "exact" (the default) is the historical path, bit-for-bit."""
+    decision = None
+    if cfg.mode == "direct":
+        decision = {"mode": "direct", "why": "mode='direct' requested"}
+    elif cfg.mode == "auto":
+        tree, decision = _auto_gate(graph, tree, cfg.leaf_size)
+    if decision is not None and decision["mode"] == "direct":
+        from .direct import trivial_tree
+
+        tree = trivial_tree(graph.n)
+    else:
+        given_tree = tree is not None
+        tree = _resolve_tree(graph, tree, cfg.separator, cfg.leaf_size)
+        # Post-pass flow refinement — applies to supplied trees too;
+        # skipped when separator="flow" just built an already-refined tree.
+        if cfg.refine_separators and (given_tree or cfg.separator != "flow"):
+            from ..separators.flow import refine_tree
+
+            tree, _ = refine_tree(graph, tree, max_nodes=cfg.refine_max_nodes)
+    if decision is not None:
+        tree.selection = {**(tree.selection or {}), "mode_decision": decision}
+    return tree, decision
+
+
 class ShortestPathOracle:
     """Preprocessed multi-source shortest-path oracle for a digraph with a
     separator decomposition (the paper's end-to-end system)."""
@@ -130,8 +162,9 @@ class ShortestPathOracle:
         #: header), and serializable for the server/CLI (``config.to_dict()``).
         self.config = config if config is not None else OracleConfig()
         #: How the augmentation cache participated in this build (see
-        #: :mod:`repro.cache`): ``mode`` / ``status`` always, plus ``key``,
-        #: ``dir`` and timings once the store was consulted.  Surfaced by
+        #: :mod:`repro.cache`): ``mode`` / ``status`` (the E⁺ entry's)
+        #: always, plus ``tree`` (the tree entry's), ``key``, ``dir`` and
+        #: timings once the store was consulted.  Surfaced by
         #: the server's ``stats`` op as the build-cache hit record.
         self.cache_info: dict = {"mode": self.config.cache, "status": "off"}
         #: Build provenance (:class:`~repro.core.reweight.ReweightPlan`)
@@ -176,46 +209,46 @@ class ShortestPathOracle:
             produce one store entry).  A hit skips the whole §4
             construction *and* — when the entry's header records that
             validation already ran — the decomposition validity check.
-            ``keep_node_distances=True`` bypasses the cache (per-node
-            matrices are not persisted).
+            ``keep_node_distances=True`` bypasses the E⁺ entry (per-node
+            matrices are not persisted).  When no ``tree`` is passed and
+            a named spec derives it (``mode="auto"``'s gate, or a string
+            ``separator``), the same modes read and write a *tree entry*
+            keyed by the skeleton (:func:`repro.cache.tree_key`), so a
+            hit skips the decomposition or gate as well;
+            ``cache_info["tree"]`` reports ``"hit"``/``"miss"``/
+            ``"stored"``/``"bypass"``.
         """
         cfg = config if config is not None else OracleConfig()
-        # Tier dispatch: "direct" skips the separator machinery and serves
-        # G itself; "auto" scores the best first-pass tree against
-        # DIRECT_GATE; "exact" (the default) is the historical path,
-        # bit-for-bit.  Both tiers share the cache path below.
-        decision = None
-        if cfg.mode == "direct":
-            decision = {"mode": "direct", "why": "mode='direct' requested"}
-        elif cfg.mode == "auto":
-            tree, decision = _auto_gate(graph, tree, cfg.leaf_size)
-        ledger = Ledger()
-        method = cfg.method
-        if decision is not None and decision["mode"] == "direct":
-            from .direct import trivial_tree
-
-            method = "direct"
-            tree = trivial_tree(graph.n)
-        else:
-            given_tree = tree is not None
-            tree = _resolve_tree(graph, tree, cfg.separator, cfg.leaf_size)
-            # Post-pass flow refinement — applies to supplied trees too;
-            # skipped when separator="flow" just built an already-refined tree.
-            if cfg.refine_separators and (given_tree or cfg.separator != "flow"):
-                from ..separators.flow import refine_tree
-
-                tree, _ = refine_tree(graph, tree, max_nodes=cfg.refine_max_nodes)
-        if decision is not None:
-            tree.selection = {**(tree.selection or {}), "mode_decision": decision}
         cache_info: dict = {"mode": cfg.cache, "status": "off"}
         store = key = lock = None
         if cfg.cache != "off":
+            from ..cache import AugmentationCache, augmentation_key, tree_key
+
+            store = AugmentationCache(cfg.cache_dir)
+            # A tree entry stands in for the decomposition (or auto gate)
+            # a named spec would run: keyed by the skeleton, not the weights.
+            tkey = tree_key(graph, cfg) if tree is None else None
+            cache_info["tree"] = "bypass" if tkey is None else "miss"
+            if tkey is not None:
+                t0 = time.perf_counter()
+                tree = store.load_tree(tkey)
+                cache_info["tree_load_s"] = time.perf_counter() - t0
+                if tree is not None:
+                    cache_info["tree"] = "hit"
+        if cache_info.get("tree") == "hit":
+            decision = (tree.selection or {}).get("mode_decision")
+        else:
+            tree, decision = _derive_tree(graph, tree, cfg)
+            if cache_info.get("tree") == "miss" and cfg.cache == "readwrite":
+                if store.store_tree(tkey, tree):
+                    cache_info["tree"] = "stored"
+        ledger = Ledger()
+        method = "direct" if decision is not None and decision["mode"] == "direct" else cfg.method
+        if store is not None:
             if cfg.keep_node_distances:
                 cache_info["status"] = "bypass"
+                store = None
             else:
-                from ..cache import AugmentationCache, augmentation_key
-
-                store = AugmentationCache(cfg.cache_dir)
                 key = augmentation_key(graph, tree, cfg.resolved_semiring, method)
                 cache_info.update(key=key, dir=str(store.dir), status="miss")
                 t0 = time.perf_counter()

@@ -69,9 +69,16 @@ def save_tree(path, tree: SeparatorTree) -> None:
 
     Node arrays are stored flattened with offset tables (the tree's
     :class:`~repro.core.septree.FlatTree`; npz holds flat arrays best);
-    parent/level/children are small int arrays.
+    parent/level/children are small int arrays.  The tree's ``selection``
+    and ``refinement`` records, when set, ride along as JSON.
     """
     flat = tree.flat
+    extra = {}
+    if tree.selection is not None or tree.refinement is not None:
+        extra["records_json"] = json.dumps(
+            {"selection": tree.selection, "refinement": tree.refinement},
+            default=lambda o: o.tolist(),  # numpy scalars in the records
+        )
     np.savez_compressed(
         path,
         kind="septree",
@@ -82,6 +89,7 @@ def save_tree(path, tree: SeparatorTree) -> None:
         voff=flat.voff, soff=flat.soff, boff=flat.boff,
         parents=flat.meta[:, 1], levels=flat.meta[:, 0],
         child0=flat.meta[:, 2], child1=flat.meta[:, 3],
+        **extra,
     )
 
 
@@ -101,7 +109,10 @@ def load_tree(path) -> SeparatorTree:
             ),
             **{k: z[k] for k in ("voff", "vertices", "soff", "separators", "boff", "boundaries")},
         )
-    return SeparatorTree.from_flat(flat, n)
+        records = json.loads(str(z["records_json"])) if "records_json" in z.files else {}
+    tree = SeparatorTree.from_flat(flat, n)
+    tree.selection, tree.refinement = records.get("selection"), records.get("refinement")
+    return tree
 
 
 def _serializable_config(config) -> dict | None:

@@ -16,6 +16,7 @@ from ..core.digraph import WeightedDigraph
 from ..core.septree import SeparatorTree
 
 __all__ = [
+    "FIRST_PASS_ENGINES",
     "DecompositionQuality",
     "assess",
     "best_first_pass",
@@ -109,11 +110,16 @@ def separability_score(tree: SeparatorTree) -> float:
     return float(1.0 - min(1.0, eplus_score(tree) / float(n * n)))
 
 
+#: The candidate engines of :func:`best_first_pass` (and so of the
+#: ``mode="auto"`` gate, whose tree-cache key hashes this tuple).
+FIRST_PASS_ENGINES: tuple[str, ...] = ("spectral", "multilevel")
+
+
 def best_first_pass(
     graph: WeightedDigraph,
     *,
     leaf_size: int = 8,
-    engines: tuple[str, ...] = ("spectral", "multilevel"),
+    engines: tuple[str, ...] = FIRST_PASS_ENGINES,
     budget: int | None = None,
 ) -> tuple[str, SeparatorTree]:
     """Build one tree per candidate engine and keep the cheapest by

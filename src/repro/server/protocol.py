@@ -54,7 +54,9 @@ section summarizing both caches of the serving stack::
     "cache": {
         "build":        {...},   # oracle.cache_info: augmentation-store
                                  # mode/status ("off"|"bypass"|"miss"|
-                                 # "hit"|"stored"), key, dir, timings
+                                 # "hit"|"stored"), tree (the same values
+                                 # for the tree entry), key, dir, timings
+                                 # (load_s, store_s, tree_load_s)
         "row_hit_rate": 0.42,    # fraction of served rows from the row LRU
         "row_cache":    {...}    # engine row-LRU capacity/size/hits/misses
     }

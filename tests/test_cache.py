@@ -1,6 +1,6 @@
 """Tests for the content-addressed augmentation cache (:mod:`repro.cache`):
-keying, the store round-trip through ``ShortestPathOracle.build``, locking,
-eviction, the query-row LRU, and the CLI subcommand.
+keying, the store round-trip through ``ShortestPathOracle.build``, tree
+entries, locking, eviction, the query-row LRU, and the CLI subcommand.
 
 Process-spawning concurrency tests carry the ``multiproc`` marker; the
 default fast lane covers the same stampede protocol with threads.
@@ -15,13 +15,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cache import AugmentationCache, augmentation_key, default_cache_dir
+from repro.cache import AugmentationCache, augmentation_key, default_cache_dir, tree_key
 from repro.core.api import ShortestPathOracle
 from repro.core.config import OracleConfig
+from repro.core.digraph import WeightedDigraph
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.semiring import MIN_PLUS, SEMIRINGS
 from repro.separators.grid import decompose_grid
-from repro.workloads.generators import grid_digraph
+from repro.workloads.generators import expander_digraph, grid_digraph
 
 
 def _store_files(store) -> list[str]:
@@ -228,6 +229,169 @@ class TestHitPath:
         assert back.tree is not tree and back.graph is not g
         assert augmentation_key(back.graph, back.tree, MIN_PLUS, "leaves_up") == key
         assert np.array_equal(back.tree.vertex_level, tree.vertex_level)
+
+
+def _flat_arrays(tree) -> dict:
+    return {f: getattr(tree.flat, f) for f in tree.flat.__dataclass_fields__}
+
+
+def _assert_same_tree(got, want) -> None:
+    """Bit-identical FlatTree arrays (values and dtypes) and records."""
+    a, b = _flat_arrays(got), _flat_arrays(want)
+    for name in b:
+        assert a[name].dtype == b[name].dtype, name
+        assert np.array_equal(a[name], b[name]), name
+    assert got.selection == want.selection
+    assert got.refinement == want.refinement
+    assert got.cut_at is None and want.cut_at is None
+
+
+def _skeleton_graph(kind: str):
+    if kind == "grid":
+        return grid_digraph((12, 12), np.random.default_rng(3))
+    return expander_digraph(64, np.random.default_rng(3), degree=8)
+
+
+class TestTreeEntry:
+    """Tree entries: a build that derives its tree from a named spec
+    stores it under :func:`tree_key` (the skeleton, not the weights), and
+    a restart restores it instead of running the gate or decomposition."""
+
+    @pytest.mark.parametrize("kind,verdict", [("grid", "exact"), ("expander", "direct")])
+    def test_hit_equals_fresh_gate(self, kind, verdict, tmp_path):
+        g = _skeleton_graph(kind)
+        d = str(tmp_path / "store")
+        fresh = ShortestPathOracle.build(g, config=OracleConfig(mode="auto"))
+        cold = ShortestPathOracle.build(
+            g, config=OracleConfig(mode="auto", cache="readwrite", cache_dir=d)
+        )
+        warm = ShortestPathOracle.build(
+            g, config=OracleConfig(mode="auto", cache="read", cache_dir=d)
+        )
+        assert (cold.cache_info["tree"], warm.cache_info["tree"]) == ("stored", "hit")
+        assert warm.cache_info["status"] == "hit" and warm.cache_info["tree_load_s"] >= 0
+        decision = warm.tree.selection["mode_decision"]
+        assert decision["mode"] == verdict
+        assert set(decision) >= {"mode", "why", "separability", "gate", "candidates"}
+        assert decision == fresh.tree.selection["mode_decision"]
+        _assert_same_tree(warm.tree, fresh.tree)
+        assert warm.augmentation.method == fresh.augmentation.method
+        assert warm.cache_info["key"] == cold.cache_info["key"]
+
+    def test_tree_hit_then_eplus_miss_builds_the_cold_eplus(self, tmp_path):
+        g = _skeleton_graph("grid")
+        d = str(tmp_path / "store")
+        cfg = OracleConfig(mode="auto", cache="readwrite", cache_dir=d)
+        cold = ShortestPathOracle.build(g, config=cfg)
+        AugmentationCache(d).entry_path(cold.cache_info["key"]).unlink()
+        warm = ShortestPathOracle.build(g, config=cfg)
+        assert (warm.cache_info["tree"], warm.cache_info["status"]) == ("hit", "stored")
+        assert warm.cache_info["key"] == cold.cache_info["key"]
+        for name in ("src", "dst", "weight"):
+            got, want = getattr(warm.augmentation, name), getattr(cold.augmentation, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        srcs = [0, 50, 143]
+        assert warm.distances(srcs).tobytes() == cold.distances(srcs).tobytes()
+
+    def test_new_weights_hit_and_skeleton_changes_miss(self, tmp_path):
+        g = _skeleton_graph("grid")
+        d = str(tmp_path / "store")
+        base = OracleConfig(cache="readwrite", cache_dir=d)
+        first = ShortestPathOracle.build(g, config=base)
+        assert first.cache_info["tree"] == "stored"
+        heavier = WeightedDigraph(g.n, g.src, g.dst, g.weight * 3.0 + 1.0)
+        again = ShortestPathOracle.build(heavier, config=base)
+        assert (again.cache_info["tree"], again.cache_info["status"]) == ("hit", "stored")
+        fresh = ShortestPathOracle.build(heavier)  # the decomposition ignores weights
+        _assert_same_tree(again.tree, fresh.tree)
+        src, dst = g.src.copy(), g.dst.copy()
+        src[0], dst[0] = dst[0], src[0]
+        redirected = WeightedDigraph(g.n, src, dst, g.weight)
+        assert tree_key(redirected, base) != tree_key(g, base)
+        assert ShortestPathOracle.build(redirected, config=base).cache_info["tree"] == "stored"
+        for change in (
+            {"leaf_size": 4},
+            {"separator": "multilevel"},
+            {"refine_separators": True},
+            {"refine_separators": True, "refine_max_nodes": 64},
+            {"mode": "auto"},
+        ):
+            other = base.replace(**change)
+            assert tree_key(g, other) != tree_key(g, base), change
+            built = ShortestPathOracle.build(g, config=other)
+            assert built.cache_info["tree"] == "stored", change
+        # Knobs the tree does not read leave the key alone.
+        for same in ({"method": "doubling"}, {"semiring": "boolean"}, {"validate": True}):
+            assert tree_key(g, base.replace(**same)) == tree_key(g, base), same
+
+    def test_truncated_entry_falls_back_and_is_rewritten(self, tmp_path):
+        g = _skeleton_graph("expander")
+        d = str(tmp_path / "store")
+        rw = OracleConfig(mode="auto", cache="readwrite", cache_dir=d)
+        cold = ShortestPathOracle.build(g, config=rw)
+        store = AugmentationCache(d)
+        path = store.entry_path(tree_key(g, rw))
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        read = ShortestPathOracle.build(g, config=rw.replace(cache="read"))
+        assert read.cache_info["tree"] == "miss"  # corrupt: dropped, gate ran
+        assert not path.exists()  # and "read" did not write it back
+        path.write_bytes(whole[: len(whole) // 2])
+        again = ShortestPathOracle.build(g, config=rw)
+        assert again.cache_info["tree"] == "stored"
+        assert path.read_bytes() == whole
+        _assert_same_tree(again.tree, cold.tree)
+
+    def test_off_read_and_callable_rules(self, tmp_path, monkeypatch):
+        from repro.separators.spectral import spectral_separator_fn
+
+        g = _skeleton_graph("grid")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        off = ShortestPathOracle.build(g, config=OracleConfig(mode="auto"))
+        assert off.cache_info == {"mode": "off", "status": "off"}
+        assert not (tmp_path / "env").exists()
+        d = str(tmp_path / "store")
+        read = ShortestPathOracle.build(
+            g, config=OracleConfig(mode="auto", cache="read", cache_dir=d)
+        )
+        assert (read.cache_info["tree"], read.cache_info["status"]) == ("miss", "miss")
+        assert not _entry_files(AugmentationCache(d))
+        rw = OracleConfig(cache="readwrite", cache_dir=d)
+        fn = ShortestPathOracle.build(g, config=rw.replace(separator=spectral_separator_fn()))
+        assert fn.cache_info["tree"] == "bypass"
+        given = ShortestPathOracle.build(g, fn.tree, config=rw.replace(mode="auto"))
+        assert given.cache_info["tree"] == "bypass"
+        direct = ShortestPathOracle.build(g, config=rw.replace(mode="direct"))
+        assert direct.cache_info["tree"] == "bypass"
+        kinds = [e["kind"] for e in AugmentationCache(d).entries()]
+        assert kinds.count("tree") == 0 and kinds.count("eplus") >= 2
+
+    def test_both_kinds_listed_touched_and_evicted(self, tmp_path, capsys):
+        from repro.cli import main
+
+        g = _skeleton_graph("grid")
+        d = str(tmp_path / "store")
+        rw = OracleConfig(mode="auto", cache="readwrite", cache_dir=d)
+        ShortestPathOracle.build(g, config=rw)
+        store = AugmentationCache(d)
+        tkey = tree_key(g, rw)
+        assert store.stats()["kinds"] == {"eplus": 1, "tree": 1}
+        assert [e["key"] for e in store.entries()][0] == tkey  # stored first
+        assert store.load_tree(tkey) is not None  # touch: now the newest
+        assert [e["key"] for e in store.entries()][-1] == tkey
+        assert main(["cache", "ls", "--cache-dir", d]) == 0
+        out = capsys.readouterr().out
+        assert "2 entries" in out and " tree " in out and " eplus " in out
+        assert "tier=exact" in out and "method=leaves_up" in out
+        assert main(["cache", "stats", "--cache-dir", d]) == 0
+        assert "kinds: {'eplus': 1, 'tree': 1}" in capsys.readouterr().out
+        # LRU eviction treats both kinds alike: the E⁺ entry is oldest now.
+        oldest, newest = store.entries()
+        assert (oldest["kind"], newest["kind"]) == ("eplus", "tree")
+        small = AugmentationCache(d, max_bytes=newest["bytes"])
+        assert small.evict() == [oldest["key"]]
+        assert small.stats()["kinds"] == {"eplus": 0, "tree": 1}
+        assert ShortestPathOracle.build(g, config=rw).cache_info["tree"] == "hit"
 
 
 class TestStoreMechanics:

@@ -762,6 +762,25 @@ class TestShutdown:
         assert np.array_equal(got, want)
         assert orphaned_segments() == []
 
+    def test_stats_report_tree_entry_hit(self, tmp_path):
+        """A restart that restored its tree from the store says so in the
+        ``stats`` RPC's build record, beside the E⁺ entry's status."""
+        from repro.workloads.generators import expander_digraph
+
+        g = expander_digraph(48, np.random.default_rng(2), degree=8)
+        store = str(tmp_path / "store")
+        ShortestPathOracle.build(
+            g, config=OracleConfig(mode="auto", cache="readwrite", cache_dir=store)
+        )
+        oracle = ShortestPathOracle.build(
+            g, config=OracleConfig(mode="auto", cache="read", cache_dir=store)
+        )
+        with serving(oracle, tmp_path) as (sock, _):
+            with OracleClient(sock) as c:
+                build = c.stats()["cache"]["build"]
+        assert (build["tree"], build["status"]) == ("hit", "hit")
+        assert build["tree_load_s"] >= 0.0
+
     def test_requests_after_drain_rejected(self, oracle, tmp_path):
         with serving(oracle, tmp_path) as (sock, server):
             with OracleClient(sock) as c:
