@@ -37,7 +37,6 @@ _CONFIG_FLAG_FIELDS = {
     "reweight": "reweight",
     "shards": "shards",
     "pin": "shard_pin",
-    "admission_queue_limit": "admission_queue_limit",
     "refine": "refine_separators",
     "refine_max_nodes": "refine_max_nodes",
     "mode": "mode",
@@ -605,9 +604,6 @@ def main(argv: list[str] | None = None) -> int:
                     default="auto", help=_cfg_help("reweight"))
     p8.add_argument("--shards", type=int, default=0, help=_cfg_help("shards"))
     p8.add_argument("--pin", action="store_true", help=_cfg_help("shard_pin"))
-    p8.add_argument("--admission-queue-limit", dest="admission_queue_limit",
-                    type=int, default=None,
-                    help=_cfg_help("admission_queue_limit"))
     p8.add_argument("-v", "--verbose", action="count", default=0,
                     help="serving-path logging: -v INFO, -vv DEBUG")
     _add_cache_flags(p8)

@@ -16,6 +16,7 @@ with PRAM work/depth accounting throughout.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 
@@ -132,6 +133,9 @@ def _derive_tree(
 
             tree, _ = refine_tree(graph, tree, max_nodes=cfg.refine_max_nodes)
     if decision is not None:
+        # A shallow copy carries the record, so a caller's tree reused
+        # across builds never shows another build's decision.
+        tree = copy.copy(tree)
         tree.selection = {**(tree.selection or {}), "mode_decision": decision}
     return tree, decision
 
@@ -193,7 +197,8 @@ class ShortestPathOracle:
             depends only on the skeleton and can be reused across weight /
             direction changes).  When omitted, ``config.separator`` selects
             an engine: ``"auto"``/``"spectral"``, ``"planar"``,
-            ``"treewidth"``, or a callable oracle.
+            ``"treewidth"``, ``"multilevel"``, ``"flow"``, or a callable
+            oracle.
         config:
             Every knob (default: ``OracleConfig()``); see
             :class:`~repro.core.config.OracleConfig` for the inventory.

@@ -53,6 +53,8 @@ _RETIRED = {
     "engine": "queries run the exact §3.2 schedule only; sssp_naive stays the "
     "A3 reference",
     "source_block": "rows are blocked by the constant repro.core.sssp.SOURCE_BLOCK",
+    "admission_queue_limit": "the server's admission cap is ServerConfig.queue_limit "
+    "(serve --queue-limit), which this field only overrode",
 }
 
 _CACHE_MODES = ("off", "read", "readwrite")
@@ -88,8 +90,8 @@ class OracleConfig:
     separator:
         Decomposition engine when no tree is supplied: ``"auto"`` /
         ``"spectral"``, ``"planar"``, ``"treewidth"``, ``"multilevel"``,
-        ``"lipton_tarjan"``, ``"flow"`` (max-flow refinement of the best
-        first-pass engine), or a callable separator oracle.
+        ``"flow"`` (max-flow refinement of the best first-pass engine), or
+        a callable separator oracle.
     semiring:
         A :class:`~repro.core.semiring.Semiring` or its registry name
         (``"min_plus"``, ``"boolean"``, …); names keep the config
@@ -131,12 +133,6 @@ class OracleConfig:
         Pin each shard worker process to one CPU via
         ``os.sched_setaffinity`` (process backend only), so a shard's
         pages stay on the NUMA node of the CPU that computes them.
-    admission_queue_limit:
-        Admission-control cap on admitted-but-unfinished row requests at
-        the :class:`~repro.server.OracleServer`; past it (or when the
-        predicted queue wait already exceeds the request deadline) the
-        server sheds early with 429 instead of queueing into the
-        deadline. ``0`` defers to ``ServerConfig.queue_limit``.
     refine_separators:
         Post-pass flow refinement of the separator tree: after the tree is
         resolved (built *or* supplied), re-solve every node's cut as a
@@ -173,7 +169,6 @@ class OracleConfig:
     shards: int = 0
     shard_backend: str = "process"
     shard_pin: bool = False
-    admission_queue_limit: int = 0
     refine_separators: bool = False
     refine_max_nodes: int = 20_000
     reweight: str = "auto"
@@ -207,11 +202,6 @@ class OracleConfig:
             raise ValueError(
                 f"shard_backend must be one of {_SHARD_BACKENDS}, "
                 f"got {self.shard_backend!r}"
-            )
-        if int(self.admission_queue_limit) < 0:
-            raise ValueError(
-                "admission_queue_limit must be >= 0 (0 defers to the server's "
-                f"queue_limit), got {self.admission_queue_limit!r}"
             )
         if int(self.refine_max_nodes) < 1:
             raise ValueError(

@@ -1,2 +1,2 @@
-"""Paper §6 machinery: planar embeddings, outerplanar tools, hammock
-decompositions, and the q-face pipeline oracle."""
+"""Paper §6 machinery: outerplanar tools, hammock decompositions, and the
+q-face pipeline oracle."""

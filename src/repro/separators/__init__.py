@@ -1,5 +1,5 @@
-"""Separator oracles and decomposition builders — one engine per family the
-paper names, plus the flow refiner that post-processes any of them.
+"""Separator oracles and decomposition builders, plus the flow refiner that
+post-processes any of them.
 
 Registered engines (``decompose(graph, engine=...)``):
 
@@ -8,17 +8,17 @@ Registered engines (``decompose(graph, engine=...)``):
 - ``planar`` — Lipton–Tarjan-style BFS-level cuts for (near-)planar inputs.
 - ``treewidth`` — min-degree elimination bags for tree-like graphs.
 - ``multilevel`` — coarsen/cut/uncoarsen with local refinement.
-- ``lipton_tarjan`` — the textbook fundamental-cycle planar separator.
 - ``flow`` — max-flow min-vertex-cut refinement of the best first-pass
   engine (:mod:`repro.separators.quality` picks it); smallest |S(t)|, at
   extra build cost.
 
-``grid`` and ``geometric`` also exist but need extra arguments (the grid
-shape, the point coordinates) — call :func:`repro.separators.grid.
-decompose_grid` / :func:`repro.separators.geometric.decompose_geometric`
-directly.  Every builder accepts a plain :data:`~repro.core.septree.
-SeparatorFn` callable too, via :func:`repro.core.septree.
-build_separator_tree`.
+Each one wins at least one cell of the E-engines comparison
+(``benchmarks/bench_separator_engines.py``: separator time, |E⁺|, phases,
+scans per row, 1- and 64-row latency, on every engine's home family).
+``grid`` also exists but needs the grid shape — call
+:func:`repro.separators.grid.decompose_grid` directly.  Every builder
+accepts a plain :data:`~repro.core.septree.SeparatorFn` callable too, via
+:func:`repro.core.septree.build_separator_tree`.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ _ENGINE_MODULES: dict[str, tuple[str, str]] = {
     "planar": ("repro.separators.planar", "decompose_planar"),
     "treewidth": ("repro.separators.treewidth", "decompose_treewidth"),
     "multilevel": ("repro.separators.multilevel", "decompose_multilevel"),
-    "lipton_tarjan": ("repro.separators.lipton_tarjan", "decompose_lipton_tarjan"),
     "flow": ("repro.separators.flow", "decompose_flow"),
 }
 
 _ALIASES = {None: "spectral", "auto": "spectral"}
+
+#: Deleted engines: E-engines measured them on every family, where they won
+#: no cell.
+_RETIRED = ("geometric", "lipton_tarjan")
 
 
 def available_engines() -> tuple[str, ...]:
@@ -51,12 +54,18 @@ def available_engines() -> tuple[str, ...]:
 
 def _engine_error(name: object) -> ValueError:
     """A helpful error for an unknown engine name: lists every registered
-    engine plus the extra-argument families."""
+    engine plus the extra-argument grid builder, and says why a deleted
+    engine went."""
     have = ", ".join(available_engines())
+    retired = (
+        f"the {name!r} separator engine was removed: it won no cell of the "
+        "E-engines comparison on any family (separator time, |E⁺|, phases, "
+        "scans per row, 1- or 64-row latency). " if name in _RETIRED else ""
+    )
     return ValueError(
-        f"unknown separator engine {name!r}; registered engines: {have} "
-        f"('auto' aliases spectral; 'grid' and 'geometric' need shape/point "
-        f"arguments — call their decompose_* directly; a SeparatorFn "
+        f"{retired}unknown separator engine {name!r}; registered engines: {have} "
+        f"('auto' aliases spectral; 'grid' needs the grid shape — call "
+        f"repro.separators.grid.decompose_grid directly; a SeparatorFn "
         f"callable is also accepted)"
     )
 

@@ -1,23 +1,13 @@
-"""BFS level structures on the undirected skeleton — shared by the planar
-separator engines (Lipton–Tarjan's first phase is a BFS level argument)."""
+"""BFS level structures on the undirected skeleton — the planar engine's
+level cuts — and the range expansion the flow refiner shares."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..core.digraph import WeightedDigraph
-from ..core.septree import rest_labels
 
-__all__ = ["bfs_levels", "expand_ranges", "largest_component"]
-
-
-def largest_component(g: WeightedDigraph) -> np.ndarray:
-    """Vertex ids of the largest undirected component."""
-    ncomp, labels = rest_labels(g, np.empty(0, dtype=np.int64))
-    if ncomp <= 1:
-        return np.arange(g.n)
-    counts = np.bincount(labels)
-    return np.nonzero(labels == int(np.argmax(counts)))[0]
+__all__ = ["bfs_levels", "expand_ranges"]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

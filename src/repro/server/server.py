@@ -17,8 +17,7 @@ batch, not 32 engine round trips.
 Operational behavior:
 
 * **backpressure + admission control** — at most ``queue_limit`` row
-  requests (or ``OracleConfig.admission_queue_limit`` when set) may be
-  admitted and unfinished; beyond that the server sheds with a 429-style
+  requests may be admitted and unfinished; beyond that the server sheds with a 429-style
   error instead of queueing unboundedly.  Admission control additionally
   sheds a request *early* when its predicted queue wait — backlogged rows
   priced at the recent per-row batch wall — already exceeds its deadline,
@@ -642,18 +641,11 @@ class OracleServer:
             raise ServerError(BAD_REQUEST, f"source out of range [0, {n})")
         return srcs
 
-    @property
-    def _admission_limit(self) -> int:
-        """Effective admitted-request cap: ``OracleConfig.
-        admission_queue_limit`` when set, else ``ServerConfig.queue_limit``."""
-        limit = int(getattr(self.engine_config, "admission_queue_limit", 0) or 0)
-        return limit or self.server_config.queue_limit
-
     async def _row_op(self, req_id, op: str, req: dict, conn: _Conn, t0: float) -> dict:
         if self._draining:
             raise ServerError(UNAVAILABLE, "server is shutting down")
         srcs = self._parse_sources(op, req)
-        limit = self._admission_limit
+        limit = self.server_config.queue_limit
         if self._pending >= limit:
             raise ServerError(
                 OVERLOADED,
@@ -735,7 +727,7 @@ class OracleServer:
             },
             "pending": self._pending,
             "admission": {
-                "queue_limit": self._admission_limit,
+                "queue_limit": self.server_config.queue_limit,
                 "pending_rows": self._pending_rows,
                 "ema_row_ms": self._ema_row_s * 1e3,
                 "shed_early_total": self.metrics.shed_early_total,

@@ -160,8 +160,8 @@ def delaunay_digraph(
     weight_range: tuple[float, float] = (1.0, 10.0),
 ) -> tuple[WeightedDigraph, np.ndarray]:
     """Random planar digraph: Delaunay triangulation of ``n`` uniform points
-    (both orientations per edge).  Returns ``(graph, points)`` — the points
-    feed the geometric separator oracle.
+    (both orientations per edge).  Returns ``(graph, points)``; the points
+    place the vertices for plots and Euclidean weights.
     """
     from scipy.spatial import Delaunay
 

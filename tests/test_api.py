@@ -10,6 +10,7 @@ from repro import (
     augment_doubling_shared,
     reachability_augmentation,
 )
+from repro.core import api
 from repro.core.paths import path_weight
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import apply_potential_weights, delaunay_digraph, grid_digraph
@@ -49,6 +50,20 @@ class TestBuild:
             ShortestPathOracle.build(g, config=OracleConfig(separator="voodoo"))
         with pytest.raises(ValueError):
             ShortestPathOracle.build(g, tree, config=OracleConfig(method="magic"))
+
+    def test_builds_leave_the_callers_tree_alone(self, rng):
+        """A ``mode="auto"`` build records its tier decision on its own
+        copy of the tree, so a tree reused across builds carries no earlier
+        build's decision."""
+        g = grid_digraph((12, 12), rng)
+        tree = decompose_grid(g, (12, 12))
+        auto = ShortestPathOracle.build(g, tree, config=OracleConfig(mode="auto"))
+        exact = ShortestPathOracle.build(g, tree, config=OracleConfig(mode="exact"))
+        assert tree.selection is None
+        decision = auto.stats()["separators"]["selection"]["mode_decision"]
+        assert decision["mode"] == "exact" and decision["separability"] >= api.DIRECT_GATE
+        assert exact.stats()["separators"]["selection"] is None
+        assert exact.tree is tree
 
     @pytest.mark.parametrize("method", ["leaves_up", "doubling"])
     def test_methods_agree(self, grid7, method):

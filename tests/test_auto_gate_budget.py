@@ -93,19 +93,16 @@ class TestGateParity:
 #: every registered engine must still build these exact trees.
 UNBUDGETED_KEYS = {
     ("expander24", "flow"): "5a6655653535d66d",
-    ("expander24", "lipton_tarjan"): "f12c10ac1b7d2646",
     ("expander24", "multilevel"): "9768dd23f157d272",
     ("expander24", "planar"): "f12c10ac1b7d2646",
     ("expander24", "spectral"): "284fcdb744ad14d5",
     ("expander24", "treewidth"): "fbc5490187a9c5e3",
     ("grid12", "flow"): "31cd1e24e9ffc452",
-    ("grid12", "lipton_tarjan"): "997cd10f19dddb03",
     ("grid12", "multilevel"): "43ed2ac92b80bca5",
     ("grid12", "planar"): "b42834d988c8e521",
     ("grid12", "spectral"): "b7419e3cd61a3de4",
     ("grid12", "treewidth"): "8ea0b3ff026545e6",
     ("delaunay200", "flow"): "63eb2367c3041812",
-    ("delaunay200", "lipton_tarjan"): "7324c0a9b4d83ced",
     ("delaunay200", "multilevel"): "76e97cfd054d51e5",
     ("delaunay200", "planar"): "c7e83c2547fd1d81",
     ("delaunay200", "spectral"): "a609f9fbcc199be6",

@@ -88,7 +88,6 @@ ENGINE_CASES = [
     ("planar", GRID12, lambda g: decompose(g, "planar")),
     ("treewidth", TREE80, lambda g: decompose(g, "treewidth")),
     ("multilevel", GRID12, lambda g: decompose(g, "multilevel")),
-    ("lipton_tarjan", GRID12, lambda g: decompose(g, "lipton_tarjan")),
     ("flow", GRID12, lambda g: decompose(g, "flow")),
     ("spectral-dense", GRID12, lambda g: decompose(g, "spectral")),
     ("spectral-sparse", GRID24, lambda g: decompose(g, "spectral")),  # n = 576 > 512

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cache import augmentation_key
+from repro.cache import AugmentationCache, augmentation_key, tree_key
 from repro.core import api
 from repro.core.api import ShortestPathOracle
 from repro.core.augment import NegativeCycleDetected
@@ -343,14 +343,14 @@ class TestPersistenceAndCache:
     def test_retired_config_keys_still_load(self, rng, tmp_path):
         """Archives and cache entries written while OracleConfig still had
         ``hopset_beta`` and ``approx_gate``, the replica tier's
-        ``replicas`` / ``max_replicas`` / ``autoscale_target_p99_ms``, or the
-        query engine's ``engine`` / ``source_block``, load and answer the
-        same."""
+        ``replicas`` / ``max_replicas`` / ``autoscale_target_p99_ms``, the
+        query engine's ``engine`` / ``source_block``, or the server's
+        ``admission_queue_limit``, load and answer the same."""
         g = expander_digraph(90, rng)
         retired = {
             "hopset_beta": 16, "approx_gate": 0.4,
             "replicas": 3, "max_replicas": 6, "autoscale_target_p99_ms": 50.0,
-            "engine": "naive", "source_block": 16,
+            "engine": "naive", "source_block": 16, "admission_queue_limit": 4,
         }
         oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct", row_cache=8))
         path = tmp_path / "old.npz"
@@ -366,6 +366,43 @@ class TestPersistenceAndCache:
         hit = ShortestPathOracle.build(g, config=cfg.replace(cache="read"))
         assert hit.cache_info["status"] == "hit"
         assert np.array_equal(hit.distances([0, 7]), oracle.distances([0, 7]))
+
+    def test_retired_engine_archives_and_entries_still_load(self, rng, tmp_path):
+        """An archive, an E⁺ entry and a tree entry written by a
+        ``separator="lipton_tarjan"`` build load, serve and reweight: each
+        stores its tree, so nothing asks for the deleted engine.  Without a
+        stored tree, the name fails with the registry's pointed error."""
+        g = _int_weighted(grid_digraph((8, 8), rng), rng)
+        tree = decompose_grid(g, (8, 8))
+        sources = [0, 27, 63]
+        w2 = g.weight.copy()
+        w2[::5] += 2.0
+        want = _dijkstra_rows(g, sources)
+        want2 = _dijkstra_rows(WeightedDigraph(g.n, g.src, g.dst, w2), sources)
+
+        path = tmp_path / "old.npz"
+        ShortestPathOracle.build(g, tree).save(path)
+        _rewrite_config(path, separator="lipton_tarjan")
+        back = ShortestPathOracle.load(path)
+        assert back.config.separator == "lipton_tarjan"
+        assert np.array_equal(back.distances(sources), want)
+        assert np.array_equal(back.with_new_weights(w2).distances(sources), want2)
+
+        old = OracleConfig(separator="lipton_tarjan", cache="read",
+                           cache_dir=str(tmp_path / "c"))
+        store = AugmentationCache(old.cache_dir)
+        assert store.store_tree(tree_key(g, old), tree)
+        stored = ShortestPathOracle.build(g, tree, config=old.replace(cache="readwrite"))
+        assert stored.cache_info["status"] == "stored"
+        _rewrite_config(tmp_path / "c" / f"{stored.cache_info['key']}.npz",
+                        separator="lipton_tarjan")
+        hit = ShortestPathOracle.build(g, config=old)
+        assert (hit.cache_info["tree"], hit.cache_info["status"]) == ("hit", "hit")
+        assert np.array_equal(hit.distances(sources), want)
+        assert np.array_equal(hit.with_new_weights(w2).distances(sources), want2)
+
+        with pytest.raises(ValueError, match="'lipton_tarjan' separator engine was removed"):
+            ShortestPathOracle.build(g, config=old.replace(cache="off"))
 
 
 class TestReweight:

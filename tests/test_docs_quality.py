@@ -131,3 +131,26 @@ def test_examples_importable():
 
     for path in sorted((REPO / "examples").glob("*.py")):
         py_compile.compile(str(path), doraise=True)
+
+
+def test_every_registered_engine_wins_a_committed_engines_cell():
+    """Each engine :func:`repro.separators.available_engines` registers is
+    shown winning at least one cell of the committed E-engines run, and each
+    deleted engine's retirement run shows it winning none — so an engine
+    added without a winning row fails here."""
+    import json
+
+    from repro.separators import _RETIRED, available_engines
+
+    results = REPO / "benchmarks" / "results"
+    data = json.loads((results / "BENCH_engines.json").read_text())
+    text = (results / "E-engines.md").read_text()
+    assert data["engines"]["engines"] == list(available_engines())
+    for engine in available_engines():
+        assert data["engines"]["wins"].get(engine), f"{engine} wins no E-engines cell"
+        assert f"- `{engine}`: " in text and f"- `{engine}`: no cell" not in text
+    retired = data["retired"]
+    assert sorted(retired["deleted"]) == sorted(_RETIRED)
+    for engine in _RETIRED:
+        assert engine in {name for fam in retired["families"] for name in fam["trees"]}
+        assert not retired["wins"].get(engine), f"retired {engine} won a cell"

@@ -1,7 +1,7 @@
 """The :class:`~repro.core.protocols.ServingBackend` contract (tier-1, no
 subprocesses): every serving tier satisfies the protocol, the unified
-stats schema is what :func:`serving_stats` says it is, the admission
-knob validates, the retired replica knobs fail loudly, and the CLI flag
+stats schema is what :func:`serving_stats` says it is, the retired
+admission and replica knobs fail loudly, and the CLI flag
 table maps 1:1 onto :class:`~repro.core.config.OracleConfig` fields.
 """
 
@@ -131,9 +131,14 @@ class TestUnifiedStatsSchema:
 
 
 class TestServingConfig:
-    def test_admission_queue_limit_validation(self):
-        with pytest.raises(ValueError, match="admission_queue_limit"):
-            OracleConfig(admission_queue_limit=-1)
+    def test_admission_queue_limit_is_retired(self):
+        """The server's admission cap is ``ServerConfig.queue_limit`` alone:
+        the config field that overrode it fails loudly, naming it."""
+        with pytest.raises(TypeError, match="admission_queue_limit was removed.*"
+                           "ServerConfig.queue_limit"):
+            OracleConfig(admission_queue_limit=4)
+        assert "admission_queue_limit" not in OracleConfig.__dataclass_fields__
+        assert "admission_queue_limit" not in _CONFIG_FLAG_FIELDS.values()
 
 
 _REPLICA_FIELDS = ("replicas", "max_replicas", "autoscale_target_p99_ms")
@@ -173,19 +178,19 @@ class TestCliConfigMapping:
         ns = argparse.Namespace(**{dest: None for dest in _CONFIG_FLAG_FIELDS})
         ns.shards = 2
         ns.pin = True
-        ns.admission_queue_limit = 9
+        ns.refine_max_nodes = 9
         ns.backend = "shm"
         ns.row_cache = 64
         cfg = config_from_args(ns)
         assert cfg.shards == 2
         assert cfg.shard_pin is True
-        assert cfg.admission_queue_limit == 9
+        assert cfg.refine_max_nodes == 9
         assert cfg.executor == "shm"
         assert cfg.row_cache == 64
         # unset flags keep the dataclass defaults
         default = OracleConfig()
         assert cfg.method == default.method
-        assert cfg.refine_max_nodes == default.refine_max_nodes
+        assert cfg.leaf_size == default.leaf_size
 
     @pytest.mark.parametrize("cmd", ["query", "serve"])
     def test_query_and_serve_default_to_the_serial_backend(self, cmd, monkeypatch):
@@ -206,8 +211,8 @@ class TestCliConfigMapping:
     def test_config_from_args_tolerates_missing_dests(self):
         """A subcommand that defines only a subset of the flags still maps
         cleanly (absent attributes are simply not set)."""
-        cfg = config_from_args(argparse.Namespace(admission_queue_limit=5))
-        assert cfg.admission_queue_limit == 5
+        cfg = config_from_args(argparse.Namespace(row_cache=5))
+        assert cfg.row_cache == 5
         assert cfg.shards == OracleConfig().shards
 
     @pytest.mark.parametrize("argv", [
@@ -221,5 +226,15 @@ class TestCliConfigMapping:
 
         with pytest.raises(SystemExit) as ei:
             main(["serve", *argv])
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_rejects_the_retired_admission_flag(self, capsys):
+        """``--queue-limit`` is the one admission cap; the flag that
+        overrode it is gone."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as ei:
+            main(["serve", "--admission-queue-limit", "4"])
         assert ei.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.digraph import WeightedDigraph
 from repro.core.septree import DecompositionError
-from repro.separators.bfs_levels import bfs_levels, largest_component
+from repro.separators.bfs_levels import bfs_levels
 from repro.separators.common import (
     component_aware,
     ensure_progress,
@@ -13,7 +13,6 @@ from repro.separators.common import (
     neighborhood_separator,
     rest_components,
 )
-from repro.separators.geometric import decompose_geometric
 from repro.separators.planar import decompose_planar
 from repro.separators.quality import assess
 from repro.separators.spectral import decompose_spectral, fiedler_vector
@@ -21,7 +20,6 @@ from repro.separators.treewidth import decompose_treewidth, tree_decomposition_w
 from repro.workloads.generators import (
     delaunay_digraph,
     grid_digraph,
-    overlap_digraph,
     random_tree_digraph,
 )
 
@@ -37,10 +35,6 @@ class TestBfsLevels:
         g = WeightedDigraph(3, [0], [1], [1.0])
         level, _ = bfs_levels(g, 0)
         assert level[2] == -1
-
-    def test_largest_component(self):
-        g = WeightedDigraph(5, [0, 1, 3], [1, 2, 4], np.ones(3))
-        assert largest_component(g).tolist() == [0, 1, 2]
 
 
 class TestCommon:
@@ -121,11 +115,6 @@ class TestEngines:
         q = assess(tree)
         assert 0.3 < q.mu_hat < 0.75
 
-    def test_geometric_on_overlap(self, rng):
-        g, pts = overlap_digraph(250, rng, degree_target=7.0)
-        tree = decompose_geometric(g, pts, leaf_size=8)
-        tree.validate(g)
-
     def test_treewidth_on_tree_gives_tiny_separators(self, rng):
         g = random_tree_digraph(100, rng)
         assert tree_decomposition_width(g) == 1
@@ -174,3 +163,22 @@ class TestQuality:
         tree = decompose_grid(g, (2, 2), leaf_size=8)
         q = assess(tree)
         assert q.num_nodes == 1 and q.mu_hat == 0.0
+
+
+class TestRetiredEngines:
+    """Engines deleted after E-engines showed them winning no cell keep a
+    pointed error that names the survivors."""
+
+    @pytest.mark.parametrize("name", ["lipton_tarjan", "geometric"])
+    def test_retired_name_raises_a_pointed_error(self, name, rng):
+        from repro import OracleConfig, ShortestPathOracle
+        from repro.separators import available_engines, decompose
+
+        g = grid_digraph((6, 6), rng)
+        pointed = (f"'{name}' separator engine was removed.*registered engines: "
+                   + ", ".join(available_engines()))
+        with pytest.raises(ValueError, match=pointed):
+            decompose(g, name)
+        with pytest.raises(ValueError, match=pointed):
+            ShortestPathOracle.build(g, config=OracleConfig(separator=name))
+        assert name not in available_engines()

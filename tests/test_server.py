@@ -656,7 +656,7 @@ class TestAdmission:
         return latencies, len(sheds)
 
     def test_overload_sheds_429_and_served_p99_stays_flat(self, oracle, tmp_path):
-        """Acceptance: at ~4x capacity with ``admission_queue_limit`` set,
+        """Acceptance: at ~4x capacity with ``ServerConfig.queue_limit`` set,
         requests are shed with 429 and the p99 of *served* requests stays
         within 1.5x the uncontended p99 (the queue never grows past what
         fits inside a deadline)."""
@@ -670,9 +670,8 @@ class TestAdmission:
         assert base_sheds == 0 and len(base_lat) == 12
         base_p99 = float(np.percentile(base_lat, 99))
         # Overload: 4x the clients, queue capped at 4 admitted requests.
-        cfg = SERIAL.replace(admission_queue_limit=4)
         with serving(
-            oracle, tmp_path, engine_cfg=cfg, engine_factory=factory, max_wait_us=0
+            oracle, tmp_path, engine_factory=factory, max_wait_us=0, queue_limit=4
         ) as (sock, server):
             over_lat, over_sheds = self._closed_loop(sock, n_clients=16, reqs_each=3)
             snap = server.metrics.snapshot()
