@@ -1,14 +1,14 @@
-"""E-shard — the separator-sharded fleet vs one monolithic engine.
+"""E-shard — the in-process three-leg route vs the engine on its own pool.
 
-Two experiments, both appended to ``benchmarks/results/BENCH_shard.json``:
+Two timed experiments and one spine count, all recorded in
+``benchmarks/results/BENCH_shard.json``:
 
 * **56×56 grid** — the E-par workload with integer weights (so the
   three-leg route is bit-identical to the direct engine).  A 64-source
-  batch is answered by (a) one serial :class:`QueryEngine` over the whole
-  oracle and (b) :class:`~repro.shard.ShardRouter` at k ∈ {2, 4} on both
-  backends.  The acceptance bound from the issue: the k=4 fleet's batch
-  throughput must be ≥ 1.5× the single-engine baseline, and ``/dev/shm``
-  must be clean after the fleet drains.
+  batch is answered by one :class:`QueryEngine` over the whole oracle on
+  each executor (``serial``, ``thread:2``, ``shm:2``: the honest parallel
+  baseline on a 2-CPU host) and by :class:`~repro.shard.ShardRouter` at
+  k ∈ {2, 4}, all in the same rotating rounds.
 * **multilevel-separator random digraph** — the μ-programmed family
   (:func:`~repro.workloads.synthetic.separator_programmable_family`),
   whose deep separator tree is the shape the shard cut is designed for.
@@ -16,19 +16,23 @@ Two experiments, both appended to ``benchmarks/results/BENCH_shard.json``:
   flow-refined spectral tree: smaller separators ⇒ smaller boundary
   cliques ⇒ a measurably smaller spine graph H, bit-identical answers.
 
-Why sharding can win even on one CPU: leg 1 relaxes each source over its
+Why the route can win even on one CPU: leg 1 relaxes each source over its
 home shard's *subgraph* (≈ n/k vertices) instead of the whole graph, the
 spine Bellman–Ford runs on |spine| ≪ n vertices, and leg 3 is a dense
 min-plus combine — so the per-row work drops roughly with the shard size
 and any speedup is algorithmic, not parallel.  Whether that saving beats
 the three legs' fixed costs depends on the tree; the E-shard-grid and
-E-shard-multilevel findings state which way each graph went.  The direct
-engine and every router run in the same rotating rounds.
+E-shard-multilevel findings state which way each graph went.
+
+Each table is followed by the ``retired`` record of ``BENCH_shard.json``:
+the run that measured the deleted one-process-per-shard fleet beside the
+same paths, kept so the deletion can be re-read.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 
 import numpy as np
 
@@ -36,7 +40,6 @@ from repro.analysis.tables import render_table
 from repro.core.api import ShortestPathOracle
 from repro.core.config import OracleConfig
 from repro.core.digraph import WeightedDigraph
-from repro.pram.shm import orphaned_segments
 from repro.separators import decompose
 from repro.separators.flow import refine_tree
 from repro.separators.grid import decompose_grid
@@ -45,8 +48,9 @@ from repro.workloads.generators import grid_digraph
 from repro.workloads.synthetic import separator_programmable_family
 
 BATCH_SOURCES = 64
-ROUNDS = 15             # rotating rounds over the direct engine and every router
-THROUGHPUT_BOUND = 1.5  # k=4 fleet vs single engine (issue acceptance)
+ROUNDS = 21                            # rotating rounds over every path
+EXECUTORS = ("serial", "thread:2", "shm:2")
+KS = (2, 4)
 
 
 def _integer_grid_56():
@@ -60,91 +64,121 @@ def _integer_grid_56():
     return g, decompose_grid(g, shape)
 
 
-def _compare(timed, g, tree, srcs, ks, backends):
-    """Per-engine records for the direct engine and every (backend, k)
-    router, all timed in the same rotating rounds: batch ms quartiles,
-    rows/s at the median, the per-round speed ratio against direct (above
-    1 = faster), exactness and spine size; plus the rounds themselves."""
+def _compare(timed, g, tree, srcs):
+    """Per-path records for the direct engine on every executor and the
+    inline router at every k, all timed in the same rotating rounds: batch
+    ms quartiles, rows/s at the median, the per-round speed ratio against
+    the serial engine (above 1 = faster), bit-identity with it and, for the
+    routes, the spine size; plus the rounds themselves."""
     oracle = ShortestPathOracle.build(g, tree)
     with contextlib.ExitStack() as stack:
-        engines = {"direct": stack.enter_context(
-            oracle.query_engine(OracleConfig(executor="serial")))}
-        for backend in backends:
-            for k in ks:
-                engines[f"{backend}-k{k}"] = stack.enter_context(
-                    ShardRouter(g, tree, k=k, backend=backend))
-        res = timed({label: (lambda e=e: e.query(srcs)) for label, e in engines.items()},
+        paths = {spec: stack.enter_context(oracle.query_engine(OracleConfig(executor=spec)))
+                 for spec in EXECUTORS}
+        for k in KS:
+            paths[f"inline-k{k}"] = stack.enter_context(ShardRouter(g, tree, k=k))
+        res = timed({label: (lambda e=e: e.query(srcs)) for label, e in paths.items()},
                     ROUNDS)
-        spines = {label: e.stats()["spine"] for label, e in engines.items()
-                  if label != "direct"}
+        spines = {label: e.stats()["spine"] for label, e in paths.items()
+                  if label not in EXECUTORS}
     runs = {}
-    for label in engines:
+    for label in paths:
         runs[label] = {
             "ms": res.quartiles(label, 1e3),
             "rows_per_s": len(srcs) / res.median(label),
-            "vs_direct": res.ratio_quartiles("direct", label),
+            "vs_serial": res.ratio_quartiles("serial", label),
+            "exact": bool(np.array_equal(res.outputs[label], res.outputs["serial"])),
         }
         if label in spines:
             runs[label].update({
-                "exact": bool(np.array_equal(res.outputs[label], res.outputs["direct"])),
                 "spine_vertices": spines[label]["vertices"],
                 "spine_phases_max": spines[label]["phases_max"],
             })
-    return runs, res
+    return runs
 
 
-def _render(runs: dict, res, title: str) -> str:
-    rows = [[label, res.span(r["ms"], 1), round(r["rows_per_s"], 1), res.span(r["vs_direct"])]
-            for label, r in runs.items()]
-    return render_table(
-        ["engine", "ms per batch", "rows/s", "vs direct"], rows,
-        title=title + f"; median [quartiles] of {ROUNDS} rotating rounds",
+def _span(q: list[float], digits: int = 2) -> str:
+    return f"{q[1]:.{digits}f} [{q[0]:.{digits}f}–{q[2]:.{digits}f}]"
+
+
+def _order(label: str) -> tuple:
+    """Executors first (in ``EXECUTORS`` order), then routes by name."""
+    return (EXECUTORS.index(label), "") if label in EXECUTORS else (len(EXECUTORS), label)
+
+
+def _render(runs: dict, title: str) -> str:
+    rows = [[label, _span(runs[label]["ms"], 1), round(runs[label]["rows_per_s"], 1),
+             _span(runs[label]["vs_serial"])] for label in sorted(runs, key=_order)]
+    return render_table(["path", "ms per batch", "rows/s", "vs serial"], rows, title=title)
+
+
+def _fastest(runs: dict) -> tuple[str, bool]:
+    """The path with the lowest median batch time, and whether its q3 is
+    below every other path's q1 (a win beyond quartiles)."""
+    best = min(runs, key=lambda label: runs[label]["ms"][1])
+    clear = all(runs[best]["ms"][2] < r["ms"][0] for label, r in runs.items() if label != best)
+    return best, clear
+
+
+def _retired_section(results_dir, key: str) -> str:
+    """The retirement run's rows for ``key`` (the deleted process fleet
+    beside the kept paths), or nothing if the record is absent."""
+    path = results_dir / "BENCH_shard.json"
+    retired = json.loads(path.read_text()).get("retired") if path.exists() else None
+    if not retired or key not in retired["graphs"]:
+        return ""
+    runs = retired["graphs"][key]["runs"]
+    best, clear = _fastest(runs)
+    fleet = runs["process-k4"]["ms"]
+    won = all(fleet[2] < r["ms"][0] for label, r in runs.items() if not label.startswith("process"))
+    return (
+        "\n\n" + _render(runs, f"Retirement run at revision {retired['revision']}, the "
+                               "commit before the fleet's deletion "
+                               f"({retired['rounds']} rotating rounds): the deleted "
+                               "one-process-per-shard fleet (process-k*) beside the kept paths")
+        + f"\n\nIn that run `{best}` had the lowest median"
+        + (" beyond quartiles" if clear else " (within another path's quartiles)")
+        + "; the k=4 fleet " + ("beat" if won else "did not beat")
+        + " every kept path beyond quartiles."
     )
 
 
-def test_eshard_fleet_vs_single_engine_56x56(timed, report, record_json):
-    """The issue's acceptance bound: k=4 fleet batch throughput ≥ 1.5× the
-    single-engine baseline on the 56×56 grid, bit-identical answers, and a
-    clean /dev/shm once the fleet drains."""
-    g, tree = _integer_grid_56()
-    rng = np.random.default_rng(7)
-    srcs = rng.integers(0, g.n, size=BATCH_SOURCES)
-    shm_before = set(orphaned_segments())
-    runs, res = _compare(timed, g, tree, srcs, ks=(2, 4), backends=("inline", "process"))
-    leaked = sorted(set(orphaned_segments()) - shm_before)
-    ratio = runs["process-k4"]["vs_direct"][1]
-    inline = runs["inline-k4"]["vs_direct"][1]
-    report(
-        "E-shard-grid",
-        _render(runs, res, f"E-shard: {BATCH_SOURCES}-source batches, 56x56 grid "
-                      f"(integer weights), fleet/direct = {ratio:.2f}x")
-        + f"\n\nFinding: on this grid the k=4 fleet runs at {ratio:.2f}× and "
-        f"the in-process k=4 route at {inline:.2f}× the direct engine's speed "
-        "(median per-round ratios, above 1 = faster), so the fleet "
-        f"{'meets' if ratio >= THROUGHPUT_BOUND else 'misses'} the "
-        f"{THROUGHPUT_BOUND}× bar.  The route relaxes ~n/k-vertex shards plus a "
-        "spine instead of the whole graph, but pays three legs and, in the "
-        "fleet, the IPC; on this grid the relaxations it saves "
-        f"{'pay' if ratio >= 1 else 'do not pay'} for them (compare the deep "
-        "μ-family tree, E-shard-multilevel).",
+def _finding(runs: dict) -> str:
+    best, clear = _fastest(runs)
+    inline = runs["inline-k4"]["vs_serial"][1]
+    return (
+        f"Finding: `{best}` has the lowest median batch time"
+        + (" beyond quartiles" if clear else " (within another path's quartiles)")
+        + f"; the in-process k=4 route runs at {inline:.2f}× the serial engine.  "
+        "The route relaxes ~n/k-vertex shards plus a spine instead of the "
+        "whole graph, and pays three legs for it; the engine's own pool "
+        "gets the second CPU without a shard cut."
     )
-    record_json("BENCH_shard.json", "grid_56x56", {
-        "workload": f"{BATCH_SOURCES}-source batch, 56x56 integer grid",
-        "runs": runs,
-        "fleet_k4_vs_direct": ratio,
-        "bound": THROUGHPUT_BOUND,
-        "shm_clean_after_drain": not leaked,
-    })
+
+
+def _run(timed, report, record_json, results_dir, provenance, g, tree, srcs,
+         exp_id, key, title, workload):
+    runs = _compare(timed, g, tree, srcs)
+    report(exp_id, _render(runs, f"{title}; median [quartiles] of {ROUNDS} rotating rounds")
+           + "\n\n" + _finding(runs) + "\n\n" + provenance["line"]
+           + _retired_section(results_dir, key))
+    record_json("BENCH_shard.json", key, {"workload": workload, "rounds": ROUNDS, "runs": runs})
     for label, r in runs.items():
-        if label != "direct":
-            assert r["exact"], f"{label} not bit-identical"
-    assert not leaked, f"fleet leaked segments: {leaked}"
-    assert ratio >= THROUGHPUT_BOUND, (
-        f"k=4 fleet only {ratio:.2f}x direct (bound {THROUGHPUT_BOUND}x)"
-    )
+        assert r["exact"], f"{label} not bit-identical to the serial engine"
 
 
-def test_eshard_multilevel_random_digraph(timed, report, record_json):
+def test_eshard_route_vs_engine_56x56(timed, report, record_json, results_dir, provenance):
+    """The 56×56 integer grid: every path bit-identical to the serial
+    engine."""
+    g, tree = _integer_grid_56()
+    srcs = np.random.default_rng(7).integers(0, g.n, size=BATCH_SOURCES)
+    _run(timed, report, record_json, results_dir, provenance, g, tree, srcs,
+         "E-shard-grid", "grid_56x56",
+         f"E-shard: {BATCH_SOURCES}-source batches, 56x56 grid (integer weights)",
+         f"{BATCH_SOURCES}-source batch, 56x56 integer grid")
+
+
+def test_eshard_route_vs_engine_multilevel(timed, report, record_json, results_dir,
+                                           provenance):
     """Same comparison on the μ-programmed multilevel-separator digraph —
     the deep-tree shape the shard cut targets."""
     rng = np.random.default_rng(3)
@@ -152,33 +186,17 @@ def test_eshard_multilevel_random_digraph(timed, report, record_json):
     # integer weights: keeps the three-leg route bit-identical (DESIGN.md §8)
     g = WeightedDigraph(g.n, g.src, g.dst, np.ceil(g.weight))
     srcs = rng.integers(0, g.n, size=BATCH_SOURCES)
-    runs, res = _compare(timed, g, tree, srcs, ks=(4,), backends=("inline", "process"))
-    ratio = runs["process-k4"]["vs_direct"][1]
-    report(
-        "E-shard-multilevel",
-        _render(runs, res, f"E-shard: {BATCH_SOURCES}-source batches, "
-                      f"mu=0.5 multilevel digraph n={g.n}, "
-                      f"fleet/direct = {ratio:.2f}x")
-        + "\n\nFinding: on a deep programmed separator tree the cut "
-        "frontier yields balanced shards with a small spine, so the "
-        "fleet's advantage carries beyond grids to the paper's general "
-        "separator-decomposition model.",
-    )
-    record_json("BENCH_shard.json", "multilevel_mu05", {
-        "workload": f"{BATCH_SOURCES}-source batch, mu=0.5 family n={g.n}",
-        "runs": runs,
-        "fleet_k4_vs_direct": ratio,
-    })
-    for label, r in runs.items():
-        if label != "direct":
-            assert r["exact"], f"{label} not bit-identical"
+    _run(timed, report, record_json, results_dir, provenance, g, tree, srcs,
+         "E-shard-multilevel", "multilevel_mu05",
+         f"E-shard: {BATCH_SOURCES}-source batches, mu=0.5 multilevel digraph n={g.n}",
+         f"{BATCH_SOURCES}-source batch, mu=0.5 family n={g.n}")
 
 
 def test_eshard_refined_tree_smaller_spine(report, record_json):
     """Flow-refining the partition tree shrinks the spine graph H the k=4
-    fleet coordinates through — same answers, smaller boundary cliques
-    (the ISSUE-9 acceptance: BENCH_shard records a smaller
-    ``spine_vertices`` for the refined build)."""
+    route coordinates through — same answers, smaller boundary cliques
+    (``BENCH_shard`` records a smaller ``spine_vertices`` for the refined
+    build)."""
     rng = np.random.default_rng(3)
     g, _ = separator_programmable_family(2200, 0.5, rng)
     # integer weights: keeps the three-leg route bit-identical (DESIGN.md §8)
@@ -190,7 +208,7 @@ def test_eshard_refined_tree_smaller_spine(report, record_json):
     spines = {}
     results = {}
     for label, t in (("spectral", tree), ("flow-refined", refined)):
-        with ShardRouter(g, t, k=4, backend="inline") as router:
+        with ShardRouter(g, t, k=4) as router:
             results[label] = router.query(srcs)
             spines[label] = router.stats()["spine"]
     assert np.array_equal(results["spectral"], results["flow-refined"])

@@ -36,7 +36,6 @@ _CONFIG_FLAG_FIELDS = {
     "row_cache": "row_cache",
     "reweight": "reweight",
     "shards": "shards",
-    "pin": "shard_pin",
     "refine": "refine_separators",
     "refine_max_nodes": "refine_max_nodes",
     "mode": "mode",
@@ -294,7 +293,7 @@ def _cmd_query(args) -> int:
 
 def _configure_logging(verbose: int) -> None:
     """Stdlib logging for the serving path: ``-v`` → INFO, ``-vv`` → DEBUG
-    on the ``repro`` logger (server lifecycle, fleet restarts, worker
+    on the ``repro`` logger (server lifecycle, shard router and engine
     events); default stays WARNING-quiet."""
     import logging
 
@@ -313,8 +312,8 @@ def _cmd_serve(args) -> int:
     """Run the async coalescing query server (see :mod:`repro.server` and
     DESIGN.md §6) over a built — or loaded — oracle until SIGINT/SIGTERM,
     then drain and shut down gracefully.  With ``--shards K`` the serving
-    engine is a :class:`~repro.shard.ShardRouter` fleet (one worker
-    process per shard; ``--pin`` adds per-worker CPU affinity)."""
+    engine is a :class:`~repro.shard.ShardRouter` (K in-process shard
+    engines behind the three-leg route)."""
     import asyncio
     import signal
 
@@ -333,9 +332,7 @@ def _cmd_serve(args) -> int:
         print(f"built oracle: n={g.n} m={g.m} |E+|={oracle.augmentation.size}")
     engine_factory = None
     if args.shards > 0:
-        engine_factory = lambda: oracle.shard_fleet(  # noqa: E731
-            args.shards, config=cfg, pin=args.pin
-        )
+        engine_factory = lambda: oracle.shard_fleet(args.shards, config=cfg)  # noqa: E731
     server_cfg = ServerConfig(
         path=args.socket,
         host=args.host,
@@ -353,7 +350,7 @@ def _cmd_serve(args) -> int:
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, server.request_shutdown)
         if args.shards > 0:
-            mode = f"shards={args.shards} pin={args.pin}"
+            mode = f"shards={args.shards}"
         else:
             mode = f"backend={cfg.executor}"
         print(f"serving on {server.address} "
@@ -381,7 +378,7 @@ def _cmd_reweight(args) -> int:
     """Hot-swap a *running* server (``repro-spsp serve``) to new edge
     weights over the ``reweight`` RPC — zero downtime, no rebuild: the
     server replays the retained E⁺ provenance and flips epochs atomically
-    (single engine and shard fleets alike).  Weights come from a file
+    (single engine and shard router alike).  Weights come from a file
     (``--weights``: ``.npy`` or whitespace-separated text, full edge
     order) or inline sparse assignments (``--edge ID=WEIGHT``, repeatable).
     """
@@ -603,7 +600,6 @@ def main(argv: list[str] | None = None) -> int:
     p8.add_argument("--reweight", choices=["auto", "incremental", "rebuild"],
                     default="auto", help=_cfg_help("reweight"))
     p8.add_argument("--shards", type=int, default=0, help=_cfg_help("shards"))
-    p8.add_argument("--pin", action="store_true", help=_cfg_help("shard_pin"))
     p8.add_argument("-v", "--verbose", action="count", default=0,
                     help="serving-path logging: -v INFO, -vv DEBUG")
     _add_cache_flags(p8)

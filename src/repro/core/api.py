@@ -377,20 +377,17 @@ class ShortestPathOracle:
         k: int | None = None,
         *,
         config: OracleConfig | None = None,
-        backend: str | None = None,
-        pin: bool | None = None,
     ):
         """A :class:`~repro.shard.ShardRouter` over this oracle's graph and
-        separator tree — K per-shard oracles routed through the
+        separator tree — K in-process per-shard oracles routed through the
         boundary-clique spine instead of one engine over the whole graph.
 
-        ``k`` / ``backend`` / ``pin`` override the ``shards`` /
-        ``shard_backend`` / ``shard_pin`` fields of ``config`` (defaulting
-        to this oracle's build config, so cache mode, semiring and method
-        carry over to the shard builds).  The fleet builds its own shard
+        ``k`` overrides the ``shards`` field of ``config`` (defaulting to
+        this oracle's build config, so cache mode, semiring and method
+        carry over to the shard builds).  The router builds its own shard
         oracles from the graph; this oracle's augmentation is not reused —
         keep using :meth:`query_engine` for single-engine serving.  Close
-        the router (or use it as a context manager) to drain the fleet.
+        the router (or use it as a context manager) when done.
         """
         from ..shard import ShardRouter
 
@@ -403,7 +400,7 @@ class ShortestPathOracle:
                 "a batch's rows out across workers"
             )
         cfg = config if config is not None else self.config
-        return ShardRouter(self.graph, self.tree, cfg, k=k, backend=backend, pin=pin)
+        return ShardRouter(self.graph, self.tree, cfg, k=k)
 
     def distance(self, u: int, v: int) -> float:
         """Exact ``dist_G(u, v)`` (one scheduled pass from ``u``)."""

@@ -55,10 +55,15 @@ _RETIRED = {
     "source_block": "rows are blocked by the constant repro.core.sssp.SOURCE_BLOCK",
     "admission_queue_limit": "the server's admission cap is ServerConfig.queue_limit "
     "(serve --queue-limit), which this field only overrode",
+    **dict.fromkeys(
+        ("shard_backend", "shard_pin"),
+        "the one-process-per-shard fleet won no E-shard cell against the "
+        "engine's own executor='shm:N' or 'thread:N', which fan a batch out; "
+        "shards=K serves the in-process route",
+    ),
 }
 
 _CACHE_MODES = ("off", "read", "readwrite")
-_SHARD_BACKENDS = ("inline", "process")
 _REWEIGHT_MODES = ("auto", "incremental", "rebuild")
 
 
@@ -120,19 +125,10 @@ class OracleConfig:
         A repeated source is answered from the cache without relaxation —
         bit-identical because relaxation is deterministic.
     shards:
-        Shard count for the separator-sharded fleet
-        (:mod:`repro.shard`): ``0`` serves with a single engine, ``k >= 1``
-        cuts the separator tree into ``k`` shard oracles routed through
-        the boundary-clique spine.
-    shard_backend:
-        Where shard engines live: ``"process"`` (one worker process per
-        shard, each owning its own shm arena) or ``"inline"`` (K engines
-        in the calling process — zero IPC, useful for tests and
-        single-CPU hosts).
-    shard_pin:
-        Pin each shard worker process to one CPU via
-        ``os.sched_setaffinity`` (process backend only), so a shard's
-        pages stay on the NUMA node of the CPU that computes them.
+        Shard count for the three-leg shard route (:mod:`repro.shard`):
+        ``0`` serves with a single engine, ``k >= 1`` cuts the separator
+        tree into ``k`` in-process shard oracles routed through the
+        boundary-clique spine.
     refine_separators:
         Post-pass flow refinement of the separator tree: after the tree is
         resolved (built *or* supplied), re-solve every node's cut as a
@@ -167,8 +163,6 @@ class OracleConfig:
     cache_dir: str | None = None
     row_cache: int = 0
     shards: int = 0
-    shard_backend: str = "process"
-    shard_pin: bool = False
     refine_separators: bool = False
     refine_max_nodes: int = 20_000
     reweight: str = "auto"
@@ -198,11 +192,6 @@ class OracleConfig:
             raise ValueError(f"row_cache must be >= 0, got {self.row_cache!r}")
         if int(self.shards) < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards!r}")
-        if self.shard_backend not in _SHARD_BACKENDS:
-            raise ValueError(
-                f"shard_backend must be one of {_SHARD_BACKENDS}, "
-                f"got {self.shard_backend!r}"
-            )
         if int(self.refine_max_nodes) < 1:
             raise ValueError(
                 f"refine_max_nodes must be >= 1, got {self.refine_max_nodes!r}"

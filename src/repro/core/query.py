@@ -385,7 +385,7 @@ class QueryEngine:
         Carries the canonical :data:`~repro.core.protocols.
         SERVING_STATS_KEYS` schema; the engine relaxes synchronously under
         its lock, so ``queue_depth`` is 0 and ``queue_wait_ms`` is zeros —
-        queueing lives in the server and fleet tiers above it."""
+        queueing lives in the server tier above it."""
         from .protocols import serving_stats
 
         with self._lock:

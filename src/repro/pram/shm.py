@@ -1,10 +1,9 @@
-"""Zero-copy shared-memory plane for the ``shm`` executor and the shard fleet.
+"""Zero-copy shared-memory plane for the ``shm`` executor.
 
 A process pool is honest parallelism, but pickling a query engine's edge
 arrays and a batch's distance rows into the task payload, and the rows back,
 costs more than the relaxation it parallelizes.  This module removes both
-copies for its two users, the ``shm`` query engine and the shard fleet's
-workers:
+copies for its one user, the ``shm`` query engine and its pool workers:
 
 * a :class:`ShmArena` publishes numpy arrays into ``multiprocessing``
   POSIX shared-memory segments once, handing back tiny :class:`ArrayRef`
@@ -173,10 +172,11 @@ class ShmArena:
     def __init__(self, chunk_bytes: int = 1 << 23, *, tag: str = "") -> None:
         self._chunk_bytes = int(chunk_bytes)
         # Optional owner tag folded into segment names right after the
-        # module prefix (e.g. tag="s3" → "psps3_<pid>_<hex>"): shard fleet
-        # workers tag their arenas so a supervisor can sweep exactly the
-        # segments of one dead worker.  Still SEGMENT_PREFIX-prefixed, so
-        # the leak checker sees tagged segments too.
+        # module prefix (e.g. tag="g3" → "pspg3_<pid>_<hex>"): a query
+        # engine tags each arena with its weights epoch, so a leaked
+        # segment names the generation that left it.  Still
+        # SEGMENT_PREFIX-prefixed, so the leak checker sees tagged
+        # segments too.
         if tag and not tag.isalnum():
             raise ValueError(f"arena tag must be alphanumeric, got {tag!r}")
         self._tag = tag

@@ -72,9 +72,8 @@ def _engine_error(name: object) -> ValueError:
 
 def resolve_engine(name: str | None):
     """The ``decompose_*`` callable for an engine name (or alias)."""
-    name = _ALIASES.get(name, name)
     try:
-        module, attr = _ENGINE_MODULES[name]
+        module, attr = _ENGINE_MODULES[_ALIASES.get(name, name)]
     except (KeyError, TypeError):
         raise _engine_error(name) from None
     return getattr(importlib.import_module(module), attr)

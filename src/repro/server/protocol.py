@@ -32,8 +32,8 @@ Request shape::
 dropping queries: exactly one of ``weight`` (the full edge-order vector)
 or ``delta`` (absolute new weights for the named edge ids — *assignment*,
 not increment, so retrying the same request is idempotent).  The result is
-``{"weights_epoch": <int>, "mode": "engine"|"fleet", "wall_s": <float>}``;
-every row op answered after the response observes the new weights, and no
+``{"weights_epoch": <int>, "mode": "engine"|"fleet", "wall_s": <float>}``
+(``"fleet"`` when a :class:`~repro.shard.ShardRouter` serves); every row op answered after the response observes the new weights, and no
 response ever mixes two epochs.
 
 Response shape (``distances``: ``(s, n)`` ``<f8``; ``nearest_source``:

@@ -31,8 +31,8 @@ Operational behavior:
   (:meth:`~repro.core.api.ShortestPathOracle.with_new_weights`) on the
   engine thread between two batches, so the batch before it is answered
   entirely at the old weights epoch and every later batch at the new one —
-  the single engine flips its arena generation, a shard fleet flips
-  worker-by-worker behind the router's per-leg epoch guard;
+  the single engine flips its arena generation, a shard router flips
+  shard by shard behind its per-leg epoch guard;
 * **graceful shutdown** — :meth:`stop` first stops accepting connections,
   then lets the batcher *drain* every admitted request, and only then
   closes the engine (which unlinks the shm arena), joins the engine
@@ -218,7 +218,7 @@ class OracleServer:
         :class:`~repro.core.protocols.ServingBackend` (checked at
         :meth:`start`, which raises a :class:`TypeError` naming any
         missing method) — in particular a
-        :class:`~repro.shard.ShardRouter` to serve a sharded fleet behind
+        :class:`~repro.shard.ShardRouter` to serve the three-leg route behind
         the same coalescing front end.
     """
 
@@ -238,7 +238,7 @@ class OracleServer:
         self.engine = None
         # The graph whose weights are *currently served* — tracks every
         # accepted ``reweight`` (``self.oracle.graph`` would go stale on
-        # the fleet path, where the router reweights but the build oracle
+        # the shard path, where the router reweights but the build oracle
         # is not re-derived).  Source validation and path reconstruction
         # must read this one.
         self._graph = oracle.graph
@@ -299,7 +299,7 @@ class OracleServer:
         self._stop_event = asyncio.Event()
         self._engine_thread = ThreadPoolExecutor(1, thread_name_prefix="oracle-engine")
         # Engine construction compiles/publishes the phase arrays (or
-        # spins up a whole shard fleet) — keep the loop responsive by
+        # builds every shard engine) — keep the loop responsive by
         # doing it on the engine thread.
         factory = self.engine_factory or (
             lambda: self.oracle.query_engine(self.engine_config)
@@ -597,7 +597,7 @@ class OracleServer:
             epoch = int(getattr(new_oracle.augmentation, "weights_epoch", 0))
             mode = "engine"
         elif hasattr(self.engine, "reweight"):
-            # Fleet path: the router wants the full vector (it slices
+            # Shard path: the router wants the full vector (it slices
             # per-shard local weights out of it); a delta additionally
             # names the dirty ids so shards replay sparsely.
             if weight is None:

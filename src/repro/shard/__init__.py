@@ -1,10 +1,11 @@
-"""Separator-sharded oracle fleet (the step from "an oracle" to "a fleet").
+"""Separator shards: the three-leg route (paper §6's reduction to a small G′).
 
 The separator decomposition is a ready-made *sharding plan*: cutting the
 tree at a frontier of K nodes yields K shard subtrees whose only interface
 to the rest of the graph is their boundary ``B(t)`` (Proposition 2.1 ii),
 and §3's boundary cliques carry exact distances across that interface
-(Theorem 3.1).  This package turns that observation into a serving tier:
+(Theorem 3.1).  This package turns that observation into an in-process
+query route:
 
 * :mod:`~repro.shard.partition` — derive a :class:`~repro.shard.partition.
   ShardPlan` from a :class:`~repro.core.septree.SeparatorTree`: the vertex →
@@ -19,15 +20,15 @@ and §3's boundary cliques carry exact distances across that interface
   boundary rows → spine relaxation → target shards), drop-in compatible
   with :class:`~repro.core.query.QueryEngine`'s ``submit/query/stats/close``
   protocol so the coalescing :class:`~repro.server.OracleServer` can serve
-  a fleet unchanged;
-* :mod:`~repro.shard.worker` / :mod:`~repro.shard.fleet` — one process per
-  shard, each owning its own :class:`~repro.pram.shm.ShmArena` and
-  optionally pinned with ``os.sched_setaffinity`` (NUMA-aware placement:
-  a worker's distance rows live in pages it touched first), supervised
-  with health checks and warm restart-on-crash.
+  the route unchanged.
+
+All K shard engines live in the calling process.  On a multi-CPU host a
+batch reaches the other CPUs through the direct engine's own
+``thread:N``/``shm:N`` executor, which matched or beat a one-process-per-
+shard fleet on every E-shard graph.
 
 Entry point: :meth:`repro.core.api.ShortestPathOracle.shard_fleet` (or
-``repro-spsp serve --shards K [--pin]``).
+``repro-spsp serve --shards K``).
 """
 
 from .partition import Shard, ShardPlan, extract_subtree, make_shard_plan

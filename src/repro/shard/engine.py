@@ -1,13 +1,11 @@
 """One warm per-shard engine: build + serve a shard's subgraph.
 
-A :class:`ShardEngine` is the unit both fleet backends share: the inline
-router holds K of them in-process, and every fleet worker process holds
-exactly one.  It runs the ordinary oracle pipeline on the shard subgraph —
-which means a shard build participates in the content-addressed
-augmentation cache (:mod:`repro.cache`) exactly like a full build does:
-each shard's subgraph + subtree hash to their own store entry, so a
-restarted worker (or a re-created fleet over the same plan) is a warm
-start, not a rebuild.
+A :class:`~repro.shard.ShardRouter` holds K of them in-process.  A shard
+engine runs the ordinary oracle pipeline on the shard subgraph — which
+means a shard build participates in the content-addressed augmentation
+cache (:mod:`repro.cache`) exactly like a full build does: each shard's
+subgraph + subtree hash to their own store entry, so a re-created router
+over the same plan is a warm start, not a rebuild.
 """
 
 from __future__ import annotations
@@ -26,16 +24,15 @@ _log = logging.getLogger(__name__)
 
 
 def shard_build_config(config: OracleConfig | None) -> OracleConfig:
-    """The per-shard build/serve config derived from a fleet config.
+    """The per-shard build/serve config derived from a router config.
 
-    Shards relax inline inside their own process (the fleet's parallelism
-    is *across* shard processes, not within one), never keep per-node
-    matrices, and never re-validate the already-validated decomposition;
-    the fleet-level shard knobs are zeroed so a shard cannot recursively
-    shard itself, and separator refinement is zeroed too (the shard's
-    subtree was cut from the fleet tree, which was refined — or not — at
-    partition time; re-refining per shard would desynchronize the spine).
-    Cache mode/dir pass through — that is what makes respawn warm.
+    Shards relax serially, never keep per-node matrices, and never
+    re-validate the already-validated decomposition; ``shards`` is zeroed
+    so a shard cannot recursively shard itself, and separator refinement
+    is zeroed too (the shard's subtree was cut from the router's tree,
+    which was refined — or not — at partition time; re-refining per shard
+    would desynchronize the spine).  Cache mode/dir pass through — that
+    is what makes a re-created router warm.
     """
     cfg = config if config is not None else OracleConfig()
     return cfg.replace(
@@ -44,7 +41,6 @@ def shard_build_config(config: OracleConfig | None) -> OracleConfig:
         validate=False,
         row_cache=0,
         shards=0,
-        shard_pin=False,
         refine_separators=False,
     )
 
@@ -55,14 +51,14 @@ class ShardEngine:
     Parameters
     ----------
     shard_id:
-        Fleet-wide shard id (for logs and telemetry).
+        Router-wide shard id (for logs and telemetry).
     graph, tree:
         The shard's local subgraph and its relabeled separator subtree
         (see :class:`~repro.shard.partition.Shard`).
     boundary_local:
         Local ids of the shard's boundary vertices ``B(t)``.
     config:
-        Fleet :class:`~repro.core.config.OracleConfig`; build fields
+        Router :class:`~repro.core.config.OracleConfig`; build fields
         (method, semiring, cache mode/dir) are honored via
         :func:`shard_build_config`.
     """
@@ -103,16 +99,10 @@ class ShardEngine:
 
     @property
     def weights_epoch(self) -> int:
-        """The weights epoch this shard currently serves (fleet-wide
+        """The weights epoch this shard currently serves (router-wide
         reweights keep every shard on one agreed epoch; the router checks
         it on every leg)."""
         return int(getattr(self.oracle.augmentation, "weights_epoch", 0))
-
-    def set_epoch(self, epoch: int) -> None:
-        """Stamp the serving epoch without changing weights — used when a
-        respawned worker rebuilds from already-reweighted payload weights
-        (its fresh build would otherwise report epoch 0)."""
-        self.oracle.augmentation.weights_epoch = int(epoch)
 
     def reweight(
         self, weight: np.ndarray, epoch: int, dirty_local=None

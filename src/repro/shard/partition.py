@@ -113,7 +113,7 @@ class ShardPlan:
         """Content hash of the plan (graph skeleton + weights + cut).
 
         Two plans with equal fingerprints shard the same weighted graph the
-        same way — the key under which per-shard cache entries and fleet
+        same way — the key under which per-shard cache entries and router
         telemetry are grouped.
         """
         h = hashlib.sha256()

@@ -1,4 +1,4 @@
-"""Three-leg query routing across a shard fleet: :class:`ShardRouter`.
+"""Three-leg query routing across separator shards: :class:`ShardRouter`.
 
 A batch of sources is answered in three legs:
 
@@ -22,8 +22,10 @@ necessarily to the bit).
 
 The router implements the :class:`~repro.core.query.QueryEngine` serving
 protocol (``submit`` / ``query`` / ``stats`` / ``close``, thread-safe), so
-the coalescing :class:`~repro.server.OracleServer` can serve a fleet by
-swapping its engine factory and nothing else.
+the coalescing :class:`~repro.server.OracleServer` can serve the route
+by swapping its engine factory and nothing else.  The K shard engines live
+in the calling process; a batch's rows reach the second CPU through the
+direct engine's own ``thread:N``/``shm:N`` executor instead (E-shard).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from ..core.config import OracleConfig
 from ..core.sssp import _as_source_array
+from .engine import ShardEngine
 from .partition import ShardPlan, make_shard_plan
 from .spine import SpineSolver
 
@@ -44,28 +47,19 @@ __all__ = ["ShardRouter"]
 
 _log = logging.getLogger(__name__)
 
-_BACKENDS = ("inline", "process")
-
 
 class ShardRouter:
-    """Queries over a separator-sharded fleet, one oracle's worth at a time.
+    """Queries over K separator shards, one oracle's worth at a time.
 
     Parameters
     ----------
     graph, tree:
         The full graph and its separator decomposition.
     config:
-        Fleet :class:`~repro.core.config.OracleConfig` (shard build knobs
-        plus ``shards`` / ``shard_backend`` / ``shard_pin``); explicit
-        keyword arguments below override the config fields.
+        :class:`~repro.core.config.OracleConfig` with the shard build
+        knobs and ``shards``; ``k`` below overrides ``shards``.
     k:
         Target shard count (the tree may yield fewer on tiny graphs).
-    backend:
-        ``"inline"`` (K warm engines in this process — zero IPC) or
-        ``"process"`` (one worker process per shard, each owning its own
-        shm arena, supervised by :class:`~repro.shard.fleet.ShardFleet`).
-    pin:
-        Pin each worker process to one CPU (process backend only).
     """
 
     def __init__(
@@ -75,17 +69,10 @@ class ShardRouter:
         config: OracleConfig | None = None,
         *,
         k: int | None = None,
-        backend: str | None = None,
-        pin: bool | None = None,
     ) -> None:
         cfg = config if config is not None else OracleConfig()
         k = int(k if k is not None else (cfg.shards or 2))
-        backend = backend if backend is not None else cfg.shard_backend
-        pin = bool(cfg.shard_pin if pin is None else pin)
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        self.config = cfg.replace(shards=k, shard_backend=backend, shard_pin=pin)
-        self.backend = backend
+        self.config = cfg.replace(shards=k)
         self.semiring = cfg.resolved_semiring
         self.plan: ShardPlan = make_shard_plan(graph, tree, k)
         self.graph = graph
@@ -99,26 +86,14 @@ class ShardRouter:
         self.last_batch: dict[str, Any] | None = None
         t0 = time.perf_counter()
         _log.info(
-            "shard router: plan k=%d spine=%d backend=%s pin=%s fingerprint=%s",
-            self.plan.k, self.plan.spine.shape[0], backend, pin,
-            self.plan.fingerprint()[:16],
+            "shard router: plan k=%d spine=%d fingerprint=%s",
+            self.plan.k, self.plan.spine.shape[0], self.plan.fingerprint()[:16],
         )
-        if backend == "process":
-            from .fleet import ShardFleet
-
-            self._fleet = ShardFleet(self.plan, self.config, pin=pin)
-            self._engines = None
-            self._fleet.start()
-            boundary_rows = self._fleet.boundary_matrices()
-        else:
-            from .engine import ShardEngine
-
-            self._fleet = None
-            self._engines = [
-                ShardEngine(s.id, s.graph, s.tree, s.boundary_local, self.config)
-                for s in self.plan.shards
-            ]
-            boundary_rows = [e.boundary_matrix() for e in self._engines]
+        self._engines = [
+            ShardEngine(s.id, s.graph, s.tree, s.boundary_local, self.config)
+            for s in self.plan.shards
+        ]
+        boundary_rows = [e.boundary_matrix() for e in self._engines]
         self.spine = SpineSolver(self.plan, boundary_rows, self.semiring)
         # Leg 3 operand per shard: boundary rows restricted to the shard's
         # interior columns (spine columns are answered by σ directly).
@@ -128,7 +103,7 @@ class ShardRouter:
         ]
         self.build_s = time.perf_counter() - t0
         _log.info(
-            "shard router: fleet up in %.3fs (spine edges=%d)",
+            "shard router: up in %.3fs (spine edges=%d)",
             self.build_s, self.spine.m,
         )
 
@@ -136,16 +111,8 @@ class ShardRouter:
 
     def _leg1(self, groups: list[tuple[int, np.ndarray, np.ndarray]]):
         """Home-shard distance rows per source group: ``{shard_id: (s_i,
-        n_i)}`` (fanned out to worker processes, or run on the inline
-        engines).  Every reply is pinned to the router's current weights
-        epoch, so a batch never mixes legs from two epochs — a worker that
-        answers from the wrong epoch is restarted (landing on the agreed
-        weights) and re-asked once, then it is an error."""
-        if self._fleet is not None:
-            return self._fleet.query_rows_many(
-                [(sid, local) for sid, _, local in groups],
-                expected_epoch=self.weights_epoch,
-            )
+        n_i)}``.  Every shard must serve the router's current weights
+        epoch, so a batch never mixes legs from two epochs."""
         out = {}
         for sid, _, local in groups:
             eng = self._engines[sid]
@@ -171,7 +138,7 @@ class ShardRouter:
         return self._shard_edge_ids
 
     def reweight(self, weight: np.ndarray, *, dirty=None) -> dict[str, Any]:
-        """Hot-swap the whole fleet to a new full-graph weight vector.
+        """Hot-swap every shard to a new full-graph weight vector.
 
         The separator skeleton — shard plan, spine topology, every shard's
         E⁺ structure — is weight-invariant, so only weights move: each
@@ -184,8 +151,7 @@ class ShardRouter:
 
         Runs under the router lock: in-flight batches finish on the old
         epoch before the flip, and every submit after the flip is answered
-        entirely at the new one (the per-leg epoch guard enforces this
-        even across worker crashes and respawns).
+        entirely at the new one (the per-leg epoch guard checks this).
         """
         with self._lock:
             if self._closed:
@@ -208,16 +174,12 @@ class ShardRouter:
                     hit = pos < ids.shape[0]
                     hit[hit] = ids[pos[hit]] == dirty[hit]
                     dirty_local.append(pos[hit])
-            if self._fleet is not None:
-                self._fleet.reweight(shard_weights, epoch, dirty=dirty_local)
-                boundary_rows = self._fleet.boundary_matrices(expected_epoch=epoch)
-            else:
-                for i, e in enumerate(self._engines):
-                    e.reweight(
-                        shard_weights[i], epoch,
-                        dirty_local[i] if dirty_local is not None else None,
-                    )
-                boundary_rows = [e.boundary_matrix() for e in self._engines]
+            for i, e in enumerate(self._engines):
+                e.reweight(
+                    shard_weights[i], epoch,
+                    dirty_local[i] if dirty_local is not None else None,
+                )
+            boundary_rows = [e.boundary_matrix() for e in self._engines]
             self.spine = SpineSolver(self.plan, boundary_rows, self.semiring)
             self._interior_rows = [
                 np.ascontiguousarray(rows[:, shard.interior_local])
@@ -230,7 +192,7 @@ class ShardRouter:
             self.reweights += 1
             wall = time.perf_counter() - t0
             _log.info(
-                "shard router: reweighted fleet to epoch %d in %.3fs (%s)",
+                "shard router: reweighted to epoch %d in %.3fs (%s)",
                 epoch, wall,
                 "sparse" if dirty is not None else "dense",
             )
@@ -238,8 +200,8 @@ class ShardRouter:
 
     def submit(self, sources) -> tuple[np.ndarray, dict[str, Any]]:
         """Batch submission: ``(distances, info)`` exactly like
-        :meth:`QueryEngine.submit`, with ``info["shards"]`` reporting the
-        fleet fan-out of this batch.  Thread-safe."""
+        :meth:`QueryEngine.submit`, with ``info["shards"]`` counting the
+        home shards of this batch.  Thread-safe."""
         srcs, single = _as_source_array(sources)
         sr = self.semiring
         n = self.graph.n
@@ -301,7 +263,7 @@ class ShardRouter:
         return self.submit(sources)[0]
 
     def stats(self) -> dict[str, Any]:
-        """Fleet telemetry on the canonical serving-stats schema
+        """Route telemetry on the canonical serving-stats schema
         (:data:`~repro.core.protocols.SERVING_STATS_KEYS`): plan shape,
         spine, and the per-shard breakdown under ``per_shard``."""
         from ..core.protocols import serving_stats
@@ -315,51 +277,31 @@ class ShardRouter:
                 "build_s": self.build_s,
                 "last_batch": None if self.last_batch is None else dict(self.last_batch),
             }
-        queue_depth = 0
-        extra: dict[str, Any] = {}
-        if self._fleet is None:
-            per_shard = [e.stats() for e in self._engines]
-        else:
-            per_shard = self._fleet.stats()
-            queue_depth = sum(int(s.get("queue_depth", 0)) for s in per_shard)
-            extra = {"restarts_total": self._fleet.restarts_total}
         base = serving_stats(
-            backend=self.backend,
+            backend="inline",
             workers=self.plan.k,
-            queue_depth=queue_depth,
+            queue_depth=0,
             weights_epoch=snap["weights_epoch"],
             queries_served=snap["queries_served"],
             rows_served=snap["rows_served"],
-            per_shard=per_shard,
+            per_shard=[e.stats() for e in self._engines],
         )
         base.update(snap)
         base.update(
             engine="sharded",
             plan=self.plan.stats(),
             spine=self.spine.stats(),
-            **extra,
         )
         return base
 
-    def health_check(self) -> dict[str, Any]:
-        """Ping every worker, restarting dead ones (process backend); the
-        inline backend is trivially healthy."""
-        if self._fleet is not None:
-            return self._fleet.health_check()
-        return {"backend": "inline", "alive": self.plan.k}
-
     def close(self) -> None:
-        """Drain the fleet: close every shard engine / worker and release
-        their arenas (idempotent)."""
+        """Close every shard engine (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self._fleet is not None:
-            self._fleet.close()
-        else:
-            for e in self._engines:
-                e.close()
+        for e in self._engines:
+            e.close()
         _log.info("shard router: closed (served %d batches)", self.queries_served)
 
     def __enter__(self) -> "ShardRouter":
@@ -367,5 +309,5 @@ class ShardRouter:
         return self
 
     def __exit__(self, *exc) -> None:
-        """Context-manager exit: close the fleet."""
+        """Context-manager exit: close the router."""
         self.close()

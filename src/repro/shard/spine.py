@@ -3,7 +3,7 @@
 The spine holds every shard-boundary vertex.  Its edge set is the union of
 the shards' boundary cliques ``B(t) × B(t)``, each edge ``(a, b)`` weighted
 by the exact in-shard distance ``d_{G(t)}(a, b)`` — columns of the shard's
-boundary-row matrix.  This is the fleet-level analogue of the paper's E⁺
+boundary-row matrix.  This is the shard-level analogue of the paper's E⁺
 construction, and it is *distance-preserving*: any ``G``-path between spine
 vertices splits at its spine visits into within-shard segments whose
 endpoints lie in that shard's boundary, and each segment is dominated by

@@ -2,8 +2,9 @@
 keying, the store round-trip through ``ShortestPathOracle.build``, tree
 entries, locking, eviction, the query-row LRU, and the CLI subcommand.
 
-Process-spawning concurrency tests carry the ``multiproc`` marker; the
-default fast lane covers the same stampede protocol with threads.
+Process-spawning concurrency tests carry the ``multiproc`` marker (CI's
+deep lane selects them with ``-m multiproc``); threads cover the same
+stampede protocol beside them.
 """
 
 from __future__ import annotations

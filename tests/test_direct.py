@@ -215,7 +215,7 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("field", [
         "hopset_beta", "approx_gate",
         "replicas", "max_replicas", "autoscale_target_p99_ms",
-        "engine", "source_block",
+        "engine", "source_block", "shard_backend", "shard_pin",
     ])
     def test_retired_fields_raise_pointed_errors(self, field):
         with pytest.raises(TypeError, match=f"OracleConfig.{field} was removed"):
@@ -344,13 +344,15 @@ class TestPersistenceAndCache:
         """Archives and cache entries written while OracleConfig still had
         ``hopset_beta`` and ``approx_gate``, the replica tier's
         ``replicas`` / ``max_replicas`` / ``autoscale_target_p99_ms``, the
-        query engine's ``engine`` / ``source_block``, or the server's
-        ``admission_queue_limit``, load and answer the same."""
+        query engine's ``engine`` / ``source_block``, the server's
+        ``admission_queue_limit``, or the shard fleet's ``shard_backend`` /
+        ``shard_pin``, load and answer the same."""
         g = expander_digraph(90, rng)
         retired = {
             "hopset_beta": 16, "approx_gate": 0.4,
             "replicas": 3, "max_replicas": 6, "autoscale_target_p99_ms": 50.0,
             "engine": "naive", "source_block": 16, "admission_queue_limit": 4,
+            "shard_backend": "process", "shard_pin": True,
         }
         oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct", row_cache=8))
         path = tmp_path / "old.npz"

@@ -41,7 +41,7 @@ class TestServingBackendProtocol:
 
     def test_inline_shard_router_satisfies_protocol(self, grid6_negative):
         g, tree = grid6_negative
-        with ShardRouter(g, tree, k=2, backend="inline") as router:
+        with ShardRouter(g, tree, k=2) as router:
             assert isinstance(router, ServingBackend)
             ensure_serving_backend(router)
             assert router.weights_epoch == 0
@@ -118,7 +118,7 @@ class TestUnifiedStatsSchema:
 
     def test_inline_router_stats_carry_canonical_keys(self, grid6_negative):
         g, tree = grid6_negative
-        with ShardRouter(g, tree, k=2, backend="inline") as router:
+        with ShardRouter(g, tree, k=2) as router:
             router.query([0, 5])
             s = router.stats()
         for key in SERVING_STATS_KEYS:
@@ -161,9 +161,9 @@ class TestReplicaConfig:
     def test_inline_router_rejects_replication(self, grid6_negative, oracle):
         g, tree = grid6_negative
         with pytest.raises(TypeError, match="replicas"):
-            ShardRouter(g, tree, k=2, backend="inline", replicas=2)
+            ShardRouter(g, tree, k=2, replicas=2)
         with pytest.raises(TypeError, match="replicas"):
-            oracle.shard_fleet(2, backend="inline", replicas=2)
+            oracle.shard_fleet(2, replicas=2)
 
 
 class TestCliConfigMapping:
@@ -177,13 +177,11 @@ class TestCliConfigMapping:
     def test_config_from_args_maps_set_flags_only(self):
         ns = argparse.Namespace(**{dest: None for dest in _CONFIG_FLAG_FIELDS})
         ns.shards = 2
-        ns.pin = True
         ns.refine_max_nodes = 9
         ns.backend = "shm"
         ns.row_cache = 64
         cfg = config_from_args(ns)
         assert cfg.shards == 2
-        assert cfg.shard_pin is True
         assert cfg.refine_max_nodes == 9
         assert cfg.executor == "shm"
         assert cfg.row_cache == 64

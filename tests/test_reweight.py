@@ -532,8 +532,7 @@ class TestEngineHotSwap:
 
 
 class TestRouterReweight:
-    """Inline-backend fleet epoch flip (the process backend is exercised
-    under the ``multiproc`` mark in ``TestFleetReweight``)."""
+    """Shard-router epoch flip, dense and sparse, against a cold router."""
 
     def _integral(self, g):
         # Sharded legs recompose sums; integral weights keep float
@@ -547,12 +546,12 @@ class TestRouterReweight:
         g = self._integral(g)
         cfg = OracleConfig(method="leaves_up", cache="off")
         srcs = np.array([0, 13, 99])
-        r = ShardRouter(g, tree, cfg, k=2, backend="inline")
+        r = ShardRouter(g, tree, cfg, k=2)
         try:
             w2 = np.round(g.weight * 3.0) + 2.0
             assert r.reweight(w2)["weights_epoch"] == 1
             cold = ShardRouter(
-                _reweighted_graph(g, w2), tree, cfg, k=2, backend="inline"
+                _reweighted_graph(g, w2), tree, cfg, k=2
             )
             want = cold.query(srcs)
             cold.close()
@@ -562,7 +561,7 @@ class TestRouterReweight:
             w3[dirty] += 5.0
             assert r.reweight(w3, dirty=dirty)["weights_epoch"] == 2
             cold = ShardRouter(
-                _reweighted_graph(g, w3), tree, cfg, k=2, backend="inline"
+                _reweighted_graph(g, w3), tree, cfg, k=2
             )
             want = cold.query(srcs)
             cold.close()
@@ -577,38 +576,12 @@ class TestRouterReweight:
         from repro.shard.router import ShardRouter
 
         g, tree = grid10
-        r = ShardRouter(g, tree, OracleConfig(cache="off"), k=2, backend="inline")
+        r = ShardRouter(g, tree, OracleConfig(cache="off"), k=2)
         try:
             with pytest.raises(ValueError, match="shape"):
                 r.reweight(np.ones(3))
         finally:
             r.close()
-
-
-@pytest.mark.multiproc
-class TestFleetReweight:
-    def test_process_backend_epoch_flip_and_crash(self, rng, grid10):
-        """Worker-process fleet: broadcast reweight, bit-identity, and a
-        crash-before-reweight respawn that must land on the new epoch."""
-        from repro.shard.router import ShardRouter
-        from repro.shard.worker import WorkerCrash
-
-        g, tree = grid10
-        g = _reweighted_graph(g, np.round(g.weight * 8.0) + 1.0)
-        cfg = OracleConfig(method="leaves_up", cache="off")
-        srcs = np.array([0, 42, 99])
-        w2 = np.round(g.weight * 2.0) + 3.0
-        with ShardRouter(g, tree, cfg, k=2, backend="process") as r:
-            with pytest.raises(WorkerCrash):
-                r._fleet.handles[0].call("crash")
-            assert r.reweight(w2)["weights_epoch"] == 1
-            got = r.query(srcs)
-            st = r.stats()
-            assert all(s["weights_epoch"] == 1 for s in st["per_shard"])
-        with ShardRouter(
-            _reweighted_graph(g, w2), tree, cfg, k=2, backend="inline"
-        ) as cold:
-            assert np.array_equal(got, cold.query(srcs))
 
 
 class TestLeakCheckerGenerations:
@@ -626,21 +599,17 @@ class TestLeakCheckerGenerations:
         return mod
 
     @pytest.mark.parametrize(
-        "name,shard,epoch",
+        "name,epoch",
         [
-            ("psp_123_0af3", None, None),
-            ("psps2_123_0af3", "2", None),
-            ("pspg7_123_0af3", None, "7"),
-            ("psps1g4_123_0af3", "1", "4"),
+            ("psp_123_0af3", None),
+            ("pspg7_123_0af3", "7"),
         ],
     )
-    def test_segment_regex(self, tool, name, shard, epoch):
+    def test_segment_regex(self, tool, name, epoch):
         m = tool._SEGMENT_RE.match(name)
         assert m is not None
-        got_shard, got_epoch, pid = m.groups()
-        assert (got_shard, got_epoch, pid) == (shard, epoch, "123")
+        assert m.groups() == (epoch, "123")
 
     def test_describe_mentions_generation(self, tool):
         assert "epoch 7 generation" in tool.describe("pspg7_123_0af3")
-        assert "shard 1 worker" in tool.describe("psps1g4_123_0af3")
         assert tool._SEGMENT_RE.match("notpsp_1_aa") is None

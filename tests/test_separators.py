@@ -182,3 +182,17 @@ class TestRetiredEngines:
         with pytest.raises(ValueError, match=pointed):
             ShortestPathOracle.build(g, config=OracleConfig(separator=name))
         assert name not in available_engines()
+
+    def test_unhashable_name_raises_the_registry_error(self, rng):
+        from repro import OracleConfig, ShortestPathOracle
+        from repro.separators import available_engines, decompose, resolve_engine
+
+        g = grid_digraph((6, 6), rng)
+        pointed = r"unknown separator engine \['x'\]; registered engines: " + ", ".join(
+            available_engines())
+        with pytest.raises(ValueError, match=pointed):
+            resolve_engine(["x"])
+        with pytest.raises(ValueError, match=pointed):
+            decompose(g, ["x"])
+        with pytest.raises(ValueError, match=pointed):
+            ShortestPathOracle.build(g, config=OracleConfig(separator=["x"]))

@@ -847,6 +847,50 @@ class TestReweightRPC:
                 assert c.ping()
 
 
+class TestServedShardRoute:
+    """The three-leg route behind the server: :class:`OracleServer` over
+    ``oracle.shard_fleet(2)`` serves rows, stats and a served delta
+    reweight (the server's shard branch), bitwise against the engine and
+    a cold build on integer weights."""
+
+    def test_rows_stats_and_delta_reweight(self, tmp_path):
+        from repro.shard import ShardRouter
+
+        rng = np.random.default_rng(4)
+        g = grid_digraph((10, 10), rng)
+        g = WeightedDigraph(g.n, g.src, g.dst, np.round(g.weight * 8.0))
+        tree = decompose_grid(g, (10, 10), leaf_size=4)
+        oracle = ShortestPathOracle.build(g, tree)
+        srcs = [0, 9, 55, 90]
+        edges = rng.choice(g.m, size=12, replace=False)
+        values = rng.integers(1, 40, size=edges.size).astype(np.float64)
+        w2 = g.weight.copy()
+        w2[edges] = values
+        want2 = ShortestPathOracle.build(
+            WeightedDigraph(g.n, g.src, g.dst, w2), tree
+        ).distances(srcs)
+        assert not np.array_equal(want2, oracle.distances(srcs))
+        with serving(oracle, tmp_path, engine_cfg=OracleConfig(shards=2),
+                     engine_factory=lambda: oracle.shard_fleet(2)) as (sock, server):
+            assert isinstance(server.engine, ShardRouter)
+            with OracleClient(sock) as c:
+                assert np.array_equal(c.distances(srcs), oracle.distances(srcs))
+                st = c.stats()["engine"]
+                assert st["engine"] == "sharded" and st["workers"] == 2
+                assert len(st["per_shard"]) == 2
+                assert st["last_batch"]["rows"] == len(srcs)
+                res = c.reweight(delta=dict(zip(edges.tolist(), values.tolist())))
+                assert res == {**res, "weights_epoch": 1, "mode": "fleet"}
+                assert np.array_equal(c.distances(srcs), want2)
+                st = c.stats()["engine"]
+                assert st["weights_epoch"] == 1 and st["reweights"] == 1
+                assert all(s["weights_epoch"] == 1 for s in st["per_shard"])
+                # Path reconstruction walks the reweighted graph.
+                path, dist = c.path_with_distance(0, 90)
+                assert path is not None and dist == want2[0][90]
+        assert orphaned_segments() == []
+
+
 class TestSmoke:
     def test_50_mixed_requests_smoke(self, oracle, tmp_path):
         """CI fast-lane smoke: 50 mixed requests from 5 concurrent clients

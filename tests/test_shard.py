@@ -1,9 +1,6 @@
-"""Unit and equivalence tests of the separator-sharded fleet (fast lane).
-
-Everything here runs the *inline* backend (K warm engines in-process, no
-worker processes) so it belongs to the blocking tier-1 suite; the process
-backend — workers, crash/restart, pinning, serving — is exercised under
-the ``multiproc`` marker in ``test_shard_fleet.py``.
+"""Unit and equivalence tests of the separator shards and the three-leg
+route (K warm engines in one process).  Serving the route behind
+:class:`~repro.server.OracleServer` is tested in ``test_server.py``.
 
 Bit-identity discipline: tests asserting ``np.array_equal`` use integer
 edge weights, where float arithmetic is exact and the three-leg route
@@ -149,7 +146,7 @@ class TestInlineRouterEquivalence:
         oracle = ShortestPathOracle.build(g, tree)
         srcs = list(range(0, g.n, 7))
         want = oracle.distances(srcs)
-        with ShardRouter(g, tree, k=k, backend="inline") as r:
+        with ShardRouter(g, tree, k=k) as r:
             got = r.query(srcs)
         assert np.array_equal(got, want)
 
@@ -160,7 +157,7 @@ class TestInlineRouterEquivalence:
         oracle = ShortestPathOracle.build(g, tree)
         srcs = list(range(0, g.n, 5))
         want = oracle.distances(srcs)
-        with ShardRouter(g, tree, k=k, backend="inline") as r:
+        with ShardRouter(g, tree, k=k) as r:
             got = r.query(srcs)
         assert np.array_equal(got, want)
 
@@ -177,7 +174,7 @@ class TestInlineRouterEquivalence:
         srcs = [0, 13, 29, 47]
         want = oracle.distances(srcs)
         assert np.isinf(want).any()
-        with ShardRouter(g, tree, k=k, backend="inline") as r:
+        with ShardRouter(g, tree, k=k) as r:
             got = r.query(srcs)
         assert np.array_equal(got, want)
 
@@ -186,7 +183,7 @@ class TestInlineRouterEquivalence:
         oracle = ShortestPathOracle.build(g, tree)
         srcs = list(range(0, g.n, 3))
         want = oracle.distances(srcs)
-        with ShardRouter(g, tree, k=4, backend="inline") as r:
+        with ShardRouter(g, tree, k=4) as r:
             got = r.query(srcs)
         assert np.array_equal(np.isinf(got), np.isinf(want))
         mask = np.isfinite(want)
@@ -198,7 +195,7 @@ class TestInlineRouterEquivalence:
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         srcs = [0, 20, 45]
         want = oracle.distances(srcs)
-        with ShardRouter(g, tree, cfg, k=3, backend="inline") as r:
+        with ShardRouter(g, tree, cfg, k=3) as r:
             got = r.query(srcs)
         assert got.dtype == want.dtype == np.dtype(bool)
         assert np.array_equal(got, want)
@@ -206,7 +203,7 @@ class TestInlineRouterEquivalence:
     def test_spine_vertices_as_sources(self):
         g, tree = integer_grid(10, seed=7)
         oracle = ShortestPathOracle.build(g, tree)
-        with ShardRouter(g, tree, k=4, backend="inline") as r:
+        with ShardRouter(g, tree, k=4) as r:
             assert r.plan.spine.size > 0
             srcs = r.plan.spine[:: max(1, r.plan.spine.size // 6)].tolist()
             got = r.query(srcs)
@@ -215,7 +212,7 @@ class TestInlineRouterEquivalence:
     def test_single_int_source_shape(self):
         g, tree = integer_grid(8)
         oracle = ShortestPathOracle.build(g, tree)
-        with ShardRouter(g, tree, k=2, backend="inline") as r:
+        with ShardRouter(g, tree, k=2) as r:
             got = r.query(9)
             assert got.shape == (g.n,)
             assert np.array_equal(got, oracle.distances(9))
@@ -229,7 +226,7 @@ class TestInlineRouterEquivalence:
 class TestRouterProtocol:
     def test_submit_info_and_stats(self):
         g, tree = integer_grid(8)
-        with ShardRouter(g, tree, k=2, backend="inline") as r:
+        with ShardRouter(g, tree, k=2) as r:
             dist, info = r.submit([0, 1, 60])
             assert dist.shape == (3, g.n)
             assert info["rows"] == 3
@@ -242,32 +239,36 @@ class TestRouterProtocol:
             assert len(s["per_shard"]) == r.plan.k
             assert s["spine"]["vertices"] == r.plan.spine.size
             assert s["last_batch"]["rows"] == 3
-            assert r.health_check()["backend"] == "inline"
 
     def test_closed_router_rejects_queries(self):
         g, tree = integer_grid(6)
-        r = ShardRouter(g, tree, k=2, backend="inline")
+        r = ShardRouter(g, tree, k=2)
         r.close()
         r.close()  # idempotent
         with pytest.raises(ValueError, match="closed"):
             r.query(0)
 
     def test_bad_backend_rejected(self):
+        """The router has one backend, in-process: the retired ``backend=``
+        and ``pin=`` keywords are refused, on the router and on
+        ``shard_fleet``."""
         g, tree = integer_grid(6)
-        with pytest.raises(ValueError, match="backend"):
-            ShardRouter(g, tree, k=2, backend="carrier-pigeon")
+        oracle = ShortestPathOracle.build(g, tree)
+        for kw in ({"backend": "process"}, {"pin": True}):
+            with pytest.raises(TypeError, match=next(iter(kw))):
+                ShardRouter(g, tree, k=2, **kw)
+            with pytest.raises(TypeError, match=next(iter(kw))):
+                oracle.shard_fleet(2, **kw)
 
     def test_router_honors_config_fields(self):
         g, tree = integer_grid(8)
-        cfg = OracleConfig(shards=4, shard_backend="inline")
-        with ShardRouter(g, tree, cfg) as r:
+        with ShardRouter(g, tree, OracleConfig(shards=4)) as r:
             assert r.plan.k == 4
-            assert r.backend == "inline"
 
     def test_oracle_shard_fleet_entry_point(self):
         g, tree = integer_grid(8)
         oracle = ShortestPathOracle.build(g, tree)
-        with oracle.shard_fleet(2, backend="inline") as r:
+        with oracle.shard_fleet(2) as r:
             assert isinstance(r, ShardRouter)
             assert np.array_equal(r.query([0, 5]), oracle.distances([0, 5]))
 
@@ -281,19 +282,19 @@ class TestShardConfig:
     def test_new_knobs_validate(self):
         with pytest.raises(ValueError, match="shards"):
             OracleConfig(shards=-1)
-        with pytest.raises(ValueError, match="shard_backend"):
-            OracleConfig(shard_backend="inproc")
-        cfg = OracleConfig(shards=4, shard_backend="inline", shard_pin=True)
-        back = OracleConfig.from_dict(cfg.to_dict())
-        assert (back.shards, back.shard_backend, back.shard_pin) == (4, "inline", True)
+        for field, value in (("shard_backend", "process"), ("shard_pin", True)):
+            with pytest.raises(TypeError, match=f"{field} was removed.*shm:N"):
+                OracleConfig(**{field: value})
+        back = OracleConfig.from_dict(OracleConfig(shards=4).to_dict())
+        assert back.shards == 4
 
     def test_shard_build_config_downgrades(self):
         cfg = OracleConfig(
-            executor="shm:4", shards=8, shard_pin=True, cache="readwrite",
+            executor="shm:4", shards=8, cache="readwrite",
             row_cache=64, validate=True,
         )
         sub = shard_build_config(cfg)
         assert sub.executor == "serial"
-        assert sub.shards == 0 and not sub.shard_pin  # no recursive sharding
+        assert sub.shards == 0  # no recursive sharding
         assert sub.row_cache == 0 and not sub.validate
-        assert sub.cache == "readwrite"  # warm-respawn path preserved
+        assert sub.cache == "readwrite"  # a re-created router starts warm

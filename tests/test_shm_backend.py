@@ -2,8 +2,8 @@
 on the ``shm`` pool, and /dev/shm leak checks.  (The ``shm`` engine's
 rows are checked against serial in ``test_query_engine.py``.)
 
-Pool-spawning tests carry the ``multiproc`` marker; the default fast lane
-(``-m "not multiproc"``) still exercises the arena itself in-process.
+Pool-spawning tests carry the ``multiproc`` marker, so CI's deep lane can
+select them with ``-m multiproc``; tier-1 runs them with the rest.
 """
 
 from __future__ import annotations

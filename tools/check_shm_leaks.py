@@ -1,21 +1,19 @@
 #!/usr/bin/env python
-"""Shared-memory leak checker for the ``shm`` executor and the shard fleet.
+"""Shared-memory leak checker for the ``shm`` executor.
 
 The zero-copy plane (:mod:`repro.pram.shm`) promises that every segment it
 creates in ``/dev/shm`` is unlinked when its arena closes — even across
-worker crashes.  This tool verifies that promise on a live machine:
+pool worker crashes.  This tool verifies that promise on a live machine:
 
 * ``--scan`` (default): list any ``psp*`` segments currently present and
   exit non-zero if any exist.  Run it after a test session or a bench run;
   a clean tree prints nothing.  Plain arenas name segments
-  ``psp_<pid>_<hex>``; shard-fleet workers name theirs
-  ``psps<shard>_<pid>_<hex>`` (see :class:`repro.pram.shm.ShmArena`'s
-  ``tag``) — the report annotates which shard and owner pid a leaked
-  segment belonged to.
-* ``--exercise``: run both arena owners — a batch, a reweight and a batch
-  on an ``shm:2`` query engine, then a batch, a killed worker and a batch
-  on a ``process`` shard fleet, then a crashing ``shm`` pool task — and
-  scan.
+  ``psp_<pid>_<hex>``; query engines name theirs ``pspg<epoch>_<pid>_<hex>``
+  (see :class:`repro.pram.shm.ShmArena`'s ``tag``) — the report annotates
+  which weights-epoch generation and owner pid a leaked segment belonged
+  to.
+* ``--exercise``: a batch, a reweight and a batch on an ``shm:2`` query
+  engine, then a crashing ``shm`` pool task — and scan.
 * ``--clean``: unlink whatever stale ``psp_*`` segments are found (e.g.
   after a SIGKILL'd orchestrator, where no finalizer could run).
 * ``--cache-dir DIR``: also scan the augmentation store (:mod:`repro.cache`)
@@ -36,11 +34,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
-#: Segment-name shape: ``psp[s<shard>|g<epoch>]_<pid>_<hex>`` (plain arenas
-#: carry no tag; shard-fleet workers tag theirs with the shard id; query
-#: engines tag each arena *generation* with its weights epoch, so a leaked
-#: segment tells you which reweight generation failed to unlink).
-_SEGMENT_RE = re.compile(r"^psp(?:s(\d+))?(?:g(\d+))?_(\d+)_[0-9a-f]+$")
+#: Segment-name shape: ``psp[g<epoch>]_<pid>_<hex>`` (plain arenas carry no
+#: tag; query engines tag each arena *generation* with its weights epoch, so
+#: a leaked segment tells you which reweight generation failed to unlink).
+_SEGMENT_RE = re.compile(r"^psp(?:g(\d+))?_(\d+)_[0-9a-f]+$")
 
 
 def scan() -> list[str]:
@@ -50,14 +47,13 @@ def scan() -> list[str]:
 
 
 def describe(name: str) -> str:
-    """Human-readable provenance of a segment name: its owner pid, for
-    per-shard fleet arenas which shard's worker created it, and for query
-    engines which reweight generation the arena belonged to."""
+    """Human-readable provenance of a segment name: its owner pid and, for
+    query engines, which reweight generation the arena belonged to."""
     m = _SEGMENT_RE.match(name)
     if not m:
         return name
-    shard, epoch, pid = m.groups()
-    who = f"shard {shard} worker" if shard is not None else "arena owner"
+    epoch, pid = m.groups()
+    who = "arena owner"
     if epoch is not None:
         who += f", epoch {epoch} generation"
     return f"{name} ({who} pid {pid})"
@@ -113,26 +109,20 @@ def clean(names: list[str]) -> None:
 
 
 def exercise() -> None:
-    """Drive both owners of shared-memory arenas, checking rows against a
+    """Drive the shared-memory arena owner, checking rows against a
     serial pass: an ``shm:2`` query engine (a 64-row batch, a reweight
-    that flips it to a new arena generation, a second batch) and a
-    ``ShardRouter(backend="process", k=2)`` fleet (a 64-row batch, a
-    killed worker that the fleet restarts, a second batch); then a
+    that flips it to a new arena generation, a second batch); then a
     crashing task on the ``shm`` pool."""
     import numpy as np
 
     from repro.core.api import ShortestPathOracle
     from repro.core.config import OracleConfig
-    from repro.core.digraph import WeightedDigraph
     from repro.pram.executor import get_executor
     from repro.separators.grid import decompose_grid
-    from repro.shard import ShardRouter
     from repro.workloads.generators import grid_digraph
 
     rng = np.random.default_rng(0)
     g = grid_digraph((12, 12), rng)
-    # Integer weights: the fleet's rows are bit-identical to serial on them.
-    g = WeightedDigraph(g.n, g.src, g.dst, np.round(g.weight * 8.0))
     tree = decompose_grid(g, (12, 12))
     oracle = ShortestPathOracle.build(g, tree)
     srcs = rng.integers(0, g.n, size=64)
@@ -144,14 +134,6 @@ def exercise() -> None:
         eng.reweight(heavier.augmentation)
         if not np.array_equal(eng.query(srcs), heavier.distances(srcs)):
             raise SystemExit("shm:2 engine rows differ from serial after reweight")
-    with ShardRouter(g, tree, k=2, backend="process") as router:
-        if not np.array_equal(router.query(srcs), want):
-            raise SystemExit("process fleet rows differ from serial")
-        router._fleet.handles[0].kill()
-        if not np.array_equal(router.query(srcs), want):
-            raise SystemExit("process fleet rows differ after a worker restart")
-        if router._fleet.restarts_total != 1:
-            raise SystemExit("the killed fleet worker was not restarted")
     # A crashing worker task must not take any segment down with it.
     exe = get_executor("shm:2")
     try:
@@ -161,7 +143,6 @@ def exercise() -> None:
     finally:
         exe.close()
     print("exercise complete (shm:2 engine: 64-row batch, reweight, batch; "
-          "process fleet k=2: 64-row batch, killed worker restarted, batch; "
           "shm pool: crashed task)")
 
 
@@ -172,8 +153,8 @@ def _crash(payload):
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--exercise", action="store_true",
-                    help="run the shm engine and process fleet workloads "
-                         "(incl. a killed worker and a crashed task) first")
+                    help="run the shm engine workload (incl. a reweight "
+                         "and a crashed task) first")
     ap.add_argument("--clean", action="store_true",
                     help="unlink any stale segments / cache files found")
     ap.add_argument("--cache-dir", dest="cache_dir", default=None,
