@@ -1,8 +1,8 @@
 """A1–A4 — ablations of the design decisions called out in DESIGN.md §2.
 
 A1: full-S child inclusion vs the paper's literal N(V_i)-restricted rule.
-A2: leaves-up (Alg 4.1) vs doubling (Alg 4.3) — work/time (depth in
-    bench_table1_depth).
+A2: leaves-up (Alg 4.1) vs doubling (Alg 4.3) vs the shared pairing table
+    (Remark 4.4) — work/time on six graphs (depth in bench_table1_depth).
 A3: scheduled vs naive Bellman–Ford on G⁺ — per-source work/time.
 A4: leaf-size sweep — ℓ vs tree size trade.
 
@@ -58,26 +58,68 @@ def test_a1_inclusion_rule(report):
     report("A1-inclusion", table)
 
 
-def test_a2_leaves_up_vs_doubling_time(timed, report):
+def _a2_graphs():
+    """The six A2 graphs: two grids, the programmable family at three μ,
+    and a Delaunay graph on its planar tree."""
+    from repro.separators.planar import decompose_planar
+    from repro.workloads.generators import delaunay_digraph
+    from repro.workloads.synthetic import separator_programmable_family
+
     rng = np.random.default_rng(1)
-    shape = (32, 32)
-    g = grid_digraph(shape, rng)
-    tree = decompose_grid(g, shape)
-    res = timed({
-        "leaves_up": lambda: augment_leaves_up(g, tree, keep_node_distances=False),
-        "doubling": lambda: augment_doubling(g, tree, keep_node_distances=False),
-    }, ROUNDS)
-    a1, a2 = res.outputs["leaves_up"], res.outputs["doubling"]
-    t_lu, t_db = res.median("leaves_up"), res.median("doubling")
-    assert np.array_equal(a1.src, a2.src) and np.allclose(a1.weight, a2.weight)
-    l1, l2 = Ledger(), Ledger()
-    augment_leaves_up(g, tree, ledger=l1, keep_node_distances=False)
-    augment_doubling(g, tree, ledger=l2, keep_node_distances=False)
-    report("A2-wallclock",
-           f"32x32 grid: leaves-up {t_lu:.3f}s (work {l1.work:.3g}, depth {l1.depth:.3g}); "
-           f"doubling {t_db:.3f}s (work {l2.work:.3g}, depth {l2.depth:.3g}), medians of "
-           f"{ROUNDS} rotating rounds; identical E+ — the work/depth trade of Table 1's "
-           "two preprocessing rows")
+    for side in (24, 40):
+        g = grid_digraph((side, side), rng)
+        yield f"grid {side}²", g, decompose_grid(g, (side, side))
+    for mu in (0.33, 0.5, 0.67):
+        g, tree = separator_programmable_family(600, mu, rng)
+        yield f"μ={mu} n=600", g, tree
+    g, _ = delaunay_digraph(1000, rng)
+    yield "Delaunay n=1000 (planar tree)", g, decompose_planar(g)
+
+
+def test_a2_leaves_up_vs_doubling_time(timed, report):
+    """The three E⁺ builders on six graphs: Algorithm 4.1 (leaves-up),
+    Algorithm 4.3 (doubling) and Remark 4.4 (shared pairing table).  All
+    three give the same query answers; doubling buys
+    depth with a log factor of work, which a host with few cores pays in
+    wall time."""
+    from repro.core.doubling_shared import augment_doubling_shared
+
+    builders = {
+        "leaves_up": augment_leaves_up,
+        "doubling": augment_doubling,
+        "doubling_shared": augment_doubling_shared,
+    }
+    rows = []
+    for name, g, tree in _a2_graphs():
+        res = timed({
+            side: (lambda fn=fn: fn(g, tree, keep_node_distances=False))
+            for side, fn in builders.items()
+        }, ROUNDS)
+        # Remark 4.4 pairs across nodes, so its E⁺ may hold tighter or
+        # extra shortcuts; the answers agree to float rounding.
+        srcs = [0, g.n // 2]
+        want = sssp_scheduled(res.outputs["leaves_up"], srcs)
+        for side in ("doubling", "doubling_shared"):
+            assert np.allclose(sssp_scheduled(res.outputs[side], srcs), want,
+                               rtol=1e-12, atol=1e-12)
+        ledgers = {side: Ledger() for side in builders}
+        for side, fn in builders.items():
+            fn(g, tree, ledger=ledgers[side], keep_node_distances=False)
+        rows.append([
+            name, g.n,
+            *(res.span(res.quartiles(side), 3) for side in builders),
+            *(f"{ledgers[side].work:.3g} / {ledgers[side].depth:.3g}" for side in builders),
+        ])
+    table = render_table(
+        ["graph", "n", "leaves_up s", "doubling s", "doubling_shared s",
+         "leaves_up work / depth", "doubling work / depth",
+         "doubling_shared work / depth"],
+        rows,
+        title="A2: the three E⁺ builders, wall medians [quartiles] of "
+              f"{ROUNDS} rotating rounds; the same answers — the work/depth trade "
+              "of Table 1's two preprocessing rows",
+    )
+    report("A2-wallclock", table)
 
 
 def test_a3_scheduled_vs_naive(timed, report):

@@ -57,7 +57,7 @@ def workload():
     shape = (56, 56)
     g = grid_digraph(shape, rng)
     tree = decompose_grid(g, shape)
-    oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+    oracle = ShortestPathOracle.build(g, tree)
     return g, tree, oracle
 
 

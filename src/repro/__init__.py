@@ -2,7 +2,9 @@
 Decomposition (Edith Cohen, SPAA 1993 / J. Algorithms 21(2), 1996).
 
 Full reproduction of the paper's system: separator decomposition trees, the
-distance-preserving augmentation E⁺ (Algorithms 4.1 and 4.3), the
+distance-preserving augmentation E⁺ (Algorithm 4.1 behind the oracle;
+Algorithm 4.3 and Remark 4.4 as ``augment_doubling`` and
+``augment_doubling_shared``), the
 level-scheduled parallel Bellman–Ford query engine (§3.2), the boolean
 reachability specialization, planar/hammock machinery (§6), applications
 (path algebras over semirings, two-variable linear inequalities) and a PRAM
@@ -20,9 +22,9 @@ Quick start::
     oracle = ShortestPathOracle.build(g, tree)
     dist = oracle.distances([0, 17, 513])
 
-    # Every knob goes through one OracleConfig: method picks the build,
+    # Every knob goes through one OracleConfig: mode picks the tier,
     # executor the pool a query batch's rows fan out on.
-    cfg = OracleConfig(method="doubling", executor="thread:2")
+    cfg = OracleConfig(mode="auto", executor="thread:2")
     oracle = ShortestPathOracle.build(g, tree, config=cfg)
     with oracle.query_engine(cfg) as engine:
         dist = engine.query([0, 17, 513])

@@ -48,14 +48,11 @@ class DistanceOracle:
     # -------------------------------------------------------------- #
 
     @classmethod
-    def build(cls, graph, tree, *, method: str = "leaves_up", semiring=None) -> "DistanceOracle":
-        from ..core.doubling import augment_doubling
+    def build(cls, graph, tree, *, semiring=None) -> "DistanceOracle":
         from ..core.leaves_up import augment_leaves_up
         from ..core.semiring import MIN_PLUS
 
-        semiring = semiring or MIN_PLUS
-        fn = augment_leaves_up if method == "leaves_up" else augment_doubling
-        return cls(fn(graph, tree, semiring, keep_node_distances=True))
+        return cls(augment_leaves_up(graph, tree, semiring or MIN_PLUS, keep_node_distances=True))
 
     def with_new_weights(self, weight=None, *, weight_delta=None) -> "DistanceOracle":
         """A fresh pair oracle for new edge weights on the same skeleton —
@@ -64,30 +61,20 @@ class DistanceOracle:
         never re-derived from a separator recursion.  Pass either
         ``weight`` (the full edge-order vector) or ``weight_delta`` (a
         ``{edge_id: new_weight}`` mapping or ``(edge_ids, new_weights)``
-        pair of absolute assignments).  Requires a ``leaves_up`` lineage.
+        pair of absolute assignments, per
+        :func:`~repro.core.reweight.apply_weight_delta`).  The plan is
+        captured from graph and tree, so any lineage replays.
         """
-        from ..core.reweight import ReweightPlan
+        from ..core.reweight import ReweightPlan, apply_weight_delta
 
-        if self.aug.method != "leaves_up":
-            raise ValueError(
-                f"reweight requires a leaves_up lineage, got {self.aug.method!r}"
-            )
         if (weight is None) == (weight_delta is None):
             raise ValueError("pass exactly one of weight or weight_delta")
         g = self.aug.graph
         dirty = None
         if weight_delta is not None:
-            if isinstance(weight_delta, dict):
-                idx = np.fromiter(weight_delta.keys(), dtype=np.int64, count=len(weight_delta))
-                vals = np.asarray([weight_delta[int(e)] for e in idx], dtype=g.weight.dtype)
-            else:
-                idx, vals = weight_delta
-                idx = np.asarray(idx, dtype=np.int64)
-                vals = np.asarray(vals, dtype=g.weight.dtype)
-            weight = g.weight.copy()
-            weight[idx] = vals
-            dirty = idx
-        new_graph = type(g)(g.n, g.src, g.dst, np.asarray(weight, dtype=g.weight.dtype))
+            new_graph, dirty = apply_weight_delta(g, weight_delta)
+        else:
+            new_graph = type(g)(g.n, g.src, g.dst, np.asarray(weight, dtype=g.weight.dtype))
         # the retained heap carries its plan; without one, capture it and
         # run densely (the result then carries both)
         base_state = getattr(self.aug, "_reweight_state", None)

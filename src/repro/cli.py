@@ -28,13 +28,11 @@ import numpy as np
 #: ``--help`` text comes from the field's dataclass docstring
 #: (:meth:`OracleConfig.field_doc`) so flag and field cannot drift.
 _CONFIG_FLAG_FIELDS = {
-    "method": "method",
     "leaf_size": "leaf_size",
     "backend": "executor",
     "cache": "cache",
     "cache_dir": "cache_dir",
     "row_cache": "row_cache",
-    "reweight": "reweight",
     "shards": "shards",
     "refine": "refine_separators",
     "refine_max_nodes": "refine_max_nodes",
@@ -445,10 +443,15 @@ def _cmd_cache(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """End-to-end self-verification on randomized workloads: builds the full
-    pipeline across families/methods and cross-checks against independent
-    baselines.  Exit code 0 = healthy install."""
+    pipeline across families and all three E⁺ builders (Algorithms 4.1 and
+    4.3, Remark 4.4) and cross-checks against independent baselines.
+    Exit code 0 = healthy install."""
     from .core.api import ShortestPathOracle
     from .core.config import OracleConfig
+    from .core.doubling import augment_doubling
+    from .core.doubling_shared import augment_doubling_shared
+    from .core.leaves_up import augment_leaves_up
+    from .core.sssp import measured_diameter, sssp_scheduled
     from .kernels.dijkstra import dijkstra
     from .kernels.johnson import johnson
     from .separators.grid import decompose_grid
@@ -471,17 +474,13 @@ def _cmd_selftest(args) -> int:
     g = grid_digraph((12, 12), rng)
     tree = decompose_grid(g, (12, 12))
     check("decomposition valid", not tree.validate(g, strict=False))
-    for method in ("leaves_up", "doubling", "doubling_shared"):
-        oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method=method)
-        )
-        ok = np.allclose(oracle.distances(0), dijkstra(g, 0))
+    for build in (augment_leaves_up, augment_doubling, augment_doubling_shared):
+        aug = build(g, tree)
+        method = aug.method
+        ok = np.allclose(sssp_scheduled(aug, 0), dijkstra(g, 0))
         check(f"{method} distances == dijkstra", ok)
-        check(f"{method} E+ self-check", oracle.augmentation.verify_edges() < 1e-6)
-        check(
-            f"{method} diameter bound",
-            oracle.measured_diameter() <= oracle.diameter_bound,
-        )
+        check(f"{method} E+ self-check", aug.verify_edges() < 1e-6)
+        check(f"{method} diameter bound", measured_diameter(aug) <= aug.diameter_bound)
     print("selftest: negative weights")
     gn = apply_potential_weights(g, rng)
     oracle = ShortestPathOracle.build(gn, tree)
@@ -532,7 +531,6 @@ def main(argv: list[str] | None = None) -> int:
                     default="grid")
     p3.add_argument("--n", type=int, default=1024)
     p3.add_argument("--sources", type=int, default=4)
-    p3.add_argument("--method", choices=["leaves_up", "doubling"], default="leaves_up")
     p3.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p3.add_argument("--seed", type=int, default=0)
     _add_cache_flags(p3)
@@ -558,9 +556,6 @@ def main(argv: list[str] | None = None) -> int:
     p7.add_argument("--batches", type=int, default=4)
     p7.add_argument("--backend", default="serial",
                     help="executor spec: serial | thread[:N] | shm[:N]")
-    p7.add_argument("--method",
-                    choices=["leaves_up", "doubling", "doubling_shared"],
-                    default="leaves_up")
     p7.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p7.add_argument("--seed", type=int, default=0)
     p7.add_argument("--check", action="store_true",
@@ -580,9 +575,6 @@ def main(argv: list[str] | None = None) -> int:
     p8.add_argument("--family", choices=["grid", "delaunay", "expander"],
                     default="grid")
     p8.add_argument("--n", type=int, default=1024)
-    p8.add_argument("--method",
-                    choices=["leaves_up", "doubling", "doubling_shared"],
-                    default="leaves_up")
     p8.add_argument("--leaf-size", dest="leaf_size", type=int, default=8)
     p8.add_argument("--seed", type=int, default=0)
     p8.add_argument("--backend", default="serial",
@@ -597,8 +589,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="default per-request timeout")
     p8.add_argument("--row-cache", dest="row_cache", type=int, default=1024,
                     help=_cfg_help("row_cache"))
-    p8.add_argument("--reweight", choices=["auto", "incremental", "rebuild"],
-                    default="auto", help=_cfg_help("reweight"))
     p8.add_argument("--shards", type=int, default=0, help=_cfg_help("shards"))
     p8.add_argument("-v", "--verbose", action="count", default=0,
                     help="serving-path logging: -v INFO, -vv DEBUG")

@@ -1,7 +1,7 @@
 """High-level facade: :class:`ShortestPathOracle`.
 
 One object bundles the whole paper pipeline: separator decomposition (given
-or computed), augmentation E⁺ (Algorithm 4.1 or 4.3), the §3.2 phase
+or computed), augmentation E⁺ (Algorithm 4.1), the §3.2 phase
 schedule, and query methods for distances, trees, paths and reachability —
 with PRAM work/depth accounting throughout.
 
@@ -26,14 +26,14 @@ from ..pram.machine import Ledger
 from .augment import Augmentation
 from .config import OracleConfig
 from .digraph import WeightedDigraph
-from .doubling import augment_doubling
 from .leaves_up import augment_leaves_up
 from .negcycle import has_negative_cycle
 from .paths import reconstruct_path, shortest_path_tree
+from .reweight import apply_weight_delta
 from .scheduler import PhaseSchedule
 from .semiring import Semiring
 from .septree import SeparatorTree, build_separator_tree
-from .sssp import measured_diameter, sssp_naive, sssp_scheduled
+from .sssp import measured_diameter, sssp_scheduled
 
 __all__ = ["ShortestPathOracle", "DIRECT_GATE"]
 
@@ -161,9 +161,9 @@ class ShortestPathOracle:
         self.preprocess_ledger = preprocess_ledger
         self.query_ledger = Ledger()
         #: The resolved build configuration — reused by :meth:`with_new_weights`
-        #: so a rebuilt oracle carries it on (``reweight``/``validate``
-        #: defaults, :meth:`shard_fleet`'s fallback, :meth:`save`'s archive
-        #: header), and serializable for the server/CLI (``config.to_dict()``).
+        #: so a refreshed oracle carries it on (``validate`` default,
+        #: :meth:`shard_fleet`'s fallback, :meth:`save`'s archive header),
+        #: and serializable for the server/CLI (``config.to_dict()``).
         self.config = config if config is not None else OracleConfig()
         #: How the augmentation cache participated in this build (see
         #: :mod:`repro.cache`): ``mode`` / ``status`` (the E⁺ entry's)
@@ -173,9 +173,9 @@ class ShortestPathOracle:
         self.cache_info: dict = {"mode": self.config.cache, "status": "off"}
         #: Build provenance (:class:`~repro.core.reweight.ReweightPlan`)
         #: shared along a :meth:`with_new_weights` lineage — the plan an
-        #: Algorithm 4.1 build ran, or captured on the first incremental
-        #: reweight of a cache-loaded oracle, then reused by every
-        #: reweight derived from this oracle.
+        #: Algorithm 4.1 build ran, or captured on the first reweight of a
+        #: cache- or file-loaded oracle, then reused by every reweight
+        #: derived from this oracle.
         self._reweight_plan = None
 
     # -------------------------------------------------------------- #
@@ -202,7 +202,7 @@ class ShortestPathOracle:
         config:
             Every knob (default: ``OracleConfig()``); see
             :class:`~repro.core.config.OracleConfig` for the inventory.
-            ``mode``, ``method``, ``separator``, ``semiring``, ``leaf_size``,
+            ``mode``, ``separator``, ``semiring``, ``leaf_size``,
             ``keep_node_distances``, ``validate``, the refinement fields
             and the cache fields are consumed here; ``executor`` and the
             serving fields ride along untouched for :meth:`query_engine`.
@@ -248,7 +248,7 @@ class ShortestPathOracle:
                 if store.store_tree(tkey, tree):
                     cache_info["tree"] = "stored"
         ledger = Ledger()
-        method = "direct" if decision is not None and decision["mode"] == "direct" else cfg.method
+        method = "direct" if decision is not None and decision["mode"] == "direct" else "leaves_up"
         if store is not None:
             if cfg.keep_node_distances:
                 cache_info["status"] = "bypass"
@@ -277,11 +277,7 @@ class ShortestPathOracle:
 
                 aug = direct_augmentation(graph, tree, cfg.resolved_semiring)
             else:
-                if method == "doubling_shared":
-                    from .doubling_shared import augment_doubling_shared as build_fn
-                else:
-                    build_fn = augment_leaves_up if method == "leaves_up" else augment_doubling
-                aug = build_fn(
+                aug = augment_leaves_up(
                     graph,
                     tree,
                     cfg.resolved_semiring,
@@ -345,16 +341,12 @@ class ShortestPathOracle:
         """Theorem 3.1(ii) bound on diam(G⁺)."""
         return self.augmentation.diameter_bound
 
-    def distances(self, sources, *, engine: str = "scheduled") -> np.ndarray:
+    def distances(self, sources) -> np.ndarray:
         """Distance rows for each source (``(s, n)``, or ``(n,)`` for a bare
-        int).  ``engine`` is ``"scheduled"`` (§3.2) or ``"naive"`` (A3)."""
-        if engine == "scheduled":
-            return sssp_scheduled(
-                self.augmentation, sources, schedule=self.schedule, ledger=self.query_ledger
-            )
-        if engine == "naive":
-            return sssp_naive(self.augmentation, sources, ledger=self.query_ledger)
-        raise ValueError("engine must be 'scheduled' or 'naive'")
+        int), by the §3.2 schedule."""
+        return sssp_scheduled(
+            self.augmentation, sources, schedule=self.schedule, ledger=self.query_ledger
+        )
 
     def query_engine(self, config: OracleConfig | None = None):
         """A persistent :class:`~repro.core.query.QueryEngine` over this
@@ -383,8 +375,8 @@ class ShortestPathOracle:
         boundary-clique spine instead of one engine over the whole graph.
 
         ``k`` overrides the ``shards`` field of ``config`` (defaulting to
-        this oracle's build config, so cache mode, semiring and method
-        carry over to the shard builds).  The router builds its own shard
+        this oracle's build config, so cache mode and semiring carry over
+        to the shard builds).  The router builds its own shard
         oracles from the graph; this oracle's augmentation is not reused —
         keep using :meth:`query_engine` for single-engine serving.  Close
         the router (or use it as a context manager) when done.
@@ -454,7 +446,6 @@ class ShortestPathOracle:
         *,
         weight_delta=None,
         graph: WeightedDigraph | None = None,
-        reweight: str | None = None,
         validate: bool | str | None = None,
     ) -> "ShortestPathOracle":
         """Refresh the oracle for new weights and/or edge directions while
@@ -471,29 +462,28 @@ class ShortestPathOracle:
         ``weight_delta``
             A *sparse* reweighting: either a ``{edge_id: new_weight}``
             mapping or an ``(edge_ids, new_weights)`` pair; untouched
-            edges keep their current weight.  On the incremental path the
-            sweep is further restricted to the root paths of the leaves
-            containing the changed edges.
+            edges keep their current weight.  The replay is further
+            restricted to the root paths of the leaves containing the
+            changed edges.
         ``graph``
-            Any graph sharing the skeleton (e.g. ``self.graph.reverse()``).
+            Any graph on the same vertices, e.g. ``self.graph.reverse()``.
 
-        ``reweight`` (default: ``config.reweight``) picks the refresh
-        strategy.  ``"auto"``/``"incremental"`` replay the captured build
-        provenance leaves-up over the existing E⁺ *structure* — no
-        separator recursion and no schedule rebuild (the §3.2 phase
-        permutations are weight-independent and cloned) — which is an
-        order of magnitude cheaper than a rebuild and bit-identical to
-        one.  The replay path requires a ``leaves_up`` lineage and an
-        unchanged skeleton (same ``src``/``dst`` arrays); ``"incremental"``
-        raises when those do not hold, ``"auto"`` falls back to
-        ``"rebuild"``.  Sparse deltas additionally need the lineage's
-        retained heap state, which every Algorithm 4.1 build and every
-        incremental reweight leaves on its augmentation; an oracle loaded
-        from the cache or from a file has none and serves its first
-        refresh densely.
+        When the skeleton is unchanged (same ``src``/``dst`` arrays), the
+        captured build provenance is replayed leaves-up over the existing
+        E⁺ *structure* — no separator recursion and no schedule rebuild
+        (the §3.2 phase permutations are weight-independent and cloned) —
+        which is an order of magnitude cheaper than a rebuild and
+        bit-identical to one.  The plan is captured from graph and tree,
+        so any exact lineage replays, a loaded ``doubling`` archive
+        included.  Sparse deltas additionally need the lineage's retained
+        heap state, which every Algorithm 4.1 build and every replay
+        leaves on its augmentation; an oracle loaded from the cache or
+        from a file has none and serves its first refresh densely.  A
+        changed skeleton rebuilds with Algorithm 4.1 on the same tree; a
+        direct-tier lineage rebinds G's relaxer on the same rule.
 
-        ``validate`` (default: ``config.validate``) on the incremental
-        path checks shortcut *weights* only — :meth:`Augmentation.
+        ``validate`` (default: ``config.validate``) on the replay path
+        checks shortcut *weights* only — :meth:`Augmentation.
         verify_edges` against ground-truth Bellman–Ford — because the
         structure (decomposition, E⁺ pairs, schedule) is inherited from a
         build that already vouched for it.  Pass ``validate="full"`` to
@@ -504,60 +494,30 @@ class ShortestPathOracle:
             raise ValueError("pass exactly one of weight=, weight_delta= or graph=")
         dirty_edges = None
         if weight_delta is not None:
-            if isinstance(weight_delta, dict):
-                idx = np.fromiter(weight_delta.keys(), dtype=np.int64, count=len(weight_delta))
-                vals = np.fromiter(
-                    (weight_delta[int(i)] for i in idx),
-                    dtype=self.graph.weight.dtype,
-                    count=idx.shape[0],
-                )
-            else:
-                idx, vals = weight_delta
-                idx = np.asarray(idx, dtype=np.int64)
-                vals = np.asarray(vals, dtype=self.graph.weight.dtype)
-            if idx.size and (idx.min() < 0 or idx.max() >= self.graph.m):
-                raise ValueError("weight_delta edge ids out of range")
-            w = self.graph.weight.copy()
-            w[idx] = vals  # absolute assignment: applying a delta twice is a no-op
-            dirty_edges = idx
-            graph = WeightedDigraph(self.graph.n, self.graph.src, self.graph.dst, w)
+            graph, dirty_edges = apply_weight_delta(self.graph, weight_delta)
         elif graph is None:
             graph = WeightedDigraph(self.graph.n, self.graph.src, self.graph.dst, weight)
         if graph.n != self.tree.n:
             raise ValueError("new graph must have the same vertex set")
-        mode = self.config.reweight if reweight is None else reweight
-        if mode not in ("auto", "incremental", "rebuild"):
-            raise ValueError(f"reweight must be auto/incremental/rebuild, got {mode!r}")
         if validate is None:
             validate = self.config.validate
-        method = self.augmentation.method
-        if method not in ("leaves_up", "doubling", "doubling_shared", "direct"):
-            method = "leaves_up"
         same_skeleton = (
             graph.m == self.graph.m
             and np.array_equal(graph.src, self.graph.src)
             and np.array_equal(graph.dst, self.graph.dst)
         )
-        incremental_ok = method in ("leaves_up", "direct") and same_skeleton
-        if mode == "incremental" and not incremental_ok:
-            raise ValueError(
-                "reweight='incremental' needs a leaves_up or direct lineage "
-                "and an unchanged edge skeleton (same src/dst arrays); pass "
-                "reweight='auto' to fall back to a rebuild"
-            )
-        if method == "direct":
-            return self._reweight_direct(graph, mode != "rebuild" and incremental_ok)
+        if self.augmentation.method == "direct":
+            return self._reweight_direct(graph, same_skeleton)
         cfg = self.config.replace(
-            method=method,
             semiring=self.semiring,
             keep_node_distances=bool(self.augmentation.node_distances),
         )
-        if mode != "rebuild" and incremental_ok:
-            return self._reweight_incremental(graph, dirty_edges, cfg, validate)
+        if same_skeleton:
+            return self._replay(graph, dirty_edges, cfg, validate)
         # Rebuild with the *original* build config, which the new oracle
         # carries on (next reweight's defaults, shard_fleet(), save()),
-        # updating only what the new instance dictates (method/semiring
-        # follow the augmentation, keep_node_distances follows whether
+        # updating only what the new instance dictates (the semiring
+        # follows the augmentation, keep_node_distances follows whether
         # matrices were retained).
         if validate == "full":
             cfg = cfg.replace(validate=True)
@@ -568,7 +528,7 @@ class ShortestPathOracle:
         oracle.augmentation.weights_epoch = self.augmentation.weights_epoch + 1
         return oracle
 
-    def _reweight_incremental(
+    def _replay(
         self, graph: WeightedDigraph, dirty_edges, cfg: OracleConfig, validate
     ) -> "ShortestPathOracle":
         """The provenance-replay path of :meth:`with_new_weights`."""
@@ -696,13 +656,7 @@ class ShortestPathOracle:
             keep_node_distances=bool(aug.node_distances),
         )
         if aug.method == "direct":
-            # A direct-tier artifact: cfg.method stays whatever the build
-            # used (it names the E⁺ algorithm, which did not run).
             changes["mode"] = "direct"
-        elif aug.method in ("leaves_up", "doubling", "doubling_shared"):
-            changes["method"] = aug.method
-        else:
-            changes["method"] = "leaves_up"
         cfg = cfg.replace(**changes)
         return cls(
             aug.graph, aug.tree, aug, aug.schedule(),

@@ -15,9 +15,7 @@ import numpy as np
 from ..pram.machine import NULL_LEDGER, Ledger
 from .augment import Augmentation
 from .digraph import WeightedDigraph
-from .doubling import augment_doubling
 from .leaves_up import augment_leaves_up
-from .scheduler import build_schedule
 from .semiring import BOOLEAN
 from .septree import SeparatorTree
 from .sssp import sssp_scheduled
@@ -29,13 +27,11 @@ def reachability_augmentation(
     graph: WeightedDigraph,
     tree: SeparatorTree,
     *,
-    method: str = "leaves_up",
     ledger: Ledger = NULL_LEDGER,
 ) -> Augmentation:
-    """Boolean E⁺ for ``graph`` (edge weights are ignored)."""
-    if method == "leaves_up":
-        return augment_leaves_up(graph, tree, BOOLEAN, ledger=ledger)
-    return augment_doubling(graph, tree, BOOLEAN, ledger=ledger)
+    """Boolean E⁺ for ``graph`` by Algorithm 4.1 (edge weights are ignored;
+    ``augment_doubling(graph, tree, BOOLEAN)`` is Algorithm 4.3's)."""
+    return augment_leaves_up(graph, tree, BOOLEAN, ledger=ledger)
 
 
 def reachable_from(
@@ -55,11 +51,10 @@ def transitive_closure(
     graph: WeightedDigraph,
     tree: SeparatorTree,
     *,
-    method: str = "leaves_up",
     ledger: Ledger = NULL_LEDGER,
 ) -> np.ndarray:
     """Full n×n reachability matrix (reflexive)."""
-    aug = reachability_augmentation(graph, tree, method=method, ledger=ledger)
+    aug = reachability_augmentation(graph, tree, ledger=ledger)
     closure = reachable_from(aug, np.arange(graph.n), ledger=ledger)
     np.fill_diagonal(closure, True)
     return closure

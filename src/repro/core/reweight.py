@@ -1,5 +1,5 @@
 """Algorithm 4.1 as one stacked sweep per tree level — the exact E⁺ build
-and every incremental reweight.
+and every reweight that keeps the skeleton.
 
 Paper comment (iv): the separator decomposition, and therefore the
 *structure* of ``E⁺``, depends only on the unweighted skeleton.  A
@@ -59,7 +59,32 @@ from .digraph import WeightedDigraph
 from .semiring import Semiring
 from .septree import SeparatorTree
 
-__all__ = ["ReweightPlan", "ReweightState"]
+__all__ = ["ReweightPlan", "ReweightState", "apply_weight_delta"]
+
+
+def apply_weight_delta(
+    graph: WeightedDigraph, weight_delta
+) -> tuple[WeightedDigraph, np.ndarray]:
+    """``graph`` with a sparse reweighting applied, and the changed edge ids.
+
+    ``weight_delta`` is a ``{edge_id: new_weight}`` mapping or an
+    ``(edge_ids, new_weights)`` pair of absolute assignments, so applying
+    it twice is a no-op.  An id outside ``[0, m)`` raises ``ValueError``
+    rather than wrapping around as a negative numpy index would."""
+    if isinstance(weight_delta, dict):
+        idx = np.fromiter(weight_delta.keys(), dtype=np.int64, count=len(weight_delta))
+        vals = np.fromiter(
+            (weight_delta[int(i)] for i in idx), dtype=graph.weight.dtype, count=idx.shape[0]
+        )
+    else:
+        idx, vals = weight_delta
+        idx = np.asarray(idx, dtype=np.int64)
+        vals = np.asarray(vals, dtype=graph.weight.dtype)
+    if idx.size and (idx.min() < 0 or idx.max() >= graph.m):
+        raise ValueError("weight_delta edge ids out of range")
+    w = graph.weight.copy()
+    w[idx] = vals
+    return WeightedDigraph(graph.n, graph.src, graph.dst, w), idx
 
 
 @dataclass
@@ -390,8 +415,7 @@ class ReweightPlan:
             leaf_diameters=diam_map,
             node_distances=node_distances,
             # every sweep is Algorithm 4.1's output bit-for-bit, so the
-            # lineage keeps the builder's method tag (and with it its
-            # eligibility for further incremental reweights).
+            # lineage keeps Algorithm 4.1's method tag.
             method="leaves_up",
         )
         aug._reweight_state = ReweightState(  # type: ignore[attr-defined]

@@ -31,7 +31,6 @@ import numpy as np
 from ..kernels.floyd_warshall import floyd_warshall_with_parents
 from ..pram.machine import NULL_LEDGER, Ledger
 from .digraph import WeightedDigraph
-from .semiring import MIN_PLUS, Semiring
 from .septree import SeparatorTree, SepTreeNode
 
 __all__ = ["WitnessedNode", "WitnessOracle", "build_witnessed_augmentation"]

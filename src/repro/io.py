@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .core.augment import Augmentation, NodeDistances
+from .core.augment import Augmentation
 from .core.digraph import WeightedDigraph
 from .core.direct import DirectAugmentation
 from .core.semiring import SEMIRINGS

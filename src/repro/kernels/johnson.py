@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.digraph import WeightedDigraph
-from .bellman_ford import NegativeCycleError, bellman_ford
+from .bellman_ford import bellman_ford
 from .dijkstra import dijkstra
 
 __all__ = ["johnson", "johnson_potential"]

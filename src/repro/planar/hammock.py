@@ -17,7 +17,7 @@ defining invariants (coverage, ≤4 attachments, outerplanar interiors) in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -29,7 +29,6 @@ import numpy as np
 from ..core.api import ShortestPathOracle
 from ..core.digraph import WeightedDigraph
 from ..core.semiring import MIN_PLUS
-from ..kernels.bellman_ford import bellman_ford
 from ..kernels.floyd_warshall import floyd_warshall
 from ..pram.machine import Ledger
 from ..separators.spectral import decompose_spectral

@@ -28,6 +28,7 @@ __all__ = [
     "rest_components",
     "has_two_sides",
     "laplacian",
+    "cut_endpoints",
     "vertex_separator_from_cut",
     "neighborhood_separator",
     "ensure_progress",
@@ -67,14 +68,18 @@ def laplacian(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, *, d
     return sp.diags(np.asarray(a.sum(axis=1)).ravel()) - a
 
 
-def vertex_separator_from_cut(g: WeightedDigraph, in_a: np.ndarray) -> np.ndarray:
-    """Smaller endpoint set of the edges crossing the (A, B) vertex split."""
+def cut_endpoints(g: WeightedDigraph, in_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The A-side and B-side endpoint sets of the edges crossing the (A, B)
+    vertex split, smaller first (A first on a tie)."""
     cross = in_a[g.src] != in_a[g.dst]
-    if not cross.any():
-        return np.empty(0, dtype=np.int64)
     a_side = np.union1d(g.src[cross & in_a[g.src]], g.dst[cross & in_a[g.dst]])
     b_side = np.union1d(g.src[cross & ~in_a[g.src]], g.dst[cross & ~in_a[g.dst]])
-    return a_side if a_side.shape[0] <= b_side.shape[0] else b_side
+    return (a_side, b_side) if a_side.shape[0] <= b_side.shape[0] else (b_side, a_side)
+
+
+def vertex_separator_from_cut(g: WeightedDigraph, in_a: np.ndarray) -> np.ndarray:
+    """Smaller endpoint set of the edges crossing the (A, B) vertex split."""
+    return cut_endpoints(g, in_a)[0]
 
 
 def neighborhood_separator(sub: WeightedDigraph) -> np.ndarray:

@@ -24,7 +24,6 @@ Dinic-style unit bottlenecks); networkx is only ever a test oracle.
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 import numpy as np
 

@@ -21,8 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.digraph import WeightedDigraph
-from ..core.septree import SeparatorFn, SeparatorTree, build_separator_tree
-from .common import BALANCE, component_aware, has_two_sides, laplacian, vertex_separator_from_cut
+from ..core.septree import (
+    InseparableSubgraph,
+    SeparatorFn,
+    SeparatorTree,
+    build_separator_tree,
+    split_components,
+)
+from .common import (
+    BALANCE,
+    component_aware,
+    cut_endpoints,
+    has_two_sides,
+    laplacian,
+    neighborhood_separator,
+)
 
 __all__ = ["multilevel_separator_fn", "decompose_multilevel"]
 
@@ -182,6 +195,22 @@ def _refine(level: _Level, in_a: np.ndarray, passes: int = 4) -> np.ndarray:
     return in_a
 
 
+def _fallback_unbalanced(sub: WeightedDigraph, alpha: float = 0.95) -> bool:
+    """Whether the common neighborhood fallback would split ``sub`` past
+    :func:`~repro.core.septree.build_separator_tree`'s balance bound (its
+    default ``alpha``).  The fallback cuts ``N(v)`` of a minimum-degree
+    vertex ``v`` to isolate ``{v}``; for a pendant ``v`` that is one
+    vertex, and the other side holds everything else."""
+    try:
+        sep = neighborhood_separator(sub)
+    except InseparableSubgraph:
+        return False
+    if not has_two_sides(sub, sep):
+        return False
+    v1, v2 = split_components(sub, sep)
+    return max(v1.size, v2.size) > alpha * sub.n
+
+
 def multilevel_separator_fn(
     *, coarsest: int = 80, max_levels: int = 20, seed: int = 0
 ) -> SeparatorFn:
@@ -211,10 +240,16 @@ def multilevel_separator_fn(
             # After projection, in_a indexes the *finer* level.
             finer_idx = levels.index(lvl) - 1
             in_a = _refine(levels[finer_idx], in_a)
-        sep = vertex_separator_from_cut(sub, in_a)
-        if sep.size and has_two_sides(sub, sep):
-            return sep
-        return np.empty(0, dtype=np.int64)  # common fallback takes over
+        smaller, larger = cut_endpoints(sub, in_a)
+        if smaller.size and has_two_sides(sub, smaller):
+            return smaller
+        # The smaller endpoint set covered its whole side, so it splits
+        # nothing.  The common fallback takes over unless its split would
+        # break the tree builder's balance bound; then the cut's other
+        # endpoint set separates instead.
+        if larger.size and _fallback_unbalanced(sub) and has_two_sides(sub, larger):
+            return larger
+        return np.empty(0, dtype=np.int64)
 
     return component_aware(core)
 

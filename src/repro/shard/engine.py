@@ -59,7 +59,7 @@ class ShardEngine:
         Local ids of the shard's boundary vertices ``B(t)``.
     config:
         Router :class:`~repro.core.config.OracleConfig`; build fields
-        (method, semiring, cache mode/dir) are honored via
+        (semiring, cache mode/dir) are honored via
         :func:`shard_build_config`.
     """
 

@@ -14,7 +14,6 @@ from repro.workloads.generators import (
     apply_potential_weights,
     delaunay_digraph,
     grid_digraph,
-    path_digraph,
     random_tree_digraph,
 )
 

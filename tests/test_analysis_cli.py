@@ -65,8 +65,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "decomposition:" in out and "diameter_bound" in out
 
-    def test_stats_doubling(self, capsys):
-        assert main(["stats", "--n", "49", "--method", "doubling"]) == 0
+    @pytest.mark.parametrize("cmd", ["stats", "query"])
+    def test_retired_method_flag_is_rejected(self, cmd, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main([cmd, "--n", "49", "--method", "doubling"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_table1(self, capsys):
         assert main(["table1", "--sides", "6", "8", "10"]) == 0

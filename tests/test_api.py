@@ -5,16 +5,22 @@ import pytest
 
 from repro import (
     OracleConfig,
+    QueryEngine,
     ShortestPathOracle,
     augment_doubling,
     augment_doubling_shared,
+    augment_leaves_up,
     reachability_augmentation,
 )
 from repro.core import api
+from repro.core.sssp import sssp_naive, sssp_scheduled
 from repro.core.paths import path_weight
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import apply_potential_weights, delaunay_digraph, grid_digraph
 from tests.conftest import assert_distances_equal, reference_apsp
+
+#: Algorithm 4.1 builds the oracle; Algorithm 4.3 is a library function.
+BUILDERS = {"leaves_up": augment_leaves_up, "doubling": augment_doubling}
 
 
 class TestBuild:
@@ -49,7 +55,7 @@ class TestBuild:
         with pytest.raises(ValueError):
             ShortestPathOracle.build(g, config=OracleConfig(separator="voodoo"))
         with pytest.raises(ValueError):
-            ShortestPathOracle.build(g, tree, config=OracleConfig(method="magic"))
+            ShortestPathOracle.build(g, tree, config=OracleConfig(mode="magic"))
 
     def test_builds_leave_the_callers_tree_alone(self, rng):
         """A ``mode="auto"`` build records its tier decision on its own
@@ -68,8 +74,8 @@ class TestBuild:
     @pytest.mark.parametrize("method", ["leaves_up", "doubling"])
     def test_methods_agree(self, grid7, method):
         g, tree = grid7
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method=method))
-        assert_distances_equal(oracle.distances([0, 24]), reference_apsp(g)[[0, 24]])
+        aug = BUILDERS[method](g, tree)
+        assert_distances_equal(sssp_scheduled(aug, [0, 24]), reference_apsp(g)[[0, 24]])
 
 
 class TestQueries:
@@ -79,12 +85,10 @@ class TestQueries:
         return ShortestPathOracle.build(g, tree)
 
     def test_engines_agree(self, oracle):
+        """The §3.2 schedule against the A3 reference, plain Bellman–Ford
+        on G⁺."""
         s = [0, 5, 35]
-        assert_distances_equal(
-            oracle.distances(s, engine="scheduled"), oracle.distances(s, engine="naive")
-        )
-        with pytest.raises(ValueError):
-            oracle.distances(s, engine="warp")
+        assert_distances_equal(oracle.distances(s), sssp_naive(oracle.augmentation, s))
 
     def test_point_distance(self, oracle):
         ref = reference_apsp(oracle.graph)
@@ -131,16 +135,16 @@ class TestExecutors:
         rows it returns are the serial engine's, bit for bit."""
         g = apply_potential_weights(grid_digraph((6, 6), rng), rng)
         tree = decompose_grid(g, (6, 6), leaf_size=4)
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method=method))
+        aug = BUILDERS[method](g, tree)
         sources = np.arange(g.n)
-        with oracle.query_engine(OracleConfig(executor="serial")) as eng:
+        with QueryEngine(aug, OracleConfig(executor="serial")) as eng:
             want = eng.query(sources)
-        with oracle.query_engine(OracleConfig(executor=executor)) as eng:
+        with QueryEngine(aug, OracleConfig(executor=executor)) as eng:
             got, info = eng.submit(sources)
         # A pool really fans the batch out; serial relaxes it as one block.
         assert info["shards"] == (1 if executor == "serial" else 2)
         assert np.array_equal(got, want)
-        assert_distances_equal(want, oracle.distances(sources))
+        assert_distances_equal(want, sssp_scheduled(aug, sources))
 
     @pytest.mark.parametrize(
         "builder", [augment_doubling, augment_doubling_shared, reachability_augmentation]

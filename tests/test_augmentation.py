@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.augment import NegativeCycleDetected, dedupe_edges
-from repro.core.digraph import WeightedDigraph
 from repro.core.doubling import augment_doubling
 from repro.core.leaves_up import augment_leaves_up, dense_semiring_weights
 from repro.core.semiring import BOOLEAN, MIN_PLUS

@@ -172,8 +172,10 @@ class TestCutTree:
         # The unbudgeted spectral tree has ~67k nodes here; the cut one
         # stops after a few hundred.
         assert 0 < spectral["cut_at"] <= 1000
-        assert cands["multilevel"]["error"].startswith("DecompositionError: ")
-        assert "unbalanced split" in cands["multilevel"]["error"]
+        # Multilevel decomposes the expander too; its cut tree scores 0.0.
+        assert "error" not in cands["multilevel"]
+        assert cands["multilevel"]["separability"] == 0.0
+        assert cands["multilevel"]["cut_at"] >= 1
         sources = [0, 100, 255]
         assert np.array_equal(oracle.distances(sources), bellman_ford(g, sources))
 

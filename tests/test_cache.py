@@ -10,7 +10,6 @@ stampede protocol beside them.
 from __future__ import annotations
 
 import json
-import os
 import threading
 
 import numpy as np
@@ -322,7 +321,7 @@ class TestTreeEntry:
             built = ShortestPathOracle.build(g, config=other)
             assert built.cache_info["tree"] == "stored", change
         # Knobs the tree does not read leave the key alone.
-        for same in ({"method": "doubling"}, {"semiring": "boolean"}, {"validate": True}):
+        for same in ({"executor": "thread:2"}, {"semiring": "boolean"}, {"validate": True}):
             assert tree_key(g, base.replace(**same)) == tree_key(g, base), same
 
     def test_truncated_entry_falls_back_and_is_rewritten(self, tmp_path):

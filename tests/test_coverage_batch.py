@@ -4,7 +4,6 @@ negative weights, degenerate hammock/scc/tvpi inputs, CLI variants, and
 hypothesis checks for the max-min matmul."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from repro.core.doubling import augment_doubling
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.sssp import sssp_scheduled
 from repro.separators.spectral import decompose_spectral
-from repro.workloads.generators import grid_digraph
 from tests.conftest import assert_distances_equal, reference_apsp
 
 

@@ -19,7 +19,10 @@ from repro.core.augment import NegativeCycleDetected
 from repro.core.config import OracleConfig
 from repro.core.digraph import WeightedDigraph
 from repro.core.direct import DirectAugmentation
+from repro.core.doubling import augment_doubling
 from repro.core.semiring import MIN_PLUS, SEMIRINGS
+from repro.core.sssp import sssp_naive, sssp_scheduled
+from repro.io import save_augmentation
 from repro.kernels.dijkstra import dijkstra
 from repro.pram.executor import SerialExecutor
 from repro.separators.grid import decompose_grid
@@ -70,7 +73,11 @@ class TestExactAnswers:
         oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         assert isinstance(oracle.augmentation, DirectAugmentation)
         assert oracle.augmentation.size == 0
-        assert np.array_equal(oracle.distances(sources, engine=engine), want)
+        if engine == "scheduled":
+            got = oracle.distances(sources)
+        else:
+            got = sssp_naive(oracle.augmentation, sources)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", sorted(SEMIRINGS))
     def test_every_semiring_matches_the_exact_oracle(self, name, grid7, rng):
@@ -84,7 +91,7 @@ class TestExactAnswers:
         sources = np.arange(g.n)
         want = exact.distances(sources)
         assert np.array_equal(direct.distances(sources), want)
-        assert np.array_equal(direct.distances(sources, engine="naive"), want)
+        assert np.array_equal(sssp_naive(direct.augmentation, sources), want)
 
     def test_negative_cycle_raises_like_exact_mode(self, grid7):
         g, tree = grid7
@@ -216,6 +223,7 @@ class TestConfigAndErrors:
         "hopset_beta", "approx_gate",
         "replicas", "max_replicas", "autoscale_target_p99_ms",
         "engine", "source_block", "shard_backend", "shard_pin",
+        "method", "reweight",
     ])
     def test_retired_fields_raise_pointed_errors(self, field):
         with pytest.raises(TypeError, match=f"OracleConfig.{field} was removed"):
@@ -224,12 +232,6 @@ class TestConfigAndErrors:
             OracleConfig().replace(**{field: 1})
         with pytest.raises(TypeError, match="was removed"):
             OracleConfig.from_dict({field: 1})
-
-    def test_method_registry_rejects_direct(self):
-        """'direct' names an artifact, not an E⁺ build method: cfg.method
-        never accepts it (load() maps it to mode='direct' instead)."""
-        with pytest.raises(ValueError):
-            OracleConfig(method="direct")
 
     def test_eps_is_a_validated_tolerance(self):
         with pytest.raises(ValueError):
@@ -345,14 +347,18 @@ class TestPersistenceAndCache:
         ``hopset_beta`` and ``approx_gate``, the replica tier's
         ``replicas`` / ``max_replicas`` / ``autoscale_target_p99_ms``, the
         query engine's ``engine`` / ``source_block``, the server's
-        ``admission_queue_limit``, or the shard fleet's ``shard_backend`` /
-        ``shard_pin``, load and answer the same."""
+        ``admission_queue_limit``, the shard fleet's ``shard_backend`` /
+        ``shard_pin``, or the exact tier's ``method`` / ``reweight``, load
+        and answer the same.  A ``method="doubling"`` archive, and an E⁺
+        entry whose header carries both of the exact tier's keys, replay
+        their first delta to a cold build's rows (integer weights)."""
         g = expander_digraph(90, rng)
         retired = {
             "hopset_beta": 16, "approx_gate": 0.4,
             "replicas": 3, "max_replicas": 6, "autoscale_target_p99_ms": 50.0,
             "engine": "naive", "source_block": 16, "admission_queue_limit": 4,
             "shard_backend": "process", "shard_pin": True,
+            "method": "doubling", "reweight": "rebuild",
         }
         oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct", row_cache=8))
         path = tmp_path / "old.npz"
@@ -368,6 +374,37 @@ class TestPersistenceAndCache:
         hit = ShortestPathOracle.build(g, config=cfg.replace(cache="read"))
         assert hit.cache_info["status"] == "hit"
         assert np.array_equal(hit.distances([0, 7]), oracle.distances([0, 7]))
+
+        gi = _int_weighted(grid_digraph((8, 8), rng), rng)
+        tree = decompose_grid(gi, (8, 8))
+        sources = [0, 27, 63]
+        delta = {3: 9.0, 40: 1.0}
+        w2 = gi.weight.copy()
+        w2[list(delta)] = list(delta.values())
+        g2 = WeightedDigraph(gi.n, gi.src, gi.dst, w2)
+        cold = ShortestPathOracle.build(g2, tree).distances(sources)
+
+        aug = augment_doubling(gi, tree)
+        path = tmp_path / "doubling.npz"
+        save_augmentation(path, aug, config=OracleConfig())
+        _rewrite_config(path, method="doubling", reweight="rebuild")
+        back = ShortestPathOracle.load(path)
+        assert back.augmentation.method == "doubling"
+        assert np.array_equal(back.distances(sources), sssp_scheduled(aug, sources))
+        replayed = back.with_new_weights(weight_delta=delta)
+        assert replayed.cache_info["status"] == "reweight"
+        assert np.array_equal(replayed.distances(sources), cold)
+
+        cfg = OracleConfig(cache="readwrite", cache_dir=str(tmp_path / "e"))
+        stored = ShortestPathOracle.build(gi, tree, config=cfg)
+        _rewrite_config(tmp_path / "e" / f"{stored.cache_info['key']}.npz",
+                        method="leaves_up", reweight="incremental")
+        hit = ShortestPathOracle.build(gi, tree, config=cfg.replace(cache="read"))
+        assert hit.cache_info["status"] == "hit"
+        assert np.array_equal(hit.distances(sources), stored.distances(sources))
+        replayed = hit.with_new_weights(weight_delta=delta)
+        assert replayed.cache_info["status"] == "reweight"
+        assert np.array_equal(replayed.distances(sources), cold)
 
     def test_retired_engine_archives_and_entries_still_load(self, rng, tmp_path):
         """An archive, an E⁺ entry and a tree entry written by a
@@ -435,8 +472,6 @@ class TestReweight:
         oracle = ShortestPathOracle.build(g, config=OracleConfig(mode="direct"))
         oracle.distances([0])
         g2 = _int_weighted(expander_digraph(100, np.random.default_rng(999), degree=5), rng)
-        with pytest.raises(ValueError, match="unchanged edge skeleton"):
-            oracle.with_new_weights(graph=g2, reweight="incremental")
         fresh = oracle.with_new_weights(graph=g2)
         assert fresh.cache_info["status"] == "rebuild"
         assert fresh.augmentation.weights_epoch == 1

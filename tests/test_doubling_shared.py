@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro import OracleConfig, ShortestPathOracle
+from repro import ShortestPathOracle, WeightedDigraph
 from repro.core.doubling_shared import SharedEdgeTable, augment_doubling_shared
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.augment import NegativeCycleDetected
 from repro.core.semiring import BOOLEAN, MIN_PLUS
 from repro.core.sssp import measured_diameter, sssp_scheduled
+from repro.pram.machine import Ledger
 from repro.separators.grid import decompose_grid
 from repro.separators.spectral import decompose_spectral
 from repro.workloads.generators import (
     apply_potential_weights,
-    delaunay_digraph,
     gnm_digraph,
     grid_digraph,
 )
@@ -103,14 +103,17 @@ class TestAugmentDoublingShared:
 
     def test_through_oracle_facade(self, delaunay80):
         g, tree, _ = delaunay80
-        oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method="doubling_shared")
-        )
+        # As a loaded doubling_shared archive serves it.
+        aug = augment_doubling_shared(g, tree)
+        oracle = ShortestPathOracle(g, tree, aug, aug.schedule(), preprocess_ledger=Ledger())
         assert_distances_equal(oracle.distances([0, 40]), reference_apsp(g)[[0, 40]])
-        # Reuse keeps the method.
+        # A reweight replays Algorithm 4.1 on the same tree.
         rng = np.random.default_rng(1)
-        fresh = oracle.with_new_weights(rng.uniform(1, 5, g.m))
-        assert fresh.augmentation.method == "doubling_shared"
+        w2 = rng.uniform(1, 5, g.m)
+        fresh = oracle.with_new_weights(w2)
+        assert fresh.augmentation.method == "leaves_up"
+        cold = ShortestPathOracle.build(WeightedDigraph(g.n, g.src, g.dst, w2), tree)
+        assert np.array_equal(fresh.distances([0, 40]), cold.distances([0, 40]))
 
     def test_routing_oracle_on_shared_matrices(self, grid7):
         """Node matrices from the shared table are within-G(t) upper bounds

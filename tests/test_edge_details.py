@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from repro import OracleConfig, ShortestPathOracle
-from repro.core.digraph import WeightedDigraph
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.scheduler import build_schedule
 from repro.separators.grid import decompose_grid
-from repro.separators.spectral import decompose_spectral
 from repro.workloads.generators import grid_digraph
 from tests.conftest import assert_distances_equal, reference_apsp
 

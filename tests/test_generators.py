@@ -1,7 +1,6 @@
 """Tests for the workload generators."""
 
 import numpy as np
-import pytest
 
 from repro.core.negcycle import has_negative_cycle
 from repro.workloads.generators import (

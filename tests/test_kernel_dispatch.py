@@ -648,28 +648,31 @@ class TestBlockPhase:
         assert (led.work, led.depth) == (work, depth)
 
 
+def _built_rows(method: str, g, tree, sources) -> np.ndarray:
+    """Scheduled rows over the E⁺ of one of the three builders."""
+    from repro import augment_doubling, augment_doubling_shared, augment_leaves_up
+    from repro.core.sssp import sssp_scheduled
+
+    build = {"leaves_up": augment_leaves_up, "doubling": augment_doubling,
+             "doubling_shared": augment_doubling_shared}[method]
+    return sssp_scheduled(build(g, tree), sources)
+
+
 class TestEndToEndKernels:
     @pytest.mark.parametrize("method", ["leaves_up", "doubling", "doubling_shared"])
     def test_oracle_distances_invariant_under_kernel(self, grid7, method, monkeypatch):
         """Within one augmentation method, every product path yields the
-        bit-identical oracle (cross-method bit identity is NOT promised —
+        bit-identical rows (cross-method bit identity is NOT promised —
         different shortcut sets sum in different float orders)."""
-        from repro.core.api import ShortestPathOracle
-        from repro.core.config import OracleConfig
-
         g, tree = grid7
-        cfg = OracleConfig(method=method)
-        want = ShortestPathOracle.build(g, tree, config=cfg).distances([0, 11, 30])
+        want = _built_rows(method, g, tree, [0, 11, 30])
         for path in MATMUL_PATHS:
             force_path(monkeypatch, path)
-            oracle = ShortestPathOracle.build(g, tree, config=cfg)
-            got = oracle.distances([0, 11, 30])
+            got = _built_rows(method, g, tree, [0, 11, 30])
             assert np.array_equal(got, want), (method, path)
             monkeypatch.undo()
 
     def test_negative_weights_all_kernels(self, grid6_negative, monkeypatch):
-        from repro.core.api import ShortestPathOracle
-        from repro.core.config import OracleConfig
         from repro.kernels.johnson import johnson
 
         g, tree = grid6_negative
@@ -677,9 +680,6 @@ class TestEndToEndKernels:
         for method in ("leaves_up", "doubling"):
             for path in MATMUL_PATHS:
                 force_path(monkeypatch, path)
-                oracle = ShortestPathOracle.build(
-                    g, tree, config=OracleConfig(method=method)
-                )
-                got = oracle.distances([0, 7])
+                got = _built_rows(method, g, tree, [0, 7])
                 assert np.allclose(got, want, atol=1e-8), (method, path)
                 monkeypatch.undo()

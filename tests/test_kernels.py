@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.digraph import WeightedDigraph
-from repro.core.semiring import BOOLEAN, MAX_MIN, MIN_PLUS
+from repro.core.semiring import BOOLEAN, MAX_MIN
 from repro.kernels.boolmat import bool_closure, bool_matmul, charged_omega, set_charged_omega
 from repro.kernels.floyd_warshall import (
     expand_via_path,

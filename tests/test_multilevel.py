@@ -11,10 +11,10 @@ from repro.separators.multilevel import (
     _Level,
     _undirected_edges,
     decompose_multilevel,
-    multilevel_separator_fn,
 )
 from repro.separators.quality import assess
 from repro.workloads.generators import delaunay_digraph, gnm_digraph, grid_digraph
+from repro.workloads.synthetic import separator_programmable_family
 from tests.conftest import assert_distances_equal, reference_apsp
 
 
@@ -92,6 +92,28 @@ class TestEngine:
         g = gnm_digraph(150, 300, rng)
         tree = decompose_multilevel(g, leaf_size=6)
         tree.validate(g)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mu067_family_decomposes(self, seed):
+        """Pendant vertices of the μ = 0.67 family: the common fallback's
+        one-vertex cut would break the builder's balance bound, so the
+        cut's other endpoint set separates instead."""
+        g, _ = separator_programmable_family(600, 0.67, np.random.default_rng(seed))
+        tree = decompose_multilevel(g)
+        tree.validate(g)
+
+    def test_expander64_tree_is_unchanged(self):
+        """perfbench's 64-vertex expander, which multilevel decomposed before
+        the μ = 0.67 fix: the same tree, pinned by its E⁺ key."""
+        from repro.cache import augmentation_key
+        from repro.core.semiring import MIN_PLUS
+        from repro.workloads.generators import expander_digraph
+
+        g = expander_digraph(64, np.random.default_rng(0), degree=8)
+        tree = decompose_multilevel(g)
+        assert len(tree.nodes) == 295
+        key = augmentation_key(g, tree, MIN_PLUS, "leaves_up")
+        assert key[:16] == "a87abb381d5af29b"
 
     def test_disconnected_input(self, rng):
         a = grid_digraph((5, 5), rng)

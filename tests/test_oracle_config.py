@@ -19,7 +19,7 @@ from repro.core.sssp import sssp_scheduled
 class TestDefaults:
     def test_defaults_mirror_legacy_kwargs(self):
         cfg = OracleConfig()
-        assert cfg.method == "leaves_up"
+        assert cfg.mode == "exact"
         assert cfg.separator == "auto"
         assert cfg.resolved_semiring is MIN_PLUS
         assert cfg.leaf_size == 8
@@ -28,7 +28,7 @@ class TestDefaults:
         assert cfg.validate is False
 
     @pytest.mark.parametrize(
-        "bad", [{"method": "magic"}, {"reweight": "warp"}, {"cache": "sometimes"},
+        "bad", [{"mode": "magic"}, {"row_cache": -1}, {"cache": "sometimes"},
                 {"semiring": "tropical-ish"}]
     )
     def test_invalid_values_raise(self, bad):
@@ -42,7 +42,7 @@ class TestDefaults:
 
 class TestSerialization:
     def test_to_from_dict_round_trip(self):
-        cfg = OracleConfig(method="doubling", executor="shm:4", row_cache=16,
+        cfg = OracleConfig(mode="auto", executor="shm:4", row_cache=16,
                            leaf_size=6)
         d = cfg.to_dict()
         assert d["semiring"] == "min-plus"
@@ -92,7 +92,7 @@ class TestBuildEquivalence:
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(executor="thread:2"))
         assert oracle.config.executor == "thread:2"
-        assert oracle.config.method == "leaves_up"
+        assert oracle.augmentation.method == "leaves_up"
 
 
 class TestQueryEngineUnification:
@@ -142,11 +142,12 @@ class TestWithNewWeightsRegression:
         ).distances([0, 3])
         assert np.allclose(rebuilt.distances([0, 3]), want)
 
-    def test_method_still_follows_augmentation(self, grid6_negative, rng):
+    def test_skeleton_change_rebuilds_with_the_saved_config(self, grid6_negative, rng):
         g, tree = grid6_negative
-        oracle = ShortestPathOracle.build(
-            g, tree, config=OracleConfig(method="doubling", leaf_size=6)
-        )
+        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(leaf_size=6))
         rebuilt = oracle.with_new_weights(graph=g.reverse())
-        assert rebuilt.config.method == "doubling"
-        assert rebuilt.config.leaf_size == 6
+        assert rebuilt.config == oracle.config
+        assert rebuilt.augmentation.method == "leaves_up"
+        assert rebuilt.augmentation.weights_epoch == 1
+        want = ShortestPathOracle.build(g.reverse(), tree).distances([0, 3])
+        assert np.array_equal(rebuilt.distances([0, 3]), want)

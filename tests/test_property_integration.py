@@ -3,7 +3,6 @@ the full pipeline (decompose → augment → schedule → query) must agree with
 independent references — the strongest form of invariants I1–I5."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -187,7 +187,7 @@ class TestCliConfigMapping:
         assert cfg.row_cache == 64
         # unset flags keep the dataclass defaults
         default = OracleConfig()
-        assert cfg.method == default.method
+        assert cfg.mode == default.mode
         assert cfg.leaf_size == default.leaf_size
 
     @pytest.mark.parametrize("cmd", ["query", "serve"])
@@ -234,5 +234,19 @@ class TestCliConfigMapping:
 
         with pytest.raises(SystemExit) as ei:
             main(["serve", "--admission-queue-limit", "4"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "doubling"],
+        ["--reweight", "rebuild"],
+    ])
+    def test_serve_rejects_the_retired_build_and_refresh_flags(self, argv, capsys):
+        """The exact tier always builds with Algorithm 4.1 and refreshes by
+        replay, so neither choice has a flag."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as ei:
+            main(["serve", *argv])
         assert ei.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for incremental reweighting and the epoch hot-swap serving path.
+"""Tests for replayed reweighting and the epoch hot-swap serving path.
 
 Paper comment (iv): the separator decomposition — and with it the E⁺
 *structure* — depends only on the unweighted skeleton.
@@ -32,6 +32,20 @@ def _reweighted_graph(g, weight):
     return type(g)(g.n, g.src, g.dst, np.asarray(weight, dtype=g.weight.dtype))
 
 
+def _doubling_oracle(g, tree) -> ShortestPathOracle:
+    """An oracle over Algorithm 4.3's E⁺, as a loaded ``doubling`` archive
+    serves it."""
+    from repro.core.doubling import augment_doubling
+
+    aug = augment_doubling(g, tree)
+    return ShortestPathOracle(g, tree, aug, aug.schedule(), preprocess_ledger=Ledger())
+
+
+def _with_parallel_edge(g):
+    """``g`` with edge 0 doubled: a changed skeleton the tree still fits."""
+    return g.with_extra_edges(g.src[:1], g.dst[:1], g.weight[:1] + 1.0)
+
+
 def _assert_bit_identical(got: ShortestPathOracle, cold: ShortestPathOracle, srcs):
     """The replay's E⁺ and its served distances equal the cold rebuild's,
     to the bit (the sweep replays the exact builder kernels)."""
@@ -52,11 +66,11 @@ def grid10(rng):
 class TestBitIdentityDense:
     def test_minplus_float(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         w2 = rng.uniform(0.5, 20.0, size=g.m)
         got = oracle.with_new_weights(w2)
         cold = ShortestPathOracle.build(
-            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+            _reweighted_graph(g, w2), tree
         )
         _assert_bit_identical(got, cold, [0, 17, 55, 99])
         assert got.augmentation.weights_epoch == 1
@@ -64,20 +78,20 @@ class TestBitIdentityDense:
 
     def test_minplus_negative_weights(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         gn = apply_potential_weights(g, rng)  # negative but cycle-free
         assert (gn.weight < 0).any()
         got = oracle.with_new_weights(gn.weight)
-        cold = ShortestPathOracle.build(gn, tree, config=OracleConfig(method="leaves_up"))
+        cold = ShortestPathOracle.build(gn, tree)
         _assert_bit_identical(got, cold, [0, 42, 99])
 
     def test_minplus_integer_valued(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         w2 = np.round(g.weight * 7.0) + 1.0
         got = oracle.with_new_weights(w2)
         cold = ShortestPathOracle.build(
-            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+            _reweighted_graph(g, w2), tree
         )
         _assert_bit_identical(got, cold, list(range(0, 100, 9)))
 
@@ -85,7 +99,7 @@ class TestBitIdentityDense:
         """Boolean reachability: reweighting toggles edge presence (zero
         weight = absent under the bool cast)."""
         g, tree = grid10
-        cfg = OracleConfig(method="leaves_up", semiring="boolean")
+        cfg = OracleConfig(semiring="boolean")
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         w2 = (rng.uniform(size=g.m) < 0.6).astype(np.float64)
         got = oracle.with_new_weights(w2)
@@ -94,7 +108,7 @@ class TestBitIdentityDense:
 
     def test_maxmin_semiring(self, rng, grid10):
         g, tree = grid10
-        cfg = OracleConfig(method="leaves_up", semiring="max-min")
+        cfg = OracleConfig(semiring="max-min")
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         w2 = rng.uniform(0.0, 100.0, size=g.m)
         got = oracle.with_new_weights(w2)
@@ -106,11 +120,11 @@ class TestBitIdentityDense:
         """The programmable-μ multilevel family: deep trees, chained
         boundaries — the replay must agree there too, not just on grids."""
         g, tree = separator_programmable_family(260, mu, rng)
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         w2 = rng.uniform(1.0, 10.0, size=g.m)
         got = oracle.with_new_weights(w2)
         cold = ShortestPathOracle.build(
-            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+            _reweighted_graph(g, w2), tree
         )
         _assert_bit_identical(got, cold, [0, g.n // 2, g.n - 1])
 
@@ -118,10 +132,10 @@ class TestBitIdentityDense:
         """``graph=`` accepts any same-skeleton graph — the reverse
         orientation goes through the rebuild fallback (src/dst change)."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         got = oracle.with_new_weights(graph=g.reverse())
         cold = ShortestPathOracle.build(
-            g.reverse(), tree, config=OracleConfig(method="leaves_up")
+            g.reverse(), tree
         )
         assert np.array_equal(got.distances([0, 9]), cold.distances([0, 9]))
 
@@ -131,7 +145,7 @@ class TestBitIdentitySparse:
         """A 1%-edge delta on an oracle produced by a reweight takes the
         restricted root-path sweep and still matches a cold rebuild."""
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        base = ShortestPathOracle.build(g, tree)
         w1 = rng.uniform(1.0, 9.0, size=g.m)
         o1 = base.with_new_weights(w1)  # o1 carries the retained heap
         dirty = rng.choice(g.m, size=max(2, g.m // 100), replace=False)
@@ -139,7 +153,7 @@ class TestBitIdentitySparse:
         w2[dirty] = rng.uniform(1.0, 9.0, size=dirty.size)
         got = o1.with_new_weights(weight_delta=(dirty, w2[dirty]))
         cold = ShortestPathOracle.build(
-            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+            _reweighted_graph(g, w2), tree
         )
         _assert_bit_identical(got, cold, [0, 33, 66, 99])
         assert got.augmentation.weights_epoch == 2
@@ -148,7 +162,7 @@ class TestBitIdentitySparse:
         """Deltas are absolute assignments — replaying the same delta is a
         no-op (the property the client/server retry policy relies on)."""
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        base = ShortestPathOracle.build(g, tree)
         o1 = base.with_new_weights(rng.uniform(1.0, 9.0, size=g.m))
         delta = {3: 42.0, 17: 0.5}
         o2 = o1.with_new_weights(weight_delta=delta)
@@ -161,7 +175,7 @@ class TestBitIdentitySparse:
         rebuild's +inf rows exactly — deleted edges, possibly unreachable
         vertices."""
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        base = ShortestPathOracle.build(g, tree)
         o1 = base.with_new_weights(g.weight.copy())
         # Sever every edge out of vertex 0's corner neighborhood.
         dirty = np.nonzero((g.src == 0) | (g.dst == 0))[0]
@@ -169,7 +183,7 @@ class TestBitIdentitySparse:
         w2[dirty] = np.inf
         got = o1.with_new_weights(weight_delta=(dirty, w2[dirty]))
         cold = ShortestPathOracle.build(
-            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+            _reweighted_graph(g, w2), tree
         )
         _assert_bit_identical(got, cold, [0, 1, 99])
         assert np.isinf(got.distances([0])[0][1:]).all()
@@ -183,7 +197,7 @@ class TestBitIdentitySparse:
 
         g, tree = grid10
         g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
-        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        base = ShortestPathOracle.build(g, tree)
         state = getattr(base.augmentation, "_reweight_state", None)
         assert state is not None
         assert state.plan is base._reweight_plan
@@ -203,12 +217,9 @@ class TestBitIdentitySparse:
         w2 = g.weight.copy()
         w2[5] = 99.0
         g2 = _reweighted_graph(g, w2)
-        cold = ShortestPathOracle.build(g2, tree, config=OracleConfig(method="leaves_up"))
+        cold = ShortestPathOracle.build(g2, tree)
         _assert_bit_identical(got, cold, [0, 99])
-        doubling = ShortestPathOracle.build(
-            g2, tree, config=OracleConfig(method="doubling")
-        )
-        _assert_bit_identical(got, doubling, [0, 42, 99])
+        _assert_bit_identical(got, _doubling_oracle(g2, tree), [0, 42, 99])
         assert getattr(got.augmentation, "_reweight_state", None) is not None
 
     @pytest.mark.parametrize("semiring", ["boolean", "hops", "max-min", "min-max", "min-plus"])
@@ -217,7 +228,7 @@ class TestBitIdentitySparse:
         node over from the base state; E⁺ must still equal a cold build's."""
         g, tree = grid10
         g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
-        cfg = OracleConfig(method="leaves_up", semiring=semiring)
+        cfg = OracleConfig(semiring=semiring)
         base = ShortestPathOracle.build(g, tree, config=cfg)
         w2 = g.weight.copy()
         w2[5] = 0.0 if semiring == "boolean" else 99.0  # boolean: drop the edge
@@ -243,21 +254,21 @@ class TestBitIdentitySparse:
         monkeypatch.setattr(ReweightPlan, "capture", no_capture)
         pair = DistanceOracle(aug).with_new_weights(weight_delta={5: 99.0})
         oracle = ShortestPathOracle(g, tree, aug, aug.schedule(), preprocess_ledger=Ledger())
-        got = oracle.with_new_weights(weight_delta={5: 99.0}, reweight="incremental")
+        got = oracle.with_new_weights(weight_delta={5: 99.0})
         monkeypatch.undo()
         assert pair.aug._reweight_state.plan is state.plan
         assert got._reweight_plan is state.plan
         w2 = g.weight.copy()
         w2[5] = 99.0
         cold = ShortestPathOracle.build(
-            _reweighted_graph(g, w2), tree, config=OracleConfig(method="leaves_up")
+            _reweighted_graph(g, w2), tree
         )
         _assert_bit_identical(got, cold, [0, 99])
         assert np.array_equal(pair.aug.weight, cold.augmentation.weight)
 
     def test_plan_shared_along_lineage(self, rng, grid10):
         g, tree = grid10
-        base = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        base = ShortestPathOracle.build(g, tree)
         o1 = base.with_new_weights(rng.uniform(1.0, 5.0, size=g.m))
         o2 = o1.with_new_weights(rng.uniform(1.0, 5.0, size=g.m))
         assert base._reweight_plan is not None
@@ -310,7 +321,7 @@ class TestLevelHeap:
     @pytest.mark.parametrize("semiring", ["boolean", "hops", "max-min", "min-max", "min-plus"])
     def test_scattered_float_delta_matches_cold(self, rng, grid12, semiring):
         g, tree = grid12
-        cfg = OracleConfig(method="leaves_up", semiring=semiring, keep_node_distances=True)
+        cfg = OracleConfig(semiring=semiring, keep_node_distances=True)
         base = ShortestPathOracle.build(g, tree, config=cfg)
         idx, vals = _scattered_delta(g, rng, semiring)
         dirty = base._reweight_plan._dirty_nodes(idx)
@@ -332,7 +343,7 @@ class TestLevelHeap:
     @pytest.mark.parametrize("semiring", ["boolean", "max-min", "min-plus"])
     def test_padding_stays_zero(self, rng, grid12, semiring):
         g, tree = grid12
-        cfg = OracleConfig(method="leaves_up", semiring=semiring)
+        cfg = OracleConfig(semiring=semiring)
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         plan = oracle._reweight_plan
         pad = ~_real_slots(plan)
@@ -394,44 +405,71 @@ class TestLevelHeap:
 
 
 class TestModesAndErrors:
-    def test_incremental_requires_leaves_up(self, rng, grid10):
-        g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="doubling"))
-        with pytest.raises(ValueError, match="incremental"):
-            oracle.with_new_weights(g.weight * 2.0, reweight="incremental")
-
     def test_auto_falls_back_to_rebuild(self, rng, grid10):
+        """Only a changed skeleton rebuilds: here one edge is doubled."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="doubling"))
-        w2 = np.round(g.weight * 3.0) + 1.0
-        got = oracle.with_new_weights(w2)  # auto → rebuild, no raise
-        cold = ShortestPathOracle.build(
-            _reweighted_graph(g, w2), tree, config=OracleConfig(method="doubling")
-        )
-        assert np.array_equal(got.distances([0, 9]), cold.distances([0, 9]))
+        oracle = ShortestPathOracle.build(g, tree)
+        g2 = _with_parallel_edge(g)
+        got = oracle.with_new_weights(graph=g2)
+        assert got.cache_info["status"] != "reweight"
+        _assert_bit_identical(got, ShortestPathOracle.build(g2, tree), [0, 9])
         assert got.augmentation.weights_epoch == 1
 
     def test_rebuild_mode_matches_incremental(self, rng, grid10):
+        """A replay and a cold build of the same weights agree to the bit."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         w2 = rng.uniform(1.0, 9.0, size=g.m)
-        inc = oracle.with_new_weights(w2, reweight="incremental")
-        reb = oracle.with_new_weights(w2, reweight="rebuild")
-        _assert_bit_identical(inc, reb, [0, 50, 99])
+        inc = oracle.with_new_weights(w2)
+        assert inc.cache_info["status"] == "reweight"
+        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree)
+        _assert_bit_identical(inc, cold, [0, 50, 99])
+
+    def test_doubling_lineage_replays(self, grid10):
+        """The plan is captured from graph and tree, so an Algorithm 4.3
+        lineage replays too, to a cold Algorithm 4.1 build's bits."""
+        g, tree = grid10
+        g = _reweighted_graph(g, np.round(g.weight * 7.0) + 1.0)
+        oracle = _doubling_oracle(g, tree)
+        w2 = np.round(g.weight * 3.0) + 1.0
+        got = oracle.with_new_weights(w2)
+        assert got.cache_info["status"] == "reweight"
+        assert got.augmentation.method == "leaves_up"
+        cold = ShortestPathOracle.build(_reweighted_graph(g, w2), tree)
+        _assert_bit_identical(got, cold, [0, 9, 99])
 
     def test_exactly_one_input(self, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         with pytest.raises(ValueError):
             oracle.with_new_weights()
         with pytest.raises(ValueError):
             oracle.with_new_weights(g.weight, weight_delta={0: 1.0})
 
+    @pytest.mark.parametrize("kind", ["ShortestPathOracle", "DistanceOracle"])
+    @pytest.mark.parametrize("bad", ["negative", "past_m"])
+    @pytest.mark.parametrize("form", ["mapping", "arrays"])
+    def test_out_of_range_edge_ids_raise(self, grid10, kind, bad, form):
+        """A negative id would wrap around to the last edges under numpy
+        indexing, and an id ≥ m would raise a bare IndexError; both oracles
+        parse the delta with one helper that refuses either."""
+        from repro.apps.routing import DistanceOracle
+
+        g, tree = grid10
+        if kind == "ShortestPathOracle":
+            oracle = ShortestPathOracle.build(g, tree)
+        else:
+            oracle = DistanceOracle.build(g, tree)
+        eid = -1 if bad == "negative" else g.m
+        delta = {eid: 123.0} if form == "mapping" else (np.array([eid]), np.array([123.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.with_new_weights(weight_delta=delta)
+
     def test_negative_cycle_raises_and_preserves_serving(self, rng, grid10):
         """A delta creating a negative cycle raises on both paths, and the
         base oracle keeps serving its old weights untouched."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         before = oracle.distances([0, 99])
         # Any reciprocal edge pair is a 2-cycle; make it very negative.
         pair = {(int(s), int(d)): i for i, (s, d) in enumerate(zip(g.src, g.dst))}
@@ -441,9 +479,9 @@ class TestModesAndErrors:
         w2 = g.weight.copy()
         w2[list(cyc)] = -50.0
         with pytest.raises(NegativeCycleDetected):
-            oracle.with_new_weights(w2, reweight="incremental")
+            oracle.with_new_weights(w2)
         with pytest.raises(NegativeCycleDetected):
-            oracle.with_new_weights(w2, reweight="rebuild")
+            oracle.with_new_weights(graph=_with_parallel_edge(_reweighted_graph(g, w2)))
         assert np.array_equal(oracle.distances([0, 99]), before)
 
 
@@ -454,7 +492,7 @@ class TestValidateFlag:
 
     def test_validate_true_skips_structural(self, rng, grid10, monkeypatch):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         called = []
         monkeypatch.setattr(
             type(tree), "validate",
@@ -469,14 +507,14 @@ class TestValidateFlag:
         """Regression: the weight check is live on the incremental path (a
         semiring-name mismatch once made it silently vacuous)."""
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         monkeypatch.setattr(Augmentation, "verify_edges", lambda self, *a, **k: 1.0)
         with pytest.raises(AssertionError, match="deviate"):
             oracle.with_new_weights(g.weight * 2.0, validate=True)
 
     def test_validate_passes_on_healthy_replay(self, rng, grid10):
         g, tree = grid10
-        oracle = ShortestPathOracle.build(g, tree, config=OracleConfig(method="leaves_up"))
+        oracle = ShortestPathOracle.build(g, tree)
         got = oracle.with_new_weights(rng.uniform(1.0, 9.0, size=g.m), validate=True)
         assert got.augmentation.weights_epoch == 1
 
@@ -489,7 +527,7 @@ class TestEngineHotSwap:
         g, tree = grid10
         # shm executor: the arena generations (pspg<epoch> segments) are
         # observable; serial engines have no arena to flip.
-        cfg = OracleConfig(method="leaves_up", executor="shm:2", row_cache=16)
+        cfg = OracleConfig(executor="shm:2", row_cache=16)
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         eng = QueryEngine(oracle.augmentation, cfg)
         try:
@@ -517,7 +555,7 @@ class TestEngineHotSwap:
 
     def test_reweight_rejects_mismatched_augmentation(self, rng, grid10):
         g, tree = grid10
-        cfg = OracleConfig(method="leaves_up", executor="serial")
+        cfg = OracleConfig(executor="serial")
         oracle = ShortestPathOracle.build(g, tree, config=cfg)
         eng = QueryEngine(oracle.augmentation, cfg)
         try:
@@ -544,7 +582,7 @@ class TestRouterReweight:
 
         g, tree = grid10
         g = self._integral(g)
-        cfg = OracleConfig(method="leaves_up", cache="off")
+        cfg = OracleConfig(cache="off")
         srcs = np.array([0, 13, 99])
         r = ShardRouter(g, tree, cfg, k=2)
         try:

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from repro.apps.routing import DistanceOracle
+from repro.core.doubling import augment_doubling
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.semiring import BOOLEAN
 from repro.separators.grid import decompose_grid
 from repro.separators.spectral import decompose_spectral
-from repro.workloads.generators import (
-    apply_potential_weights,
-    delaunay_digraph,
-    grid_digraph,
-)
+from repro.workloads.generators import grid_digraph
 from tests.conftest import reference_apsp
 
 
@@ -22,7 +19,10 @@ class TestDistanceOracle:
     def test_all_pairs_small_grid(self, rng, method):
         g = grid_digraph((6, 6), rng)
         tree = decompose_grid(g, (6, 6), leaf_size=4)
-        oracle = DistanceOracle.build(g, tree, method=method)
+        if method == "leaves_up":
+            oracle = DistanceOracle.build(g, tree)
+        else:
+            oracle = DistanceOracle(augment_doubling(g, tree, keep_node_distances=True))
         ref = reference_apsp(g)
         for u in range(g.n):
             for v in range(g.n):

@@ -1,7 +1,6 @@
 """Tests for the SCC / condensation substrate."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.digraph import WeightedDigraph
-from repro.core.septree import DecompositionError
 from repro.separators.bfs_levels import bfs_levels
 from repro.separators.common import (
     component_aware,

@@ -7,8 +7,6 @@ import pytest
 from repro.core.digraph import WeightedDigraph
 from repro.core.septree import (
     DecompositionError,
-    SeparatorTree,
-    SepTreeNode,
     build_separator_tree,
     split_components,
 )

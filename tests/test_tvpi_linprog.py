@@ -3,7 +3,6 @@
 systems, feasible and infeasible alike."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

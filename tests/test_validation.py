@@ -6,8 +6,6 @@ import pytest
 from repro import ShortestPathOracle
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.validation import validate_pipeline
-from repro.separators.grid import decompose_grid
-from repro.workloads.generators import apply_potential_weights, grid_digraph
 from tests.conftest import reference_apsp
 
 

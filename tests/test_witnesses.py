@@ -11,7 +11,7 @@ from repro.core.paths import path_weight
 from repro.core.witnesses import WitnessOracle, build_witnessed_augmentation
 from repro.separators.grid import decompose_grid
 from repro.separators.spectral import decompose_spectral
-from repro.workloads.generators import apply_potential_weights, delaunay_digraph, grid_digraph
+from repro.workloads.generators import apply_potential_weights, grid_digraph
 from tests.conftest import reference_apsp
 
 

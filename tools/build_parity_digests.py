@@ -165,7 +165,7 @@ def digest_build(oracle: ShortestPathOracle) -> dict[str, str]:
 
 
 def _config(semiring: str) -> OracleConfig:
-    return OracleConfig(method="leaves_up", semiring=semiring, keep_node_distances=True)
+    return OracleConfig(semiring=semiring, keep_node_distances=True)
 
 
 def digest_case(graph: str, weights: str, semiring: str) -> dict[str, str]:
